@@ -101,10 +101,10 @@ impl LshFunction {
         }
     }
 
-    /// Min-hash of a range set, via each family's fastest value-identical
-    /// evaluator: the range-aware greedy descent for the GRP families
-    /// (small sets still enumerate — see `rangeaware::ENUMERATE_WIDTH_MAX`)
-    /// and the closed-form interval minimum for the linear families.
+    /// Min-hash of a range set, via each family's value-identical interval
+    /// evaluator: the dominance-candidate kernel ([`crate::rangeaware`])
+    /// for the GRP families and the closed-form interval minimum for the
+    /// linear families.
     /// Bit-for-bit equal to [`LshFunction::min_hash_enumerate`]
     /// (property-tested in `tests/property_invariants.rs`).
     #[inline]
@@ -143,19 +143,17 @@ impl LshFunction {
         }
     }
 
-    /// Compile into the fastest value-identical evaluator: table-driven
-    /// bit permutation for the GRP families, closed-form interval minimum
-    /// for the linear families.
+    /// Compile into the value-identical evaluator with no per-call set-up:
+    /// the bit images of the GRP families laid out for the range-aware
+    /// kernel, the closed-form interval minimum for the linear families.
     pub fn compile(&self) -> CompiledLshFunction {
         match self {
-            LshFunction::MinWise(p) => CompiledLshFunction::Bit {
-                tables: p.compile(),
-                kernel: RangeAwareBitPerm::compile(|x| p.permute(x)),
-            },
-            LshFunction::Approx(p) => CompiledLshFunction::Bit {
-                tables: p.compile(),
-                kernel: RangeAwareBitPerm::compile(|x| p.permute(x)),
-            },
+            LshFunction::MinWise(p) => {
+                CompiledLshFunction::Bit(RangeAwareBitPerm::compile(|x| p.permute(x)))
+            }
+            LshFunction::Approx(p) => {
+                CompiledLshFunction::Bit(RangeAwareBitPerm::compile(|x| p.permute(x)))
+            }
             LshFunction::Linear(p)
             | LshFunction::LinearClosedForm(p)
             | LshFunction::LinearDomain(p) => CompiledLshFunction::Linear(*p),
@@ -168,45 +166,20 @@ impl LshFunction {
 /// changes. The `hash_ablation` bench quantifies the difference.
 #[derive(Debug, Clone)]
 pub enum CompiledLshFunction {
-    /// Fixed bit permutation (min-wise / approx families): byte tables for
-    /// enumerating narrow intervals plus the range-aware kernel for wide
-    /// ones.
-    Bit {
-        /// Table-driven evaluator — fastest per single value.
-        tables: crate::grp::BitPerm,
-        /// Greedy-descent evaluator — `O(32²)` per interval of any width.
-        kernel: RangeAwareBitPerm,
-    },
+    /// Fixed bit permutation (min-wise / approx families): its 32 bit
+    /// images, evaluated per interval by the range-aware kernel.
+    Bit(RangeAwareBitPerm),
     /// Linear permutation evaluated with the closed-form interval minimum.
     Linear(LinearPerm),
 }
 
-/// Compiled bit-permutation intervals at most this wide are enumerated
-/// through the byte tables (≈4 lookups per value) instead of running the
-/// `O(32²)` greedy descent; the crossover sits near 128 values.
-pub const COMPILED_ENUMERATE_WIDTH_MAX: u64 = 128;
-
 impl CompiledLshFunction {
     /// Min-hash of a range set. Value-identical to the source function's
-    /// [`LshFunction::min_hash`]; per-interval the bit families pick table
-    /// enumeration or the range-aware kernel by width.
+    /// [`LshFunction::min_hash`].
     #[inline]
     pub fn min_hash(&self, q: &RangeSet) -> u32 {
         match self {
-            CompiledLshFunction::Bit { tables, kernel } => {
-                assert!(!q.is_empty(), "min-hash of an empty range set");
-                q.intervals()
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        if ((hi - lo) as u64) < COMPILED_ENUMERATE_WIDTH_MAX {
-                            (lo..=hi).map(|v| tables.permute(v)).min().unwrap()
-                        } else {
-                            kernel.min_interval(lo, hi)
-                        }
-                    })
-                    .min()
-                    .unwrap()
-            }
+            CompiledLshFunction::Bit(kernel) => kernel.min_hash(q),
             CompiledLshFunction::Linear(p) => p.min_hash(q),
         }
     }

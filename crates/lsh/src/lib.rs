@@ -14,9 +14,12 @@
 //!   * [`linear::LinearPerm`] — `π(x) = a·x + b mod p`, with both the
 //!     enumerate-every-value evaluation the paper measures and a closed-form
 //!     `O(log p)` minimum over a contiguous interval;
-//! * [`rangeaware::RangeAwareBitPerm`] — exact interval min-hash for the
-//!   bit-shuffle families in `O(32²)` per interval regardless of width,
-//!   replacing the enumeration the paper times in Fig. 5;
+//! * [`rangeaware::RangeAwareBitPerm`] — the one exact interval min-hash
+//!   kernel for the bit-shuffle families, `O(log w)` per interval of width
+//!   `w` over a whole group of functions at once, replacing the
+//!   enumeration the paper times in Fig. 5;
+//! * [`fused::CompiledGroup`] — one group's `k` functions laid side by side
+//!   so a query's interval decomposition is walked once per group;
 //! * [`group::HashGroups`] — the `l` groups × `k` functions amplification
 //!   that turns per-function collision probability `p` into
 //!   `1 − (1 − pᵏ)ˡ`, a step-like curve (the paper uses `k = 20`, `l = 5`).

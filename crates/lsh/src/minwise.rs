@@ -89,18 +89,12 @@ impl MinWisePerm {
         v
     }
 
-    /// Min-hash of a range set. Small sets are enumerated; larger ones go
-    /// through a [`RangeAwareBitPerm`] built on the fly (32 permutations to
-    /// compile, then `O(32²)` per interval regardless of width). Values are
-    /// identical to [`MinWisePerm::min_hash_enumerate`]; only the cost
-    /// differs.
+    /// Min-hash of a range set through a [`RangeAwareBitPerm`] built on the
+    /// fly (32 permutations to compile, then `O(log w)` per interval of
+    /// width `w`). Values are identical to
+    /// [`MinWisePerm::min_hash_enumerate`]; only the cost differs.
     pub fn min_hash(&self, q: &RangeSet) -> u32 {
-        assert!(!q.is_empty(), "min-hash of an empty range set");
-        if q.len() <= crate::rangeaware::ENUMERATE_WIDTH_MAX {
-            q.iter().map(|v| self.permute(v)).min().unwrap()
-        } else {
-            RangeAwareBitPerm::compile(|x| self.permute(x)).min_hash(q)
-        }
+        RangeAwareBitPerm::compile(|x| self.permute(x)).min_hash(q)
     }
 
     /// Min-hash by enumerating every value of the set — the evaluation

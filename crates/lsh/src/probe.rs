@@ -21,9 +21,11 @@
 //! sets at increasing budgets are nested (asserted by proptests).
 //!
 //! The fused SoA kernels ([`crate::fused::CompiledGroup`]) make each
-//! perturbed re-hash a single decomposition walk, so a full ladder costs
-//! a small constant factor over the base evaluation — cheap against the
-//! Chord lookups it saves.
+//! perturbed re-hash a single decomposition walk into one reused buffer,
+//! and a rung is climbed only while the budget is unmet (later rungs rank
+//! strictly after earlier ones, so they could not enter the result), so a
+//! ladder costs a small constant factor over the base evaluation — cheap
+//! against the Chord lookups it saves.
 
 use crate::group::HashGroups;
 use crate::range::RangeSet;
@@ -64,9 +66,17 @@ impl HashGroups {
             return Vec::new();
         }
         let fused = self.fused_groups();
-        let base_mins: Vec<Vec<u32>> = fused.iter().map(|g| g.mins(q)).collect();
+        let k = self.k();
+        // One buffer for the whole call: group g's base min-hashes at
+        // `base_mins[g * k..][..k]`, then `k` slots every perturbed
+        // evaluation reuses.
+        let mut buf = vec![0u32; (fused.len() + 1) * k];
+        let (base_mins, mins) = buf.split_at_mut(fused.len() * k);
+        for (g, m) in fused.iter().zip(base_mins.chunks_mut(k)) {
+            g.mins_into(q, m);
+        }
         let base_ids: Vec<u32> = base_mins
-            .iter()
+            .chunks(k)
             .map(|m| m.iter().fold(0u32, |acc, &x| acc ^ x))
             .collect();
 
@@ -92,13 +102,18 @@ impl HashGroups {
         };
 
         for (rung, &delta) in PROBE_DELTAS.iter().enumerate() {
+            // Every rank of a later rung is above every rank so far, so
+            // once the budget is met no later rung can enter the result.
+            if out.len() >= budget {
+                break;
+            }
             let perturbed = [q.shrink(delta), q.pad(delta)];
             for p in perturbed.iter().filter(|p| !p.is_empty()) {
                 for (g, group) in fused.iter().enumerate() {
-                    let mins = group.mins(p);
+                    group.mins_into(p, mins);
                     let mut flipped = 0usize;
                     let mut perturbed_id = base_ids[g];
-                    for (&m, &m0) in mins.iter().zip(&base_mins[g]) {
+                    for (&m, &m0) in mins.iter().zip(&base_mins[g * k..][..k]) {
                         if m != m0 {
                             flipped += 1;
                             perturbed_id ^= m0 ^ m;

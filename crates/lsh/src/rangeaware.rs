@@ -1,106 +1,67 @@
-//! Range-aware min-hash evaluation for bit-position permutations.
+//! Range-aware min-hash evaluation for bit-position permutations: the one
+//! interval kernel of this crate (DESIGN.md §6a, §6b).
 //!
 //! Every GRP network (one level or five) maps each input bit position to a
-//! fixed output bit position. For such permutations the interval minimum
-//! `min { π(x) : x ∈ [lo, hi] }` does not require enumerating the interval:
-//! decide the output bits most-significant first, greedily trying to force
-//! each one to 0, with an exact feasibility check per decision. Each check
-//! is `O(32)` ([`min_matching_ge`]), so an interval of *any* width costs
-//! `O(32²)` — the paper's Fig. 5 enumeration cost `O(|Q|·perm)` collapses
-//! to a constant (see DESIGN.md §6 and the `bench_json` harness).
+//! fixed output bit position, so `π(x)` is the OR of the images of `x`'s
+//! set bits and `π` is monotone under bitwise inclusion:
+//! `x ⊇ c ⇒ π(x) ≥ π(c)`. That makes the interval minimum
+//! `min { π(x) : x ∈ [lo, hi] }` a minimum over a handful of *dominance
+//! candidates* instead of over the interval:
 //!
-//! Correctness sketch: process output bits 31 → 0, accumulating constraints
-//! on *input* bits (output bit `j` is fed by exactly one input bit). At
-//! each step ask "is there an `x ∈ [lo, hi]` whose constrained input bits
-//! match the forced values, with the current bit forced to 0?" — if yes,
-//! the minimum has 0 there (any assignment with 1 is numerically larger in
-//! the output, since all higher output bits are already fixed); if no, every
-//! feasible `x` has a 1 there. Feasibility is decided exactly: the smallest
-//! `x ≥ lo` matching a partial bit assignment exists in closed form, and it
-//! is in range iff it is `≤ hi`. After 32 decisions the constraints pin a
-//! unique witness, and the accumulated output bits are its image — the true
-//! minimum. Multi-interval [`RangeSet`]s take the min over intervals, with
-//! tiny intervals enumerated directly (cheaper than 32 feasibility rounds).
+//! 1. Take `x ∈ (lo, hi]` and let `i` be the highest bit where `x` and `lo`
+//!    differ. `x > lo`, so `x` has a 1 there and `lo` a 0, and `x` agrees
+//!    with `lo` above `i`: `x ⊇ c_i = (lo with its low i bits cleared) | 2^i`.
+//! 2. `lo < c_i ≤ x ≤ hi`, so `c_i` is itself in the interval and
+//!    `π(x) ≥ π(c_i)`: the minimum is attained at `lo` or at some `c_i`.
+//! 3. `i` is at most `t`, the highest bit where `lo` and `hi` differ (above
+//!    `t` a 1 over `lo`'s 0 would exceed `hi`), and every 0-bit `i ≤ t` of
+//!    `lo` gives a `c_i ≤ hi` (`c_t` is `hi`'s prefix with zeros below; a
+//!    lower `c_i` still has `lo`'s 0 at `t` under `hi`'s 1).
+//!
+//! So `min π[lo, hi] = min(π(lo), min { π(c_i) : i ≤ t, lo bit i = 0 })`:
+//! at most `⌊log₂(lo ⊕ hi)⌋ + 2` values, and *which* `i` qualify depends
+//! only on `(lo, hi)`, never on the function. The kernel therefore walks
+//! the bits `t → 0` once for a whole group of functions, keeping the
+//! running image of `lo`'s prefix per function: a 1-bit of `lo` ORs the
+//! bit's image in, a 0-bit offers `prefix | image` as a candidate. The
+//! bit images are stored function-minor (`LANES` functions per row) and
+//! the choice between the two updates is a mask, not a branch, so each bit
+//! is one fixed-width lane loop the compiler vectorises. Exact for every
+//! width — no enumeration threshold, no approximation.
 
 use crate::range::RangeSet;
 
-/// Intervals at most this wide are enumerated instead of running the greedy
-/// descent: enumeration costs ~1 permute per value (≈32 ops via
-/// [`RangeAwareBitPerm::permute`]) while the descent costs ~32×32 ops
-/// regardless of width, so the crossover sits near 32 values.
-pub const ENUMERATE_WIDTH_MAX: u64 = 32;
+/// Functions per block row. One row is `LANES` consecutive `u32`s, so the
+/// per-bit updates of the kernel are fixed-width loops.
+const LANES: usize = 4;
 
-/// Smallest `x ≥ lo` with `x & mask == forced`, or `None` if every such `x`
-/// overflows 32 bits.
-///
-/// `forced` must be a subset of `mask` (`forced & !mask == 0`). `O(32)`.
-///
-/// The search keeps `x` bit-equal to `lo` from the top down ("tight") for
-/// as long as the constraints allow; at the first constrained bit that
-/// disagrees with `lo` it either diverges upward immediately (forced 1 over
-/// a 0 in `lo` — everything below can then be minimal) or must *bump*: set
-/// the lowest unconstrained bit above the disagreement where `lo` has a 0,
-/// which is the smallest way to exceed `lo`'s prefix.
-pub fn min_matching_ge(lo: u32, mask: u32, forced: u32) -> Option<u32> {
-    debug_assert_eq!(forced & !mask, 0, "forced bits outside mask");
-    let mut x = 0u32;
-    for i in (0..32).rev() {
-        let b = 1u32 << i;
-        let lo_bit = lo & b;
-        if mask & b != 0 {
-            let f_bit = forced & b;
-            if f_bit == lo_bit {
-                x |= f_bit;
-                continue; // still tight
-            }
-            if f_bit > lo_bit {
-                // Prefix now exceeds lo: finish minimally (free bits 0).
-                return Some(x | f_bit | (forced & (b - 1)));
-            }
-            // Constrained to 0 where lo has 1: the tight path is dead.
-            // Bump the lowest free zero-bit of lo above position i; bits in
-            // the tight prefix that are constrained already equal lo there,
-            // so only free bits are candidates.
-            for j in (i + 1)..32 {
-                let bj = 1u32 << j;
-                if mask & bj == 0 && lo & bj == 0 {
-                    let above = !(((bj as u64) << 1).wrapping_sub(1) as u32);
-                    return Some((lo & above) | bj | (forced & (bj - 1)));
-                }
-            }
-            return None;
-        }
-        // Free bit: follow lo to stay tight (the minimal choice).
-        x |= lo_bit;
-    }
-    Some(x) // fully tight: x == lo and lo matches the constraints
-}
+/// `block[i][lane]` = image of input bit `i` under the block's function
+/// `lane` (0 in unused lanes of the last block).
+type Block = [[u32; LANES]; 32];
 
-/// A bit-position permutation of 32-bit values compiled for range-aware
-/// min-hash evaluation.
-///
-/// Stores the image of each input unit bit plus the inverse map (which
-/// input bit feeds each output bit). Construction costs 32 evaluations of
-/// the source permutation; after that every interval min-hash is `O(32²)`
-/// independent of interval width.
+/// One or more bit-position permutations of 32-bit values compiled side by
+/// side for range-aware min-hash evaluation: 128 bytes per function, and
+/// every interval min-hash is `O(log(lo ⊕ hi))` row operations per block
+/// of `LANES` functions, independent of interval width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeAwareBitPerm {
-    /// `bit_image[i]` = permutation image of `1 << i` (a single bit).
-    bit_image: [u32; 32],
-    /// `out_src[j]` = input bit position feeding output bit `j`.
-    out_src: [u8; 32],
+    /// Number of functions.
+    k: usize,
+    /// `⌈k / LANES⌉` blocks; function `f` is lane `f % LANES` of block
+    /// `f / LANES`.
+    blocks: Vec<Block>,
 }
 
 impl RangeAwareBitPerm {
-    /// Compile from a closure that must be a bit-position permutation:
-    /// `f(x ^ y) == f(x) ^ f(y)` and unit bits map to unit bits (true for
-    /// any GRP network). Checked like [`crate::grp::BitPerm::compile`].
+    /// Compile a single function from a closure that must be a
+    /// bit-position permutation: `f(x ^ y) == f(x) ^ f(y)` and unit bits
+    /// map to unit bits (true for any GRP network). Checked like
+    /// [`crate::grp::BitPerm::compile`].
     ///
     /// # Panics
     /// Panics if `f` is not a bit-position permutation.
     pub fn compile(f: impl Fn(u32) -> u32) -> RangeAwareBitPerm {
         let mut bit_image = [0u32; 32];
-        let mut out_src = [0u8; 32];
         let mut seen: u32 = 0;
         for (i, image) in bit_image.iter_mut().enumerate() {
             let y = f(1u32 << i);
@@ -108,68 +69,111 @@ impl RangeAwareBitPerm {
             assert_eq!(seen & y, 0, "f maps two bits to the same position");
             seen |= y;
             *image = y;
-            out_src[y.trailing_zeros() as usize] = i as u8;
         }
-        RangeAwareBitPerm { bit_image, out_src }
-    }
-
-    /// Apply the permutation (bitwise OR of set-bit images).
-    #[inline]
-    pub fn permute(&self, x: u32) -> u32 {
-        let mut v = x;
-        let mut out = 0;
-        while v != 0 {
-            out |= self.bit_image[v.trailing_zeros() as usize];
-            v &= v - 1;
-        }
+        let mut out = RangeAwareBitPerm {
+            k: 0,
+            blocks: Vec::new(),
+        };
+        out.push(|i| bit_image[i]);
         out
     }
 
-    /// Exact `min { π(x) : x ∈ [lo, hi] }` by greedy MSB-first descent,
-    /// `O(32²)` regardless of `hi - lo`.
-    pub fn min_interval(&self, lo: u32, hi: u32) -> u32 {
-        debug_assert!(lo <= hi, "invalid interval [{lo}, {hi}]");
-        let mut mask = 0u32; // input bits already decided
-        let mut forced = 0u32; // their values
-        let mut out = 0u32;
-        for j in (0..32).rev() {
-            let b = 1u32 << self.out_src[j];
-            // Try output bit j = 0, i.e. input bit `b` = 0.
-            match min_matching_ge(lo, mask | b, forced) {
-                Some(x) if x <= hi => {}
-                // 0 is infeasible; some x in range matches the constraints
-                // so far (loop invariant), hence bit `b` = 1 is feasible.
-                _ => {
-                    forced |= b;
-                    out |= 1 << j;
-                }
+    /// All functions of `parts`, in order, laid side by side — how a hash
+    /// group fuses its `k` separately compiled functions.
+    pub fn concat<'a>(parts: impl IntoIterator<Item = &'a RangeAwareBitPerm>) -> RangeAwareBitPerm {
+        let mut out = RangeAwareBitPerm {
+            k: 0,
+            blocks: Vec::new(),
+        };
+        for part in parts {
+            for f in 0..part.k {
+                out.push(|i| part.blocks[f / LANES][i][f % LANES]);
             }
-            mask |= b;
         }
-        debug_assert!((lo..=hi).contains(&forced));
-        debug_assert_eq!(self.permute(forced), out);
         out
     }
 
-    /// Min-hash of a range set: the minimum over its intervals, enumerating
-    /// intervals narrower than [`ENUMERATE_WIDTH_MAX`] and running the
-    /// greedy descent on the rest.
+    /// Append one function given the image of each input bit.
+    fn push(&mut self, image: impl Fn(usize) -> u32) {
+        let lane = self.k % LANES;
+        if lane == 0 {
+            self.blocks.push([[0; LANES]; 32]);
+        }
+        let block = self.blocks.last_mut().expect("a block was just ensured");
+        for (i, row) in block.iter_mut().enumerate() {
+            row[lane] = image(i);
+        }
+        self.k += 1;
+    }
+
+    /// Number of functions compiled side by side.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Advance `mins[f] = min(mins[f], min { π_f(x) : x ∈ [lo, hi] })` for
+    /// every function `f` — exact, by the dominance-candidate argument of
+    /// the module docs.
     ///
     /// # Panics
-    /// Panics if `q` is empty.
+    /// Panics if `mins.len() != k`.
+    pub fn min_interval_into(&self, lo: u32, hi: u32, mins: &mut [u32]) {
+        debug_assert!(lo <= hi, "invalid interval [{lo}, {hi}]");
+        assert_eq!(mins.len(), self.k, "one minimum per function");
+        // Bits `0..top` are those at or below the highest bit where `lo`
+        // and `hi` differ; `lo`'s bits from `top` up are shared by every
+        // value of the interval.
+        let top = 32 - (lo ^ hi).leading_zeros();
+        let shared = ((lo as u64 >> top) << top) as u32;
+        for (block, mins) in self.blocks.iter().zip(mins.chunks_mut(LANES)) {
+            // Image of `lo`'s bits at and above the current position.
+            let mut prefix = [0u32; LANES];
+            let mut bits = shared;
+            while bits != 0 {
+                let row = &block[bits.trailing_zeros() as usize];
+                for (p, r) in prefix.iter_mut().zip(row) {
+                    *p |= r;
+                }
+                bits &= bits - 1;
+            }
+            let mut best = [u32::MAX; LANES];
+            for i in (0..top as usize).rev() {
+                let row = &block[i];
+                // All ones where lo has bit i: the row joins the prefix and
+                // the candidate is masked out; all zeros: the reverse.
+                let set = 0u32.wrapping_sub((lo >> i) & 1);
+                for ((b, p), r) in best.iter_mut().zip(prefix.iter_mut()).zip(row) {
+                    *b = (*b).min(*p | r | set);
+                    *p |= r & set;
+                }
+            }
+            // `prefix` is now π(lo), the last candidate.
+            for ((m, b), p) in mins.iter_mut().zip(&best).zip(&prefix) {
+                *m = (*m).min(*b).min(*p);
+            }
+        }
+    }
+
+    /// Advance `mins[f]` by function `f`'s min-hash of `q`: the minimum
+    /// over `q`'s intervals.
+    ///
+    /// # Panics
+    /// Panics if `mins.len() != k`.
+    pub fn min_hash_into(&self, q: &RangeSet, mins: &mut [u32]) {
+        for &(lo, hi) in q.intervals() {
+            self.min_interval_into(lo, hi, mins);
+        }
+    }
+
+    /// Min-hash of a range set under a single compiled function.
+    ///
+    /// # Panics
+    /// Panics if `q` is empty or this is not exactly one function.
     pub fn min_hash(&self, q: &RangeSet) -> u32 {
         assert!(!q.is_empty(), "min-hash of an empty range set");
-        q.intervals()
-            .iter()
-            .map(|&(lo, hi)| {
-                if ((hi - lo) as u64) < ENUMERATE_WIDTH_MAX {
-                    (lo..=hi).map(|v| self.permute(v)).min().unwrap()
-                } else {
-                    self.min_interval(lo, hi)
-                }
-            })
-            .min()
-            .unwrap()
+        let mut min = [u32::MAX];
+        self.min_hash_into(q, &mut min);
+        min[0]
     }
 }
 
@@ -181,70 +185,38 @@ mod tests {
     use ars_common::DetRng;
     use proptest::prelude::*;
 
-    fn full(seed: u64) -> RangeAwareBitPerm {
+    fn full(seed: u64) -> (MinWisePerm, RangeAwareBitPerm) {
         let mut rng = DetRng::new(seed);
         let p = MinWisePerm::random(&mut rng);
-        RangeAwareBitPerm::compile(|x| p.permute(x))
+        let k = RangeAwareBitPerm::compile(|x| p.permute(x));
+        (p, k)
     }
 
-    #[test]
-    fn min_matching_ge_exhaustive_8bit() {
-        // Compare against brute force over an 8-bit slice of the domain.
-        for mask in [0u32, 0b1010_1010, 0b0000_1111, 0xFF] {
-            for forced_bits in 0u32..=0xFF {
-                let forced = forced_bits & mask;
-                for lo in (0u32..=0xFF).step_by(7) {
-                    // With mask ⊆ 0xFF, a match above the 8-bit space always
-                    // exists; the smallest is 0x100 | forced.
-                    let brute = (lo..=0xFF)
-                        .find(|x| x & mask == forced)
-                        .unwrap_or(0x100 | forced);
-                    assert_eq!(
-                        min_matching_ge(lo, mask, forced),
-                        Some(brute),
-                        "lo={lo:#b} mask={mask:#b} forced={forced:#b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn min_matching_ge_high_bits() {
-        // Constraint forcing the top bit to 0 with lo in the top half: no
-        // solution.
-        assert_eq!(min_matching_ge(1 << 31, 1 << 31, 0), None);
-        // Forcing it to 1 from anywhere: the bottom of the top half.
-        assert_eq!(min_matching_ge(5, 1 << 31, 1 << 31), Some(1 << 31));
-        // Unconstrained: identity.
-        assert_eq!(min_matching_ge(12345, 0, 0), Some(12345));
-        // Everything constrained below lo: None.
-        assert_eq!(min_matching_ge(u32::MAX, u32::MAX, 0), None);
-        assert_eq!(
-            min_matching_ge(u32::MAX, u32::MAX, u32::MAX),
-            Some(u32::MAX)
-        );
+    fn min_interval(k: &RangeAwareBitPerm, lo: u32, hi: u32) -> u32 {
+        k.min_hash(&RangeSet::interval(lo, hi))
     }
 
     #[test]
     fn min_interval_matches_enumeration_small() {
-        let p = full(1);
+        let (p, k) = full(1);
         for (lo, hi) in [(0u32, 0u32), (0, 255), (100, 612), (4090, 4100)] {
             let brute = (lo..=hi).map(|v| p.permute(v)).min().unwrap();
-            assert_eq!(p.min_interval(lo, hi), brute, "[{lo},{hi}]");
+            assert_eq!(min_interval(&k, lo, hi), brute, "[{lo},{hi}]");
         }
     }
 
     #[test]
     fn min_interval_wide_intervals() {
-        // Widths far beyond anything enumerable still return the exact min:
-        // checked against the enumeration of an equivalent small problem by
-        // noting min over [0, 2^k-1] of a bit permutation is 0.
-        let p = full(2);
-        assert_eq!(p.min_interval(0, u32::MAX), 0);
-        assert_eq!(p.min_interval(0, 1 << 20), 0);
+        // Widths far beyond anything enumerable: the min over any interval
+        // containing 0 is π(0) = 0, and over [2^31, MAX] it is π(2^31),
+        // the only candidate every value contains.
+        let (p, k) = full(2);
+        assert_eq!(min_interval(&k, 0, u32::MAX), 0);
+        assert_eq!(min_interval(&k, 0, 1 << 20), 0);
+        assert_eq!(min_interval(&k, 1 << 31, u32::MAX), p.permute(1 << 31));
         // Single-point interval is just the permuted value.
-        assert_eq!(p.min_interval(777, 777), p.permute(777));
+        assert_eq!(min_interval(&k, 777, 777), p.permute(777));
+        assert_eq!(min_interval(&k, u32::MAX, u32::MAX), u32::MAX);
     }
 
     #[test]
@@ -255,23 +227,39 @@ mod tests {
             let k = RangeAwareBitPerm::compile(|x| a.permute(x));
             for (lo, hi) in [(0u32, 1000u32), (30, 50), (65_000, 70_000)] {
                 let brute = (lo..=hi).map(|v| a.permute(v)).min().unwrap();
-                assert_eq!(k.min_interval(lo, hi), brute);
+                assert_eq!(min_interval(&k, lo, hi), brute);
             }
         }
     }
 
     #[test]
     fn multi_interval_range_sets() {
-        let p = full(4);
+        let (p, k) = full(4);
         let q = RangeSet::from_intervals([(10u32, 40u32), (1000, 3000), (50_000, 50_005)]);
         let brute = q.iter().map(|v| p.permute(v)).min().unwrap();
-        assert_eq!(p.min_hash(&q), brute);
+        assert_eq!(k.min_hash(&q), brute);
+    }
+
+    #[test]
+    fn concat_evaluates_every_function_in_order() {
+        // More functions than one block holds, so lanes and blocks both
+        // take part; each coordinate must equal its function alone.
+        let singles: Vec<RangeAwareBitPerm> = (0..LANES as u64 + 3).map(|s| full(s).1).collect();
+        let all = RangeAwareBitPerm::concat(&singles);
+        assert_eq!(all.k(), singles.len());
+        for (lo, hi) in [(5u32, 5u32), (100, 90_000), (u32::MAX - 9, u32::MAX)] {
+            let mut mins = vec![u32::MAX; all.k()];
+            all.min_interval_into(lo, hi, &mut mins);
+            for (m, single) in mins.iter().zip(&singles) {
+                assert_eq!(*m, min_interval(single, lo, hi), "[{lo},{hi}]");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_range_set_panics() {
-        full(5).min_hash(&RangeSet::empty());
+        full(5).1.min_hash(&RangeSet::empty());
     }
 
     #[test]
@@ -289,31 +277,23 @@ mod tests {
             lo in 0u32..100_000,
             w in 0u32..5_000,
         ) {
-            let p = full(seed);
+            let (p, k) = full(seed);
             let hi = lo + w;
             let brute = (lo..=hi).map(|v| p.permute(v)).min().unwrap();
-            prop_assert_eq!(p.min_interval(lo, hi), brute);
+            prop_assert_eq!(min_interval(&k, lo, hi), brute);
         }
 
         #[test]
-        fn min_matching_ge_is_minimal_and_matching(
-            lo in any::<u32>(), mask in any::<u32>(), raw in any::<u32>(),
+        fn kernel_equals_enumeration_at_the_top_of_the_domain(
+            seed in any::<u64>(),
+            below in 0u32..100_000,
+            w in 0u32..5_000,
         ) {
-            let forced = raw & mask;
-            if let Some(x) = min_matching_ge(lo, mask, forced) {
-                prop_assert!(x >= lo);
-                prop_assert_eq!(x & mask, forced);
-                // Minimality: nothing matching in [lo, x).
-                if x > lo {
-                    // Spot-check the value just below x and lo itself.
-                    prop_assert!(lo & mask != forced);
-                    prop_assert!((x - 1) < lo || (x - 1) & mask != forced);
-                }
-            } else {
-                // No match anywhere ≥ lo: in particular not at lo or MAX.
-                prop_assert!(lo & mask != forced);
-                prop_assert!(mask != forced); // x = u32::MAX gives x & mask == mask
-            }
+            let (p, k) = full(seed);
+            let hi = u32::MAX - below;
+            let lo = hi - w;
+            let brute = (lo..=hi).map(|v| p.permute(v)).min().unwrap();
+            prop_assert_eq!(min_interval(&k, lo, hi), brute);
         }
     }
 }

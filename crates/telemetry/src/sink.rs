@@ -27,8 +27,10 @@ pub struct Recorder {
     registry: Registry,
     events: Vec<TelemetryEvent>,
     seq: u64,
-    /// Stack of open spans; events record the top as their parent.
-    open_spans: Vec<SpanId>,
+    /// Stack of open spans with their names; events record the top as
+    /// their parent, and closing a span reads its name here instead of
+    /// searching the event log.
+    open_spans: Vec<(SpanId, &'static str)>,
 }
 
 impl Recorder {
@@ -38,7 +40,7 @@ impl Recorder {
     }
 
     fn current_span(&self) -> SpanId {
-        self.open_spans.last().copied().unwrap_or(SpanId::NONE)
+        self.open_spans.last().map_or(SpanId::NONE, |&(id, _)| id)
     }
 
     fn push(
@@ -150,7 +152,7 @@ impl Telemetry {
             let parent = r.current_span();
             let seq = r.push(EventKind::SpanStart, name, parent, fields);
             let id = SpanId(seq);
-            r.open_spans.push(id);
+            r.open_spans.push((id, name));
             id
         })
     }
@@ -158,22 +160,23 @@ impl Telemetry {
     /// Close a span opened by [`Telemetry::span`], attaching summary
     /// fields to the end event. Closing out of order pops every span
     /// opened after `id` (defensive; instrumentation closes in LIFO
-    /// order). No-op for [`SpanId::NONE`].
+    /// order), and a span that is no longer open ends as `"unknown"`.
+    /// Cost is the depth of the span stack, not the length of the log.
+    /// No-op for [`SpanId::NONE`].
     #[inline]
     pub fn span_end(&self, id: SpanId, fields: &[(&'static str, FieldValue)]) {
         if self.sink.is_none() || id.is_none() {
             return;
         }
         self.with(|r| {
-            if let Some(pos) = r.open_spans.iter().position(|&s| s == id) {
-                r.open_spans.truncate(pos);
-            }
-            let name = r
-                .events
-                .iter()
-                .find(|e| e.seq == id.0)
-                .map(|e| e.name)
-                .unwrap_or("unknown");
+            let name = match r.open_spans.iter().rposition(|&(s, _)| s == id) {
+                Some(pos) => {
+                    let name = r.open_spans[pos].1;
+                    r.open_spans.truncate(pos);
+                    name
+                }
+                None => "unknown",
+            };
             let parent = r.current_span();
             let mut all = vec![("span", FieldValue::U64(id.0))];
             all.extend(fields.iter().cloned());
@@ -324,6 +327,59 @@ mod tests {
         t.span_end(outer, &[]);
         t.event("after", &[]);
         assert_eq!(t.events_named("after")[0].span, SpanId::NONE);
+    }
+
+    #[test]
+    fn closing_a_span_that_is_not_open_ends_as_unknown() {
+        let t = Telemetry::recording();
+        let outer = t.span("outer", &[]);
+        let inner = t.span("inner", &[]);
+        t.span_end(outer, &[]); // abandons `inner`
+        t.span_end(inner, &[]);
+        let ends: Vec<&str> = t
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::SpanEnd)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(ends, ["outer", "unknown"]);
+    }
+
+    #[test]
+    fn span_end_cost_does_not_grow_with_the_log() {
+        // Seconds to record `pairs` begin/end pairs, two levels deep, on a
+        // sink nobody drains; best of three to shed scheduler noise.
+        fn seconds(pairs: usize) -> f64 {
+            (0..3)
+                .map(|_| {
+                    let t = Telemetry::recording();
+                    let start = std::time::Instant::now();
+                    for i in 0..pairs / 2 {
+                        let outer = t.span("outer", &[]);
+                        let inner = t.span("inner", &[]);
+                        t.span_end(inner, &[("i", (i as u64).into())]);
+                        t.span_end(outer, &[]);
+                    }
+                    let took = start.elapsed().as_secs_f64();
+                    let events = t.events();
+                    assert_eq!(events.len(), 2 * pairs);
+                    for quad in events.chunks(4) {
+                        let names: Vec<&str> = quad.iter().map(|e| e.name).collect();
+                        assert_eq!(names, ["outer", "inner", "inner", "outer"]);
+                        assert_eq!(quad[2].field_u64("span"), Some(quad[1].seq));
+                        assert_eq!(quad[3].field_u64("span"), Some(quad[0].seq));
+                    }
+                    took
+                })
+                .fold(f64::MAX, f64::min)
+        }
+        // Four times the pairs: 4x the time when closing is O(depth), 16x
+        // when it scans the log (what it did before).
+        let (small, large) = (seconds(25_000), seconds(100_000));
+        assert!(
+            large < 10.0 * small,
+            "100k pairs took {large:.3}s against {small:.3}s for 25k: closing a span is not O(depth)"
+        );
     }
 
     #[test]

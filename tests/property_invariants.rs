@@ -1,7 +1,7 @@
 //! Cross-crate property tests: invariants that tie the layers together,
 //! each checked against a brute-force oracle.
 
-use ars::lsh::LshFunction;
+use ars::lsh::{ApproxMinWisePerm, LshFunction, MinWisePerm, RangeAwareBitPerm};
 use ars::prelude::*;
 use ars::relation::exec::BaseTables;
 use ars::relation::schema::medical;
@@ -129,8 +129,8 @@ proptest! {
         prop_assert_eq!(owners.len(), 1);
     }
 
-    /// The fast min-hash path (range-aware greedy descent for the bit
-    /// families, closed form for linear) is bit-for-bit equal to full
+    /// The fast min-hash path (range-aware dominance-candidate kernel for
+    /// the bit families, closed form for linear) is bit-for-bit equal to full
     /// enumeration for every paper family, over arbitrary multi-interval
     /// range sets — both uncompiled and compiled.
     #[test]
@@ -141,8 +141,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         prop_assume!(!q.is_empty());
-        // Mix in a wide interval so the greedy-descent path (not just the
-        // small-set enumeration shortcut) is exercised.
+        // Mix in a wide interval so many bit positions take part.
         let wide = q.union(&RangeSet::interval(wide_lo, wide_lo + wide_w));
         let mut rng = DetRng::new(seed);
         for kind in LshFamilyKind::PAPER_FAMILIES {
@@ -172,8 +171,8 @@ proptest! {
     }
 
     /// The fused single-pass group kernels — whole-group structure-of-
-    /// arrays evaluation with the segment-decomposed bit-table range
-    /// minima — equal the enumeration reference for every paper family,
+    /// arrays evaluation of the dominance-candidate kernel — equal the
+    /// enumeration reference for every paper family,
     /// over arbitrary multi-interval range sets, through both the fused
     /// group objects and the zero-allocation `identifiers_into` buffer
     /// path.
@@ -185,8 +184,7 @@ proptest! {
         seed in 0u64..4,
     ) {
         prop_assume!(!q.is_empty());
-        // A wide interval forces the multi-segment and kernel-fallback
-        // paths, not just the single-segment shortcut.
+        // A wide interval brings in the high bit positions.
         let wide = q.union(&RangeSet::interval(wide_lo, wide_lo + wide_w));
         for kind in LshFamilyKind::PAPER_FAMILIES {
             let mut rng = DetRng::new(seed);
@@ -329,6 +327,249 @@ fn pinned_seed_identifiers_unchanged_by_fast_path() {
                     "seed {seed} kind {kind} range {q}"
                 );
             }
+        }
+    }
+}
+
+/// The interval evaluator this repo used before the dominance-candidate
+/// kernel, kept only as a second, independently derived oracle: decide the
+/// output bits most-significant first, forcing each to 0 when some value
+/// of the interval still matches the input-bit constraints so far.
+/// `O(32²)` per interval.
+mod greedy_descent_oracle {
+    /// Smallest `x ≥ lo` with `x & mask == forced`, if any fits 32 bits.
+    fn min_matching_ge(lo: u32, mask: u32, forced: u32) -> Option<u32> {
+        let mut x = 0u32;
+        for i in (0..32).rev() {
+            let b = 1u32 << i;
+            let lo_bit = lo & b;
+            if mask & b == 0 {
+                x |= lo_bit; // free bit: follow lo
+                continue;
+            }
+            let f_bit = forced & b;
+            if f_bit == lo_bit {
+                x |= f_bit;
+                continue;
+            }
+            if f_bit > lo_bit {
+                return Some(x | f_bit | (forced & (b - 1)));
+            }
+            // Forced 0 over lo's 1: bump the lowest free 0-bit of lo above.
+            for j in (i + 1)..32 {
+                let bj = 1u32 << j;
+                if mask & bj == 0 && lo & bj == 0 {
+                    let above = !(((bj as u64) << 1).wrapping_sub(1) as u32);
+                    return Some((lo & above) | bj | (forced & (bj - 1)));
+                }
+            }
+            return None;
+        }
+        Some(x)
+    }
+
+    /// `min { π(x) : x ∈ [lo, hi] }` for the bit-position permutation `π`.
+    pub fn min_interval(permute: impl Fn(u32) -> u32, lo: u32, hi: u32) -> u32 {
+        let mut out_src = [0u32; 32]; // input bit feeding each output bit
+        for i in 0..32 {
+            out_src[permute(1 << i).trailing_zeros() as usize] = 1 << i;
+        }
+        let (mut mask, mut forced, mut out) = (0u32, 0u32, 0u32);
+        for j in (0..32).rev() {
+            let b = out_src[j];
+            if !matches!(min_matching_ge(lo, mask | b, forced), Some(x) if x <= hi) {
+                forced |= b;
+                out |= 1 << j;
+            }
+            mask |= b;
+        }
+        out
+    }
+}
+
+/// Kernel result for one function over one interval.
+fn kernel_min(kernel: &RangeAwareBitPerm, lo: u32, hi: u32) -> u32 {
+    let mut min = [u32::MAX];
+    kernel.min_interval_into(lo, hi, &mut min);
+    min[0]
+}
+
+/// Exhaustive: nine random bit permutations side by side (more than one
+/// kernel block, the last one partly filled), restricted to 10 input bits — every `0 ≤ lo ≤ hi < 1024`
+/// equals enumeration, for every function.
+#[test]
+fn kernel_equals_enumeration_exhaustively_on_ten_bits() {
+    let mut rng = DetRng::new(12);
+    let mut tables: Vec<Vec<u32>> = Vec::new();
+    let mut singles = Vec::new();
+    for f in 0..9 {
+        if f % 2 == 0 {
+            let p = MinWisePerm::random(&mut rng);
+            tables.push((0..1024).map(|x| p.permute(x)).collect());
+            singles.push(RangeAwareBitPerm::compile(|x| p.permute(x)));
+        } else {
+            let p = ApproxMinWisePerm::random(&mut rng);
+            tables.push((0..1024).map(|x| p.permute(x)).collect());
+            singles.push(RangeAwareBitPerm::compile(|x| p.permute(x)));
+        }
+    }
+    let kernel = RangeAwareBitPerm::concat(&singles);
+    for lo in 0..1024u32 {
+        let mut brute = vec![u32::MAX; tables.len()];
+        for hi in lo..1024 {
+            for (b, t) in brute.iter_mut().zip(&tables) {
+                *b = (*b).min(t[hi as usize]);
+            }
+            let mut mins = vec![u32::MAX; tables.len()];
+            kernel.min_interval_into(lo, hi, &mut mins);
+            assert_eq!(mins, brute, "[{lo},{hi}]");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Over the full `u32` space the kernel equals the old greedy descent:
+    /// arbitrary end points, the whole domain, single points, intervals
+    /// reaching either end of the domain and intervals straddling 2^31.
+    #[test]
+    fn kernel_equals_greedy_descent_on_the_full_domain(
+        a in any::<u32>(),
+        b in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = DetRng::new(seed);
+        let full = MinWisePerm::random(&mut rng);
+        let approx = ApproxMinWisePerm::random(&mut rng);
+        let mid = 1u32 << 31;
+        let cases = [
+            (a.min(b), a.max(b)),
+            (0, u32::MAX),
+            (a, a),
+            (0, a),
+            (a, u32::MAX),
+            (mid - 1 - (a >> 12), mid + (b >> 12)),
+            (mid - 1, mid),
+        ];
+        let kernels = [
+            RangeAwareBitPerm::compile(|x| full.permute(x)),
+            RangeAwareBitPerm::compile(|x| approx.permute(x)),
+        ];
+        for (lo, hi) in cases {
+            prop_assert_eq!(
+                kernel_min(&kernels[0], lo, hi),
+                greedy_descent_oracle::min_interval(|x| full.permute(x), lo, hi),
+                "min-wise [{}, {}]", lo, hi
+            );
+            prop_assert_eq!(
+                kernel_min(&kernels[1], lo, hi),
+                greedy_descent_oracle::min_interval(|x| approx.permute(x), lo, hi),
+                "approx [{}, {}]", lo, hi
+            );
+        }
+    }
+}
+
+/// `HashGroups::identifiers` for seed 2003, k = 20, l = 5, frozen at the
+/// commit before the dominance-candidate kernel replaced the segment walk
+/// and the greedy descent (PR 12): identifiers are what peers store
+/// buckets under, so no evaluator change may move one.
+#[test]
+fn identifiers_match_the_table_frozen_before_the_kernel_change() {
+    let mid = 1u32 << 31;
+    let sets = [
+        RangeSet::interval(0, 0),
+        RangeSet::interval(777, 777),
+        RangeSet::interval(30, 50),
+        RangeSet::interval(250, 260),
+        RangeSet::interval(0, 1_000),
+        RangeSet::interval(100, 5_000),
+        RangeSet::interval(20_000, 50_000),
+        RangeSet::interval(12_345, 112_344),
+        RangeSet::interval(0, u32::MAX),
+        RangeSet::interval(mid - 70_000, mid + 30_000),
+        RangeSet::interval(u32::MAX - 10, u32::MAX),
+        RangeSet::from_intervals([(10, 40), (1_000, 3_000), (50_000, 50_005)]),
+        RangeSet::from_intervals([(0, 16_383), (20_000, 90_000)]),
+    ];
+    #[rustfmt::skip]
+    let frozen: [(LshFamilyKind, [[u32; 5]; 13]); 2] = [
+        (LshFamilyKind::ApproxMinWise, [
+            [0, 0, 0, 0, 0],
+            [54132801, 4784341, 3735561, 25493584, 19005657],
+            [786448, 524317, 131098, 65541, 8],
+            [13369395, 3276844, 4063338, 4325428, 4653126],
+            [0, 0, 0, 0, 0],
+            [40, 0, 262191, 46, 12],
+            [25167164, 1311138, 49283108, 20972448, 55575910],
+            [735, 270, 22152174, 6291835, 4196145],
+            [0, 0, 0, 0, 0],
+            [1968209596, 2097970876, 2029288970, 23593732, 2140698270],
+            [196620, 327685, 720907, 983041, 983048],
+            [34, 131093, 9, 28, 327726],
+            [0, 0, 0, 0, 0],
+        ]),
+        (LshFamilyKind::MinWise, [
+            [0, 0, 0, 0, 0],
+            [1710322087, 1158326638, 1046059776, 3996348979, 524242080],
+            [291262111, 169958894, 2067890184, 40505953, 407811687],
+            [1210593535, 186455870, 875788931, 560047026, 1216712228],
+            [0, 0, 0, 0, 0],
+            [65852, 65952, 21150, 766, 429],
+            [781440, 282997116, 17018367, 540214123, 2234922],
+            [526461, 33532, 783, 35277, 540922],
+            [0, 0, 0, 0, 0],
+            [864229497, 2033243342, 299600699, 1890757211, 529006756],
+            [1729391308, 3571888316, 1898601352, 3738230826, 3279632774],
+            [349196, 68883, 24088, 51407, 263335],
+            [0, 0, 0, 0, 0],
+        ]),
+    ];
+    for (kind, table) in frozen {
+        let mut rng = DetRng::new(2003);
+        let groups = HashGroups::generate(kind, 20, 5, &mut rng);
+        for (q, expect) in sets.iter().zip(table) {
+            assert_eq!(groups.identifiers(q), expect, "{kind} on {q}");
+            assert_eq!(groups.identifiers_per_function(q), expect, "{kind} on {q}");
+        }
+    }
+}
+
+/// Fused, per-function and enumerated identifiers agree for all five
+/// families on the fused kernel's own query list (`ars-lsh`'s
+/// `fused::tests::queries`, which tier-1 does not run).
+#[test]
+fn fused_per_function_and_reference_agree_for_all_families() {
+    let queries = [
+        RangeSet::interval(0, 0),
+        RangeSet::interval(30, 50),
+        RangeSet::interval(250, 260),
+        RangeSet::interval(0, 255),
+        RangeSet::interval(256, 511),
+        RangeSet::interval(100, 5_000),
+        RangeSet::interval(0, 100_000),
+        RangeSet::from_intervals([(10, 40), (1_000, 3_000), (50_000, 50_005)]),
+        RangeSet::from_intervals([(0, 16_383), (20_000, 90_000)]),
+        RangeSet::interval(u32::MAX - 10, u32::MAX),
+    ];
+    for kind in [
+        LshFamilyKind::MinWise,
+        LshFamilyKind::ApproxMinWise,
+        LshFamilyKind::Linear,
+        LshFamilyKind::LinearClosedForm,
+        LshFamilyKind::LinearDomain,
+    ] {
+        let mut rng = DetRng::new(11);
+        let groups = HashGroups::generate(kind, 4, 2, &mut rng);
+        for q in &queries {
+            let reference = groups.identifiers_reference(q);
+            assert_eq!(groups.identifiers(q), reference, "fused {kind} on {q}");
+            assert_eq!(
+                groups.identifiers_per_function(q),
+                reference,
+                "per-function {kind} on {q}"
+            );
         }
     }
 }
