@@ -35,44 +35,42 @@ impl LookupTrace {
 /// progress (which would indicate a broken finger table — impossible for a
 /// [`Ring`], whose tables are exact).
 pub fn lookup_trace(ring: &Ring, from: Id, key: Id) -> LookupTrace {
-    assert!(ring.contains(from), "lookup origin {from} not in ring");
-    let mut current = from;
     let mut path = vec![from];
+    let owner = route(ring, from, key, |node| path.push(node));
+    LookupTrace { path, owner, key }
+}
+
+/// The routing loop behind [`lookup_trace`] and [`Ring::lookup`]: walks
+/// from `from` to the owner of `key`, handing every node it forwards to
+/// (the origin excluded, the owner included unless it is the origin) to
+/// `visit`, and returns the owner. Allocates nothing itself.
+pub(crate) fn route(ring: &Ring, from: Id, key: Id, mut visit: impl FnMut(Id)) -> Id {
+    assert!(ring.contains(from), "lookup origin {from} not in ring");
+    let owner = ring.successor_of(key);
+    let mut current = from;
     // A correct ring resolves any lookup in ≤ 32 forwardings + 1 final hop;
     // the bound is a defensive guard against cycles.
     let max_steps = 34 + ring.len();
-    loop {
-        // Does the current node already own the key? (Key in
-        // (pred(current), current] — equivalently successor_of(key) == current.)
-        if ring.successor_of(key) == current {
-            return LookupTrace {
-                path,
-                owner: current,
-                key,
-            };
-        }
+    let mut steps = 1;
+    // Until the current node owns the key (key in (pred(current), current]).
+    while current != owner {
         let table = ring.finger_table(current);
         let succ = table.successor();
         if key.in_open_closed(current, succ) {
             // The successor owns it: final hop.
-            path.push(succ);
-            return LookupTrace {
-                path,
-                owner: succ,
-                key,
-            };
+            visit(succ);
+            return succ;
         }
         // Forward to the closest preceding finger, or fall through to the
         // successor when no finger is strictly inside (n, key).
         let next = table.closest_preceding(key).unwrap_or(succ);
         assert_ne!(next, current, "routing stalled at {current} for {key}");
-        path.push(next);
+        visit(next);
         current = next;
-        assert!(
-            path.len() <= max_steps,
-            "routing cycle detected for key {key}"
-        );
+        steps += 1;
+        assert!(steps <= max_steps, "routing cycle detected for key {key}");
     }
+    owner
 }
 
 #[cfg(test)]
@@ -114,6 +112,7 @@ mod tests {
                 let t = lookup_trace(&ring, from, Id(k));
                 assert_eq!(t.owner, ring.successor_of(Id(k)));
                 assert!(t.hops() <= 32);
+                assert_eq!(ring.lookup(from, Id(k)), (t.owner, t.hops()));
             }
         }
     }

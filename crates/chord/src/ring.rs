@@ -8,7 +8,7 @@
 
 use crate::finger::FingerTable;
 use crate::id::Id;
-use crate::lookup::{lookup_trace, LookupTrace};
+use crate::lookup::{lookup_trace, route, LookupTrace};
 use ars_common::{DetRng, FxHashMap};
 
 /// A fully-converged Chord ring.
@@ -123,8 +123,9 @@ impl Ring {
     /// `(owner, hops)`. Hops counts overlay edges traversed (0 when the
     /// origin already owns the key).
     pub fn lookup(&self, from: Id, key: Id) -> (Id, usize) {
-        let t = self.lookup_trace(from, key);
-        (t.owner, t.hops())
+        let mut hops = 0;
+        let owner = route(self, from, key, |_| hops += 1);
+        (owner, hops)
     }
 
     /// Full routing trace of a lookup.

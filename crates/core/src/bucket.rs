@@ -23,6 +23,23 @@ pub struct Match {
     pub score: f64,
 }
 
+impl Match {
+    /// Grade a query's overall winner against the *original* (unpadded)
+    /// query: `(similarity, recall, best_match)` — Jaccard for Figs. 6–7,
+    /// containment for Figs. 8–10. Consumes the winner, so its range moves
+    /// into the outcome.
+    pub(crate) fn grade(best: Option<Match>, q: &RangeSet) -> (f64, f64, Option<RangeSet>) {
+        match best {
+            Some(m) => (
+                q.jaccard(&m.range),
+                q.containment_in(&m.range),
+                Some(m.range),
+            ),
+            None => (0.0, 0.0, None),
+        }
+    }
+}
+
 impl Bucket {
     /// An empty bucket.
     pub fn new() -> Bucket {
@@ -87,27 +104,49 @@ pub fn score(query: &RangeSet, candidate: &RangeSet, measure: MatchMeasure) -> f
     }
 }
 
-/// Best-scoring candidate from an iterator (first wins ties).
+/// Best-scoring candidate from an iterator (first wins ties). The running
+/// best is tracked by reference; only the winner is cloned.
+///
+/// A one-interval candidate against a one-interval query is scored in
+/// closed form — the same `u64` overlap and union and the same
+/// `u64 → f64` division [`score`] reaches through `RangeSet`'s merge
+/// scan, so the two agree to the bit; anything else goes through
+/// [`score`].
 pub fn best_of<'a, I: Iterator<Item = &'a RangeSet>>(
     candidates: I,
     query: &RangeSet,
     measure: MatchMeasure,
 ) -> Option<Match> {
-    let mut best: Option<Match> = None;
+    let single = match *query.intervals() {
+        [(lo, hi)] => Some((lo, hi, (hi - lo) as u64 + 1)),
+        _ => None,
+    };
+    let mut best: Option<(&RangeSet, f64)> = None;
     for r in candidates {
-        let s = score(query, r, measure);
-        let better = match &best {
-            None => true,
-            Some(b) => s > b.score,
+        let s = match (single, r.intervals()) {
+            (Some((qlo, qhi, q_len)), &[(lo, hi)]) => {
+                let (ilo, ihi) = (qlo.max(lo), qhi.min(hi));
+                let inter = if ilo <= ihi {
+                    (ihi - ilo) as u64 + 1
+                } else {
+                    0
+                };
+                let denom = match measure {
+                    MatchMeasure::Jaccard => q_len + ((hi - lo) as u64 + 1) - inter,
+                    MatchMeasure::Containment => q_len,
+                };
+                inter as f64 / denom as f64
+            }
+            _ => score(query, r, measure),
         };
-        if better {
-            best = Some(Match {
-                range: r.clone(),
-                score: s,
-            });
+        if best.is_none_or(|(_, b)| s > b) {
+            best = Some((r, s));
         }
     }
-    best
+    best.map(|(range, score)| Match {
+        range: range.clone(),
+        score,
+    })
 }
 
 #[cfg(test)]

@@ -153,7 +153,7 @@ impl ChurnNetwork {
         let first = Id(rng.next_u32());
         let mut chord = DynamicNetwork::bootstrap(first, 8);
         let mut storage = FxHashMap::default();
-        storage.insert(first.0, Peer::new(first));
+        storage.insert(first.0, Peer::new(first, config.use_local_index));
         while chord.len() < n_peers {
             let id = Id(rng.next_u32());
             if chord.node_ids().contains(&id) {
@@ -161,7 +161,7 @@ impl ChurnNetwork {
             }
             chord.join(id, first)?;
             chord.stabilize_all(per_join_rounds);
-            storage.insert(id.0, Peer::new(id));
+            storage.insert(id.0, Peer::new(id, config.use_local_index));
         }
         chord
             .stabilize_until_consistent(final_rounds)
@@ -701,7 +701,8 @@ impl ChurnNetwork {
             }
             let via = self.chord.node_ids()[0];
             self.chord.join(id, via)?;
-            self.storage.insert(id.0, Peer::new(id));
+            self.storage
+                .insert(id.0, Peer::new(id, self.config.use_local_index));
             if let Some(store) = Self::make_store(&self.config, id.0) {
                 self.logs.insert(id.0, store);
             }
@@ -874,7 +875,7 @@ impl ChurnNetwork {
             return Err(e);
         }
         self.chord.stabilize_all(32);
-        let mut peer = Peer::new(id);
+        let mut peer = Peer::new(id, self.config.use_local_index);
         let mut recovered = 0u64;
         let mut torn = 0u64;
         let store = disks.map(|mut store| {
@@ -1366,14 +1367,7 @@ impl ChurnNetwork {
             }
         }
 
-        let (similarity, recall, best_match) = match &best {
-            Some(m) => (
-                q.jaccard(&m.range),
-                q.containment_in(&m.range),
-                Some(m.range.clone()),
-            ),
-            None => (0.0, 0.0, None),
-        };
+        let (similarity, recall, best_match) = Match::grade(best, q);
         let mut distinct = owners;
         distinct.sort_unstable();
         distinct.dedup();
@@ -1469,14 +1463,7 @@ impl ChurnNetwork {
             }
         }
 
-        let (similarity, recall, best_match) = match &best {
-            Some(m) => (
-                q.jaccard(&m.range),
-                q.containment_in(&m.range),
-                Some(m.range.clone()),
-            ),
-            None => (0.0, 0.0, None),
-        };
+        let (similarity, recall, best_match) = Match::grade(best, q);
         let mut distinct = owners.clone();
         distinct.sort_unstable();
         distinct.dedup();

@@ -14,7 +14,7 @@
 //! contiguous prefix of the entries with `start ≤ qhi`, pruned by the
 //! prefix maximum to skip runs that end before `qlo`.
 
-use crate::bucket::Match;
+use crate::bucket::{best_of, Match};
 use crate::config::MatchMeasure;
 use ars_lsh::RangeSet;
 
@@ -111,79 +111,57 @@ impl IntervalIndex {
     }
 
     /// Best match for `query` under `measure` among all indexed ranges
-    /// whose bounding interval overlaps the query's. (For containment,
-    /// only overlapping ranges can score above zero, so the result equals
-    /// a full scan whenever any overlapping candidate exists; a non-
-    /// overlapping "best" of score 0 is reported from the first stored
-    /// range like the scan would.)
+    /// whose bounding interval overlaps the query's.
+    ///
+    /// Contract: the returned *score* equals a full scan's best score
+    /// (only overlapping ranges can score above zero under either
+    /// measure). *Which* of several equal-scoring ranges is returned may
+    /// differ from the scan: candidates are visited in descending start
+    /// order, then staging, not in store order, and when nothing overlaps
+    /// the zero-score answer is the smallest-start entry, not the first
+    /// stored.
     pub fn best_match(&self, query: &RangeSet, measure: MatchMeasure) -> Option<Match> {
         if self.is_empty() {
             return None;
         }
         let qlo = query.min_value()?;
         let qhi = query.max_value()?;
-        // Track the best candidate by reference; the winning range is
-        // cloned exactly once, when the Match is built.
-        fn consider<'a>(
-            best: &mut Option<(&'a RangeSet, f64)>,
-            query: &RangeSet,
-            range: &'a RangeSet,
-            measure: MatchMeasure,
-        ) {
-            let score = crate::bucket::score(query, range, measure);
-            if best.is_none_or(|(_, s)| score > s) {
-                *best = Some((range, score));
-            }
-        }
-        let mut best: Option<(&RangeSet, f64)> = None;
-
         // Base: entries with start ≤ qhi form a prefix (sorted by start).
         let hi_idx = self.base.partition_point(|e| e.start <= qhi);
         // Walk backwards; stop when the prefix maximum of ends drops below
-        // qlo — nothing earlier can overlap.
-        for e in self.base[..hi_idx].iter().rev() {
-            if e.prefix_max_end < qlo {
-                break;
-            }
-            // This entry itself may still not overlap (prefix max can come
-            // from an earlier entry); cheap bound check first.
-            if e.range.max_value().unwrap_or(0) >= qlo {
-                consider(&mut best, query, &e.range, measure);
-            }
-        }
+        // qlo — nothing earlier can overlap. An entry itself may still not
+        // overlap (prefix max can come from an earlier entry): cheap bound
+        // check before scoring.
+        let base = self.base[..hi_idx]
+            .iter()
+            .rev()
+            .take_while(|e| e.prefix_max_end >= qlo)
+            .map(|e| &e.range)
+            .filter(|r| r.max_value().unwrap_or(0) >= qlo);
         // Staging: plain scan.
-        for r in &self.staging {
-            if r.max_value().unwrap_or(0) >= qlo && r.min_value().unwrap_or(u32::MAX) <= qhi {
-                consider(&mut best, query, r, measure);
-            }
-        }
-        match best {
-            Some((range, score)) => Some(Match {
-                range: range.clone(),
-                score,
-            }),
+        let staged = self.staging.iter().filter(|r| {
+            r.max_value().unwrap_or(0) >= qlo && r.min_value().unwrap_or(u32::MAX) <= qhi
+        });
+        best_of(base.chain(staged), query, measure).or_else(|| {
             // Degenerate fallback: nothing overlapped — report a zero-score
-            // candidate so behaviour matches the linear scan (which always
-            // returns *some* match from a non-empty store).
-            None => {
-                let first = self
-                    .base
-                    .first()
-                    .map(|e| &e.range)
-                    .or(self.staging.first())?;
-                Some(Match {
-                    range: first.clone(),
-                    score: 0.0,
-                })
-            }
-        }
+            // candidate, as the linear scan always returns *some* match
+            // from a non-empty store.
+            let first = self
+                .base
+                .first()
+                .map(|e| &e.range)
+                .or(self.staging.first())?;
+            Some(Match {
+                range: first.clone(),
+                score: 0.0,
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket::best_of;
     use ars_common::DetRng;
 
     fn r(lo: u32, hi: u32) -> RangeSet {

@@ -459,14 +459,7 @@ pub(crate) fn commit_routed<P: PeerAccess, S: StatsSink>(
 
     // Score the match against the *original* query: similarity for
     // Figs. 6–7, recall for Figs. 8–10.
-    let (similarity, recall, best_match) = match &best {
-        Some(m) => (
-            q.jaccard(&m.range),
-            q.containment_in(&m.range),
-            Some(m.range.clone()),
-        ),
-        None => (0.0, 0.0, None),
-    };
+    let (similarity, recall, best_match) = Match::grade(best, q);
 
     let mut distinct = owners.clone();
     distinct.sort_unstable();
@@ -709,14 +702,7 @@ pub(crate) fn commit_layered<P: PeerAccess, S: StatsSink>(
         }
     }
 
-    let (similarity, recall, best_match) = match &best {
-        Some(m) => (
-            q.jaccard(&m.range),
-            q.containment_in(&m.range),
-            Some(m.range.clone()),
-        ),
-        None => (0.0, 0.0, None),
-    };
+    let (similarity, recall, best_match) = Match::grade(best, q);
 
     stats.on_query(best_match.is_some(), exact, stored);
 
@@ -808,7 +794,7 @@ impl RangeSelectNetwork {
         let peers = ring
             .node_ids()
             .iter()
-            .map(|&id| (id.0, Peer::new(id)))
+            .map(|&id| (id.0, Peer::new(id, config.use_local_index)))
             .collect();
         let ident_cache = IdentifierCache {
             capacity: config.ident_cache_capacity,
@@ -1894,10 +1880,10 @@ mod tests {
         // Two groups hashing to the same bucket: one lookup, one saved.
         let config = SystemConfig::default();
         let tel = Telemetry::noop();
-        let mut peers: FxHashMap<u32, Peer> =
-            [(100u32, Peer::new(Id(100))), (200u32, Peer::new(Id(200)))]
-                .into_iter()
-                .collect();
+        let mut peers: FxHashMap<u32, Peer> = [100u32, 200]
+            .map(|id| (id, Peer::new(Id(id), false)))
+            .into_iter()
+            .collect();
         let mut stats = NetworkStats::default();
         let q = r(0, 10);
         let out = commit_routed(

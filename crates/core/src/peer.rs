@@ -19,31 +19,40 @@ pub struct Peer {
     /// Ring position.
     pub id: Id,
     buckets: FxHashMap<u32, Bucket>,
-    /// §5.3 local index over everything in `buckets`, maintained on store.
-    index: IntervalIndex,
+    /// Total ranges over all of `buckets`, kept by store/evict/drain.
+    partitions: usize,
+    /// §5.3 local index over everything in `buckets`, maintained on store
+    /// — only on a peer built for a config that queries it
+    /// ([`SystemConfig::use_local_index`](crate::config::SystemConfig)).
+    index: Option<IntervalIndex>,
 }
 
 impl Peer {
-    /// A peer at ring position `id` with no cached partitions.
-    pub fn new(id: Id) -> Peer {
+    /// A peer at ring position `id` with no cached partitions, keeping the
+    /// §5.3 local index iff `local_index`.
+    pub fn new(id: Id, local_index: bool) -> Peer {
         Peer {
             id,
-            buckets: FxHashMap::default(),
-            index: IntervalIndex::new(),
+            index: local_index.then(IntervalIndex::new),
+            ..Peer::default()
         }
     }
 
     /// Store a partition range under `identifier`. Returns true if newly
     /// stored.
     pub fn store(&mut self, identifier: u32, range: RangeSet) -> bool {
-        let inserted = self
-            .buckets
-            .entry(identifier)
-            .or_default()
-            .insert(range.clone());
-        if inserted {
-            self.index.insert(range);
-        }
+        let bucket = self.buckets.entry(identifier).or_default();
+        let inserted = match &mut self.index {
+            None => bucket.insert(range),
+            Some(index) => {
+                let inserted = bucket.insert(range.clone());
+                if inserted {
+                    index.insert(range);
+                }
+                inserted
+            }
+        };
+        self.partitions += inserted as usize;
         inserted
     }
 
@@ -68,9 +77,13 @@ impl Peer {
     /// Best match across **all** buckets this peer holds — the §5.3 local
     /// index, answered through a flattened interval tree
     /// ([`IntervalIndex`]): only candidates overlapping the query are
-    /// scored.
+    /// scored. A peer built without the index answers through
+    /// [`Self::best_across_buckets_scan`].
     pub fn best_across_buckets(&self, query: &RangeSet, measure: MatchMeasure) -> Option<Match> {
-        self.index.best_match(query, measure)
+        match &self.index {
+            Some(index) => index.best_match(query, measure),
+            None => self.best_across_buckets_scan(query, measure),
+        }
     }
 
     /// Reference implementation of [`Self::best_across_buckets`] as a full
@@ -89,7 +102,13 @@ impl Peer {
 
     /// Total partitions stored at this peer (the load metric of Fig. 11).
     pub fn partition_count(&self) -> usize {
-        self.buckets.values().map(Bucket::len).sum()
+        self.partitions
+    }
+
+    /// Ranges held by the §5.3 local index — `partition_count()` on a peer
+    /// that keeps one, zero on a peer that does not.
+    pub fn indexed_count(&self) -> usize {
+        self.index.as_ref().map_or(0, IntervalIndex::len)
     }
 
     /// Number of distinct identifiers with a non-empty bucket.
@@ -110,8 +129,8 @@ impl Peer {
     /// Remove one stored range from `identifier`'s bucket. Returns true if
     /// it was present; an emptied bucket is dropped (so [`Self::bucket`]
     /// goes back to `None`, matching a never-stored identifier). The §5.3
-    /// local index has no removal operation, so it is rebuilt from the
-    /// surviving entries.
+    /// local index has no removal operation, so a peer that keeps one
+    /// rebuilds it from the surviving entries.
     pub fn evict(&mut self, identifier: u32, range: &RangeSet) -> bool {
         let Some(bucket) = self.buckets.get_mut(&identifier) else {
             return false;
@@ -122,10 +141,11 @@ impl Peer {
         if bucket.is_empty() {
             self.buckets.remove(&identifier);
         }
-        self.index = IntervalIndex::new();
-        for b in self.buckets.values() {
-            for r in b.ranges() {
-                self.index.insert(r.clone());
+        self.partitions -= 1;
+        if let Some(index) = &mut self.index {
+            *index = IntervalIndex::new();
+            for r in self.buckets.values().flat_map(Bucket::ranges) {
+                index.insert(r.clone());
             }
         }
         true
@@ -149,7 +169,10 @@ impl Peer {
                 out.push((ident, r.clone()));
             }
         }
-        self.index = IntervalIndex::new();
+        self.partitions = 0;
+        if let Some(index) = &mut self.index {
+            *index = IntervalIndex::new();
+        }
         out
     }
 }
@@ -162,9 +185,20 @@ mod tests {
         RangeSet::interval(lo, hi)
     }
 
+    /// The running `partition_count()` against what it replaces: the sum
+    /// of the bucket lengths (and the index size, where one is kept).
+    fn assert_count_exact(p: &Peer) {
+        let summed: usize = p.buckets.values().map(Bucket::len).sum();
+        assert_eq!(p.partition_count(), summed);
+        assert_eq!(p.entries().count(), summed);
+        if p.index.is_some() {
+            assert_eq!(p.indexed_count(), summed);
+        }
+    }
+
     #[test]
     fn store_and_count() {
-        let mut p = Peer::new(Id(42));
+        let mut p = Peer::new(Id(42), false);
         assert!(p.is_empty());
         assert!(p.store(7, r(0, 10)));
         assert!(p.store(7, r(20, 30)));
@@ -172,11 +206,13 @@ mod tests {
         assert!(p.store(9, r(0, 10))); // same range, different bucket: kept
         assert_eq!(p.partition_count(), 3);
         assert_eq!(p.bucket_count(), 2);
+        assert_count_exact(&p);
+        assert_eq!(p.indexed_count(), 0, "built without the index");
     }
 
     #[test]
     fn best_in_bucket_scoped_to_identifier() {
-        let mut p = Peer::new(Id(1));
+        let mut p = Peer::new(Id(1), false);
         p.store(7, r(0, 10));
         p.store(9, r(100, 110));
         let q = r(100, 110);
@@ -190,7 +226,7 @@ mod tests {
 
     #[test]
     fn index_agrees_with_scan() {
-        let mut p = Peer::new(Id(2));
+        let mut p = Peer::new(Id(2), true);
         for i in 0..50u32 {
             p.store(i % 7, r(i * 13 % 800, i * 13 % 800 + 40));
         }
@@ -202,11 +238,12 @@ mod tests {
                 assert_eq!(a.score, b.score, "query {q} measure {m:?}");
             }
         }
+        assert_count_exact(&p);
     }
 
     #[test]
     fn local_index_sees_all_buckets() {
-        let mut p = Peer::new(Id(1));
+        let mut p = Peer::new(Id(1), true);
         p.store(7, r(0, 10));
         p.store(9, r(100, 110));
         let q = r(100, 110);
@@ -217,7 +254,7 @@ mod tests {
 
     #[test]
     fn local_index_empty_peer() {
-        let p = Peer::new(Id(0));
+        let p = Peer::new(Id(0), true);
         assert!(p
             .best_across_buckets(&r(0, 1), MatchMeasure::Jaccard)
             .is_none());
@@ -225,7 +262,7 @@ mod tests {
 
     #[test]
     fn entries_iterates_without_consuming() {
-        let mut p = Peer::new(Id(1));
+        let mut p = Peer::new(Id(1), false);
         p.store(7, r(0, 10));
         p.store(7, r(20, 30));
         p.store(9, r(100, 110));
@@ -237,7 +274,7 @@ mod tests {
 
     #[test]
     fn evict_removes_exactly_one_entry_and_repairs_the_index() {
-        let mut p = Peer::new(Id(1));
+        let mut p = Peer::new(Id(1), true);
         p.store(7, r(0, 10));
         p.store(7, r(20, 30));
         p.store(9, r(100, 110));
@@ -246,6 +283,7 @@ mod tests {
         assert!(p.evict(7, &r(0, 10)));
         assert!(!p.evict(7, &r(0, 10)), "second evict is a no-op");
         assert_eq!(p.partition_count(), 2);
+        assert_count_exact(&p);
         // The evicted range is gone from the local index too.
         let m = p.best_across_buckets(&r(0, 10), MatchMeasure::Jaccard);
         assert!(
@@ -255,11 +293,12 @@ mod tests {
         // Emptying a bucket drops it entirely.
         assert!(p.evict(9, &r(100, 110)));
         assert!(p.bucket(9).is_none());
+        assert_count_exact(&p);
     }
 
     #[test]
     fn drain_hands_over_everything() {
-        let mut p = Peer::new(Id(1));
+        let mut p = Peer::new(Id(1), true);
         p.store(7, r(0, 10));
         p.store(9, r(100, 110));
         let mut handed = p.drain();
@@ -269,5 +308,6 @@ mod tests {
         assert_eq!(handed[1], (9, r(100, 110)));
         assert!(p.is_empty());
         assert_eq!(p.partition_count(), 0);
+        assert_count_exact(&p);
     }
 }

@@ -413,7 +413,7 @@ impl ProtoNetwork {
                 Box::new(PeerNode {
                     id,
                     info: info.clone(),
-                    storage: Peer::new(id),
+                    storage: Peer::new(id, config.use_local_index),
                     matching: config.matching,
                     use_local_index: config.use_local_index,
                     sink: sink.clone(),
@@ -569,22 +569,13 @@ impl ProtoNetwork {
 
         // Best across replies; ties resolve to the earliest identifier,
         // matching the direct-call network's iteration order.
-        let mut best: Option<Match> = None;
-        for r in &replies {
-            if let Some(m) = &r.best {
-                let better = match &best {
-                    None => true,
-                    Some(b) => m.score > b.score,
-                };
-                if better {
-                    best = Some(m.clone());
-                }
+        let mut best: Option<&Match> = None;
+        for m in replies.iter().filter_map(|r| r.best.as_ref()) {
+            if best.is_none_or(|b| m.score > b.score) {
+                best = Some(m);
             }
         }
-        let exact = best
-            .as_ref()
-            .map(|m| m.range == hashed_range)
-            .unwrap_or(false);
+        let exact = best.is_some_and(|m| m.range == hashed_range);
 
         // Store on miss.
         let mut stored = false;
@@ -611,14 +602,7 @@ impl ProtoNetwork {
             stored = true;
         }
 
-        let (similarity, recall, best_match) = match &best {
-            Some(m) => (
-                q.jaccard(&m.range),
-                q.containment_in(&m.range),
-                Some(m.range.clone()),
-            ),
-            None => (0.0, 0.0, None),
-        };
+        let (similarity, recall, best_match) = Match::grade(best.cloned(), q);
         let hops: Vec<usize> = replies.iter().map(|r| r.hops as usize).collect();
         let attempts = routed.len();
         // With every reply lost (possible only under faults), the origin
@@ -681,7 +665,7 @@ impl ThreadedProtoNetwork {
                 Box::new(PeerNode {
                     id,
                     info: info.clone(),
-                    storage: Peer::new(id),
+                    storage: Peer::new(id, config.use_local_index),
                     matching: config.matching,
                     use_local_index: config.use_local_index,
                     sink: sink.clone(),
@@ -777,22 +761,13 @@ impl ThreadedProtoNetwork {
             "every FindMatch must be answered"
         );
 
-        let mut best: Option<Match> = None;
-        for r in &replies {
-            if let Some(m) = &r.best {
-                let better = match &best {
-                    None => true,
-                    Some(b) => m.score > b.score,
-                };
-                if better {
-                    best = Some(m.clone());
-                }
+        let mut best: Option<&Match> = None;
+        for m in replies.iter().filter_map(|r| r.best.as_ref()) {
+            if best.is_none_or(|b| m.score > b.score) {
+                best = Some(m);
             }
         }
-        let exact = best
-            .as_ref()
-            .map(|m| m.range == hashed_range)
-            .unwrap_or(false);
+        let exact = best.is_some_and(|m| m.range == hashed_range);
 
         let mut stored = false;
         if self.config.cache_on_miss && !exact {
@@ -822,14 +797,7 @@ impl ThreadedProtoNetwork {
             stored = true;
         }
 
-        let (similarity, recall, best_match) = match &best {
-            Some(m) => (
-                q.jaccard(&m.range),
-                q.containment_in(&m.range),
-                Some(m.range.clone()),
-            ),
-            None => (0.0, 0.0, None),
-        };
+        let (similarity, recall, best_match) = Match::grade(best.cloned(), q);
         let hops: Vec<usize> = replies.iter().map(|r| r.hops as usize).collect();
         let attempts = routed.len();
         QueryOutcome {

@@ -17,15 +17,42 @@ use std::fmt;
 /// * for consecutive intervals `(a₀, a₁)`, `(b₀, b₁)`: `a₁ + 1 < b₀`
 ///   (disjoint and non-adjacent, so the representation is canonical);
 /// * each interval satisfies `lo ≤ hi`.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RangeSet {
-    intervals: Vec<(u32, u32)>,
+///
+/// A single interval — every range the paper's workloads produce — is held
+/// inline, so cloning one is a copy and a `Vec<RangeSet>` of them is
+/// contiguous memory.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct RangeSet(Repr);
+
+/// Exactly one interval is always `One` and never a one-element `Many`
+/// ([`RangeSet::canonical`] is the only place a `Many` is built), so the
+/// derived `Eq`/`Hash` see each set in exactly one shape.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    One((u32, u32)),
+    /// Zero, or two and more, intervals.
+    Many(Vec<(u32, u32)>),
+}
+
+const _: () = assert!(std::mem::size_of::<RangeSet>() <= 24);
+
+/// Lexicographic over the interval lists.
+impl Ord for RangeSet {
+    fn cmp(&self, other: &RangeSet) -> std::cmp::Ordering {
+        self.intervals().cmp(other.intervals())
+    }
+}
+
+impl PartialOrd for RangeSet {
+    fn partial_cmp(&self, other: &RangeSet) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl fmt::Debug for RangeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "RangeSet{{")?;
-        for (i, (lo, hi)) in self.intervals.iter().enumerate() {
+        for (i, (lo, hi)) in self.intervals().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -42,11 +69,17 @@ impl fmt::Display for RangeSet {
 }
 
 impl RangeSet {
+    /// Wrap an interval list that already satisfies the invariants.
+    fn canonical(intervals: Vec<(u32, u32)>) -> RangeSet {
+        RangeSet(match intervals[..] {
+            [one] => Repr::One(one),
+            _ => Repr::Many(intervals),
+        })
+    }
+
     /// The empty set.
     pub fn empty() -> RangeSet {
-        RangeSet {
-            intervals: Vec::new(),
-        }
+        RangeSet::canonical(Vec::new())
     }
 
     /// A single contiguous inclusive interval `[lo, hi]`.
@@ -55,9 +88,7 @@ impl RangeSet {
     /// Panics if `lo > hi`.
     pub fn interval(lo: u32, hi: u32) -> RangeSet {
         assert!(lo <= hi, "invalid interval [{lo}, {hi}]");
-        RangeSet {
-            intervals: vec![(lo, hi)],
-        }
+        RangeSet(Repr::One((lo, hi)))
     }
 
     /// Build from arbitrary (possibly overlapping, unsorted) intervals,
@@ -78,7 +109,7 @@ impl RangeSet {
                 _ => out.push((lo, hi)),
             }
         }
-        RangeSet { intervals: out }
+        RangeSet::canonical(out)
     }
 
     /// Build from individual values.
@@ -88,12 +119,15 @@ impl RangeSet {
 
     /// The canonical interval list.
     pub fn intervals(&self) -> &[(u32, u32)] {
-        &self.intervals
+        match &self.0 {
+            Repr::One(one) => std::slice::from_ref(one),
+            Repr::Many(many) => many,
+        }
     }
 
     /// Number of values in the set (cardinality).
     pub fn len(&self) -> u64 {
-        self.intervals
+        self.intervals()
             .iter()
             .map(|&(lo, hi)| (hi - lo) as u64 + 1)
             .sum()
@@ -101,22 +135,22 @@ impl RangeSet {
 
     /// True if the set contains no values.
     pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
+        self.intervals().is_empty()
     }
 
     /// Smallest value, if non-empty.
     pub fn min_value(&self) -> Option<u32> {
-        self.intervals.first().map(|&(lo, _)| lo)
+        self.intervals().first().map(|&(lo, _)| lo)
     }
 
     /// Largest value, if non-empty.
     pub fn max_value(&self) -> Option<u32> {
-        self.intervals.last().map(|&(_, hi)| hi)
+        self.intervals().last().map(|&(_, hi)| hi)
     }
 
     /// Membership test (binary search over intervals).
     pub fn contains(&self, v: u32) -> bool {
-        self.intervals
+        self.intervals()
             .binary_search_by(|&(lo, hi)| {
                 if v < lo {
                     std::cmp::Ordering::Greater
@@ -134,17 +168,18 @@ impl RangeSet {
     /// Beware: this materializes each value — use the closed-form similarity
     /// methods for large sets.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.intervals.iter().flat_map(|&(lo, hi)| lo..=hi)
+        self.intervals().iter().flat_map(|&(lo, hi)| lo..=hi)
     }
 
     /// Cardinality of the intersection with `other`, in closed form.
     pub fn intersection_len(&self, other: &RangeSet) -> u64 {
         // Merge-scan over two sorted interval lists.
+        let (a, b) = (self.intervals(), other.intervals());
         let (mut i, mut j) = (0, 0);
         let mut total = 0u64;
-        while i < self.intervals.len() && j < other.intervals.len() {
-            let (a0, a1) = self.intervals[i];
-            let (b0, b1) = other.intervals[j];
+        while i < a.len() && j < b.len() {
+            let (a0, a1) = a[i];
+            let (b0, b1) = b[j];
             let lo = a0.max(b0);
             let hi = a1.min(b1);
             if lo <= hi {
@@ -166,11 +201,12 @@ impl RangeSet {
 
     /// The intersection as a new `RangeSet`.
     pub fn intersection(&self, other: &RangeSet) -> RangeSet {
+        let (a, b) = (self.intervals(), other.intervals());
         let (mut i, mut j) = (0, 0);
         let mut out = Vec::new();
-        while i < self.intervals.len() && j < other.intervals.len() {
-            let (a0, a1) = self.intervals[i];
-            let (b0, b1) = other.intervals[j];
+        while i < a.len() && j < b.len() {
+            let (a0, a1) = a[i];
+            let (b0, b1) = b[j];
             let lo = a0.max(b0);
             let hi = a1.min(b1);
             if lo <= hi {
@@ -183,12 +219,17 @@ impl RangeSet {
             }
         }
         // Intersection of canonical sets is already canonical.
-        RangeSet { intervals: out }
+        RangeSet::canonical(out)
     }
 
     /// The union as a new `RangeSet`.
     pub fn union(&self, other: &RangeSet) -> RangeSet {
-        RangeSet::from_intervals(self.intervals.iter().chain(other.intervals.iter()).copied())
+        RangeSet::from_intervals(
+            self.intervals()
+                .iter()
+                .chain(other.intervals().iter())
+                .copied(),
+        )
     }
 
     /// Jaccard set similarity `|A∩B| / |A∪B|` (the measure the paper's LSH
@@ -225,7 +266,7 @@ impl RangeSet {
         if frac == 0.0 {
             return self.clone();
         }
-        RangeSet::from_intervals(self.intervals.iter().map(|&(lo, hi)| {
+        RangeSet::from_intervals(self.intervals().iter().map(|&(lo, hi)| {
             let width = (hi - lo) as u64 + 1;
             let pad = (width as f64 * frac).round() as u64;
             let new_lo = (lo as u64).saturating_sub(pad) as u32;
@@ -244,7 +285,7 @@ impl RangeSet {
         if frac == 0.0 {
             return self.clone();
         }
-        RangeSet::from_intervals(self.intervals.iter().filter_map(|&(lo, hi)| {
+        RangeSet::from_intervals(self.intervals().iter().filter_map(|&(lo, hi)| {
             let width = (hi - lo) as u64 + 1;
             let cut = (width as f64 * frac).round() as u64;
             let new_lo = (lo as u64).saturating_add(cut);
@@ -263,18 +304,19 @@ impl RangeSet {
     /// match does *not* answer (used by residual fetching: serve the
     /// overlap from the cache, fetch only this remainder from the source).
     pub fn difference(&self, other: &RangeSet) -> RangeSet {
+        let other = other.intervals();
         let mut out: Vec<(u32, u32)> = Vec::new();
         let mut j = 0;
-        for &(lo, hi) in &self.intervals {
+        for &(lo, hi) in self.intervals() {
             let mut cur = lo;
             // Walk other's intervals overlapping [lo, hi].
-            while j < other.intervals.len() && other.intervals[j].1 < lo {
+            while j < other.len() && other[j].1 < lo {
                 j += 1;
             }
             let mut k = j;
             let mut exhausted = false;
-            while k < other.intervals.len() && other.intervals[k].0 <= hi {
-                let (olo, ohi) = other.intervals[k];
+            while k < other.len() && other[k].0 <= hi {
+                let (olo, ohi) = other[k];
                 if olo > cur {
                     out.push((cur, olo - 1));
                 }

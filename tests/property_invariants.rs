@@ -573,3 +573,233 @@ fn fused_per_function_and_reference_agree_for_all_families() {
         }
     }
 }
+
+// ---- Storage representation: inline ranges, the flat bucket scan, the
+// §5.3 index on demand. The unit tests of `range.rs`, `bucket.rs` and
+// `peer.rs` do not run under tier-1; these do. ----
+
+// A bucket of single intervals is 24 B per stored range, as the `Vec`
+// header alone was before.
+const _: () = assert!(std::mem::size_of::<RangeSet>() <= 24);
+
+fn hash_of(r: &RangeSet) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    r.hash(&mut h);
+    h.finish()
+}
+
+/// `set` is in canonical form: its interval list is sorted, disjoint and
+/// non-adjacent, and the value is indistinguishable — `==`, hash, order,
+/// `intervals()` — from the same set built from its interval list again
+/// and, when it is one interval, from `RangeSet::interval`.
+fn assert_canonical(set: &RangeSet, route: &str) {
+    let ivs = set.intervals();
+    for &(lo, hi) in ivs {
+        assert!(lo <= hi, "{route}: inverted interval in {set}");
+    }
+    for w in ivs.windows(2) {
+        assert!(
+            w[0].1 as u64 + 1 < w[1].0 as u64,
+            "{route}: {set} not sorted, disjoint and non-adjacent"
+        );
+    }
+    let mut twins = vec![RangeSet::from_intervals(ivs.iter().rev().copied())];
+    if let [(lo, hi)] = *ivs {
+        twins.push(RangeSet::interval(lo, hi));
+        twins.push((lo..=hi).into());
+    }
+    if ivs.is_empty() {
+        twins.push(RangeSet::empty());
+    }
+    for twin in &twins {
+        assert_eq!(set, twin, "{route}");
+        assert_eq!(hash_of(set), hash_of(twin), "{route}: hash of {set}");
+        assert_eq!(set.cmp(twin), std::cmp::Ordering::Equal, "{route}");
+        assert_eq!(set.intervals(), twin.intervals(), "{route}");
+    }
+}
+
+/// Arbitrary interval lists: unsorted, overlapping, adjacent, some at the
+/// top of the domain.
+fn interval_list_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    prop::collection::vec((0u32..300, 0u32..30, any::<bool>()), 0..6).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(lo, w, top)| {
+                let lo = if top { u32::MAX - 400 + lo } else { lo };
+                (lo, lo + w)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every construction route to the same set yields the same value,
+    /// whichever of the two representations holds it.
+    #[test]
+    fn range_set_is_canonical_by_every_route(
+        a_list in interval_list_strategy(),
+        b_list in interval_list_strategy(),
+        frac in 0.0f64..0.6,
+    ) {
+        let a = RangeSet::from_intervals(a_list.iter().copied());
+        let b = RangeSet::from_intervals(b_list.iter().copied());
+        assert_canonical(&a, "from_intervals");
+
+        // The same set, three more ways.
+        let by_union = a_list
+            .iter()
+            .fold(RangeSet::empty(), |acc, &(lo, hi)| acc.union(&RangeSet::interval(lo, hi)));
+        let by_values = RangeSet::from_values(a_list.iter().flat_map(|&(lo, hi)| lo..=hi));
+        let by_intersection = a.intersection(&RangeSet::interval(0, u32::MAX));
+        for (route, other) in [
+            ("union", &by_union),
+            ("from_values", &by_values),
+            ("intersection", &by_intersection),
+        ] {
+            assert_canonical(other, route);
+            prop_assert_eq!(&a, other, "{}", route);
+            prop_assert_eq!(hash_of(&a), hash_of(other), "{}", route);
+        }
+
+        // Every operation's result is canonical too.
+        assert_canonical(&a.union(&b), "union");
+        assert_canonical(&a.intersection(&b), "intersection");
+        assert_canonical(&a.difference(&b), "difference");
+        assert_canonical(&a.pad(frac), "pad");
+        assert_canonical(&a.shrink(frac), "shrink");
+
+        // Order is the lexicographic order of the interval lists, as when
+        // the list was the whole representation.
+        prop_assert_eq!(a.cmp(&b), a.intervals().to_vec().cmp(&b.intervals().to_vec()));
+        prop_assert_eq!(a == b, a.intervals() == b.intervals());
+    }
+}
+
+/// Ranges for the bucket-scan property: endpoints drawn from a few anchors
+/// (so equal scores and exact hits are common) or from the whole domain,
+/// one interval or several.
+fn scan_range_strategy() -> impl Strategy<Value = RangeSet> {
+    const ANCHORS: [u32; 8] = [0, 10, 20, 30, 40, 1 << 31, u32::MAX - 10, u32::MAX];
+    let endpoint =
+        (any::<bool>(), 0usize..8, any::<u32>())
+            .prop_map(|(anchored, i, free)| if anchored { ANCHORS[i] } else { free });
+    prop::collection::vec((endpoint.clone(), endpoint), 1..4).prop_map(|pairs| {
+        RangeSet::from_intervals(pairs.into_iter().map(|(a, b)| (a.min(b), a.max(b))))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat by-reference scan returns the very candidate — not merely
+    /// an equally good one — and the very score bits of the plain
+    /// `score` loop with a strict `>`: earliest stored wins ties.
+    #[test]
+    fn bucket_best_match_equals_the_score_oracle(
+        stored in prop::collection::vec(scan_range_strategy(), 0..12),
+        query in scan_range_strategy(),
+    ) {
+        use ars::core::bucket::{best_of, score, Bucket};
+        let mut bucket = Bucket::new();
+        for r in stored {
+            bucket.insert(r);
+        }
+        for measure in [MatchMeasure::Jaccard, MatchMeasure::Containment] {
+            let mut oracle: Option<(usize, f64)> = None;
+            for (i, r) in bucket.ranges().iter().enumerate() {
+                let s = score(&query, r, measure);
+                if oracle.is_none_or(|(_, best)| s > best) {
+                    oracle = Some((i, s));
+                }
+            }
+            let got = bucket.best_match(&query, measure);
+            prop_assert_eq!(&got, &best_of(bucket.ranges().iter(), &query, measure));
+            match (got, oracle) {
+                (None, None) => {}
+                (Some(m), Some((i, s))) => {
+                    // Buckets hold a range once, so equal range = same slot.
+                    prop_assert_eq!(&m.range, &bucket.ranges()[i], "{:?} winner for {}", measure, query);
+                    prop_assert_eq!(m.score.to_bits(), s.to_bits(), "{:?} score for {}", measure, query);
+                }
+                (got, oracle) => prop_assert!(false, "{:?} vs {:?}", got, oracle),
+            }
+        }
+    }
+}
+
+/// A peer built without the §5.3 index never holds an index entry, counts
+/// its partitions exactly, and answers bucket lookups like one built with
+/// the index.
+#[test]
+fn peer_without_the_local_index_keeps_none_and_answers_the_same() {
+    use ars::core::Peer;
+    let mut rng = DetRng::new(53);
+    let mut plain = Peer::new(Id(7), false);
+    let mut indexed = Peer::new(Id(7), true);
+    assert!(plain
+        .best_across_buckets(&RangeSet::interval(0, 1), MatchMeasure::Jaccard)
+        .is_none());
+    let mut stored = Vec::new();
+    for _ in 0..1000 {
+        let ident = rng.gen_inclusive_u32(0, 15);
+        let lo = rng.gen_inclusive_u32(0, 5_000);
+        let range = RangeSet::interval(lo, lo + rng.gen_inclusive_u32(0, 400));
+        let fresh = plain.store(ident, range.clone());
+        assert_eq!(fresh, indexed.store(ident, range.clone()));
+        if fresh {
+            stored.push((ident, range));
+        }
+    }
+    let (ident, victim) = stored.swap_remove(stored.len() / 2);
+    assert!(plain.evict(ident, &victim) && indexed.evict(ident, &victim));
+    assert_eq!(plain.indexed_count(), 0);
+    assert_eq!(indexed.indexed_count(), stored.len());
+    for p in [&plain, &indexed] {
+        assert_eq!(p.partition_count(), stored.len());
+        assert_eq!(p.entries().count(), stored.len());
+    }
+    for _ in 0..200 {
+        let ident = rng.gen_inclusive_u32(0, 16);
+        let lo = rng.gen_inclusive_u32(0, 5_000);
+        let q = RangeSet::interval(lo, lo + rng.gen_inclusive_u32(0, 400));
+        for measure in [MatchMeasure::Jaccard, MatchMeasure::Containment] {
+            assert_eq!(
+                plain.best_in_bucket(ident, &q, measure),
+                indexed.best_in_bucket(ident, &q, measure)
+            );
+            // Index-less, the §5.3 lookup is the scan — range and score.
+            assert_eq!(
+                plain.best_across_buckets(&q, measure),
+                plain.best_across_buckets_scan(&q, measure)
+            );
+        }
+    }
+}
+
+/// On the default config no peer of a network holds an index entry after a
+/// run; with the local index on, the index holds every stored partition.
+#[test]
+fn networks_build_the_local_index_only_when_the_config_reads_it() {
+    for on in [false, true] {
+        let config = SystemConfig::default().with_seed(9).with_local_index(on);
+        let mut net = RangeSelectNetwork::new(50, config);
+        for q in uniform_trace(400, 0, 2000, 4).queries() {
+            net.query(q);
+        }
+        let indexed: usize = net
+            .ring()
+            .node_ids()
+            .iter()
+            .map(|&id| {
+                net.peer(id)
+                    .expect("ring nodes hold storage")
+                    .indexed_count()
+            })
+            .sum();
+        assert!(net.total_partitions() > 0);
+        assert_eq!(indexed, if on { net.total_partitions() } else { 0 });
+    }
+}
