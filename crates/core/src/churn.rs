@@ -44,9 +44,9 @@
 //! story: degraded availability during the window, convergence after it.
 
 use crate::bucket::Match;
-use crate::config::{Placement, SystemConfig};
+use crate::config::SystemConfig;
 use crate::durable::{decode_range, digest_bytes, encode_range};
-use crate::network::{QueryOutcome, RangeSelectNetwork};
+use crate::network::{hashed_range, place_identifier, QueryOutcome, RangeSelectNetwork};
 use crate::peer::Peer;
 use crate::resilient::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, FailureDetector, HedgePolicy,
@@ -552,10 +552,7 @@ impl ChurnNetwork {
     }
 
     fn place(&self, identifier: u32) -> Id {
-        match self.config.placement {
-            Placement::Uniformized => Id(ars_chord::sha1::sha1_u32(&identifier.to_be_bytes())),
-            Placement::Direct => Id(identifier),
-        }
+        place_identifier(&self.config, identifier)
     }
 
     /// Fresh durable store for a peer, if durability is configured.
@@ -1226,11 +1223,7 @@ impl ChurnNetwork {
     /// reconciliation restores.
     pub fn query_resilient(&mut self, q: &RangeSet) -> QueryOutcome {
         assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
+        let hashed_range = hashed_range(q, self.config.padding);
         let identifiers = self.groups.identifiers(&hashed_range);
         self.telemetry.counter_add("resilient.queries", 1);
         let span = self.telemetry.span(
@@ -1412,11 +1405,7 @@ impl ChurnNetwork {
     /// routing itself fails (possible mid-churn before stabilization).
     pub fn query(&mut self, q: &RangeSet) -> Result<QueryOutcome, ChordError> {
         assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
+        let hashed_range = hashed_range(q, self.config.padding);
         let identifiers = self.groups.identifiers(&hashed_range);
         let origin = {
             let ids = self.chord.node_ids();

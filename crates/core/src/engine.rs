@@ -1,12 +1,12 @@
 //! The concurrent query engine: per-shard commit, per-shard RNG streams,
 //! and a long-lived worker-peer runtime.
 //!
-//! The batched path in [`crate::network`] parallelizes hashing and
-//! routing but funnels every commit through one sequential loop to keep
-//! outcomes bit-identical to [`RangeSelectNetwork::query`] — so batch
+//! [`RangeSelectNetwork::query`] and `query_batch` run every stage of a
+//! query — hash, plan, commit — on the calling thread, so their
 //! throughput is bounded by a single core no matter how wide the machine
-//! is. This module breaks that ceiling by partitioning the network's
-//! mutable state into **shards**:
+//! is. This module runs the same [`plan_query`] / [`commit_plan`] pair on
+//! worker threads by partitioning the network's mutable state into
+//! **shards**:
 //!
 //! * each shard owns a slice of the peers (by ring position), a segment
 //!   of the [`IdentifierCache`], and its own [`NetworkStats`]
@@ -64,10 +64,10 @@
 //! cache-counter sums, cache segments re-concatenated and re-trimmed,
 //! RNG advanced to stream 0's final state).
 
-use crate::config::{PlacementMode, SystemConfig};
+use crate::config::SystemConfig;
 use crate::network::{
-    commit_layered, commit_routed, place_identifier, plan_layered, IdentifierCache, LayeredPlan,
-    NetworkStats, PeerAccess, QueryOutcome, RangeSelectNetwork, StatsSink,
+    commit_plan, hashed_range, plan_query, IdentifierCache, NetworkStats, PeerAccess, QueryOutcome,
+    QueryPlan, RangeSelectNetwork, StatsSink,
 };
 use crate::peer::Peer;
 use crate::resilient::BASE_SERVICE;
@@ -305,25 +305,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A query after its read-only phase: hashed, identifiers resolved (via
-/// the owning cache segment), routes computed against the immutable ring
-/// — everything the commit needs, plus the sorted set of shards it will
+/// the owning cache segment), planned against the immutable ring —
+/// everything the commit needs, plus the sorted set of shards it will
 /// lock.
 struct Prepared {
     query: RangeSet,
     hashed: RangeSet,
     identifiers: Vec<u32>,
-    plan: PreparedPlan,
+    plan: QueryPlan,
     shards: Vec<usize>,
-}
-
-/// The routed form of a prepared query, one variant per placement mode.
-enum PreparedPlan {
-    /// Independent placement: one resolved route per identifier
-    /// (duplicates share the memoized route; the commit skips their
-    /// lookup).
-    Independent(Vec<(Id, usize)>),
-    /// Layered placement: the single arc lookup plus walk/candidate sets.
-    Layered(LayeredPlan),
 }
 
 /// The shared immutable context plus the shard array.
@@ -448,17 +438,13 @@ impl EngineCore {
     }
 
     /// The read-only phase: pad, resolve identifiers through the owning
-    /// cache segment, route every identifier from `origin` against the
-    /// immutable ring, and record which shards the commit will touch.
+    /// cache segment, plan from `origin` against the immutable ring, and
+    /// read the shards the commit will touch off the plan.
     fn prepare(&self, q: &RangeSet, origin: Id) -> Prepared {
         assert!(!q.is_empty(), "cannot query an empty range");
         #[cfg(test)]
         self.check_poison(q, "prepare");
-        let hashed = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
+        let hashed = hashed_range(q, self.config.padding);
         let segment = segment_of(&hashed, self.nshards);
         let cached = {
             let mut cache = self.shards[segment].cache.lock();
@@ -493,51 +479,20 @@ impl EngineCore {
                 ids
             }
         };
-        let (plan, mut shards) = match self.config.placement_mode {
-            PlacementMode::Independent => {
-                // Route each distinct identifier once (duplicates reuse
-                // the memoized route), mirroring the sequential path.
-                let mut memo: FxHashMap<u32, (Id, usize)> = FxHashMap::default();
-                let routes: Vec<(Id, usize)> = identifiers
-                    .iter()
-                    .map(|&ident| {
-                        *memo.entry(ident).or_insert_with(|| {
-                            self.ring
-                                .lookup(origin, place_identifier(&self.config, ident))
-                        })
-                    })
-                    .collect();
-                let shards: Vec<usize> = routes
-                    .iter()
-                    .map(|&(owner, _)| shard_of(owner.0, self.nshards))
-                    .collect();
-                (PreparedPlan::Independent(routes), shards)
-            }
-            PlacementMode::Layered => {
-                let plan = plan_layered(
-                    &self.config,
-                    &self.groups,
-                    &self.anchors,
-                    &self.ring,
-                    origin,
-                    &hashed,
-                    &identifiers,
-                );
-                // The commit touches every walked peer and every store
-                // target's owner.
-                let shards: Vec<usize> = plan
-                    .visited
-                    .iter()
-                    .map(|&id| shard_of(id.0, self.nshards))
-                    .chain(
-                        plan.store_targets
-                            .iter()
-                            .map(|&(_, owner)| shard_of(owner.0, self.nshards)),
-                    )
-                    .collect();
-                (PreparedPlan::Layered(plan), shards)
-            }
-        };
+        let plan = plan_query(
+            &self.config,
+            &self.groups,
+            &self.anchors,
+            &self.ring,
+            origin,
+            &hashed,
+            &identifiers,
+        );
+        let mut shards: Vec<usize> = plan
+            .touched_peers()
+            .into_iter()
+            .map(|peer| shard_of(peer.0, self.nshards))
+            .collect();
         shards.sort_unstable();
         shards.dedup();
         Prepared {
@@ -570,30 +525,17 @@ impl EngineCore {
             nshards: self.nshards,
             home: (seq % self.nshards as u64) as usize,
         };
-        match prepared.plan {
-            PreparedPlan::Independent(routes) => commit_routed(
-                &self.config,
-                &self.telemetry,
-                &mut view,
-                &mut stats,
-                &prepared.query,
-                prepared.hashed,
-                prepared.identifiers,
-                routes,
-                false,
-            ),
-            PreparedPlan::Layered(plan) => commit_layered(
-                &self.config,
-                &self.telemetry,
-                &mut view,
-                &mut stats,
-                &prepared.query,
-                prepared.hashed,
-                prepared.identifiers,
-                plan,
-                false,
-            ),
-        }
+        commit_plan(
+            &self.config,
+            &self.telemetry,
+            &mut view,
+            &mut stats,
+            &prepared.query,
+            prepared.hashed,
+            prepared.identifiers,
+            prepared.plan,
+            false,
+        )
     }
 
     /// Merge the shards back into `net`: peers union, per-shard stats and
@@ -1263,6 +1205,7 @@ impl RangeSelectNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PlacementMode;
 
     fn r(lo: u32, hi: u32) -> RangeSet {
         RangeSet::interval(lo, hi)

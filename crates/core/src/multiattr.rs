@@ -16,8 +16,9 @@
 //!   `1 − (1 − Π p_iᵏ)ˡ` over `l` groups. Setting one attribute reduces
 //!   exactly to the paper's single-attribute scheme.
 
-use crate::config::{MatchMeasure, Placement, SystemConfig};
-use ars_chord::{Id, Ring};
+use crate::config::{MatchMeasure, SystemConfig};
+use crate::network::place_identifier;
+use ars_chord::Ring;
 use ars_common::{DetRng, FxHashMap};
 use ars_lsh::{HashGroups, RangeSet};
 use std::collections::BTreeMap;
@@ -261,13 +262,6 @@ impl MultiAttrNetwork {
         self.cache.values().map(Vec::len).sum()
     }
 
-    fn place(&self, identifier: u32) -> Id {
-        match self.config.placement {
-            Placement::Uniformized => Id(ars_chord::sha1::sha1_u32(&identifier.to_be_bytes())),
-            Placement::Direct => Id(identifier),
-        }
-    }
-
     /// Execute the generalized §4 procedure for a multi-range.
     pub fn query(&mut self, q: &MultiRange) -> MultiQueryOutcome {
         let identifiers = self.groups.identifiers(q);
@@ -278,7 +272,9 @@ impl MultiAttrNetwork {
         let mut hops = Vec::with_capacity(identifiers.len());
         let mut best: Option<(MultiRange, f64)> = None;
         for &ident in &identifiers {
-            let (_owner, h) = self.ring.lookup(origin, self.place(ident));
+            let (_owner, h) = self
+                .ring
+                .lookup(origin, place_identifier(&self.config, ident));
             hops.push(h);
             if let Some(bucket) = self.cache.get(&ident) {
                 for candidate in bucket {

@@ -66,17 +66,17 @@ pub struct QueryOutcome {
 }
 
 /// Wall-clock seconds each stage of a [`RangeSelectNetwork::query_batch`]
-/// call spent — the instrumentation that makes the commit bottleneck
-/// visible in `BENCH_throughput.json` (ISSUE 6 satellite): hashing and
-/// routing parallelize, the commit stage is the sequential residue the
-/// concurrent engine ([`crate::engine`]) exists to break up.
+/// call spent. The three stages are the three calls every static query
+/// makes — hash, plan, commit — run as three loops over the batch, so
+/// the split says where a query's time goes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchTimings {
-    /// Phase 1: identifier hashing (parallel) + cache-accounting replay.
+    /// Stage 1: padding, identifier hashing and identifier-cache accounting.
     pub hash_secs: f64,
-    /// Phase 2: origin pre-draw + parallel routing of distinct jobs.
+    /// Stage 2: origin draw and planning (routing, walk and candidate
+    /// sets) against the immutable ring.
     pub route_secs: f64,
-    /// Phase 3: sequential commit in trace order.
+    /// Stage 3: commit — matching, caching, stats, telemetry.
     pub commit_secs: f64,
 }
 
@@ -84,15 +84,14 @@ pub struct BatchTimings {
 ///
 /// Group identifiers depend only on the hash groups, which are fixed at
 /// network construction, so entries never *invalidate*. Workload traces
-/// repeat ranges heavily (Zipf-style popularity), making this the dominant
-/// saving of the batched query path; the hit/miss counters quantify it.
+/// repeat ranges heavily (Zipf-style popularity); the hit/miss counters
+/// quantify the saving.
 ///
 /// The cache may be *bounded* ([`SystemConfig::ident_cache_capacity`]),
 /// in which case entries are evicted in FIFO insertion order. FIFO — not
 /// LRU — is deliberate: hits never perturb the eviction order, so the
-/// batched query path can account an entire trace's hits, misses, and
-/// evictions up front and still land on exactly the cache state the
-/// sequential path would (asserted in tests).
+/// concurrent engine can split the cache into per-shard segments and
+/// merge them back without the order of hits mattering.
 #[derive(Debug, Clone, Default)]
 pub struct IdentifierCache {
     pub(crate) map: FxHashMap<RangeSet, Vec<u32>>,
@@ -232,17 +231,6 @@ impl IdentifierCache {
     }
 }
 
-/// Which identifier kernels the batch hashing phase uses. Both produce
-/// identical values (pinned by tests in `ars_lsh`); the fused kernels are
-/// what `query_batch` runs, the per-function loop is kept so
-/// [`RangeSelectNetwork::query_batch_legacy`] reproduces the pre-sharding
-/// engine for benchmarking.
-#[derive(Debug, Clone, Copy)]
-enum BatchKernels {
-    Fused,
-    PerFunction,
-}
-
 /// Aggregate statistics over a network's lifetime.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkStats {
@@ -290,7 +278,7 @@ impl NetworkStats {
 }
 
 /// Mutable access to peers by ring position — the seam that lets the
-/// commit procedure ([`commit_routed`]) run against either the network's
+/// commit procedure ([`commit_plan`]) run against either the network's
 /// global peer map or the concurrent engine's locked shard views.
 pub(crate) trait PeerAccess {
     /// The peer at `id`, if present.
@@ -355,7 +343,7 @@ impl StatsSink for NetworkStats {
 }
 
 /// Ring position of a partition identifier under `config`'s placement
-/// policy. Pure; shared by the network and the concurrent engine.
+/// policy. Pure; every rendition of the query procedure places through it.
 pub(crate) fn place_identifier(config: &SystemConfig, identifier: u32) -> Id {
     match config.placement {
         Placement::Uniformized => Id(ars_chord::sha1::sha1_u32(&identifier.to_be_bytes())),
@@ -363,19 +351,21 @@ pub(crate) fn place_identifier(config: &SystemConfig, identifier: u32) -> Id {
     }
 }
 
-/// The commit half of a query — matching, caching, stats, telemetry —
-/// against any [`PeerAccess`]/[`StatsSink`] pair. Extracted from the
-/// sequential path verbatim so the engine's sharded commits replay the
-/// exact same per-owner update order; [`RangeSelectNetwork`]'s own
-/// `finish_query_routed` delegates here, keeping the two paths one body
-/// of code.
-///
-/// `emit_span` gates the per-query `core.query` span: the sequential path
-/// emits it (trace tests pin the event order), the concurrent engine does
-/// not (span begin/end interleaving across workers would make event logs
-/// schedule-dependent; counters and histograms are order-free).
+/// §5.2 padding: the range a query is hashed, matched and cached under.
+pub(crate) fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
+    if padding > 0.0 {
+        q.pad(padding)
+    } else {
+        q.clone()
+    }
+}
+
+/// The commit half of an independent-placement query — matching, caching,
+/// stats, telemetry — against any [`PeerAccess`]/[`StatsSink`] pair, so
+/// the engine's sharded commits replay the same per-owner update order as
+/// the network's own. Reached through [`commit_plan`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_routed<P: PeerAccess, S: StatsSink>(
+fn commit_routed<P: PeerAccess, S: StatsSink>(
     config: &SystemConfig,
     telemetry: &Telemetry,
     peers: &mut P,
@@ -509,7 +499,7 @@ pub(crate) fn commit_routed<P: PeerAccess, S: StatsSink>(
 /// The salt keeps the anchor draw out of the sequences the groups and
 /// query path consume — constructing a network with layered placement
 /// available must not move a single bit of the default paths.
-pub(crate) fn anchor_groups(config: &SystemConfig) -> HashGroups {
+fn anchor_groups(config: &SystemConfig) -> HashGroups {
     const ANCHOR_SALT: u64 = 0x6172_735F_6172_6373; // "ars_arcs"
     let mut rng = DetRng::new(config.seed ^ ANCHOR_SALT);
     HashGroups::generate(config.family, config.layers, 1, &mut rng)
@@ -519,37 +509,68 @@ pub(crate) fn anchor_groups(config: &SystemConfig) -> HashGroups {
 /// (`SystemConfig::layers` min-hashes XOR-folded) that keys the arc all
 /// of the query's buckets live in under layered placement. Similar
 /// ranges share it with probability ≈ `J^layers`.
-pub(crate) fn layered_anchor(anchors: &HashGroups, hashed_range: &RangeSet) -> u32 {
+fn layered_anchor(anchors: &HashGroups, hashed_range: &RangeSet) -> u32 {
     anchors.identifiers(hashed_range)[0]
 }
 
 /// A fully-resolved layered query: the one arc lookup, the peers the
 /// bounded successor walk visits, and every candidate bucket to check at
-/// them. Pure data — planning (reads the immutable ring) is separated
-/// from committing (mutates peers/stats) so the batch and engine paths
-/// can plan in parallel and commit in order, exactly like
-/// [`commit_routed`]'s routes.
+/// them.
 #[derive(Debug, Clone)]
 pub(crate) struct LayeredPlan {
     /// `(first arc owner, hops)` of the single `arc_base` lookup.
-    pub(crate) route: (Id, usize),
+    route: (Id, usize),
     /// Peers the walk visits: the first owner plus at most
     /// `walk_window − 1` successors (one overlay message per step).
-    pub(crate) visited: Vec<Id>,
+    visited: Vec<Id>,
     /// Candidate bucket identifiers checked at every visited peer: the
     /// distinct base identifiers first, then ranked multi-probe
     /// candidates.
-    pub(crate) candidates: Vec<u32>,
+    candidates: Vec<u32>,
     /// How many of `candidates` are base identifiers (the prefix).
-    pub(crate) base_count: usize,
+    base_count: usize,
     /// Cache-on-miss targets: each distinct base identifier and the true
     /// owner of its layered position.
-    pub(crate) store_targets: Vec<(u32, Id)>,
+    store_targets: Vec<(u32, Id)>,
 }
 
-/// Plan a layered query end to end: anchor → one arc lookup → walk and
-/// candidate sets. Pure (the ring is immutable).
-pub(crate) fn plan_layered(
+/// Everything a query's commit needs that can be worked out without
+/// touching mutable state — pure data, built by [`plan_query`] from the
+/// immutable ring and applied by [`commit_plan`]. Because planning reads
+/// nothing a commit writes, a caller may plan a whole batch before
+/// committing any of it (or plan on worker threads) and still land on the
+/// outcomes of the interleaved one-at-a-time loop.
+#[derive(Debug, Clone)]
+pub(crate) enum QueryPlan {
+    /// Independent placement: one resolved `(owner, hops)` route per
+    /// identifier. A repeated identifier carries its first occurrence's
+    /// route; the commit skips its lookup.
+    Independent(Vec<(Id, usize)>),
+    /// Layered placement: the single arc lookup plus walk/candidate sets.
+    Layered(LayeredPlan),
+}
+
+impl QueryPlan {
+    /// Every peer the commit will read or write — what the engine's
+    /// conflict scheduler locks. May repeat peers.
+    pub(crate) fn touched_peers(&self) -> Vec<Id> {
+        match self {
+            QueryPlan::Independent(routes) => routes.iter().map(|&(owner, _)| owner).collect(),
+            QueryPlan::Layered(plan) => plan
+                .visited
+                .iter()
+                .copied()
+                .chain(plan.store_targets.iter().map(|&(_, owner)| owner))
+                .collect(),
+        }
+    }
+}
+
+/// Plan one query from `origin`: route every distinct identifier to its
+/// owner (independent placement), or resolve the anchor's one arc lookup,
+/// the successor walk and the candidate set (layered placement). Pure —
+/// the ring is immutable — and the only place the static paths route.
+pub(crate) fn plan_query(
     config: &SystemConfig,
     groups: &HashGroups,
     anchors: &HashGroups,
@@ -557,66 +578,101 @@ pub(crate) fn plan_layered(
     origin: Id,
     hashed_range: &RangeSet,
     identifiers: &[u32],
-) -> LayeredPlan {
-    let anchor = layered_anchor(anchors, hashed_range);
-    let route = ring.lookup(origin, arc_base(anchor));
-    plan_layered_routed(
-        config,
-        groups,
-        ring,
-        route,
-        anchor,
-        hashed_range,
-        identifiers,
-    )
+) -> QueryPlan {
+    match config.placement_mode {
+        PlacementMode::Independent => {
+            let mut routes: Vec<(Id, usize)> = Vec::with_capacity(identifiers.len());
+            for (i, &ident) in identifiers.iter().enumerate() {
+                let route = match identifiers[..i].iter().position(|&seen| seen == ident) {
+                    Some(first) => routes[first],
+                    None => ring.lookup(origin, place_identifier(config, ident)),
+                };
+                routes.push(route);
+            }
+            QueryPlan::Independent(routes)
+        }
+        PlacementMode::Layered => {
+            let anchor = layered_anchor(anchors, hashed_range);
+            let route = ring.lookup(origin, arc_base(anchor));
+            let visited = ring.successors_window(route.0, config.walk_window);
+            let mut candidates: Vec<u32> = Vec::with_capacity(identifiers.len() + config.probes);
+            for &ident in identifiers {
+                if !candidates.contains(&ident) {
+                    candidates.push(ident);
+                }
+            }
+            let base_count = candidates.len();
+            if config.probes > 0 {
+                for c in groups.probe_candidates(hashed_range, config.probes) {
+                    if !candidates.contains(&c.identifier) {
+                        candidates.push(c.identifier);
+                    }
+                }
+            }
+            let store_targets = candidates[..base_count]
+                .iter()
+                .map(|&ident| (ident, ring.successor_of(layered_position(anchor, ident))))
+                .collect();
+            QueryPlan::Layered(LayeredPlan {
+                route,
+                visited,
+                candidates,
+                base_count,
+                store_targets,
+            })
+        }
+    }
 }
 
-/// The post-routing half of layered planning — the batch path resolves
-/// the arc lookup in its parallel routing phase and feeds it in here.
-pub(crate) fn plan_layered_routed(
+/// Apply a [`QueryPlan`]: the one commit entry point of the static paths.
+///
+/// `emit_span` gates the per-query `core.query` span: the network's own
+/// paths emit it (trace tests pin the event order), the concurrent engine
+/// does not (span begin/end interleaving across workers would make event
+/// logs schedule-dependent; counters and histograms are order-free).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
     config: &SystemConfig,
-    groups: &HashGroups,
-    ring: &Ring,
-    route: (Id, usize),
-    anchor: u32,
-    hashed_range: &RangeSet,
-    identifiers: &[u32],
-) -> LayeredPlan {
-    let visited = ring.successors_window(route.0, config.walk_window);
-    let mut candidates: Vec<u32> = Vec::with_capacity(identifiers.len() + config.probes);
-    for &ident in identifiers {
-        if !candidates.contains(&ident) {
-            candidates.push(ident);
-        }
-    }
-    let base_count = candidates.len();
-    if config.probes > 0 {
-        for c in groups.probe_candidates(hashed_range, config.probes) {
-            if !candidates.contains(&c.identifier) {
-                candidates.push(c.identifier);
-            }
-        }
-    }
-    let store_targets = candidates[..base_count]
-        .iter()
-        .map(|&ident| (ident, ring.successor_of(layered_position(anchor, ident))))
-        .collect();
-    LayeredPlan {
-        route,
-        visited,
-        candidates,
-        base_count,
-        store_targets,
+    telemetry: &Telemetry,
+    peers: &mut P,
+    stats: &mut S,
+    q: &RangeSet,
+    hashed_range: RangeSet,
+    identifiers: Vec<u32>,
+    plan: QueryPlan,
+    emit_span: bool,
+) -> QueryOutcome {
+    match plan {
+        QueryPlan::Independent(routes) => commit_routed(
+            config,
+            telemetry,
+            peers,
+            stats,
+            q,
+            hashed_range,
+            identifiers,
+            routes,
+            emit_span,
+        ),
+        QueryPlan::Layered(plan) => commit_layered(
+            config,
+            telemetry,
+            peers,
+            stats,
+            q,
+            hashed_range,
+            identifiers,
+            plan,
+            emit_span,
+        ),
     }
 }
 
 /// The commit half of a layered query — the [`commit_routed`] analogue:
 /// one lookup's hops, a successor walk, candidate matching at every
-/// visited peer, cache-on-miss at the layered owners. Same
-/// [`PeerAccess`]/[`StatsSink`] seam, so the sequential, batched, and
-/// concurrent-engine paths share this one body of code.
+/// visited peer, cache-on-miss at the layered owners.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_layered<P: PeerAccess, S: StatsSink>(
+fn commit_layered<P: PeerAccess, S: StatsSink>(
     config: &SystemConfig,
     telemetry: &Telemetry,
     peers: &mut P,
@@ -928,119 +984,67 @@ impl RangeSelectNetwork {
     /// query, overriding the configured one — the hook the adaptive
     /// padding policy (paper §6 future work; [`crate::adaptive`]) uses.
     pub fn query_padded(&mut self, q: &RangeSet, padding: f64) -> QueryOutcome {
+        let (hashed_range, identifiers) = self.hash_stage(q, padding);
+        let plan = self.plan_stage(&hashed_range, &identifiers);
+        self.commit_stage(q, hashed_range, identifiers, plan)
+    }
+
+    /// Stage 1 of a query: pad, then resolve the group identifiers through
+    /// the [`IdentifierCache`].
+    fn hash_stage(&mut self, q: &RangeSet, padding: f64) -> (RangeSet, Vec<u32>) {
         assert!(!q.is_empty(), "cannot query an empty range");
         assert!(padding >= 0.0, "padding must be non-negative");
-        let hashed_range = Self::hashed_range(q, padding);
-        let identifiers = self.cached_identifiers(&hashed_range);
-        self.finish_query(q, hashed_range, identifiers)
+        let hashed_range = hashed_range(q, padding);
+        let identifiers = match self.ident_cache.get_hit(&hashed_range) {
+            Some(ids) => {
+                self.telemetry.counter_add("core.ident_cache.hits", 1);
+                ids
+            }
+            None => {
+                self.ident_cache.note_miss();
+                self.telemetry.counter_add("core.ident_cache.misses", 1);
+                let ids = self.groups.identifiers(&hashed_range);
+                let evicted = self.ident_cache.insert(hashed_range.clone(), ids.clone());
+                if evicted > 0 {
+                    self.telemetry
+                        .counter_add("core.ident_cache.evictions", evicted);
+                }
+                self.telemetry
+                    .gauge_set("core.ident_cache.size", self.ident_cache.len() as u64);
+                ids
+            }
+        };
+        (hashed_range, identifiers)
     }
 
-    /// §5.2 padding: expand the query before hashing/matching/caching.
-    fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
-        if padding > 0.0 {
-            q.pad(padding)
-        } else {
-            q.clone()
-        }
-    }
-
-    /// Group identifiers for a hashed range, memoized in the
-    /// [`IdentifierCache`].
-    fn cached_identifiers(&mut self, hashed_range: &RangeSet) -> Vec<u32> {
-        if let Some(ids) = self.ident_cache.map.get(hashed_range) {
-            self.ident_cache.hits += 1;
-            self.telemetry.counter_add("core.ident_cache.hits", 1);
-            return ids.clone();
-        }
-        self.ident_cache.misses += 1;
-        self.telemetry.counter_add("core.ident_cache.misses", 1);
-        let ids = self.groups.identifiers(hashed_range);
-        self.ident_cache_insert(hashed_range.clone(), ids.clone());
-        ids
-    }
-
-    /// Insert into the identifier cache, exporting eviction/size telemetry.
-    fn ident_cache_insert(&mut self, range: RangeSet, ids: Vec<u32>) {
-        let evicted = self.ident_cache.insert(range, ids);
-        if evicted > 0 {
-            self.telemetry
-                .counter_add("core.ident_cache.evictions", evicted);
-        }
-        self.telemetry
-            .gauge_set("core.ident_cache.size", self.ident_cache.len() as u64);
-    }
-
-    /// Everything after identifier computation: routing, matching, caching,
-    /// stats. Split out so the batched path can feed precomputed
-    /// identifiers while preserving the exact per-query RNG draw order.
-    fn finish_query(
-        &mut self,
-        q: &RangeSet,
-        hashed_range: RangeSet,
-        identifiers: Vec<u32>,
-    ) -> QueryOutcome {
-        // Pick a random origin peer for routing (hop accounting) — the one
-        // RNG draw a query makes, which the batched path pre-draws in
-        // trace order before routing in parallel.
+    /// Stage 2 of a query: draw the random origin peer routing starts
+    /// from (hop accounting) — the one RNG draw a query makes — and plan
+    /// from it.
+    fn plan_stage(&mut self, hashed_range: &RangeSet, identifiers: &[u32]) -> QueryPlan {
         let origin = {
             let ids = self.ring.node_ids();
             ids[self.rng.gen_index(ids.len())]
         };
-        match self.config.placement_mode {
-            PlacementMode::Independent => {
-                // Route each *distinct* identifier once; duplicates reuse
-                // the resolved route (commit skips their lookup too).
-                let mut memo: FxHashMap<u32, (Id, usize)> = FxHashMap::default();
-                let routes: Vec<(Id, usize)> = identifiers
-                    .iter()
-                    .map(|&ident| {
-                        *memo.entry(ident).or_insert_with(|| {
-                            self.ring
-                                .lookup(origin, place_identifier(&self.config, ident))
-                        })
-                    })
-                    .collect();
-                self.finish_query_routed(q, hashed_range, identifiers, routes)
-            }
-            PlacementMode::Layered => {
-                let plan = plan_layered(
-                    &self.config,
-                    &self.groups,
-                    &self.anchors,
-                    &self.ring,
-                    origin,
-                    &hashed_range,
-                    &identifiers,
-                );
-                commit_layered(
-                    &self.config,
-                    &self.telemetry,
-                    &mut self.peers,
-                    &mut self.stats,
-                    q,
-                    hashed_range,
-                    identifiers,
-                    plan,
-                    true,
-                )
-            }
-        }
+        plan_query(
+            &self.config,
+            &self.groups,
+            &self.anchors,
+            &self.ring,
+            origin,
+            hashed_range,
+            identifiers,
+        )
     }
 
-    /// The commit half of a query: matching, caching, stats — with routing
-    /// already resolved. Routing over the static [`Ring`] is pure, so the
-    /// batched path resolves it in a parallel read-only phase against the
-    /// ring snapshot and replays commits here sequentially in trace order;
-    /// outcomes are bit-identical to [`Self::finish_query`] (asserted in
-    /// tests).
-    fn finish_query_routed(
+    /// Stage 3 of a query: apply the plan to the peers and the stats.
+    fn commit_stage(
         &mut self,
         q: &RangeSet,
         hashed_range: RangeSet,
         identifiers: Vec<u32>,
-        routes: Vec<(Id, usize)>,
+        plan: QueryPlan,
     ) -> QueryOutcome {
-        commit_routed(
+        commit_plan(
             &self.config,
             &self.telemetry,
             &mut self.peers,
@@ -1048,7 +1052,7 @@ impl RangeSelectNetwork {
             q,
             hashed_range,
             identifiers,
-            routes,
+            plan,
             true,
         )
     }
@@ -1066,26 +1070,15 @@ impl RangeSelectNetwork {
         &self.ident_cache
     }
 
-    /// Execute a slice of queries through the sharded batch engine.
-    ///
-    /// Three phases:
-    ///
-    /// 1. **Parallel hashing** — identifier computation (`k·l` min-hashes
-    ///    per distinct range, via the fused group kernels) is memoized per
-    ///    distinct hashed range and fanned across worker threads; cache
-    ///    accounting (hits, misses, FIFO evictions) is then replayed
-    ///    sequentially in trace order so it lands on the exact state the
-    ///    one-at-a-time path produces.
-    /// 2. **Parallel routing** — origin peers are pre-drawn sequentially
-    ///    (one RNG call per query, trace order), then every distinct
-    ///    `(origin, identifier)` pair is routed once against the immutable
-    ///    ring snapshot across worker threads. Routing over a static
-    ///    [`Ring`] is pure, so parallelism cannot perturb results.
-    /// 3. **Sequential commit** — matching, caching, stats, and telemetry
-    ///    replay in trace order via the routed commit path.
+    /// Execute a slice of queries stage by stage: hash them all, plan them
+    /// all, commit them all, each in trace order on the calling thread.
     ///
     /// Outcomes, statistics, and cache contents are bit-identical to
-    /// calling [`Self::query`] in a loop (asserted in tests).
+    /// calling [`Self::query`] in a loop (asserted in tests): the stages
+    /// are the same three calls [`Self::query_padded`] makes, the
+    /// identifier cache is only touched by the first, the RNG only by the
+    /// second, peers and stats only by the third — so running them as
+    /// three loops reorders nothing any stage can observe.
     pub fn query_batch(&mut self, queries: &[RangeSet]) -> Vec<QueryOutcome> {
         self.query_batch_timed(queries).0
     }
@@ -1094,287 +1087,32 @@ impl RangeSelectNetwork {
     /// throughput bench uses this to report where a batch's time goes
     /// (hash / route / commit) instead of a single opaque number.
     pub fn query_batch_timed(&mut self, queries: &[RangeSet]) -> (Vec<QueryOutcome>, BatchTimings) {
+        let padding = self.config.padding;
         let t0 = std::time::Instant::now();
-        let (hashed, ids_per_query) = self.batch_resolve_identifiers(queries);
-        let t1 = std::time::Instant::now();
-
-        // Phase 2a: pre-draw origins — the only RNG use on the query path,
-        // consumed in trace order exactly as the sequential path would.
-        let node_ids = self.ring.node_ids();
-        let origins: Vec<Id> = queries
+        let hashed: Vec<(RangeSet, Vec<u32>)> = queries
             .iter()
-            .map(|_| node_ids[self.rng.gen_index(node_ids.len())])
+            .map(|q| self.hash_stage(q, padding))
             .collect();
-
-        // Phase 2b: resolve every distinct routing job once, in parallel,
-        // against the immutable ring — per (origin, identifier) under
-        // independent placement, per (origin, arc) under layered placement
-        // (co-location collapses a whole query, and often several queries,
-        // into one job).
-        let t2;
-        let outcomes = match self.config.placement_mode {
-            PlacementMode::Independent => {
-                let mut job_of: FxHashMap<(u32, u32), usize> = FxHashMap::default();
-                let mut jobs: Vec<(Id, Id)> = Vec::new();
-                for (origin, ids) in origins.iter().zip(&ids_per_query) {
-                    for &ident in ids {
-                        job_of.entry((origin.0, ident)).or_insert_with(|| {
-                            jobs.push((*origin, self.place(ident)));
-                            jobs.len() - 1
-                        });
-                    }
-                }
-                let routed = self.route_jobs_parallel(&jobs);
-                t2 = std::time::Instant::now();
-
-                // Phase 3: sequential commit in trace order.
-                queries
-                    .iter()
-                    .zip(hashed)
-                    .zip(origins)
-                    .zip(ids_per_query)
-                    .map(|(((q, h), origin), ids)| {
-                        let routes: Vec<(Id, usize)> = ids
-                            .iter()
-                            .map(|&ident| routed[job_of[&(origin.0, ident)]])
-                            .collect();
-                        self.finish_query_routed(q, h, ids, routes)
-                    })
-                    .collect()
-            }
-            PlacementMode::Layered => {
-                // Anchors are pure functions of the hashed range — memoize
-                // per distinct range, then route one arc lookup per
-                // distinct (origin, arc) pair.
-                let anchor_vals: Vec<u32> = {
-                    let mut memo: FxHashMap<&RangeSet, u32> = FxHashMap::default();
-                    hashed
-                        .iter()
-                        .map(|h| {
-                            *memo
-                                .entry(h)
-                                .or_insert_with(|| layered_anchor(&self.anchors, h))
-                        })
-                        .collect()
-                };
-                let mut job_of: FxHashMap<(u32, u32), usize> = FxHashMap::default();
-                let mut jobs: Vec<(Id, Id)> = Vec::new();
-                for (origin, &anchor) in origins.iter().zip(&anchor_vals) {
-                    let base = arc_base(anchor);
-                    job_of.entry((origin.0, base.0)).or_insert_with(|| {
-                        jobs.push((*origin, base));
-                        jobs.len() - 1
-                    });
-                }
-                let routed = self.route_jobs_parallel(&jobs);
-                t2 = std::time::Instant::now();
-
-                // Phase 3: sequential commit in trace order.
-                let mut outs = Vec::with_capacity(queries.len());
-                for (i, (q, (h, ids))) in queries
-                    .iter()
-                    .zip(hashed.into_iter().zip(ids_per_query))
-                    .enumerate()
-                {
-                    let origin = origins[i];
-                    let anchor = anchor_vals[i];
-                    let route = routed[job_of[&(origin.0, arc_base(anchor).0)]];
-                    let plan = plan_layered_routed(
-                        &self.config,
-                        &self.groups,
-                        &self.ring,
-                        route,
-                        anchor,
-                        &h,
-                        &ids,
-                    );
-                    outs.push(commit_layered(
-                        &self.config,
-                        &self.telemetry,
-                        &mut self.peers,
-                        &mut self.stats,
-                        q,
-                        h,
-                        ids,
-                        plan,
-                        true,
-                    ));
-                }
-                outs
-            }
-        };
+        let t1 = std::time::Instant::now();
+        let plans: Vec<QueryPlan> = hashed
+            .iter()
+            .map(|(hashed_range, identifiers)| self.plan_stage(hashed_range, identifiers))
+            .collect();
+        let t2 = std::time::Instant::now();
+        let outcomes = queries
+            .iter()
+            .zip(hashed)
+            .zip(plans)
+            .map(|((q, (hashed_range, identifiers)), plan)| {
+                self.commit_stage(q, hashed_range, identifiers, plan)
+            })
+            .collect();
         let timings = BatchTimings {
             hash_secs: (t1 - t0).as_secs_f64(),
             route_secs: (t2 - t1).as_secs_f64(),
             commit_secs: t2.elapsed().as_secs_f64(),
         };
         (outcomes, timings)
-    }
-
-    /// The pre-sharding batch engine: identifiers through the
-    /// per-function compiled loop (no fused group kernels), routing and
-    /// commit both sequential — the shape of `query_batch` before the
-    /// sharded engine landed. Kept as the baseline the throughput bench
-    /// compares against; results are bit-identical to [`Self::query`].
-    pub fn query_batch_legacy(&mut self, queries: &[RangeSet]) -> Vec<QueryOutcome> {
-        let (hashed, ids_per_query) =
-            self.batch_resolve_identifiers_with(queries, BatchKernels::PerFunction);
-        queries
-            .iter()
-            .zip(hashed)
-            .zip(ids_per_query)
-            .map(|((q, h), ids)| self.finish_query(q, h, ids))
-            .collect()
-    }
-
-    /// Phase 1 of the batch engine: hash every distinct uncached range in
-    /// parallel, then replay cache accounting (hits, misses, insertions,
-    /// FIFO evictions) sequentially in trace order. Returns the hashed
-    /// ranges and each query's identifiers.
-    ///
-    /// Values are pure functions of the range, so a range the sequential
-    /// path would compute twice (missed, cached, evicted, missed again
-    /// under a capacity bound) is computed once here and reused from a
-    /// batch-local value store — the *accounting* still registers both
-    /// misses.
-    fn batch_resolve_identifiers(
-        &mut self,
-        queries: &[RangeSet],
-    ) -> (Vec<RangeSet>, Vec<Vec<u32>>) {
-        self.batch_resolve_identifiers_with(queries, BatchKernels::Fused)
-    }
-
-    fn batch_resolve_identifiers_with(
-        &mut self,
-        queries: &[RangeSet],
-        kernels: BatchKernels,
-    ) -> (Vec<RangeSet>, Vec<Vec<u32>>) {
-        let padding = self.config.padding;
-        for q in queries {
-            assert!(!q.is_empty(), "cannot query an empty range");
-        }
-        let hashed: Vec<RangeSet> = queries
-            .iter()
-            .map(|q| Self::hashed_range(q, padding))
-            .collect();
-
-        // Batch-local value store: every distinct hashed range, valued
-        // from the live cache when present, computed otherwise.
-        let mut values: FxHashMap<&RangeSet, Vec<u32>> = FxHashMap::default();
-        let mut todo: Vec<&RangeSet> = Vec::new();
-        for h in &hashed {
-            if values.contains_key(h) {
-                continue;
-            }
-            if let Some(ids) = self.ident_cache.map.get(h) {
-                values.insert(h, ids.clone());
-            } else {
-                values.insert(h, Vec::new()); // placeholder, filled below
-                todo.push(h);
-            }
-        }
-
-        // Fan the distinct uncached ranges across worker threads. Hashing
-        // is pure (`&HashGroups` is shared read-only), so parallelism
-        // cannot perturb determinism.
-        if !todo.is_empty() {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(todo.len());
-            let groups = &self.groups;
-            let next = parking_lot::Mutex::new(0usize);
-            let (tx, rx) = crossbeam::channel::unbounded();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let todo = &todo;
-                    s.spawn(move || loop {
-                        let i = {
-                            let mut n = next.lock();
-                            let i = *n;
-                            *n += 1;
-                            i
-                        };
-                        let Some(range) = todo.get(i) else { break };
-                        let ids = match kernels {
-                            BatchKernels::Fused => groups.identifiers(range),
-                            BatchKernels::PerFunction => groups.identifiers_per_function(range),
-                        };
-                        let _ = tx.send((i, ids));
-                    });
-                }
-            });
-            drop(tx);
-            let mut results: Vec<Option<Vec<u32>>> = vec![None; todo.len()];
-            while let Ok((i, ids)) = rx.recv() {
-                results[i] = Some(ids);
-            }
-            for (range, ids) in todo.into_iter().zip(results) {
-                let ids = ids.expect("worker delivered every claimed index");
-                values.insert(range, ids);
-            }
-        }
-
-        // Replay accounting in trace order against the live cache — the
-        // same hit/miss/insert/evict decisions the sequential path makes,
-        // with identifier values served from the batch-local store.
-        let mut ids_per_query: Vec<Vec<u32>> = Vec::with_capacity(hashed.len());
-        for h in &hashed {
-            if self.ident_cache.map.contains_key(h) {
-                self.ident_cache.hits += 1;
-                self.telemetry.counter_add("core.ident_cache.hits", 1);
-            } else {
-                self.ident_cache.misses += 1;
-                self.telemetry.counter_add("core.ident_cache.misses", 1);
-                self.ident_cache_insert(h.clone(), values[h].clone());
-            }
-            ids_per_query.push(values[h].clone());
-        }
-        (hashed, ids_per_query)
-    }
-
-    /// Resolve a slice of `(origin, placed key)` routing jobs in parallel
-    /// against the immutable ring. Pure; result order matches job order.
-    fn route_jobs_parallel(&self, jobs: &[(Id, Id)]) -> Vec<(Id, usize)> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(jobs.len());
-        let ring = &self.ring;
-        let next = parking_lot::Mutex::new(0usize);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                s.spawn(move || loop {
-                    let i = {
-                        let mut n = next.lock();
-                        let i = *n;
-                        *n += 1;
-                        i
-                    };
-                    let Some(&(origin, key)) = jobs.get(i) else {
-                        break;
-                    };
-                    let _ = tx.send((i, ring.lookup(origin, key)));
-                });
-            }
-        });
-        drop(tx);
-        let mut routed: Vec<(Id, usize)> = vec![(Id(0), 0); jobs.len()];
-        let mut delivered = 0usize;
-        while let Ok((i, route)) = rx.recv() {
-            routed[i] = route;
-            delivered += 1;
-        }
-        assert_eq!(delivered, jobs.len(), "worker delivered every claimed job");
-        routed
     }
 
     /// Store a partition range directly (bypassing the query path) — used
@@ -1691,18 +1429,6 @@ mod tests {
             .filter(|e| e.kind == ars_telemetry::EventKind::SpanStart && e.name == "core.query")
             .count();
         assert_eq!(spans, 2 * trace.len());
-    }
-
-    #[test]
-    fn query_batch_legacy_identical_to_sequential() {
-        let config = SystemConfig::default().with_seed(13);
-        let mut seq = RangeSelectNetwork::new(30, config.clone());
-        let mut bat = RangeSelectNetwork::new(30, config);
-        let trace = batch_trace();
-        let out_seq: Vec<QueryOutcome> = trace.iter().map(|q| seq.query(q)).collect();
-        let out_bat = bat.query_batch_legacy(&trace);
-        assert_eq!(out_seq, out_bat);
-        assert_eq!(seq.stats(), bat.stats());
     }
 
     #[test]

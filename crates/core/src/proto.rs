@@ -12,8 +12,8 @@
 //! equal, query for query, to the direct-call one.
 
 use crate::bucket::Match;
-use crate::config::{MatchMeasure, Placement, SystemConfig};
-use crate::network::QueryOutcome;
+use crate::config::{MatchMeasure, PlacementMode, SystemConfig};
+use crate::network::{hashed_range, place_identifier, QueryOutcome};
 use crate::peer::Peer;
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap};
@@ -30,8 +30,30 @@ fn to_wire(r: &RangeSet) -> WireRange {
     r.intervals().to_vec()
 }
 
+/// Decoded ranges are well-formed ([`get_range`] rejects the rest), so
+/// this cannot hit [`RangeSet::from_intervals`]'s `lo <= hi` assertion.
 fn from_wire(w: &[(u32, u32)]) -> RangeSet {
     RangeSet::from_intervals(w.iter().copied())
+}
+
+fn put_range(buf: &mut BytesMut, range: &WireRange) {
+    put_seq(buf, range, |b, &(lo, hi)| {
+        b.put_u32(lo);
+        b.put_u32(hi);
+    });
+}
+
+/// Read an interval list, refusing an inverted interval: bytes off the
+/// wire are outside input, and the peer that handled `(9, 3)` would
+/// otherwise panic building the [`RangeSet`].
+fn get_range(buf: &mut Bytes) -> Result<WireRange, CodecError> {
+    get_seq(buf, |b| {
+        let (lo, hi) = (get_u32(b)?, get_u32(b)?);
+        if lo > hi {
+            return Err(CodecError::BadLength(u64::from(lo - hi)));
+        }
+        Ok((lo, hi))
+    })
 }
 
 /// Protocol messages.
@@ -118,10 +140,7 @@ impl Wire for ProtoMsg {
                     None => buf.put_u8(0),
                     Some((range, score)) => {
                         buf.put_u8(1);
-                        put_seq(buf, range, |b, &(lo, hi)| {
-                            b.put_u32(lo);
-                            b.put_u32(hi);
-                        });
+                        put_range(buf, range);
                         buf.put_f64(*score);
                     }
                 }
@@ -148,7 +167,7 @@ impl Wire for ProtoMsg {
                 let best = match get_u8(buf)? {
                     0 => None,
                     1 => {
-                        let range = get_seq(buf, |b| Ok((get_u32(b)?, get_u32(b)?)))?;
+                        let range = get_range(buf)?;
                         if buf.remaining() < 8 {
                             return Err(CodecError::Truncated);
                         }
@@ -183,10 +202,7 @@ impl Wire for Payload {
                 buf.put_u8(0);
                 buf.put_u64(*request);
                 buf.put_u32(*origin);
-                put_seq(buf, range, |b, &(lo, hi)| {
-                    b.put_u32(lo);
-                    b.put_u32(hi);
-                });
+                put_range(buf, range);
             }
             Payload::Store {
                 request,
@@ -196,10 +212,7 @@ impl Wire for Payload {
                 buf.put_u8(1);
                 buf.put_u64(*request);
                 buf.put_u32(*origin);
-                put_seq(buf, range, |b, &(lo, hi)| {
-                    b.put_u32(lo);
-                    b.put_u32(hi);
-                });
+                put_range(buf, range);
             }
         }
     }
@@ -208,7 +221,7 @@ impl Wire for Payload {
         let tag = get_u8(buf)?;
         let request = get_u64(buf)?;
         let origin = get_u32(buf)?;
-        let range = get_seq(buf, |b| Ok((get_u32(b)?, get_u32(b)?)))?;
+        let range = get_range(buf)?;
         match tag {
             0 => Ok(Payload::FindMatch {
                 request,
@@ -368,28 +381,65 @@ impl Node<ProtoMsg> for PeerNode {
     }
 }
 
-/// Driver running the full query procedure over the message simulator.
-pub struct ProtoNetwork {
-    net: SimNet<ProtoMsg, ConstantLatency>,
+/// What the query driver needs from a message runtime: a way to hand a
+/// peer a message from the outside world, and a way to wait until the
+/// protocol has nothing left in flight.
+trait Runtime {
+    /// Deliver `msg` to peer `at` as if it had sent it to itself.
+    fn inject(&mut self, at: usize, msg: ProtoMsg);
+    /// Block until every message sent so far has been handled or lost.
+    fn settle(&mut self);
+}
+
+impl Runtime for SimNet<ProtoMsg, ConstantLatency> {
+    fn inject(&mut self, at: usize, msg: ProtoMsg) {
+        SimNet::inject(self, at, at, msg);
+    }
+    fn settle(&mut self) {
+        self.run(u64::MAX);
+    }
+}
+
+impl Runtime for ThreadedNet<ProtoMsg> {
+    fn inject(&mut self, at: usize, msg: ProtoMsg) {
+        ThreadedNet::inject(self, at, at, msg);
+    }
+    fn settle(&mut self) {
+        assert!(
+            self.await_quiescence(std::time::Duration::from_secs(30)),
+            "peer threads failed to quiesce"
+        );
+    }
+}
+
+/// The querying side of the protocol, shared by both runtimes: the global
+/// schema (ring, hash groups, config), the reply sink the peers write to,
+/// and the origin/request-id sequences.
+struct Driver {
     info: Arc<RingInfo>,
     groups: HashGroups,
     config: SystemConfig,
     sink: ReplySink,
     rng: DetRng,
     next_request: u64,
-    /// True when a transport loss model is active: missing replies are then
-    /// treated as timeouts (no match) instead of protocol violations.
+    /// True when a transport fault model is active: missing replies are
+    /// then treated as timeouts (no match) instead of protocol violations.
     lossy: bool,
 }
 
-impl ProtoNetwork {
-    /// Build a message-passing network mirroring
-    /// [`crate::RangeSelectNetwork::new`] — identical seed handling, so the
-    /// ring, the hash groups and the per-query origin choice line up
+impl Driver {
+    /// The driver and one [`PeerNode`] per peer (boxed by `boxed` into
+    /// the runtime's node type), mirroring
+    /// [`crate::RangeSelectNetwork::new`] — identical seed handling, so
+    /// the ring, the hash groups and the per-query origin choice line up
     /// exactly with the direct-call rendition.
-    pub fn new(n_peers: usize, config: SystemConfig) -> ProtoNetwork {
+    fn build<B>(
+        n_peers: usize,
+        config: SystemConfig,
+        boxed: impl Fn(PeerNode) -> B,
+    ) -> (Driver, Vec<B>) {
         assert!(
-            config.placement_mode == crate::config::PlacementMode::Independent,
+            config.placement_mode == PlacementMode::Independent,
             "the message-passing rendition models independent placement only"
         );
         let mut rng = DetRng::new(config.seed);
@@ -405,27 +455,22 @@ impl ProtoNetwork {
             .collect();
         let info = Arc::new(RingInfo { ring, index_of });
         let sink: ReplySink = Arc::new(Mutex::new(Vec::new()));
-        let nodes: Vec<Box<dyn Node<ProtoMsg>>> = info
+        let nodes = info
             .ring
             .node_ids()
             .iter()
             .map(|&id| {
-                Box::new(PeerNode {
+                boxed(PeerNode {
                     id,
                     info: info.clone(),
                     storage: Peer::new(id, config.use_local_index),
                     matching: config.matching,
                     use_local_index: config.use_local_index,
                     sink: sink.clone(),
-                }) as Box<dyn Node<ProtoMsg>>
+                })
             })
             .collect();
-        let mut net = SimNet::new(nodes, ConstantLatency(50));
-        // Meter wire bytes: the framed binary encoding is what a TCP
-        // deployment would move.
-        net.set_meter(|m: &ProtoMsg| ars_simnet::codec::frame(m).len() as u64);
-        ProtoNetwork {
-            net,
+        let driver = Driver {
             info,
             groups,
             config,
@@ -433,91 +478,30 @@ impl ProtoNetwork {
             rng,
             next_request: 0,
             lossy: false,
-        }
+        };
+        (driver, nodes)
     }
 
-    /// Like [`ProtoNetwork::new`] but with a lossy transport: every message
-    /// is independently dropped with probability `loss`. Dropped requests
-    /// and replies surface as timed-out lookups (treated as "no match"),
-    /// exactly as a lost TCP connection would.
-    pub fn new_lossy(
-        n_peers: usize,
-        config: SystemConfig,
-        loss: f64,
-        loss_seed: u64,
-    ) -> ProtoNetwork {
-        let mut net = ProtoNetwork::new(n_peers, config);
-        net.net.set_loss(loss, loss_seed);
-        net.lossy = true;
-        net
+    /// Route `payload` from peer `origin` toward the owner of `ident`.
+    fn send(&self, net: &mut impl Runtime, origin: usize, ident: u32, payload: Payload) {
+        net.inject(
+            origin,
+            ProtoMsg::Route {
+                key: place_identifier(&self.config, ident).0,
+                ident,
+                hops: 0,
+                payload,
+            },
+        );
     }
 
-    /// Like [`ProtoNetwork::new`] but with an arbitrary seeded
-    /// [`FaultPlan`] — drops, duplication, extra delay, node crash and
-    /// pause windows — executed by the simulator's fault injector. Under
-    /// any plan, queries complete with well-formed (possibly degraded)
-    /// outcomes: lost replies read as timeouts, duplicated replies are
-    /// deduplicated by request id, and crashed peers simply never answer.
-    pub fn new_faulty(
-        n_peers: usize,
-        config: SystemConfig,
-        plan: FaultPlan,
-        fault_seed: u64,
-    ) -> ProtoNetwork {
-        let mut net = ProtoNetwork::new(n_peers, config);
-        let benign = plan.is_benign();
-        net.net.set_faults(plan, fault_seed);
-        net.lossy = !benign;
-        net
-    }
-
-    /// Messages dropped by the loss model so far.
-    pub fn messages_dropped(&self) -> u64 {
-        self.net.stats().dropped
-    }
-
-    /// Wire bytes the protocol has moved so far (framed binary encoding).
-    pub fn bytes_sent(&self) -> u64 {
-        self.net.stats().bytes
-    }
-
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.net.len()
-    }
-
-    /// True if the network has no peers.
-    pub fn is_empty(&self) -> bool {
-        self.net.is_empty()
-    }
-
-    /// Messages delivered so far (protocol overhead accounting).
-    pub fn messages_delivered(&self) -> u64 {
-        self.net.stats().delivered
-    }
-
-    /// Ring position of an identifier under the configured placement.
-    fn place(&self, identifier: u32) -> u32 {
-        match self.config.placement {
-            Placement::Uniformized => ars_chord::sha1::sha1_u32(&identifier.to_be_bytes()),
-            Placement::Direct => identifier,
-        }
-    }
-
-    /// Execute one query through the message protocol. Semantically
-    /// identical to [`crate::RangeSelectNetwork::query`].
-    pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
+    /// One query through the message protocol over `net`.
+    fn query(&mut self, net: &mut impl Runtime, q: &RangeSet) -> QueryOutcome {
         assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
+        let hashed_range = hashed_range(q, self.config.padding);
         let identifiers = self.groups.identifiers(&hashed_range);
-        let origin_idx = {
-            let ids = self.info.ring.node_ids();
-            self.rng.gen_index(ids.len())
-        };
+        let origin = self.rng.gen_index(self.info.ring.node_ids().len());
+        let range = to_wire(&hashed_range);
 
         // Fire one FindMatch per *distinct* identifier — the direct
         // path's within-query dedup, mirrored: a duplicate would route
@@ -530,25 +514,17 @@ impl ProtoNetwork {
             }
             let request = base_request + routed.len() as u64;
             routed.push(ident);
-            self.net.inject(
-                origin_idx,
-                origin_idx,
-                ProtoMsg::Route {
-                    key: self.place(ident),
-                    ident,
-                    hops: 0,
-                    payload: Payload::FindMatch {
-                        request,
-                        origin: origin_idx as u32,
-                        range: to_wire(&hashed_range),
-                    },
-                },
-            );
+            let payload = Payload::FindMatch {
+                request,
+                origin: origin as u32,
+                range: range.clone(),
+            };
+            self.send(net, origin, ident, payload);
         }
         self.next_request += routed.len() as u64;
-        self.net.run(u64::MAX);
+        net.settle();
 
-        // Collect the l replies for this batch.
+        // Collect the replies for this query.
         let mut replies: Vec<CollectedReply> = {
             let mut sink = self.sink.lock().expect("sink poisoned");
             sink.drain(..)
@@ -581,33 +557,20 @@ impl ProtoNetwork {
         let mut stored = false;
         if self.config.cache_on_miss && !exact {
             for &ident in &identifiers {
-                let request = self.next_request;
+                let payload = Payload::Store {
+                    request: self.next_request,
+                    origin: origin as u32,
+                    range: range.clone(),
+                };
                 self.next_request += 1;
-                self.net.inject(
-                    origin_idx,
-                    origin_idx,
-                    ProtoMsg::Route {
-                        key: self.place(ident),
-                        ident,
-                        hops: 0,
-                        payload: Payload::Store {
-                            request,
-                            origin: origin_idx as u32,
-                            range: to_wire(&hashed_range),
-                        },
-                    },
-                );
+                self.send(net, origin, ident, payload);
             }
-            self.net.run(u64::MAX);
+            net.settle();
             stored = true;
         }
 
         let (similarity, recall, best_match) = Match::grade(best.cloned(), q);
         let hops: Vec<usize> = replies.iter().map(|r| r.hops as usize).collect();
-        let attempts = routed.len();
-        // With every reply lost (possible only under faults), the origin
-        // would fall back to fetching from the source relations.
-        let fell_back_to_source = replies.is_empty();
         QueryOutcome {
             query: q.clone(),
             best_match,
@@ -618,10 +581,100 @@ impl ProtoNetwork {
             hops,
             identifiers,
             peers_contacted: 0, // not tracked in the message rendition
-            attempts,
-            fell_back_to_source,
+            attempts: routed.len(),
+            // With every reply lost (possible only under faults), the
+            // origin would fall back to fetching from the source relations.
+            fell_back_to_source: replies.is_empty(),
             partition_degraded: false,
         }
+    }
+}
+
+/// Driver running the full query procedure over the message simulator.
+pub struct ProtoNetwork {
+    net: SimNet<ProtoMsg, ConstantLatency>,
+    driver: Driver,
+}
+
+impl ProtoNetwork {
+    /// Build a message-passing network mirroring
+    /// [`crate::RangeSelectNetwork::new`] — identical seed handling, so the
+    /// ring, the hash groups and the per-query origin choice line up
+    /// exactly with the direct-call rendition.
+    pub fn new(n_peers: usize, config: SystemConfig) -> ProtoNetwork {
+        let (driver, nodes) =
+            Driver::build(n_peers, config, |n| Box::new(n) as Box<dyn Node<ProtoMsg>>);
+        let mut net = SimNet::new(nodes, ConstantLatency(50));
+        // Meter wire bytes: the framed binary encoding is what a TCP
+        // deployment would move.
+        net.set_meter(|m: &ProtoMsg| ars_simnet::codec::frame(m).len() as u64);
+        ProtoNetwork { net, driver }
+    }
+
+    /// Like [`ProtoNetwork::new`] but with a lossy transport: every message
+    /// is independently dropped with probability `loss`. Dropped requests
+    /// and replies surface as timed-out lookups (treated as "no match"),
+    /// exactly as a lost TCP connection would.
+    pub fn new_lossy(
+        n_peers: usize,
+        config: SystemConfig,
+        loss: f64,
+        loss_seed: u64,
+    ) -> ProtoNetwork {
+        let mut net = ProtoNetwork::new(n_peers, config);
+        net.net.set_loss(loss, loss_seed);
+        net.driver.lossy = true;
+        net
+    }
+
+    /// Like [`ProtoNetwork::new`] but with an arbitrary seeded
+    /// [`FaultPlan`] — drops, duplication, extra delay, node crash and
+    /// pause windows — executed by the simulator's fault injector. Under
+    /// any plan, queries complete with well-formed (possibly degraded)
+    /// outcomes: lost replies read as timeouts, duplicated replies are
+    /// deduplicated by request id, and crashed peers simply never answer.
+    pub fn new_faulty(
+        n_peers: usize,
+        config: SystemConfig,
+        plan: FaultPlan,
+        fault_seed: u64,
+    ) -> ProtoNetwork {
+        let mut net = ProtoNetwork::new(n_peers, config);
+        let benign = plan.is_benign();
+        net.net.set_faults(plan, fault_seed);
+        net.driver.lossy = !benign;
+        net
+    }
+
+    /// Messages dropped by the loss model so far.
+    pub fn messages_dropped(&self) -> u64 {
+        self.net.stats().dropped
+    }
+
+    /// Wire bytes the protocol has moved so far (framed binary encoding).
+    pub fn bytes_sent(&self) -> u64 {
+        self.net.stats().bytes
+    }
+
+    /// Number of peers.
+    pub fn len(&self) -> usize {
+        self.net.len()
+    }
+
+    /// True if the network has no peers.
+    pub fn is_empty(&self) -> bool {
+        self.net.is_empty()
+    }
+
+    /// Messages delivered so far (protocol overhead accounting).
+    pub fn messages_delivered(&self) -> u64 {
+        self.net.stats().delivered
+    }
+
+    /// Execute one query through the message protocol. Semantically
+    /// identical to [`crate::RangeSelectNetwork::query`].
+    pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
+        self.driver.query(&mut self.net, q)
     }
 }
 
@@ -632,55 +685,19 @@ impl ProtoNetwork {
 /// outcomes, because replies are keyed by request id.
 pub struct ThreadedProtoNetwork {
     net: ThreadedNet<ProtoMsg>,
-    info: Arc<RingInfo>,
-    groups: HashGroups,
-    config: SystemConfig,
-    sink: ReplySink,
-    rng: DetRng,
-    next_request: u64,
+    driver: Driver,
 }
 
 impl ThreadedProtoNetwork {
     /// Spawn one thread per peer, mirroring [`ProtoNetwork::new`]'s seed
     /// handling (same ring, groups, and origin choices).
     pub fn spawn(n_peers: usize, config: SystemConfig) -> ThreadedProtoNetwork {
-        let mut rng = DetRng::new(config.seed);
-        let mut group_rng = rng.fork();
-        let ring_seed = rng.next_u64();
-        let ring = Ring::from_seed(n_peers, ring_seed);
-        let groups = HashGroups::generate(config.family, config.k, config.l, &mut group_rng);
-        let index_of: FxHashMap<u32, usize> = ring
-            .node_ids()
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.0, i))
-            .collect();
-        let info = Arc::new(RingInfo { ring, index_of });
-        let sink: ReplySink = Arc::new(Mutex::new(Vec::new()));
-        let nodes: Vec<Box<dyn Node<ProtoMsg> + Send>> = info
-            .ring
-            .node_ids()
-            .iter()
-            .map(|&id| {
-                Box::new(PeerNode {
-                    id,
-                    info: info.clone(),
-                    storage: Peer::new(id, config.use_local_index),
-                    matching: config.matching,
-                    use_local_index: config.use_local_index,
-                    sink: sink.clone(),
-                }) as Box<dyn Node<ProtoMsg> + Send>
-            })
-            .collect();
-        let net = ThreadedNet::spawn(nodes);
+        let (driver, nodes) = Driver::build(n_peers, config, |n| {
+            Box::new(n) as Box<dyn Node<ProtoMsg> + Send>
+        });
         ThreadedProtoNetwork {
-            net,
-            info,
-            groups,
-            config,
-            sink,
-            rng,
-            next_request: 0,
+            net: ThreadedNet::spawn(nodes),
+            driver,
         }
     }
 
@@ -694,13 +711,6 @@ impl ThreadedProtoNetwork {
         self.net.is_empty()
     }
 
-    fn place(&self, identifier: u32) -> u32 {
-        match self.config.placement {
-            Placement::Uniformized => ars_chord::sha1::sha1_u32(&identifier.to_be_bytes()),
-            Placement::Direct => identifier,
-        }
-    }
-
     /// Execute one query across the peer threads. Blocks until the
     /// protocol quiesces.
     ///
@@ -708,112 +718,7 @@ impl ThreadedProtoNetwork {
     /// Panics if the network fails to quiesce within 30 seconds (a wedged
     /// peer thread).
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
-        assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = if self.config.padding > 0.0 {
-            q.pad(self.config.padding)
-        } else {
-            q.clone()
-        };
-        let identifiers = self.groups.identifiers(&hashed_range);
-        let origin_idx = self.rng.gen_index(self.info.ring.node_ids().len());
-
-        // One FindMatch per *distinct* identifier, as in [`ProtoNetwork`].
-        let base_request = self.next_request;
-        let mut routed: Vec<u32> = Vec::with_capacity(identifiers.len());
-        for &ident in &identifiers {
-            if routed.contains(&ident) {
-                continue;
-            }
-            let request = base_request + routed.len() as u64;
-            routed.push(ident);
-            self.net.inject(
-                origin_idx,
-                origin_idx,
-                ProtoMsg::Route {
-                    key: self.place(ident),
-                    ident,
-                    hops: 0,
-                    payload: Payload::FindMatch {
-                        request,
-                        origin: origin_idx as u32,
-                        range: to_wire(&hashed_range),
-                    },
-                },
-            );
-        }
-        self.next_request += routed.len() as u64;
-        assert!(
-            self.net
-                .await_quiescence(std::time::Duration::from_secs(30)),
-            "peer threads failed to quiesce"
-        );
-
-        let mut replies: Vec<CollectedReply> = {
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.drain(..)
-                .filter(|r| r.request >= base_request)
-                .collect()
-        };
-        replies.sort_by_key(|r| r.request);
-        assert_eq!(
-            replies.len(),
-            routed.len(),
-            "every FindMatch must be answered"
-        );
-
-        let mut best: Option<&Match> = None;
-        for m in replies.iter().filter_map(|r| r.best.as_ref()) {
-            if best.is_none_or(|b| m.score > b.score) {
-                best = Some(m);
-            }
-        }
-        let exact = best.is_some_and(|m| m.range == hashed_range);
-
-        let mut stored = false;
-        if self.config.cache_on_miss && !exact {
-            for &ident in &identifiers {
-                let request = self.next_request;
-                self.next_request += 1;
-                self.net.inject(
-                    origin_idx,
-                    origin_idx,
-                    ProtoMsg::Route {
-                        key: self.place(ident),
-                        ident,
-                        hops: 0,
-                        payload: Payload::Store {
-                            request,
-                            origin: origin_idx as u32,
-                            range: to_wire(&hashed_range),
-                        },
-                    },
-                );
-            }
-            assert!(
-                self.net
-                    .await_quiescence(std::time::Duration::from_secs(30)),
-                "peer threads failed to quiesce after store"
-            );
-            stored = true;
-        }
-
-        let (similarity, recall, best_match) = Match::grade(best.cloned(), q);
-        let hops: Vec<usize> = replies.iter().map(|r| r.hops as usize).collect();
-        let attempts = routed.len();
-        QueryOutcome {
-            query: q.clone(),
-            best_match,
-            similarity,
-            recall,
-            exact,
-            stored,
-            hops,
-            identifiers,
-            peers_contacted: 0,
-            attempts,
-            fell_back_to_source: false,
-            partition_degraded: false,
-        }
+        self.driver.query(&mut self.net, q)
     }
 
     /// Stop all peer threads.
@@ -886,6 +791,77 @@ mod tests {
             deframe::<ProtoMsg>(framed.freeze()),
             Err(CodecError::BadTag(99))
         ));
+    }
+
+    #[test]
+    fn decode_rejects_inverted_interval() {
+        // `(9, 3)` cannot come out of `to_wire`; on the wire it is hostile
+        // input, and decoding it used to succeed and panic the first peer
+        // that built a `RangeSet` from it.
+        let bad: WireRange = vec![(0, 5), (9, 3)];
+        let route = |payload| ProtoMsg::Route {
+            key: 1,
+            ident: 2,
+            hops: 0,
+            payload,
+        };
+        let msgs = [
+            route(Payload::FindMatch {
+                request: 1,
+                origin: 0,
+                range: bad.clone(),
+            }),
+            route(Payload::Store {
+                request: 2,
+                origin: 0,
+                range: bad.clone(),
+            }),
+            ProtoMsg::MatchReply {
+                request: 3,
+                identifier: 4,
+                hops: 1,
+                best: Some((bad, 0.5)),
+            },
+        ];
+        for m in &msgs {
+            assert_eq!(
+                deframe::<ProtoMsg>(frame(m)),
+                Err(CodecError::BadLength(6)),
+                "{m:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_frames_error_without_panicking() {
+        let msgs = [
+            ProtoMsg::Route {
+                key: 7,
+                ident: 8,
+                hops: 2,
+                payload: Payload::FindMatch {
+                    request: 42,
+                    origin: 3,
+                    range: vec![(30, 50), (60, 70)],
+                },
+            },
+            ProtoMsg::MatchReply {
+                request: 42,
+                identifier: 5,
+                hops: 2,
+                best: Some((vec![(30, 50)], 0.75)),
+            },
+        ];
+        for m in &msgs {
+            let framed = frame(m);
+            for cut in 0..framed.len() {
+                // The frame's own length check catches a short buffer...
+                assert!(deframe::<ProtoMsg>(framed.slice(..cut)).is_err());
+                // ...and `decode` alone must hold up on a short payload too.
+                let mut payload = framed.slice(4..cut.max(4));
+                assert!(ProtoMsg::decode(&mut payload).is_err(), "prefix {cut}");
+            }
+        }
     }
 
     #[test]
