@@ -45,7 +45,7 @@ fn main() {
             net.stabilize(128).expect("ring converges");
             println!("  -- crash wave at query {i} --");
         }
-        let out = net.query(q).expect("stabilized network answers");
+        let out = net.query_resilient(q);
         if out.recall >= 1.0 {
             window_hits += 1;
         }

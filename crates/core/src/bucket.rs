@@ -23,13 +23,34 @@ pub struct Match {
     pub score: f64,
 }
 
-impl Match {
-    /// Grade a query's overall winner against the *original* (unpadded)
-    /// query: `(similarity, recall, best_match)` — Jaccard for Figs. 6–7,
+/// A query's running winner across the buckets it reaches. Every query
+/// body folds its candidates through this one accumulator, in identifier
+/// order, so they all break ties the same way.
+#[derive(Debug, Default)]
+pub(crate) struct Best(Option<Match>);
+
+impl Best {
+    /// Offer one bucket's answer. Strictly better scores replace the
+    /// winner, so the earliest offer wins ties.
+    pub(crate) fn offer(&mut self, candidate: Option<Match>) {
+        if let Some(m) = candidate {
+            if self.0.as_ref().is_none_or(|b| m.score > b.score) {
+                self.0 = Some(m);
+            }
+        }
+    }
+
+    /// True if the winner is exactly the (padded) range that was hashed.
+    pub(crate) fn is_exactly(&self, hashed_range: &RangeSet) -> bool {
+        self.0.as_ref().is_some_and(|m| m.range == *hashed_range)
+    }
+
+    /// Grade the winner against the *original* (unpadded) query:
+    /// `(similarity, recall, best_match)` — Jaccard for Figs. 6–7,
     /// containment for Figs. 8–10. Consumes the winner, so its range moves
     /// into the outcome.
-    pub(crate) fn grade(best: Option<Match>, q: &RangeSet) -> (f64, f64, Option<RangeSet>) {
-        match best {
+    pub(crate) fn grade(self, q: &RangeSet) -> (f64, f64, Option<RangeSet>) {
+        match self.0 {
             Some(m) => (
                 q.jaccard(&m.range),
                 q.containment_in(&m.range),
@@ -232,5 +253,28 @@ mod tests {
         assert_eq!(score(&r(0, 9), &r(0, 9), MatchMeasure::Jaccard), 1.0);
         assert_eq!(score(&r(0, 9), &r(100, 109), MatchMeasure::Jaccard), 0.0);
         assert_eq!(score(&r(0, 9), &r(0, 99), MatchMeasure::Containment), 1.0);
+    }
+
+    #[test]
+    fn best_keeps_the_earliest_of_equal_offers() {
+        let offer = |lo, hi, score| {
+            Some(Match {
+                range: r(lo, hi),
+                score,
+            })
+        };
+        let mut best = Best::default();
+        best.offer(None);
+        assert!(!best.is_exactly(&r(0, 9)));
+        best.offer(offer(0, 9, 0.5));
+        best.offer(offer(10, 19, 0.5)); // tie: the earlier offer stays
+        best.offer(None);
+        assert!(best.is_exactly(&r(0, 9)));
+        best.offer(offer(0, 4, 0.75));
+        assert!(best.is_exactly(&r(0, 4)));
+        let (similarity, recall, winner) = best.grade(&r(0, 9));
+        assert_eq!((similarity, recall), (0.5, 0.5));
+        assert_eq!(winner, Some(r(0, 4)));
+        assert_eq!(Best::default().grade(&r(0, 9)), (0.0, 0.0, None));
     }
 }

@@ -43,7 +43,7 @@
 //! point as the oracle sweep, which is the whole partition-tolerance
 //! story: degraded availability during the window, convergence after it.
 
-use crate::bucket::Match;
+use crate::bucket::{Best, Match};
 use crate::config::SystemConfig;
 use crate::durable::{decode_range, digest_bytes, encode_range};
 use crate::network::{hashed_range, place_identifier, QueryOutcome, RangeSelectNetwork};
@@ -99,8 +99,7 @@ pub struct ChurnNetwork {
     /// virtual time to serve a fetch.
     slow: std::collections::BTreeMap<u32, u64>,
     /// Virtual clock, advanced by query latencies, probe sweeps, and
-    /// backoff waits. Purely observational for the legacy paths; breaker
-    /// cooldowns and hedge timing read it.
+    /// backoff waits; breaker cooldowns and hedge timing read it.
     clock: u64,
     /// Per-peer latency estimator feeding suspicion scores.
     detector: FailureDetector,
@@ -1246,7 +1245,7 @@ impl ChurnNetwork {
         let mut owners: Vec<Id> = Vec::new();
         let mut reached: Vec<u32> = Vec::new();
         let mut attempts_total = 0usize;
-        let mut best: Option<Match> = None;
+        let mut best = Best::default();
         for &ident in &identifiers {
             let key = self.place(ident);
             match self.lookup_with_retry(origin, key, &mut wall) {
@@ -1301,15 +1300,7 @@ impl ChurnNetwork {
                             }
                         }
                     }
-                    if let Some(m) = candidate {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => m.score > b.score,
-                        };
-                        if better {
-                            best = Some(m);
-                        }
-                    }
+                    best.offer(candidate);
                 }
                 Err(spent) => {
                     attempts_total += spent;
@@ -1339,10 +1330,7 @@ impl ChurnNetwork {
                 .counter_add("resilient.partition_degraded", 1);
         }
 
-        let exact = best
-            .as_ref()
-            .map(|m| m.range == hashed_range)
-            .unwrap_or(false);
+        let exact = best.is_exactly(&hashed_range);
         let mut stored = false;
         if self.config.cache_on_miss && !exact {
             for &ident in &reached {
@@ -1360,7 +1348,7 @@ impl ChurnNetwork {
             }
         }
 
-        let (similarity, recall, best_match) = Match::grade(best, q);
+        let (similarity, recall, best_match) = best.grade(q);
         let mut distinct = owners;
         distinct.sort_unstable();
         distinct.dedup();
@@ -1400,78 +1388,6 @@ impl ChurnNetwork {
         let outcome = self.query_resilient(q);
         (outcome, self.clock - start)
     }
-
-    /// Execute one query through the live routing state. Fails only if
-    /// routing itself fails (possible mid-churn before stabilization).
-    pub fn query(&mut self, q: &RangeSet) -> Result<QueryOutcome, ChordError> {
-        assert!(!q.is_empty(), "cannot query an empty range");
-        let hashed_range = hashed_range(q, self.config.padding);
-        let identifiers = self.groups.identifiers(&hashed_range);
-        let origin = {
-            let ids = self.chord.node_ids();
-            ids[self.rng.gen_index(ids.len())]
-        };
-
-        let mut hops = Vec::with_capacity(identifiers.len());
-        let mut owners = Vec::with_capacity(identifiers.len());
-        let mut reached = 0usize;
-        let mut best: Option<Match> = None;
-        for &ident in &identifiers {
-            let (owner, h) = self.chord.lookup(origin, self.place(ident))?;
-            hops.push(h);
-            owners.push(owner);
-            let Some(peer) = self.storage.get(&owner.0) else {
-                continue;
-            };
-            reached += 1;
-            let candidate = if self.config.use_local_index {
-                peer.best_across_buckets(&hashed_range, self.config.matching)
-            } else {
-                peer.best_in_bucket(ident, &hashed_range, self.config.matching)
-            };
-            if let Some(m) = candidate {
-                let better = match &best {
-                    None => true,
-                    Some(b) => m.score > b.score,
-                };
-                if better {
-                    best = Some(m);
-                }
-            }
-        }
-
-        let exact = best
-            .as_ref()
-            .map(|m| m.range == hashed_range)
-            .unwrap_or(false);
-        let mut stored = false;
-        if self.config.cache_on_miss && !exact {
-            let targets: Vec<(u32, Id)> = identifiers.iter().copied().zip(owners.clone()).collect();
-            for (ident, owner) in targets {
-                stored |= self.store_at(owner.0, ident, &hashed_range);
-            }
-        }
-
-        let (similarity, recall, best_match) = Match::grade(best, q);
-        let mut distinct = owners.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let attempts = identifiers.len();
-        Ok(QueryOutcome {
-            query: q.clone(),
-            best_match,
-            similarity,
-            recall,
-            exact,
-            stored,
-            hops,
-            identifiers,
-            peers_contacted: distinct.len(),
-            attempts,
-            fell_back_to_source: reached == 0,
-            partition_degraded: false,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1489,30 +1405,35 @@ mod tests {
     #[test]
     fn query_and_requery_as_in_static_network() {
         let mut net = small_net(1);
-        let miss = net.query(&r(30, 50)).unwrap();
+        let miss = net.query_resilient(&r(30, 50));
         assert!(!miss.exact);
-        let hit = net.query(&r(30, 50)).unwrap();
+        let hit = net.query_resilient(&r(30, 50));
         assert!(hit.exact);
         assert_eq!(hit.recall, 1.0);
+        // A calm ring costs one attempt per identifier and nothing else.
+        assert_eq!(hit.attempts, 5);
+        assert!(!hit.fell_back_to_source);
+        assert_eq!(net.resilience().retries, 0);
+        assert_eq!(net.resilience().source_fallbacks, 0);
     }
 
     #[test]
     fn freeze_snapshots_membership_and_storage() {
         let mut net = small_net(4);
-        net.query(&r(30, 50)).unwrap();
+        net.query_resilient(&r(30, 50));
         let frozen = net.freeze();
         assert_eq!(frozen.len(), net.len());
         assert_eq!(frozen.total_partitions(), net.total_partitions());
         // The snapshot is decoupled: querying the live network afterwards
         // does not change the frozen state.
-        net.query(&r(500, 600)).unwrap();
+        net.query_resilient(&r(500, 600));
         assert_eq!(frozen.stats().queries, 0);
     }
 
     #[test]
     fn frozen_network_serves_cached_partitions_through_the_engine() {
         let mut net = small_net(7);
-        net.query(&r(200, 260)).unwrap(); // cache the partition while live
+        net.query_resilient(&r(200, 260)); // cache the partition while live
         let mut frozen = net.freeze();
         let outs = frozen.query_batch_concurrent_with(
             &[r(200, 260), r(200, 260)],
@@ -1543,7 +1464,7 @@ mod tests {
     #[test]
     fn abrupt_failure_loses_cached_partitions() {
         let mut net = small_net(2);
-        net.query(&r(100, 200)).unwrap();
+        net.query_resilient(&r(100, 200));
         let before = net.total_partitions();
         assert!(before >= 1);
         // Kill every peer that holds a partition copy (walk all peers).
@@ -1566,17 +1487,17 @@ mod tests {
         net.stabilize(128).expect("recovers");
         assert_eq!(net.total_partitions(), 0, "failed peers take data down");
         // The same query now misses again — and re-caches (soft state).
-        let miss_again = net.query(&r(100, 200)).unwrap();
+        let miss_again = net.query_resilient(&r(100, 200));
         assert!(!miss_again.exact);
         assert!(net.total_partitions() >= 1);
-        let hit = net.query(&r(100, 200)).unwrap();
+        let hit = net.query_resilient(&r(100, 200));
         assert!(hit.exact);
     }
 
     #[test]
     fn graceful_leave_preserves_cached_partitions() {
         let mut net = small_net(3);
-        net.query(&r(100, 200)).unwrap();
+        net.query_resilient(&r(100, 200));
         let before = net.total_partitions();
         // Every holder leaves gracefully (handing buckets to successors).
         loop {
@@ -1605,14 +1526,14 @@ mod tests {
         );
         // And they are still *findable*: the successor now owns the
         // identifier interval the partitions were stored under.
-        let hit = net.query(&r(100, 200)).unwrap();
+        let hit = net.query_resilient(&r(100, 200));
         assert!(hit.exact, "handed-over partition must still be located");
     }
 
     #[test]
     fn join_does_not_disturb_existing_cache() {
         let mut net = small_net(4);
-        net.query(&r(5, 80)).unwrap();
+        net.query_resilient(&r(5, 80));
         for _ in 0..4 {
             net.join_random().unwrap();
         }
@@ -1623,7 +1544,7 @@ mod tests {
         // queries miss and re-cache. With 4 joins over 12 peers, at least
         // some copies usually stay findable; correctness (no crash, valid
         // outcome) is what this asserts.
-        let out = net.query(&r(5, 80)).unwrap();
+        let out = net.query_resilient(&r(5, 80));
         assert!(out.recall >= 0.0);
     }
 
@@ -1633,7 +1554,7 @@ mod tests {
         // Cache several partitions.
         let queries = [r(10, 60), r(200, 260), r(500, 580), r(800, 870)];
         for q in &queries {
-            net.query(q).unwrap();
+            net.query_resilient(q);
         }
         // Many joins with key migration: every previously cached partition
         // must remain an exact hit afterwards.
@@ -1642,7 +1563,7 @@ mod tests {
         }
         net.stabilize(64).expect("converges");
         for q in &queries {
-            let out = net.query(q).unwrap();
+            let out = net.query_resilient(q);
             assert!(
                 out.exact,
                 "partition for {q} lost after joins with migration"
@@ -1664,7 +1585,7 @@ mod tests {
                 net.join_random().unwrap();
                 net.stabilize(64).expect("converges");
             }
-            if net.query(q).is_ok() {
+            if !net.query_resilient(q).fell_back_to_source {
                 answered += 1;
             }
         }
@@ -1692,8 +1613,8 @@ mod tests {
                 plain.stabilize(64).expect("recovers");
                 cached.stabilize(64).expect("recovers");
             }
-            let a = plain.query(q).unwrap();
-            let b = cached.query(q).unwrap();
+            let a = plain.query_resilient(q);
+            let b = cached.query_resilient(q);
             assert_eq!(a.best_match, b.best_match, "query {i}");
             assert_eq!(a.identifiers, b.identifiers, "query {i}");
             assert_eq!(a.stored, b.stored, "query {i}");
@@ -1758,23 +1679,6 @@ mod tests {
             ChurnNetwork::with_growth_rounds(10, SystemConfig::default().with_seed(8), 32, 64)
                 .is_ok()
         );
-    }
-
-    #[test]
-    fn query_resilient_matches_query_on_calm_network() {
-        let mut a = small_net(13);
-        let mut b = small_net(13);
-        for q in [r(30, 50), r(30, 50), r(200, 280)] {
-            let plain = a.query(&q).unwrap();
-            let res = b.query_resilient(&q);
-            assert_eq!(plain.best_match, res.best_match);
-            assert_eq!(plain.exact, res.exact);
-            assert_eq!(plain.recall, res.recall);
-            assert_eq!(res.attempts, 5, "no retries on a calm ring");
-            assert!(!res.fell_back_to_source);
-        }
-        assert_eq!(b.resilience().retries, 0);
-        assert_eq!(b.resilience().source_fallbacks, 0);
     }
 
     #[test]
@@ -1962,7 +1866,7 @@ mod tests {
     #[test]
     fn fail_counts_silently_discarded_buckets() {
         let mut net = small_net(2);
-        net.query(&r(100, 200)).unwrap();
+        net.query_resilient(&r(100, 200));
         let live = net.total_partitions() as u64;
         assert!(live >= 1);
         assert_eq!(net.resilience().buckets_lost, 0);
@@ -1987,7 +1891,7 @@ mod tests {
     fn ledger_identity_holds_across_mixed_churn() {
         let mut net = ChurnNetwork::new(16, durable_config(9)).unwrap();
         for i in 0..8u32 {
-            net.query(&r(i * 40, i * 40 + 60)).unwrap();
+            net.query_resilient(&r(i * 40, i * 40 + 60));
             assert_ledger(&net);
         }
         net.fail_random(2);
@@ -2011,7 +1915,7 @@ mod tests {
     #[test]
     fn crash_without_durability_loses_buckets_but_restart_rejoins() {
         let mut net = small_net(4);
-        net.query(&r(100, 200)).unwrap();
+        net.query_resilient(&r(100, 200));
         let n = net.len();
         let victim = net.crash_random(1)[0];
         assert_eq!(net.len(), n - 1);
@@ -2027,8 +1931,8 @@ mod tests {
     #[test]
     fn crash_restart_recovers_buckets_from_disk() {
         let mut net = ChurnNetwork::new(12, durable_config(6)).unwrap();
-        net.query(&r(100, 200)).unwrap();
-        assert!(net.query(&r(100, 200)).unwrap().exact, "warm cache");
+        net.query_resilient(&r(100, 200));
+        assert!(net.query_resilient(&r(100, 200)).exact, "warm cache");
         let before = net.total_partitions();
         // Crash every holder; with r = 1 the live cache is entirely gone.
         let holders: Vec<Id> = net
@@ -2056,7 +1960,7 @@ mod tests {
         net.stabilize(128).expect("recovers");
         assert_eq!(recovered, before, "every synced copy must replay");
         assert_eq!(net.total_partitions(), before);
-        assert!(net.query(&r(100, 200)).unwrap().exact, "cache survived");
+        assert!(net.query_resilient(&r(100, 200)).exact, "cache survived");
         assert_eq!(net.resilience().buckets_recovered, before as u64);
         assert_ledger(&net);
     }

@@ -124,20 +124,6 @@ pub struct SystemConfig {
     /// stabilization event, so it never changes which owner a lookup
     /// returns — only how many hops it spends (see `ars_chord::dynamic`).
     pub route_cache: usize,
-    /// State shards of the concurrent query engine
-    /// ([`crate::engine`]): peers, identifier-cache segments, and stats
-    /// accumulators are partitioned into this many independently locked
-    /// shards, each with its own deterministic RNG stream. A fixed default
-    /// (rather than one derived from the core count) keeps engine outcomes
-    /// machine-independent; must be at least 1.
-    pub engine_shards: usize,
-    /// Worker threads of the concurrent query engine. `0` (the default)
-    /// means one per available core. Worker count never affects outcomes —
-    /// only the schedule — so it is safe to tune per machine.
-    pub engine_workers: usize,
-    /// Maximum in-flight queries the engine accepts before
-    /// [`crate::engine::QueryEngine::submit`] blocks (backpressure).
-    pub engine_queue: usize,
     /// Seed for hash-function generation and origin-peer selection.
     pub seed: u64,
 }
@@ -163,9 +149,6 @@ impl Default for SystemConfig {
             durability: None,
             ident_cache_capacity: 0,
             route_cache: 0,
-            engine_shards: 16,
-            engine_workers: 0,
-            engine_queue: 1024,
             seed: 0xA25_2003, // arbitrary fixed default
         }
     }
@@ -290,33 +273,6 @@ impl SystemConfig {
         self.route_cache = capacity;
         self
     }
-
-    /// Builder-style: set the concurrent engine's shard count.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn with_engine_shards(mut self, shards: usize) -> SystemConfig {
-        assert!(shards >= 1, "engine needs at least 1 shard");
-        self.engine_shards = shards;
-        self
-    }
-
-    /// Builder-style: set the engine worker-thread count (`0` = one per
-    /// available core).
-    pub fn with_engine_workers(mut self, workers: usize) -> SystemConfig {
-        self.engine_workers = workers;
-        self
-    }
-
-    /// Builder-style: set the engine's in-flight query bound.
-    ///
-    /// # Panics
-    /// Panics if `queue` is zero (the engine could never accept a query).
-    pub fn with_engine_queue(mut self, queue: usize) -> SystemConfig {
-        assert!(queue >= 1, "engine queue must admit at least 1 query");
-        self.engine_queue = queue;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -337,32 +293,6 @@ mod tests {
         assert_eq!(c.durability, None, "paper's cache is pure soft state");
         assert_eq!(c.ident_cache_capacity, 0, "memo cache unbounded by default");
         assert_eq!(c.route_cache, 0, "route cache off by default");
-        assert_eq!(c.engine_shards, 16, "fixed machine-independent default");
-        assert_eq!(c.engine_workers, 0, "0 = one worker per core");
-        assert_eq!(c.engine_queue, 1024);
-    }
-
-    #[test]
-    fn engine_builders() {
-        let c = SystemConfig::default()
-            .with_engine_shards(4)
-            .with_engine_workers(2)
-            .with_engine_queue(64);
-        assert_eq!(c.engine_shards, 4);
-        assert_eq!(c.engine_workers, 2);
-        assert_eq!(c.engine_queue, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 shard")]
-    fn zero_engine_shards_rejected() {
-        SystemConfig::default().with_engine_shards(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 query")]
-    fn zero_engine_queue_rejected() {
-        SystemConfig::default().with_engine_queue(0);
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! shared MPMC channel: `Prepare` jobs hash/route a query against the
 //! immutable ring snapshot, `Commit` jobs apply scheduled commits.
 //! [`QueryEngine::submit`] applies backpressure once
-//! [`SystemConfig::engine_queue`] queries are in flight;
+//! [`EngineOptions::queue`] queries are in flight;
 //! [`QueryEngine::drain`] waits the pipeline empty and returns outcomes
 //! in submission order; [`QueryEngine::shutdown`] joins the workers and
 //! merges the shards back into the donor network (peers union, stats and
@@ -81,8 +81,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
-/// Tuning knobs for one engine run, normally taken from
-/// [`SystemConfig`] via [`EngineOptions::from_config`].
+/// Tuning knobs for one engine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
     /// State shards (≥ 1). Fixed per run; affects RNG stream assignment,
@@ -96,15 +95,6 @@ pub struct EngineOptions {
 }
 
 impl EngineOptions {
-    /// The engine knobs configured on `config`.
-    pub fn from_config(config: &SystemConfig) -> EngineOptions {
-        EngineOptions {
-            shards: config.engine_shards,
-            workers: config.engine_workers,
-            queue: config.engine_queue,
-        }
-    }
-
     fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
@@ -368,8 +358,8 @@ impl StatsSink for ShardStats<'_> {
         stats.lookups += 1;
         stats.total_hops += hops as u64;
     }
-    fn on_dedup_saved(&mut self) {
-        self.shards[self.home].stats.lock().dedup_saved_lookups += 1;
+    fn on_dedup_saved(&mut self, count: usize) {
+        self.shards[self.home].stats.lock().dedup_saved_lookups += count as u64;
     }
     fn on_walk(&mut self, steps: usize) {
         self.shards[self.home].stats.lock().walk_steps += steps as u64;
@@ -489,8 +479,7 @@ impl EngineCore {
             &identifiers,
         );
         let mut shards: Vec<usize> = plan
-            .touched_peers()
-            .into_iter()
+            .peers()
             .map(|peer| shard_of(peer.0, self.nshards))
             .collect();
         shards.sort_unstable();
@@ -541,17 +530,17 @@ impl EngineCore {
     /// Merge the shards back into `net`: peers union, per-shard stats and
     /// cache counters summed (exported as `engine.shardN.*` telemetry
     /// counters for the first shards), cache segments re-concatenated in
-    /// shard order and re-trimmed to the global capacity.
-    fn reassemble(self, net: &mut RangeSelectNetwork) {
-        for (i, shard) in self.shards.into_iter().enumerate() {
-            let core = shard.core.into_inner();
-            net.peers.extend(core.peers);
-            let stats = shard.stats.into_inner();
+    /// shard order and re-trimmed to the global capacity. Empties the
+    /// shards; the caller has stopped everything else that could lock them.
+    fn reassemble(&self, net: &mut RangeSelectNetwork) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            net.peers.extend(shard.core.lock().peers.drain());
+            let stats = std::mem::take(&mut *shard.stats.lock());
             if stats.queries > 0 && i < SHARD_QUERIES.len() {
                 self.telemetry.counter_add(SHARD_QUERIES[i], stats.queries);
             }
             net.stats.merge(&stats);
-            let segment = shard.cache.into_inner();
+            let segment = std::mem::take(&mut *shard.cache.lock());
             if i < SHARD_QUERIES.len() {
                 if segment.hits() > 0 {
                     self.telemetry
@@ -874,37 +863,48 @@ impl QueryEngine {
         }
     }
 
+    /// Take one in-flight slot. At the bound, `wait` blocks until a slot
+    /// frees; otherwise the slot is refused (`false`).
+    fn acquire_slot(&self, wait: bool) -> bool {
+        let mut inflight = self.shared.flow.lock().unwrap_or_else(|e| e.into_inner());
+        while *inflight >= self.shared.queue_cap {
+            if !wait {
+                return false;
+            }
+            inflight = self
+                .shared
+                .flow_cv
+                .wait(inflight)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        *inflight += 1;
+        true
+    }
+
+    /// Draw query `seq`'s origin peer from its home shard's RNG stream —
+    /// here, on the submitting thread, so draws happen in submission
+    /// order regardless of schedule — and queue its prepare.
+    fn send_prepare(&mut self, seq: u64, q: &RangeSet) {
+        let home = (seq % self.streams.len() as u64) as usize;
+        let node_ids = self.shared.core.ring.node_ids();
+        let origin = node_ids[self.streams[home].gen_index(node_ids.len())];
+        self.shared
+            .tx
+            .send(Job::Prepare(seq, q.clone(), origin))
+            .expect("engine workers alive");
+    }
+
     /// Submit a query, blocking while the in-flight bound is reached.
     /// Returns the query's sequence number (its index in drain order).
-    /// The origin peer is drawn here, from the home shard's RNG stream,
-    /// so draws happen in submission order regardless of schedule.
     ///
     /// # Panics
     /// Panics if `q` is empty.
     pub fn submit(&mut self, q: &RangeSet) -> u64 {
         assert!(!q.is_empty(), "cannot query an empty range");
+        self.acquire_slot(true);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let home = (seq % self.streams.len() as u64) as usize;
-        let origin = {
-            let node_ids = self.shared.core.ring.node_ids();
-            node_ids[self.streams[home].gen_index(node_ids.len())]
-        };
-        {
-            let mut inflight = self.shared.flow.lock().unwrap_or_else(|e| e.into_inner());
-            while *inflight >= self.shared.queue_cap {
-                inflight = self
-                    .shared
-                    .flow_cv
-                    .wait(inflight)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            *inflight += 1;
-        }
-        self.shared
-            .tx
-            .send(Job::Prepare(seq, q.clone(), origin))
-            .expect("engine workers alive");
+        self.send_prepare(seq, q);
         seq
     }
 
@@ -919,27 +919,14 @@ impl QueryEngine {
     /// Panics if `q` is empty.
     pub fn try_submit(&mut self, q: &RangeSet) -> Result<u64, SubmitError> {
         assert!(!q.is_empty(), "cannot query an empty range");
-        {
-            let mut inflight = self.shared.flow.lock().unwrap_or_else(|e| e.into_inner());
-            if *inflight >= self.shared.queue_cap {
-                drop(inflight);
-                self.rejected += 1;
-                self.shared.core.telemetry.counter_add("engine.rejected", 1);
-                return Err(SubmitError::QueueFull);
-            }
-            *inflight += 1;
+        if !self.acquire_slot(false) {
+            self.rejected += 1;
+            self.shared.core.telemetry.counter_add("engine.rejected", 1);
+            return Err(SubmitError::QueueFull);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let home = (seq % self.streams.len() as u64) as usize;
-        let origin = {
-            let node_ids = self.shared.core.ring.node_ids();
-            node_ids[self.streams[home].gen_index(node_ids.len())]
-        };
-        self.shared
-            .tx
-            .send(Job::Prepare(seq, q.clone(), origin))
-            .expect("engine workers alive");
+        self.send_prepare(seq, q);
         Ok(seq)
     }
 
@@ -970,26 +957,11 @@ impl QueryEngine {
             "arrivals must be non-decreasing"
         );
         self.last_arrival = arrival;
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let start = self.vclock_finish.max(arrival);
         let shed = start > arrival.saturating_add(deadline);
-        if !shed {
-            // Only served work occupies the virtual server; shedding is
-            // what keeps the queue from collapsing under a burst.
-            self.vclock_finish = start + self.service_cost;
-        }
-        {
-            let mut inflight = self.shared.flow.lock().unwrap_or_else(|e| e.into_inner());
-            while *inflight >= self.shared.queue_cap {
-                inflight = self
-                    .shared
-                    .flow_cv
-                    .wait(inflight)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            *inflight += 1;
-        }
+        self.acquire_slot(true);
+        let seq = self.next_seq;
+        self.next_seq += 1;
         if shed {
             self.shared
                 .tx
@@ -997,15 +969,10 @@ impl QueryEngine {
                 .expect("engine workers alive");
             return Admission::Shed(seq);
         }
-        let home = (seq % self.streams.len() as u64) as usize;
-        let origin = {
-            let node_ids = self.shared.core.ring.node_ids();
-            node_ids[self.streams[home].gen_index(node_ids.len())]
-        };
-        self.shared
-            .tx
-            .send(Job::Prepare(seq, q.clone(), origin))
-            .expect("engine workers alive");
+        // Only served work occupies the virtual server; shedding is
+        // what keeps the queue from collapsing under a burst.
+        self.vclock_finish = start + self.service_cost;
+        self.send_prepare(seq, q);
         Admission::Accepted(seq)
     }
 
@@ -1089,23 +1056,26 @@ impl QueryEngine {
         Ok(outcomes)
     }
 
-    /// Drain, stop the workers, and merge the shards back into the
-    /// network. Returns the network and any outcomes not yet drained —
-    /// or the latched [`EngineError`] if a worker panicked, in which case
-    /// the merged network may contain a partially applied commit.
-    pub fn shutdown(mut self) -> (RangeSelectNetwork, Result<Vec<QueryOutcome>, EngineError>) {
-        let outcomes = self.drain();
+    /// Send every worker its stop and join them. Jobs still queued ahead
+    /// of the stops are served first; nothing waits on undrained outcomes.
+    fn stop_workers(&mut self) {
         for _ in 0..self.workers.len() {
             let _ = self.shared.tx.send(Job::Stop);
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        let shared = Arc::try_unwrap(self.shared)
-            .ok()
-            .expect("joined workers released the engine state");
-        let mut net = self.donor;
-        shared.core.reassemble(&mut net);
+    }
+
+    /// Drain, stop the workers, and merge the shards back into the
+    /// network. Returns the network and any outcomes not yet drained —
+    /// or the latched [`EngineError`] if a worker panicked, in which case
+    /// the merged network may contain a partially applied commit.
+    pub fn shutdown(mut self) -> (RangeSelectNetwork, Result<Vec<QueryOutcome>, EngineError>) {
+        let outcomes = self.drain();
+        self.stop_workers();
+        let mut net = std::mem::replace(&mut self.donor, RangeSelectNetwork::placeholder());
+        self.shared.core.reassemble(&mut net);
         // Advance the network generator to stream 0's final state: a
         // later plain `query` continues the deterministic sequence.
         net.rng = self.streams.swap_remove(0);
@@ -1113,10 +1083,20 @@ impl QueryEngine {
     }
 }
 
+/// An engine dropped without [`QueryEngine::shutdown`] — a caller that
+/// unwound, say — still stops and joins its workers: they hold the shared
+/// state (and through it the only job sender), so they would otherwise
+/// block on the channel for the life of the process.
+impl Drop for QueryEngine {
+    fn drop(&mut self) {
+        self.stop_workers();
+    }
+}
+
 impl RangeSelectNetwork {
     /// The engine's single-threaded inline reference: the same shard
     /// partitioning, per-shard RNG streams, cache segments, and commit
-    /// procedure as [`Self::query_batch_concurrent`], executed one query
+    /// procedure as [`Self::query_batch_concurrent_with`], executed one query
     /// at a time in submission order on the calling thread. This is the
     /// oracle the schedule-invariance suite compares the concurrent
     /// engine against; with `shards == 1` it reproduces [`Self::query`]
@@ -1144,34 +1124,11 @@ impl RangeSelectNetwork {
         outcomes
     }
 
-    /// Run `queries` through the concurrent engine with a single worker —
-    /// sharded state, pipelined prepare/commit, sequential-exact cache
-    /// accounting. Outcomes are bitwise equal to
-    /// [`Self::query_trace_sharded`] at the same shard count.
-    pub fn query_batch_sharded(
-        &mut self,
-        queries: &[RangeSet],
-        shards: usize,
-    ) -> Vec<QueryOutcome> {
-        let opts = EngineOptions {
-            shards,
-            workers: 1,
-            queue: self.config.engine_queue,
-        };
-        self.query_batch_concurrent_with(queries, opts)
-    }
-
-    /// Run `queries` through the concurrent engine configured by
-    /// [`SystemConfig`] (`engine_shards` / `engine_workers` /
-    /// `engine_queue`). Outcomes are schedule-invariant: bitwise equal
-    /// across worker counts, equal to [`Self::query_trace_sharded`] at
-    /// the same shard count.
-    pub fn query_batch_concurrent(&mut self, queries: &[RangeSet]) -> Vec<QueryOutcome> {
-        let opts = EngineOptions::from_config(&self.config);
-        self.query_batch_concurrent_with(queries, opts)
-    }
-
-    /// [`Self::query_batch_concurrent`] with explicit engine options.
+    /// Run `queries` through the concurrent engine as one batch.
+    /// Outcomes are schedule-invariant: bitwise equal across worker
+    /// counts, equal to [`Self::query_trace_sharded`] at the same shard
+    /// count; with one worker the cache accounting is sequential-exact
+    /// too.
     pub fn query_batch_concurrent_with(
         &mut self,
         queries: &[RangeSet],
@@ -1223,6 +1180,16 @@ mod tests {
         qs
     }
 
+    /// The engine with a single worker: pipelined prepare/commit with
+    /// sequential-exact cache accounting.
+    fn one_worker(shards: usize) -> EngineOptions {
+        EngineOptions {
+            shards,
+            workers: 1,
+            queue: 1024,
+        }
+    }
+
     #[test]
     fn shard_of_in_bounds_and_spread() {
         for nshards in [1usize, 2, 4, 7, 16] {
@@ -1271,7 +1238,7 @@ mod tests {
             let mut engine = RangeSelectNetwork::new(40, config);
             let qs = trace();
             let out_inline = inline.query_trace_sharded(&qs, shards);
-            let out_engine = engine.query_batch_sharded(&qs, shards);
+            let out_engine = engine.query_batch_concurrent_with(&qs, one_worker(shards));
             assert_eq!(out_inline, out_engine, "shards {shards}");
             assert_eq!(inline.stats(), engine.stats());
             assert_eq!(
@@ -1606,7 +1573,7 @@ mod tests {
         let outcomes = outcomes.expect("no worker panicked");
 
         let mut twin = RangeSelectNetwork::new(30, config);
-        let expected = twin.query_batch_sharded(&[r(10, 60)], 2);
+        let expected = twin.query_batch_concurrent_with(&[r(10, 60)], one_worker(2));
         assert_eq!(outcomes, expected);
     }
 
@@ -1652,7 +1619,7 @@ mod tests {
         // Shed queries consume no randomness: a twin that only ever saw
         // the admitted prefix produces bit-identical outcomes.
         let mut twin = RangeSelectNetwork::new(30, config);
-        let expected = twin.query_batch_sharded(&qs[..3], 2);
+        let expected = twin.query_batch_concurrent_with(&qs[..3], one_worker(2));
         assert_eq!(outcomes, expected);
     }
 
@@ -1731,5 +1698,29 @@ mod tests {
             },
         );
         engine.submit(&RangeSet::empty());
+    }
+
+    #[test]
+    fn dropped_engine_joins_its_workers() {
+        // No shutdown, queries still in flight: the drop must stop and
+        // join every worker, or they pin the shared state forever.
+        let net = RangeSelectNetwork::new(30, SystemConfig::default().with_seed(59));
+        let mut engine = QueryEngine::launch(
+            net,
+            EngineOptions {
+                shards: 4,
+                workers: 3,
+                queue: 64,
+            },
+        );
+        for q in trace().iter().take(40) {
+            engine.submit(q);
+        }
+        let shared = Arc::downgrade(&engine.shared);
+        drop(engine);
+        assert!(
+            shared.upgrade().is_none(),
+            "a worker thread outlived its engine"
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! — see [`crate::proto`] for the message-passing rendition, which an
 //! integration test holds equal to this one.
 
-use crate::bucket::Match;
+use crate::bucket::Best;
 use crate::config::{Placement, PlacementMode, SystemConfig};
 use crate::peer::Peer;
 use ars_chord::{arc_base, layered_position, Id, Ring};
@@ -303,9 +303,9 @@ impl PeerAccess for FxHashMap<u32, Peer> {
 pub(crate) trait StatsSink {
     /// One identifier lookup routed in `hops` overlay hops to `owner`.
     fn on_lookup(&mut self, owner: Id, hops: usize);
-    /// One lookup skipped because its identifier repeated within the
-    /// query.
-    fn on_dedup_saved(&mut self);
+    /// `count` lookups skipped because their identifiers repeated within
+    /// the query.
+    fn on_dedup_saved(&mut self, count: usize);
     /// `steps` successor-walk messages spent by a layered query.
     fn on_walk(&mut self, steps: usize);
     /// `count` multi-probe candidate buckets checked locally.
@@ -319,8 +319,8 @@ impl StatsSink for NetworkStats {
         self.lookups += 1;
         self.total_hops += hops as u64;
     }
-    fn on_dedup_saved(&mut self) {
-        self.dedup_saved_lookups += 1;
+    fn on_dedup_saved(&mut self, count: usize) {
+        self.dedup_saved_lookups += count as u64;
     }
     fn on_walk(&mut self, steps: usize) {
         self.walk_steps += steps as u64;
@@ -360,12 +360,154 @@ pub(crate) fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
     }
 }
 
-/// The commit half of an independent-placement query — matching, caching,
-/// stats, telemetry — against any [`PeerAccess`]/[`StatsSink`] pair, so
-/// the engine's sharded commits replay the same per-owner update order as
-/// the network's own. Reached through [`commit_plan`].
+/// Generate the anchor-sketch hash group for a config: one group of
+/// `config.layers` min-hashes, from an RNG salted off the system seed.
+/// The salt keeps the anchor draw out of the sequences the groups and
+/// query path consume — constructing a network with layered placement
+/// available must not move a single bit of the default paths.
+fn anchor_groups(config: &SystemConfig) -> HashGroups {
+    const ANCHOR_SALT: u64 = 0x6172_735F_6172_6373; // "ars_arcs"
+    let mut rng = DetRng::new(config.seed ^ ANCHOR_SALT);
+    HashGroups::generate(config.family, config.layers, 1, &mut rng)
+}
+
+/// The anchor sketch of a hashed range: the single coarse identifier
+/// (`SystemConfig::layers` min-hashes XOR-folded) that keys the arc all
+/// of the query's buckets live in under layered placement. Similar
+/// ranges share it with probability ≈ `J^layers`.
+fn layered_anchor(anchors: &HashGroups, hashed_range: &RangeSet) -> u32 {
+    anchors.identifiers(hashed_range)[0]
+}
+
+/// Everything a query's commit needs that can be worked out without
+/// touching mutable state — plain data, filled in by [`plan_query`] (the
+/// one place placement is decided) from the immutable ring and applied by
+/// the placement-blind [`commit_plan`]. Because planning reads nothing a
+/// commit writes, a caller may plan a whole batch before committing any
+/// of it (or plan on worker threads) and still land on the outcomes of
+/// the interleaved one-at-a-time loop.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QueryPlan {
+    /// `(owner, hops)` of every lookup paid: one per *distinct*
+    /// identifier under independent placement, the single arc lookup
+    /// under layered placement.
+    lookups: Vec<(Id, usize)>,
+    /// The bucket identifiers the visits index into: the distinct base
+    /// identifiers, then (layered only) the ranked multi-probe candidates.
+    candidates: Vec<u32>,
+    /// The reads, in the order the commit folds them: each peer checks
+    /// the buckets `candidates[range]`. Independent placement: owner *i*
+    /// checks identifier *i* alone. Layered placement: every peer of the
+    /// successor walk checks every candidate.
+    visits: Vec<(Id, std::ops::Range<usize>)>,
+    /// Cache-on-miss writes: each distinct base identifier and the peer
+    /// that owns it — its routed owner (independent), the true owner of
+    /// its layered position inside the arc (layered).
+    store_targets: Vec<(u32, Id)>,
+    /// Lookups not paid because an identifier repeated within the query.
+    dedup_saved: usize,
+    /// Successor-walk messages (layered: visited peers − 1).
+    walk_steps: usize,
+    /// Multi-probe candidates checked beyond the base identifiers.
+    probe_checks: usize,
+}
+
+impl QueryPlan {
+    /// Every peer the commit will read or write — what the engine's
+    /// conflict scheduler locks. May repeat peers.
+    pub(crate) fn peers(&self) -> impl Iterator<Item = Id> + '_ {
+        let visited = self.visits.iter().map(|(peer, _)| *peer);
+        visited.chain(self.store_targets.iter().map(|&(_, owner)| owner))
+    }
+}
+
+/// Plan one query from `origin`: route every distinct identifier to its
+/// owner (independent placement), or resolve the anchor's one arc lookup,
+/// the successor walk and the candidate set (layered placement). Pure —
+/// the ring is immutable — and the only place the static paths route or
+/// look at the placement mode.
+pub(crate) fn plan_query(
+    config: &SystemConfig,
+    groups: &HashGroups,
+    anchors: &HashGroups,
+    ring: &Ring,
+    origin: Id,
+    hashed_range: &RangeSet,
+    identifiers: &[u32],
+) -> QueryPlan {
+    let mut candidates: Vec<u32> = Vec::with_capacity(identifiers.len() + config.probes);
+    for &ident in identifiers {
+        if !candidates.contains(&ident) {
+            candidates.push(ident);
+        }
+    }
+    let base_count = candidates.len();
+    match config.placement_mode {
+        PlacementMode::Independent => {
+            let lookups: Vec<(Id, usize)> = candidates
+                .iter()
+                .map(|&ident| ring.lookup(origin, place_identifier(config, ident)))
+                .collect();
+            QueryPlan {
+                visits: lookups
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(owner, _))| (owner, i..i + 1))
+                    .collect(),
+                store_targets: candidates
+                    .iter()
+                    .zip(&lookups)
+                    .map(|(&ident, &(owner, _))| (ident, owner))
+                    .collect(),
+                dedup_saved: identifiers.len() - base_count,
+                lookups,
+                candidates,
+                ..QueryPlan::default()
+            }
+        }
+        PlacementMode::Layered => {
+            let anchor = layered_anchor(anchors, hashed_range);
+            let route = ring.lookup(origin, arc_base(anchor));
+            let visited = ring.successors_window(route.0, config.walk_window);
+            if config.probes > 0 {
+                for c in groups.probe_candidates(hashed_range, config.probes) {
+                    if !candidates.contains(&c.identifier) {
+                        candidates.push(c.identifier);
+                    }
+                }
+            }
+            QueryPlan {
+                lookups: vec![route],
+                visits: visited
+                    .iter()
+                    .map(|&peer| (peer, 0..candidates.len()))
+                    .collect(),
+                store_targets: candidates[..base_count]
+                    .iter()
+                    .map(|&ident| (ident, ring.successor_of(layered_position(anchor, ident))))
+                    .collect(),
+                dedup_saved: 0,
+                walk_steps: visited.len() - 1,
+                probe_checks: candidates.len() - base_count,
+                candidates,
+            }
+        }
+    }
+}
+
+/// Apply a [`QueryPlan`] — the one commit of the static paths: book the
+/// plan's lookups, fold its visits in order through one [`Best`], cache
+/// on miss at its store targets, grade, record stats and telemetry, build
+/// the outcome. It runs against any [`PeerAccess`]/[`StatsSink`] pair, so
+/// the engine's sharded commits replay the same per-peer update order as
+/// the network's own, and it touches no peer outside [`QueryPlan::peers`].
+///
+/// `emit_span` gates the per-query `core.query` span: the network's own
+/// paths emit it (trace tests pin the event order), the concurrent engine
+/// does not (span begin/end interleaving across workers would make event
+/// logs schedule-dependent; counters and histograms are order-free).
 #[allow(clippy::too_many_arguments)]
-fn commit_routed<P: PeerAccess, S: StatsSink>(
+pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
     config: &SystemConfig,
     telemetry: &Telemetry,
     peers: &mut P,
@@ -373,88 +515,67 @@ fn commit_routed<P: PeerAccess, S: StatsSink>(
     q: &RangeSet,
     hashed_range: RangeSet,
     identifiers: Vec<u32>,
-    routes: Vec<(Id, usize)>,
+    plan: QueryPlan,
     emit_span: bool,
 ) -> QueryOutcome {
-    debug_assert_eq!(routes.len(), identifiers.len());
-    let span = if emit_span {
-        Some(telemetry.span("core.query", &[("l", identifiers.len().into())]))
-    } else {
-        None
-    };
+    let span = emit_span.then(|| telemetry.span("core.query", &[("l", identifiers.len().into())]));
 
-    // Collect each owner's best bucket match. An owner without storage
-    // state (impossible on a static ring, but reachable through
-    // subclass-style reuse under churn) is skipped rather than
-    // panicking; the outcome records whether *any* owner was reachable.
-    let mut hops = Vec::with_capacity(identifiers.len());
-    let mut owners = Vec::with_capacity(identifiers.len());
-    let mut routed_idents: Vec<u32> = Vec::with_capacity(identifiers.len());
-    let mut reached = 0usize;
-    let mut best: Option<Match> = None;
-    for (&ident, &(owner, h)) in identifiers.iter().zip(&routes) {
-        owners.push(owner);
-        if routed_idents.contains(&ident) {
-            // Two groups hashed the range to the same bucket: that bucket
-            // was already routed and matched this query, so a second
-            // lookup would be a pure waste — skip it and count the save.
-            stats.on_dedup_saved();
-            telemetry.counter_add("core.dedup.saved_lookups", 1);
-            continue;
-        }
-        routed_idents.push(ident);
-        hops.push(h);
+    for &(owner, h) in &plan.lookups {
         stats.on_lookup(owner, h);
         telemetry.record("core.lookup.hops", h as u64);
-        let Some(peer) = peers.peer(owner.0) else {
+    }
+    if plan.dedup_saved > 0 {
+        stats.on_dedup_saved(plan.dedup_saved);
+        telemetry.counter_add("core.dedup.saved_lookups", plan.dedup_saved as u64);
+    }
+    if plan.walk_steps > 0 {
+        stats.on_walk(plan.walk_steps);
+        telemetry.counter_add("core.walk.steps", plan.walk_steps as u64);
+    }
+    if plan.probe_checks > 0 {
+        stats.on_probes(plan.probe_checks);
+        telemetry.counter_add("core.probe.checks", plan.probe_checks as u64);
+    }
+
+    // A planned peer without storage state (impossible on a static ring,
+    // but reachable when a snapshot outlives a departure) is skipped
+    // rather than panicking; the outcome records whether *any* was reached.
+    let mut reached = 0usize;
+    let mut best = Best::default();
+    for (peer_id, buckets) in &plan.visits {
+        let Some(peer) = peers.peer(peer_id.0) else {
             continue;
         };
         reached += 1;
-        let scan_len = if config.use_local_index {
-            peer.partition_count()
+        let buckets = &plan.candidates[buckets.clone()];
+        if config.use_local_index {
+            telemetry.record("core.bucket.scan_len", peer.partition_count() as u64);
+            best.offer(peer.best_across_buckets(&hashed_range, config.matching));
         } else {
-            peer.bucket(ident).map(|b| b.len()).unwrap_or(0)
-        };
-        telemetry.record("core.bucket.scan_len", scan_len as u64);
-        let candidate = if config.use_local_index {
-            peer.best_across_buckets(&hashed_range, config.matching)
-        } else {
-            peer.best_in_bucket(ident, &hashed_range, config.matching)
-        };
-        if let Some(m) = candidate {
-            let better = match &best {
-                None => true,
-                Some(b) => m.score > b.score,
-            };
-            if better {
-                best = Some(m);
+            let mut scan_len = 0;
+            for &ident in buckets {
+                if let Some(bucket) = peer.bucket(ident) {
+                    scan_len += bucket.len();
+                    best.offer(bucket.best_match(&hashed_range, config.matching));
+                }
             }
+            telemetry.record("core.bucket.scan_len", scan_len as u64);
         }
     }
+    let exact = best.is_exactly(&hashed_range);
 
-    let exact = best
-        .as_ref()
-        .map(|m| m.range == hashed_range)
-        .unwrap_or(false);
-
-    // Cache on miss: store the (padded) partition at all l owners.
+    // Cache on miss: store the (padded) partition at every store target,
+    // so later similar queries find it where planning will look.
     let mut stored = false;
     if config.cache_on_miss && !exact {
-        for (&ident, owner) in identifiers.iter().zip(&owners) {
+        for &(ident, owner) in &plan.store_targets {
             if let Some(peer) = peers.peer_mut(owner.0) {
                 stored |= peer.store(ident, hashed_range.clone());
             }
         }
     }
 
-    // Score the match against the *original* query: similarity for
-    // Figs. 6–7, recall for Figs. 8–10.
-    let (similarity, recall, best_match) = Match::grade(best, q);
-
-    let mut distinct = owners.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-
+    let (similarity, recall, best_match) = best.grade(q);
     stats.on_query(best_match.is_some(), exact, stored);
 
     telemetry.counter_add("core.queries", 1);
@@ -477,7 +598,9 @@ fn commit_routed<P: PeerAccess, S: StatsSink>(
         );
     }
 
-    let attempts = routed_idents.len();
+    let mut contacted: Vec<Id> = plan.visits.iter().map(|(peer, _)| *peer).collect();
+    contacted.sort_unstable();
+    contacted.dedup();
     QueryOutcome {
         query: q.clone(),
         best_match,
@@ -485,313 +608,10 @@ fn commit_routed<P: PeerAccess, S: StatsSink>(
         recall,
         exact,
         stored,
-        hops,
+        hops: plan.lookups.iter().map(|&(_, h)| h).collect(),
         identifiers,
-        peers_contacted: distinct.len(),
-        attempts,
-        fell_back_to_source: reached == 0,
-        partition_degraded: false,
-    }
-}
-
-/// Generate the anchor-sketch hash group for a config: one group of
-/// `config.layers` min-hashes, from an RNG salted off the system seed.
-/// The salt keeps the anchor draw out of the sequences the groups and
-/// query path consume — constructing a network with layered placement
-/// available must not move a single bit of the default paths.
-fn anchor_groups(config: &SystemConfig) -> HashGroups {
-    const ANCHOR_SALT: u64 = 0x6172_735F_6172_6373; // "ars_arcs"
-    let mut rng = DetRng::new(config.seed ^ ANCHOR_SALT);
-    HashGroups::generate(config.family, config.layers, 1, &mut rng)
-}
-
-/// The anchor sketch of a hashed range: the single coarse identifier
-/// (`SystemConfig::layers` min-hashes XOR-folded) that keys the arc all
-/// of the query's buckets live in under layered placement. Similar
-/// ranges share it with probability ≈ `J^layers`.
-fn layered_anchor(anchors: &HashGroups, hashed_range: &RangeSet) -> u32 {
-    anchors.identifiers(hashed_range)[0]
-}
-
-/// A fully-resolved layered query: the one arc lookup, the peers the
-/// bounded successor walk visits, and every candidate bucket to check at
-/// them.
-#[derive(Debug, Clone)]
-pub(crate) struct LayeredPlan {
-    /// `(first arc owner, hops)` of the single `arc_base` lookup.
-    route: (Id, usize),
-    /// Peers the walk visits: the first owner plus at most
-    /// `walk_window − 1` successors (one overlay message per step).
-    visited: Vec<Id>,
-    /// Candidate bucket identifiers checked at every visited peer: the
-    /// distinct base identifiers first, then ranked multi-probe
-    /// candidates.
-    candidates: Vec<u32>,
-    /// How many of `candidates` are base identifiers (the prefix).
-    base_count: usize,
-    /// Cache-on-miss targets: each distinct base identifier and the true
-    /// owner of its layered position.
-    store_targets: Vec<(u32, Id)>,
-}
-
-/// Everything a query's commit needs that can be worked out without
-/// touching mutable state — pure data, built by [`plan_query`] from the
-/// immutable ring and applied by [`commit_plan`]. Because planning reads
-/// nothing a commit writes, a caller may plan a whole batch before
-/// committing any of it (or plan on worker threads) and still land on the
-/// outcomes of the interleaved one-at-a-time loop.
-#[derive(Debug, Clone)]
-pub(crate) enum QueryPlan {
-    /// Independent placement: one resolved `(owner, hops)` route per
-    /// identifier. A repeated identifier carries its first occurrence's
-    /// route; the commit skips its lookup.
-    Independent(Vec<(Id, usize)>),
-    /// Layered placement: the single arc lookup plus walk/candidate sets.
-    Layered(LayeredPlan),
-}
-
-impl QueryPlan {
-    /// Every peer the commit will read or write — what the engine's
-    /// conflict scheduler locks. May repeat peers.
-    pub(crate) fn touched_peers(&self) -> Vec<Id> {
-        match self {
-            QueryPlan::Independent(routes) => routes.iter().map(|&(owner, _)| owner).collect(),
-            QueryPlan::Layered(plan) => plan
-                .visited
-                .iter()
-                .copied()
-                .chain(plan.store_targets.iter().map(|&(_, owner)| owner))
-                .collect(),
-        }
-    }
-}
-
-/// Plan one query from `origin`: route every distinct identifier to its
-/// owner (independent placement), or resolve the anchor's one arc lookup,
-/// the successor walk and the candidate set (layered placement). Pure —
-/// the ring is immutable — and the only place the static paths route.
-pub(crate) fn plan_query(
-    config: &SystemConfig,
-    groups: &HashGroups,
-    anchors: &HashGroups,
-    ring: &Ring,
-    origin: Id,
-    hashed_range: &RangeSet,
-    identifiers: &[u32],
-) -> QueryPlan {
-    match config.placement_mode {
-        PlacementMode::Independent => {
-            let mut routes: Vec<(Id, usize)> = Vec::with_capacity(identifiers.len());
-            for (i, &ident) in identifiers.iter().enumerate() {
-                let route = match identifiers[..i].iter().position(|&seen| seen == ident) {
-                    Some(first) => routes[first],
-                    None => ring.lookup(origin, place_identifier(config, ident)),
-                };
-                routes.push(route);
-            }
-            QueryPlan::Independent(routes)
-        }
-        PlacementMode::Layered => {
-            let anchor = layered_anchor(anchors, hashed_range);
-            let route = ring.lookup(origin, arc_base(anchor));
-            let visited = ring.successors_window(route.0, config.walk_window);
-            let mut candidates: Vec<u32> = Vec::with_capacity(identifiers.len() + config.probes);
-            for &ident in identifiers {
-                if !candidates.contains(&ident) {
-                    candidates.push(ident);
-                }
-            }
-            let base_count = candidates.len();
-            if config.probes > 0 {
-                for c in groups.probe_candidates(hashed_range, config.probes) {
-                    if !candidates.contains(&c.identifier) {
-                        candidates.push(c.identifier);
-                    }
-                }
-            }
-            let store_targets = candidates[..base_count]
-                .iter()
-                .map(|&ident| (ident, ring.successor_of(layered_position(anchor, ident))))
-                .collect();
-            QueryPlan::Layered(LayeredPlan {
-                route,
-                visited,
-                candidates,
-                base_count,
-                store_targets,
-            })
-        }
-    }
-}
-
-/// Apply a [`QueryPlan`]: the one commit entry point of the static paths.
-///
-/// `emit_span` gates the per-query `core.query` span: the network's own
-/// paths emit it (trace tests pin the event order), the concurrent engine
-/// does not (span begin/end interleaving across workers would make event
-/// logs schedule-dependent; counters and histograms are order-free).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
-    config: &SystemConfig,
-    telemetry: &Telemetry,
-    peers: &mut P,
-    stats: &mut S,
-    q: &RangeSet,
-    hashed_range: RangeSet,
-    identifiers: Vec<u32>,
-    plan: QueryPlan,
-    emit_span: bool,
-) -> QueryOutcome {
-    match plan {
-        QueryPlan::Independent(routes) => commit_routed(
-            config,
-            telemetry,
-            peers,
-            stats,
-            q,
-            hashed_range,
-            identifiers,
-            routes,
-            emit_span,
-        ),
-        QueryPlan::Layered(plan) => commit_layered(
-            config,
-            telemetry,
-            peers,
-            stats,
-            q,
-            hashed_range,
-            identifiers,
-            plan,
-            emit_span,
-        ),
-    }
-}
-
-/// The commit half of a layered query — the [`commit_routed`] analogue:
-/// one lookup's hops, a successor walk, candidate matching at every
-/// visited peer, cache-on-miss at the layered owners.
-#[allow(clippy::too_many_arguments)]
-fn commit_layered<P: PeerAccess, S: StatsSink>(
-    config: &SystemConfig,
-    telemetry: &Telemetry,
-    peers: &mut P,
-    stats: &mut S,
-    q: &RangeSet,
-    hashed_range: RangeSet,
-    identifiers: Vec<u32>,
-    plan: LayeredPlan,
-    emit_span: bool,
-) -> QueryOutcome {
-    let span = if emit_span {
-        Some(telemetry.span("core.query", &[("l", identifiers.len().into())]))
-    } else {
-        None
-    };
-
-    let (first_owner, h) = plan.route;
-    stats.on_lookup(first_owner, h);
-    telemetry.record("core.lookup.hops", h as u64);
-    let walk_steps = plan.visited.len().saturating_sub(1);
-    if walk_steps > 0 {
-        stats.on_walk(walk_steps);
-        telemetry.counter_add("core.walk.steps", walk_steps as u64);
-    }
-    let probe_checks = plan.candidates.len() - plan.base_count;
-    if probe_checks > 0 {
-        stats.on_probes(probe_checks);
-        telemetry.counter_add("core.probe.checks", probe_checks as u64);
-    }
-
-    let mut reached = 0usize;
-    let mut best: Option<Match> = None;
-    for &peer_id in &plan.visited {
-        let Some(peer) = peers.peer(peer_id.0) else {
-            continue;
-        };
-        reached += 1;
-        let scan_len = if config.use_local_index {
-            peer.partition_count()
-        } else {
-            plan.candidates
-                .iter()
-                .map(|&c| peer.bucket(c).map(|b| b.len()).unwrap_or(0))
-                .sum()
-        };
-        telemetry.record("core.bucket.scan_len", scan_len as u64);
-        let mut consider = |m: Match| {
-            let better = match &best {
-                None => true,
-                Some(b) => m.score > b.score,
-            };
-            if better {
-                best = Some(m);
-            }
-        };
-        if config.use_local_index {
-            if let Some(m) = peer.best_across_buckets(&hashed_range, config.matching) {
-                consider(m);
-            }
-        } else {
-            for &ident in &plan.candidates {
-                if let Some(m) = peer.best_in_bucket(ident, &hashed_range, config.matching) {
-                    consider(m);
-                }
-            }
-        }
-    }
-
-    let exact = best
-        .as_ref()
-        .map(|m| m.range == hashed_range)
-        .unwrap_or(false);
-
-    // Cache on miss: store the (padded) partition at the layered owners
-    // of the base identifiers, so later similar queries find it inside
-    // the same arc.
-    let mut stored = false;
-    if config.cache_on_miss && !exact {
-        for &(ident, owner) in &plan.store_targets {
-            if let Some(peer) = peers.peer_mut(owner.0) {
-                stored |= peer.store(ident, hashed_range.clone());
-            }
-        }
-    }
-
-    let (similarity, recall, best_match) = Match::grade(best, q);
-
-    stats.on_query(best_match.is_some(), exact, stored);
-
-    telemetry.counter_add("core.queries", 1);
-    if best_match.is_some() {
-        telemetry.record("core.query.jaccard", (similarity * 1000.0) as u64);
-        telemetry.record("core.query.recall", (recall * 1000.0) as u64);
-    }
-    if let Some(span) = span {
-        telemetry.span_end(
-            span,
-            &[
-                ("matched", best_match.is_some().into()),
-                ("exact", exact.into()),
-                ("stored", stored.into()),
-                ("similarity", similarity.into()),
-                ("recall", recall.into()),
-                ("fallback", (reached == 0).into()),
-            ],
-        );
-    }
-
-    QueryOutcome {
-        query: q.clone(),
-        best_match,
-        similarity,
-        recall,
-        exact,
-        stored,
-        hops: vec![h],
-        identifiers,
-        peers_contacted: plan.visited.len(),
-        attempts: 1,
+        peers_contacted: contacted.len(),
+        attempts: plan.lookups.len(),
         fell_back_to_source: reached == 0,
         partition_degraded: false,
     }
@@ -1602,7 +1422,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_routed_dedups_repeated_identifiers() {
+    fn commit_plan_books_deduped_lookups() {
         // Two groups hashing to the same bucket: one lookup, one saved.
         let config = SystemConfig::default();
         let tel = Telemetry::noop();
@@ -1612,7 +1432,15 @@ mod tests {
             .collect();
         let mut stats = NetworkStats::default();
         let q = r(0, 10);
-        let out = commit_routed(
+        let plan = QueryPlan {
+            lookups: vec![(Id(100), 2), (Id(200), 3)],
+            candidates: vec![7, 9],
+            visits: vec![(Id(100), 0..1), (Id(200), 1..2)],
+            store_targets: vec![(7, Id(100)), (9, Id(200))],
+            dedup_saved: 1,
+            ..QueryPlan::default()
+        };
+        let out = commit_plan(
             &config,
             &tel,
             &mut peers,
@@ -1620,7 +1448,7 @@ mod tests {
             &q,
             q.clone(),
             vec![7, 7, 9],
-            vec![(Id(100), 2), (Id(100), 2), (Id(200), 3)],
+            plan,
             false,
         );
         assert_eq!(out.hops, vec![2, 3], "duplicate identifier not re-routed");
@@ -1628,5 +1456,112 @@ mod tests {
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.total_hops, 5);
         assert_eq!(stats.dedup_saved_lookups, 1);
+    }
+
+    #[test]
+    fn plan_lists_lookups_visits_and_stores_per_placement_mode() {
+        let q = r(30, 50);
+        // Independent: owner i checks identifier i and caches it.
+        let mut n = net(40);
+        let (hashed, identifiers) = n.hash_stage(&q, 0.0);
+        let plan = n.plan_stage(&hashed, &identifiers);
+        assert_eq!(plan.candidates, identifiers, "five distinct identifiers");
+        assert_eq!(plan.lookups.len(), 5);
+        for (i, (peer, buckets)) in plan.visits.iter().enumerate() {
+            assert_eq!((*peer, buckets.clone()), (plan.lookups[i].0, i..i + 1));
+            assert_eq!(plan.store_targets[i], (identifiers[i], *peer));
+        }
+        assert_eq!(
+            (plan.dedup_saved, plan.walk_steps, plan.probe_checks),
+            (0, 0, 0)
+        );
+
+        // Layered: one lookup; every walked peer checks every candidate;
+        // only the base identifiers are cached.
+        let mut n = RangeSelectNetwork::new(40, layered_config(3));
+        let (hashed, identifiers) = n.hash_stage(&q, 0.0);
+        let plan = n.plan_stage(&hashed, &identifiers);
+        assert_eq!(plan.lookups.len(), 1);
+        assert_eq!(plan.visits.len(), n.config().walk_window);
+        assert_eq!(plan.visits[0].0, plan.lookups[0].0);
+        assert!(plan
+            .visits
+            .iter()
+            .all(|(_, buckets)| *buckets == (0..plan.candidates.len())));
+        assert_eq!(plan.walk_steps, plan.visits.len() - 1);
+        assert_eq!(plan.candidates[..5], identifiers[..]);
+        assert_eq!(plan.probe_checks, plan.candidates.len() - 5);
+        assert!(plan.probe_checks > 0, "probe budget 16 adds candidates");
+        let stored: Vec<u32> = plan.store_targets.iter().map(|&(ident, _)| ident).collect();
+        assert_eq!(stored, identifiers);
+    }
+
+    /// [`PeerAccess`] that panics on any peer outside the plan being
+    /// committed — the engine's lock-set contract, made loud.
+    struct PlannedOnly<'a> {
+        peers: &'a mut FxHashMap<u32, Peer>,
+        planned: Vec<Id>,
+    }
+
+    impl PlannedOnly<'_> {
+        fn check(&self, id: u32) {
+            assert!(
+                self.planned.contains(&Id(id)),
+                "commit touched unplanned peer {id}"
+            );
+        }
+    }
+
+    impl PeerAccess for PlannedOnly<'_> {
+        fn peer(&self, id: u32) -> Option<&Peer> {
+            self.check(id);
+            self.peers.get(&id)
+        }
+        fn peer_mut(&mut self, id: u32) -> Option<&mut Peer> {
+            self.check(id);
+            self.peers.get_mut(&id)
+        }
+    }
+
+    #[test]
+    fn commit_reads_and_writes_only_planned_peers() {
+        let layered = layered_config(13).with_walk_window(4);
+        for config in [SystemConfig::default().with_seed(13), layered] {
+            let mut n = RangeSelectNetwork::new(40, config.clone());
+            let mut trace = batch_trace();
+            // r(0, 10) hashes all five groups to one identifier.
+            trace.push(r(0, 10));
+            let layered = config.placement_mode == PlacementMode::Layered;
+            let mut saved = 0;
+            for q in &trace {
+                let (hashed, mut identifiers) = n.hash_stage(q, 0.0);
+                if !layered {
+                    identifiers[4] = identifiers[1]; // forced duplicate
+                }
+                let plan = n.plan_stage(&hashed, &identifiers);
+                saved += plan.dedup_saved;
+                let paid = if layered { 1 } else { identifiers.len() };
+                assert_eq!(plan.lookups.len() + plan.dedup_saved, paid);
+                let mut spy = PlannedOnly {
+                    planned: plan.peers().collect(),
+                    peers: &mut n.peers,
+                };
+                let out = commit_plan(
+                    &config,
+                    &n.telemetry,
+                    &mut spy,
+                    &mut n.stats,
+                    q,
+                    hashed,
+                    identifiers,
+                    plan,
+                    false,
+                );
+                assert!(!out.fell_back_to_source);
+            }
+            assert_eq!(n.stats().dedup_saved_lookups, saved as u64);
+            assert!(n.stats().stored > 0, "the trace must write");
+            assert!(n.stats().matched > 0, "the trace must read a hit");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! The integration test `tests/proto_equivalence.rs` holds this rendition
 //! equal, query for query, to the direct-call one.
 
-use crate::bucket::Match;
+use crate::bucket::{Best, Match};
 use crate::config::{MatchMeasure, PlacementMode, SystemConfig};
 use crate::network::{hashed_range, place_identifier, QueryOutcome};
 use crate::peer::Peer;
@@ -543,15 +543,13 @@ impl Driver {
             );
         }
 
-        // Best across replies; ties resolve to the earliest identifier,
-        // matching the direct-call network's iteration order.
-        let mut best: Option<&Match> = None;
-        for m in replies.iter().filter_map(|r| r.best.as_ref()) {
-            if best.is_none_or(|b| m.score > b.score) {
-                best = Some(m);
-            }
+        // Best across replies, offered in request (= identifier) order so
+        // ties resolve as on the direct-call network.
+        let mut best = Best::default();
+        for reply in &mut replies {
+            best.offer(reply.best.take());
         }
-        let exact = best.is_some_and(|m| m.range == hashed_range);
+        let exact = best.is_exactly(&hashed_range);
 
         // Store on miss.
         let mut stored = false;
@@ -569,7 +567,7 @@ impl Driver {
             stored = true;
         }
 
-        let (similarity, recall, best_match) = Match::grade(best.cloned(), q);
+        let (similarity, recall, best_match) = best.grade(q);
         let hops: Vec<usize> = replies.iter().map(|r| r.hops as usize).collect();
         QueryOutcome {
             query: q.clone(),

@@ -249,13 +249,10 @@ impl<M: Clone + Send + 'static> ThreadedNet<M> {
     }
 
     /// Stop all peers and return their node states.
-    pub fn shutdown(self) -> Vec<Box<dyn Node<M> + Send>> {
-        for tx in &self.senders {
-            let _ = tx.send(Envelope::Stop);
-        }
-        self.handles
+    pub fn shutdown(mut self) -> Vec<Box<dyn Node<M> + Send>> {
+        self.stop_and_join()
             .into_iter()
-            .map(|h| h.join().expect("peer thread panicked"))
+            .map(|joined| joined.expect("peer thread panicked"))
             .collect()
     }
 
@@ -283,6 +280,28 @@ impl<M: Clone + Send + 'static> ThreadedNet<M> {
     /// quiescence).
     pub fn sent(&self) -> u64 {
         self.counters.sent.load(Ordering::Relaxed)
+    }
+}
+
+impl<M: Send + 'static> ThreadedNet<M> {
+    /// Send every peer its stop and join the threads. Messages still
+    /// queued ahead of a stop are handled first.
+    fn stop_and_join(&mut self) -> Vec<std::thread::Result<Box<dyn Node<M> + Send>>> {
+        for tx in &self.senders {
+            let _ = tx.send(Envelope::Stop);
+        }
+        self.handles.drain(..).map(JoinHandle::join).collect()
+    }
+}
+
+/// A network dropped without [`ThreadedNet::shutdown`] — a failed
+/// assertion unwinding through a test, say — still stops and joins its
+/// peers: every peer thread owns a sender to every mailbox, so no mailbox
+/// would ever disconnect and the threads would block on them for the
+/// life of the process.
+impl<M: Send + 'static> Drop for ThreadedNet<M> {
+    fn drop(&mut self) {
+        self.stop_and_join();
     }
 }
 
@@ -434,5 +453,21 @@ mod tests {
         assert!(net.await_quiescence(std::time::Duration::from_secs(5)));
         assert_eq!(net.delivered(), 2);
         net.shutdown();
+    }
+
+    #[test]
+    fn dropped_net_joins_its_peers() {
+        // No shutdown, relays still in flight: the drop must stop and
+        // join every peer thread (each holds the shared counters).
+        let net = ThreadedNet::spawn(boxed(4));
+        for _ in 0..20 {
+            net.inject(0, 0, 50);
+        }
+        let counters = Arc::downgrade(&net.counters);
+        drop(net);
+        assert!(
+            counters.upgrade().is_none(),
+            "a peer thread outlived its network"
+        );
     }
 }

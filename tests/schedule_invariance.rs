@@ -2,11 +2,11 @@
 //!
 //! The engine's contract is "equivalent modulo commutative reordering":
 //! at a fixed shard count, the sequential inline reference
-//! (`query_trace_sharded`), the single-worker sharded engine
-//! (`query_batch_sharded`), and the multi-worker concurrent engine
-//! (`query_batch_concurrent_with`) must produce identical outcome
-//! multisets (here: identical *sequences*, a stronger claim the
-//! conflict scheduler makes true), identical recall, and matching
+//! (`query_trace_sharded`) and the concurrent engine
+//! (`query_batch_concurrent_with`), at one worker and at several, must
+//! produce identical outcome multisets (here: identical *sequences*, a
+//! stronger claim the conflict scheduler makes true), identical recall,
+//! and matching
 //! conserved ledgers — cache `hits + misses == queries`, `lookups ==
 //! Σ attempts`, identical stored-partition totals. With one shard the
 //! engine must reproduce the plain sequential `query()` loop bit for
@@ -128,7 +128,10 @@ proptest! {
             assert_ledgers(&inline, &out_inline, "inline");
 
             let mut sharded = net(seed, 0);
-            let out_sharded = sharded.query_batch_sharded(&qs, shards);
+            let out_sharded = sharded.query_batch_concurrent_with(
+                &qs,
+                EngineOptions { shards, workers: 1, queue: 1024 },
+            );
             prop_assert_eq!(&out_inline, &out_sharded, "sharded engine diverged at {} shards", shards);
             prop_assert_eq!(inline.stats(), sharded.stats());
             assert_ledgers(&sharded, &out_sharded, "sharded");
@@ -224,7 +227,14 @@ fn single_shard_reproduces_global_cache_accounting() {
             },
             {
                 let mut n = net(base.wrapping_add(41), capacity);
-                let o = n.query_batch_sharded(&qs, 1);
+                let o = n.query_batch_concurrent_with(
+                    &qs,
+                    EngineOptions {
+                        shards: 1,
+                        workers: 1,
+                        queue: 1024,
+                    },
+                );
                 ("engine", o, n)
             },
         ] {
