@@ -1,4 +1,4 @@
-//! Benchmark and figure-reproduction harness (see the `src/bin` targets
-//! and `benches/`). This library hosts shared experiment plumbing.
+//! Figure-reproduction harness (see the `src/bin` targets). This library
+//! hosts shared experiment plumbing.
 
 pub mod experiments;

@@ -14,5 +14,5 @@ pub mod rng;
 pub mod stats;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use rng::DetRng;
+pub use rng::{env_seed, DetRng};
 pub use stats::{Histogram, Summary};

@@ -17,6 +17,24 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The seed a test run was asked for: the unsigned integer in environment
+/// variable `name`, or 0 when it is unset or does not parse. Seed-dependent
+/// suites read `ARS_FAULT_SEED` / `ARS_GOLDEN_SEED` through this so CI can
+/// sweep seeds over the same assertions.
+///
+/// Writes `name=seed` to stderr: the test harness attaches a failing
+/// test's captured output to its report, so every failure of a suite that
+/// read its seed here names the seed to rerun under, whatever the
+/// assertion's own message says.
+pub fn env_seed(name: &str) -> u64 {
+    let seed = std::env::var(name)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    eprintln!("{name}={seed}");
+    seed
+}
+
 /// A deterministic xoshiro256++ generator.
 ///
 /// Not cryptographically secure; used only to drive simulations and

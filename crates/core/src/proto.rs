@@ -551,10 +551,12 @@ impl Driver {
         }
         let exact = best.is_exactly(&hashed_range);
 
-        // Store on miss.
+        // Store on miss, once per distinct identifier as `commit_plan`
+        // does: a second Store of the same range in the same bucket is a
+        // no-op at the peer that would still cost a route and an ack.
         let mut stored = false;
         if self.config.cache_on_miss && !exact {
-            for &ident in &identifiers {
+            for &ident in &routed {
                 let payload = Payload::Store {
                     request: self.next_request,
                     origin: origin as u32,
@@ -876,13 +878,29 @@ mod tests {
     #[test]
     fn messages_flow_through_overlay() {
         let mut net = ProtoNetwork::new(30, SystemConfig::default().with_seed(3));
-        net.query(&r(0, 10));
+        let out = net.query(&r(30, 50));
+        assert_eq!(out.hops.len(), 5, "five distinct identifiers");
         // 5 FindMatch routes (multi-hop) + 5 replies + 5 Stores + 5 acks at
         // minimum.
         assert!(net.messages_delivered() >= 20);
         // Every message has a nonzero framed encoding; a query moves at
         // least ~30 bytes per message.
         assert!(net.bytes_sent() >= net.messages_delivered() * 15);
+    }
+
+    #[test]
+    fn collapsed_identifiers_pay_one_store_chain_each() {
+        let mut net = ProtoNetwork::new(30, SystemConfig::default().with_seed(3));
+        // Every bit permutation fixes 0, so a range holding 0 min-hashes
+        // to 0 under every function and all l identifiers coincide.
+        let out = net.query(&r(0, 10));
+        assert!(out.stored);
+        assert_eq!(out.identifiers.len(), 5);
+        assert_eq!(out.hops.len(), 1, "identifiers {:?}", out.identifiers);
+        // A chain is the injected Route, one forward per hop, and the
+        // reply or ack; the Store retraces the FindMatch's route.
+        let chain: u64 = out.hops.iter().map(|&h| h as u64 + 2).sum();
+        assert_eq!(net.messages_delivered(), 2 * chain);
     }
 
     #[test]

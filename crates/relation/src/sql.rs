@@ -20,6 +20,7 @@
 //! chained comparisons (`30 < age < 50`) and dash-separated date literals
 //! (`01-01-2000 < date`).
 
+use crate::value::days_in_month;
 use std::fmt;
 
 /// A reference to an attribute, possibly qualified by relation.
@@ -298,7 +299,12 @@ impl<'a> Tokenizer<'a> {
         } else {
             (third, first, second)
         };
-        if !(1..=12).contains(&m) || !(1..=31).contains(&d) || y < 1900 {
+        // Calendar-valid and four-digit, so planning's `days_since_1900`
+        // neither rejects the day nor walks billions of years.
+        if !(1900..=9999).contains(&y)
+            || !(1..=12).contains(&m)
+            || !(1..=days_in_month(y, m)).contains(&d)
+        {
             return err(
                 format!("invalid date literal {first}-{second}-{third}"),
                 Some(start),
@@ -668,7 +674,18 @@ mod tests {
 
     #[test]
     fn rejects_invalid_date() {
-        assert!(parse_query("SELECT * FROM T WHERE 13-45-2000 < d").is_err());
+        for lit in [
+            "13-45-2000",
+            "2001-02-31",
+            "02-30-2001",
+            "4000000000-01-01",
+            "2100-02-29",
+        ] {
+            let sql = format!("SELECT * FROM Prescription WHERE date >= {lit}");
+            let e = parse_query(&sql).expect_err(lit);
+            assert!(e.message.contains("invalid date literal"), "{lit}: {e}");
+        }
+        assert!(parse_query("SELECT * FROM Prescription WHERE date >= 2000-02-29").is_ok());
     }
 
     #[test]

@@ -14,15 +14,9 @@
 //! The seed honors `ARS_FAULT_SEED` (default 0), same as the workspace's
 //! fault-injection suite, so CI sweeps seeds 0–3 over these properties.
 
+use ars_common::env_seed;
 use ars_store::{recover, recover_lenient, BucketStore, StorageFaults, StoreConfig};
 use proptest::prelude::*;
-
-fn fault_seed() -> u64 {
-    std::env::var("ARS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Build a log image from payloads.
 fn image(payloads: &[Vec<u8>]) -> Vec<u8> {
@@ -71,7 +65,7 @@ proptest! {
     ) {
         let img = image(&payloads);
         let mut bad = img.clone();
-        let byte = (flip_pos ^ fault_seed()) as usize % bad.len();
+        let byte = (flip_pos ^ env_seed("ARS_FAULT_SEED")) as usize % bad.len();
         bad[byte] ^= 1 << flip_bit;
         let strict = recover(&bad);
         prop_assert!(strict.records.len() <= payloads.len());
@@ -123,7 +117,7 @@ proptest! {
             .with_sync_every(sync_every)
             .with_compact_every(compact_every);
         let run = || {
-            let mut store = BucketStore::new(config, seed ^ (fault_seed() << 32));
+            let mut store = BucketStore::new(config, seed ^ (env_seed("ARS_FAULT_SEED") << 32));
             let mut reports = Vec::new();
             for &(op, ident, byte) in &ops {
                 match op {

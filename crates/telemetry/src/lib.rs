@@ -6,7 +6,7 @@
 //!
 //! * **no-op** ([`Telemetry::noop`], the default) — every call is a branch
 //!   on an `Option`, so instrumented hot paths cost nothing measurable
-//!   (pinned <5% on the min-hash kernel by the `telemetry-overhead` CI job);
+//!   (every untraced `bench_e2e` run is measured through it);
 //! * **recording** ([`Telemetry::recording`]) — a shared sink whose event
 //!   log is ordered by sequence number only (no wall clock, no randomness),
 //!   so a seeded simulation exports a byte-identical JSON trace every run.

@@ -233,8 +233,9 @@ impl MetricsSnapshot {
     /// bucket checks are *not* messages — they happen locally at peers a
     /// query already visited — and are deliberately absent.
     ///
-    /// Bench binaries should use this (or [`Self::messages_per_query`])
-    /// instead of re-deriving the sum by hand from raw counters.
+    /// Tests and harnesses should use this (or
+    /// [`Self::messages_per_query`]) instead of re-deriving the sum by hand
+    /// from raw counters.
     pub fn total_messages(&self) -> u64 {
         self.hist("core.lookup.hops").map(|h| h.sum).unwrap_or(0)
             + self.counter("core.walk.steps")

@@ -4,9 +4,8 @@
 //!
 //! * the **no-op sink** ([`Telemetry::noop`], also `Default`) — the handle
 //!   carries `None` and every instrumentation call is a single branch on
-//!   that option, so the hot paths pay nothing measurable (the
-//!   `telemetry-overhead` CI job pins this below 5% on the min-hash
-//!   kernel path); or
+//!   that option, so the hot paths pay nothing measurable (every
+//!   untraced `bench_e2e` run is measured through this sink); or
 //! * the **recording sink** ([`Telemetry::recording`]) — a shared,
 //!   mutex-guarded [`Recorder`] accumulating a metric [`Registry`] and an
 //!   ordered event log. Cloning the handle shares the sink, which is how

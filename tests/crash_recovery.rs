@@ -17,16 +17,10 @@
 //! byte-identical across reruns: same seed, same trace JSON, same final
 //! inventory.
 
+use ars::common::env_seed;
 use ars::core::InventoryEntry;
 use ars::prelude::*;
 use proptest::prelude::*;
-
-fn fault_seed() -> u64 {
-    std::env::var("ARS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 fn warm_queries(n: usize) -> Vec<RangeSet> {
     (0..n as u32)
@@ -112,7 +106,7 @@ fn crash_restart_scenario(seed: u64) -> ScenarioResult {
 
 #[test]
 fn crash_restart_with_repair_restores_full_recall() {
-    let result = crash_restart_scenario(fault_seed() ^ 0x2003_0A25);
+    let result = crash_restart_scenario(env_seed("ARS_FAULT_SEED") ^ 0x2003_0A25);
     if let Ok(path) = std::env::var("ARS_RECOVERY_TRACE_OUT") {
         std::fs::write(&path, &result.trace_json).expect("write recovery trace");
     }
@@ -131,7 +125,7 @@ fn crash_restart_with_repair_restores_full_recall() {
 
 #[test]
 fn crash_restart_scenario_is_byte_identical_across_reruns() {
-    let seed = fault_seed() ^ 0x2003_0A25;
+    let seed = env_seed("ARS_FAULT_SEED") ^ 0x2003_0A25;
     let a = crash_restart_scenario(seed);
     let b = crash_restart_scenario(seed);
     assert_eq!(
@@ -154,7 +148,7 @@ fn fail_without_restart_at_r1_loses_recall() {
     const N: usize = 50;
     let config = SystemConfig::default()
         .with_kl(8, 2)
-        .with_seed(fault_seed() ^ 0x2003_0A25);
+        .with_seed(env_seed("ARS_FAULT_SEED") ^ 0x2003_0A25);
     let mut net = ChurnNetwork::new(N, config).expect("growth converges");
     let queries = warm_queries(20);
     for q in &queries {
@@ -181,6 +175,41 @@ fn fail_without_restart_at_r1_loses_recall() {
     );
     assert!(net.resilience().buckets_lost > 0);
     assert_eq!(net.resilience().buckets_recovered, 0, "nothing comes back");
+}
+
+/// The hostile-storage contrast: every crash flips a bit in the log tail,
+/// and with `l = 1`, `r = 1` the torn entry was the only copy — restart
+/// replays what it can, repair has nothing to copy from, and recall stays
+/// below 1 for good.
+#[test]
+fn guaranteed_tail_corruption_at_r1_loses_recall_despite_restart_and_repair() {
+    let seed = env_seed("ARS_FAULT_SEED");
+    let plan = FaultPlan::none().with_storage_faults(0.4, 1.0);
+    let config = SystemConfig::default()
+        .with_kl(16, 1)
+        .with_matching(MatchMeasure::Containment)
+        .with_seed(0x10_2003 ^ seed)
+        .with_durability(DurabilityConfig::from_fault_plan(&plan));
+    let mut net = ChurnNetwork::new(50, config).expect("growth converges");
+    let queries = warm_queries(40);
+    for q in &queries {
+        net.query_resilient(q);
+    }
+    for id in net.crash_random(10) {
+        net.restart(id).expect("restart rejoins the ring");
+    }
+    net.stabilize(256).expect("ring reconverges");
+    net.repair_until_quiescent(256, 50)
+        .expect("repair quiesces");
+    let recall = queries
+        .iter()
+        .map(|q| net.query_resilient(q).recall)
+        .sum::<f64>()
+        / queries.len() as f64;
+    assert!(
+        recall < 1.0,
+        "sole copies behind a corrupt tail cannot come back (recall {recall}, seed {seed})"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -248,7 +277,7 @@ proptest! {
         budget in 1usize..40,
         seed in 0u64..1_000_000,
     ) {
-        let seed = seed ^ (fault_seed() << 40);
+        let seed = seed ^ (env_seed("ARS_FAULT_SEED") << 40);
         let (mut repaired, queries) = churned_network(&ops, seed);
         let (mut oracle, _) = churned_network(&ops, seed);
         prop_assert_eq!(

@@ -8,17 +8,11 @@
 //! The fixed seed honors `ARS_FAULT_SEED` (default 0) so CI can sweep a
 //! small matrix of seeds over the same assertions.
 
+use ars::common::env_seed;
 use ars::prelude::*;
 use ars::simnet::{ConstantLatency, Node, NodeCtx};
 use proptest::prelude::*;
 use std::time::Duration;
-
-fn fault_seed() -> u64 {
-    std::env::var("ARS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Grow a converged dynamic ring of `n` nodes (same idiom as the churn
 /// recovery suite).
@@ -134,7 +128,10 @@ fn relays(n: usize) -> Vec<Box<dyn Node<u32>>> {
 fn sim_accounting_invariant_holds_under_drops() {
     let n = 20;
     let mut sim = SimNet::new(relays(n), ConstantLatency(5));
-    sim.set_faults(FaultPlan::none().with_drop(0.10), fault_seed());
+    sim.set_faults(
+        FaultPlan::none().with_drop(0.10),
+        env_seed("ARS_FAULT_SEED"),
+    );
     for i in 0..n {
         sim.inject(0, i, 40);
     }
@@ -168,8 +165,11 @@ fn threaded_net_reaches_quiescence_under_drops() {
     let nodes: Vec<Box<dyn Node<u32> + Send>> = (0..n)
         .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32> + Send>)
         .collect();
-    let net =
-        ThreadedNet::spawn_with_faults(nodes, FaultPlan::none().with_drop(0.30), fault_seed());
+    let net = ThreadedNet::spawn_with_faults(
+        nodes,
+        FaultPlan::none().with_drop(0.30),
+        env_seed("ARS_FAULT_SEED"),
+    );
     for i in 0..n {
         net.inject(0, i, 25);
     }
@@ -361,7 +361,7 @@ fn recall_under_failures(replication: usize, seed: u64) -> (f64, f64, usize, usi
 
 #[test]
 fn replicated_recall_survives_ten_percent_failures() {
-    let seed = fault_seed();
+    let seed = env_seed("ARS_FAULT_SEED");
     let (baseline, faulted, _, _) = recall_under_failures(2, seed);
     assert!(
         baseline > 0.95,
@@ -381,7 +381,7 @@ fn replicated_recall_survives_ten_percent_failures() {
 
 #[test]
 fn faulted_run_exports_json_trace_artifact() {
-    let seed = fault_seed();
+    let seed = env_seed("ARS_FAULT_SEED");
     let config = SystemConfig::default()
         .with_kl(8, 2)
         .with_replication(2)
@@ -412,7 +412,7 @@ fn faulted_run_exports_json_trace_artifact() {
 
 #[test]
 fn unreplicated_failures_demonstrably_lose_buckets() {
-    let seed = fault_seed();
+    let seed = env_seed("ARS_FAULT_SEED");
     let (baseline, faulted, before, after) = recall_under_failures(1, seed);
     assert!(
         after < before,
@@ -421,5 +421,10 @@ fn unreplicated_failures_demonstrably_lose_buckets() {
     assert!(
         faulted < baseline,
         "r=1 recall should drop below the {baseline:.3} baseline (got {faulted:.3}, seed {seed})"
+    );
+    let (_, replicated, _, _) = recall_under_failures(2, seed);
+    assert!(
+        faulted < replicated,
+        "r=1 recall {faulted:.3} should trail r=2's {replicated:.3} (seed {seed})"
     );
 }

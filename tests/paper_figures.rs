@@ -11,9 +11,10 @@
 //!
 //! A kernel or grouping regression (wrong min-hash, broken XOR fold,
 //! mis-seeded permutation draw) shifts these rates far outside the bands
-//! and fails CI here instead of silently skewing `BENCH_*.json`. The
+//! and fails CI here instead of silently skewing the figures. The
 //! seed honors `ARS_GOLDEN_SEED` (default 0); CI sweeps seeds 0–3.
 
+use ars::common::env_seed;
 use ars::lsh::group::step_location;
 use ars::lsh::{match_probability, HashGroups, LshFamilyKind, RangeSet};
 use ars::prelude::DetRng;
@@ -22,13 +23,6 @@ const K: usize = 20;
 const L: usize = 5;
 const UNIVERSE: u32 = 100;
 const TRIALS: u64 = 200;
-
-fn golden_seed() -> u64 {
-    std::env::var("ARS_GOLDEN_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Offset where the paired intervals start. Never 0: the bit-shuffle
 /// permutations fix 0 (`permute(0) == 0`), so any pair of ranges that
@@ -134,7 +128,7 @@ fn amplification_theory_matches_paper_figures() {
 /// ≈ 2× margin for sampling noise at other seeds.
 #[test]
 fn collision_curve_reproduces_amplification_step() {
-    let seed = golden_seed();
+    let seed = env_seed("ARS_GOLDEN_SEED");
     for family in LshFamilyKind::PAPER_FAMILIES {
         let rates = collision_rates(family, &SHIFTS, seed);
         let label = format!("{family} (seed {seed})");

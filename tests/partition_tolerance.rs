@@ -26,17 +26,11 @@
 //! The fixed seed honors `ARS_FAULT_SEED` (default 0) so CI can sweep a
 //! small matrix of seeds over the same assertions.
 
+use ars::common::env_seed;
 use ars::prelude::*;
 use ars::simnet::{ConstantLatency, Node, NodeCtx};
 use proptest::prelude::*;
 use std::time::Duration;
-
-fn fault_seed() -> u64 {
-    std::env::var("ARS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Grow a converged dynamic ring of `n` nodes (same idiom as the
 /// fault-injection suite).
@@ -145,7 +139,7 @@ fn sim_ledger_conserved_through_partition_window() {
             20,
             400,
         ),
-        fault_seed(),
+        env_seed("ARS_FAULT_SEED"),
     );
     for i in 0..n {
         sim.inject(0, i, 60);
@@ -178,7 +172,7 @@ fn threaded_partition_severs_cross_island_relays() {
     // accounts for every severed hop.
     let plan =
         FaultPlan::none().with_partition(vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]], 0, u64::MAX);
-    let net = ThreadedNet::spawn_with_faults(nodes, plan, fault_seed());
+    let net = ThreadedNet::spawn_with_faults(nodes, plan, env_seed("ARS_FAULT_SEED"));
     for i in 0..n {
         net.inject(0, i, 25);
     }
@@ -215,7 +209,7 @@ proptest! {
         key_seed in 0u64..1_000_000,
         cache in 1usize..64,
     ) {
-        let mut net = grown(16, 7 ^ fault_seed());
+        let mut net = grown(16, 7 ^ env_seed("ARS_FAULT_SEED"));
         // Route memoization on: repeated lookups below take the cached
         // path, so a stale island route surviving the heal would be
         // caught against the oracles.
@@ -317,7 +311,7 @@ proptest! {
         let config = SystemConfig::default()
             .with_kl(8, 2)
             .with_replication(replication)
-            .with_seed(seed ^ (fault_seed() << 32));
+            .with_seed(seed ^ (env_seed("ARS_FAULT_SEED") << 32));
         let mut net = ChurnNetwork::new(14, config).expect("growth converges");
         for q in trace(6) {
             well_formed(&net.query_resilient(&q), 2);
@@ -398,7 +392,7 @@ proptest! {
 
 #[test]
 fn degraded_flags_and_island_writes_reconcile_after_heal() {
-    let seed = fault_seed();
+    let seed = env_seed("ARS_FAULT_SEED");
     let config = SystemConfig::default()
         .with_replication(2)
         .with_seed(0xDE6_0000 ^ seed);
@@ -459,4 +453,70 @@ fn degraded_flags_and_island_writes_reconcile_after_heal() {
         "degradation counter must freeze after the heal"
     );
     assert_ledger(&net);
+}
+
+/// The partition headline (DESIGN.md §12): a fifth of a 50-peer ring is
+/// severed, both sides keep caching island-locally, and the minority
+/// member holding the most copies fails abruptly mid-window. With `l = 1`
+/// the replication factor is the only redundancy: at r = 2 heal + repair
+/// bring mean recall back to exactly 1.0, at r = 1 the failure's sole
+/// copies are gone for good — and the bucket ledger balances at every step.
+#[test]
+fn mid_window_failure_heals_to_full_recall_at_r2_and_loses_buckets_at_r1() {
+    let seed = env_seed("ARS_FAULT_SEED");
+    for replication in [2, 1] {
+        let config = SystemConfig::default()
+            .with_kl(16, 1)
+            .with_matching(MatchMeasure::Containment)
+            .with_replication(replication)
+            .with_seed(0x5011D ^ seed);
+        let mut net = ChurnNetwork::new(50, config).expect("growth converges");
+        // 80 warmed before the split, 20 first seen inside the window.
+        let queries = trace(100);
+        for q in &queries[..80] {
+            net.query_resilient(q);
+        }
+        assert_ledger(&net);
+
+        let ids = net.chord().node_ids();
+        let (min, maj) = ids.split_at(10);
+        net.partition(&[maj.to_vec(), min.to_vec()]);
+        net.stabilize(256);
+        net.settle(4);
+        for q in &queries {
+            net.query_resilient(q);
+        }
+        assert_ledger(&net);
+
+        let inventory = net.inventory();
+        let copies = |id: &&Id| inventory.iter().filter(|(p, _, _)| *p == id.0).count();
+        let victim = *min
+            .iter()
+            .max_by_key(copies)
+            .expect("minority is non-empty");
+        let lost_before = net.resilience().buckets_lost;
+        net.fail(victim).expect("minority member fails mid-window");
+        let lost = net.resilience().buckets_lost - lost_before;
+        assert_ledger(&net);
+
+        net.heal();
+        net.stabilize(512).expect("healed ring re-merges");
+        net.settle(4);
+        net.repair_until_quiescent(128, 10_000)
+            .expect("post-heal repair quiesces");
+        let recall = queries
+            .iter()
+            .map(|q| net.query_resilient(q).recall)
+            .sum::<f64>()
+            / queries.len() as f64;
+        assert_ledger(&net);
+        if replication == 2 {
+            assert_eq!(recall, 1.0, "r=2 post-heal recall (seed {seed})");
+        } else {
+            assert!(
+                recall < 1.0 || lost > 0,
+                "r=1 must show the cost of no replication: recall {recall}, lost {lost} (seed {seed})"
+            );
+        }
+    }
 }

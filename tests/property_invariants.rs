@@ -1,6 +1,7 @@
 //! Cross-crate property tests: invariants that tie the layers together,
 //! each checked against a brute-force oracle.
 
+use ars::common::env_seed;
 use ars::lsh::{ApproxMinWisePerm, LshFunction, MinWisePerm, RangeAwareBitPerm};
 use ars::prelude::*;
 use ars::relation::exec::BaseTables;
@@ -302,6 +303,57 @@ proptest! {
         }
         prop_assert_eq!(format!("{:?}", plain.stats()), format!("{:?}", knobbed.stats()));
     }
+}
+
+/// The lookup-budget headline (DESIGN.md §6d): on a skewed trace — two
+/// popular ranges re-queried throughout, jittered neighbours, a cold scan
+/// that never repeats — layered placement with 16 probes holds mean recall
+/// within 1 % of the paper's independent placement at no more than half
+/// the lookups and half the messages per query.
+#[test]
+fn layered_placement_halves_lookups_and_messages_within_one_percent_recall() {
+    let seed = env_seed("ARS_FAULT_SEED");
+    let mut trace = Vec::new();
+    for i in 0..120u32 {
+        let cold = (i * 97) % 3000;
+        trace.push(RangeSet::interval(cold, cold + 40 + (i % 4) * 30));
+        for (every, lo, hi) in [
+            (2, 500, 700),
+            (3, 1_500, 1_620),
+            (4, 500 + i % 3, 700 + i % 2),
+            (6, 1_500 + i % 2, 1_621),
+        ] {
+            if i % every == 0 {
+                trace.push(RangeSet::interval(lo, hi));
+            }
+        }
+    }
+    // (mean recall, lookups per query, messages per query)
+    let run = |config: SystemConfig| {
+        let mut net = RangeSelectNetwork::new(64, config.with_seed(seed));
+        let tel = Telemetry::recording();
+        net.set_telemetry(tel.clone());
+        let recall: f64 = trace.iter().map(|q| net.query(q).recall).sum();
+        let n = trace.len() as f64;
+        let lookups = net.stats().lookups as f64 / n;
+        (recall / n, lookups, tel.snapshot().messages_per_query())
+    };
+    let (base_recall, base_lookups, base_messages) = run(SystemConfig::default());
+    let (recall, lookups, messages) = run(SystemConfig::default()
+        .with_placement_mode(PlacementMode::Layered)
+        .with_probes(16));
+    assert!(
+        recall >= base_recall - 0.01,
+        "layered recall {recall:.4} vs independent {base_recall:.4} (seed {seed})"
+    );
+    assert!(
+        lookups <= 0.5 * base_lookups,
+        "layered lookups/query {lookups:.3} vs independent {base_lookups:.3} (seed {seed})"
+    );
+    assert!(
+        messages <= 0.5 * base_messages,
+        "layered messages/query {messages:.3} vs independent {base_messages:.3} (seed {seed})"
+    );
 }
 
 /// The seeds `tests/determinism.rs` pins: hash groups drawn from them must
@@ -801,5 +853,107 @@ fn networks_build_the_local_index_only_when_the_config_reads_it() {
             .sum();
         assert!(net.total_partitions() > 0);
         assert_eq!(indexed, if on { net.total_partitions() } else { 0 });
+    }
+}
+
+/// What a hostile SQL string is assembled from: the medical schema's names
+/// and the grammar's operators, so text gets past the tokenizer into the
+/// parser and the planner's bound folding; literals that are out of
+/// calendar, overflow `u32` or never close; bytes the tokenizer has no
+/// rule for.
+const SQL_RELATIONS: &[&str] = &["Patient", "Prescription", "Patient, Prescription", "nosuch"];
+const SQL_OPS: &[&str] = &["=", "<", "<=", ">", ">=", ","];
+const SQL_OPERANDS: &[&str] = &[
+    "age",
+    "date",
+    "name",
+    "Patient.age",
+    "nosuch",
+    "7",
+    "4294967296",
+    "2001-02-31",
+    "02-30-2001",
+    "4000000000-01-01",
+    "2000-02-29",
+    "1-2",
+    "'flu'",
+    "\"x",
+    "é",
+    "",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Arbitrary text through `parse_query` → `Planner::plan` over the
+    /// medical schema answers `Ok` or `Err`, never a panic.
+    #[test]
+    fn hostile_sql_text_never_panics(
+        relation in prop::sample::select(SQL_RELATIONS.to_vec()),
+        conds in prop::collection::vec(
+            (
+                prop::sample::select(SQL_OPERANDS.to_vec()),
+                prop::sample::select(SQL_OPS.to_vec()),
+                prop::sample::select(SQL_OPERANDS.to_vec()),
+                prop::sample::select(SQL_OPS.to_vec()),
+                prop::sample::select(SQL_OPERANDS.to_vec()),
+                any::<bool>(),
+            ),
+            0..4,
+        ),
+        cut in 0usize..160,
+    ) {
+        let conds: Vec<String> = conds
+            .into_iter()
+            .map(|(a, op, b, op2, c, chained)| match chained {
+                true => format!("{a} {op} {b} {op2} {c}"),
+                false => format!("{a} {op} {b}"),
+            })
+            .collect();
+        let sql = format!("SELECT * FROM {relation} WHERE {}", conds.join(" AND "));
+        // Most strings run whole; the rest stop mid-token.
+        let sql: String = sql.chars().take(if cut < 40 { cut } else { usize::MAX }).collect();
+        let mut planner = Planner::new();
+        planner
+            .register(medical::patient())
+            .register(medical::diagnosis())
+            .register(medical::physician())
+            .register(medical::prescription());
+        if let Ok(query) = parse_query(&sql) {
+            let _ = planner.plan(&query);
+        }
+    }
+
+    /// Arbitrary bytes through `deframe::<ProtoMsg>` — as they arrive, and
+    /// as overwrites and a cut applied to a valid frame, which is what gets
+    /// past the tag and length checks into the nested decoders — answer
+    /// `Ok` or `Err`, never a panic.
+    #[test]
+    fn hostile_wire_bytes_never_panic(
+        raw in prop::collection::vec(any::<u8>(), 0..64),
+        base in 0usize..3,
+        cut in 0usize..120,
+    ) {
+        use ars::core::proto::{Payload, ProtoMsg};
+        use ars::simnet::codec::{deframe, frame};
+        let _ = deframe::<ProtoMsg>(raw.as_slice().into());
+        let range = vec![(30, 50), (60, 70)];
+        let valid = [
+            ProtoMsg::Route {
+                key: 7,
+                ident: 8,
+                hops: 2,
+                payload: Payload::FindMatch { request: 42, origin: 3, range: range.clone() },
+            },
+            ProtoMsg::MatchReply { request: 42, identifier: 5, hops: 2, best: Some((range, 0.75)) },
+            ProtoMsg::StoreAck { request: 9 },
+        ];
+        let mut bytes = frame(&valid[base]).to_vec();
+        for pair in raw.chunks_exact(2) {
+            let at = pair[0] as usize % bytes.len();
+            bytes[at] = pair[1];
+        }
+        bytes.truncate(cut.max(bytes.len() / 2));
+        let _ = deframe::<ProtoMsg>(bytes.into());
     }
 }

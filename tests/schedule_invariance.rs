@@ -17,15 +17,9 @@
 //! The fixed seed honors `ARS_FAULT_SEED` (default 0) so CI sweeps a
 //! small matrix of seeds over the same assertions.
 
+use ars::common::env_seed;
 use ars::prelude::*;
 use proptest::prelude::*;
-
-fn fault_seed() -> u64 {
-    std::env::var("ARS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
@@ -121,7 +115,7 @@ proptest! {
     /// concurrent engine agrees at every worker count.
     #[test]
     fn engines_agree_at_every_shard_count(qs in trace_strategy(), salt in 0u64..64) {
-        let seed = fault_seed().wrapping_mul(0x9E37_79B9).wrapping_add(salt);
+        let seed = env_seed("ARS_FAULT_SEED").wrapping_mul(0x9E37_79B9).wrapping_add(salt);
         for shards in SHARD_COUNTS {
             let mut inline = net(seed, 0);
             let out_inline = inline.query_trace_sharded(&qs, shards);
@@ -163,7 +157,7 @@ proptest! {
     /// static ring), and the stats differ at most in `total_hops`.
     #[test]
     fn concurrent_matches_legacy_modulo_hops(qs in trace_strategy(), salt in 0u64..64) {
-        let seed = fault_seed().wrapping_mul(0x9E37_79B9).wrapping_add(salt);
+        let seed = env_seed("ARS_FAULT_SEED").wrapping_mul(0x9E37_79B9).wrapping_add(salt);
         let mut legacy = net(seed, 0);
         let out_legacy: Vec<QueryOutcome> = qs.iter().map(|q| legacy.query(q)).collect();
         for shards in [2usize, 7] {
@@ -189,7 +183,7 @@ proptest! {
     /// ledgers and respect the global capacity after merge.
     #[test]
     fn bounded_cache_ledgers_conserved(qs in trace_strategy(), capacity in 1usize..8) {
-        let seed = fault_seed().wrapping_add(capacity as u64);
+        let seed = env_seed("ARS_FAULT_SEED").wrapping_add(capacity as u64);
         let mut conc = net(seed, capacity);
         let outs = conc.query_batch_concurrent_with(
             &qs,
@@ -206,7 +200,7 @@ proptest! {
 /// single-worker engine forms agree with it.
 #[test]
 fn single_shard_reproduces_global_cache_accounting() {
-    let base = fault_seed();
+    let base = env_seed("ARS_FAULT_SEED");
     let mut qs = Vec::new();
     for i in 0..50u32 {
         let lo = (i * 37) % 700;
@@ -261,7 +255,7 @@ fn single_shard_reproduces_global_cache_accounting() {
 /// is equivalent to one batched call over the concatenated trace.
 #[test]
 fn streaming_engine_equals_batched_run() {
-    let seed = fault_seed().wrapping_add(9);
+    let seed = env_seed("ARS_FAULT_SEED").wrapping_add(9);
     let mut qs = Vec::new();
     for i in 0..60u32 {
         qs.push(RangeSet::interval((i * 53) % 600, (i * 53) % 600 + 30));
@@ -296,7 +290,7 @@ fn streaming_engine_equals_batched_run() {
 /// commit order wherever it matters.
 #[test]
 fn concurrent_runs_are_reproducible() {
-    let seed = fault_seed().wrapping_add(17);
+    let seed = env_seed("ARS_FAULT_SEED").wrapping_add(17);
     let mut qs = Vec::new();
     for i in 0..80u32 {
         qs.push(RangeSet::interval((i * 29) % 500, (i * 29) % 500 + 25));

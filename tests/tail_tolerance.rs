@@ -27,18 +27,12 @@
 //! The fixed seed honors `ARS_FAULT_SEED` (default 0) so CI can sweep a
 //! small matrix of seeds over the same assertions.
 
+use ars::common::env_seed;
 use ars::core::resilient::{BASE_SERVICE, HOP_COST};
 use ars::prelude::*;
 use ars::simnet::{ConstantLatency, Node, NodeCtx, SimNet};
 use proptest::prelude::*;
 use std::time::Duration;
-
-fn fault_seed() -> u64 {
-    std::env::var("ARS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Distinct well-spread query ranges for cache warm/measure phases.
 fn trace(n: usize) -> Vec<RangeSet> {
@@ -85,7 +79,7 @@ fn sim_slow_window_delays_but_conserves() {
     let mut sim = SimNet::new(nodes, ConstantLatency(5));
     sim.set_faults(
         FaultPlan::none().with_slow(vec![3, 7], 10, 0, u64::MAX),
-        fault_seed(),
+        env_seed("ARS_FAULT_SEED"),
     );
     for i in 0..n {
         sim.inject(0, i, 30);
@@ -116,7 +110,7 @@ fn threaded_slow_window_delays_but_conserves() {
     let net = ThreadedNet::spawn_with_faults(
         nodes,
         FaultPlan::none().with_slow(vec![1], 4, 0, u64::MAX),
-        fault_seed(),
+        env_seed("ARS_FAULT_SEED"),
     );
     for i in 0..n {
         net.inject(0, i, 20);
@@ -176,7 +170,7 @@ fn assert_pure_observer(n: usize, seed: u64, churn_mid_trace: bool) {
 
 #[test]
 fn hedging_and_breakers_are_pure_observers_without_faults() {
-    assert_pure_observer(40, 0x0B5E ^ fault_seed(), false);
+    assert_pure_observer(40, 0x0B5E ^ env_seed("ARS_FAULT_SEED"), false);
 }
 
 proptest! {
@@ -188,7 +182,7 @@ proptest! {
         seed in 0u64..1_000,
         churn in any::<bool>(),
     ) {
-        assert_pure_observer(n, seed ^ (fault_seed() << 32), churn);
+        assert_pure_observer(n, seed ^ (env_seed("ARS_FAULT_SEED") << 32), churn);
     }
 }
 
@@ -214,7 +208,7 @@ fn default_hedge_floor_clears_worst_clean_path() {
 
 #[test]
 fn breaker_opens_on_slow_peer_and_recloses_after_heal() {
-    let mut net = grown(30, 0xB4EA ^ fault_seed());
+    let mut net = grown(30, 0xB4EA ^ env_seed("ARS_FAULT_SEED"));
     net.enable_breakers(BreakerConfig::default());
     // Teach the detector healthy baselines.
     for _ in 0..3 {
@@ -271,16 +265,47 @@ fn tuned_hedge() -> HedgePolicy {
     }
 }
 
-/// Warm, slow 20% of the fleet 10×, measure 2 rounds. Returns
-/// (total latency, mean recall, outcomes-influencing digest).
+/// What one measured run observed: per-query virtual latencies, mean
+/// recall, the answer-shaping fields of every outcome, and the honest
+/// message bill of the measured window — routed hops of the measured
+/// lookups, every hedge/detour hop (losers included) and every health
+/// probe, warm-up routing excluded.
+#[derive(Debug, PartialEq)]
+struct Measured {
+    latencies: Vec<u64>,
+    recall: f64,
+    digest: Vec<(f64, bool, usize)>,
+    messages: u64,
+}
+
+impl Measured {
+    fn total(&self) -> u64 {
+        self.latencies.iter().sum()
+    }
+
+    /// Exact quantile over the sorted latencies, not histogram-rebuilt.
+    fn p99(&self) -> u64 {
+        let mut sorted = self.latencies.clone();
+        sorted.sort_unstable();
+        sorted[(sorted.len() * 99).div_ceil(100) - 1]
+    }
+}
+
+/// Warm `n_queries` on a healthy fleet, slow 20% of it 10×, then measure
+/// `rounds` passes over the same trace.
 fn measured_run(
     net: &mut ChurnNetwork,
     with_breaker_probes: bool,
-) -> (u64, f64, Vec<(f64, bool, usize)>) {
-    let queries = trace(40);
+    n_queries: usize,
+    rounds: usize,
+) -> Measured {
+    let tel = Telemetry::recording();
+    net.set_telemetry(tel.clone());
+    let queries = trace(n_queries);
     for q in &queries {
         net.query_resilient(q);
     }
+    let warm_hops = tel.snapshot().counter("resilient.lookup.hops");
     if with_breaker_probes {
         for _ in 0..3 {
             net.probe_peers();
@@ -292,29 +317,44 @@ fn measured_run(
             net.probe_peers();
         }
     }
-    let mut total = 0u64;
+    let mut latencies = Vec::new();
     let mut recall = 0.0;
     let mut digest = Vec::new();
-    for _ in 0..2 {
+    for _ in 0..rounds {
         for q in &queries {
             let (out, lat) = net.query_timed(q);
-            total += lat;
+            latencies.push(lat);
             recall += out.recall;
             digest.push((out.recall, out.exact, out.hops.len()));
         }
     }
-    (total, recall / (2 * queries.len()) as f64, digest)
+    Measured {
+        recall: recall / latencies.len() as f64,
+        latencies,
+        digest,
+        messages: tel.snapshot().total_messages() - warm_hops,
+    }
+}
+
+/// Production-shaped breaker cooldown — thousands of service times — so a
+/// tripped peer stays short-circuited for the whole measured window.
+fn guard(net: &mut ChurnNetwork) {
+    net.enable_hedging(tuned_hedge());
+    net.enable_breakers(BreakerConfig {
+        cooldown: 250_000,
+        ..BreakerConfig::default()
+    });
 }
 
 #[test]
 fn hedges_fire_win_and_cut_latency_under_slowness() {
-    let seed = 0x6ED6 ^ fault_seed();
+    let seed = 0x6ED6 ^ env_seed("ARS_FAULT_SEED");
     let mut baseline = grown(40, seed);
     let mut hedged = grown(40, seed);
     hedged.enable_hedging(tuned_hedge());
 
-    let (base_total, base_recall, base_digest) = measured_run(&mut baseline, false);
-    let (hedged_total, hedged_recall, hedged_digest) = measured_run(&mut hedged, false);
+    let base = measured_run(&mut baseline, false, 40, 2);
+    let fast = measured_run(&mut hedged, false, 40, 2);
 
     let res = hedged.resilience();
     assert!(res.hedges_fired > 0, "slow primaries must trigger hedges");
@@ -324,27 +364,25 @@ fn hedges_fire_win_and_cut_latency_under_slowness() {
         "the losing/backup routes must be costed honestly"
     );
     assert!(
-        hedged_total < base_total,
-        "hedging must cut total latency ({hedged_total} vs {base_total})"
+        fast.total() < base.total(),
+        "hedging must cut total latency ({} vs {})",
+        fast.total(),
+        base.total()
     );
     // A hedge serves the same bucket from a replica: answers identical.
-    assert_eq!(base_recall, hedged_recall, "recall must not move");
-    assert_eq!(base_digest, hedged_digest, "answers must be identical");
+    assert_eq!(base.recall, fast.recall, "recall must not move");
+    assert_eq!(base.digest, fast.digest, "answers must be identical");
 }
 
 #[test]
 fn breaker_short_circuits_cut_tail_and_keep_recall() {
-    let seed = 0x5C5C ^ fault_seed();
+    let seed = 0x5C5C ^ env_seed("ARS_FAULT_SEED");
     let mut baseline = grown(40, seed);
     let mut guarded = grown(40, seed);
-    guarded.enable_hedging(tuned_hedge());
-    guarded.enable_breakers(BreakerConfig {
-        cooldown: 250_000,
-        ..BreakerConfig::default()
-    });
+    guard(&mut guarded);
 
-    let (base_total, base_recall, base_digest) = measured_run(&mut baseline, false);
-    let (guard_total, guard_recall, guard_digest) = measured_run(&mut guarded, true);
+    let base = measured_run(&mut baseline, false, 40, 2);
+    let fast = measured_run(&mut guarded, true, 40, 2);
 
     let res = guarded.resilience();
     assert!(res.breaker_opens > 0, "slowed peers must trip breakers");
@@ -353,17 +391,54 @@ fn breaker_short_circuits_cut_tail_and_keep_recall() {
         "open breakers must short-circuit fetches"
     );
     assert!(
-        guard_total * 2 < base_total,
-        "short-circuits should at least halve total latency \
-         ({guard_total} vs {base_total})"
+        fast.total() * 2 < base.total(),
+        "short-circuits should at least halve total latency ({} vs {})",
+        fast.total(),
+        base.total()
     );
-    assert_eq!(base_recall, guard_recall, "recall must not move");
-    assert_eq!(base_digest, guard_digest, "answers must be identical");
+    assert_eq!(base.recall, fast.recall, "recall must not move");
+    assert_eq!(base.digest, fast.digest, "answers must be identical");
+}
+
+/// The gray-failure headline (DESIGN.md §13): with 20% of 50 peers slowed
+/// 10×, hedging plus breakers cut p99 query latency at least 2× for at
+/// most 1.3× the honestly counted messages, move no answer, and replay
+/// bit-identically from scratch.
+#[test]
+fn hedged_breaker_headline_halves_p99_within_message_budget() {
+    let seed = 0x7A11 ^ env_seed("ARS_FAULT_SEED");
+    let run = |guarded: bool| {
+        let mut net = grown(50, seed);
+        if guarded {
+            guard(&mut net);
+        }
+        measured_run(&mut net, guarded, 60, 5)
+    };
+    let (base, fast) = (run(false), run(true));
+    assert!(
+        fast.p99() * 2 <= base.p99(),
+        "p99 {} vs baseline {} is not a 2x cut",
+        fast.p99(),
+        base.p99()
+    );
+    assert!(
+        fast.messages as f64 <= 1.3 * base.messages as f64,
+        "messages {} vs baseline {} exceed the 1.3x budget",
+        fast.messages,
+        base.messages
+    );
+    assert_eq!(base.recall, fast.recall, "recall must not move");
+    assert_eq!(base.digest, fast.digest, "answers must be identical");
+    assert_eq!(
+        fast,
+        run(true),
+        "a from-scratch rerun must be bit-identical"
+    );
 }
 
 #[test]
 fn slow_fraction_is_stride_spaced_and_deterministic() {
-    let mut net = grown(30, 0x51DE ^ fault_seed());
+    let mut net = grown(30, 0x51DE ^ env_seed("ARS_FAULT_SEED"));
     let victims = net.slow_fraction(0.2, 4);
     assert_eq!(victims.len(), 6);
     let mut ids = net.chord().node_ids();
@@ -377,7 +452,7 @@ fn slow_fraction_is_stride_spaced_and_deterministic() {
         );
     }
     // Same membership → same victims (no RNG consumed).
-    let mut twin = grown(30, 0x51DE ^ fault_seed());
+    let mut twin = grown(30, 0x51DE ^ env_seed("ARS_FAULT_SEED"));
     assert_eq!(twin.slow_fraction(0.2, 4), victims);
 }
 
@@ -387,7 +462,8 @@ fn slow_fraction_is_stride_spaced_and_deterministic() {
 
 #[test]
 fn admission_ledger_balances_under_overload() {
-    let net = RangeSelectNetwork::new(30, SystemConfig::default().with_seed(fault_seed() ^ 0xADA));
+    let config = SystemConfig::default().with_seed(env_seed("ARS_FAULT_SEED") ^ 0xADA);
+    let net = RangeSelectNetwork::new(30, config.clone());
     let mut engine = QueryEngine::launch(
         net,
         EngineOptions {
@@ -418,7 +494,7 @@ fn admission_ledger_balances_under_overload() {
 
     // The shed pattern is a pure function of arrivals — bit-identical on
     // a rebuilt engine.
-    let net2 = RangeSelectNetwork::new(30, SystemConfig::default().with_seed(fault_seed() ^ 0xADA));
+    let net2 = RangeSelectNetwork::new(30, config);
     let mut engine2 = QueryEngine::launch(
         net2,
         EngineOptions {

@@ -14,17 +14,11 @@
 //! The seed honors `ARS_FAULT_SEED` (default 0), same as the
 //! fault-injection suite, so CI sweeps the matrix over these assertions.
 
+use ars::common::env_seed;
 use ars::prelude::*;
 use ars::simnet::{ConstantLatency, Node, NodeCtx};
 use ars::telemetry::EventKind;
 use proptest::prelude::*;
-
-fn fault_seed() -> u64 {
-    std::env::var("ARS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Grow a converged dynamic ring of `n` nodes (same idiom as the
 /// fault-injection suite).
@@ -64,12 +58,12 @@ fn trace_ranges(n: usize) -> Vec<RangeSet> {
 fn resilient_lookup_trace_respects_hop_bound_on_healthy_ring() {
     const N: usize = 32;
     const SUCC_LIST_BUDGET: usize = 8; // bootstrap(_, 8) successor lists
-    let mut net = grown(N, 11 + fault_seed());
+    let mut net = grown(N, 11 + env_seed("ARS_FAULT_SEED"));
     let tel = Telemetry::recording();
     net.set_telemetry(tel.clone());
 
     let ids = net.node_ids();
-    let mut rng = DetRng::new(fault_seed() ^ 0x7e1e);
+    let mut rng = DetRng::new(env_seed("ARS_FAULT_SEED") ^ 0x7e1e);
     for _ in 0..100 {
         let from = ids[rng.gen_index(ids.len())];
         let key = Id(rng.next_u32());
@@ -207,7 +201,7 @@ proptest! {
         let mut config = SystemConfig::default()
             .with_kl(8, 2)
             .with_replication(replication)
-            .with_seed(seed ^ (fault_seed() << 48));
+            .with_seed(seed ^ (env_seed("ARS_FAULT_SEED") << 48));
         if durable {
             config = config.with_durability(
                 DurabilityConfig::default().with_faults(
@@ -297,7 +291,10 @@ fn simnet_gauges_reproduce_conservation_invariant() {
         .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32>>)
         .collect();
     let mut sim = SimNet::new(nodes, ConstantLatency(3));
-    sim.set_faults(FaultPlan::none().with_drop(0.15), fault_seed());
+    sim.set_faults(
+        FaultPlan::none().with_drop(0.15),
+        env_seed("ARS_FAULT_SEED"),
+    );
     for i in 0..n {
         sim.inject(0, i, 30);
     }
@@ -333,7 +330,7 @@ fn simnet_gauges_reproduce_conservation_invariant() {
 
 #[test]
 fn recording_sink_does_not_perturb_outcomes() {
-    let config = SystemConfig::default().with_seed(fault_seed() ^ 0xCAFE);
+    let config = SystemConfig::default().with_seed(env_seed("ARS_FAULT_SEED") ^ 0xCAFE);
     let queries = trace_ranges(12);
 
     let mut plain = RangeSelectNetwork::new(24, config.clone());
@@ -366,7 +363,7 @@ fn churn_run_json(seed: u64) -> String {
 
 #[test]
 fn identical_seeded_runs_export_identical_json() {
-    let seed = fault_seed().wrapping_add(3);
+    let seed = env_seed("ARS_FAULT_SEED").wrapping_add(3);
     let a = churn_run_json(seed);
     let b = churn_run_json(seed);
     assert_eq!(a, b, "same seed must produce the same trace bytes");
@@ -378,7 +375,7 @@ fn identical_seeded_runs_export_identical_json() {
 fn chord_events_nest_under_their_query_span() {
     let config = SystemConfig::default()
         .with_kl(8, 2)
-        .with_seed(fault_seed());
+        .with_seed(env_seed("ARS_FAULT_SEED"));
     let mut net = ChurnNetwork::new(12, config).expect("growth converges");
     let tel = Telemetry::recording();
     net.set_telemetry(tel.clone());
@@ -419,7 +416,7 @@ fn noop_sink_records_nothing_across_the_stack() {
         12,
         SystemConfig::default()
             .with_kl(8, 2)
-            .with_seed(fault_seed()),
+            .with_seed(env_seed("ARS_FAULT_SEED")),
     )
     .expect("growth converges");
     // Default telemetry is the no-op sink; run a workload and confirm
