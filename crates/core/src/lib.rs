@@ -57,7 +57,7 @@ pub use exact::ExactMatchNetwork;
 pub use multiattr::{MultiAttrNetwork, MultiRange};
 pub use network::{BatchTimings, NetworkStats, QueryOutcome, RangeSelectNetwork};
 pub use peer::Peer;
-pub use proto::{ProtoNetwork, ThreadedProtoNetwork};
+pub use proto::ProtoNetwork;
 pub use recall::{recall_curve, similarity_histogram, RECALL_THRESHOLDS};
 pub use resilient::{
     BreakerConfig, BreakerState, CircuitBreaker, FailureDetector, HedgePolicy, ResilienceStats,

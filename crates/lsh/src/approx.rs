@@ -7,7 +7,7 @@
 //! some cost in min-wise independence quality — exactly the trade-off the
 //! paper's Figs. 5–8 evaluate.
 
-use crate::grp::{grp_one, random_balanced_key, BitPerm};
+use crate::grp::{grp_one, random_balanced_key};
 use crate::range::RangeSet;
 use crate::rangeaware::RangeAwareBitPerm;
 use ars_common::DetRng;
@@ -61,11 +61,6 @@ impl ApproxMinWisePerm {
         assert!(!q.is_empty(), "min-hash of an empty range set");
         q.iter().map(|v| self.permute(v)).min().unwrap()
     }
-
-    /// Compile into a table-driven [`BitPerm`] (identical outputs).
-    pub fn compile(&self) -> BitPerm {
-        BitPerm::compile(|x| self.permute(x))
-    }
 }
 
 #[cfg(test)]
@@ -73,17 +68,6 @@ mod tests {
     use super::*;
     use crate::minwise::MinWisePerm;
     use proptest::prelude::*;
-
-    #[test]
-    fn compiled_matches_naive() {
-        let mut rng = DetRng::new(31);
-        let p = ApproxMinWisePerm::random(&mut rng);
-        let c = p.compile();
-        for _ in 0..1000 {
-            let x = rng.next_u32();
-            assert_eq!(c.permute(x), p.permute(x));
-        }
-    }
 
     #[test]
     fn key_is_balanced() {

@@ -18,12 +18,10 @@ pub enum LshFamilyKind {
     MinWise,
     /// First iteration only (single 32-bit key).
     ApproxMinWise,
-    /// `π(x) = a·x + b mod p` evaluated by enumeration (as the paper times it).
+    /// `π(x) = a·x + b mod p`; `min_hash` is the closed-form `O(log p)`
+    /// interval minimum (our extension, DESIGN.md §6.2), value-identical
+    /// to the enumeration the paper times.
     Linear,
-    /// `π(x) = a·x + b mod p` with the closed-form `O(log p)` interval
-    /// minimum — our extension (DESIGN.md §6.2); hash values are identical
-    /// to [`LshFamilyKind::Linear`].
-    LinearClosedForm,
     /// `π(x) = a·x + b mod p` with `p = 1009`, a permutation of the §5.1
     /// *attribute domain* rather than the 32-bit space. Identifiers then
     /// occupy ~10 bits, so dissimilar ranges frequently share buckets —
@@ -33,8 +31,7 @@ pub enum LshFamilyKind {
 }
 
 impl LshFamilyKind {
-    /// All paper families (excludes our closed-form variant, which is
-    /// value-identical to `Linear`).
+    /// The paper's three families.
     pub const PAPER_FAMILIES: [LshFamilyKind; 3] = [
         LshFamilyKind::MinWise,
         LshFamilyKind::ApproxMinWise,
@@ -47,7 +44,6 @@ impl LshFamilyKind {
             LshFamilyKind::MinWise => "min-wise independent",
             LshFamilyKind::ApproxMinWise => "approx. min-wise independent",
             LshFamilyKind::Linear => "linear",
-            LshFamilyKind::LinearClosedForm => "linear (closed form)",
             LshFamilyKind::LinearDomain => "linear (domain modulus)",
         }
     }
@@ -66,10 +62,8 @@ pub enum LshFunction {
     MinWise(MinWisePerm),
     /// Approximate (one-iteration) permutation.
     Approx(ApproxMinWisePerm),
-    /// Linear permutation, enumerated evaluation.
+    /// Linear permutation of the 32-bit space.
     Linear(LinearPerm),
-    /// Linear permutation, closed-form evaluation.
-    LinearClosedForm(LinearPerm),
     /// Linear permutation of the small attribute domain.
     LinearDomain(LinearPerm),
 }
@@ -81,9 +75,6 @@ impl LshFunction {
             LshFamilyKind::MinWise => LshFunction::MinWise(MinWisePerm::random(rng)),
             LshFamilyKind::ApproxMinWise => LshFunction::Approx(ApproxMinWisePerm::random(rng)),
             LshFamilyKind::Linear => LshFunction::Linear(LinearPerm::random(rng)),
-            LshFamilyKind::LinearClosedForm => {
-                LshFunction::LinearClosedForm(LinearPerm::random(rng))
-            }
             LshFamilyKind::LinearDomain => LshFunction::LinearDomain(
                 LinearPerm::random_with_modulus(rng, crate::linear::DOMAIN_MODULUS),
             ),
@@ -96,7 +87,6 @@ impl LshFunction {
             LshFunction::MinWise(_) => LshFamilyKind::MinWise,
             LshFunction::Approx(_) => LshFamilyKind::ApproxMinWise,
             LshFunction::Linear(_) => LshFamilyKind::Linear,
-            LshFunction::LinearClosedForm(_) => LshFamilyKind::LinearClosedForm,
             LshFunction::LinearDomain(_) => LshFamilyKind::LinearDomain,
         }
     }
@@ -112,9 +102,7 @@ impl LshFunction {
         match self {
             LshFunction::MinWise(p) => p.min_hash(q),
             LshFunction::Approx(p) => p.min_hash(q),
-            LshFunction::Linear(p)
-            | LshFunction::LinearClosedForm(p)
-            | LshFunction::LinearDomain(p) => p.min_hash(q),
+            LshFunction::Linear(p) | LshFunction::LinearDomain(p) => p.min_hash(q),
         }
     }
 
@@ -125,9 +113,7 @@ impl LshFunction {
         match self {
             LshFunction::MinWise(p) => p.min_hash_enumerate(q),
             LshFunction::Approx(p) => p.min_hash_enumerate(q),
-            LshFunction::Linear(p)
-            | LshFunction::LinearClosedForm(p)
-            | LshFunction::LinearDomain(p) => p.min_hash_enumerate(q),
+            LshFunction::Linear(p) | LshFunction::LinearDomain(p) => p.min_hash_enumerate(q),
         }
     }
 
@@ -137,9 +123,7 @@ impl LshFunction {
         match self {
             LshFunction::MinWise(p) => p.permute(x),
             LshFunction::Approx(p) => p.permute(x),
-            LshFunction::Linear(p)
-            | LshFunction::LinearClosedForm(p)
-            | LshFunction::LinearDomain(p) => p.permute(x),
+            LshFunction::Linear(p) | LshFunction::LinearDomain(p) => p.permute(x),
         }
     }
 
@@ -154,16 +138,16 @@ impl LshFunction {
             LshFunction::Approx(p) => {
                 CompiledLshFunction::Bit(RangeAwareBitPerm::compile(|x| p.permute(x)))
             }
-            LshFunction::Linear(p)
-            | LshFunction::LinearClosedForm(p)
-            | LshFunction::LinearDomain(p) => CompiledLshFunction::Linear(*p),
+            LshFunction::Linear(p) | LshFunction::LinearDomain(p) => {
+                CompiledLshFunction::Linear(*p)
+            }
         }
     }
 }
 
 /// An evaluation-optimized LSH function (see [`LshFunction::compile`]).
 /// Hash values are bit-identical to the source function's; only the cost
-/// changes. The `hash_ablation` bench quantifies the difference.
+/// changes.
 #[derive(Debug, Clone)]
 pub enum CompiledLshFunction {
     /// Fixed bit permutation (min-wise / approx families): its 32 bit
@@ -196,24 +180,10 @@ mod tests {
             LshFamilyKind::MinWise,
             LshFamilyKind::ApproxMinWise,
             LshFamilyKind::Linear,
-            LshFamilyKind::LinearClosedForm,
             LshFamilyKind::LinearDomain,
         ] {
             let f = LshFunction::random(kind, &mut rng);
             assert_eq!(f.kind(), kind);
-        }
-    }
-
-    #[test]
-    fn linear_and_closed_form_hash_identically() {
-        // Same RNG seed → same coefficients → identical hash values.
-        let mut r1 = DetRng::new(9);
-        let mut r2 = DetRng::new(9);
-        let f_enum = LshFunction::random(LshFamilyKind::Linear, &mut r1);
-        let f_cf = LshFunction::random(LshFamilyKind::LinearClosedForm, &mut r2);
-        for (lo, hi) in [(0u32, 10u32), (30, 50), (100, 1500), (999, 999)] {
-            let q = RangeSet::interval(lo, hi);
-            assert_eq!(f_enum.min_hash(&q), f_cf.min_hash(&q));
         }
     }
 
@@ -235,13 +205,12 @@ mod tests {
             LshFamilyKind::MinWise,
             LshFamilyKind::ApproxMinWise,
             LshFamilyKind::Linear,
-            LshFamilyKind::LinearClosedForm,
             LshFamilyKind::LinearDomain,
         ]
         .iter()
         .map(|k| k.name())
         .collect();
-        assert_eq!(names.len(), 5);
+        assert_eq!(names.len(), 4);
     }
 
     #[test]

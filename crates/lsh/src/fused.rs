@@ -199,7 +199,6 @@ mod tests {
             LshFamilyKind::MinWise,
             LshFamilyKind::ApproxMinWise,
             LshFamilyKind::Linear,
-            LshFamilyKind::LinearClosedForm,
             LshFamilyKind::LinearDomain,
         ] {
             let group = compiled_group(kind, 8, 11);

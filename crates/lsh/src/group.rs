@@ -8,7 +8,7 @@
 //! with probability `1 − (1 − pᵏ)ˡ`. With the paper's `k = 20`, `l = 5`
 //! that curve approximates a step at similarity ≈ 0.9.
 
-use crate::family::{CompiledLshFunction, LshFamilyKind, LshFunction};
+use crate::family::{LshFamilyKind, LshFunction};
 use crate::fused::CompiledGroup;
 use crate::range::RangeSet;
 use ars_common::DetRng;
@@ -18,12 +18,8 @@ use ars_common::DetRng;
 pub struct HashGroups {
     kind: LshFamilyKind,
     groups: Vec<Vec<LshFunction>>,
-    /// Value-identical fast evaluators — kept for the per-function
-    /// ablation path ([`HashGroups::identifiers_per_function`]).
-    compiled: Vec<Vec<CompiledLshFunction>>,
     /// Fused structure-of-arrays evaluators, used by
-    /// [`HashGroups::identifiers`] (the reference path remains available
-    /// for the ablation bench).
+    /// [`HashGroups::identifiers`]; value-identical to `groups`.
     fused: Vec<CompiledGroup>,
 }
 
@@ -39,15 +35,13 @@ impl HashGroups {
         let groups: Vec<Vec<LshFunction>> = (0..l)
             .map(|_| (0..k).map(|_| LshFunction::random(kind, rng)).collect())
             .collect();
-        let compiled: Vec<Vec<CompiledLshFunction>> = groups
+        let fused = groups
             .iter()
-            .map(|g| g.iter().map(LshFunction::compile).collect())
+            .map(|g| CompiledGroup::new(&g.iter().map(LshFunction::compile).collect::<Vec<_>>()))
             .collect();
-        let fused = compiled.iter().map(|g| CompiledGroup::new(g)).collect();
         HashGroups {
             kind,
             groups,
-            compiled,
             fused,
         }
     }
@@ -97,20 +91,9 @@ impl HashGroups {
         }
     }
 
-    /// Identifier computation through the per-function compiled loop —
-    /// the pre-fusion fast path, kept as the ablation baseline the
-    /// throughput bench compares against. Values identical to
-    /// [`HashGroups::identifiers`].
-    pub fn identifiers_per_function(&self, q: &RangeSet) -> Vec<u32> {
-        self.compiled
-            .iter()
-            .map(|g| g.iter().fold(0u32, |acc, h| acc ^ h.min_hash(q)))
-            .collect()
-    }
-
     /// Reference identifier computation by full enumeration — the
-    /// evaluation the paper's Fig. 5 times. Used by the ablation bench and
-    /// as the oracle the fast paths are tested against.
+    /// evaluation the paper's Fig. 5 times, and the oracle the fused path
+    /// is tested against.
     pub fn identifiers_reference(&self, q: &RangeSet) -> Vec<u32> {
         self.groups
             .iter()
@@ -127,12 +110,12 @@ impl HashGroups {
         self.fused[i].identifier(q)
     }
 
-    /// Access the raw functions (used by ablation benches).
+    /// Access the raw functions.
     pub fn groups(&self) -> &[Vec<LshFunction>] {
         &self.groups
     }
 
-    /// Access the fused group evaluators (used by ablation benches).
+    /// Access the fused group evaluators.
     pub fn fused_groups(&self) -> &[CompiledGroup] {
         &self.fused
     }
@@ -239,11 +222,12 @@ mod tests {
                 RangeSet::interval(0, 100_000), // wide: kernel fallback
                 RangeSet::from_intervals([(0, 90), (250, 270), (5_000, 9_000)]),
             ] {
-                assert_eq!(
-                    g.identifiers(&q),
-                    g.identifiers_per_function(&q),
-                    "kind {kind} query {q}"
-                );
+                let per_function: Vec<u32> = g
+                    .groups()
+                    .iter()
+                    .map(|fns| fns.iter().fold(0, |acc, f| acc ^ f.compile().min_hash(&q)))
+                    .collect();
+                assert_eq!(g.identifiers(&q), per_function, "kind {kind} query {q}");
             }
         }
     }

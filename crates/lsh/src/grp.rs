@@ -106,69 +106,6 @@ pub fn replicate_key(sub_key: u32, block_bits: u32) -> u32 {
     out
 }
 
-/// A compiled fixed bit-position permutation of 32-bit values.
-///
-/// Every GRP network (any number of levels, any keys) moves bits to fixed
-/// positions, so the whole network can be evaluated as four byte-indexed
-/// table lookups instead of per-bit loops — a large constant-factor win
-/// the hashing ablation bench quantifies. Built from any linear-over-XOR
-/// bit permutation via [`BitPerm::compile`].
-#[derive(Clone)]
-pub struct BitPerm {
-    /// `tables[i][b]` = image of byte `b` placed at byte position `i`.
-    tables: Box<[[u32; 256]; 4]>,
-}
-
-impl std::fmt::Debug for BitPerm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BitPerm").finish_non_exhaustive()
-    }
-}
-
-impl BitPerm {
-    /// Compile a bit-position permutation given as a closure. The closure
-    /// must satisfy `f(x ^ y) == f(x) ^ f(y)` and map single-bit values to
-    /// single-bit values (true for any GRP network); this is checked.
-    ///
-    /// # Panics
-    /// Panics if `f` is not a bit-position permutation.
-    pub fn compile(f: impl Fn(u32) -> u32) -> BitPerm {
-        // Images of the 32 unit bits.
-        let mut bit_image = [0u32; 32];
-        let mut seen: u32 = 0;
-        for (i, img) in bit_image.iter_mut().enumerate() {
-            let y = f(1u32 << i);
-            assert_eq!(y.count_ones(), 1, "f does not permute bit positions");
-            assert_eq!(seen & y, 0, "f maps two bits to the same position");
-            seen |= y;
-            *img = y;
-        }
-        assert_eq!(f(0), 0, "f(0) must be 0 for a bit permutation");
-        let mut tables = Box::new([[0u32; 256]; 4]);
-        for byte_pos in 0..4 {
-            for b in 0..256u32 {
-                let mut out = 0;
-                for bit in 0..8 {
-                    if (b >> bit) & 1 == 1 {
-                        out |= bit_image[byte_pos * 8 + bit];
-                    }
-                }
-                tables[byte_pos][b as usize] = out;
-            }
-        }
-        BitPerm { tables }
-    }
-
-    /// Apply the permutation: four table lookups.
-    #[inline]
-    pub fn permute(&self, x: u32) -> u32 {
-        self.tables[0][(x & 0xFF) as usize]
-            | self.tables[1][((x >> 8) & 0xFF) as usize]
-            | self.tables[2][((x >> 16) & 0xFF) as usize]
-            | self.tables[3][(x >> 24) as usize]
-    }
-}
-
 /// Draw a balanced `b`-bit key: exactly `b/2` bits set, uniformly at random.
 pub fn random_balanced_key(rng: &mut DetRng, b: u32) -> u32 {
     debug_assert!((2..=32).contains(&b) && b.is_multiple_of(2));

@@ -8,7 +8,7 @@
 //! integers (32 bits + 16+8+4+2 = 30 bits); [`MinWisePerm::compact_keys`]
 //! exposes that representation.
 
-use crate::grp::{grp_blocks, random_balanced_key, replicate_key, BitPerm};
+use crate::grp::{grp_blocks, random_balanced_key, replicate_key};
 use crate::range::RangeSet;
 use crate::rangeaware::RangeAwareBitPerm;
 use ars_common::DetRng;
@@ -104,13 +104,6 @@ impl MinWisePerm {
         assert!(!q.is_empty(), "min-hash of an empty range set");
         q.iter().map(|v| self.permute(v)).min().unwrap()
     }
-
-    /// Compile the whole 5-level network into a table-driven
-    /// [`BitPerm`] (identical outputs, ≈200× faster — see the
-    /// `hash_ablation` bench).
-    pub fn compile(&self) -> BitPerm {
-        BitPerm::compile(|x| self.permute(x))
-    }
 }
 
 #[cfg(test)]
@@ -121,20 +114,6 @@ mod tests {
     fn perm(seed: u64) -> MinWisePerm {
         let mut rng = DetRng::new(seed);
         MinWisePerm::random(&mut rng)
-    }
-
-    #[test]
-    fn compiled_matches_naive() {
-        let p = perm(21);
-        let c = p.compile();
-        for x in [0u32, 1, 2, 0xFFFF_FFFF, 0x1234_5678, 999, 1 << 31] {
-            assert_eq!(c.permute(x), p.permute(x));
-        }
-        let mut rng = DetRng::new(5);
-        for _ in 0..1000 {
-            let x = rng.next_u32();
-            assert_eq!(c.permute(x), p.permute(x));
-        }
     }
 
     #[test]

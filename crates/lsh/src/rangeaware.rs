@@ -55,8 +55,7 @@ pub struct RangeAwareBitPerm {
 impl RangeAwareBitPerm {
     /// Compile a single function from a closure that must be a
     /// bit-position permutation: `f(x ^ y) == f(x) ^ f(y)` and unit bits
-    /// map to unit bits (true for any GRP network). Checked like
-    /// [`crate::grp::BitPerm::compile`].
+    /// map to unit bits (true for any GRP network); this is checked.
     ///
     /// # Panics
     /// Panics if `f` is not a bit-position permutation.

@@ -1,7 +1,7 @@
 //! Binary wire format for protocol messages.
 //!
-//! The threaded runtime moves typed values through channels, but a real
-//! deployment needs a concrete encoding. [`Wire`] defines one:
+//! The simulator moves typed values between nodes, but a real deployment
+//! needs a concrete encoding. [`Wire`] defines one:
 //! length-prefixed frames (u32 big-endian length, then the payload), with
 //! primitive helpers over `bytes::{Buf, BufMut}` that protocol crates use
 //! to implement [`Wire`] for their message enums. Round-trip property

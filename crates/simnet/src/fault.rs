@@ -1,13 +1,12 @@
-//! Deterministic fault injection for both network runtimes.
+//! Deterministic fault injection for the message simulator.
 //!
 //! A [`FaultPlan`] describes how a run's transport misbehaves — message
 //! drop, duplication, and extra delay (globally or per link), plus node
 //! crash and pause windows — and a [`FaultInjector`] executes the plan
 //! from a seeded [`DetRng`], so every fault a run experiences is a pure
-//! function of `(plan, seed)`. The same injector drives the discrete-event
-//! simulator ([`crate::sim::SimNet::set_faults`]) and the threaded runtime
-//! ([`crate::threaded::ThreadedNet::spawn_with_faults`]); experiments and
-//! the resilience test-suite replay identical fault schedules on either.
+//! function of `(plan, seed)`. The injector drives the discrete-event
+//! simulator ([`crate::sim::SimNet::set_faults`]); experiments and the
+//! resilience test-suite replay a fault schedule from its seed.
 //!
 //! Semantics, decided at *send* time (deterministic, independent of
 //! delivery interleaving):
@@ -452,7 +451,7 @@ impl FaultInjector {
     }
 
     /// Record a delivery whose latency was inflated by a slow window (the
-    /// runtimes call this once per delivered copy they scaled).
+    /// simulator calls this once per delivered copy it scaled).
     pub fn note_slowed(&mut self) {
         self.slowed += 1;
     }

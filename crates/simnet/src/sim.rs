@@ -84,17 +84,7 @@ pub struct NodeCtx<'a, M> {
     outbox: &'a mut Vec<(usize, M)>,
 }
 
-impl<'a, M> NodeCtx<'a, M> {
-    /// Internal constructor shared by the simulator and the threaded
-    /// runtime.
-    pub(crate) fn for_runtime(
-        me: usize,
-        now: SimTime,
-        outbox: &'a mut Vec<(usize, M)>,
-    ) -> NodeCtx<'a, M> {
-        NodeCtx { me, now, outbox }
-    }
-
+impl<M> NodeCtx<'_, M> {
     /// Send `msg` to peer `to` (delivery is scheduled when the handler
     /// returns, with latency from the run's latency model).
     pub fn send(&mut self, to: usize, msg: M) {
@@ -141,17 +131,6 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
             Some(f) => f(msg),
             None => 0,
         }
-    }
-
-    /// Enable lossy transport: every message (injected or sent by a
-    /// handler) is independently dropped with probability `p`. Shorthand
-    /// for [`Self::set_faults`] with a drop-only plan.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn set_loss(&mut self, p: f64, seed: u64) {
-        assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        self.set_faults(FaultPlan::none().with_drop(p), seed);
     }
 
     /// Install a fault plan: every message (injected or sent by a handler)
@@ -280,10 +259,12 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
         self.stats.queued -= 1;
         self.stats.end_time = at;
         let mut outbox: Vec<(usize, M)> = Vec::new();
-        {
-            let mut ctx = NodeCtx::for_runtime(to, at, &mut outbox);
-            self.nodes[to].on_message(&mut ctx, from, msg);
-        }
+        let mut ctx = NodeCtx {
+            me: to,
+            now: at,
+            outbox: &mut outbox,
+        };
+        self.nodes[to].on_message(&mut ctx, from, msg);
         for (dest, m) in outbox {
             self.transmit(at, to, dest, m);
         }
@@ -424,7 +405,7 @@ mod tests {
     #[test]
     fn lossy_transport_drops_messages() {
         let mut net = relay_net(2);
-        net.set_loss(1.0, 1); // drop everything
+        net.set_faults(FaultPlan::none().with_drop(1.0), 1); // drop everything
         net.inject(0, 0, 5);
         assert_eq!(net.stats().dropped, 1);
         assert_eq!(net.stats().sent, 1, "a dropped attempt still counts");
@@ -436,7 +417,7 @@ mod tests {
     #[test]
     fn partial_loss_still_makes_progress() {
         let mut net = relay_net(2);
-        net.set_loss(0.3, 42);
+        net.set_faults(FaultPlan::none().with_drop(0.3), 42);
         for _ in 0..50 {
             net.inject(0, 0, 10);
         }
@@ -598,7 +579,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn loss_probability_validated() {
         let mut net = relay_net(1);
-        net.set_loss(1.5, 0);
+        net.set_faults(FaultPlan::none().with_drop(1.5), 0);
     }
 
     #[test]

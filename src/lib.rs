@@ -15,7 +15,7 @@
 //! | [`lsh`] | `ars-lsh` | range sets, min-wise / approx / linear permutations, `l × k` hash groups |
 //! | [`chord`] | `ars-chord` | identifier circle, static ring + lookup, dynamic join/leave/stabilize, SHA-1 |
 //! | [`relation`] | `ars-relation` | values, schemas, partitions, SQL parser, planner, executor |
-//! | [`simnet`] | `ars-simnet` | discrete-event simulator, threaded runtime, wire codec |
+//! | [`simnet`] | `ars-simnet` | discrete-event simulator, seeded fault injection, wire codec |
 //! | [`store`] | `ars-store` | durable bucket stores: CRC-framed op logs, checkpoints, crash-faulted simulated disks |
 //! | [`core`] | `ars-core` | the paper's system: buckets, peers, query protocol, padding, recall |
 //! | [`workload`] | `ars-workload` | §5.1 uniform trace, Zipf/clustered variants, size sweeps |
@@ -72,7 +72,7 @@ pub mod prelude {
         execute, parse_query, HorizontalPartition, LogicalPlan, Planner, Predicate, Relation,
         Schema, Value,
     };
-    pub use ars_simnet::{FaultInjector, FaultPlan, SimNet, ThreadedNet};
+    pub use ars_simnet::{FaultInjector, FaultPlan, SimNet};
     pub use ars_store::{BucketStore, SimDisk, StorageFaults, StoreConfig};
     pub use ars_telemetry::{MetricsSnapshot, SpanId, Telemetry, TelemetryEvent};
     pub use ars_workload::{clustered_trace, uniform_trace, zipf_trace, Trace};

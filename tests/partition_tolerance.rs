@@ -7,7 +7,7 @@
 //! 1. message accounting — a `PartitionWindow` severs cross-island sends
 //!    into the `partitioned` ledger column and the conservation identity
 //!    `sent == delivered + dropped + partitioned + queued` holds at every
-//!    step, in both the discrete-event and the threaded runtime;
+//!    step of the discrete-event run;
 //! 2. ring health — split-brain is visible through [`ars::chord`]'s ring
 //!    probe exactly while a partition is in force, lookups stay
 //!    island-local during the window, and healing restores global
@@ -30,7 +30,6 @@ use ars::common::env_seed;
 use ars::prelude::*;
 use ars::simnet::{ConstantLatency, Node, NodeCtx};
 use proptest::prelude::*;
-use std::time::Duration;
 
 /// Grow a converged dynamic ring of `n` nodes (same idiom as the
 /// fault-injection suite).
@@ -159,37 +158,6 @@ fn sim_ledger_conserved_through_partition_window() {
     );
     assert!(s.delivered > 0, "same-island relaying continues throughout");
     assert_eq!(s.sent, s.delivered + s.dropped + s.partitioned);
-}
-
-#[test]
-fn threaded_partition_severs_cross_island_relays() {
-    let n = 8;
-    let nodes: Vec<Box<dyn Node<u32> + Send>> = (0..n)
-        .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32> + Send>)
-        .collect();
-    // Window open for the whole run: every relay chain dies at its first
-    // island boundary, so quiescence is guaranteed and `partitioned`
-    // accounts for every severed hop.
-    let plan =
-        FaultPlan::none().with_partition(vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]], 0, u64::MAX);
-    let net = ThreadedNet::spawn_with_faults(nodes, plan, env_seed("ARS_FAULT_SEED"));
-    for i in 0..n {
-        net.inject(0, i, 25);
-    }
-    assert!(
-        net.await_quiescence(Duration::from_secs(10)),
-        "the partition must terminate the relay chains, not hang them"
-    );
-    assert_eq!(
-        net.sent(),
-        net.delivered() + net.dropped() + net.partitioned()
-    );
-    assert!(
-        net.partitioned() > 0,
-        "chains starting at island 0 hit the cut"
-    );
-    assert_eq!(net.dropped(), 0, "no drop rate configured");
-    net.shutdown();
 }
 
 // ---------------------------------------------------------------------

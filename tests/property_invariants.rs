@@ -523,6 +523,16 @@ proptest! {
     }
 }
 
+/// The loop the fused group kernels replaced: each group's XOR of its
+/// functions' compiled min-hashes, one function at a time.
+fn per_function(groups: &HashGroups, q: &RangeSet) -> Vec<u32> {
+    groups
+        .groups()
+        .iter()
+        .map(|fns| fns.iter().fold(0, |acc, f| acc ^ f.compile().min_hash(q)))
+        .collect()
+}
+
 /// `HashGroups::identifiers` for seed 2003, k = 20, l = 5, frozen at the
 /// commit before the dominance-candidate kernel replaced the segment walk
 /// and the greedy descent (PR 12): identifiers are what peers store
@@ -583,12 +593,12 @@ fn identifiers_match_the_table_frozen_before_the_kernel_change() {
         let groups = HashGroups::generate(kind, 20, 5, &mut rng);
         for (q, expect) in sets.iter().zip(table) {
             assert_eq!(groups.identifiers(q), expect, "{kind} on {q}");
-            assert_eq!(groups.identifiers_per_function(q), expect, "{kind} on {q}");
+            assert_eq!(per_function(&groups, q), expect, "{kind} on {q}");
         }
     }
 }
 
-/// Fused, per-function and enumerated identifiers agree for all five
+/// Fused, per-function and enumerated identifiers agree for all four
 /// families on the fused kernel's own query list (`ars-lsh`'s
 /// `fused::tests::queries`, which tier-1 does not run).
 #[test]
@@ -609,7 +619,6 @@ fn fused_per_function_and_reference_agree_for_all_families() {
         LshFamilyKind::MinWise,
         LshFamilyKind::ApproxMinWise,
         LshFamilyKind::Linear,
-        LshFamilyKind::LinearClosedForm,
         LshFamilyKind::LinearDomain,
     ] {
         let mut rng = DetRng::new(11);
@@ -618,7 +627,7 @@ fn fused_per_function_and_reference_agree_for_all_families() {
             let reference = groups.identifiers_reference(q);
             assert_eq!(groups.identifiers(q), reference, "fused {kind} on {q}");
             assert_eq!(
-                groups.identifiers_per_function(q),
+                per_function(&groups, q),
                 reference,
                 "per-function {kind} on {q}"
             );
@@ -946,7 +955,7 @@ proptest! {
                 payload: Payload::FindMatch { request: 42, origin: 3, range: range.clone() },
             },
             ProtoMsg::MatchReply { request: 42, identifier: 5, hops: 2, best: Some((range, 0.75)) },
-            ProtoMsg::StoreAck { request: 9 },
+            ProtoMsg::StoreAck { request: 9, stored: true },
         ];
         let mut bytes = frame(&valid[base]).to_vec();
         for pair in raw.chunks_exact(2) {

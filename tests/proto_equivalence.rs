@@ -2,15 +2,13 @@
 //! agree, query for query, with the direct-call simulation — same seeds,
 //! same ring, same hash groups, same matches, same recall.
 
+use ars::common::env_seed;
 use ars::prelude::*;
 
-#[test]
-fn direct_and_message_renditions_agree() {
-    let config = SystemConfig::default().with_seed(424242);
-    let mut direct = RangeSelectNetwork::new(40, config.clone());
-    let mut proto = ProtoNetwork::new(40, config);
-
-    let trace = uniform_trace(400, 0, 1000, 7);
+/// Run `trace` through both renditions, holding every outcome field they
+/// both track equal (the message rendition does not count
+/// `peers_contacted`).
+fn assert_agree(direct: &mut RangeSelectNetwork, proto: &mut ProtoNetwork, trace: &Trace) {
     for q in trace.queries() {
         let a = direct.query(q);
         let b = proto.query(q);
@@ -21,23 +19,63 @@ fn direct_and_message_renditions_agree() {
         assert_eq!(a.identifiers, b.identifiers, "identifiers diverged for {q}");
         // Hop counts agree too: same origins (same RNG stream), same ring.
         assert_eq!(a.hops, b.hops, "hops diverged for {q}");
+        assert_eq!(a.stored, b.stored, "stored diverged for {q}");
     }
 }
 
 #[test]
+fn direct_and_message_renditions_agree() {
+    let config = SystemConfig::default().with_seed(424242);
+    let mut direct = RangeSelectNetwork::new(40, config.clone());
+    let mut proto = ProtoNetwork::new(40, config);
+    assert_agree(&mut direct, &mut proto, &uniform_trace(400, 0, 1000, 7));
+}
+
+#[test]
 fn renditions_agree_under_containment_and_padding() {
-    let config = SystemConfig::default()
-        .with_matching(MatchMeasure::Containment)
-        .with_padding(0.2)
-        .with_seed(777);
-    let mut direct = RangeSelectNetwork::new(25, config.clone());
-    let mut proto = ProtoNetwork::new(25, config);
-    let trace = uniform_trace(200, 0, 1000, 9);
-    for q in trace.queries() {
-        let a = direct.query(q);
-        let b = proto.query(q);
-        assert_eq!(a.best_match, b.best_match);
-        assert_eq!(a.recall, b.recall);
+    let config = SystemConfig::default().with_matching(MatchMeasure::Containment);
+    let padded = config.clone().with_padding(0.2).with_seed(777);
+    // Second case: a cached superset scores 1.0 and outranks the cached
+    // copy of the query itself — not exact, yet no peer stores anything
+    // new, so `stored` must come from the peers' acks, not from having sent.
+    for (n_peers, config, trace) in [
+        (25, padded, uniform_trace(200, 0, 1000, 9)),
+        (
+            8,
+            config.with_seed(1000),
+            zipf_trace(600, 0, 1000, 16, 1.0, 200, 0),
+        ),
+    ] {
+        let mut direct = RangeSelectNetwork::new(n_peers, config.clone());
+        let mut proto = ProtoNetwork::new(n_peers, config);
+        assert_agree(&mut direct, &mut proto, &trace);
+    }
+}
+
+/// Delivery order is not part of the protocol: extra delay on half the
+/// messages lets replies and acks overtake one another, and no outcome
+/// moves, because the querying peer orders what it collected by request
+/// id. The schedule replays from `ARS_FAULT_SEED`.
+#[test]
+fn delivery_order_does_not_change_outcomes() {
+    let seed = env_seed("ARS_FAULT_SEED");
+    let trace = uniform_trace(300, 0, 1000, seed);
+    for local_index in [false, true] {
+        let config = SystemConfig::default()
+            .with_local_index(local_index)
+            .with_seed(31337 + seed);
+        let mut direct = RangeSelectNetwork::new(16, config.clone());
+        let mut calm = ProtoNetwork::new(16, config.clone());
+        let delays = FaultPlan::none().with_delay(0.5, 0, 500);
+        let mut delayed = ProtoNetwork::new_faulty(16, config, delays, seed);
+        assert_agree(&mut direct, &mut delayed, &trace);
+        for q in trace.queries() {
+            calm.query(q);
+        }
+        let (calm, delayed) = (calm.sim_stats(), delayed.sim_stats());
+        assert_eq!(delayed.dropped + delayed.partitioned, 0, "nothing lost");
+        assert_eq!(delayed.delivered, calm.delivered, "same messages");
+        assert!(delayed.end_time > calm.end_time, "the plan never delayed");
     }
 }
 

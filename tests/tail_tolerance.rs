@@ -7,8 +7,7 @@
 //! 1. message accounting — a `SlowWindow` multiplies latency without
 //!    losing anything: the conservation identity
 //!    `sent == delivered + dropped + partitioned + queued` holds with the
-//!    `slowed` column counted *outside* it, in both the discrete-event
-//!    and the threaded runtime;
+//!    `slowed` column counted *outside* it;
 //! 2. pure observation — with hedging and breakers enabled but **zero**
 //!    gray faults, query outcomes, the inventory, and the resilience
 //!    ledger are bit-identical to a run with the machinery disabled,
@@ -32,7 +31,6 @@ use ars::core::resilient::{BASE_SERVICE, HOP_COST};
 use ars::prelude::*;
 use ars::simnet::{ConstantLatency, Node, NodeCtx, SimNet};
 use proptest::prelude::*;
-use std::time::Duration;
 
 /// Distinct well-spread query ranges for cache warm/measure phases.
 fn trace(n: usize) -> Vec<RangeSet> {
@@ -99,29 +97,6 @@ fn sim_slow_window_delays_but_conserves() {
         stats.slowed < stats.delivered,
         "slowed is a subset of delivered, not a ledger column"
     );
-}
-
-#[test]
-fn threaded_slow_window_delays_but_conserves() {
-    let n = 8;
-    let nodes: Vec<Box<dyn Node<u32> + Send>> = (0..n)
-        .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32> + Send>)
-        .collect();
-    let net = ThreadedNet::spawn_with_faults(
-        nodes,
-        FaultPlan::none().with_slow(vec![1], 4, 0, u64::MAX),
-        env_seed("ARS_FAULT_SEED"),
-    );
-    for i in 0..n {
-        net.inject(0, i, 20);
-    }
-    assert!(
-        net.await_quiescence(Duration::from_secs(10)),
-        "slowdown must delay the relay chains, not hang them"
-    );
-    assert_eq!(net.dropped(), 0, "gray failure loses nothing");
-    assert_eq!(net.sent(), net.delivered(), "every send arrives");
-    assert!(net.slowed() > 0, "traffic through node 1 must be slowed");
 }
 
 // ---------------------------------------------------------------------
