@@ -10,7 +10,7 @@
 use crate::id::{Id, ID_BITS};
 use ars_common::FxHashMap;
 use ars_telemetry::Telemetry;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Errors surfaced by the dynamic protocol.
@@ -205,6 +205,34 @@ impl RouteCache {
     }
 }
 
+/// The one read of a node's routing pointers both lookups share: feed
+/// `visit` every pointer of `state` — fingers low to high, then the
+/// successor list — that lies strictly inside `(current, key)`, i.e. makes
+/// progress toward `key` without passing it. Geometry is tested before the
+/// caller spends a liveness probe, and a pointer equal to the one read just
+/// before it is skipped (on a small ring most low fingers are the immediate
+/// successor repeated), which changes neither a maximum nor a de-duplicated
+/// list. Returns the number of pointers read, skipped or not — the
+/// `chord.finger_touches` cost model counts table reads.
+fn preceding_pointers(state: &NodeState, current: Id, key: Id, mut visit: impl FnMut(Id)) -> usize {
+    let mut read = 0usize;
+    let mut previous = None;
+    for f in state
+        .fingers
+        .iter()
+        .flatten()
+        .chain(&state.successors)
+        .copied()
+    {
+        read += 1;
+        if previous != Some(f) && f.in_open(current, key) {
+            visit(f);
+        }
+        previous = Some(f);
+    }
+    read
+}
+
 /// A snapshot of every alive node's *believed* ownership claim, probed
 /// from the nodes' local predecessor pointers — the split-brain detector.
 ///
@@ -258,7 +286,7 @@ pub struct DynamicNetwork {
     nodes: FxHashMap<u32, NodeState>,
     /// Alive ids, sorted — the ground truth used for assertions and for
     /// efficient true-successor queries. Maintained on join/leave.
-    alive: BTreeSet<u32>,
+    alive: Vec<Id>,
     /// Installed partition: node id → island index. `None` = connected.
     /// Nodes absent from the map belong to island 0.
     islands: Option<FxHashMap<u32, usize>>,
@@ -282,11 +310,9 @@ impl DynamicNetwork {
         n.predecessor = Some(first);
         let mut nodes = FxHashMap::default();
         nodes.insert(first.0, n);
-        let mut alive = BTreeSet::new();
-        alive.insert(first.0);
         DynamicNetwork {
             nodes,
-            alive,
+            alive: vec![first],
             islands: None,
             succ_list_len,
             route_cache: RouteCache::default(),
@@ -339,7 +365,22 @@ impl DynamicNetwork {
 
     /// Sorted alive node ids.
     pub fn node_ids(&self) -> Vec<Id> {
-        self.alive.iter().map(|&v| Id(v)).collect()
+        self.alive.clone()
+    }
+
+    /// Sorted alive node ids, borrowed — for callers that index or search
+    /// the membership (a random origin, a ring neighbourhood) without
+    /// needing a copy of it.
+    pub fn alive_ids(&self) -> &[Id] {
+        &self.alive
+    }
+
+    /// Every alive node once, clockwise from the first at or after `key`.
+    fn clockwise_from(&self, key: Id) -> impl Iterator<Item = Id> + '_ {
+        let (before, from) = self
+            .alive
+            .split_at(self.alive.partition_point(|&v| v < key));
+        from.iter().chain(before).copied()
     }
 
     /// A fully converged static [`crate::Ring`] over the current alive
@@ -356,10 +397,7 @@ impl DynamicNetwork {
 
     /// True ground-truth owner of `key` given the current alive set.
     pub fn true_owner(&self, key: Id) -> Id {
-        match self.alive.range(key.0..).next() {
-            Some(&v) => Id(v),
-            None => Id(*self.alive.iter().next().expect("network is empty")),
-        }
+        self.clockwise_from(key).next().expect("network is empty")
     }
 
     /// Ground-truth first `count` alive nodes clockwise from `key` (the
@@ -367,13 +405,7 @@ impl DynamicNetwork {
     /// network is smaller than `count`. This is the replica placement used
     /// by the application layer's successor replication.
     pub fn true_successors(&self, key: Id, count: usize) -> Vec<Id> {
-        let n = count.min(self.alive.len());
-        self.alive
-            .range(key.0..)
-            .chain(self.alive.iter())
-            .take(n)
-            .map(|&v| Id(v))
-            .collect()
+        self.clockwise_from(key).take(count).collect()
     }
 
     /// Split the network into islands: `groups[i]` becomes island `i`;
@@ -451,12 +483,10 @@ impl DynamicNetwork {
         if !was_partitioned {
             return 0;
         }
-        let ids: Vec<u32> = self.alive.iter().copied().collect();
         let mut rejoined = 0usize;
-        for v in ids {
-            let id = Id(v);
+        for id in self.alive.clone() {
             let truth = self.true_owner(id.plus(1));
-            let state = self.nodes.get_mut(&v).expect("alive node has state");
+            let state = self.nodes.get_mut(&id.0).expect("alive node has state");
             let believed = state.successors.first().copied();
             if believed != Some(truth) && truth != id {
                 state.successors.retain(|&s| s != truth);
@@ -474,7 +504,7 @@ impl DynamicNetwork {
     /// split, islands claim keys across the boundary and
     /// [`RingView::is_split_brain`] fires.
     pub fn ring_view(&self) -> RingView {
-        let ids = self.node_ids();
+        let ids = &self.alive;
         let claims = ids
             .iter()
             .map(|&key| {
@@ -501,11 +531,7 @@ impl DynamicNetwork {
     /// owner `observer` can actually reach. Equals [`Self::true_owner`]
     /// while the network is connected.
     pub fn island_owner(&self, observer: Id, key: Id) -> Id {
-        self.alive
-            .range(key.0..)
-            .chain(self.alive.range(..key.0))
-            .copied()
-            .map(Id)
+        self.clockwise_from(key)
             .find(|&v| self.reachable(observer, v))
             .unwrap_or(observer)
     }
@@ -514,18 +540,9 @@ impl DynamicNetwork {
     /// `observer`'s island (the replica owners `observer` can reach).
     /// Equals [`Self::true_successors`] while the network is connected.
     pub fn island_successors(&self, observer: Id, key: Id, count: usize) -> Vec<Id> {
-        let island_len = self
-            .alive
-            .iter()
-            .filter(|&&v| self.reachable(observer, Id(v)))
-            .count();
-        self.alive
-            .range(key.0..)
-            .chain(self.alive.range(..key.0))
-            .copied()
-            .map(Id)
+        self.clockwise_from(key)
             .filter(|&v| self.reachable(observer, v))
-            .take(count.min(island_len))
+            .take(count)
             .collect()
     }
 
@@ -534,7 +551,16 @@ impl DynamicNetwork {
     }
 
     fn is_alive(&self, id: Id) -> bool {
-        self.alive.contains(&id.0)
+        self.alive.binary_search(&id).is_ok()
+    }
+
+    /// Drop `id` from the alive set and forget its protocol state (its
+    /// island entry stays until the caller is done asking who it reached).
+    fn remove_node(&mut self, id: Id) {
+        if let Ok(at) = self.alive.binary_search(&id) {
+            self.alive.remove(at);
+        }
+        self.nodes.remove(&id.0);
     }
 
     /// First successor-list entry of `of` that is alive *and reachable
@@ -558,7 +584,8 @@ impl DynamicNetwork {
         let mut state = NodeState::new(self.succ_list_len);
         state.successors.push(succ);
         self.nodes.insert(new.0, state);
-        self.alive.insert(new.0);
+        self.alive
+            .insert(self.alive.partition_point(|&v| v < new), new);
         // A node joining through `via` lands on `via`'s island: its only
         // contact is on that side of the boundary.
         if let Some(m) = &mut self.islands {
@@ -576,8 +603,7 @@ impl DynamicNetwork {
             return Err(ChordError::LastNode);
         }
         let state = self.node(id)?.clone();
-        self.alive.remove(&id.0);
-        self.nodes.remove(&id.0);
+        self.remove_node(id);
         // Tell the predecessor to adopt our successor and vice versa (the
         // handoff can only reach island-local neighbours — resolve the
         // leaver's island before forgetting it).
@@ -616,8 +642,7 @@ impl DynamicNetwork {
             return Err(ChordError::LastNode);
         }
         self.node(id)?;
-        self.alive.remove(&id.0);
-        self.nodes.remove(&id.0);
+        self.remove_node(id);
         if let Some(m) = &mut self.islands {
             m.remove(&id.0);
         }
@@ -631,9 +656,8 @@ impl DynamicNetwork {
     /// the successor list from the successor, and repair `fingers_per_round`
     /// finger entries.
     pub fn stabilize_all(&mut self, fingers_per_round: usize) {
-        let ids: Vec<u32> = self.alive.iter().copied().collect();
-        for id in ids {
-            self.stabilize_one(Id(id), fingers_per_round);
+        for id in self.alive.clone() {
+            self.stabilize_one(id, fingers_per_round);
         }
     }
 
@@ -706,10 +730,7 @@ impl DynamicNetwork {
         let succ = successors[0];
         let accept = match self.nodes.get(&succ.0).and_then(|s| s.predecessor) {
             Some(p) => {
-                !self.alive.contains(&p.0)
-                    || !self.reachable(succ, p)
-                    || id.in_open(p, succ)
-                    || p == succ
+                !self.is_alive(p) || !self.reachable(succ, p) || id.in_open(p, succ) || p == succ
             }
             None => true,
         };
@@ -798,25 +819,17 @@ impl DynamicNetwork {
                 return Ok((succ, hops + 1));
             }
             // Closest preceding *alive, reachable* pointer among fingers +
-            // successors.
+            // successors: the farthest strictly-preceding one wins, and
+            // only a pointer that would win is asked whether it answers.
             let mut next: Option<Id> = None;
-            for f in state
-                .fingers
-                .iter()
-                .flatten()
-                .copied()
-                .chain(state.successors.iter().copied())
-            {
-                *touches += 1;
-                if self.is_alive(f) && self.reachable(current, f) && f.in_open(current, key) {
-                    // Farthest strictly-preceding pointer wins.
-                    next = Some(match next {
-                        Some(best) if f.in_open(best, key) => f,
-                        Some(best) => best,
-                        None => f,
-                    });
+            *touches += preceding_pointers(state, current, key, |f| {
+                if next.is_none_or(|best| f.in_open(best, key))
+                    && self.is_alive(f)
+                    && self.reachable(current, f)
+                {
+                    next = Some(f);
                 }
-            }
+            });
             let next = next.unwrap_or(succ);
             if next == current {
                 return Err(ChordError::RoutingFailed { from, key });
@@ -1077,14 +1090,12 @@ impl DynamicNetwork {
         let Ok(state) = self.node(current) else {
             return Vec::new();
         };
-        let mut preceding: Vec<Id> = state
-            .fingers
-            .iter()
-            .flatten()
-            .copied()
-            .chain(state.successors.iter().copied())
-            .filter(|&f| self.is_alive(f) && self.reachable(current, f) && f.in_open(current, key))
-            .collect();
+        let mut preceding: Vec<Id> = Vec::new();
+        preceding_pointers(state, current, key, |f| {
+            if self.is_alive(f) && self.reachable(current, f) {
+                preceding.push(f);
+            }
+        });
         preceding.sort_by_key(|c| key.0.wrapping_sub(c.0));
         preceding.dedup();
         let mut out = preceding;
@@ -1103,9 +1114,8 @@ impl DynamicNetwork {
     /// converges to the split-brain steady state rather than spinning
     /// against an unreachable truth.
     pub fn is_ring_consistent(&self) -> bool {
-        self.alive.iter().all(|&v| {
-            let id = Id(v);
-            let state = &self.nodes[&v];
+        self.alive.iter().all(|&id| {
+            let state = &self.nodes[&id.0];
             match self.live_successor(id, state) {
                 Some(s) => s == self.island_owner(id, id.plus(1)),
                 None => self.len() == 1,
@@ -1614,6 +1624,106 @@ mod tests {
             cached.route_cache_stats().hits > 0,
             "the equivalence run never exercised a cache hit"
         );
+    }
+
+    /// `lookup_impl` as it read before the pointer scan went geometry-first
+    /// (every pointer probed for liveness and reachability, then the
+    /// arithmetic), kept only as the oracle of the test below.
+    fn lookup_probing_every_pointer(
+        net: &DynamicNetwork,
+        from: Id,
+        key: Id,
+        touches: &mut usize,
+    ) -> Result<(Id, usize), ChordError> {
+        let answers = |me: Id, f: Id| net.alive.contains(&f) && net.reachable(me, f);
+        let mut current = from;
+        let mut hops = 0usize;
+        let budget = 2 * ID_BITS as usize + net.len();
+        loop {
+            let state = net.node(current)?;
+            let succ = state
+                .successors
+                .iter()
+                .copied()
+                .find(|&s| answers(current, s))
+                .ok_or(ChordError::RoutingFailed { from, key })?;
+            if succ == current || key.in_open_closed(current, succ) {
+                return Ok((succ, hops + 1));
+            }
+            let mut next: Option<Id> = None;
+            for f in state
+                .fingers
+                .iter()
+                .flatten()
+                .copied()
+                .chain(state.successors.iter().copied())
+            {
+                *touches += 1;
+                if answers(current, f) && f.in_open(current, key) {
+                    next = Some(match next {
+                        Some(best) if f.in_open(best, key) => f,
+                        Some(best) => best,
+                        None => f,
+                    });
+                }
+            }
+            let next = next.unwrap_or(succ);
+            if next == current {
+                return Err(ChordError::RoutingFailed { from, key });
+            }
+            current = next;
+            hops += 1;
+            if hops > budget {
+                return Err(ChordError::RoutingFailed { from, key });
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_first_scan_routes_exactly_as_probing_every_pointer() {
+        fn compare(net: &DynamicNetwork, rng: &mut DetRng, stage: &str) -> usize {
+            let ids = net.node_ids();
+            let mut failed = 0;
+            for _ in 0..300 {
+                let from = ids[rng.gen_index(ids.len())];
+                let key = Id(rng.next_u32());
+                let (mut touches, mut oracle_touches) = (0, 0);
+                let got = net.lookup_impl(from, key, &mut touches);
+                let want = lookup_probing_every_pointer(net, from, key, &mut oracle_touches);
+                assert_eq!(got, want, "{stage}: {from} -> {key}");
+                assert_eq!(touches, oracle_touches, "{stage}: {from} -> {key}");
+                failed += got.is_err() as usize;
+            }
+            failed
+        }
+        let base = ars_common::env_seed("ARS_FAULT_SEED");
+        let mut unroutable = 0;
+        for seed in base * 4..base * 4 + 4 {
+            let mut net = grow_network(48, seed);
+            let mut rng = DetRng::new(seed ^ 0x5CA9);
+            compare(&net, &mut rng, "converged");
+            // Stale pointers: failures and joins nobody has stabilized.
+            for _ in 0..8 {
+                let ids = net.node_ids();
+                net.fail(ids[rng.gen_index(ids.len())]).unwrap();
+            }
+            for _ in 0..4 {
+                let ids = net.node_ids();
+                let _ = net.join(Id(rng.next_u32()), ids[rng.gen_index(ids.len())]);
+            }
+            unroutable += compare(&net, &mut rng, "unstabilized churn");
+            net.stabilize_all(2);
+            compare(&net, &mut rng, "half-repaired");
+            // Reachability: a partition, before and after each island's
+            // ring has collapsed onto its own members.
+            split(&mut net, 15);
+            unroutable += compare(&net, &mut rng, "fresh partition");
+            net.stabilize_until_consistent(64).expect("islands settle");
+            compare(&net, &mut rng, "settled partition");
+            net.heal();
+            compare(&net, &mut rng, "healed, unstabilized");
+        }
+        assert!(unroutable > 0, "no schedule ever exercised the Err arm");
     }
 
     /// Carve off the `k` smallest-id nodes as a minority island.

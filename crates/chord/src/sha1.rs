@@ -6,6 +6,15 @@
 //! well-distributed deterministic map from peer addresses to ring
 //! positions — for which it remains perfectly serviceable.
 
+/// Initial chaining value per FIPS 180-1.
+const H0: [u32; 5] = [
+    0x6745_2301,
+    0xEFCD_AB89,
+    0x98BA_DCFE,
+    0x1032_5476,
+    0xC3D2_E1F0,
+];
+
 /// Streaming SHA-1 hasher.
 #[derive(Debug, Clone)]
 pub struct Sha1 {
@@ -24,16 +33,10 @@ impl Default for Sha1 {
 }
 
 impl Sha1 {
-    /// Initial state per FIPS 180-1.
+    /// A hasher over the empty message.
     pub fn new() -> Sha1 {
         Sha1 {
-            state: [
-                0x6745_2301,
-                0xEFCD_AB89,
-                0x98BA_DCFE,
-                0x1032_5476,
-                0xC3D2_E1F0,
-            ],
+            state: H0,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
@@ -76,13 +79,18 @@ impl Sha1 {
     /// Finish and produce the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.len.checked_mul(8).expect("SHA-1 message too long");
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding, written in place: 0x80, zeros, 64-bit big-endian bit
+        // length. `update` leaves `buf_len < 64`, so the marker always fits;
+        // the length needs a block of its own when fewer than 8 bytes remain.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.process_block(&block);
+            self.buf = [0u8; 64];
         }
-        // Manual length append (bypasses update's len accounting on purpose).
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.process_block(&block);
         let mut out = [0u8; 20];
@@ -93,38 +101,54 @@ impl Sha1 {
     }
 
     fn process_block(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+        let mut w = [0u32; 16];
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(chunk.try_into().unwrap());
         }
-        for t in 16..80 {
-            w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (t, &wt) in w.iter().enumerate() {
-            let (f, k) = match t {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
+        compress(&mut self.state, w);
+    }
+}
+
+/// The SHA-1 compression function over one block, given as its sixteen
+/// big-endian words: four 20-round stages over a 16-word rolling message
+/// schedule (`w[t]` for `t ≥ 16` overwrites `w[t − 16]`, the oldest word it
+/// is derived from).
+fn compress(state: &mut [u32; 5], mut w: [u32; 16]) {
+    /// Rounds `ts` (one stage: same constant `k`, same function `f`).
+    #[inline(always)]
+    fn stage(
+        v: &mut [u32; 5],
+        w: &mut [u32; 16],
+        ts: std::ops::Range<usize>,
+        k: u32,
+        f: impl Fn(u32, u32, u32) -> u32,
+    ) {
+        for t in ts {
+            if t >= 16 {
+                w[t & 15] = (w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15])
+                    .rotate_left(1);
+            }
+            let [a, b, c, d, e] = *v;
             let temp = a
                 .rotate_left(5)
-                .wrapping_add(f)
+                .wrapping_add(f(b, c, d))
                 .wrapping_add(e)
                 .wrapping_add(k)
-                .wrapping_add(wt);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
+                .wrapping_add(w[t & 15]);
+            *v = [temp, a, b.rotate_left(30), c, d];
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+    }
+    let mut v = *state;
+    stage(&mut v, &mut w, 0..20, 0x5A82_7999, |b, c, d| {
+        (b & c) | (!b & d)
+    });
+    stage(&mut v, &mut w, 20..40, 0x6ED9_EBA1, |b, c, d| b ^ c ^ d);
+    stage(&mut v, &mut w, 40..60, 0x8F1B_BCDC, |b, c, d| {
+        (b & c) | (b & d) | (c & d)
+    });
+    stage(&mut v, &mut w, 60..80, 0xCA62_C1D6, |b, c, d| b ^ c ^ d);
+    for (s, x) in state.iter_mut().zip(v) {
+        *s = s.wrapping_add(x);
     }
 }
 
@@ -140,6 +164,21 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
 pub fn sha1_u32(data: &[u8]) -> u32 {
     let d = sha1(data);
     u32::from_be_bytes([d[0], d[1], d[2], d[3]])
+}
+
+/// [`sha1_u32`] of the four big-endian bytes of `word` — the message every
+/// uniformised identifier placement hashes. A 4-byte message and its padding
+/// are one block whose words are known up front (`word`, the `0x80` marker,
+/// zeros, the bit length 32), so this runs the compression function once on
+/// them and never touches the streaming buffer.
+pub fn sha1_u32_of_word(word: u32) -> u32 {
+    let mut w = [0u32; 16];
+    w[0] = word;
+    w[1] = 0x8000_0000;
+    w[15] = 32;
+    let mut state = H0;
+    compress(&mut state, w);
+    state[0]
 }
 
 #[cfg(test)]
@@ -205,9 +244,69 @@ mod tests {
         h.update(&data[..32]);
         h.update(&data[32..]);
         assert_eq!(h.finalize(), d1);
-        // 55 and 56 bytes straddle the length-fits/doesn't-fit boundary.
-        let _ = sha1(&[0u8; 55]);
-        let _ = sha1(&[0u8; 56]);
+    }
+
+    #[test]
+    fn known_answers_where_the_padding_branches() {
+        // Zero-filled messages either side of "the length still fits in this
+        // block" (55 | 56), at a whole block (64) and one short of the second
+        // boundary (119 = 64 + 55).
+        for (len, digest) in [
+            (55, "8e8832c642a6a38c74c17fc92ccedc266c108e6c"),
+            (56, "9438e360f578e12c0e0e8ed28e2c125c1cefee16"),
+            (64, "c8d7d0ef0eedfa82d2ea1aa592845b9a6d4b02b7"),
+            (119, "85634f17f58bda0e4f0515dfb68bc1af922a031f"),
+        ] {
+            assert_eq!(hex(&sha1(&vec![0u8; len])), digest, "{len} zero bytes");
+        }
+    }
+
+    #[test]
+    fn every_short_length_streams_to_the_oneshot_digest() {
+        let data: Vec<u8> = (0..130u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=130 {
+            let oneshot = sha1(&data[..len]);
+            for chunk in [1usize, 7, 64] {
+                let mut h = Sha1::new();
+                for c in data[..len].chunks(chunk) {
+                    h.update(c);
+                }
+                assert_eq!(h.finalize(), oneshot, "length {len}, chunk size {chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn placement_hash_known_answers() {
+        for (word, id) in [
+            (0u32, 0x9069_ca78u32),
+            (1, 0x479e_04f3),
+            (7, 0x41a5_3770),
+            (0xdead_beef, 0xd78f_8bb9),
+            (0xffff_ffff, 0xd9be_6524),
+        ] {
+            assert_eq!(sha1_u32(&word.to_be_bytes()), id, "streaming, {word:#x}");
+            assert_eq!(sha1_u32_of_word(word), id, "one block, {word:#x}");
+        }
+    }
+
+    #[test]
+    fn one_block_entry_equals_streaming() {
+        let mut word = 0x2003_0105u32;
+        for _ in 0..10_000 {
+            // xorshift32: full-period, so the sample has no repeats.
+            word ^= word << 13;
+            word ^= word >> 17;
+            word ^= word << 5;
+            let mut h = Sha1::new();
+            h.update(&word.to_be_bytes());
+            let d = h.finalize();
+            assert_eq!(
+                sha1_u32_of_word(word),
+                u32::from_be_bytes([d[0], d[1], d[2], d[3]]),
+                "{word:#x}"
+            );
+        }
     }
 
     #[test]

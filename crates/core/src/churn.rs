@@ -14,10 +14,11 @@
 //!
 //! With [`SystemConfig::with_replication`] set above 1, every cached
 //! partition additionally lives at the first `r` alive successors of its
-//! placed identifier, and [`ChurnNetwork::re_replicate`] restores that
-//! invariant after each membership change — so abrupt failures stop losing
-//! buckets. The companion [`ChurnNetwork::query_resilient`] path retries
-//! failed lookups with deterministic backoff
+//! placed identifier, and each membership change restores that invariant
+//! on the arc of the ring it touched ([`ChurnNetwork::re_replicate`] is the
+//! same pass over everything, kept as the oracle) — so abrupt failures stop
+//! losing buckets. The companion [`ChurnNetwork::query_resilient`] path
+//! retries failed lookups with deterministic backoff
 //! ([`crate::resilient::RetryPolicy`]) and degrades to source fetch
 //! instead of erroring.
 //!
@@ -73,6 +74,14 @@ pub struct RepairRound {
     /// True if the per-round budget cut the sweep short — another round
     /// is needed before the network can be considered quiescent.
     pub hit_budget: bool,
+}
+
+/// What a membership event's repair pass reads: the copies `peers` hold
+/// of identifiers placed in `(after, through]`.
+struct RepairArc {
+    peers: Vec<Id>,
+    after: Id,
+    through: Id,
 }
 
 /// The paper's system over a dynamic (churning) Chord network.
@@ -155,7 +164,7 @@ impl ChurnNetwork {
         storage.insert(first.0, Peer::new(first, config.use_local_index));
         while chord.len() < n_peers {
             let id = Id(rng.next_u32());
-            if chord.node_ids().contains(&id) {
+            if chord.alive_ids().binary_search(&id).is_ok() {
                 continue;
             }
             chord.join(id, first)?;
@@ -632,14 +641,14 @@ impl ChurnNetwork {
             .unwrap_or(0);
         self.lose_buckets(lost);
         self.logs.remove(&id.0);
-        self.re_replicate();
+        self.re_replicate_around(id);
         Ok(())
     }
 
     /// Crash `count` random peers at once.
     pub fn fail_random(&mut self, count: usize) {
         for _ in 0..count {
-            let ids = self.chord.node_ids();
+            let ids = self.chord.alive_ids();
             if ids.len() <= 1 {
                 return;
             }
@@ -684,7 +693,7 @@ impl ChurnNetwork {
             }
         }
         self.logs.remove(&id.0);
-        self.re_replicate();
+        self.re_replicate_around(id);
         Ok(())
     }
 
@@ -692,10 +701,11 @@ impl ChurnNetwork {
     pub fn join_random(&mut self) -> Result<Id, ChordError> {
         loop {
             let id = Id(self.rng.next_u32());
-            if self.chord.node_ids().contains(&id) {
+            let ids = self.chord.alive_ids();
+            if ids.binary_search(&id).is_ok() {
                 continue;
             }
-            let via = self.chord.node_ids()[0];
+            let via = ids[0];
             self.chord.join(id, via)?;
             self.storage
                 .insert(id.0, Peer::new(id, self.config.use_local_index));
@@ -703,7 +713,7 @@ impl ChurnNetwork {
                 self.logs.insert(id.0, store);
             }
             self.chord.stabilize_all(32);
-            self.re_replicate();
+            self.re_replicate_around(id);
             return Ok(id);
         }
     }
@@ -722,8 +732,8 @@ impl ChurnNetwork {
         let pred = {
             // Predecessor on the current ring: the owner of (new - 1)'s
             // interval is `new` itself, so find the node before it.
-            let ids = self.chord.node_ids();
-            let pos = ids.iter().position(|&i| i == new).expect("joined");
+            let ids = self.chord.alive_ids();
+            let pos = ids.binary_search(&new).expect("joined");
             ids[(pos + ids.len() - 1) % ids.len()]
         };
         if succ != new {
@@ -742,7 +752,7 @@ impl ChurnNetwork {
                 self.store_at(new.0, ident, &range);
             }
         }
-        self.re_replicate();
+        self.re_replicate_around(new);
         Ok(new)
     }
 
@@ -1059,8 +1069,12 @@ impl ChurnNetwork {
     /// membership oracle, not routing state, so it is correct even while
     /// finger tables are stale.
     pub fn replica_owners(&self, identifier: u32) -> Vec<Id> {
-        self.chord
-            .true_successors(self.place(identifier), self.config.replication)
+        self.replica_owners_at(self.place(identifier))
+    }
+
+    /// [`Self::replica_owners`] of an identifier already placed at `key`.
+    fn replica_owners_at(&self, key: Id) -> Vec<Id> {
+        self.chord.true_successors(key, self.config.replication)
     }
 
     /// Restore the successor-replication invariant: every cached
@@ -1069,41 +1083,96 @@ impl ChurnNetwork {
     /// surviving one (additive — stale extra copies are left as soft state
     /// to age out). Returns the number of copies created. No-op when the
     /// replication factor is 1.
+    ///
+    /// This is the global pass, the oracle: it reads every copy on every
+    /// peer. Membership events repair only what they touched
+    /// (`re_replicate_around`); run this one after a [`Self::heal`] or a
+    /// [`Self::restart`], or to check that nothing is left to restore.
     pub fn re_replicate(&mut self) -> usize {
+        self.restore_replicas(None)
+    }
+
+    /// [`Self::re_replicate`] restricted to what the arrival or departure
+    /// of the peer at `changed` can have broken. With `p_r` the `r`-th
+    /// alive predecessor of `changed`, the identifiers whose replica set
+    /// contains `changed` (or did, before it went) are exactly those placed
+    /// in `(p_r, changed]`, and every owner of one of them, before or after
+    /// the event, is among the `r` alive predecessors of `changed`,
+    /// `changed` itself and its `r` alive successors — so the pass reads
+    /// those peers and that arc only. It differs from the global pass only
+    /// where the invariant was already broken outside the arc, which is
+    /// what [`Self::anti_entropy_round`] is for. A partitioned network and
+    /// one too small for the neighbourhood to be a proper part of it get
+    /// the global pass.
+    fn re_replicate_around(&mut self, changed: Id) -> usize {
+        let r = self.config.replication;
+        let ids = self.chord.alive_ids();
+        let n = ids.len();
+        if r <= 1 || self.chord.is_partitioned() || n <= 2 * r + 1 {
+            return self.re_replicate();
+        }
+        let at = ids.partition_point(|&v| v < changed);
+        let span = 2 * r + usize::from(ids.get(at) == Some(&changed));
+        let peers: Vec<Id> = (0..span).map(|j| ids[(at + n - r + j) % n]).collect();
+        self.restore_replicas(Some(&RepairArc {
+            after: peers[0],
+            through: changed,
+            peers,
+        }))
+    }
+
+    /// The repair pass behind both forms: inventory the stored pairs,
+    /// de-duplicated in first-seen order, then store each at every replica
+    /// owner that lacks it. `arc` limits the inventory; `None` reads
+    /// everything.
+    fn restore_replicas(&mut self, arc: Option<&RepairArc>) -> usize {
         if self.config.replication <= 1 {
             return 0;
         }
         self.resilience.re_replications += 1;
         let partitioned = self.chord.is_partitioned();
-        // Inventory of everything stored anywhere, deduplicated, tagged
+        // Inventory of everything stored in scope, deduplicated, tagged
         // with the islands that hold a copy: while the network is split,
         // a missing replica can only be rebuilt at an owner some holder
         // can actually reach.
-        let mut pairs: Vec<(u32, RangeSet, Vec<usize>)> = Vec::new();
+        let mut pairs: Vec<(u32, Id, RangeSet, Vec<usize>)> = Vec::new();
+        let mut scanned = 0u64;
         {
             let mut seen: std::collections::HashMap<(u32, &RangeSet), usize> =
                 std::collections::HashMap::new();
             for (&pid, peer) in &self.storage {
+                if arc.is_some_and(|a| !a.peers.contains(&Id(pid))) {
+                    continue;
+                }
                 let island = self.chord.island_of(Id(pid));
-                for (ident, range) in peer.entries() {
-                    match seen.entry((ident, range)) {
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            v.insert(pairs.len());
-                            pairs.push((ident, range.clone(), vec![island]));
-                        }
-                        std::collections::hash_map::Entry::Occupied(o) => {
-                            let islands = &mut pairs[*o.get()].2;
-                            if !islands.contains(&island) {
-                                islands.push(island);
+                for (ident, bucket) in peer.buckets() {
+                    let key = self.place(ident);
+                    if arc.is_some_and(|a| !key.in_open_closed(a.after, a.through)) {
+                        continue;
+                    }
+                    scanned += bucket.len() as u64;
+                    for range in bucket.ranges() {
+                        match seen.entry((ident, range)) {
+                            std::collections::hash_map::Entry::Vacant(v) => {
+                                v.insert(pairs.len());
+                                pairs.push((ident, key, range.clone(), vec![island]));
+                            }
+                            std::collections::hash_map::Entry::Occupied(o) => {
+                                let islands = &mut pairs[*o.get()].3;
+                                if !islands.contains(&island) {
+                                    islands.push(island);
+                                }
                             }
                         }
                     }
                 }
             }
         }
+        self.resilience.repair_scanned += scanned;
+        self.telemetry.counter_add("replica.scanned", scanned);
         let mut restored = 0;
-        for (ident, range, holder_islands) in pairs {
-            for owner in self.replica_owners(ident) {
+        for (ident, key, range, holder_islands) in pairs {
+            for owner in self.replica_owners_at(key) {
                 if partitioned && !holder_islands.contains(&self.chord.island_of(owner)) {
                     continue;
                 }
@@ -1233,7 +1302,7 @@ impl ChurnNetwork {
             ],
         );
         let origin = {
-            let ids = self.chord.node_ids();
+            let ids = self.chord.alive_ids();
             ids[self.rng.gen_index(ids.len())]
         };
 
@@ -1243,7 +1312,7 @@ impl ChurnNetwork {
         let mut query_lat = 0u64;
         let mut hops = Vec::with_capacity(identifiers.len());
         let mut owners: Vec<Id> = Vec::new();
-        let mut reached: Vec<u32> = Vec::new();
+        let mut reached: Vec<(u32, Id)> = Vec::new();
         let mut attempts_total = 0usize;
         let mut best = Best::default();
         for &ident in &identifiers {
@@ -1254,7 +1323,7 @@ impl ChurnNetwork {
                     self.telemetry
                         .counter_add("resilient.lookup.hops", h as u64);
                     owners.push(owner);
-                    reached.push(ident);
+                    reached.push((ident, key));
                     attempts_total += attempts;
                     if partitioned && owner != self.chord.true_owner(key) {
                         // Routing converged island-locally, but the node
@@ -1333,14 +1402,14 @@ impl ChurnNetwork {
         let exact = best.is_exactly(&hashed_range);
         let mut stored = false;
         if self.config.cache_on_miss && !exact {
-            for &ident in &reached {
+            for &(ident, key) in &reached {
                 let targets = if partitioned {
                     // A write cannot cross the split: cache the partition
                     // at the island-local owners only.
                     self.chord
-                        .island_successors(origin, self.place(ident), self.config.replication)
+                        .island_successors(origin, key, self.config.replication)
                 } else {
-                    self.replica_owners(ident)
+                    self.replica_owners_at(key)
                 };
                 for owner in targets {
                     stored |= self.store_at(owner.0, ident, &hashed_range);

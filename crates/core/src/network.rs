@@ -346,7 +346,7 @@ impl StatsSink for NetworkStats {
 /// policy. Pure; every rendition of the query procedure places through it.
 pub(crate) fn place_identifier(config: &SystemConfig, identifier: u32) -> Id {
     match config.placement {
-        Placement::Uniformized => Id(ars_chord::sha1::sha1_u32(&identifier.to_be_bytes())),
+        Placement::Uniformized => Id(ars_chord::sha1::sha1_u32_of_word(identifier)),
         Placement::Direct => Id(identifier),
     }
 }

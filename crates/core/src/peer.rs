@@ -155,9 +155,15 @@ impl Peer {
     /// them — the re-replication sweep reads every peer's inventory to
     /// restore the successor-replication invariant after churn.
     pub fn entries(&self) -> impl Iterator<Item = (u32, &RangeSet)> + '_ {
-        self.buckets
-            .iter()
-            .flat_map(|(&ident, bucket)| bucket.ranges().iter().map(move |r| (ident, r)))
+        self.buckets()
+            .flat_map(|(ident, bucket)| bucket.ranges().iter().map(move |r| (ident, r)))
+    }
+
+    /// The non-empty buckets with their identifiers, in the order
+    /// [`Self::entries`] walks them — for a sweep that decides per
+    /// identifier, not per stored range.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (u32, &Bucket)> + '_ {
+        self.buckets.iter().map(|(&ident, bucket)| (ident, bucket))
     }
 
     /// Drain all stored (identifier, range) pairs — used when a peer leaves

@@ -391,6 +391,11 @@ pub struct ResilienceStats {
     /// Partition copies created by those sweeps (missing replicas
     /// restored from surviving ones).
     pub replicas_restored: u64,
+    /// Stored copies those sweeps read to find them: every copy on every
+    /// peer for a global [`crate::ChurnNetwork::re_replicate`], only the
+    /// copies the changed peer's ring neighbours hold in its arc for the
+    /// pass a membership event runs.
+    pub repair_scanned: u64,
     /// Partition copies placed at any peer by any path (query caching,
     /// re-replication, anti-entropy repair, leave handover, migration).
     /// With `buckets_lost`/`buckets_recovered` this forms the ledger
@@ -547,6 +552,7 @@ mod tests {
                 backoff_time: 0,
                 re_replications: 0,
                 replicas_restored: 0,
+                repair_scanned: 0,
                 buckets_placed: 0,
                 buckets_lost: 0,
                 buckets_recovered: 0,

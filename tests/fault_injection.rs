@@ -418,3 +418,116 @@ fn unreplicated_failures_demonstrably_lose_buckets() {
         "r=1 recall {faulted:.3} should trail r=2's {replicated:.3} (seed {seed})"
     );
 }
+
+// ---------------------------------------------------------------------
+// 6. Repair proportional to the change: a membership event re-replicates
+//    only the changed peer's arc. Against the global pass as oracle it
+//    must leave nothing to restore, and it must read a small share of
+//    what is stored.
+// ---------------------------------------------------------------------
+
+/// `placed == live + lost − recovered`.
+fn assert_bucket_ledger(net: &ChurnNetwork, at: &str) {
+    let s = net.resilience();
+    assert_eq!(
+        s.buckets_placed + s.buckets_recovered,
+        net.total_partitions() as u64 + s.buckets_lost,
+        "bucket ledger broken {at}"
+    );
+}
+
+#[test]
+fn arc_repair_leaves_the_global_pass_nothing_to_restore() {
+    let seed = env_seed("ARS_FAULT_SEED");
+    for replication in [2usize, 3] {
+        let config = SystemConfig::default()
+            .with_replication(replication)
+            .with_seed(0xA4C ^ seed);
+        // `net` only ever repairs arcs; `twin` lives the same life and
+        // additionally runs the global pass after every event.
+        let mut net = ChurnNetwork::new(28, config.clone()).expect("growth converges");
+        let mut twin = ChurnNetwork::new(28, config).expect("growth converges");
+        let mut rng = DetRng::new(seed ^ 0x5EED ^ replication as u64);
+        let mut events = 0;
+        for step in 0..160 {
+            let at = format!("at step {step}, r = {replication}, ARS_FAULT_SEED={seed}");
+            let op = rng.gen_index(10);
+            if op < 6 {
+                let lo = rng.gen_index(3_000) as u32;
+                let q = RangeSet::interval(lo, lo + 40 + rng.gen_index(4) as u32 * 20);
+                assert_eq!(
+                    net.query_resilient(&q),
+                    twin.query_resilient(&q),
+                    "twins diverged {at}"
+                );
+                continue;
+            }
+            // Keep the ring large enough that the arc form, not its
+            // small-network fallback, is what runs.
+            let shrink = net.len() > 2 * replication + 8;
+            let pick = rng.gen_index(net.len());
+            for side in [&mut net, &mut twin] {
+                match op {
+                    6 if shrink => side.fail_random(1),
+                    7 if shrink => {
+                        let leaver = side.chord().node_ids()[pick];
+                        side.leave(leaver).expect("an alive peer can leave");
+                    }
+                    8 => drop(side.join_random()),
+                    _ => drop(side.join_random_with_migration()),
+                }
+                // Every other event meets the next one unstabilized.
+                if step % 2 == 0 {
+                    side.stabilize(64);
+                }
+            }
+            events += 1;
+            assert_eq!(twin.re_replicate(), 0, "arc repair missed copies {at}");
+            assert_eq!(net.inventory(), twin.inventory(), "inventories differ {at}");
+            assert_bucket_ledger(&net, &at);
+            assert_bucket_ledger(&twin, &at);
+        }
+        assert!(
+            events >= 30,
+            "schedule held only {events} membership events"
+        );
+        assert!(net.total_partitions() > 0);
+    }
+}
+
+#[test]
+fn arc_repair_reads_a_small_share_of_what_is_stored() {
+    let config = SystemConfig::default().with_replication(2).with_seed(2003);
+    let mut net = ChurnNetwork::new(200, config).expect("growth converges");
+    let mut first = None;
+    for q in trace(1_100) {
+        let out = net.query_resilient(&q);
+        first.get_or_insert(out.identifiers[0]);
+    }
+    let total = net.total_partitions() as u64;
+    assert!(total >= 10_000, "only {total} partitions stored");
+    let tel = ars::telemetry::Telemetry::recording();
+    net.set_telemetry(tel.clone());
+
+    let before = net.resilience().clone();
+    let victim = net.replica_owners(first.expect("queries ran"))[0];
+    net.fail(victim).expect("victim is alive");
+    net.join_random().expect("join routes on a healthy ring");
+    let after = net.resilience().clone();
+    let scanned = after.repair_scanned - before.repair_scanned;
+    assert_eq!(after.re_replications - before.re_replications, 2);
+    assert!(
+        after.replicas_restored > before.replicas_restored,
+        "losing a primary must restore copies"
+    );
+    assert!(
+        scanned * 20 < total,
+        "one fail + one join read {scanned} of {total} stored copies"
+    );
+    assert_eq!(tel.snapshot().counter("replica.scanned"), scanned);
+
+    // The oracle reads everything and finds nothing the arcs left undone.
+    let live = net.total_partitions() as u64;
+    assert_eq!(net.re_replicate(), 0, "arc repair missed copies");
+    assert_eq!(net.resilience().repair_scanned - after.repair_scanned, live);
+}
