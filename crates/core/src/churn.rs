@@ -270,24 +270,20 @@ impl ChurnNetwork {
     }
 
     /// Deterministically slow `⌊fraction · n⌋` alive peers by `factor`,
-    /// chosen stride-spaced through the sorted id order (every
-    /// `⌈n/count⌉`-th peer). Stride spacing models independent gray
-    /// failures scattered across the fleet: consecutive ring positions
-    /// are never both slowed, so a key's replica chain always contains a
-    /// healthy substitute. (A *contiguous* slow arc is a correlated
+    /// spread evenly through the sorted id order (the peers at positions
+    /// `⌊i · n / count⌋`). Even spacing models independent gray failures
+    /// scattered across the fleet: for any `fraction ≤ ½` consecutive ring
+    /// positions are never both slowed, so a key's replica chain always
+    /// contains a healthy substitute; above one half adjacency is
+    /// unavoidable. (A *contiguous* slow arc is a correlated
     /// failure-domain scenario — a different experiment.) Crucially for
     /// twin-run experiments, the *same* peers are slowed at every call
     /// with the same membership (no RNG consumed). Returns the victims.
     pub fn slow_fraction(&mut self, fraction: f64, factor: u64) -> Vec<Id> {
         assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
-        let mut ids = self.chord.node_ids();
-        ids.sort_unstable();
+        let ids = self.chord.alive_ids();
         let count = (ids.len() as f64 * fraction).floor() as usize;
-        if count == 0 {
-            return Vec::new();
-        }
-        let stride = ids.len().div_ceil(count);
-        let victims: Vec<Id> = ids.into_iter().step_by(stride).take(count).collect();
+        let victims: Vec<Id> = (0..count).map(|i| ids[i * ids.len() / count]).collect();
         for &v in &victims {
             self.set_slow(v, factor);
         }
@@ -351,17 +347,16 @@ impl ChurnNetwork {
     /// observation becomes its own baseline (phi-accrual semantics) and
     /// only *degradation* relative to it is suspected.
     pub fn probe_peers(&mut self) -> usize {
-        let mut ids = self.chord.node_ids();
-        ids.sort_unstable();
         let now = self.clock;
-        for &id in &ids {
+        for i in 0..self.chord.len() {
+            let id = self.chord.alive_ids()[i];
             let svc = self.service_time(id);
             self.resilience.probes_sent += 1;
             self.telemetry.counter_add("resilient.probes", 1);
             self.note_response(id.0, svc, now);
         }
         self.clock += BASE_SERVICE;
-        ids.len()
+        self.chord.len()
     }
 
     /// Judge one observed response (service time `svc` from `peer` at
@@ -849,7 +844,7 @@ impl ChurnNetwork {
     pub fn crash_random(&mut self, count: usize) -> Vec<Id> {
         let mut downed = Vec::new();
         for _ in 0..count {
-            let ids = self.chord.node_ids();
+            let ids = self.chord.alive_ids();
             if ids.len() <= 1 {
                 break;
             }
@@ -875,7 +870,7 @@ impl ChurnNetwork {
         let Some(disks) = self.crashed.remove(&id.0) else {
             return Err(ChordError::UnknownNode(id));
         };
-        let via = self.chord.node_ids()[0];
+        let via = self.chord.alive_ids()[0];
         if let Err(e) = self.chord.join(id, via) {
             self.crashed.insert(id.0, disks);
             return Err(e);
@@ -1456,6 +1451,38 @@ impl ChurnNetwork {
         let start = self.clock;
         let outcome = self.query_resilient(q);
         (outcome, self.clock - start)
+    }
+
+    /// [`Self::query_resilient`] behind deadline admission, with the
+    /// virtual clock as a single server that is busy until
+    /// [`Self::clock`]: a query arriving at virtual time `arrival` starts
+    /// at `max(clock, arrival)`. One that cannot start by
+    /// `arrival + deadline` is shed: counted in [`ResilienceStats::shed`]
+    /// and `resilient.shed`, answered `None`, and drawing no randomness —
+    /// the admitted queries replay as if it had never been offered.
+    /// Otherwise the clock idles forward to the start, the query runs, and
+    /// its outcome comes back with its sojourn time (queueing wait plus
+    /// service). Service times are the modelled ones, so slow peers,
+    /// hedges and retry backoff lengthen the queue behind them.
+    ///
+    /// # Panics
+    /// Panics if `q` is empty.
+    pub fn query_within(
+        &mut self,
+        q: &RangeSet,
+        arrival: u64,
+        deadline: u64,
+    ) -> Option<(QueryOutcome, u64)> {
+        assert!(!q.is_empty(), "cannot query an empty range");
+        let start = self.clock.max(arrival);
+        if start > arrival.saturating_add(deadline) {
+            self.resilience.shed += 1;
+            self.telemetry.counter_add("resilient.shed", 1);
+            return None;
+        }
+        self.clock = start;
+        let outcome = self.query_resilient(q);
+        Some((outcome, self.clock - arrival))
     }
 }
 

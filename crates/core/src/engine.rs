@@ -1,5 +1,5 @@
 //! The concurrent query engine: per-shard commit, per-shard RNG streams,
-//! and a long-lived worker-peer runtime.
+//! and a worker pool behind one batch call.
 //!
 //! [`RangeSelectNetwork::query`] and `query_batch` run every stage of a
 //! query — hash, plan, commit — on the calling thread, so their
@@ -53,16 +53,18 @@
 //!
 //! # The worker runtime
 //!
-//! [`QueryEngine`] spawns a pool of worker threads draining jobs from a
-//! shared MPMC channel: `Prepare` jobs hash/route a query against the
-//! immutable ring snapshot, `Commit` jobs apply scheduled commits.
-//! [`QueryEngine::submit`] applies backpressure once
-//! [`EngineOptions::queue`] queries are in flight;
-//! [`QueryEngine::drain`] waits the pipeline empty and returns outcomes
-//! in submission order; [`QueryEngine::shutdown`] joins the workers and
-//! merges the shards back into the donor network (peers union, stats and
-//! cache-counter sums, cache segments re-concatenated and re-trimmed,
-//! RNG advanced to stream 0's final state).
+//! The module's public surface is [`EngineOptions`] and two methods:
+//! [`RangeSelectNetwork::query_batch_concurrent_with`] and its inline
+//! oracle [`RangeSelectNetwork::query_trace_sharded`]. Behind the batch
+//! call a private runtime spawns a pool of worker threads draining jobs
+//! from one shared queue (a `Mutex<VecDeque>` and a `Condvar` — `std`
+//! alone): `Prepare` jobs hash/route a query against the immutable ring
+//! snapshot, `Commit` jobs apply scheduled commits. Submission blocks
+//! once [`EngineOptions::queue`] queries are in flight; shutdown waits
+//! the pipeline empty, joins the workers, merges the shards back into
+//! the donor network (peers union, stats and cache-counter sums, cache
+//! segments re-concatenated and re-trimmed, RNG advanced to stream 0's
+//! final state) and returns the outcomes in submission order.
 
 use crate::config::SystemConfig;
 use crate::network::{
@@ -70,16 +72,13 @@ use crate::network::{
     QueryPlan, RangeSelectNetwork, StatsSink,
 };
 use crate::peer::Peer;
-use crate::resilient::BASE_SERVICE;
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap, FxHasher};
 use ars_lsh::{HashGroups, RangeSet};
 use ars_telemetry::Telemetry;
-use parking_lot::{Mutex, MutexGuard};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, MutexGuard};
 
 /// Tuning knobs for one engine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +89,8 @@ pub struct EngineOptions {
     /// Worker threads; `0` = one per available core. Never affects
     /// outcomes, only the schedule.
     pub workers: usize,
-    /// In-flight query bound before [`QueryEngine::submit`] blocks.
+    /// In-flight query bound: submission blocks while this many queries
+    /// are prepared or waiting to commit.
     pub queue: usize,
 }
 
@@ -120,49 +120,21 @@ fn segment_of(range: &RangeSet, nshards: usize) -> usize {
     (h.finish() % nshards as u64) as usize
 }
 
-/// Telemetry counter names for the first shards (counter names must be
-/// `&'static str`); shards beyond the table still merge into the global
-/// stats, they just don't get an individual counter.
-const SHARD_QUERIES: [&str; 8] = [
-    "engine.shard0.queries",
-    "engine.shard1.queries",
-    "engine.shard2.queries",
-    "engine.shard3.queries",
-    "engine.shard4.queries",
-    "engine.shard5.queries",
-    "engine.shard6.queries",
-    "engine.shard7.queries",
-];
-const SHARD_CACHE_HITS: [&str; 8] = [
-    "engine.shard0.cache.hits",
-    "engine.shard1.cache.hits",
-    "engine.shard2.cache.hits",
-    "engine.shard3.cache.hits",
-    "engine.shard4.cache.hits",
-    "engine.shard5.cache.hits",
-    "engine.shard6.cache.hits",
-    "engine.shard7.cache.hits",
-];
-const SHARD_CACHE_MISSES: [&str; 8] = [
-    "engine.shard0.cache.misses",
-    "engine.shard1.cache.misses",
-    "engine.shard2.cache.misses",
-    "engine.shard3.cache.misses",
-    "engine.shard4.cache.misses",
-    "engine.shard5.cache.misses",
-    "engine.shard6.cache.misses",
-    "engine.shard7.cache.misses",
-];
-const SHARD_CACHE_EVICTIONS: [&str; 8] = [
-    "engine.shard0.cache.evictions",
-    "engine.shard1.cache.evictions",
-    "engine.shard2.cache.evictions",
-    "engine.shard3.cache.evictions",
-    "engine.shard4.cache.evictions",
-    "engine.shard5.cache.evictions",
-    "engine.shard6.cache.evictions",
-    "engine.shard7.cache.evictions",
-];
+/// `std::sync::Mutex` that ignores poisoning. A worker panic is caught at
+/// the job boundary and latched in [`Shared::failure`], which is how the
+/// caller learns of it; the locks an unwound commit held must stay usable
+/// so its successors commit and the shards merge back.
+struct Mutex<T>(std::sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    fn new(value: T) -> Mutex<T> {
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
 
 /// The peers owned by one shard.
 struct ShardCore {
@@ -179,111 +151,23 @@ struct Shard {
     stats: Mutex<NetworkStats>,
 }
 
-/// Why the engine pipeline is poisoned. Returned by
-/// [`QueryEngine::drain`] / [`QueryEngine::shutdown`] instead of
-/// deadlocking when a worker panics mid-pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// A worker panicked while processing the given query. The panic was
-    /// caught at the job boundary: the worker thread survives, the
-    /// conflict scheduler is released (a panicked prepare enrolls a
-    /// tombstone so the submission-order watermark still advances; a
-    /// panicked commit pops its shard FIFOs), and the first failure is
-    /// latched until shutdown.
-    WorkerPanicked {
-        /// Sequence number of the poisoned query.
-        seq: u64,
-        /// Pipeline stage that panicked (`"prepare"` or `"commit"`).
-        stage: &'static str,
-        /// The panic payload, when it was a string.
-        message: String,
-    },
+/// A worker panicked while processing a query. The panic was caught at
+/// the job boundary: the worker thread survives, the conflict scheduler
+/// is released (a panicked prepare enrolls a tombstone so the
+/// submission-order watermark still advances; a panicked commit pops its
+/// shard FIFOs), and the first failure is latched until shutdown, which
+/// returns it instead of deadlocking.
+#[derive(Debug)]
+struct WorkerPanic {
+    /// Sequence number of the poisoned query.
+    seq: u64,
+    /// Pipeline stage that panicked (`"prepare"` or `"commit"`).
+    stage: &'static str,
+    /// The panic payload, when it was a string.
+    message: String,
 }
 
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::WorkerPanicked {
-                seq,
-                stage,
-                message,
-            } => {
-                write!(
-                    f,
-                    "engine worker panicked in {stage} of query {seq}: {message}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-/// Why a non-blocking submission was refused at the door.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The in-flight bound ([`EngineOptions::queue`]) is reached.
-    /// [`QueryEngine::submit`] would have blocked; [`QueryEngine::try_submit`]
-    /// refuses instead so the caller can shed load upstream.
-    QueueFull,
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueueFull => write!(f, "engine queue full"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// What [`QueryEngine::submit_timed`] decided about a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Admitted: the query will be served and appear in drain output.
-    Accepted(u64),
-    /// Doomed: the virtual queue could not start the query within its
-    /// deadline, so the scheduler drops it at dequeue — it occupies no
-    /// server time, produces no outcome, and is counted in
-    /// [`AdmissionStats::shed`] (never silently).
-    Shed(u64),
-}
-
-impl Admission {
-    /// The sequence number assigned either way.
-    pub fn seq(&self) -> u64 {
-        match *self {
-            Admission::Accepted(seq) | Admission::Shed(seq) => seq,
-        }
-    }
-
-    /// True when the query was shed.
-    pub fn is_shed(&self) -> bool {
-        matches!(self, Admission::Shed(_))
-    }
-}
-
-/// The admission-control ledger of one engine run. On a healthy run
-/// (no worker panics) the books balance:
-/// `submitted == completed + shed + queued`, with `rejected` counted
-/// separately (a rejected query never entered the pipeline and holds no
-/// sequence number).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Queries that entered the pipeline (sequence numbers assigned).
-    pub submitted: u64,
-    /// [`QueryEngine::try_submit`] refusals — never entered the pipeline.
-    pub rejected: u64,
-    /// Deadline-doomed queries dropped by the scheduler at dequeue.
-    pub shed: u64,
-    /// Queries that committed and produced an outcome.
-    pub completed: u64,
-    /// Queries still in flight.
-    pub queued: u64,
-}
-
-/// Render a caught panic payload for [`EngineError::WorkerPanicked`].
+/// Render a caught panic payload for [`WorkerPanic::message`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -528,34 +412,15 @@ impl EngineCore {
     }
 
     /// Merge the shards back into `net`: peers union, per-shard stats and
-    /// cache counters summed (exported as `engine.shardN.*` telemetry
-    /// counters for the first shards), cache segments re-concatenated in
-    /// shard order and re-trimmed to the global capacity. Empties the
-    /// shards; the caller has stopped everything else that could lock them.
+    /// cache counters summed, cache segments re-concatenated in shard
+    /// order and re-trimmed to the global capacity. Empties the shards;
+    /// the caller has stopped everything else that could lock them.
     fn reassemble(&self, net: &mut RangeSelectNetwork) {
-        for (i, shard) in self.shards.iter().enumerate() {
+        for shard in &self.shards {
             net.peers.extend(shard.core.lock().peers.drain());
-            let stats = std::mem::take(&mut *shard.stats.lock());
-            if stats.queries > 0 && i < SHARD_QUERIES.len() {
-                self.telemetry.counter_add(SHARD_QUERIES[i], stats.queries);
-            }
-            net.stats.merge(&stats);
-            let segment = std::mem::take(&mut *shard.cache.lock());
-            if i < SHARD_QUERIES.len() {
-                if segment.hits() > 0 {
-                    self.telemetry
-                        .counter_add(SHARD_CACHE_HITS[i], segment.hits());
-                }
-                if segment.misses() > 0 {
-                    self.telemetry
-                        .counter_add(SHARD_CACHE_MISSES[i], segment.misses());
-                }
-                if segment.evictions() > 0 {
-                    self.telemetry
-                        .counter_add(SHARD_CACHE_EVICTIONS[i], segment.evictions());
-                }
-            }
-            net.ident_cache.absorb(segment);
+            net.stats.merge(&std::mem::take(&mut *shard.stats.lock()));
+            net.ident_cache
+                .absorb(std::mem::take(&mut *shard.cache.lock()));
         }
         self.telemetry
             .gauge_set("core.ident_cache.size", net.ident_cache.len() as u64);
@@ -593,16 +458,12 @@ impl Sched {
     }
 }
 
-/// Work items on the engine channel.
+/// Work items on the engine's job queue.
 enum Job {
     /// Hash + route query `seq` from the given origin.
     Prepare(u64, RangeSet, Id),
     /// Apply the scheduled commit of query `seq`.
     Commit(u64),
-    /// Query `seq` was admission-doomed: drop it here, at dequeue —
-    /// counted, tombstoned through the scheduler so successors advance,
-    /// never prepared or committed.
-    Shed(u64),
     /// Worker shutdown (one per worker).
     Stop,
 }
@@ -611,25 +472,40 @@ enum Job {
 struct Shared {
     core: EngineCore,
     sched: Mutex<Sched>,
-    tx: crossbeam::channel::Sender<Job>,
+    /// The job queue every worker drains: FIFO, unbounded (the in-flight
+    /// bound below is what limits it), each job taken by exactly one
+    /// worker.
+    jobs: Mutex<VecDeque<Job>>,
+    jobs_cv: Condvar,
     results: Mutex<FxHashMap<u64, QueryOutcome>>,
-    /// In-flight query count, guarded by a std mutex so the controller
-    /// can block on the condvar for backpressure and drain.
-    flow: StdMutex<usize>,
+    /// In-flight query count; the controller blocks on the condvar for
+    /// backpressure and for the final drain.
+    flow: Mutex<usize>,
     flow_cv: Condvar,
     queue_cap: usize,
-    /// First worker panic, latched until shutdown. Once set, the engine
-    /// is poisoned: `drain`/`shutdown` report it instead of outcomes.
-    failure: Mutex<Option<EngineError>>,
-    /// Sequence numbers shed at dequeue (drain skips them).
-    shed_set: Mutex<HashSet<u64>>,
-    /// Cumulative shed count (survives drains).
-    shed_count: AtomicU64,
-    /// Cumulative committed-outcome count (survives drains).
-    completed: AtomicU64,
+    /// First worker panic, latched until shutdown, which then reports it
+    /// instead of outcomes.
+    failure: Mutex<Option<WorkerPanic>>,
 }
 
 impl Shared {
+    /// Queue a job and wake one idle worker.
+    fn send(&self, job: Job) {
+        self.jobs.lock().push_back(job);
+        self.jobs_cv.notify_one();
+    }
+
+    /// Take the oldest job, sleeping while the queue is empty.
+    fn recv(&self) -> Job {
+        let mut jobs = self.jobs.lock();
+        loop {
+            if let Some(job) = jobs.pop_front() {
+                return job;
+            }
+            jobs = self.jobs_cv.wait(jobs).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
     /// Enroll newly prepared queries in submission order and dispatch any
     /// that are immediately unblocked. A `None` entry is a tombstone for
     /// a query whose prepare panicked: the watermark moves past it so
@@ -655,7 +531,7 @@ impl Shared {
             }
             sched.enrolled.insert(next, prepared);
             if waits == 0 {
-                let _ = self.tx.send(Job::Commit(next));
+                self.send(Job::Commit(next));
             } else {
                 sched.blocked.insert(next, waits);
             }
@@ -672,7 +548,7 @@ impl Shared {
     ) {
         let mut failure = self.failure.lock();
         if failure.is_none() {
-            *failure = Some(EngineError::WorkerPanicked {
+            *failure = Some(WorkerPanic {
                 seq,
                 stage,
                 message: panic_message(payload.as_ref()),
@@ -683,9 +559,7 @@ impl Shared {
 
     /// Free one in-flight slot and wake the controller.
     fn finish_one(&self) {
-        let mut inflight = self.flow.lock().unwrap_or_else(|e| e.into_inner());
-        *inflight -= 1;
-        drop(inflight);
+        *self.flow.lock() -= 1;
         self.flow_cv.notify_all();
     }
 
@@ -704,18 +578,18 @@ impl Shared {
                 *waits -= 1;
                 if *waits == 0 {
                     sched.blocked.remove(&next);
-                    let _ = self.tx.send(Job::Commit(next));
+                    self.send(Job::Commit(next));
                 }
             }
         }
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) {
+fn worker_loop(shared: &Shared) {
     loop {
-        match rx.recv() {
-            Err(_) | Ok(Job::Stop) => break,
-            Ok(Job::Prepare(seq, query, origin)) => {
+        match shared.recv() {
+            Job::Stop => break,
+            Job::Prepare(seq, query, origin) => {
                 // Supervise the job, not the thread: a panicking query
                 // must not take a worker down (the pool would starve) or
                 // wedge the watermark (successors would never enroll).
@@ -731,7 +605,7 @@ fn worker_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) {
                     }
                 }
             }
-            Ok(Job::Commit(seq)) => {
+            Job::Commit(seq) => {
                 let prepared = shared
                     .sched
                     .lock()
@@ -744,77 +618,37 @@ fn worker_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<Job>) {
                 }));
                 // Release the shard FIFOs even on panic — successors
                 // sharing a shard must not deadlock behind a dead commit.
-                // (parking_lot mutexes do not poison; an unwound commit
+                // (The shard locks ignore poisoning; an unwound commit
                 // may leave partial peer state, which the latched error
                 // makes visible.)
                 shared.release(seq, &owner_shards);
                 match result {
                     Ok(outcome) => {
                         shared.results.lock().insert(seq, outcome);
-                        shared.completed.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(payload) => shared.record_failure(seq, "commit", payload),
                 }
-                shared.finish_one();
-            }
-            Ok(Job::Shed(seq)) => {
-                // The shed is *executed* here, at dequeue — the slot it
-                // held applied real backpressure until now — and counted
-                // in three places (telemetry, the cumulative counter, the
-                // drain skip-set), never silently.
-                shared.core.telemetry.counter_add("engine.shed", 1);
-                shared.shed_count.fetch_add(1, Ordering::Relaxed);
-                shared.shed_set.lock().insert(seq);
-                shared.enroll(seq, None);
                 shared.finish_one();
             }
         }
     }
 }
 
-/// A long-lived concurrent query engine over a [`RangeSelectNetwork`].
+/// The runtime behind [`RangeSelectNetwork::query_batch_concurrent_with`].
 ///
 /// [`Self::launch`] takes the network by value, partitions its state
 /// into shards, and spawns the worker pool; [`Self::submit`] feeds
 /// queries (blocking once the in-flight bound is hit);
-/// [`Self::drain`] waits for quiescence and returns outcomes in
-/// submission order; [`Self::shutdown`] merges everything back and
-/// returns the network, which then behaves as if the engine's queries
-/// had run through it directly (modulo the documented relaxations).
-///
-/// ```
-/// use ars_core::engine::{EngineOptions, QueryEngine};
-/// use ars_core::{RangeSelectNetwork, SystemConfig};
-/// use ars_lsh::RangeSet;
-///
-/// let net = RangeSelectNetwork::new(50, SystemConfig::default());
-/// let mut engine = QueryEngine::launch(
-///     net,
-///     EngineOptions { shards: 4, workers: 2, queue: 64 },
-/// );
-/// engine.submit(&RangeSet::interval(30, 50));
-/// engine.submit(&RangeSet::interval(30, 50));
-/// let (net, outcomes) = engine.shutdown();
-/// let outcomes = outcomes.expect("no worker panicked");
-/// assert_eq!(outcomes.len(), 2);
-/// assert_eq!(net.stats().queries, 2);
-/// ```
-pub struct QueryEngine {
+/// [`Self::shutdown`] waits for quiescence, merges everything back and
+/// returns the network — which then behaves as if the engine's queries
+/// had run through it directly (modulo the documented relaxations) —
+/// with the outcomes in submission order.
+struct QueryEngine {
     shared: Arc<Shared>,
     donor: RangeSelectNetwork,
     streams: Vec<DetRng>,
     next_seq: u64,
-    drained_upto: u64,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// [`Self::try_submit`] refusals.
-    rejected: u64,
-    /// Virtual instant the single-server queue model frees up — admission
-    /// state for [`Self::submit_timed`].
-    vclock_finish: u64,
-    /// Last arrival passed to [`Self::submit_timed`] (must not decrease).
-    last_arrival: u64,
-    /// Virtual service cost per admitted query in the admission model.
-    service_cost: u64,
 }
 
 impl QueryEngine {
@@ -822,31 +656,27 @@ impl QueryEngine {
     ///
     /// # Panics
     /// Panics if `opts.shards` or `opts.queue` is zero.
-    pub fn launch(mut net: RangeSelectNetwork, opts: EngineOptions) -> QueryEngine {
+    fn launch(mut net: RangeSelectNetwork, opts: EngineOptions) -> QueryEngine {
         assert!(opts.shards >= 1, "engine needs at least 1 shard");
         assert!(opts.queue >= 1, "engine queue must admit at least 1 query");
         let nworkers = opts.resolved_workers();
         let streams = net.rng.split_streams(opts.shards);
         let core = EngineCore::from_network(&mut net, opts.shards);
-        let (tx, rx) = crossbeam::channel::unbounded();
         let shared = Arc::new(Shared {
             core,
             sched: Mutex::new(Sched::new(opts.shards)),
-            tx,
+            jobs: Mutex::new(VecDeque::new()),
+            jobs_cv: Condvar::new(),
             results: Mutex::new(FxHashMap::default()),
-            flow: StdMutex::new(0),
+            flow: Mutex::new(0),
             flow_cv: Condvar::new(),
             queue_cap: opts.queue,
             failure: Mutex::new(None),
-            shed_set: Mutex::new(HashSet::new()),
-            shed_count: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
         });
         let workers = (0..nworkers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let rx = rx.clone();
-                std::thread::spawn(move || worker_loop(&shared, &rx))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         QueryEngine {
@@ -854,153 +684,36 @@ impl QueryEngine {
             donor: net,
             streams,
             next_seq: 0,
-            drained_upto: 0,
             workers,
-            rejected: 0,
-            vclock_finish: 0,
-            last_arrival: 0,
-            service_cost: BASE_SERVICE,
         }
-    }
-
-    /// Take one in-flight slot. At the bound, `wait` blocks until a slot
-    /// frees; otherwise the slot is refused (`false`).
-    fn acquire_slot(&self, wait: bool) -> bool {
-        let mut inflight = self.shared.flow.lock().unwrap_or_else(|e| e.into_inner());
-        while *inflight >= self.shared.queue_cap {
-            if !wait {
-                return false;
-            }
-            inflight = self
-                .shared
-                .flow_cv
-                .wait(inflight)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        *inflight += 1;
-        true
-    }
-
-    /// Draw query `seq`'s origin peer from its home shard's RNG stream —
-    /// here, on the submitting thread, so draws happen in submission
-    /// order regardless of schedule — and queue its prepare.
-    fn send_prepare(&mut self, seq: u64, q: &RangeSet) {
-        let home = (seq % self.streams.len() as u64) as usize;
-        let node_ids = self.shared.core.ring.node_ids();
-        let origin = node_ids[self.streams[home].gen_index(node_ids.len())];
-        self.shared
-            .tx
-            .send(Job::Prepare(seq, q.clone(), origin))
-            .expect("engine workers alive");
     }
 
     /// Submit a query, blocking while the in-flight bound is reached.
-    /// Returns the query's sequence number (its index in drain order).
+    /// Its origin peer is drawn from its home shard's RNG stream here, on
+    /// the submitting thread, so draws happen in submission order
+    /// regardless of schedule.
     ///
     /// # Panics
     /// Panics if `q` is empty.
-    pub fn submit(&mut self, q: &RangeSet) -> u64 {
+    fn submit(&mut self, q: &RangeSet) {
         assert!(!q.is_empty(), "cannot query an empty range");
-        self.acquire_slot(true);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.send_prepare(seq, q);
-        seq
-    }
-
-    /// Non-blocking [`Self::submit`]: refuses with
-    /// [`SubmitError::QueueFull`] when the in-flight bound is reached,
-    /// so an overloaded engine pushes back instead of queueing unbounded
-    /// wait time. A refused query consumes no sequence number and no
-    /// randomness — admitting the same queries later reproduces the same
-    /// outcomes.
-    ///
-    /// # Panics
-    /// Panics if `q` is empty.
-    pub fn try_submit(&mut self, q: &RangeSet) -> Result<u64, SubmitError> {
-        assert!(!q.is_empty(), "cannot query an empty range");
-        if !self.acquire_slot(false) {
-            self.rejected += 1;
-            self.shared.core.telemetry.counter_add("engine.rejected", 1);
-            return Err(SubmitError::QueueFull);
+        {
+            let mut inflight = self.shared.flow.lock();
+            while *inflight >= self.shared.queue_cap {
+                inflight = self
+                    .shared
+                    .flow_cv
+                    .wait(inflight)
+                    .unwrap_or_else(|e| e.into_inner());
+            }
+            *inflight += 1;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.send_prepare(seq, q);
-        Ok(seq)
-    }
-
-    /// Deadline-aware submission: the query arrives at virtual time
-    /// `arrival` and is worthless once its start would exceed
-    /// `arrival + deadline`.
-    ///
-    /// Admission is judged against a deterministic single-server queue
-    /// model: each admitted query occupies the virtual server for
-    /// [`Self::set_service_cost`] units, so a query starts at
-    /// `max(server-free instant, arrival)`. A query that cannot start in
-    /// time is *doomed at admission* (deterministically — no thread
-    /// schedule involved) and *shed at dequeue* by the scheduler: it
-    /// holds an in-flight slot until a worker drops it (so doomed load
-    /// still applies backpressure), then vanishes from drain output,
-    /// counted in [`AdmissionStats::shed`] and the `engine.shed`
-    /// telemetry counter. Shed queries consume no randomness: the
-    /// admitted subsequence reproduces bit-identically.
-    ///
-    /// Blocks for an in-flight slot like [`Self::submit`].
-    ///
-    /// # Panics
-    /// Panics if `q` is empty or `arrival` decreases between calls.
-    pub fn submit_timed(&mut self, q: &RangeSet, arrival: u64, deadline: u64) -> Admission {
-        assert!(!q.is_empty(), "cannot query an empty range");
-        assert!(
-            arrival >= self.last_arrival,
-            "arrivals must be non-decreasing"
-        );
-        self.last_arrival = arrival;
-        let start = self.vclock_finish.max(arrival);
-        let shed = start > arrival.saturating_add(deadline);
-        self.acquire_slot(true);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if shed {
-            self.shared
-                .tx
-                .send(Job::Shed(seq))
-                .expect("engine workers alive");
-            return Admission::Shed(seq);
-        }
-        // Only served work occupies the virtual server; shedding is
-        // what keeps the queue from collapsing under a burst.
-        self.vclock_finish = start + self.service_cost;
-        self.send_prepare(seq, q);
-        Admission::Accepted(seq)
-    }
-
-    /// Set the virtual service cost per query in the admission model
-    /// (default [`BASE_SERVICE`]).
-    ///
-    /// # Panics
-    /// Panics if `cost` is zero.
-    pub fn set_service_cost(&mut self, cost: u64) {
-        assert!(cost > 0, "service cost must be positive");
-        self.service_cost = cost;
-    }
-
-    /// The admission-control ledger so far. On a healthy run,
-    /// `submitted == completed + shed + queued`.
-    pub fn admission(&self) -> AdmissionStats {
-        AdmissionStats {
-            submitted: self.next_seq,
-            rejected: self.rejected,
-            shed: self.shared.shed_count.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            queued: self.in_flight() as u64,
-        }
-    }
-
-    /// Queries submitted but not yet committed.
-    pub fn in_flight(&self) -> usize {
-        *self.shared.flow.lock().unwrap_or_else(|e| e.into_inner())
+        let home = (seq % self.streams.len() as u64) as usize;
+        let node_ids = self.shared.core.ring.node_ids();
+        let origin = node_ids[self.streams[home].gen_index(node_ids.len())];
+        self.shared.send(Job::Prepare(seq, q.clone(), origin));
     }
 
     /// Arm the test-only fault hook: the next query equal to `q` panics
@@ -1010,18 +723,29 @@ impl QueryEngine {
         *self.shared.core.poison.lock() = Some((q, stage));
     }
 
-    /// Wait until every submitted query has committed (or tombstoned, or
-    /// been shed), then return their outcomes in submission order (only
-    /// those not already drained; shed queries produce no outcome).
+    /// Send every worker its stop and join them. Jobs still queued ahead
+    /// of the stops are served first.
+    fn stop_workers(&mut self) {
+        for _ in 0..self.workers.len() {
+            self.shared.send(Job::Stop);
+        }
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
+    }
+
+    /// Wait until every submitted query has committed or tombstoned, stop
+    /// the workers, and merge the shards back into the network. Returns
+    /// the network and the outcomes in submission order — or the latched
+    /// [`WorkerPanic`] if a worker panicked, in which case the batch is
+    /// not trustworthy and the merged network may contain a partially
+    /// applied commit.
     ///
     /// The wait always terminates: a worker panic is caught at the job
-    /// boundary, frees its in-flight slot, and latches an
-    /// [`EngineError`], which this returns instead of the outcomes. Once
-    /// poisoned, the engine stays poisoned — later drains (and
-    /// [`Self::shutdown`]) keep reporting the first failure.
-    pub fn drain(&mut self) -> Result<Vec<QueryOutcome>, EngineError> {
+    /// boundary and frees its in-flight slot.
+    fn shutdown(mut self) -> (RangeSelectNetwork, Result<Vec<QueryOutcome>, WorkerPanic>) {
         {
-            let mut inflight = self.shared.flow.lock().unwrap_or_else(|e| e.into_inner());
+            let mut inflight = self.shared.flow.lock();
             while *inflight > 0 {
                 inflight = self
                     .shared
@@ -1030,50 +754,16 @@ impl QueryEngine {
                     .unwrap_or_else(|e| e.into_inner());
             }
         }
-        let mut results = self.shared.results.lock();
-        let mut shed = self.shared.shed_set.lock();
-        if let Some(err) = self.shared.failure.lock().clone() {
-            // Drop whatever partial results this window produced; the
-            // batch is not trustworthy once a commit unwound mid-flight.
-            for seq in self.drained_upto..self.next_seq {
-                results.remove(&seq);
-                shed.remove(&seq);
-            }
-            self.drained_upto = self.next_seq;
-            return Err(err);
-        }
-        let outcomes = (self.drained_upto..self.next_seq)
-            .filter_map(|seq| {
-                if shed.remove(&seq) {
-                    // Shed at dequeue: no outcome, by design — already
-                    // counted in `AdmissionStats::shed`.
-                    return None;
-                }
-                Some(results.remove(&seq).expect("committed query has a result"))
-            })
-            .collect();
-        self.drained_upto = self.next_seq;
-        Ok(outcomes)
-    }
-
-    /// Send every worker its stop and join them. Jobs still queued ahead
-    /// of the stops are served first; nothing waits on undrained outcomes.
-    fn stop_workers(&mut self) {
-        for _ in 0..self.workers.len() {
-            let _ = self.shared.tx.send(Job::Stop);
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-
-    /// Drain, stop the workers, and merge the shards back into the
-    /// network. Returns the network and any outcomes not yet drained —
-    /// or the latched [`EngineError`] if a worker panicked, in which case
-    /// the merged network may contain a partially applied commit.
-    pub fn shutdown(mut self) -> (RangeSelectNetwork, Result<Vec<QueryOutcome>, EngineError>) {
-        let outcomes = self.drain();
         self.stop_workers();
+        let outcomes = match self.shared.failure.lock().take() {
+            Some(panic) => Err(panic),
+            None => {
+                let mut results = self.shared.results.lock();
+                Ok((0..self.next_seq)
+                    .map(|seq| results.remove(&seq).expect("committed query has a result"))
+                    .collect())
+            }
+        };
         let mut net = std::mem::replace(&mut self.donor, RangeSelectNetwork::placeholder());
         self.shared.core.reassemble(&mut net);
         // Advance the network generator to stream 0's final state: a
@@ -1085,8 +775,8 @@ impl QueryEngine {
 
 /// An engine dropped without [`QueryEngine::shutdown`] — a caller that
 /// unwound, say — still stops and joins its workers: they hold the shared
-/// state (and through it the only job sender), so they would otherwise
-/// block on the channel for the life of the process.
+/// state, so they would otherwise sleep on the job queue for the life of
+/// the process.
 impl Drop for QueryEngine {
     fn drop(&mut self) {
         self.stop_workers();
@@ -1150,10 +840,14 @@ impl RangeSelectNetwork {
         }
         let (net, outcomes) = engine.shutdown();
         *self = net;
-        // The batch API has no error channel; a worker panic propagates
-        // as a panic on the calling thread (previously it deadlocked or
-        // aborted, so this is strictly more diagnosable).
-        let outcomes = outcomes.expect("engine worker panicked");
+        // The batch API has no error channel: a worker panic surfaces as
+        // a panic on the calling thread.
+        let outcomes = outcomes.unwrap_or_else(|p| {
+            panic!(
+                "engine worker panicked in {} of query {}: {}",
+                p.stage, p.seq, p.message
+            )
+        });
         telemetry.span_end(span, &[("queries", outcomes.len().into())]);
         outcomes
     }
@@ -1336,49 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_submit_drain_shutdown() {
-        let config = SystemConfig::default().with_seed(55);
-        let net = RangeSelectNetwork::new(30, config.clone());
-        let mut engine = QueryEngine::launch(
-            net,
-            EngineOptions {
-                shards: 4,
-                workers: 2,
-                queue: 8,
-            },
-        );
-        let qs = trace();
-        let (head, tail) = qs.split_at(qs.len() / 2);
-        for q in head {
-            engine.submit(q);
-        }
-        let first = engine.drain().expect("no worker panicked");
-        assert_eq!(first.len(), head.len());
-        assert_eq!(engine.in_flight(), 0);
-        for q in tail {
-            engine.submit(q);
-        }
-        let (net, second) = engine.shutdown();
-        let second = second.expect("no worker panicked");
-        assert_eq!(second.len(), tail.len());
-        assert_eq!(net.stats().queries, qs.len() as u64);
-
-        // The streamed run equals one batched run of the whole trace.
-        let mut batched = RangeSelectNetwork::new(30, config);
-        let out = batched.query_batch_concurrent_with(
-            &qs,
-            EngineOptions {
-                shards: 4,
-                workers: 2,
-                queue: 8,
-            },
-        );
-        let streamed: Vec<QueryOutcome> = first.into_iter().chain(second).collect();
-        assert_eq!(out, streamed);
-        assert_eq!(batched.stats(), net.stats());
-    }
-
-    #[test]
     fn tiny_queue_backpressure_makes_progress() {
         let net = RangeSelectNetwork::new(20, SystemConfig::default().with_seed(3));
         let mut engine = QueryEngine::launch(
@@ -1391,7 +1042,7 @@ mod tests {
         );
         for q in trace() {
             engine.submit(&q);
-            assert!(engine.in_flight() <= 1);
+            assert!(*engine.shared.flow.lock() <= 1);
         }
         let (net, out) = engine.shutdown();
         let out = out.expect("no worker panicked");
@@ -1436,30 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_counters_sum_to_totals() {
-        let mut net = RangeSelectNetwork::new(30, SystemConfig::default().with_seed(17));
-        let tel = ars_telemetry::Telemetry::recording();
-        net.set_telemetry(tel.clone());
-        let qs = trace();
-        net.query_batch_concurrent_with(
-            &qs,
-            EngineOptions {
-                shards: 4,
-                workers: 2,
-                queue: 32,
-            },
-        );
-        let snap = tel.snapshot();
-        let per_shard: u64 = (0..4).map(|i| snap.counter(SHARD_QUERIES[i])).sum();
-        assert_eq!(per_shard, qs.len() as u64);
-        let hits: u64 = (0..4).map(|i| snap.counter(SHARD_CACHE_HITS[i])).sum();
-        let misses: u64 = (0..4).map(|i| snap.counter(SHARD_CACHE_MISSES[i])).sum();
-        assert_eq!(hits, net.identifier_cache().hits());
-        assert_eq!(misses, net.identifier_cache().misses());
-        assert_eq!(hits + misses, qs.len() as u64);
-    }
-
-    #[test]
     fn engine_emits_batch_span_not_query_spans() {
         let mut net = RangeSelectNetwork::new(20, SystemConfig::default().with_seed(5));
         let tel = ars_telemetry::Telemetry::recording();
@@ -1495,28 +1122,20 @@ mod tests {
         engine.poison(r(666, 700), "prepare");
         engine.submit(&r(10, 50));
         engine.submit(&r(666, 700)); // panics mid-prepare
-                                     // Successors enroll past the tombstone — the watermark must not
-                                     // wedge behind the dead query (the old deadlock).
+
+        // Successors enroll past the tombstone — the watermark must not
+        // wedge behind the dead query.
         for i in 0..20u32 {
             engine.submit(&r(i * 30 + 1, i * 30 + 40));
         }
-        let err = engine.drain().expect_err("poisoned batch must error");
-        match &err {
-            EngineError::WorkerPanicked {
-                seq,
-                stage,
-                message,
-            } => {
-                assert_eq!(*seq, 1);
-                assert_eq!(*stage, "prepare");
-                assert!(message.contains("poisoned"), "got: {message}");
-            }
-        }
-        // Poisoned stays poisoned; shutdown reports the same failure but
-        // still hands the network back.
+        // Shutdown reports the failure but still hands the network back.
         let (net, outcomes) = engine.shutdown();
-        assert_eq!(outcomes, Err(err));
+        let err = outcomes.expect_err("poisoned batch must error");
+        assert_eq!(err.seq, 1);
+        assert_eq!(err.stage, "prepare");
+        assert!(err.message.contains("poisoned"), "got: {}", err.message);
         assert_eq!(net.len(), 30);
+        assert_eq!(net.stats().queries, 21, "all but the dead query committed");
     }
 
     #[test]
@@ -1537,152 +1156,10 @@ mod tests {
         for _ in 0..8 {
             engine.submit(&r(400, 460));
         }
-        let err = engine.drain().expect_err("commit panic must latch");
-        match err {
-            EngineError::WorkerPanicked { stage, .. } => assert_eq!(stage, "commit"),
-        }
-        assert_eq!(engine.in_flight(), 0, "every slot freed despite panics");
-    }
-
-    #[test]
-    fn try_submit_rejects_at_capacity_without_consuming_anything() {
-        let config = SystemConfig::default().with_seed(41);
-        let net = RangeSelectNetwork::new(30, config.clone());
-        let mut engine = QueryEngine::launch(
-            net,
-            EngineOptions {
-                shards: 2,
-                workers: 2,
-                queue: 4,
-            },
-        );
-        // Force the full condition deterministically (workers drain real
-        // submissions too fast to observe it reliably): pin the in-flight
-        // gauge at capacity, which is exactly what try_submit consults.
-        *engine.shared.flow.lock().unwrap() = 4;
-        assert_eq!(engine.try_submit(&r(10, 60)), Err(SubmitError::QueueFull));
-        assert_eq!(engine.try_submit(&r(10, 60)), Err(SubmitError::QueueFull));
-        *engine.shared.flow.lock().unwrap() = 0;
-        assert_eq!(engine.admission().rejected, 2);
-        assert_eq!(engine.admission().submitted, 0, "no seq consumed");
-        // A refusal consumed no RNG: the engine replays a twin that never
-        // saw the refusals.
-        let seq = engine.try_submit(&r(10, 60)).expect("capacity free again");
-        assert_eq!(seq, 0);
-        let (_, outcomes) = engine.shutdown();
-        let outcomes = outcomes.expect("no worker panicked");
-
-        let mut twin = RangeSelectNetwork::new(30, config);
-        let expected = twin.query_batch_concurrent_with(&[r(10, 60)], one_worker(2));
-        assert_eq!(outcomes, expected);
-    }
-
-    #[test]
-    fn submit_timed_sheds_doomed_queries_and_balances_ledger() {
-        let config = SystemConfig::default().with_seed(47);
-        let net = RangeSelectNetwork::new(30, config.clone());
-        let mut engine = QueryEngine::launch(
-            net,
-            EngineOptions {
-                shards: 2,
-                workers: 2,
-                queue: 64,
-            },
-        );
-        engine.set_service_cost(100);
-        let qs = trace();
-        // Everything arrives at t=0 with a 250-unit deadline: the virtual
-        // server fits exactly three 100-unit services before any further
-        // query would start later than its deadline allows.
-        let admitted: Vec<bool> = qs
-            .iter()
-            .map(|q| !engine.submit_timed(q, 0, 250).is_shed())
-            .collect();
-        assert_eq!(admitted.iter().filter(|&&a| a).count(), 3);
-        assert!(admitted[..3].iter().all(|&a| a), "FIFO admits the head");
-        let outcomes = engine.drain().expect("no worker panicked");
-        assert_eq!(outcomes.len(), 3, "shed queries produce no outcome");
-        let ledger = engine.admission();
-        assert_eq!(ledger.submitted, qs.len() as u64);
-        assert_eq!(ledger.shed, qs.len() as u64 - 3);
-        assert_eq!(ledger.completed, 3);
-        assert_eq!(ledger.queued, 0);
-        assert_eq!(
-            ledger.submitted,
-            ledger.completed + ledger.shed + ledger.queued,
-            "admission ledger must balance"
-        );
-        let (net, rest) = engine.shutdown();
-        rest.expect("no worker panicked");
-        assert_eq!(net.stats().queries, 3, "shed work never touched a shard");
-
-        // Shed queries consume no randomness: a twin that only ever saw
-        // the admitted prefix produces bit-identical outcomes.
-        let mut twin = RangeSelectNetwork::new(30, config);
-        let expected = twin.query_batch_concurrent_with(&qs[..3], one_worker(2));
-        assert_eq!(outcomes, expected);
-    }
-
-    #[test]
-    fn submit_timed_with_slack_admits_everything() {
-        let net = RangeSelectNetwork::new(30, SystemConfig::default().with_seed(53));
-        let mut engine = QueryEngine::launch(
-            net,
-            EngineOptions {
-                shards: 2,
-                workers: 2,
-                queue: 64,
-            },
-        );
-        engine.set_service_cost(100);
-        let qs = trace();
-        for (i, q) in qs.iter().enumerate() {
-            // Arrivals keep pace with the service rate: nothing is doomed.
-            let adm = engine.submit_timed(q, i as u64 * 100, 250);
-            assert!(!adm.is_shed(), "query {i} wrongly shed");
-        }
-        let outcomes = engine.drain().expect("no worker panicked");
-        assert_eq!(outcomes.len(), qs.len());
-        assert_eq!(engine.admission().shed, 0);
-    }
-
-    #[test]
-    fn shed_telemetry_counts_match_ledger() {
-        let mut net = RangeSelectNetwork::new(20, SystemConfig::default().with_seed(59));
-        let tel = ars_telemetry::Telemetry::recording();
-        net.set_telemetry(tel.clone());
-        let mut engine = QueryEngine::launch(
-            net,
-            EngineOptions {
-                shards: 2,
-                workers: 2,
-                queue: 32,
-            },
-        );
-        for q in trace() {
-            engine.submit_timed(&q, 0, 150);
-        }
-        engine.drain().expect("no worker panicked");
-        let ledger = engine.admission();
-        assert!(ledger.shed > 0, "overload scenario must shed");
-        assert_eq!(tel.snapshot().counter("engine.shed"), ledger.shed);
-        engine.shutdown().1.expect("no worker panicked");
-    }
-
-    #[test]
-    #[should_panic(expected = "arrivals must be non-decreasing")]
-    fn submit_timed_rejects_time_travel() {
-        let net = RangeSelectNetwork::new(10, SystemConfig::default());
-        let mut engine = QueryEngine::launch(
-            net,
-            EngineOptions {
-                shards: 1,
-                workers: 1,
-                queue: 8,
-            },
-        );
-        engine.submit_timed(&r(1, 30), 100, 500);
-        engine.submit_timed(&r(1, 30), 99, 500);
+        let shared = Arc::clone(&engine.shared);
+        let err = engine.shutdown().1.expect_err("commit panic must latch");
+        assert_eq!(err.stage, "commit");
+        assert_eq!(*shared.flow.lock(), 0, "every slot freed despite panics");
     }
 
     #[test]

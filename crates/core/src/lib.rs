@@ -52,7 +52,7 @@ pub use churn::{ChurnNetwork, InventoryEntry, RepairRound};
 pub use config::{MatchMeasure, PlacementMode, SystemConfig};
 pub use data::DataNetwork;
 pub use durable::DurabilityConfig;
-pub use engine::{Admission, AdmissionStats, EngineError, EngineOptions, QueryEngine, SubmitError};
+pub use engine::EngineOptions;
 pub use exact::ExactMatchNetwork;
 pub use multiattr::{MultiAttrNetwork, MultiRange};
 pub use network::{BatchTimings, NetworkStats, QueryOutcome, RangeSelectNetwork};

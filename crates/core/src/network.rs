@@ -718,8 +718,8 @@ impl RangeSelectNetwork {
 
     /// A minimal throwaway network — the engine swaps one in while it
     /// temporarily owns the real network's state (see
-    /// [`crate::engine::QueryEngine`]). Cheap to build: one peer, one
-    /// hash function.
+    /// [`Self::query_batch_concurrent_with`]). Cheap to build: one peer,
+    /// one hash function.
     pub(crate) fn placeholder() -> RangeSelectNetwork {
         RangeSelectNetwork::new(1, SystemConfig::default().with_kl(1, 1))
     }

@@ -18,9 +18,11 @@ use crate::peer::Peer;
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap};
 use ars_lsh::{HashGroups, RangeSet};
-use ars_simnet::codec::{get_seq, get_u32, get_u64, get_u8, put_seq, CodecError, Wire};
+use ars_simnet::codec::{
+    get_f64, get_seq, get_u32, get_u64, get_u8, put_f64, put_seq, put_u32, put_u64, put_u8,
+    CodecError, Wire,
+};
 use ars_simnet::{ConstantLatency, FaultPlan, Node, NodeCtx, SimNet, SimStats};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -37,17 +39,17 @@ fn from_wire(w: &[(u32, u32)]) -> RangeSet {
     RangeSet::from_intervals(w.iter().copied())
 }
 
-fn put_range(buf: &mut BytesMut, range: &WireRange) {
+fn put_range(buf: &mut Vec<u8>, range: &WireRange) {
     put_seq(buf, range, |b, &(lo, hi)| {
-        b.put_u32(lo);
-        b.put_u32(hi);
+        put_u32(b, lo);
+        put_u32(b, hi);
     });
 }
 
 /// Read an interval list, refusing an inverted interval: bytes off the
 /// wire are outside input, and the peer that handled `(9, 3)` would
 /// otherwise panic building the [`RangeSet`].
-fn get_range(buf: &mut Bytes) -> Result<WireRange, CodecError> {
+fn get_range(buf: &mut &[u8]) -> Result<WireRange, CodecError> {
     get_seq(buf, |b| {
         let (lo, hi) = (get_u32(b)?, get_u32(b)?);
         if lo > hi {
@@ -115,7 +117,7 @@ pub enum Payload {
 }
 
 impl Wire for ProtoMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             ProtoMsg::Route {
                 key,
@@ -123,10 +125,10 @@ impl Wire for ProtoMsg {
                 hops,
                 payload,
             } => {
-                buf.put_u8(0);
-                buf.put_u32(*key);
-                buf.put_u32(*ident);
-                buf.put_u32(*hops);
+                put_u8(buf, 0);
+                put_u32(buf, *key);
+                put_u32(buf, *ident);
+                put_u32(buf, *hops);
                 payload.encode(buf);
             }
             ProtoMsg::MatchReply {
@@ -135,28 +137,28 @@ impl Wire for ProtoMsg {
                 hops,
                 best,
             } => {
-                buf.put_u8(1);
-                buf.put_u64(*request);
-                buf.put_u32(*identifier);
-                buf.put_u32(*hops);
+                put_u8(buf, 1);
+                put_u64(buf, *request);
+                put_u32(buf, *identifier);
+                put_u32(buf, *hops);
                 match best {
-                    None => buf.put_u8(0),
+                    None => put_u8(buf, 0),
                     Some((range, score)) => {
-                        buf.put_u8(1);
+                        put_u8(buf, 1);
                         put_range(buf, range);
-                        buf.put_f64(*score);
+                        put_f64(buf, *score);
                     }
                 }
             }
             ProtoMsg::StoreAck { request, stored } => {
-                buf.put_u8(2);
-                buf.put_u64(*request);
-                buf.put_u8(u8::from(*stored));
+                put_u8(buf, 2);
+                put_u64(buf, *request);
+                put_u8(buf, u8::from(*stored));
             }
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match get_u8(buf)? {
             0 => Ok(ProtoMsg::Route {
                 key: get_u32(buf)?,
@@ -172,11 +174,7 @@ impl Wire for ProtoMsg {
                     0 => None,
                     1 => {
                         let range = get_range(buf)?;
-                        if buf.remaining() < 8 {
-                            return Err(CodecError::Truncated);
-                        }
-                        let score = buf.get_f64();
-                        Some((range, score))
+                        Some((range, get_f64(buf)?))
                     }
                     t => return Err(CodecError::BadTag(t)),
                 };
@@ -201,16 +199,16 @@ impl Wire for ProtoMsg {
 }
 
 impl Wire for Payload {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Payload::FindMatch {
                 request,
                 origin,
                 range,
             } => {
-                buf.put_u8(0);
-                buf.put_u64(*request);
-                buf.put_u32(*origin);
+                put_u8(buf, 0);
+                put_u64(buf, *request);
+                put_u32(buf, *origin);
                 put_range(buf, range);
             }
             Payload::Store {
@@ -218,15 +216,15 @@ impl Wire for Payload {
                 origin,
                 range,
             } => {
-                buf.put_u8(1);
-                buf.put_u64(*request);
-                buf.put_u32(*origin);
+                put_u8(buf, 1);
+                put_u64(buf, *request);
+                put_u32(buf, *origin);
                 put_range(buf, range);
             }
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let tag = get_u8(buf)?;
         let request = get_u64(buf)?;
         let origin = get_u32(buf)?;
@@ -668,7 +666,8 @@ mod tests {
             ack(false),
         ];
         for m in msgs {
-            let (decoded, rest) = deframe::<ProtoMsg>(frame(&m)).unwrap();
+            let framed = frame(&m);
+            let (decoded, rest) = deframe::<ProtoMsg>(&framed).unwrap();
             assert_eq!(decoded, m);
             assert!(rest.is_empty());
         }
@@ -676,17 +675,13 @@ mod tests {
 
     #[test]
     fn wire_rejects_bad_tag() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(99);
-        let mut framed = BytesMut::new();
-        framed.put_u32(buf.len() as u32);
-        framed.extend_from_slice(&buf);
+        // A one-byte frame holding an unknown message tag.
         assert!(matches!(
-            deframe::<ProtoMsg>(framed.freeze()),
+            deframe::<ProtoMsg>(&[0, 0, 0, 1, 99]),
             Err(CodecError::BadTag(99))
         ));
         // A StoreAck's `stored` byte is a bool: anything but 0/1 is hostile.
-        let mut ack = Bytes::from(vec![2, 0, 0, 0, 0, 0, 0, 0, 9, 2]);
+        let mut ack: &[u8] = &[2, 0, 0, 0, 0, 0, 0, 0, 9, 2];
         assert_eq!(ProtoMsg::decode(&mut ack), Err(CodecError::BadTag(2)));
     }
 
@@ -722,7 +717,7 @@ mod tests {
         ];
         for m in &msgs {
             assert_eq!(
-                deframe::<ProtoMsg>(frame(m)),
+                deframe::<ProtoMsg>(&frame(m)).map(|(msg, _)| msg),
                 Err(CodecError::BadLength(6)),
                 "{m:?}"
             );
@@ -753,9 +748,9 @@ mod tests {
             let framed = frame(m);
             for cut in 0..framed.len() {
                 // The frame's own length check catches a short buffer...
-                assert!(deframe::<ProtoMsg>(framed.slice(..cut)).is_err());
+                assert!(deframe::<ProtoMsg>(&framed[..cut]).is_err());
                 // ...and `decode` alone must hold up on a short payload too.
-                let mut payload = framed.slice(4..cut.max(4));
+                let mut payload = &framed[4..cut.max(4)];
                 assert!(ProtoMsg::decode(&mut payload).is_err(), "prefix {cut}");
             }
         }

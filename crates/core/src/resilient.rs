@@ -438,6 +438,9 @@ pub struct ResilienceStats {
     /// Health-probe messages sent by [`crate::ChurnNetwork::probe_peers`]
     /// sweeps (each feeds the failure detector and breakers).
     pub probes_sent: u64,
+    /// Queries [`crate::ChurnNetwork::query_within`] refused because the
+    /// virtual clock could not start them within their deadline.
+    pub shed: u64,
 }
 
 #[cfg(test)]
@@ -567,6 +570,7 @@ mod tests {
                 breaker_opens: 0,
                 breaker_short_circuits: 0,
                 probes_sent: 0,
+                shed: 0,
             }
         );
     }

@@ -3,11 +3,11 @@
 //! The simulator moves typed values between nodes, but a real deployment
 //! needs a concrete encoding. [`Wire`] defines one:
 //! length-prefixed frames (u32 big-endian length, then the payload), with
-//! primitive helpers over `bytes::{Buf, BufMut}` that protocol crates use
-//! to implement [`Wire`] for their message enums. Round-trip property
-//! tests in `ars-core` exercise the full protocol encoding.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//! primitive big-endian `put_*` / length-checked `get_*` helpers over
+//! plain bytes — an encoder appends to a `Vec<u8>`, a decoder advances a
+//! `&[u8]` cursor — that protocol crates use to implement [`Wire`] for
+//! their message enums. Round-trip property tests in `ars-core` exercise
+//! the full protocol encoding.
 
 /// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,87 +42,107 @@ pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 /// Types with a binary wire encoding.
 pub trait Wire: Sized {
     /// Append the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode(&self, buf: &mut Vec<u8>);
     /// Decode a value, consuming exactly its bytes from `buf`.
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError>;
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError>;
 }
 
-/// Frame a message: u32 BE length prefix + payload.
-pub fn frame<M: Wire>(msg: &M) -> Bytes {
-    let mut payload = BytesMut::new();
-    msg.encode(&mut payload);
-    let mut out = BytesMut::with_capacity(4 + payload.len());
-    out.put_u32(payload.len() as u32);
-    out.extend_from_slice(&payload);
-    out.freeze()
+/// Frame a message: u32 BE length prefix + payload. The prefix is
+/// reserved first and patched once the payload is encoded in place; the
+/// initial capacity holds a typical protocol message (~40 bytes), so most
+/// frames are one allocation.
+pub fn frame<M: Wire>(msg: &M) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&[0; 4]);
+    msg.encode(&mut out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_be_bytes());
+    out
 }
 
 /// Strip a frame and decode its message. Returns the message and any
 /// remaining bytes after the frame.
-pub fn deframe<M: Wire>(mut buf: Bytes) -> Result<(M, Bytes), CodecError> {
-    if buf.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let len = buf.get_u32() as usize;
-    if buf.len() < len {
-        return Err(CodecError::Truncated);
-    }
-    let mut payload = buf.split_to(len);
+pub fn deframe<M: Wire>(mut buf: &[u8]) -> Result<(M, &[u8]), CodecError> {
+    let len = get_u32(&mut buf)? as usize;
+    let (mut payload, rest) = buf.split_at_checked(len).ok_or(CodecError::Truncated)?;
     let msg = M::decode(&mut payload)?;
     if !payload.is_empty() {
         return Err(CodecError::BadLength(payload.len() as u64));
     }
-    Ok((msg, buf))
+    Ok((msg, rest))
 }
 
 // --------------------------------------------------------------- helpers
 
+/// Take the next `N` bytes off the cursor, checking length.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(CodecError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// Write a `u8`.
+pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+    buf.push(v);
+}
+
+/// Write a `u32` (big-endian).
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Write a `u64` (big-endian).
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Write an `f64` (big-endian IEEE-754 bits).
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
 /// Read a `u8`, checking length.
-pub fn get_u8(buf: &mut Bytes) -> Result<u8, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u8())
+pub fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
+    take(buf).map(u8::from_be_bytes)
 }
 
 /// Read a `u32` (big-endian), checking length.
-pub fn get_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u32())
+pub fn get_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
+    take(buf).map(u32::from_be_bytes)
 }
 
 /// Read a `u64` (big-endian), checking length.
-pub fn get_u64(buf: &mut Bytes) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u64())
+pub fn get_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
+    take(buf).map(u64::from_be_bytes)
+}
+
+/// Read an `f64` (big-endian IEEE-754 bits), checking length.
+pub fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
+    take(buf).map(f64::from_be_bytes)
 }
 
 /// Write a length-prefixed string.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Read a length-prefixed string.
-pub fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
+pub fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
     let len = get_u32(buf)? as u64;
     if len > MAX_LEN {
         return Err(CodecError::BadLength(len));
     }
-    if (buf.remaining() as u64) < len {
-        return Err(CodecError::Truncated);
-    }
-    let raw = buf.split_to(len as usize);
+    let (raw, rest) = buf
+        .split_at_checked(len as usize)
+        .ok_or(CodecError::Truncated)?;
+    *buf = rest;
     String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadUtf8)
 }
 
 /// Write a length-prefixed list.
-pub fn put_seq<T>(buf: &mut BytesMut, items: &[T], mut f: impl FnMut(&mut BytesMut, &T)) {
-    buf.put_u32(items.len() as u32);
+pub fn put_seq<T>(buf: &mut Vec<u8>, items: &[T], mut f: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(buf, items.len() as u32);
     for it in items {
         f(buf, it);
     }
@@ -130,8 +150,8 @@ pub fn put_seq<T>(buf: &mut BytesMut, items: &[T], mut f: impl FnMut(&mut BytesM
 
 /// Read a length-prefixed list.
 pub fn get_seq<T>(
-    buf: &mut Bytes,
-    mut f: impl FnMut(&mut Bytes) -> Result<T, CodecError>,
+    buf: &mut &[u8],
+    mut f: impl FnMut(&mut &[u8]) -> Result<T, CodecError>,
 ) -> Result<Vec<T>, CodecError> {
     let len = get_u32(buf)? as u64;
     if len > MAX_LEN {
@@ -156,18 +176,45 @@ mod tests {
     }
 
     impl Wire for Ping {
-        fn encode(&self, buf: &mut BytesMut) {
-            buf.put_u64(self.id);
+        fn encode(&self, buf: &mut Vec<u8>) {
+            put_u64(buf, self.id);
             put_str(buf, &self.tag);
-            put_seq(buf, &self.data, |b, v| b.put_u32(*v));
+            put_seq(buf, &self.data, |b, v| put_u32(b, *v));
         }
-        fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
+        fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             Ok(Ping {
                 id: get_u64(buf)?,
                 tag: get_str(buf)?,
                 data: get_seq(buf, get_u32)?,
             })
         }
+    }
+
+    /// A hand-built frame around `payload`, for payloads no `Ping` encodes to.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, payload.len() as u32);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn round_trip_big_endian() {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 0xAB);
+        put_u32(&mut buf, 0x0102_0304);
+        put_u64(&mut buf, 0x0506_0708_090A_0B0C);
+        put_f64(&mut buf, 0.75);
+        // Most significant byte first; 0.75 is 0x3FE8_0000_0000_0000.
+        assert_eq!(buf[..5], [0xAB, 1, 2, 3, 4]);
+        assert_eq!(buf[5..13], [5, 6, 7, 8, 9, 10, 11, 12]);
+        assert_eq!(buf[13..], [0x3F, 0xE8, 0, 0, 0, 0, 0, 0]);
+        let mut cur = buf.as_slice();
+        assert_eq!(get_u8(&mut cur), Ok(0xAB));
+        assert_eq!(get_u32(&mut cur), Ok(0x0102_0304));
+        assert_eq!(get_u64(&mut cur), Ok(0x0506_0708_090A_0B0C));
+        assert_eq!(get_f64(&mut cur), Ok(0.75));
+        assert_eq!(get_u8(&mut cur), Err(CodecError::Truncated));
     }
 
     #[test]
@@ -178,7 +225,7 @@ mod tests {
             data: vec![1, 2, 3, u32::MAX],
         };
         let framed = frame(&p);
-        let (decoded, rest) = deframe::<Ping>(framed).unwrap();
+        let (decoded, rest) = deframe::<Ping>(&framed).unwrap();
         assert_eq!(decoded, p);
         assert!(rest.is_empty());
     }
@@ -190,10 +237,9 @@ mod tests {
             tag: "x".into(),
             data: vec![],
         };
-        let mut bytes = BytesMut::new();
+        let mut bytes = frame(&p);
         bytes.extend_from_slice(&frame(&p));
-        bytes.extend_from_slice(&frame(&p));
-        let (m1, rest) = deframe::<Ping>(bytes.freeze()).unwrap();
+        let (m1, rest) = deframe::<Ping>(&bytes).unwrap();
         let (m2, rest2) = deframe::<Ping>(rest).unwrap();
         assert_eq!(m1, m2);
         assert!(rest2.is_empty());
@@ -208,9 +254,8 @@ mod tests {
         };
         let full = frame(&p);
         for cut in [0, 2, 4, full.len() - 1] {
-            let partial = full.slice(..cut);
             assert_eq!(
-                deframe::<Ping>(partial).unwrap_err(),
+                deframe::<Ping>(&full[..cut]).unwrap_err(),
                 CodecError::Truncated,
                 "cut at {cut}"
             );
@@ -225,44 +270,35 @@ mod tests {
             tag: "".into(),
             data: vec![],
         };
-        let mut payload = BytesMut::new();
+        let mut payload = Vec::new();
         p.encode(&mut payload);
-        payload.put_u8(0xFF); // extra byte inside the frame
-        let mut framed = BytesMut::new();
-        framed.put_u32(payload.len() as u32);
-        framed.extend_from_slice(&payload);
+        put_u8(&mut payload, 0xFF); // extra byte inside the frame
         assert!(matches!(
-            deframe::<Ping>(framed.freeze()),
+            deframe::<Ping>(&framed(&payload)),
             Err(CodecError::BadLength(_))
         ));
     }
 
     #[test]
     fn bad_utf8_detected() {
-        let mut payload = BytesMut::new();
-        payload.put_u64(5);
-        payload.put_u32(2);
-        payload.put_slice(&[0xFF, 0xFE]); // invalid UTF-8
-        payload.put_u32(0);
-        let mut framed = BytesMut::new();
-        framed.put_u32(payload.len() as u32);
-        framed.extend_from_slice(&payload);
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 5);
+        put_u32(&mut payload, 2);
+        payload.extend_from_slice(&[0xFF, 0xFE]); // invalid UTF-8
+        put_u32(&mut payload, 0);
         assert_eq!(
-            deframe::<Ping>(framed.freeze()).unwrap_err(),
+            deframe::<Ping>(&framed(&payload)).unwrap_err(),
             CodecError::BadUtf8
         );
     }
 
     #[test]
     fn implausible_length_rejected() {
-        let mut payload = BytesMut::new();
-        payload.put_u64(5);
-        payload.put_u32(u32::MAX); // string "length" of 4 GiB
-        let mut framed = BytesMut::new();
-        framed.put_u32(payload.len() as u32);
-        framed.extend_from_slice(&payload);
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 5);
+        put_u32(&mut payload, u32::MAX); // string "length" of 4 GiB
         assert!(matches!(
-            deframe::<Ping>(framed.freeze()),
+            deframe::<Ping>(&framed(&payload)),
             Err(CodecError::BadLength(_))
         ));
     }

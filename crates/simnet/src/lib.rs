@@ -10,8 +10,8 @@
 //!   run with the same seed is bit-identical, which the experiment harness
 //!   relies on.
 //! * [`codec`] — a small binary wire format (length-prefixed frames over
-//!   `bytes`) so protocol messages have a concrete encoding, exercised by
-//!   round-trip tests.
+//!   plain `Vec<u8>` / `&[u8]`) so protocol messages have a concrete
+//!   encoding, exercised by round-trip tests.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   (drop, duplication, extra delay, node crash/pause windows, scheduled
 //!   network partitions, and gray-failure slow windows) executed by the

@@ -62,10 +62,10 @@ pub mod prelude {
     pub use ars_chord::{DynamicNetwork, Id, Ring};
     pub use ars_common::{DetRng, Histogram, Summary};
     pub use ars_core::{
-        Admission, AdmissionStats, BatchTimings, BreakerConfig, BreakerState, ChurnNetwork,
-        CircuitBreaker, DataNetwork, DurabilityConfig, EngineOptions, FailureDetector, HedgePolicy,
-        MatchMeasure, PlacementMode, ProtoNetwork, QueryEngine, QueryOutcome, RangeSelectNetwork,
-        RepairRound, ResilienceStats, RetryPolicy, SubmitError, SystemConfig,
+        BatchTimings, BreakerConfig, BreakerState, ChurnNetwork, CircuitBreaker, DataNetwork,
+        DurabilityConfig, EngineOptions, FailureDetector, HedgePolicy, MatchMeasure, PlacementMode,
+        ProtoNetwork, QueryOutcome, RangeSelectNetwork, RepairRound, ResilienceStats, RetryPolicy,
+        SystemConfig,
     };
     pub use ars_lsh::{HashGroups, LshFamilyKind, RangeSet};
     pub use ars_relation::{

@@ -945,7 +945,7 @@ proptest! {
     ) {
         use ars::core::proto::{Payload, ProtoMsg};
         use ars::simnet::codec::{deframe, frame};
-        let _ = deframe::<ProtoMsg>(raw.as_slice().into());
+        let _ = deframe::<ProtoMsg>(&raw);
         let range = vec![(30, 50), (60, 70)];
         let valid = [
             ProtoMsg::Route {
@@ -957,12 +957,12 @@ proptest! {
             ProtoMsg::MatchReply { request: 42, identifier: 5, hops: 2, best: Some((range, 0.75)) },
             ProtoMsg::StoreAck { request: 9, stored: true },
         ];
-        let mut bytes = frame(&valid[base]).to_vec();
+        let mut bytes = frame(&valid[base]);
         for pair in raw.chunks_exact(2) {
             let at = pair[0] as usize % bytes.len();
             bytes[at] = pair[1];
         }
         bytes.truncate(cut.max(bytes.len() / 2));
-        let _ = deframe::<ProtoMsg>(bytes.into());
+        let _ = deframe::<ProtoMsg>(&bytes);
     }
 }

@@ -251,40 +251,6 @@ fn single_shard_reproduces_global_cache_accounting() {
     }
 }
 
-/// The streaming controller (submit / backpressure / drain / shutdown)
-/// is equivalent to one batched call over the concatenated trace.
-#[test]
-fn streaming_engine_equals_batched_run() {
-    let seed = env_seed("ARS_FAULT_SEED").wrapping_add(9);
-    let mut qs = Vec::new();
-    for i in 0..60u32 {
-        qs.push(RangeSet::interval((i * 53) % 600, (i * 53) % 600 + 30));
-    }
-    let opts = EngineOptions {
-        shards: 4,
-        workers: 3,
-        queue: 4, // small: exercise backpressure
-    };
-
-    let mut engine = QueryEngine::launch(net(seed, 2), opts);
-    let mut streamed = Vec::new();
-    for (i, q) in qs.iter().enumerate() {
-        engine.submit(q);
-        if i % 17 == 0 {
-            // interleave partial drains
-            streamed.extend(engine.drain().expect("no worker panicked"));
-        }
-    }
-    let (snet, rest) = engine.shutdown();
-    streamed.extend(rest.expect("no worker panicked"));
-
-    let mut bnet = net(seed, 2);
-    let batched = bnet.query_batch_concurrent_with(&qs, opts);
-    assert_eq!(streamed, batched);
-    assert_eq!(snet.stats(), bnet.stats());
-    assert_eq!(snet.total_partitions(), bnet.total_partitions());
-}
-
 /// Identical concurrent runs are deterministic in their outcomes even
 /// at high worker counts — the conflict scheduler, not the OS, decides
 /// commit order wherever it matters.

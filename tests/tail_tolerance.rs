@@ -19,9 +19,10 @@
 //!    win, breaker short-circuits keep the p99 down, and recall is
 //!    *identical* to the baseline run (substitutes serve the same
 //!    buckets);
-//! 5. shedding — the engine's deadline-aware admission keeps its ledger
-//!    balanced (`submitted == completed + shed + queued`) and sheds
-//!    deterministically.
+//! 5. shedding — deadline admission on the churn network's virtual clock
+//!    keeps its ledger balanced (`offered == admitted + shed`), sheds
+//!    deterministically, leaves the admitted queries' answers untouched,
+//!    and composes with slow peers.
 //!
 //! The fixed seed honors `ARS_FAULT_SEED` (default 0) so CI can sweep a
 //! small matrix of seeds over the same assertions.
@@ -413,81 +414,98 @@ fn hedged_breaker_headline_halves_p99_within_message_budget() {
 
 #[test]
 fn slow_fraction_is_stride_spaced_and_deterministic() {
-    let mut net = grown(30, 0x51DE ^ env_seed("ARS_FAULT_SEED"));
-    let victims = net.slow_fraction(0.2, 4);
-    assert_eq!(victims.len(), 6);
-    let mut ids = net.chord().node_ids();
-    ids.sort_unstable();
-    // Stride spacing: consecutive sorted positions are never both slow,
-    // so every victim's successor replica is healthy.
-    for w in ids.windows(2) {
-        assert!(
-            !(victims.contains(&w[0]) && victims.contains(&w[1])),
-            "adjacent ring positions both slowed"
-        );
+    // 50 x 0.3 and 64 x 0.3 are the non-dividing cases: a fixed stride
+    // of ceil(n / count) runs off the end of the ring before it has
+    // taken `count` victims.
+    for (n, fraction, count) in [(30, 0.2, 6), (50, 0.3, 15), (64, 0.3, 19), (40, 0.5, 20)] {
+        let seed = 0x51DE ^ env_seed("ARS_FAULT_SEED");
+        let mut net = grown(n, seed);
+        let victims = net.slow_fraction(fraction, 4);
+        assert_eq!(victims.len(), count, "{n} peers x {fraction}");
+        // Even spacing: ring-consecutive positions (the wrap from last to
+        // first included) are never both slow, so every victim's
+        // successor replica is healthy.
+        let ids = net.chord().alive_ids();
+        for (i, id) in ids.iter().enumerate() {
+            let next = ids[(i + 1) % ids.len()];
+            assert!(
+                !(victims.contains(id) && victims.contains(&next)),
+                "{n} peers x {fraction}: adjacent ring positions both slowed"
+            );
+        }
+        // Same membership → same victims (no RNG consumed).
+        assert_eq!(grown(n, seed).slow_fraction(fraction, 4), victims);
     }
-    // Same membership → same victims (no RNG consumed).
-    let mut twin = grown(30, 0x51DE ^ env_seed("ARS_FAULT_SEED"));
-    assert_eq!(twin.slow_fraction(0.2, 4), victims);
 }
 
 // ---------------------------------------------------------------------
-// 5. Shedding: deadline-aware admission control keeps its books.
+// 5. Shedding: deadline admission on the churn clock keeps its books.
 // ---------------------------------------------------------------------
+
+/// Offer `trace(60)` to a fresh 40-peer ring as three bursts of twenty,
+/// one query every `gap` ticks within a burst and 20 000 idle ticks
+/// between bursts (so queries are admitted again after others were
+/// shed), each worthless unless it starts within 1 500 ticks of arriving;
+/// with `slowed`, a fifth of the peers serve 10× slower.
+fn offered(gap: u64, slowed: bool) -> (Vec<Option<(QueryOutcome, u64)>>, ChurnNetwork) {
+    let mut net = grown(40, env_seed("ARS_FAULT_SEED") ^ 0xADA);
+    net.set_telemetry(Telemetry::recording());
+    if slowed {
+        net.slow_fraction(0.2, 10);
+    }
+    let answers = trace(60)
+        .iter()
+        .zip(0u64..)
+        .map(|(q, i)| net.query_within(q, i * gap + i / 20 * 20_000, 1_500))
+        .collect();
+    (answers, net)
+}
 
 #[test]
 fn admission_ledger_balances_under_overload() {
-    let config = SystemConfig::default().with_seed(env_seed("ARS_FAULT_SEED") ^ 0xADA);
-    let net = RangeSelectNetwork::new(30, config.clone());
-    let mut engine = QueryEngine::launch(
-        net,
-        EngineOptions {
-            shards: 2,
-            workers: 2,
-            queue: 32,
-        },
-    );
-    engine.set_service_cost(100);
-    let queries = trace(50);
-    // A burst at half the service rate: the backlog grows until the
-    // 300-unit deadline dooms the excess.
-    let decisions: Vec<bool> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| engine.submit_timed(q, i as u64 * 50, 300).is_shed())
-        .collect();
-    engine.drain().expect("no worker panicked");
-    let ledger = engine.admission();
+    // Bursts arriving about twice as fast as a query is served (some
+    // 500 ticks: four fetches and their hops): the backlog grows until
+    // the deadline dooms the excess.
+    let (answers, net) = offered(250, false);
+    let shed = answers.iter().filter(|a| a.is_none()).count() as u64;
+    let admitted = answers.len() as u64 - shed;
+    assert!(shed > 0, "the overload bursts must shed");
+    assert!(admitted > 0, "the head of each burst must be served");
+    assert_eq!(net.resilience().shed, shed, "every None is counted");
+    assert_eq!(net.telemetry().snapshot().counter("resilient.shed"), shed);
     assert_eq!(
-        ledger.submitted,
-        ledger.completed + ledger.shed + ledger.queued,
-        "admission ledger must balance"
+        net.telemetry().snapshot().counter("resilient.queries"),
+        admitted,
+        "offered == admitted + shed"
     );
-    assert_eq!(ledger.shed, decisions.iter().filter(|&&s| s).count() as u64);
-    assert!(ledger.shed > 0, "the overload burst must shed");
-    assert!(ledger.completed > 0, "the head of the burst must be served");
 
-    // The shed pattern is a pure function of arrivals — bit-identical on
-    // a rebuilt engine.
-    let net2 = RangeSelectNetwork::new(30, config);
-    let mut engine2 = QueryEngine::launch(
-        net2,
-        EngineOptions {
-            shards: 2,
-            workers: 2,
-            queue: 32,
-        },
+    // Shed pattern, outcomes and sojourn times replay on a rebuilt network.
+    assert_eq!(offered(250, false).0, answers, "shedding must replay");
+
+    // A shed query drew no randomness and touched no peer: a twin that
+    // was only ever offered the admitted subsequence, with no admission
+    // in front of it, answers identically.
+    let mut twin = grown(40, env_seed("ARS_FAULT_SEED") ^ 0xADA);
+    for (q, answer) in trace(60).iter().zip(&answers) {
+        if let Some((outcome, _)) = answer {
+            assert_eq!(&twin.query_resilient(q), outcome);
+        }
+    }
+
+    // Arrivals slower than the service rate: nothing waits, nothing is shed.
+    let (slack, net) = offered(10_000, false);
+    assert!(slack.iter().all(|a| a.is_some()));
+    assert_eq!(net.resilience().shed, 0);
+
+    // Overload composes with a gray failure on the one clock: slow peers
+    // lengthen the modelled service times, so the same bursts shed more.
+    let (degraded, net) = offered(250, true);
+    assert!(
+        net.resilience().shed > shed,
+        "slowed fleet shed {} of {}, healthy fleet {shed}",
+        net.resilience().shed,
+        degraded.len()
     );
-    engine2.set_service_cost(100);
-    let decisions2: Vec<bool> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| engine2.submit_timed(q, i as u64 * 50, 300).is_shed())
-        .collect();
-    assert_eq!(decisions, decisions2, "shedding must be deterministic");
-    engine2.drain().expect("no worker panicked");
-    engine.shutdown().1.expect("no worker panicked");
-    engine2.shutdown().1.expect("no worker panicked");
 }
 
 // ---------------------------------------------------------------------
