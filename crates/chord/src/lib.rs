@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod dynamic;
-pub mod finger;
 pub mod id;
 pub mod layered;
 pub mod lookup;

@@ -1,8 +1,8 @@
 //! Iterative lookup over a static ring, with full hop accounting.
 //!
-//! The routing rule is Chord's: at node `n`, if the key lies in
-//! `(n, successor(n)]` the successor owns it; otherwise forward to the
-//! closest finger strictly preceding the key. Path length — the number of
+//! The routing rule is Chord's ([`Ring::next_hop`]): at node `n`, if the key
+//! lies in `(n, successor(n)]` the successor owns it; otherwise forward to
+//! the closest finger strictly preceding the key. Path length — the number of
 //! overlay edges traversed, the metric of the paper's Fig. 12 — is the
 //! length of [`LookupTrace::path`] minus one.
 
@@ -36,41 +36,33 @@ impl LookupTrace {
 /// [`Ring`], whose tables are exact).
 pub fn lookup_trace(ring: &Ring, from: Id, key: Id) -> LookupTrace {
     let mut path = vec![from];
-    let owner = route(ring, from, key, |node| path.push(node));
+    let owner = route(ring, ring.origin_rank(from), key, |node| path.push(node));
     LookupTrace { path, owner, key }
 }
 
-/// The routing loop behind [`lookup_trace`] and [`Ring::lookup`]: walks
-/// from `from` to the owner of `key`, handing every node it forwards to
-/// (the origin excluded, the owner included unless it is the origin) to
-/// `visit`, and returns the owner. Allocates nothing itself.
-pub(crate) fn route(ring: &Ring, from: Id, key: Id, mut visit: impl FnMut(Id)) -> Id {
-    assert!(ring.contains(from), "lookup origin {from} not in ring");
-    let owner = ring.successor_of(key);
-    let mut current = from;
+/// The routing loop behind [`lookup_trace`] and [`Ring::lookup_from`]: steps
+/// [`Ring::next_hop`] from the node of rank `from` to the owner of `key`,
+/// handing every node it forwards to (the origin excluded, the owner
+/// included unless it is the origin) to `visit`, and returns the owner.
+/// Allocates nothing itself.
+pub(crate) fn route(ring: &Ring, from: usize, key: Id, mut visit: impl FnMut(Id)) -> Id {
+    let ids = ring.node_ids();
+    assert!(from < ids.len(), "lookup origin rank {from} not in ring");
+    let owner = ring.successor_rank(key);
+    let mut at = from;
     // A correct ring resolves any lookup in ≤ 32 forwardings + 1 final hop;
     // the bound is a defensive guard against cycles.
-    let max_steps = 34 + ring.len();
+    let max_steps = 34 + ids.len();
     let mut steps = 1;
-    // Until the current node owns the key (key in (pred(current), current]).
-    while current != owner {
-        let table = ring.finger_table(current);
-        let succ = table.successor();
-        if key.in_open_closed(current, succ) {
-            // The successor owns it: final hop.
-            visit(succ);
-            return succ;
-        }
-        // Forward to the closest preceding finger, or fall through to the
-        // successor when no finger is strictly inside (n, key).
-        let next = table.closest_preceding(key).unwrap_or(succ);
-        assert_ne!(next, current, "routing stalled at {current} for {key}");
-        visit(next);
-        current = next;
+    while at != owner {
+        let next = ring.next_hop(at, key);
+        assert_ne!(next, at, "routing stalled at {} for {key}", ids[at]);
+        visit(ids[next]);
+        at = next;
         steps += 1;
         assert!(steps <= max_steps, "routing cycle detected for key {key}");
     }
-    owner
+    ids[owner]
 }
 
 #[cfg(test)]

@@ -68,8 +68,8 @@
 
 use crate::config::SystemConfig;
 use crate::network::{
-    commit_plan, hashed_range, plan_query, IdentifierCache, NetworkStats, PeerAccess, QueryOutcome,
-    QueryPlan, RangeSelectNetwork, StatsSink,
+    commit_plan, hashed_range, identifiers_of, plan_query, resolve, IdentifierCache, NetworkStats,
+    PeerAccess, Placed, QueryOutcome, QueryPlan, RangeSelectNetwork, StatsSink,
 };
 use crate::peer::Peer;
 use ars_chord::{Id, Ring};
@@ -178,14 +178,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A query after its read-only phase: hashed, identifiers resolved (via
-/// the owning cache segment), planned against the immutable ring —
-/// everything the commit needs, plus the sorted set of shards it will
-/// lock.
+/// A query after its read-only phase: hashed, identifiers and positions
+/// resolved (via the owning cache segment), planned against the immutable
+/// ring — everything the commit needs, plus the sorted set of shards it
+/// will lock.
 struct Prepared {
     query: RangeSet,
     hashed: RangeSet,
-    identifiers: Vec<u32>,
+    placed: Placed,
     plan: QueryPlan,
     shards: Vec<usize>,
 }
@@ -311,10 +311,11 @@ impl EngineCore {
         }
     }
 
-    /// The read-only phase: pad, resolve identifiers through the owning
-    /// cache segment, plan from `origin` against the immutable ring, and
-    /// read the shards the commit will touch off the plan.
-    fn prepare(&self, q: &RangeSet, origin: Id) -> Prepared {
+    /// The read-only phase: pad, resolve identifiers and positions through
+    /// the owning cache segment, plan from the peer of rank `origin`
+    /// against the immutable ring, and read the shards the commit will
+    /// touch off the plan.
+    fn prepare(&self, q: &RangeSet, origin: usize) -> Prepared {
         assert!(!q.is_empty(), "cannot query an empty range");
         #[cfg(test)]
         self.check_poison(q, "prepare");
@@ -323,9 +324,9 @@ impl EngineCore {
         let cached = {
             let mut cache = self.shards[segment].cache.lock();
             match cache.get_hit(&hashed) {
-                Some(ids) => {
+                Some(placed) => {
                     self.telemetry.counter_add("core.ident_cache.hits", 1);
-                    Some(ids)
+                    Some(placed)
                 }
                 None => {
                     cache.note_miss();
@@ -334,23 +335,23 @@ impl EngineCore {
                 }
             }
         };
-        let identifiers = match cached {
-            Some(ids) => ids,
+        let placed = match cached {
+            Some(placed) => placed,
             None => {
                 // Hash outside the lock — the k·l min-hashes dominate the
                 // prepare cost and are pure. Two workers racing on the
                 // same fresh range both miss (the relaxation); `insert`
                 // deduplicates the entry itself.
-                let ids = self.groups.identifiers(&hashed);
+                let placed = resolve(&self.config, &self.groups, &hashed);
                 let evicted = self.shards[segment]
                     .cache
                     .lock()
-                    .insert(hashed.clone(), ids.clone());
+                    .insert(hashed.clone(), placed.clone());
                 if evicted > 0 {
                     self.telemetry
                         .counter_add("core.ident_cache.evictions", evicted);
                 }
-                ids
+                placed
             }
         };
         let plan = plan_query(
@@ -360,7 +361,7 @@ impl EngineCore {
             &self.ring,
             origin,
             &hashed,
-            &identifiers,
+            &placed,
         );
         let mut shards: Vec<usize> = plan
             .peers()
@@ -371,7 +372,7 @@ impl EngineCore {
         Prepared {
             query: q.clone(),
             hashed,
-            identifiers,
+            placed,
             plan,
             shards,
         }
@@ -405,7 +406,7 @@ impl EngineCore {
             &mut stats,
             &prepared.query,
             prepared.hashed,
-            prepared.identifiers,
+            identifiers_of(&prepared.placed),
             prepared.plan,
             false,
         )
@@ -460,8 +461,8 @@ impl Sched {
 
 /// Work items on the engine's job queue.
 enum Job {
-    /// Hash + route query `seq` from the given origin.
-    Prepare(u64, RangeSet, Id),
+    /// Hash + route query `seq` from the origin of the given rank.
+    Prepare(u64, RangeSet, usize),
     /// Apply the scheduled commit of query `seq`.
     Commit(u64),
     /// Worker shutdown (one per worker).
@@ -711,8 +712,7 @@ impl QueryEngine {
         let seq = self.next_seq;
         self.next_seq += 1;
         let home = (seq % self.streams.len() as u64) as usize;
-        let node_ids = self.shared.core.ring.node_ids();
-        let origin = node_ids[self.streams[home].gen_index(node_ids.len())];
+        let origin = self.streams[home].gen_index(self.shared.core.ring.len());
         self.shared.send(Job::Prepare(seq, q.clone(), origin));
     }
 
@@ -802,10 +802,7 @@ impl RangeSelectNetwork {
         let mut outcomes = Vec::with_capacity(queries.len());
         for (seq, q) in queries.iter().enumerate() {
             let home = seq % shards;
-            let origin = {
-                let node_ids = core.ring.node_ids();
-                node_ids[streams[home].gen_index(node_ids.len())]
-            };
+            let origin = streams[home].gen_index(core.ring.len());
             let prepared = core.prepare(q, origin);
             outcomes.push(core.commit(seq as u64, prepared));
         }
@@ -1027,6 +1024,40 @@ mod tests {
             net.stats().lookups,
             out.iter().map(|o| o.attempts as u64).sum::<u64>()
         );
+    }
+
+    #[test]
+    fn cache_entries_stay_placed_across_split_and_absorb() {
+        for capacity in [0usize, 7] {
+            let config = SystemConfig::default()
+                .with_seed(45)
+                .with_ident_cache_capacity(capacity);
+            let mut net = RangeSelectNetwork::new(40, config);
+            let qs = trace();
+            // Warm on the plain path, so the split moves entries it
+            // resolved; afterwards the plain path hits what the engine did.
+            for q in &qs[..20] {
+                net.query(q);
+            }
+            let opts = EngineOptions {
+                shards: 4,
+                workers: 2,
+                queue: 16,
+            };
+            net.query_batch_concurrent_with(&qs, opts);
+            net.query_trace_sharded(&qs, 3);
+            assert!(!net.identifier_cache().is_empty());
+            for (range, placed) in &net.identifier_cache().map {
+                assert_eq!(identifiers_of(placed), net.groups().identifiers(range));
+                for &(ident, position) in placed.iter() {
+                    assert_eq!(position, net.place(ident), "capacity {capacity}");
+                }
+            }
+            let hits = net.identifier_cache().hits();
+            let last = qs.last().expect("the trace is not empty");
+            assert!(net.query(last).exact);
+            assert_eq!(net.identifier_cache().hits(), hits + 1);
+        }
     }
 
     #[test]

@@ -80,12 +80,43 @@ pub struct BatchTimings {
     pub commit_secs: f64,
 }
 
-/// Memoized identifier computation, keyed by the (padded) hashed range.
+/// What a hashed range resolves to: its `l` group identifiers, each
+/// beside the ring position independent placement stores it at
+/// ([`place_identifier`]) — one allocation, moved and cloned whole. Under
+/// layered placement positions hang off the query's anchor sketch instead
+/// and [`plan_query`] derives them; nothing reads the slot, which repeats
+/// the identifier unplaced rather than pay a SHA-1 per identifier for it.
+pub(crate) type Placed = Box<[(u32, Id)]>;
+
+/// The miss side of the [`IdentifierCache`]: hash `hashed_range` to its
+/// identifiers and place each — everything a later hit on the same range
+/// skips.
+pub(crate) fn resolve(
+    config: &SystemConfig,
+    groups: &HashGroups,
+    hashed_range: &RangeSet,
+) -> Placed {
+    let place = |ident| match config.placement_mode {
+        PlacementMode::Independent => place_identifier(config, ident),
+        PlacementMode::Layered => Id(ident),
+    };
+    let identifiers = groups.identifiers(hashed_range);
+    identifiers.into_iter().map(|i| (i, place(i))).collect()
+}
+
+/// The identifiers of a resolved range, in group order.
+pub(crate) fn identifiers_of(placed: &[(u32, Id)]) -> Vec<u32> {
+    placed.iter().map(|&(ident, _)| ident).collect()
+}
+
+/// Memoized identifier computation and placement, keyed by the (padded)
+/// hashed range.
 ///
-/// Group identifiers depend only on the hash groups, which are fixed at
-/// network construction, so entries never *invalidate*. Workload traces
-/// repeat ranges heavily (Zipf-style popularity); the hit/miss counters
-/// quantify the saving.
+/// Group identifiers depend only on the hash groups and their placed
+/// positions only on [`SystemConfig::placement`], both fixed at network
+/// construction, so entries never *invalidate*. Workload traces repeat
+/// ranges heavily (Zipf-style popularity); the hit/miss counters quantify
+/// the saving.
 ///
 /// The cache may be *bounded* ([`SystemConfig::ident_cache_capacity`]),
 /// in which case entries are evicted in FIFO insertion order. FIFO — not
@@ -94,7 +125,7 @@ pub struct BatchTimings {
 /// merge them back without the order of hits mattering.
 #[derive(Debug, Clone, Default)]
 pub struct IdentifierCache {
-    pub(crate) map: FxHashMap<RangeSet, Vec<u32>>,
+    pub(crate) map: FxHashMap<RangeSet, Placed>,
     fifo: std::collections::VecDeque<RangeSet>,
     /// `0` = unbounded.
     capacity: usize,
@@ -144,8 +175,8 @@ impl IdentifierCache {
 
     /// Insert a freshly computed entry, evicting FIFO when over capacity.
     /// Returns the number of evictions performed (0 or 1).
-    pub(crate) fn insert(&mut self, range: RangeSet, ids: Vec<u32>) -> u64 {
-        if self.map.insert(range.clone(), ids).is_none() {
+    pub(crate) fn insert(&mut self, range: RangeSet, placed: Placed) -> u64 {
+        if self.map.insert(range.clone(), placed).is_none() {
             self.fifo.push_back(range);
         }
         let mut evicted = 0;
@@ -162,14 +193,14 @@ impl IdentifierCache {
     }
 
     /// Look up with hit accounting; `None` leaves the miss for the caller
-    /// to record once the identifiers are computed.
-    pub(crate) fn get_hit(&mut self, range: &RangeSet) -> Option<Vec<u32>> {
-        let ids = self.map.get(range)?;
+    /// to record once it has [`resolve`]d the range.
+    pub(crate) fn get_hit(&mut self, range: &RangeSet) -> Option<Placed> {
+        let placed = self.map.get(range)?;
         self.hits += 1;
-        Some(ids.clone())
+        Some(placed.clone())
     }
 
-    /// Record a miss (the caller computed identifiers itself).
+    /// Record a miss (the caller resolves the range itself).
     pub(crate) fn note_miss(&mut self) {
         self.misses += 1;
     }
@@ -421,22 +452,23 @@ impl QueryPlan {
     }
 }
 
-/// Plan one query from `origin`: route every distinct identifier to its
-/// owner (independent placement), or resolve the anchor's one arc lookup,
-/// the successor walk and the candidate set (layered placement). Pure —
-/// the ring is immutable — and the only place the static paths route or
-/// look at the placement mode.
+/// Plan one query from the peer of rank `origin`: route every distinct
+/// identifier to the owner of its memoised position (independent
+/// placement — no hashing happens here), or resolve the anchor's one arc
+/// lookup, the successor walk and the candidate set (layered placement).
+/// Pure — the ring is immutable — and the only place the static paths
+/// route or look at the placement mode.
 pub(crate) fn plan_query(
     config: &SystemConfig,
     groups: &HashGroups,
     anchors: &HashGroups,
     ring: &Ring,
-    origin: Id,
+    origin: usize,
     hashed_range: &RangeSet,
-    identifiers: &[u32],
+    placed: &[(u32, Id)],
 ) -> QueryPlan {
-    let mut candidates: Vec<u32> = Vec::with_capacity(identifiers.len() + config.probes);
-    for &ident in identifiers {
+    let mut candidates: Vec<u32> = Vec::with_capacity(placed.len() + config.probes);
+    for &(ident, _) in placed {
         if !candidates.contains(&ident) {
             candidates.push(ident);
         }
@@ -446,7 +478,11 @@ pub(crate) fn plan_query(
         PlacementMode::Independent => {
             let lookups: Vec<(Id, usize)> = candidates
                 .iter()
-                .map(|&ident| ring.lookup(origin, place_identifier(config, ident)))
+                .map(|&ident| {
+                    let first = placed.iter().find(|&&(i, _)| i == ident);
+                    let &(_, position) = first.expect("candidates come from `placed`");
+                    ring.lookup_from(origin, position)
+                })
                 .collect();
             QueryPlan {
                 visits: lookups
@@ -459,7 +495,7 @@ pub(crate) fn plan_query(
                     .zip(&lookups)
                     .map(|(&ident, &(owner, _))| (ident, owner))
                     .collect(),
-                dedup_saved: identifiers.len() - base_count,
+                dedup_saved: placed.len() - base_count,
                 lookups,
                 candidates,
                 ..QueryPlan::default()
@@ -467,7 +503,7 @@ pub(crate) fn plan_query(
         }
         PlacementMode::Layered => {
             let anchor = layered_anchor(anchors, hashed_range);
-            let route = ring.lookup(origin, arc_base(anchor));
+            let route = ring.lookup_from(origin, arc_base(anchor));
             let visited = ring.successors_window(route.0, config.walk_window);
             if config.probes > 0 {
                 for c in groups.probe_candidates(hashed_range, config.probes) {
@@ -804,47 +840,46 @@ impl RangeSelectNetwork {
     /// query, overriding the configured one — the hook the adaptive
     /// padding policy (paper §6 future work; [`crate::adaptive`]) uses.
     pub fn query_padded(&mut self, q: &RangeSet, padding: f64) -> QueryOutcome {
-        let (hashed_range, identifiers) = self.hash_stage(q, padding);
-        let plan = self.plan_stage(&hashed_range, &identifiers);
-        self.commit_stage(q, hashed_range, identifiers, plan)
+        let (hashed_range, placed) = self.hash_stage(q, padding);
+        let plan = self.plan_stage(&hashed_range, &placed);
+        self.commit_stage(q, hashed_range, &placed, plan)
     }
 
-    /// Stage 1 of a query: pad, then resolve the group identifiers through
-    /// the [`IdentifierCache`].
-    fn hash_stage(&mut self, q: &RangeSet, padding: f64) -> (RangeSet, Vec<u32>) {
+    /// Stage 1 of a query: pad, then resolve the group identifiers and
+    /// their placed positions through the [`IdentifierCache`].
+    fn hash_stage(&mut self, q: &RangeSet, padding: f64) -> (RangeSet, Placed) {
         assert!(!q.is_empty(), "cannot query an empty range");
         assert!(padding >= 0.0, "padding must be non-negative");
         let hashed_range = hashed_range(q, padding);
-        let identifiers = match self.ident_cache.get_hit(&hashed_range) {
-            Some(ids) => {
+        let placed = match self.ident_cache.get_hit(&hashed_range) {
+            Some(placed) => {
                 self.telemetry.counter_add("core.ident_cache.hits", 1);
-                ids
+                placed
             }
             None => {
                 self.ident_cache.note_miss();
                 self.telemetry.counter_add("core.ident_cache.misses", 1);
-                let ids = self.groups.identifiers(&hashed_range);
-                let evicted = self.ident_cache.insert(hashed_range.clone(), ids.clone());
+                let placed = resolve(&self.config, &self.groups, &hashed_range);
+                let evicted = self
+                    .ident_cache
+                    .insert(hashed_range.clone(), placed.clone());
                 if evicted > 0 {
                     self.telemetry
                         .counter_add("core.ident_cache.evictions", evicted);
                 }
                 self.telemetry
                     .gauge_set("core.ident_cache.size", self.ident_cache.len() as u64);
-                ids
+                placed
             }
         };
-        (hashed_range, identifiers)
+        (hashed_range, placed)
     }
 
-    /// Stage 2 of a query: draw the random origin peer routing starts
-    /// from (hop accounting) — the one RNG draw a query makes — and plan
-    /// from it.
-    fn plan_stage(&mut self, hashed_range: &RangeSet, identifiers: &[u32]) -> QueryPlan {
-        let origin = {
-            let ids = self.ring.node_ids();
-            ids[self.rng.gen_index(ids.len())]
-        };
+    /// Stage 2 of a query: draw the rank of the random origin peer routing
+    /// starts from (hop accounting) — the one RNG draw a query makes — and
+    /// plan from it.
+    fn plan_stage(&mut self, hashed_range: &RangeSet, placed: &[(u32, Id)]) -> QueryPlan {
+        let origin = self.rng.gen_index(self.ring.len());
         plan_query(
             &self.config,
             &self.groups,
@@ -852,7 +887,7 @@ impl RangeSelectNetwork {
             &self.ring,
             origin,
             hashed_range,
-            identifiers,
+            placed,
         )
     }
 
@@ -861,7 +896,7 @@ impl RangeSelectNetwork {
         &mut self,
         q: &RangeSet,
         hashed_range: RangeSet,
-        identifiers: Vec<u32>,
+        placed: &[(u32, Id)],
         plan: QueryPlan,
     ) -> QueryOutcome {
         commit_plan(
@@ -871,7 +906,7 @@ impl RangeSelectNetwork {
             &mut self.stats,
             q,
             hashed_range,
-            identifiers,
+            identifiers_of(placed),
             plan,
             true,
         )
@@ -909,22 +944,22 @@ impl RangeSelectNetwork {
     pub fn query_batch_timed(&mut self, queries: &[RangeSet]) -> (Vec<QueryOutcome>, BatchTimings) {
         let padding = self.config.padding;
         let t0 = std::time::Instant::now();
-        let hashed: Vec<(RangeSet, Vec<u32>)> = queries
+        let hashed: Vec<(RangeSet, Placed)> = queries
             .iter()
             .map(|q| self.hash_stage(q, padding))
             .collect();
         let t1 = std::time::Instant::now();
         let plans: Vec<QueryPlan> = hashed
             .iter()
-            .map(|(hashed_range, identifiers)| self.plan_stage(hashed_range, identifiers))
+            .map(|(hashed_range, placed)| self.plan_stage(hashed_range, placed))
             .collect();
         let t2 = std::time::Instant::now();
         let outcomes = queries
             .iter()
             .zip(hashed)
             .zip(plans)
-            .map(|((q, (hashed_range, identifiers)), plan)| {
-                self.commit_stage(q, hashed_range, identifiers, plan)
+            .map(|((q, (hashed_range, placed)), plan)| {
+                self.commit_stage(q, hashed_range, &placed, plan)
             })
             .collect();
         let timings = BatchTimings {
@@ -1463,13 +1498,17 @@ mod tests {
         let q = r(30, 50);
         // Independent: owner i checks identifier i and caches it.
         let mut n = net(40);
-        let (hashed, identifiers) = n.hash_stage(&q, 0.0);
-        let plan = n.plan_stage(&hashed, &identifiers);
+        let (hashed, placed) = n.hash_stage(&q, 0.0);
+        let identifiers = identifiers_of(&placed);
+        let plan = n.plan_stage(&hashed, &placed);
         assert_eq!(plan.candidates, identifiers, "five distinct identifiers");
         assert_eq!(plan.lookups.len(), 5);
         for (i, (peer, buckets)) in plan.visits.iter().enumerate() {
             assert_eq!((*peer, buckets.clone()), (plan.lookups[i].0, i..i + 1));
             assert_eq!(plan.store_targets[i], (identifiers[i], *peer));
+            // Routed to the memoised position, which is where `place` puts it.
+            assert_eq!(placed[i].1, n.place(identifiers[i]));
+            assert_eq!(*peer, n.ring().successor_of(placed[i].1));
         }
         assert_eq!(
             (plan.dedup_saved, plan.walk_steps, plan.probe_checks),
@@ -1479,8 +1518,9 @@ mod tests {
         // Layered: one lookup; every walked peer checks every candidate;
         // only the base identifiers are cached.
         let mut n = RangeSelectNetwork::new(40, layered_config(3));
-        let (hashed, identifiers) = n.hash_stage(&q, 0.0);
-        let plan = n.plan_stage(&hashed, &identifiers);
+        let (hashed, placed) = n.hash_stage(&q, 0.0);
+        let identifiers = identifiers_of(&placed);
+        let plan = n.plan_stage(&hashed, &placed);
         assert_eq!(plan.lookups.len(), 1);
         assert_eq!(plan.visits.len(), n.config().walk_window);
         assert_eq!(plan.visits[0].0, plan.lookups[0].0);
@@ -1494,6 +1534,57 @@ mod tests {
         assert!(plan.probe_checks > 0, "probe budget 16 adds candidates");
         let stored: Vec<u32> = plan.store_targets.iter().map(|&(ident, _)| ident).collect();
         assert_eq!(stored, identifiers);
+    }
+
+    #[test]
+    fn memoised_positions_equal_place_on_hit_miss_and_after_eviction() {
+        for capacity in [0usize, 1, 7] {
+            let config = SystemConfig::default()
+                .with_seed(31)
+                .with_padding(0.1)
+                .with_ident_cache_capacity(capacity);
+            let mut n = RangeSelectNetwork::new(40, config.clone());
+            for q in &batch_trace() {
+                // What the stage hands to planning — from the cache on a
+                // hit, freshly resolved on a miss — is the range's
+                // identifiers, each beside `place()` of it...
+                let (hashed, placed) = n.hash_stage(q, config.padding);
+                assert_eq!(identifiers_of(&placed), n.groups().identifiers(&hashed));
+                for &(ident, position) in placed.iter() {
+                    assert_eq!(position, n.place(ident), "capacity {capacity}");
+                }
+                // ...and planning routes to exactly those positions.
+                let plan = n.plan_stage(&hashed, &placed);
+                for (&ident, &(owner, _)) in plan.candidates.iter().zip(&plan.lookups) {
+                    assert_eq!(owner, n.ring().successor_of(n.place(ident)));
+                }
+                n.commit_stage(q, hashed, &placed, plan);
+                // Whatever survived eviction is still whole.
+                for (range, cached) in &n.identifier_cache().map {
+                    assert_eq!(**cached, *resolve(&config, n.groups(), range));
+                }
+            }
+            let c = n.identifier_cache();
+            assert!(c.hits() > 0 || capacity == 1, "the trace repeats ranges");
+            assert!(c.misses() > 0);
+            assert_eq!(c.evictions() > 0, capacity > 0, "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn layered_cache_entries_are_never_placed() {
+        // Layered planning derives positions from the anchor sketch and
+        // never reads the memo's: a miss must not pay a SHA-1 per
+        // identifier for them. Under uniformized placement `place(i)` is
+        // a SHA-1 image, so a slot still holding `i` itself was not hashed.
+        let mut n = RangeSelectNetwork::new(40, layered_config(3));
+        n.query_batch(&batch_trace());
+        assert!(!n.identifier_cache().is_empty());
+        for placed in n.identifier_cache().map.values() {
+            assert!(placed
+                .iter()
+                .all(|&(ident, position)| position == Id(ident)));
+        }
     }
 
     /// [`PeerAccess`] that panics on any peer outside the plan being
@@ -1534,13 +1625,13 @@ mod tests {
             let layered = config.placement_mode == PlacementMode::Layered;
             let mut saved = 0;
             for q in &trace {
-                let (hashed, mut identifiers) = n.hash_stage(q, 0.0);
+                let (hashed, mut placed) = n.hash_stage(q, 0.0);
                 if !layered {
-                    identifiers[4] = identifiers[1]; // forced duplicate
+                    placed[4] = placed[1]; // forced duplicate
                 }
-                let plan = n.plan_stage(&hashed, &identifiers);
+                let plan = n.plan_stage(&hashed, &placed);
                 saved += plan.dedup_saved;
-                let paid = if layered { 1 } else { identifiers.len() };
+                let paid = if layered { 1 } else { placed.len() };
                 assert_eq!(plan.lookups.len() + plan.dedup_saved, paid);
                 let mut spy = PlannedOnly {
                     planned: plan.peers().collect(),
@@ -1553,7 +1644,7 @@ mod tests {
                     &mut n.stats,
                     q,
                     hashed,
-                    identifiers,
+                    identifiers_of(&placed),
                     plan,
                     false,
                 );

@@ -16,7 +16,7 @@ use crate::config::{MatchMeasure, PlacementMode, SystemConfig};
 use crate::network::{hashed_range, place_identifier, QueryOutcome};
 use crate::peer::Peer;
 use ars_chord::{Id, Ring};
-use ars_common::{DetRng, FxHashMap};
+use ars_common::DetRng;
 use ars_lsh::{HashGroups, RangeSet};
 use ars_simnet::codec::{
     get_f64, get_seq, get_u32, get_u64, get_u8, put_f64, put_seq, put_u32, put_u64, put_u8,
@@ -245,14 +245,6 @@ impl Wire for Payload {
     }
 }
 
-/// Shared, immutable ring knowledge each peer node routes with.
-#[derive(Debug)]
-struct RingInfo {
-    ring: Ring,
-    /// Ring id → simnet peer index.
-    index_of: FxHashMap<u32, usize>,
-}
-
 /// A reply collected at the querying peer, surfaced to the driver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectedReply {
@@ -278,8 +270,11 @@ type ReplySink = Rc<RefCell<Inbox>>;
 
 /// One peer as a simnet node.
 struct PeerNode {
-    id: Id,
-    info: Rc<RingInfo>,
+    /// This peer's rank in the ring, which is also its simnet index: the
+    /// nodes are built in [`Ring::node_ids`] order.
+    rank: usize,
+    /// The shared, immutable ring every peer routes with.
+    ring: Rc<Ring>,
     storage: Peer,
     matching: MatchMeasure,
     use_local_index: bool,
@@ -296,23 +291,14 @@ impl PeerNode {
         hops: u32,
         payload: Payload,
     ) {
-        let key_id = Id(key);
-        let owner = self.info.ring.successor_of(key_id);
-        if owner == self.id {
+        let ids = self.ring.node_ids();
+        let predecessor = ids[(self.rank + ids.len() - 1) % ids.len()];
+        if Id(key).in_open_closed(predecessor, ids[self.rank]) {
             self.handle_owned(ctx, ident, hops, payload);
             return;
         }
-        // Greedy Chord forwarding using this node's finger table.
-        let table = self.info.ring.finger_table(self.id);
-        let succ = table.successor();
-        let next = if key_id.in_open_closed(self.id, succ) {
-            succ
-        } else {
-            table.closest_preceding(key_id).unwrap_or(succ)
-        };
-        let next_idx = self.info.index_of[&next.0];
         ctx.send(
-            next_idx,
+            self.ring.next_hop(self.rank, Id(key)),
             ProtoMsg::Route {
                 key,
                 ident,
@@ -329,6 +315,12 @@ impl PeerNode {
         hops: u32,
         payload: Payload,
     ) {
+        // `origin` came off the wire: a request whose reply address is no
+        // peer of this ring is dropped unexecuted, not sent into the void.
+        let (Payload::FindMatch { origin, .. } | Payload::Store { origin, .. }) = &payload;
+        if *origin as usize >= self.ring.len() {
+            return;
+        }
         match payload {
             Payload::FindMatch {
                 request,
@@ -399,7 +391,7 @@ impl Node<ProtoMsg> for PeerNode {
 /// request-id sequences.
 pub struct ProtoNetwork {
     net: SimNet<ProtoMsg, ConstantLatency>,
-    info: Rc<RingInfo>,
+    ring: Rc<Ring>,
     groups: HashGroups,
     config: SystemConfig,
     sink: ReplySink,
@@ -420,24 +412,17 @@ impl ProtoNetwork {
         let mut rng = DetRng::new(config.seed);
         let mut group_rng = rng.fork();
         let ring_seed = rng.next_u64();
-        let ring = Ring::from_seed(n_peers, ring_seed);
+        let ring = Rc::new(Ring::from_seed(n_peers, ring_seed));
         let groups = HashGroups::generate(config.family, config.k, config.l, &mut group_rng);
-        let index_of: FxHashMap<u32, usize> = ring
+        let sink = ReplySink::default();
+        let nodes = ring
             .node_ids()
             .iter()
             .enumerate()
-            .map(|(i, id)| (id.0, i))
-            .collect();
-        let info = Rc::new(RingInfo { ring, index_of });
-        let sink = ReplySink::default();
-        let nodes = info
-            .ring
-            .node_ids()
-            .iter()
-            .map(|&id| {
+            .map(|(rank, &id)| {
                 Box::new(PeerNode {
-                    id,
-                    info: info.clone(),
+                    rank,
+                    ring: ring.clone(),
                     storage: Peer::new(id, config.use_local_index),
                     matching: config.matching,
                     use_local_index: config.use_local_index,
@@ -451,7 +436,7 @@ impl ProtoNetwork {
         net.set_meter(|m: &ProtoMsg| ars_simnet::codec::frame(m).len() as u64);
         ProtoNetwork {
             net,
-            info,
+            ring,
             groups,
             config,
             sink,
@@ -503,13 +488,14 @@ impl ProtoNetwork {
         self.net.stats().delivered
     }
 
-    /// Route `payload` from peer `origin` toward the owner of `ident`.
-    fn send(&mut self, origin: usize, ident: u32, payload: Payload) {
+    /// Route `payload` from peer `origin` toward `key`, the ring position
+    /// of `ident`.
+    fn send(&mut self, origin: usize, ident: u32, key: Id, payload: Payload) {
         self.net.inject(
             origin,
             origin,
             ProtoMsg::Route {
-                key: place_identifier(&self.config, ident).0,
+                key: key.0,
                 ident,
                 hops: 0,
                 payload,
@@ -523,26 +509,27 @@ impl ProtoNetwork {
         assert!(!q.is_empty(), "cannot query an empty range");
         let hashed_range = hashed_range(q, self.config.padding);
         let identifiers = self.groups.identifiers(&hashed_range);
-        let origin = self.rng.gen_index(self.info.ring.node_ids().len());
+        let origin = self.rng.gen_index(self.ring.len());
         let range = to_wire(&hashed_range);
 
         // Fire one FindMatch per *distinct* identifier — the direct
         // path's within-query dedup, mirrored: a duplicate would route
         // to the same owner and return the same reply.
         let base_request = self.next_request;
-        let mut routed: Vec<u32> = Vec::with_capacity(identifiers.len());
+        let mut routed: Vec<(u32, Id)> = Vec::with_capacity(identifiers.len());
         for &ident in &identifiers {
-            if routed.contains(&ident) {
+            if routed.iter().any(|&(sent, _)| sent == ident) {
                 continue;
             }
             let request = base_request + routed.len() as u64;
-            routed.push(ident);
+            let key = place_identifier(&self.config, ident);
+            routed.push((ident, key));
             let payload = Payload::FindMatch {
                 request,
                 origin: origin as u32,
                 range: range.clone(),
             };
-            self.send(origin, ident, payload);
+            self.send(origin, ident, key, payload);
         }
         self.next_request += routed.len() as u64;
         self.net.run(u64::MAX);
@@ -581,14 +568,14 @@ impl ProtoNetwork {
         // does: a second Store of the same range in the same bucket is a
         // no-op at the peer that would still cost a route and an ack.
         if self.config.cache_on_miss && !exact {
-            for &ident in &routed {
+            for &(ident, key) in &routed {
                 let payload = Payload::Store {
                     request: self.next_request,
                     origin: origin as u32,
                     range: range.clone(),
                 };
                 self.next_request += 1;
-                self.send(origin, ident, payload);
+                self.send(origin, ident, key, payload);
             }
             self.net.run(u64::MAX);
         }
@@ -752,6 +739,53 @@ mod tests {
                 // ...and `decode` alone must hold up on a short payload too.
                 let mut payload = &framed[4..cut.max(4)];
                 assert!(ProtoMsg::decode(&mut payload).is_err(), "prefix {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn request_with_reply_address_outside_the_ring_is_dropped() {
+        // `origin` is a u32 off the wire and indexes the peer table: 8 is
+        // the first index past an 8-peer ring. Handed to `ctx.send`
+        // unchecked, either value panics the simulator.
+        let config = SystemConfig::default().with_seed(7);
+        let q = r(30, 50);
+        for origin in [8u32, 4_000_000_000] {
+            for store in [false, true] {
+                let mut net = ProtoNetwork::new(8, config.clone());
+                let ident = net.groups.identifiers(&q)[0];
+                let (request, range) = (1, to_wire(&q));
+                let payload = match store {
+                    true => Payload::Store {
+                        request,
+                        origin,
+                        range,
+                    },
+                    false => Payload::FindMatch {
+                        request,
+                        origin,
+                        range,
+                    },
+                };
+                let msg = ProtoMsg::Route {
+                    key: place_identifier(&config, ident).0,
+                    ident,
+                    hops: 0,
+                    payload,
+                };
+                // A well-formed frame, as a peer would read it off a socket.
+                let (decoded, _) = deframe::<ProtoMsg>(&frame(&msg)).unwrap();
+                net.net.inject(0, 0, decoded);
+                net.net.run(u64::MAX);
+                let stats = net.sim_stats();
+                assert!(stats.is_conserved() && stats.queued == 0, "{stats:?}");
+                assert!(stats.delivered >= 1, "the envelope reached its owner");
+                // Neither answered nor applied.
+                assert!(net.sink.borrow().replies.is_empty());
+                assert!(!net.sink.borrow().stored);
+                let out = net.query(&q);
+                assert!(out.best_match.is_none(), "hostile Store was applied");
+                assert!(out.stored);
             }
         }
     }
