@@ -6,6 +6,10 @@
 //! `v` *virtual* nodes per physical peer (Chord's own remedy) tightens
 //! the distribution by roughly `√v`. The `fig11` harness includes an
 //! ablation quantifying this on the paper's workload.
+//!
+//! A frozen paper artefact: it exists for the Figure 11 extension (and its
+//! rerun under layered placement, ROADMAP item 2(b)), is off the query hot
+//! path, and grows no features (DESIGN §5 verdict table).
 
 use crate::id::Id;
 use crate::ring::Ring;

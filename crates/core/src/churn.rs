@@ -534,6 +534,21 @@ impl ChurnNetwork {
         self.storage.values().map(Peer::partition_count).sum()
     }
 
+    /// The bucket ledger identity: every placement, loss and recovery is
+    /// counted, so `buckets_placed + buckets_recovered` equals the live
+    /// copies plus `buckets_lost`. `Err` carries the four terms.
+    pub fn check_bucket_ledger(&self) -> Result<(), String> {
+        let s = &self.resilience;
+        let live = self.total_partitions() as u64;
+        if s.buckets_placed + s.buckets_recovered == live + s.buckets_lost {
+            return Ok(());
+        }
+        Err(format!(
+            "bucket ledger violated: placed {} + recovered {} != live {} + lost {}",
+            s.buckets_placed, s.buckets_recovered, live, s.buckets_lost
+        ))
+    }
+
     /// Freeze the current alive membership and storage into a static
     /// [`RangeSelectNetwork`] snapshot — the bridge that lets the
     /// concurrent engine ([`crate::engine`]) serve a heavy query burst
@@ -1944,21 +1959,6 @@ mod tests {
             .with_durability(crate::durable::DurabilityConfig::default())
     }
 
-    /// The ledger identity the telemetry suite pins: every placement,
-    /// loss, and recovery is counted, so the live count is derivable.
-    fn assert_ledger(net: &ChurnNetwork) {
-        let s = net.resilience();
-        assert_eq!(
-            s.buckets_placed + s.buckets_recovered,
-            net.total_partitions() as u64 + s.buckets_lost,
-            "ledger violated: placed {} recovered {} live {} lost {}",
-            s.buckets_placed,
-            s.buckets_recovered,
-            net.total_partitions(),
-            s.buckets_lost
-        );
-    }
-
     #[test]
     fn fail_counts_silently_discarded_buckets() {
         let mut net = small_net(2);
@@ -1980,7 +1980,7 @@ mod tests {
         let held = net.storage[&holder.0].partition_count() as u64;
         net.fail(holder).unwrap();
         assert_eq!(net.resilience().buckets_lost, held);
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -1988,24 +1988,24 @@ mod tests {
         let mut net = ChurnNetwork::new(16, durable_config(9)).unwrap();
         for i in 0..8u32 {
             net.query_resilient(&r(i * 40, i * 40 + 60));
-            assert_ledger(&net);
+            net.check_bucket_ledger().unwrap();
         }
         net.fail_random(2);
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
         let leaver = net.chord().node_ids()[1];
         net.leave(leaver).unwrap();
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
         net.join_random_with_migration().unwrap();
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
         let downed = net.crash_random(3);
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
         for id in downed {
             net.restart(id).unwrap();
-            assert_ledger(&net);
+            net.check_bucket_ledger().unwrap();
         }
         net.stabilize(128).expect("recovers");
         net.repair_until_quiescent(64, 1_000).expect("quiesces");
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -2021,7 +2021,7 @@ mod tests {
         assert_eq!(net.len(), n);
         assert_eq!(net.crashed_count(), 0);
         net.stabilize(128).expect("recovers");
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -2058,7 +2058,7 @@ mod tests {
         assert_eq!(net.total_partitions(), before);
         assert!(net.query_resilient(&r(100, 200)).exact, "cache survived");
         assert_eq!(net.resilience().buckets_recovered, before as u64);
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -2105,7 +2105,7 @@ mod tests {
         let extra = repaired.anti_entropy_round(1_000);
         assert_eq!(extra.entries_sent, 0);
         assert!(!extra.hit_budget);
-        assert_ledger(&repaired);
+        repaired.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -2188,7 +2188,7 @@ mod tests {
         let out = net.query_resilient(&r(100, 200));
         assert!(out.exact, "pre-partition cache findable after heal");
         assert!(!out.partition_degraded);
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -2229,7 +2229,7 @@ mod tests {
         );
         let extra = repaired.anti_entropy_round(1_000);
         assert_eq!(extra.entries_sent, 0);
-        assert_ledger(&repaired);
+        repaired.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -2269,7 +2269,7 @@ mod tests {
                 "copy for identifier {ident} must stay inside the island"
             );
         }
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -2296,7 +2296,7 @@ mod tests {
         assert_eq!(net.resilience().buckets_lost, lost_before + held);
         net.heal();
         net.stabilize(128).expect("recovers");
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! [`DataNetwork`] combines, per (relation, attribute) pair, the range
 //! identifier machinery of [`crate::RangeSelectNetwork`] with a payload
 //! store holding the actual tuples of each cached partition. It implements
-//! [`ars_relation::exec::LeafSource`], so a planned SQL query executes
-//! with its selection leaves resolved through the P2P cache: on a usable
+//! [`ars_relation::exec::LeafSource`], so a query plan executes with its
+//! selection leaves resolved through the P2P cache: on a usable
 //! cached match the tuples come from a peer; otherwise they come from the
 //! base relation at the source (and the partition is cached for the next
-//! query) — exactly the workflow of the paper's Figure 2.
+//! query) — exactly the workflow of the paper's Figure 2. It has no query
+//! loop of its own: every lookup, match and store is
+//! [`RangeSelectNetwork::query`] on the attribute's network.
 
 use crate::config::SystemConfig;
-use crate::network::RangeSelectNetwork;
+use crate::network::{hashed_range, RangeSelectNetwork};
 use ars_common::FxHashMap;
 use ars_lsh::RangeSet;
 use ars_relation::exec::{BaseTables, ExecError, LeafSource};
@@ -28,12 +30,10 @@ pub enum FetchOutcome {
     /// Served from a cached partition that only partially covered the
     /// query (partial answers accepted by configuration).
     PartialCache,
-    /// Overlap served from a cached partition, the uncovered remainder
-    /// fetched from the source (residual fetching).
-    Residual,
 }
 
-/// How to handle a cached match that only partially covers the query.
+/// How to handle a cached match that only partially covers the query —
+/// the binary choice of §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartialPolicy {
     /// Ignore partial matches; go to the source for the whole range
@@ -43,10 +43,6 @@ pub enum PartialPolicy {
     /// Return the covered part only — §5.2: "the system can present the
     /// user the part of the answer it is able to find fast".
     AcceptPartial,
-    /// Serve the overlap from the cache and fetch only the *residual*
-    /// `query \ cached` from the source — complete answers at reduced
-    /// source load (our extension; enabled by `RangeSet::difference`).
-    Residual,
 }
 
 /// Counters for leaf fetches.
@@ -58,12 +54,6 @@ pub struct FetchStats {
     pub source_fetches: u64,
     /// Leaves served with partial coverage.
     pub partial_hits: u64,
-    /// Leaves served by cache + residual source fetch.
-    pub residual_hits: u64,
-    /// Attribute values served out of cached partitions (all modes).
-    pub values_from_cache: u64,
-    /// Attribute values that had to come from the source (all modes).
-    pub values_from_source: u64,
 }
 
 /// The data-sharing P2P system of §2.
@@ -135,7 +125,6 @@ impl DataNetwork {
         attr: &str,
         range: &RangeSet,
     ) -> Result<(HorizontalPartition, FetchOutcome), ExecError> {
-        let policy = self.partial_policy;
         let outcome = self.net_for(relation, attr).query(range);
         if let Some(matched) = &outcome.best_match {
             let key = (relation.to_string(), attr.to_string(), matched.clone());
@@ -147,45 +136,14 @@ impl DataNetwork {
                             "cached partition {matched} does not cover {range}"
                         ))
                     })?;
-                    self.stats.values_from_cache += range.len();
                     return Ok((refined, FetchOutcome::Cache));
                 }
                 let overlap = range.intersection(part.range());
-                match policy {
-                    PartialPolicy::AcceptPartial if !overlap.is_empty() => {
-                        // Partial answer: the covered part only.
-                        if let Some(partial) = part.refine(&overlap) {
-                            self.stats.values_from_cache += overlap.len();
-                            return Ok((partial, FetchOutcome::PartialCache));
-                        }
+                if self.partial_policy == PartialPolicy::AcceptPartial && !overlap.is_empty() {
+                    // Partial answer: the covered part only.
+                    if let Some(partial) = part.refine(&overlap) {
+                        return Ok((partial, FetchOutcome::PartialCache));
                     }
-                    PartialPolicy::Residual if !overlap.is_empty() => {
-                        // Serve the overlap from cache, fetch only the
-                        // uncovered remainder from the source.
-                        if let Some(partial) = part.refine(&overlap) {
-                            let residual = range.difference(part.range());
-                            debug_assert_eq!(overlap.len() + residual.len(), range.len());
-                            let base = self
-                                .sources
-                                .get(relation)
-                                .ok_or_else(|| ExecError::UnknownRelation(relation.to_string()))?;
-                            let rest = HorizontalPartition::select_from(base, attr, &residual);
-                            let schema = partial.schema().clone();
-                            let mut tuples = partial.tuples().to_vec();
-                            tuples.extend(rest.tuples().iter().cloned());
-                            let combined = HorizontalPartition::from_parts(
-                                relation,
-                                attr,
-                                range.clone(),
-                                schema,
-                                tuples,
-                            );
-                            self.stats.values_from_cache += overlap.len();
-                            self.stats.values_from_source += residual.len();
-                            return Ok((combined, FetchOutcome::Residual));
-                        }
-                    }
-                    _ => {}
                 }
             }
         }
@@ -195,11 +153,7 @@ impl DataNetwork {
             .sources
             .get(relation)
             .ok_or_else(|| ExecError::UnknownRelation(relation.to_string()))?;
-        let hashed_range = if self.config.padding > 0.0 {
-            range.pad(self.config.padding)
-        } else {
-            range.clone()
-        };
+        let hashed_range = hashed_range(range, self.config.padding);
         let part = HorizontalPartition::select_from(base, attr, &hashed_range);
         if self.config.cache_on_miss {
             self.payloads.insert(
@@ -210,7 +164,6 @@ impl DataNetwork {
         let answer = part
             .refine(range)
             .expect("padded partition must cover the original range");
-        self.stats.values_from_source += range.len();
         Ok((answer, FetchOutcome::Source))
     }
 }
@@ -230,25 +183,23 @@ impl LeafSource for DataNetwork {
             .min_by_key(|(_, rs)| rs.len());
         let (fetched, outcome) = match ranged {
             Some((attr, range)) => {
+                // Reject a malformed leaf before it touches the network.
+                self.sources.leaf_table(relation, predicates)?;
                 let (part, outcome) = self.fetch_partition(relation, &attr, &range)?;
                 (part.as_relation(), outcome)
             }
-            None => {
-                // No ranged predicate (e.g. a pure string-equality leaf):
-                // this leaf cannot be located by range hashing; go to the
-                // source directly.
-                let base = self
-                    .sources
-                    .get(relation)
-                    .ok_or_else(|| ExecError::UnknownRelation(relation.to_string()))?;
-                (base.clone(), FetchOutcome::Source)
-            }
+            // No ranged predicate (e.g. a pure string-equality leaf): this
+            // leaf cannot be located by range hashing; go to the source
+            // directly.
+            None => (
+                self.sources.leaf_table(relation, predicates)?.clone(),
+                FetchOutcome::Source,
+            ),
         };
         match outcome {
             FetchOutcome::Cache => self.stats.cache_hits += 1,
             FetchOutcome::Source => self.stats.source_fetches += 1,
             FetchOutcome::PartialCache => self.stats.partial_hits += 1,
-            FetchOutcome::Residual => self.stats.residual_hits += 1,
         }
         // Apply all predicates locally (idempotent for the ranged one).
         let schema = fetched.schema().clone();
@@ -355,39 +306,27 @@ mod tests {
     }
 
     #[test]
-    fn residual_policy_returns_complete_answers_at_reduced_source_load() {
-        use crate::config::MatchMeasure;
-        let config = SystemConfig::default()
-            .with_matching(MatchMeasure::Containment)
-            .with_seed(6);
-        let mut net = DataNetwork::new(40, config, sources());
-        net.partial_policy = PartialPolicy::Residual;
-        // Cache ages [30, 49] (120 values per... range len = 20).
-        net.fetch("Patient", &leaf(30, 49)).unwrap();
-        let from_source_before = net.stats.values_from_source;
-        // Ask for [30, 55]: the overlap [30, 49] can come from cache, only
-        // [50, 55] from the source — and the answer must be complete.
-        let r = net.fetch("Patient", &leaf(30, 55)).unwrap();
-        let direct = {
-            let mut s = sources();
-            s.fetch("Patient", &leaf(30, 55)).unwrap()
-        };
-        assert_eq!(r.len(), direct.len(), "residual answers must be complete");
-        if net.stats.residual_hits > 0 {
-            // When the LSH match fired, only the residual 6 values hit the
-            // source.
-            assert_eq!(net.stats.values_from_source - from_source_before, 6);
-            assert!(net.stats.values_from_cache >= 20);
-        }
-    }
-
-    #[test]
     fn unknown_relation_is_error() {
         let mut net = DataNetwork::new(10, SystemConfig::default(), sources());
         assert!(matches!(
             net.fetch("Nope", &leaf(0, 1)),
             Err(ExecError::UnknownRelation(_))
         ));
+    }
+
+    #[test]
+    fn unknown_predicate_attribute_is_error_not_panic() {
+        let mut net = DataNetwork::new(10, SystemConfig::default(), sources());
+        for preds in [
+            vec![Predicate::range("salary", 0, 1)],
+            vec![Predicate::eq("employer", "x")],
+        ] {
+            assert_eq!(
+                net.fetch("Patient", &preds),
+                Err(ExecError::UnknownAttribute(preds[0].attr().to_string()))
+            );
+        }
+        assert_eq!(net.cached_partitions(), 0);
     }
 
     #[test]

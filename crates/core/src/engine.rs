@@ -4,7 +4,7 @@
 //! [`RangeSelectNetwork::query`] and `query_batch` run every stage of a
 //! query — hash, plan, commit — on the calling thread, so their
 //! throughput is bounded by a single core no matter how wide the machine
-//! is. This module runs the same [`plan_query`] / [`commit_plan`] pair on
+//! is. This module runs the same `plan_query` / `commit_plan` pair on
 //! worker threads by partitioning the network's mutable state into
 //! **shards**:
 //!

@@ -11,6 +11,10 @@
 //! [`ExactMatchNetwork`] implements that baseline faithfully (SHA-1 of the
 //! exact range as the DHT key) so the comparison the paper argues verbally
 //! can be *measured* — see the `baseline` bench binary.
+//!
+//! A frozen paper artefact: it exists for §3.1's comparison
+//! (`results/baseline_comparison.csv`), is off the query hot path, and
+//! grows no features (DESIGN §5 verdict table).
 
 use crate::config::SystemConfig;
 use crate::network::QueryOutcome;

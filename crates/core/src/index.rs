@@ -13,6 +13,10 @@
 //! (a flattened interval tree): overlap candidates for `[qlo, qhi]` are a
 //! contiguous prefix of the entries with `start ≤ qhi`, pruned by the
 //! prefix maximum to skip runs that end before `qlo`.
+//!
+//! A frozen paper artefact: it exists for §5.3 (Figure 10's recall
+//! effect, read only under `SystemConfig::with_local_index`), is off the
+//! default query hot path, and grows no features (DESIGN §5 verdict table).
 
 use crate::bucket::{best_of, Match};
 use crate::config::MatchMeasure;

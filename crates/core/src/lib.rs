@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod bucket;
 pub mod churn;
 pub mod config;
@@ -39,14 +38,12 @@ pub mod durable;
 pub mod engine;
 pub mod exact;
 pub mod index;
-pub mod multiattr;
 pub mod network;
 pub mod peer;
 pub mod proto;
 pub mod recall;
 pub mod resilient;
 
-pub use adaptive::{AdaptiveClient, AdaptivePadding};
 pub use bucket::Bucket;
 pub use churn::{ChurnNetwork, InventoryEntry, RepairRound};
 pub use config::{MatchMeasure, PlacementMode, SystemConfig};
@@ -54,7 +51,6 @@ pub use data::DataNetwork;
 pub use durable::DurabilityConfig;
 pub use engine::EngineOptions;
 pub use exact::ExactMatchNetwork;
-pub use multiattr::{MultiAttrNetwork, MultiRange};
 pub use network::{BatchTimings, NetworkStats, QueryOutcome, RangeSelectNetwork};
 pub use peer::Peer;
 pub use proto::ProtoNetwork;

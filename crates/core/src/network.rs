@@ -832,23 +832,16 @@ impl RangeSelectNetwork {
 
     /// Execute one range query through the full §4 procedure.
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
-        let padding = self.config.padding;
-        self.query_padded(q, padding)
-    }
-
-    /// Like [`Self::query`] but with an explicit padding fraction for this
-    /// query, overriding the configured one — the hook the adaptive
-    /// padding policy (paper §6 future work; [`crate::adaptive`]) uses.
-    pub fn query_padded(&mut self, q: &RangeSet, padding: f64) -> QueryOutcome {
-        let (hashed_range, placed) = self.hash_stage(q, padding);
+        let (hashed_range, placed) = self.hash_stage(q);
         let plan = self.plan_stage(&hashed_range, &placed);
         self.commit_stage(q, hashed_range, &placed, plan)
     }
 
     /// Stage 1 of a query: pad, then resolve the group identifiers and
     /// their placed positions through the [`IdentifierCache`].
-    fn hash_stage(&mut self, q: &RangeSet, padding: f64) -> (RangeSet, Placed) {
+    fn hash_stage(&mut self, q: &RangeSet) -> (RangeSet, Placed) {
         assert!(!q.is_empty(), "cannot query an empty range");
+        let padding = self.config.padding;
         assert!(padding >= 0.0, "padding must be non-negative");
         let hashed_range = hashed_range(q, padding);
         let placed = match self.ident_cache.get_hit(&hashed_range) {
@@ -930,7 +923,7 @@ impl RangeSelectNetwork {
     ///
     /// Outcomes, statistics, and cache contents are bit-identical to
     /// calling [`Self::query`] in a loop (asserted in tests): the stages
-    /// are the same three calls [`Self::query_padded`] makes, the
+    /// are the same three calls [`Self::query`] makes, the
     /// identifier cache is only touched by the first, the RNG only by the
     /// second, peers and stats only by the third — so running them as
     /// three loops reorders nothing any stage can observe.
@@ -942,12 +935,8 @@ impl RangeSelectNetwork {
     /// throughput bench uses this to report where a batch's time goes
     /// (hash / route / commit) instead of a single opaque number.
     pub fn query_batch_timed(&mut self, queries: &[RangeSet]) -> (Vec<QueryOutcome>, BatchTimings) {
-        let padding = self.config.padding;
         let t0 = std::time::Instant::now();
-        let hashed: Vec<(RangeSet, Placed)> = queries
-            .iter()
-            .map(|q| self.hash_stage(q, padding))
-            .collect();
+        let hashed: Vec<(RangeSet, Placed)> = queries.iter().map(|q| self.hash_stage(q)).collect();
         let t1 = std::time::Instant::now();
         let plans: Vec<QueryPlan> = hashed
             .iter()
@@ -1498,7 +1487,7 @@ mod tests {
         let q = r(30, 50);
         // Independent: owner i checks identifier i and caches it.
         let mut n = net(40);
-        let (hashed, placed) = n.hash_stage(&q, 0.0);
+        let (hashed, placed) = n.hash_stage(&q);
         let identifiers = identifiers_of(&placed);
         let plan = n.plan_stage(&hashed, &placed);
         assert_eq!(plan.candidates, identifiers, "five distinct identifiers");
@@ -1518,7 +1507,7 @@ mod tests {
         // Layered: one lookup; every walked peer checks every candidate;
         // only the base identifiers are cached.
         let mut n = RangeSelectNetwork::new(40, layered_config(3));
-        let (hashed, placed) = n.hash_stage(&q, 0.0);
+        let (hashed, placed) = n.hash_stage(&q);
         let identifiers = identifiers_of(&placed);
         let plan = n.plan_stage(&hashed, &placed);
         assert_eq!(plan.lookups.len(), 1);
@@ -1548,7 +1537,7 @@ mod tests {
                 // What the stage hands to planning — from the cache on a
                 // hit, freshly resolved on a miss — is the range's
                 // identifiers, each beside `place()` of it...
-                let (hashed, placed) = n.hash_stage(q, config.padding);
+                let (hashed, placed) = n.hash_stage(q);
                 assert_eq!(identifiers_of(&placed), n.groups().identifiers(&hashed));
                 for &(ident, position) in placed.iter() {
                     assert_eq!(position, n.place(ident), "capacity {capacity}");
@@ -1625,7 +1614,7 @@ mod tests {
             let layered = config.placement_mode == PlacementMode::Layered;
             let mut saved = 0;
             for q in &trace {
-                let (hashed, mut placed) = n.hash_stage(q, 0.0);
+                let (hashed, mut placed) = n.hash_stage(q);
                 if !layered {
                     placed[4] = placed[1]; // forced duplicate
                 }

@@ -301,8 +301,7 @@ impl RangeSet {
     }
 
     /// The set difference `self \ other` — the part of a query a partial
-    /// match does *not* answer (used by residual fetching: serve the
-    /// overlap from the cache, fetch only this remainder from the source).
+    /// match does *not* answer.
     pub fn difference(&self, other: &RangeSet) -> RangeSet {
         let other = other.intervals();
         let mut out: Vec<(u32, u32)> = Vec::new();

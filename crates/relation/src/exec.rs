@@ -72,15 +72,32 @@ impl BaseTables {
     pub fn get(&self, name: &str) -> Option<&Relation> {
         self.tables.get(name)
     }
+
+    /// The table a leaf selects from, once the leaf is known to be
+    /// well-formed: plans are built by hand, so this is where a relation
+    /// or predicate attribute outside the schema becomes an error.
+    pub fn leaf_table(
+        &self,
+        relation: &str,
+        predicates: &[Predicate],
+    ) -> Result<&Relation, ExecError> {
+        let base = self
+            .get(relation)
+            .ok_or_else(|| ExecError::UnknownRelation(relation.to_string()))?;
+        match predicates
+            .iter()
+            .find(|p| base.schema().index_of(p.attr()).is_none())
+        {
+            Some(p) => Err(ExecError::UnknownAttribute(p.attr().to_string())),
+            None => Ok(base),
+        }
+    }
 }
 
 impl LeafSource for BaseTables {
     fn fetch(&mut self, relation: &str, predicates: &[Predicate]) -> Result<Relation, ExecError> {
         self.fetches += 1;
-        let base = self
-            .tables
-            .get(relation)
-            .ok_or_else(|| ExecError::UnknownRelation(relation.to_string()))?;
+        let base = self.leaf_table(relation, predicates)?;
         let schema = base.schema().clone();
         let tuples: Vec<Tuple> = base
             .tuples()
@@ -206,9 +223,7 @@ fn project(rel: &Relation, attrs: &[String]) -> Result<Relation, ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Planner;
     use crate::schema::medical;
-    use crate::sql::parse_query;
     use crate::value::days_since_1900;
 
     /// Build the paper's medical dataset with known join structure:
@@ -262,15 +277,6 @@ mod tests {
         tables
     }
 
-    fn medical_planner() -> Planner {
-        let mut p = Planner::new();
-        p.register(medical::patient())
-            .register(medical::diagnosis())
-            .register(medical::prescription())
-            .register(medical::physician());
-        p
-    }
-
     /// Reference evaluation of the paper's query by brute force.
     fn brute_force_paper_query(tables: &BaseTables) -> Vec<Value> {
         let patients = tables.get("Patient").unwrap();
@@ -306,18 +312,7 @@ mod tests {
     #[test]
     fn executes_the_papers_query_end_to_end() {
         let mut tables = medical_tables();
-        let planner = medical_planner();
-        let q = parse_query(
-            "SELECT Prescription.prescription \
-             FROM Patient, Diagnosis, Prescription \
-             WHERE 30 <= age AND age <= 50 \
-             AND diagnosis = 'Glaucoma' \
-             AND Patient.patient_id = Diagnosis.patient_id \
-             AND 01-01-2000 <= date AND date <= 12-31-2002 \
-             AND Diagnosis.prescription_id = Prescription.prescription_id",
-        )
-        .unwrap();
-        let plan = planner.plan(&q).unwrap();
+        let plan = medical::glaucoma_plan();
         let expected = brute_force_paper_query(&tables);
         assert!(!expected.is_empty(), "test data must produce answers");
 
@@ -426,6 +421,19 @@ mod tests {
         assert_eq!(
             execute(&plan, &mut tables),
             Err(ExecError::UnknownRelation("Nope".to_string()))
+        );
+    }
+
+    #[test]
+    fn unknown_predicate_attr_error() {
+        let mut tables = medical_tables();
+        let plan = LogicalPlan::Select {
+            relation: "Patient".to_string(),
+            predicates: vec![Predicate::range("salary", 1, 2)],
+        };
+        assert_eq!(
+            execute(&plan, &mut tables),
+            Err(ExecError::UnknownAttribute("salary".to_string()))
         );
     }
 

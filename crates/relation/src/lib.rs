@@ -3,12 +3,13 @@
 //! The paper's peers share data "in the form of database relations" (§2):
 //! a global schema is known to all peers, sources hold base relations, and
 //! peers cache *horizontal partitions* — the tuples of one relation
-//! selected by a range predicate on a single attribute. Queries arrive as
-//! SQL, get planned with selections pushed to the leaves, and the leaves
-//! are served from cached partitions fetched through the P2P layer while
-//! joins/projections run locally at the querying peer.
+//! selected by a range predicate on a single attribute. A query is a plan
+//! with its selections at the leaves; the leaves are served from cached
+//! partitions fetched through the P2P layer while joins/projections run
+//! locally at the querying peer.
 //!
-//! This crate provides all of that machinery:
+//! This crate is what the paper's §2 example executes, and no more (it
+//! takes plans built in code — there is no SQL text front-end, DESIGN §4):
 //!
 //! * [`value::Value`] / [`schema::Schema`] / [`schema::Relation`] — typed
 //!   tuples and relations;
@@ -16,10 +17,8 @@
 //!   selections (the paper's restriction: one attribute per select);
 //! * [`partition::HorizontalPartition`] — a cached fragment with its
 //!   defining [`ars_lsh::RangeSet`];
-//! * [`plan`] — logical plans with select-pushdown planning;
-//! * [`exec`] — a small executor: scan, filter, project, hash join;
-//! * [`sql`] — a tokenizer + recursive-descent parser for the paper's
-//!   query class (`SELECT … FROM r1, r2 WHERE range AND eq-join …`).
+//! * [`plan`] — logical plans: select leaves, equi-joins, projection;
+//! * [`exec`] — a small executor: scan, filter, project, hash join.
 
 #![warn(missing_docs)]
 
@@ -28,13 +27,11 @@ pub mod partition;
 pub mod plan;
 pub mod predicate;
 pub mod schema;
-pub mod sql;
 pub mod value;
 
 pub use exec::execute;
 pub use partition::HorizontalPartition;
-pub use plan::{LogicalPlan, Planner};
+pub use plan::LogicalPlan;
 pub use predicate::Predicate;
 pub use schema::{Attribute, Relation, Schema, Tuple};
-pub use sql::parse_query;
 pub use value::{Value, ValueType};

@@ -68,25 +68,6 @@ impl HorizontalPartition {
         }
     }
 
-    /// Wrap pre-selected tuples (e.g. received over the network).
-    pub fn from_parts(
-        relation: &str,
-        attr: &str,
-        range: RangeSet,
-        schema: Arc<Schema>,
-        tuples: Vec<Tuple>,
-    ) -> HorizontalPartition {
-        HorizontalPartition {
-            key: PartitionKey {
-                relation: relation.to_string(),
-                attr: attr.to_string(),
-                range,
-            },
-            schema,
-            tuples,
-        }
-    }
-
     /// The identifying key.
     pub fn key(&self) -> &PartitionKey {
         &self.key

@@ -231,6 +231,9 @@ fn validate(schema: &Schema, tuple: &Tuple) {
 /// `Physician`, `Prescription`. Used throughout tests and examples.
 pub mod medical {
     use super::*;
+    use crate::plan::LogicalPlan;
+    use crate::predicate::Predicate;
+    use crate::value::days_since_1900;
 
     /// `Patient(patient_id, name, age)`
     pub fn patient() -> Arc<Schema> {
@@ -281,6 +284,43 @@ pub mod medical {
                 ("comments", ValueType::Str),
             ],
         ))
+    }
+
+    /// The paper's example query (Figure 1) — prescriptions given for
+    /// Glaucoma to patients aged 30–50 between 2000 and 2002 — as the
+    /// plan of Figure 2: every selection at its leaf, joins left-deep in
+    /// FROM order, one final projection.
+    pub fn glaucoma_plan() -> LogicalPlan {
+        let select = |relation: &str, predicate| LogicalPlan::Select {
+            relation: relation.to_string(),
+            predicates: vec![predicate],
+        };
+        let join = |left, right, left_attr: &str, right_attr: &str| LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            left_attr: left_attr.to_string(),
+            right_attr: right_attr.to_string(),
+        };
+        let dates = Predicate::range(
+            "date",
+            days_since_1900(2000, 1, 1),
+            days_since_1900(2002, 12, 31),
+        );
+        let patient_diagnosis = join(
+            select("Patient", Predicate::range("age", 30, 50)),
+            select("Diagnosis", Predicate::eq("diagnosis", "Glaucoma")),
+            "Patient.patient_id",
+            "Diagnosis.patient_id",
+        );
+        LogicalPlan::Project {
+            input: Box::new(join(
+                patient_diagnosis,
+                select("Prescription", dates),
+                "Diagnosis.prescription_id",
+                "Prescription.prescription_id",
+            )),
+            attrs: vec!["Prescription.prescription".to_string()],
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The paper's §2 running example, end to end: the Glaucoma prescription
-//! query (Figure 1) parsed from SQL, planned with selections pushed to the
-//! leaves, leaf partitions fetched through the P2P cache, and the joins
-//! computed locally at the querying peer (Figure 2).
+//! query (Figure 1) as the plan of Figure 2 — selections at the leaves,
+//! built in code — with leaf partitions fetched through the P2P cache and
+//! the joins computed locally at the querying peer.
 //!
 //! Run with: `cargo run --release --example medical_join`
 
@@ -62,25 +62,11 @@ fn build_sources() -> BaseTables {
 }
 
 fn main() {
-    // The paper's query, §2 (with inclusive bounds spelled out).
-    let sql = "SELECT Prescription.prescription \
-               FROM Patient, Diagnosis, Prescription \
-               WHERE 30 <= age AND age <= 50 \
-               AND diagnosis = 'Glaucoma' \
-               AND Patient.patient_id = Diagnosis.patient_id \
-               AND 01-01-2000 <= date AND date <= 12-31-2002 \
-               AND Diagnosis.prescription_id = Prescription.prescription_id";
-
-    // Everyone knows the global schema.
-    let mut planner = Planner::new();
-    planner
-        .register(medical::patient())
-        .register(medical::diagnosis())
-        .register(medical::physician())
-        .register(medical::prescription());
-
-    let parsed = parse_query(sql).expect("the paper's query parses");
-    let plan = planner.plan(&parsed).expect("planning succeeds");
+    // The paper's query, §2: SELECT Prescription.prescription FROM Patient,
+    // Diagnosis, Prescription WHERE 30 <= age <= 50 AND diagnosis =
+    // 'Glaucoma' AND 01-01-2000 <= date <= 12-31-2002, joined on
+    // patient_id and prescription_id.
+    let plan = medical::glaucoma_plan();
     println!("=== logical plan (selects pushed to the leaves) ===\n{plan}");
 
     // A 60-peer data-sharing network in front of the sources.

@@ -4,8 +4,8 @@
 //! Queries in Peer-to-Peer Systems* (Gupta, Agrawal, El Abbadi — CIDR
 //! 2003), including every substrate the paper relies on: the three
 //! locality-sensitive hash families, a Chord DHT simulator (with SHA-1,
-//! churn, and stabilization), a relational mini-engine with a SQL parser
-//! and select-pushdown planner, and a deterministic message-passing
+//! churn, and stabilization), a relational mini-engine that executes
+//! select / join / project plans, and a deterministic message-passing
 //! network simulator.
 //!
 //! The individual crates are re-exported as modules:
@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`lsh`] | `ars-lsh` | range sets, min-wise / approx / linear permutations, `l × k` hash groups |
 //! | [`chord`] | `ars-chord` | identifier circle, static ring + lookup, dynamic join/leave/stabilize, SHA-1 |
-//! | [`relation`] | `ars-relation` | values, schemas, partitions, SQL parser, planner, executor |
+//! | [`relation`] | `ars-relation` | values, schemas, predicates, partitions, logical plans, executor |
 //! | [`simnet`] | `ars-simnet` | discrete-event simulator, seeded fault injection, wire codec |
 //! | [`store`] | `ars-store` | durable bucket stores: CRC-framed op logs, checkpoints, crash-faulted simulated disks |
 //! | [`core`] | `ars-core` | the paper's system: buckets, peers, query protocol, padding, recall |
@@ -69,8 +69,7 @@ pub mod prelude {
     };
     pub use ars_lsh::{HashGroups, LshFamilyKind, RangeSet};
     pub use ars_relation::{
-        execute, parse_query, HorizontalPartition, LogicalPlan, Planner, Predicate, Relation,
-        Schema, Value,
+        execute, HorizontalPartition, LogicalPlan, Predicate, Relation, Schema, Value,
     };
     pub use ars_simnet::{FaultInjector, FaultPlan, SimNet};
     pub use ars_store::{BucketStore, SimDisk, StorageFaults, StoreConfig};

@@ -426,16 +426,6 @@ fn unreplicated_failures_demonstrably_lose_buckets() {
 //    what is stored.
 // ---------------------------------------------------------------------
 
-/// `placed == live + lost − recovered`.
-fn assert_bucket_ledger(net: &ChurnNetwork, at: &str) {
-    let s = net.resilience();
-    assert_eq!(
-        s.buckets_placed + s.buckets_recovered,
-        net.total_partitions() as u64 + s.buckets_lost,
-        "bucket ledger broken {at}"
-    );
-}
-
 #[test]
 fn arc_repair_leaves_the_global_pass_nothing_to_restore() {
     let seed = env_seed("ARS_FAULT_SEED");
@@ -484,8 +474,10 @@ fn arc_repair_leaves_the_global_pass_nothing_to_restore() {
             events += 1;
             assert_eq!(twin.re_replicate(), 0, "arc repair missed copies {at}");
             assert_eq!(net.inventory(), twin.inventory(), "inventories differ {at}");
-            assert_bucket_ledger(&net, &at);
-            assert_bucket_ledger(&twin, &at);
+            for side in [&net, &twin] {
+                side.check_bucket_ledger()
+                    .unwrap_or_else(|e| panic!("{e} {at}"));
+            }
         }
         assert!(
             events >= 30,

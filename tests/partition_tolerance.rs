@@ -85,21 +85,6 @@ fn well_formed(out: &QueryOutcome, l: usize) {
     }
 }
 
-/// The bucket ledger identity: every placement, loss, and recovery is
-/// counted, so the live copy count is derivable from the stats alone.
-fn assert_ledger(net: &ChurnNetwork) {
-    let s = net.resilience();
-    assert_eq!(
-        s.buckets_placed + s.buckets_recovered,
-        net.total_partitions() as u64 + s.buckets_lost,
-        "ledger violated: placed {} recovered {} live {} lost {}",
-        s.buckets_placed,
-        s.buckets_recovered,
-        net.total_partitions(),
-        s.buckets_lost
-    );
-}
-
 // ---------------------------------------------------------------------
 // 1. Message accounting: a partition window moves cross-island sends
 //    into the `partitioned` column without breaking conservation.
@@ -284,7 +269,7 @@ proptest! {
         for q in trace(6) {
             well_formed(&net.query_resilient(&q), 2);
         }
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
         let queries = trace(18);
         for (op, val) in ops {
             match op {
@@ -325,7 +310,7 @@ proptest! {
                     }
                 }
             }
-            assert_ledger(&net);
+            net.check_bucket_ledger().unwrap();
         }
         if net.is_partitioned() {
             net.heal();
@@ -348,7 +333,7 @@ proptest! {
             "anti-entropy quiescence must equal the re_replicate fixed point"
         );
         prop_assert_eq!(net.inventory(), inventory);
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
     }
 }
 
@@ -397,7 +382,7 @@ fn degraded_flags_and_island_writes_reconcile_after_heal() {
         net.resilience().partition_writes > writes_before,
         "fresh misses during the window must be cached island-locally"
     );
-    assert_ledger(&net);
+    net.check_bucket_ledger().unwrap();
 
     net.heal();
     net.stabilize(256).expect("healed ring re-merges");
@@ -420,7 +405,7 @@ fn degraded_flags_and_island_writes_reconcile_after_heal() {
         flagged_before,
         "degradation counter must freeze after the heal"
     );
-    assert_ledger(&net);
+    net.check_bucket_ledger().unwrap();
 }
 
 /// The partition headline (DESIGN.md §12): a fifth of a 50-peer ring is
@@ -444,7 +429,7 @@ fn mid_window_failure_heals_to_full_recall_at_r2_and_loses_buckets_at_r1() {
         for q in &queries[..80] {
             net.query_resilient(q);
         }
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
 
         let ids = net.chord().node_ids();
         let (min, maj) = ids.split_at(10);
@@ -454,7 +439,7 @@ fn mid_window_failure_heals_to_full_recall_at_r2_and_loses_buckets_at_r1() {
         for q in &queries {
             net.query_resilient(q);
         }
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
 
         let inventory = net.inventory();
         let copies = |id: &&Id| inventory.iter().filter(|(p, _, _)| *p == id.0).count();
@@ -465,7 +450,7 @@ fn mid_window_failure_heals_to_full_recall_at_r2_and_loses_buckets_at_r1() {
         let lost_before = net.resilience().buckets_lost;
         net.fail(victim).expect("minority member fails mid-window");
         let lost = net.resilience().buckets_lost - lost_before;
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
 
         net.heal();
         net.stabilize(512).expect("healed ring re-merges");
@@ -477,7 +462,7 @@ fn mid_window_failure_heals_to_full_recall_at_r2_and_loses_buckets_at_r1() {
             .map(|q| net.query_resilient(q).recall)
             .sum::<f64>()
             / queries.len() as f64;
-        assert_ledger(&net);
+        net.check_bucket_ledger().unwrap();
         if replication == 2 {
             assert_eq!(recall, 1.0, "r=2 post-heal recall (seed {seed})");
         } else {

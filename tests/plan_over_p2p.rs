@@ -1,8 +1,8 @@
-//! The paper's §2 scenario end to end: an SQL query is parsed, planned
-//! with selects pushed to the leaves, the leaf partitions are fetched
-//! through the P2P cache, and the joins/projection run locally at the
-//! querying peer. Results must equal direct evaluation at the sources,
-//! and repeats must be served from the cache.
+//! The paper's §2 scenario end to end: a plan with its selects at the
+//! leaves is built in code, the leaf partitions are fetched through the
+//! P2P cache, and the joins/projection run locally at the querying peer.
+//! Results must equal direct evaluation at the sources, and repeats must
+//! be served from the cache.
 
 use ars::core::data::DataNetwork;
 use ars::prelude::*;
@@ -10,13 +10,20 @@ use ars::relation::exec::BaseTables;
 use ars::relation::schema::medical;
 use ars::relation::value::days_since_1900;
 
-const PAPER_QUERY: &str = "SELECT Prescription.prescription \
-     FROM Patient, Diagnosis, Prescription \
-     WHERE 30 <= age AND age <= 50 \
-     AND diagnosis = 'Glaucoma' \
-     AND Patient.patient_id = Diagnosis.patient_id \
-     AND 01-01-2000 <= date AND date <= 12-31-2002 \
-     AND Diagnosis.prescription_id = Prescription.prescription_id";
+/// `SELECT * FROM Patient WHERE lo <= age AND age <= hi`.
+fn patients_aged(lo: u32, hi: u32) -> LogicalPlan {
+    LogicalPlan::Select {
+        relation: "Patient".to_string(),
+        predicates: vec![Predicate::range("age", lo, hi)],
+    }
+}
+
+fn project(input: LogicalPlan, attrs: &[&str]) -> LogicalPlan {
+    LogicalPlan::Project {
+        input: Box::new(input),
+        attrs: attrs.iter().map(|a| a.to_string()).collect(),
+    }
+}
 
 fn medical_sources() -> BaseTables {
     let mut tables = BaseTables::new();
@@ -62,15 +69,6 @@ fn medical_sources() -> BaseTables {
     tables
 }
 
-fn medical_planner() -> Planner {
-    let mut p = Planner::new();
-    p.register(medical::patient())
-        .register(medical::diagnosis())
-        .register(medical::prescription())
-        .register(medical::physician());
-    p
-}
-
 fn sorted_strings(rel: &Relation) -> Vec<String> {
     let mut v: Vec<String> = rel.tuples().iter().map(|t| format!("{}", t[0])).collect();
     v.sort();
@@ -79,8 +77,7 @@ fn sorted_strings(rel: &Relation) -> Vec<String> {
 
 #[test]
 fn paper_query_over_p2p_equals_direct_evaluation() {
-    let planner = medical_planner();
-    let plan = planner.plan(&parse_query(PAPER_QUERY).unwrap()).unwrap();
+    let plan = medical::glaucoma_plan();
 
     // Direct evaluation at the sources.
     let mut direct_tables = medical_sources();
@@ -98,8 +95,7 @@ fn paper_query_over_p2p_equals_direct_evaluation() {
 
 #[test]
 fn repeated_query_serves_ranged_leaves_from_cache() {
-    let planner = medical_planner();
-    let plan = planner.plan(&parse_query(PAPER_QUERY).unwrap()).unwrap();
+    let plan = medical::glaucoma_plan();
     let mut p2p = DataNetwork::new(60, SystemConfig::default().with_seed(33), medical_sources());
 
     let first = execute(&plan, &mut p2p).unwrap();
@@ -116,7 +112,6 @@ fn repeated_query_serves_ranged_leaves_from_cache() {
 #[test]
 fn similar_query_can_reuse_broader_partition() {
     // Cache age 25–55, then ask 30–50 with containment matching: covered.
-    let planner = medical_planner();
     let mut p2p = DataNetwork::new(
         60,
         SystemConfig::default()
@@ -124,14 +119,9 @@ fn similar_query_can_reuse_broader_partition() {
             .with_seed(12),
         medical_sources(),
     );
-    let broad = planner
-        .plan(&parse_query("SELECT * FROM Patient WHERE 25 <= age AND age <= 55").unwrap())
-        .unwrap();
-    execute(&broad, &mut p2p).unwrap();
+    execute(&patients_aged(25, 55), &mut p2p).unwrap();
 
-    let narrow = planner
-        .plan(&parse_query("SELECT * FROM Patient WHERE 30 <= age AND age <= 50").unwrap())
-        .unwrap();
+    let narrow = patients_aged(30, 50);
     let via_p2p = execute(&narrow, &mut p2p).unwrap();
 
     // Correctness regardless of whether LSH found the broader partition.
@@ -142,23 +132,45 @@ fn similar_query_can_reuse_broader_partition() {
 
 #[test]
 fn select_star_and_projection_agree_between_paths() {
-    let planner = medical_planner();
-    for sql in [
-        "SELECT * FROM Patient WHERE 40 <= age AND age <= 45",
-        "SELECT name FROM Patient WHERE 40 <= age AND age <= 45",
-        "SELECT Patient.name, Diagnosis.diagnosis FROM Patient, Diagnosis \
-         WHERE 30 <= age AND age <= 35 AND Patient.patient_id = Diagnosis.patient_id",
+    let joined = LogicalPlan::Join {
+        left: Box::new(patients_aged(30, 35)),
+        right: Box::new(LogicalPlan::Select {
+            relation: "Diagnosis".to_string(),
+            predicates: vec![],
+        }),
+        left_attr: "Patient.patient_id".to_string(),
+        right_attr: "Diagnosis.patient_id".to_string(),
+    };
+    for plan in [
+        patients_aged(40, 45),
+        project(patients_aged(40, 45), &["Patient.name"]),
+        project(joined, &["Patient.name", "Diagnosis.diagnosis"]),
     ] {
-        let plan = planner.plan(&parse_query(sql).unwrap()).unwrap();
         let mut direct_tables = medical_sources();
         let direct = execute(&plan, &mut direct_tables).unwrap();
         let mut p2p = DataNetwork::new(40, SystemConfig::default().with_seed(5), medical_sources());
         let via = execute(&plan, &mut p2p).unwrap();
-        assert_eq!(via.len(), direct.len(), "row count diverged for {sql}");
+        assert_eq!(via.len(), direct.len(), "row count diverged for\n{plan}");
         assert_eq!(
             via.schema().arity(),
             direct.schema().arity(),
-            "arity diverged for {sql}"
+            "arity diverged for\n{plan}"
         );
     }
+}
+
+/// The plan built in code is the plan the deleted SQL front-end produced
+/// for the paper's query: this string is what its planner printed at the
+/// last commit that had one.
+#[test]
+fn glaucoma_plan_prints_what_the_planner_printed() {
+    assert_eq!(
+        format!("{}", medical::glaucoma_plan()),
+        "Project Prescription.prescription\n\
+         \x20 Join Diagnosis.prescription_id = Prescription.prescription_id\n\
+         \x20   Join Patient.patient_id = Diagnosis.patient_id\n\
+         \x20     Select Patient [30 <= age <= 50]\n\
+         \x20     Select Diagnosis [diagnosis = Glaucoma]\n\
+         \x20   Select Prescription [36524 <= date <= 37619]\n"
+    );
 }
