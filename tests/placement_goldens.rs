@@ -8,6 +8,10 @@
 //! Any change to the default path's outcomes — identifiers, routing,
 //! matching, caching, stats — moves a digest and fails loudly here.
 //!
+//! The second half pins the churn path (`ChurnNetwork::query_resilient`)
+//! and the message path (`ProtoNetwork::query`) the same way, captured on
+//! the commit before both began to execute the static path's plan.
+//!
 //! Run with `ARS_PRINT_GOLDENS=1` to print freshly computed digests
 //! (the capture procedure; see EXPERIMENTS.md).
 
@@ -189,4 +193,165 @@ fn padded_containment_outcomes_match_pre_layered_goldens() {
             "padded-path outcomes diverged from the pre-layered goldens at seed {seed}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The churn and message paths, pinned at the commit before they began to
+// execute the shared `targets` / `finish` plan: under independent
+// placement sharing the plan must not move one bit of either.
+// ---------------------------------------------------------------------
+
+use ars_core::{BreakerConfig, ChurnNetwork, HedgePolicy, ProtoNetwork, QueryOutcome};
+use ars_simnet::FaultPlan;
+use ars_workload::{uniform_trace, zipf_trace};
+
+/// Fold one outcome, field by field. The message path reported
+/// `peers_contacted: 0` when its digests were captured and counts the
+/// distinct repliers since, so its goldens leave that field out.
+fn fold_outcome(h: &mut u64, out: &QueryOutcome, with_peers: bool) {
+    let mut distinct = out.identifiers.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        out.identifiers.len(),
+        "golden traces carry no repeated identifier (query {})",
+        out.query
+    );
+    fnv(
+        h,
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+            out.query,
+            out.best_match,
+            out.similarity,
+            out.recall,
+            out.exact,
+            out.stored,
+            out.hops,
+            out.identifiers,
+            with_peers.then_some(out.peers_contacted),
+            out.attempts,
+            out.fell_back_to_source,
+            out.partition_degraded,
+        )
+        .as_bytes(),
+    );
+}
+
+/// Scenario (i), with (ii)'s tail-tolerance machinery when `guarded` and
+/// (iii)'s partition window when `split`: a 400-query Zipf trace on 80
+/// churning peers, replication 2, a fifth of the lookup attempts lost, one
+/// failure and one join every 50 queries. Folds every outcome, then the
+/// final resilience ledger and stored-copy count.
+fn churn_digest(guarded: bool, split: bool) -> u64 {
+    let config = SystemConfig::default().with_replication(2).with_seed(23);
+    let mut net = ChurnNetwork::new(80, config).expect("growth converges");
+    net.set_lookup_loss(0.2);
+    if guarded {
+        net.enable_hedging(HedgePolicy {
+            min_delay: 500,
+            ..HedgePolicy::default()
+        });
+        net.enable_breakers(BreakerConfig::default());
+        // Probes teach the detector the healthy baseline, then meet the
+        // slowed fifth of the fleet.
+        for _ in 0..3 {
+            net.probe_peers();
+        }
+        net.slow_fraction(0.2, 10);
+        for _ in 0..2 {
+            net.probe_peers();
+        }
+    }
+    let trace = zipf_trace(400, 5_000, 6_000, 16, 1.0, 200, 23);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (i, q) in trace.queries().iter().enumerate() {
+        if i > 0 && i % 50 == 0 {
+            net.fail_random(1);
+            net.join_random().expect("join routes on a live ring");
+            net.stabilize(64);
+        }
+        if split && i == 120 {
+            let ids = net.chord().node_ids();
+            let (minority, majority) = ids.split_at(ids.len() / 4);
+            net.partition(&[majority.to_vec(), minority.to_vec()]);
+            net.stabilize(64);
+        }
+        if split && i == 160 {
+            net.heal();
+            net.stabilize(256);
+        }
+        fold_outcome(&mut h, &net.query_resilient(q), true);
+    }
+    let stats = net.resilience();
+    assert!(
+        stats.retries > 0 && stats.replicas_restored > 0,
+        "{stats:?}"
+    );
+    assert_eq!(guarded, stats.hedges_fired > 0, "{stats:?}");
+    assert_eq!(guarded, stats.breaker_short_circuits > 0, "{stats:?}");
+    assert_eq!(split, stats.partition_degraded_queries > 0, "{stats:?}");
+    assert_eq!(split, stats.partition_writes > 0, "{stats:?}");
+    fnv(&mut h, format!("{stats:?}").as_bytes());
+    fnv(&mut h, &(net.total_partitions() as u64).to_le_bytes());
+    net.check_bucket_ledger().expect("ledger balances");
+    h
+}
+
+/// Scenario (iv): a 400-query uniform trace through the message protocol
+/// on 40 peers; folds every outcome, then the transport's ledger.
+fn proto_digest(plan: Option<FaultPlan>) -> u64 {
+    let config = SystemConfig::default().with_seed(29);
+    let lossy = plan.is_some();
+    let mut net = match plan {
+        None => ProtoNetwork::new(40, config),
+        Some(plan) => ProtoNetwork::new_faulty(40, config, plan, 29),
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for q in uniform_trace(400, 5_000, 6_000, 29).queries() {
+        fold_outcome(&mut h, &net.query(q), false);
+    }
+    let stats = net.sim_stats();
+    assert!(stats.is_conserved() && stats.queued == 0, "{stats:?}");
+    assert_eq!(lossy, stats.dropped > 0, "{stats:?}");
+    fnv(&mut h, format!("{stats:?}").as_bytes());
+    h
+}
+
+fn check_golden(name: &str, digest: u64, golden: u64) {
+    if std::env::var("ARS_PRINT_GOLDENS").is_ok() {
+        println!("{name}: 0x{digest:016x}");
+        return;
+    }
+    assert_eq!(
+        digest, golden,
+        "{name} outcomes diverged from the pre-shared-plan golden"
+    );
+}
+
+#[test]
+fn churn_path_outcomes_match_pre_shared_plan_goldens() {
+    check_golden("churn", churn_digest(false, false), 0x7a85_ac2c_fa8e_2861);
+    check_golden(
+        "churn guarded",
+        churn_digest(true, false),
+        0x87dc_12b7_2817_4904,
+    );
+    check_golden(
+        "churn split",
+        churn_digest(false, true),
+        0xefbd_8571_6914_ef47,
+    );
+}
+
+#[test]
+fn message_path_outcomes_match_pre_shared_plan_goldens() {
+    check_golden("proto lossless", proto_digest(None), 0x9c35_461a_71c5_6736);
+    let lossy = FaultPlan::none().with_drop(0.1).with_duplicate(0.1);
+    check_golden(
+        "proto lossy",
+        proto_digest(Some(lossy)),
+        0xe1e4_5309_643b_eadb,
+    );
 }
