@@ -127,22 +127,42 @@ pub fn score(query: &RangeSet, candidate: &RangeSet, measure: MatchMeasure) -> f
 
 /// Best-scoring candidate from an iterator (first wins ties). The running
 /// best is tracked by reference; only the winner is cloned.
+pub fn best_of<'a, I: Iterator<Item = &'a RangeSet>>(
+    candidates: I,
+    query: &RangeSet,
+    measure: MatchMeasure,
+) -> Option<Match> {
+    winner(best_from(None, candidates, query, measure))
+}
+
+/// The running best of a finished scan as a [`Match`] — the one clone.
+pub(crate) fn winner(best: Option<(&RangeSet, f64)>) -> Option<Match> {
+    best.map(|(range, score)| Match {
+        range: range.clone(),
+        score,
+    })
+}
+
+/// One leg of a scan that [`best_of`] would make in one go: the running
+/// `best` — a candidate by reference and its score — carried through
+/// `candidates`. Strictly better scores replace it, so across legs, too,
+/// the earliest candidate wins ties.
 ///
 /// A one-interval candidate against a one-interval query is scored in
 /// closed form — the same `u64` overlap and union and the same
 /// `u64 → f64` division [`score`] reaches through `RangeSet`'s merge
 /// scan, so the two agree to the bit; anything else goes through
 /// [`score`].
-pub fn best_of<'a, I: Iterator<Item = &'a RangeSet>>(
+pub(crate) fn best_from<'a, I: Iterator<Item = &'a RangeSet>>(
+    mut best: Option<(&'a RangeSet, f64)>,
     candidates: I,
     query: &RangeSet,
     measure: MatchMeasure,
-) -> Option<Match> {
+) -> Option<(&'a RangeSet, f64)> {
     let single = match *query.intervals() {
         [(lo, hi)] => Some((lo, hi, (hi - lo) as u64 + 1)),
         _ => None,
     };
-    let mut best: Option<(&RangeSet, f64)> = None;
     for r in candidates {
         let s = match (single, r.intervals()) {
             (Some((qlo, qhi, q_len)), &[(lo, hi)]) => {
@@ -164,10 +184,7 @@ pub fn best_of<'a, I: Iterator<Item = &'a RangeSet>>(
             best = Some((r, s));
         }
     }
-    best.map(|(range, score)| Match {
-        range: range.clone(),
-        score,
-    })
+    best
 }
 
 #[cfg(test)]

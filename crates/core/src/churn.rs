@@ -1,9 +1,11 @@
 //! The range-selection system over a *live* Chord network.
 //!
 //! The experiment harness measures steady state over a static ring
-//! ([`crate::RangeSelectNetwork`]); this module composes the same §4 query
-//! procedure with [`ars_chord::DynamicNetwork`] so peers can join, leave,
-//! and crash mid-stream:
+//! ([`crate::RangeSelectNetwork`]); this module executes the same §4 query
+//! plan (`plan.rs`: where a query must look is decided before anything is
+//! routed, the verdict on what came back is reached once after) over
+//! [`ars_chord::DynamicNetwork`], so peers can join, leave, and crash
+//! mid-stream:
 //!
 //! * a graceful **leave** hands the peer's buckets to its ring successor
 //!   (who becomes the owner of its identifier interval), so cached
@@ -44,11 +46,15 @@
 //! point as the oracle sweep, which is the whole partition-tolerance
 //! story: degraded availability during the window, convergence after it.
 
-use crate::bucket::{Best, Match};
+use crate::bucket::Match;
 use crate::config::SystemConfig;
 use crate::durable::{decode_range, digest_bytes, encode_range};
-use crate::network::{hashed_range, place_identifier, QueryOutcome, RangeSelectNetwork};
+use crate::network::{QueryOutcome, RangeSelectNetwork};
 use crate::peer::Peer;
+use crate::plan::{
+    anchor_sketch, hashed_range, identifiers_of, position, positions, resolve, targets, verdict,
+    Transport,
+};
 use crate::resilient::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, FailureDetector, HedgePolicy,
     ResilienceStats, RetryPolicy, BASE_SERVICE, HOP_COST,
@@ -96,6 +102,8 @@ pub struct ChurnNetwork {
     /// peers crashed without durability (nothing to replay at restart).
     crashed: FxHashMap<u32, Option<BucketStore>>,
     groups: HashGroups,
+    /// The anchor sketch of layered placement ([`anchor_sketch`]).
+    anchors: Option<HashGroups>,
     rng: DetRng,
     retry: RetryPolicy,
     resilience: ResilienceStats,
@@ -133,6 +141,9 @@ impl ChurnNetwork {
     /// consistent state while growing — impossible with the default
     /// stabilization effort, but reachable through
     /// [`Self::with_growth_rounds`].
+    ///
+    /// # Panics
+    /// Panics if `n_peers` is zero.
     pub fn new(n_peers: usize, config: SystemConfig) -> Result<ChurnNetwork, ChordError> {
         Self::with_growth_rounds(n_peers, config, 32, 64)
     }
@@ -143,18 +154,16 @@ impl ChurnNetwork {
     /// per-join rounds and too few final rounds for the ring size) makes
     /// growth fail with [`ChordError::NotConverged`] instead of producing
     /// a silently broken network.
+    ///
+    /// # Panics
+    /// Panics if `n_peers` is zero.
     pub fn with_growth_rounds(
         n_peers: usize,
         config: SystemConfig,
         per_join_rounds: usize,
         final_rounds: usize,
     ) -> Result<ChurnNetwork, ChordError> {
-        assert!(n_peers >= 1);
-        assert!(
-            config.placement_mode == crate::config::PlacementMode::Independent,
-            "layered placement is supported on the static-network query paths \
-             (sequential, batched, engine), not under churn"
-        );
+        assert!(n_peers >= 1, "a network needs at least one peer");
         let mut rng = DetRng::new(config.seed);
         let mut group_rng = rng.fork();
         let groups = HashGroups::generate(config.family, config.k, config.l, &mut group_rng);
@@ -188,6 +197,7 @@ impl ChurnNetwork {
             }
         }
         Ok(ChurnNetwork {
+            anchors: anchor_sketch(&config),
             config,
             chord,
             storage,
@@ -237,6 +247,9 @@ impl ChurnNetwork {
     }
 
     /// Replace the retry policy used by [`Self::query_resilient`].
+    ///
+    /// # Panics
+    /// Panics if the policy allows no attempt at all.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         assert!(policy.attempts >= 1, "at least one attempt is required");
         self.retry = policy;
@@ -279,6 +292,10 @@ impl ChurnNetwork {
     /// failure-domain scenario — a different experiment.) Crucially for
     /// twin-run experiments, the *same* peers are slowed at every call
     /// with the same membership (no RNG consumed). Returns the victims.
+    ///
+    /// # Panics
+    /// Panics if `fraction` is not in `[0, 1]` or `factor` is below 2
+    /// ([`Self::set_slow`]).
     pub fn slow_fraction(&mut self, fraction: f64, factor: u64) -> Vec<Id> {
         assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
         let ids = self.chord.alive_ids();
@@ -496,16 +513,11 @@ impl ChurnNetwork {
         (serving, lat, primary_lat)
     }
 
-    /// Best match for `ident` held by `peer`, honoring the configured
-    /// read path (bucket-local or local-index scan).
-    fn read_candidate(&self, peer: Id, ident: u32, hashed_range: &RangeSet) -> Option<Match> {
-        self.storage.get(&peer.0).and_then(|p| {
-            if self.config.use_local_index {
-                p.best_across_buckets(hashed_range, self.config.matching)
-            } else {
-                p.best_in_bucket(ident, hashed_range, self.config.matching)
-            }
-        })
+    /// Best match across the buckets of `idents` held by `peer`.
+    fn read(&self, peer: Id, idents: &[u32], hashed_range: &RangeSet) -> Option<Match> {
+        let peer = self.storage.get(&peer.0)?;
+        let (best, _) = peer.best_in_buckets(idents, hashed_range, self.config.matching);
+        best
     }
 
     /// Number of alive peers.
@@ -569,8 +581,20 @@ impl ChurnNetwork {
         )
     }
 
-    fn place(&self, identifier: u32) -> Id {
-        place_identifier(&self.config, identifier)
+    /// Ring position of the copy of `range` stored under `identifier`
+    /// ([`position`]): where queries look for it, so where every repair
+    /// path puts it.
+    fn position(&self, identifier: u32, range: &RangeSet) -> Id {
+        position(&self.config, self.anchors.as_ref(), identifier, range)
+    }
+
+    /// [`Self::position`] of each copy in one bucket ([`positions`]).
+    fn positions<'a>(
+        &'a self,
+        ident: u32,
+        bucket: &'a [RangeSet],
+    ) -> impl Iterator<Item = Id> + 'a {
+        positions(&self.config, self.anchors.as_ref(), ident, bucket)
     }
 
     /// Fresh durable store for a peer, if durability is configured.
@@ -681,6 +705,9 @@ impl ChurnNetwork {
         } else {
             self.chord.true_owner(id.plus(1))
         };
+        if inheritor != id && !self.storage.contains_key(&inheritor.0) {
+            return Err(ChordError::UnknownNode(inheritor));
+        }
         self.chord.leave(id)?;
         if let Some(mut gone) = self.storage.remove(&id.0) {
             let handed = gone.drain();
@@ -693,10 +720,6 @@ impl ChurnNetwork {
                 self.telemetry
                     .counter_add("churn.orphaned_handovers", handed.len() as u64);
             } else {
-                assert!(
-                    self.storage.contains_key(&inheritor.0),
-                    "successor must be alive"
-                );
                 for (ident, range) in handed {
                     self.store_at(inheritor.0, ident, &range);
                 }
@@ -743,18 +766,19 @@ impl ChurnNetwork {
             // Predecessor on the current ring: the owner of (new - 1)'s
             // interval is `new` itself, so find the node before it.
             let ids = self.chord.alive_ids();
-            let pos = ids.binary_search(&new).expect("joined");
+            let pos = ids
+                .binary_search(&new)
+                .map_err(|_| ChordError::UnknownNode(new))?;
             ids[(pos + ids.len() - 1) % ids.len()]
         };
         if succ != new {
-            let moved: Vec<(u32, RangeSet)> = {
-                let donor = self.storage.get(&succ.0).expect("successor storage exists");
-                donor
-                    .entries()
-                    .filter(|(ident, _)| self.place(*ident).in_open_closed(pred, new))
-                    .map(|(ident, range)| (ident, range.clone()))
-                    .collect()
-            };
+            let donor = self.storage.get(&succ.0);
+            let moved: Vec<(u32, RangeSet)> = donor
+                .ok_or(ChordError::UnknownNode(succ))?
+                .entries()
+                .filter(|(ident, range)| self.position(*ident, range).in_open_closed(pred, new))
+                .map(|(ident, range)| (ident, range.clone()))
+                .collect();
             // Move each migrating entry through the evict/store choke
             // points so both peers' durable logs record the transfer.
             for (ident, range) in moved {
@@ -882,10 +906,14 @@ impl ChurnNetwork {
     /// to their current replica owners, which is what makes recovery
     /// visible to queries again even if ring ownership shifted meanwhile.
     pub fn restart(&mut self, id: Id) -> Result<usize, ChordError> {
+        // An empty ring has nobody to join through (unreachable through
+        // this API, which never removes the last peer).
+        let Some(&via) = self.chord.alive_ids().first() else {
+            return Err(ChordError::RoutingFailed { from: id, key: id });
+        };
         let Some(disks) = self.crashed.remove(&id.0) else {
             return Err(ChordError::UnknownNode(id));
         };
-        let via = self.chord.alive_ids()[0];
         if let Err(e) = self.chord.join(id, via) {
             self.crashed.insert(id.0, disks);
             return Err(e);
@@ -964,7 +992,28 @@ impl ChurnNetwork {
             idents.sort_unstable();
             idents.dedup();
             for ident in idents {
-                for owner in self.replica_owners(ident) {
+                // Where each held copy belongs, and the owners those sets
+                // name in first-seen order: one set for the whole bucket
+                // under independent placement, one per arc when layered
+                // placement put ranges of different anchors in it.
+                let mut belongs: Vec<Vec<Id>> = Vec::new();
+                let mut at = None;
+                for key in self.positions(ident, self.held(p, ident)) {
+                    // Neighbours at one position share one owner set.
+                    let owners = match belongs.last() {
+                        Some(last) if at == Some(key) => last.clone(),
+                        _ => self.replica_owners_at(key),
+                    };
+                    at = Some(key);
+                    belongs.push(owners);
+                }
+                let mut owners: Vec<Id> = Vec::new();
+                for &owner in belongs.iter().flatten() {
+                    if !owners.contains(&owner) {
+                        owners.push(owner);
+                    }
+                }
+                for owner in owners {
                     if owner.0 == p {
                         continue;
                     }
@@ -986,19 +1035,15 @@ impl ChurnNetwork {
                         continue;
                     }
                     // Digest mismatch: fetch the owner's entry list and
-                    // push only what it is missing.
+                    // push only what belongs there and it is missing.
                     let missing: Vec<RangeSet> = {
                         let dst_bucket = self.storage.get(&owner.0).and_then(|d| d.bucket(ident));
-                        self.storage[&p]
-                            .bucket(ident)
-                            .map(|b| {
-                                b.ranges()
-                                    .iter()
-                                    .filter(|r| !dst_bucket.map(|d| d.contains(r)).unwrap_or(false))
-                                    .cloned()
-                                    .collect()
+                        (self.held(p, ident).iter().zip(&belongs))
+                            .filter(|(r, to)| {
+                                to.contains(&owner) && !dst_bucket.is_some_and(|d| d.contains(r))
                             })
-                            .unwrap_or_default()
+                            .map(|(r, _)| r.clone())
+                            .collect()
                     };
                     for range in missing {
                         if round.entries_sent as usize >= budget {
@@ -1015,6 +1060,12 @@ impl ChurnNetwork {
         }
         self.resilience.repair_entries_sent += round.entries_sent;
         round
+    }
+
+    /// The ranges `peer` holds under `identifier`, in bucket order.
+    fn held(&self, peer: u32, identifier: u32) -> &[RangeSet] {
+        let bucket = self.storage.get(&peer).and_then(|p| p.bucket(identifier));
+        bucket.map_or(&[], |b| b.ranges())
     }
 
     /// Run [`Self::anti_entropy_round`]s until a round transfers nothing
@@ -1074,15 +1125,17 @@ impl ChurnNetwork {
             .gauge_set("buckets.live", self.total_partitions() as u64);
     }
 
-    /// The ground-truth replica set for an identifier: the first `r` alive
-    /// nodes clockwise from its placed ring position. Computed from the
-    /// membership oracle, not routing state, so it is correct even while
-    /// finger tables are stale.
-    pub fn replica_owners(&self, identifier: u32) -> Vec<Id> {
-        self.replica_owners_at(self.place(identifier))
+    /// The ground-truth replica set for the copy of `range` stored under
+    /// `identifier`: the first `r` alive nodes clockwise from its ring
+    /// position (which under layered placement depends on the range's
+    /// anchor, not on the identifier alone). Computed from the membership
+    /// oracle, not routing state, so it is correct even while finger
+    /// tables are stale.
+    pub fn replica_owners(&self, identifier: u32, range: &RangeSet) -> Vec<Id> {
+        self.replica_owners_at(self.position(identifier, range))
     }
 
-    /// [`Self::replica_owners`] of an identifier already placed at `key`.
+    /// [`Self::replica_owners`] of a copy already placed at `key`.
     fn replica_owners_at(&self, key: Id) -> Vec<Id> {
         self.chord.true_successors(key, self.config.replication)
     }
@@ -1156,12 +1209,12 @@ impl ChurnNetwork {
                 }
                 let island = self.chord.island_of(Id(pid));
                 for (ident, bucket) in peer.buckets() {
-                    let key = self.place(ident);
-                    if arc.is_some_and(|a| !key.in_open_closed(a.after, a.through)) {
-                        continue;
-                    }
-                    scanned += bucket.len() as u64;
-                    for range in bucket.ranges() {
+                    let ranges = bucket.ranges();
+                    for (range, key) in ranges.iter().zip(self.positions(ident, ranges)) {
+                        if arc.is_some_and(|a| !key.in_open_closed(a.after, a.through)) {
+                            continue;
+                        }
+                        scanned += 1;
                         match seen.entry((ident, range)) {
                             std::collections::hash_map::Entry::Vacant(v) => {
                                 v.insert(pairs.len());
@@ -1275,18 +1328,23 @@ impl ChurnNetwork {
         Err(spent)
     }
 
-    /// Execute one query through the live routing state, *without* a
-    /// failure escape hatch in the type: lookups that fail are retried per
-    /// the [`RetryPolicy`]; identifiers whose owner stays unreachable are
+    /// Execute one query's plan (`plan::targets`) through the live routing
+    /// state, *without* a failure escape hatch in the type: each planned
+    /// key is looked up under the [`RetryPolicy`] and fetched from (as is
+    /// every successor its walk continues to, one message each — the
+    /// `core.walk.steps` counter); keys whose owner stays unreachable are
     /// skipped; and if **no** owner is reachable the query degrades to a
     /// source fetch, reported via
     /// [`QueryOutcome::fell_back_to_source`] and counted in
     /// [`ResilienceStats::source_fallbacks`]. This path never panics and
     /// never returns an error, whatever the churn state.
     ///
-    /// Cache-on-miss stores go to the full replica set of each reachable
-    /// identifier ([`Self::replica_owners`]), which is where the
-    /// replication factor pays off.
+    /// Cache-on-miss stores go to the full replica set
+    /// ([`Self::replica_owners`]) of each planned store whose key was
+    /// reached, which is where the replication factor pays off.
+    ///
+    /// # Panics
+    /// Panics if `q` is empty.
     ///
     /// While the network is [`Self::partition`]ed the query degrades
     /// gracefully instead of erroring: lookups route island-locally; when
@@ -1300,9 +1358,11 @@ impl ChurnNetwork {
     /// physically impossible during the window and are what post-heal
     /// reconciliation restores.
     pub fn query_resilient(&mut self, q: &RangeSet) -> QueryOutcome {
-        assert!(!q.is_empty(), "cannot query an empty range");
         let hashed_range = hashed_range(q, self.config.padding);
-        let identifiers = self.groups.identifiers(&hashed_range);
+        let anchors = self.anchors.as_ref();
+        let placed = resolve(&self.config, &self.groups, anchors, &hashed_range);
+        let identifiers = identifiers_of(&placed);
+        let targets = targets(&self.config, &self.groups, anchors, &hashed_range, &placed);
         self.telemetry.counter_add("resilient.queries", 1);
         let span = self.telemetry.span(
             "core.query",
@@ -1317,74 +1377,66 @@ impl ChurnNetwork {
         };
 
         let partitioned = self.chord.is_partitioned();
-        let mut partition_degraded = false;
+        // Sized once from the plan: growing these per key read +5 % on
+        // `churn_durable`'s `query_p50_us`.
+        let visits = targets.keys.iter().map(|key| key.walk).sum();
+        let mut transport = Transport {
+            hops: Vec::with_capacity(targets.keys.len()),
+            ..Transport::default()
+        };
         let mut wall = 0u64;
         let mut query_lat = 0u64;
-        let mut hops = Vec::with_capacity(identifiers.len());
-        let mut owners: Vec<Id> = Vec::new();
-        let mut reached: Vec<(u32, Id)> = Vec::new();
-        let mut attempts_total = 0usize;
-        let mut best = Best::default();
-        for &ident in &identifiers {
-            let key = self.place(ident);
-            match self.lookup_with_retry(origin, key, &mut wall) {
+        let mut contacted: Vec<Id> = Vec::with_capacity(visits);
+        let mut writes: Vec<(u32, Id)> = Vec::with_capacity(targets.stores.len());
+        let mut reads: Vec<Option<Match>> = Vec::with_capacity(visits);
+        for key in &targets.keys {
+            let idents = &targets.candidates[key.reads.clone()];
+            match self.lookup_with_retry(origin, key.position, &mut wall) {
                 Ok((owner, h, attempts)) => {
-                    hops.push(h);
+                    transport.hops.push(h);
                     self.telemetry
                         .counter_add("resilient.lookup.hops", h as u64);
-                    owners.push(owner);
-                    reached.push((ident, key));
-                    attempts_total += attempts;
-                    if partitioned && owner != self.chord.true_owner(key) {
+                    writes.extend(&targets.stores[key.stores.clone()]);
+                    transport.attempts += attempts;
+                    if partitioned && owner != self.chord.true_owner(key.position) {
                         // Routing converged island-locally, but the node
-                        // that globally owns this identifier is across the
-                        // split — its bucket may hold answers we can't see.
-                        partition_degraded = true;
+                        // that globally owns this position is across the
+                        // split — its buckets may hold answers we can't see.
+                        transport.partition_degraded = true;
                     }
-                    // Gray-failure service layer: pick the peer that
-                    // actually serves the fetch (short-circuiting or
-                    // hedging around slow primaries) and the virtual
-                    // latency paid for it.
-                    let (serving, lat, primary_lat) = self.gray_fetch(origin, key, owner, h);
-                    if serving != owner {
-                        owners.push(serving);
-                    }
+                    let fetch = (origin, key.position, owner, h);
+                    let (read, lat) =
+                        self.fetch(fetch, idents, &hashed_range, false, &mut contacted);
+                    let mut answered = read.is_some();
+                    reads.push(read);
                     query_lat += lat;
-                    let mut candidate = self.read_candidate(serving, ident, &hashed_range);
-                    if candidate.is_none() && serving != owner {
-                        // Replica-divergence safety net: the substitute's
-                        // bucket was empty, so wait for the primary after
-                        // all — recall must never pay for tail tolerance.
-                        candidate = self.read_candidate(owner, ident, &hashed_range);
-                        if candidate.is_some() {
-                            query_lat = query_lat - lat + primary_lat.max(lat);
+                    // The walk: the key's window of successors, one message
+                    // each, every one fetched from as the owner was. It
+                    // skips whoever was read already — the owner, which
+                    // heads the window unless routing is stale (then the
+                    // peer that does is read here), or a hedge's substitute.
+                    let walked = match key.walk {
+                        1 => Vec::new(),
+                        w if partitioned => self.chord.island_successors(origin, key.position, w),
+                        w => self.chord.true_successors(key.position, w),
+                    };
+                    for peer in walked {
+                        if contacted.contains(&peer) {
+                            continue;
                         }
+                        self.telemetry.counter_add("core.walk.steps", 1);
+                        let fetch = (origin, peer, peer, 1);
+                        let (read, lat) =
+                            self.fetch(fetch, idents, &hashed_range, answered, &mut contacted);
+                        answered |= read.is_some();
+                        reads.push(read);
+                        query_lat += lat;
                     }
-                    if candidate.is_none() && partitioned {
-                        // Degraded read path: the routed owner came up
-                        // empty, so consult the rest of the island-local
-                        // replica set before giving up on this identifier.
-                        for replica in
-                            self.chord
-                                .island_successors(origin, key, self.config.replication)
-                        {
-                            if replica == owner {
-                                continue;
-                            }
-                            let held = self.read_candidate(replica, ident, &hashed_range);
-                            if held.is_some() {
-                                owners.push(replica);
-                                candidate = held;
-                                break;
-                            }
-                        }
-                    }
-                    best.offer(candidate);
                 }
                 Err(spent) => {
-                    attempts_total += spent;
+                    transport.attempts += spent;
                     if partitioned {
-                        partition_degraded = true;
+                        transport.partition_degraded = true;
                     }
                 }
             }
@@ -1398,22 +1450,23 @@ impl ChurnNetwork {
             .record("resilient.query.latency", query_latency);
         self.clock += query_latency;
 
-        let fell_back_to_source = reached.is_empty();
-        if fell_back_to_source {
+        transport.fell_back_to_source = transport.hops.is_empty();
+        if transport.fell_back_to_source {
             self.resilience.source_fallbacks += 1;
             self.telemetry.counter_add("resilient.source_fallbacks", 1);
         }
-        if partition_degraded {
+        if transport.partition_degraded {
             self.resilience.partition_degraded_queries += 1;
             self.telemetry
                 .counter_add("resilient.partition_degraded", 1);
         }
 
-        let exact = best.is_exactly(&hashed_range);
+        let cache_on_miss = self.config.cache_on_miss;
+        let verdict = verdict(cache_on_miss, &hashed_range, &mut reads.into_iter());
         let mut stored = false;
-        if self.config.cache_on_miss && !exact {
-            for &(ident, key) in &reached {
-                let targets = if partitioned {
+        if verdict.store {
+            for (ident, key) in writes {
+                let owners = if partitioned {
                     // A write cannot cross the split: cache the partition
                     // at the island-local owners only.
                     self.chord
@@ -1421,42 +1474,80 @@ impl ChurnNetwork {
                 } else {
                     self.replica_owners_at(key)
                 };
-                for owner in targets {
+                for owner in owners {
                     stored |= self.store_at(owner.0, ident, &hashed_range);
                 }
             }
         }
 
-        let (similarity, recall, best_match) = best.grade(q);
-        let mut distinct = owners;
-        distinct.sort_unstable();
-        distinct.dedup();
+        contacted.sort_unstable();
+        contacted.dedup();
+        transport.peers_contacted = contacted.len();
+        let out = verdict.finish(q, identifiers, stored, transport);
         self.telemetry.span_end(
             span,
             &[
-                ("matched", best_match.is_some().into()),
-                ("exact", exact.into()),
-                ("attempts", attempts_total.into()),
-                ("fallback", fell_back_to_source.into()),
-                ("degraded", partition_degraded.into()),
-                ("similarity", similarity.into()),
-                ("recall", recall.into()),
+                ("matched", out.best_match.is_some().into()),
+                ("exact", out.exact.into()),
+                ("attempts", out.attempts.into()),
+                ("fallback", out.fell_back_to_source.into()),
+                ("degraded", out.partition_degraded.into()),
+                ("similarity", out.similarity.into()),
+                ("recall", out.recall.into()),
             ],
         );
-        QueryOutcome {
-            query: q.clone(),
-            best_match,
-            similarity,
-            recall,
-            exact,
-            stored,
-            hops,
-            identifiers,
-            peers_contacted: distinct.len(),
-            attempts: attempts_total,
-            fell_back_to_source,
-            partition_degraded,
+        out
+    }
+
+    /// One fetch of a query: `(origin, key, owner, h)` is a peer `owner`
+    /// that holds `key`, reached in `h` hops — the routed owner of a
+    /// planned key, or a successor its walk steps to. The gray-failure
+    /// service layer ([`Self::gray_fetch`]) picks the peer that actually
+    /// serves it (short-circuiting or hedging around a slow primary) and
+    /// the buckets of `idents` are read there. While the key has nothing
+    /// to show (`answered` is false) an empty read falls through two
+    /// safety nets. Records every peer read in `contacted`; returns the
+    /// best match and the virtual latency paid.
+    fn fetch(
+        &mut self,
+        (origin, key, owner, h): (Id, Id, Id, usize),
+        idents: &[u32],
+        hashed_range: &RangeSet,
+        answered: bool,
+        contacted: &mut Vec<Id>,
+    ) -> (Option<Match>, u64) {
+        contacted.push(owner);
+        let (serving, mut lat, primary_lat) = self.gray_fetch(origin, key, owner, h);
+        if serving != owner {
+            contacted.push(serving);
         }
+        let mut read = self.read(serving, idents, hashed_range);
+        if read.is_some() || answered {
+            return (read, lat);
+        }
+        if serving != owner {
+            // Replica-divergence safety net: the substitute's buckets
+            // were empty, so wait for the primary after all — recall must
+            // never pay for tail tolerance.
+            read = self.read(owner, idents, hashed_range);
+            if read.is_some() {
+                lat = primary_lat.max(lat);
+            }
+        }
+        if read.is_none() && self.chord.is_partitioned() {
+            // Degraded read path: the routed owner came up empty, so
+            // consult the rest of the island-local replica set before
+            // giving up on these buckets.
+            let replicas = (self.chord).island_successors(origin, key, self.config.replication);
+            for replica in replicas.into_iter().filter(|&replica| replica != owner) {
+                read = self.read(replica, idents, hashed_range);
+                if read.is_some() {
+                    contacted.push(replica);
+                    break;
+                }
+            }
+        }
+        (read, lat)
     }
 
     /// [`Self::query_resilient`] plus the virtual latency the query cost
@@ -1713,7 +1804,10 @@ mod tests {
         let base = SystemConfig::default().with_seed(31);
         let mut plain = ChurnNetwork::new(20, base.clone()).unwrap();
         let mut cached = ChurnNetwork::new(20, base.with_route_cache(256)).unwrap();
-        let queries: Vec<RangeSet> = (0..30)
+        // A route is cached per (origin, key), and a query routes each
+        // distinct identifier once: hits come from a later query drawing
+        // the same origin, so the stream repeats its six ranges often.
+        let queries: Vec<RangeSet> = (0..120)
             .map(|i| r((i % 6) * 100, (i % 6) * 100 + 50))
             .collect();
         let (mut plain_hops, mut cached_hops) = (0usize, 0usize);
@@ -1755,9 +1849,14 @@ mod tests {
         let base = SystemConfig::default().with_seed(37);
         let mut plain = ChurnNetwork::new(15, base.clone()).unwrap();
         let mut cached = ChurnNetwork::new(15, base.with_route_cache(128)).unwrap();
-        plain.set_lookup_loss(0.2);
-        cached.set_lookup_loss(0.2);
-        for i in 0..25u32 {
+        // A route is cached per (origin, key), a query routes each distinct
+        // identifier once, and every retry's stabilization round clears the
+        // cache: a hit needs a later query over the same range to draw the
+        // same origin with no retry in between. 100 queries over five
+        // ranges at 10 % loss see both — retries and hits.
+        plain.set_lookup_loss(0.1);
+        cached.set_lookup_loss(0.1);
+        for i in 0..100u32 {
             let q = r((i % 5) * 80, (i % 5) * 80 + 40);
             let a = plain.query_resilient(&q);
             let b = cached.query_resilient(&q);
@@ -1767,8 +1866,50 @@ mod tests {
             let (ah, bh): (usize, usize) = (a.hops.iter().sum(), b.hops.iter().sum());
             assert!(bh <= ah, "cache increased hops on query {i}");
         }
+        assert!(plain.resilience().retries > 0, "loss forced no retry");
         assert_eq!(plain.resilience().retries, cached.resilience().retries);
         assert!(cached.route_cache_stats().hits > 0);
+    }
+
+    #[test]
+    fn layered_walk_reads_the_true_owner_behind_a_stale_route() {
+        // A peer joins just past a cached range's arc and takes over its
+        // copies, as key migration would, but nobody has stabilized yet:
+        // routing still ends at the old owner, second in the oracle's
+        // window. The walk must read the window's head all the same.
+        use crate::config::PlacementMode;
+        let config = SystemConfig::default().with_seed(3);
+        let mut net =
+            ChurnNetwork::new(20, config.with_placement_mode(PlacementMode::Layered)).unwrap();
+        let q = r(100, 200);
+        let miss = net.query_resilient(&q);
+        assert!(miss.stored);
+        let key = net.position(miss.identifiers[0], &q);
+        let old = net.chord.true_owner(key);
+        let arc_end = Id(key.0 | ((1 << ars_chord::ARC_SPAN_BITS) - 1));
+        let new = arc_end.plus(1);
+        assert!(
+            new.in_open(arc_end, old),
+            "seed put a peer on the arc's edge"
+        );
+        net.chord.join(new, old).unwrap();
+        net.storage.insert(new.0, Peer::new(new, false));
+        let held: Vec<(u32, RangeSet)> = (net.storage[&old.0].entries())
+            .map(|(ident, range)| (ident, range.clone()))
+            .collect();
+        for (ident, range) in held {
+            net.evict_at(old.0, ident, &range);
+            net.store_at(new.0, ident, &range);
+        }
+        assert_eq!(net.chord.true_owner(key), new);
+        for &from in net.chord.alive_ids() {
+            if from != new {
+                assert_eq!(net.chord.lookup(from, key).unwrap().0, old, "stale");
+            }
+        }
+        let hit = net.query_resilient(&q);
+        assert!(hit.exact, "the walk skipped the peer that holds the copies");
+        net.check_bucket_ledger().unwrap();
     }
 
     #[test]
@@ -1805,7 +1946,7 @@ mod tests {
         // may coincide across identifiers, but per identifier there are 2
         // distinct peers in a 12-node ring).
         for &ident in &out.identifiers {
-            let owners = net.replica_owners(ident);
+            let owners = net.replica_owners(ident, &r(100, 200));
             assert_eq!(owners.len(), 2);
             let held = owners
                 .iter()
@@ -1833,7 +1974,7 @@ mod tests {
         let primaries: Vec<Id> = out
             .identifiers
             .iter()
-            .map(|&i| net.replica_owners(i)[0])
+            .map(|&i| net.replica_owners(i, &r(100, 200))[0])
             .collect();
         for p in primaries {
             if net.len() > 2 && net.chord().node_ids().contains(&p) {
@@ -1879,7 +2020,9 @@ mod tests {
         let mut net = small_net(17);
         net.set_lookup_loss(0.3);
         for i in 0..10u32 {
-            let out = net.query_resilient(&r(i * 30, i * 30 + 40));
+            // Clear of 0, which every bit permutation fixes: five
+            // distinct identifiers per query.
+            let out = net.query_resilient(&r(5_000 + i * 30, 5_040 + i * 30));
             assert!(out.attempts >= 5, "at least one attempt per identifier");
         }
         assert!(net.resilience().retries > 0, "30% loss must force retries");
@@ -1935,7 +2078,7 @@ mod tests {
         let tel = Telemetry::recording();
         net.set_telemetry(tel.clone());
         let before = net.resilience().replicas_restored;
-        let primary = net.replica_owners(out.identifiers[0])[0];
+        let primary = net.replica_owners(out.identifiers[0], &r(100, 200))[0];
         net.fail(primary).unwrap(); // triggers re_replicate internally
         let restored = net.resilience().replicas_restored - before;
         assert!(restored > 0, "losing a primary must restore copies");

@@ -41,7 +41,10 @@ pub enum Placement {
 /// are *independent* positions (one Chord lookup each — the paper's §4
 /// procedure) or *layered* into one arc keyed by a coarse anchor sketch,
 /// reachable with a single lookup plus a bounded successor-list walk
-/// (see `ars_chord::layered` and DESIGN.md §6d).
+/// (see `ars_chord::layered` and DESIGN.md §6d). Under layered placement
+/// a stored copy's ring position depends on the range it holds (through
+/// its anchor), not on the identifier alone —
+/// [`crate::ChurnNetwork::replica_owners`] takes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementMode {
     /// One placed position and one lookup per group identifier — the
@@ -81,9 +84,10 @@ pub struct SystemConfig {
     pub placement: Placement,
     /// Bucket layout / lookup strategy (see [`PlacementMode`]). The
     /// default `Independent` keeps every query path bit-identical to the
-    /// pre-layered system; `Layered` is the opt-in half-the-lookups mode,
-    /// supported on the static-network paths (sequential, batched, and
-    /// concurrent engine).
+    /// pre-layered system; `Layered` is the opt-in half-the-lookups mode.
+    /// Every network — static, churning, message-passing — takes either:
+    /// the mode is decided once, when the network is built, and the query
+    /// paths execute the same plan.
     pub placement_mode: PlacementMode,
     /// Multi-probe budget: extra ranked candidate identifiers
     /// (`ars_lsh::probe`) checked at visited peers in layered mode. `0`

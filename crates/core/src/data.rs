@@ -13,7 +13,8 @@
 //! [`RangeSelectNetwork::query`] on the attribute's network.
 
 use crate::config::SystemConfig;
-use crate::network::{hashed_range, RangeSelectNetwork};
+use crate::network::RangeSelectNetwork;
+use crate::plan::hashed_range;
 use ars_common::FxHashMap;
 use ars_lsh::RangeSet;
 use ars_relation::exec::{BaseTables, ExecError, LeafSource};

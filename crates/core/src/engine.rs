@@ -68,10 +68,11 @@
 
 use crate::config::SystemConfig;
 use crate::network::{
-    commit_plan, hashed_range, identifiers_of, plan_query, resolve, IdentifierCache, NetworkStats,
-    PeerAccess, Placed, QueryOutcome, QueryPlan, RangeSelectNetwork, StatsSink,
+    commit_plan, plan_query, IdentifierCache, NetworkStats, PeerAccess, QueryOutcome, QueryPlan,
+    RangeSelectNetwork, StatsSink,
 };
 use crate::peer::Peer;
+use crate::plan::{hashed_range, identifiers_of, resolve, targets, Placed};
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap, FxHasher};
 use ars_lsh::{HashGroups, RangeSet};
@@ -196,7 +197,7 @@ struct EngineCore {
     groups: HashGroups,
     /// Anchor-sketch group for layered placement (unused under the
     /// default independent mode).
-    anchors: HashGroups,
+    anchors: Option<HashGroups>,
     ring: Ring,
     telemetry: Telemetry,
     nshards: usize,
@@ -316,7 +317,6 @@ impl EngineCore {
     /// against the immutable ring, and read the shards the commit will
     /// touch off the plan.
     fn prepare(&self, q: &RangeSet, origin: usize) -> Prepared {
-        assert!(!q.is_empty(), "cannot query an empty range");
         #[cfg(test)]
         self.check_poison(q, "prepare");
         let hashed = hashed_range(q, self.config.padding);
@@ -342,7 +342,8 @@ impl EngineCore {
                 // prepare cost and are pure. Two workers racing on the
                 // same fresh range both miss (the relaxation); `insert`
                 // deduplicates the entry itself.
-                let placed = resolve(&self.config, &self.groups, &hashed);
+                let anchors = self.anchors.as_ref();
+                let placed = resolve(&self.config, &self.groups, anchors, &hashed);
                 let evicted = self.shards[segment]
                     .cache
                     .lock()
@@ -354,15 +355,9 @@ impl EngineCore {
                 placed
             }
         };
-        let plan = plan_query(
-            &self.config,
-            &self.groups,
-            &self.anchors,
-            &self.ring,
-            origin,
-            &hashed,
-            &placed,
-        );
+        let anchors = self.anchors.as_ref();
+        let targets = targets(&self.config, &self.groups, anchors, &hashed, &placed);
+        let plan = plan_query(&self.ring, origin, targets);
         let mut shards: Vec<usize> = plan
             .peers()
             .map(|peer| shard_of(peer.0, self.nshards))

@@ -16,8 +16,10 @@
 //! (`results/baseline_comparison.csv`), is off the query hot path, and
 //! grows no features (DESIGN §5 verdict table).
 
+use crate::bucket::Match;
 use crate::config::SystemConfig;
 use crate::network::QueryOutcome;
+use crate::plan::{verdict, Transport};
 use ars_chord::sha1::Sha1;
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap, FxHashSet};
@@ -97,22 +99,20 @@ impl ExactMatchNetwork {
         self.lookups += 1;
         self.total_hops += hops as u64;
         let bucket = self.peers.get_mut(&owner.0).expect("owner exists");
-        let hit = bucket.contains(q);
-        let stored = if hit { false } else { bucket.insert(q.clone()) };
-        QueryOutcome {
-            query: q.clone(),
-            best_match: hit.then(|| q.clone()),
-            similarity: if hit { 1.0 } else { 0.0 },
-            recall: if hit { 1.0 } else { 0.0 },
-            exact: hit,
-            stored,
+        // The one bucket answers with the query itself or with nothing.
+        let held = bucket.contains(q).then(|| Match {
+            range: q.clone(),
+            score: 1.0,
+        });
+        let verdict = verdict(true, q, &mut std::iter::once(held));
+        let stored = verdict.store && bucket.insert(q.clone());
+        let transport = Transport {
             hops: vec![hops],
-            identifiers: vec![key.0],
-            peers_contacted: 1,
             attempts: 1,
-            fell_back_to_source: false,
-            partition_degraded: false,
-        }
+            peers_contacted: 1,
+            ..Transport::default()
+        };
+        verdict.finish(q, vec![key.0], stored, transport)
     }
 
     /// Run a whole trace.

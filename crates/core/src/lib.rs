@@ -40,6 +40,7 @@ pub mod exact;
 pub mod index;
 pub mod network;
 pub mod peer;
+mod plan;
 pub mod proto;
 pub mod recall;
 pub mod resilient;

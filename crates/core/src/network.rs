@@ -1,15 +1,20 @@
 //! The paper's system, end to end: hash → route → match → cache.
 //!
 //! [`RangeSelectNetwork`] wires the pieces together exactly as §4
-//! describes. It is a *direct-call* simulation: Chord routing is computed
-//! (with full hop accounting) but replies do not traverse a message queue
-//! — see [`crate::proto`] for the message-passing rendition, which an
-//! integration test holds equal to this one.
+//! describes. It is a *direct-call* simulation, the static executor of
+//! the shared query plan (`plan.rs`): Chord routing is computed (with full
+//! hop accounting) but replies do not traverse a message queue — see
+//! [`crate::proto`] for the message-passing executor, which an integration
+//! test holds equal to this one, and [`crate::churn`] for the one whose
+//! routing can fail.
 
-use crate::bucket::Best;
-use crate::config::{Placement, PlacementMode, SystemConfig};
+use crate::config::SystemConfig;
 use crate::peer::Peer;
-use ars_chord::{arc_base, layered_position, Id, Ring};
+use crate::plan::{
+    anchor_sketch, hashed_range, identifiers_of, place_identifier, position, resolve, targets,
+    verdict, Placed, Targets, Transport,
+};
+use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap};
 use ars_lsh::{HashGroups, RangeSet};
 use ars_telemetry::Telemetry;
@@ -78,35 +83,6 @@ pub struct BatchTimings {
     pub route_secs: f64,
     /// Stage 3: commit — matching, caching, stats, telemetry.
     pub commit_secs: f64,
-}
-
-/// What a hashed range resolves to: its `l` group identifiers, each
-/// beside the ring position independent placement stores it at
-/// ([`place_identifier`]) — one allocation, moved and cloned whole. Under
-/// layered placement positions hang off the query's anchor sketch instead
-/// and [`plan_query`] derives them; nothing reads the slot, which repeats
-/// the identifier unplaced rather than pay a SHA-1 per identifier for it.
-pub(crate) type Placed = Box<[(u32, Id)]>;
-
-/// The miss side of the [`IdentifierCache`]: hash `hashed_range` to its
-/// identifiers and place each — everything a later hit on the same range
-/// skips.
-pub(crate) fn resolve(
-    config: &SystemConfig,
-    groups: &HashGroups,
-    hashed_range: &RangeSet,
-) -> Placed {
-    let place = |ident| match config.placement_mode {
-        PlacementMode::Independent => place_identifier(config, ident),
-        PlacementMode::Layered => Id(ident),
-    };
-    let identifiers = groups.identifiers(hashed_range);
-    identifiers.into_iter().map(|i| (i, place(i))).collect()
-}
-
-/// The identifiers of a resolved range, in group order.
-pub(crate) fn identifiers_of(placed: &[(u32, Id)]) -> Vec<u32> {
-    placed.iter().map(|&(ident, _)| ident).collect()
 }
 
 /// Memoized identifier computation and placement, keyed by the (padded)
@@ -373,74 +349,30 @@ impl StatsSink for NetworkStats {
     }
 }
 
-/// Ring position of a partition identifier under `config`'s placement
-/// policy. Pure; every rendition of the query procedure places through it.
-pub(crate) fn place_identifier(config: &SystemConfig, identifier: u32) -> Id {
-    match config.placement {
-        Placement::Uniformized => Id(ars_chord::sha1::sha1_u32_of_word(identifier)),
-        Placement::Direct => Id(identifier),
-    }
-}
-
-/// §5.2 padding: the range a query is hashed, matched and cached under.
-pub(crate) fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
-    if padding > 0.0 {
-        q.pad(padding)
-    } else {
-        q.clone()
-    }
-}
-
-/// Generate the anchor-sketch hash group for a config: one group of
-/// `config.layers` min-hashes, from an RNG salted off the system seed.
-/// The salt keeps the anchor draw out of the sequences the groups and
-/// query path consume — constructing a network with layered placement
-/// available must not move a single bit of the default paths.
-fn anchor_groups(config: &SystemConfig) -> HashGroups {
-    const ANCHOR_SALT: u64 = 0x6172_735F_6172_6373; // "ars_arcs"
-    let mut rng = DetRng::new(config.seed ^ ANCHOR_SALT);
-    HashGroups::generate(config.family, config.layers, 1, &mut rng)
-}
-
-/// The anchor sketch of a hashed range: the single coarse identifier
-/// (`SystemConfig::layers` min-hashes XOR-folded) that keys the arc all
-/// of the query's buckets live in under layered placement. Similar
-/// ranges share it with probability ≈ `J^layers`.
-fn layered_anchor(anchors: &HashGroups, hashed_range: &RangeSet) -> u32 {
-    anchors.identifiers(hashed_range)[0]
-}
-
 /// Everything a query's commit needs that can be worked out without
-/// touching mutable state — plain data, filled in by [`plan_query`] (the
-/// one place placement is decided) from the immutable ring and applied by
-/// the placement-blind [`commit_plan`]. Because planning reads nothing a
-/// commit writes, a caller may plan a whole batch before committing any
-/// of it (or plan on worker threads) and still land on the outcomes of
-/// the interleaved one-at-a-time loop.
-#[derive(Debug, Clone, Default)]
+/// touching mutable state — plain data: the query's [`Targets`] routed on
+/// the immutable ring by [`plan_query`], applied by the placement-blind
+/// [`commit_plan`]. Because planning reads nothing a commit writes, a
+/// caller may plan a whole batch before committing any of it (or plan on
+/// worker threads) and still land on the outcomes of the interleaved
+/// one-at-a-time loop.
+#[derive(Debug, Clone)]
 pub(crate) struct QueryPlan {
-    /// `(owner, hops)` of every lookup paid: one per *distinct*
-    /// identifier under independent placement, the single arc lookup
-    /// under layered placement.
+    /// `(owner, hops)` of every lookup paid, one per [`Targets::keys`]
+    /// entry.
     lookups: Vec<(Id, usize)>,
-    /// The bucket identifiers the visits index into: the distinct base
-    /// identifiers, then (layered only) the ranked multi-probe candidates.
+    /// The bucket identifiers the visits index into
+    /// ([`Targets::candidates`]).
     candidates: Vec<u32>,
-    /// The reads, in the order the commit folds them: each peer checks
-    /// the buckets `candidates[range]`. Independent placement: owner *i*
-    /// checks identifier *i* alone. Layered placement: every peer of the
-    /// successor walk checks every candidate.
+    /// The reads, in the order the commit folds them: each key's owner,
+    /// then the successors its walk continues to, checking the buckets
+    /// `candidates[range]`.
     visits: Vec<(Id, std::ops::Range<usize>)>,
     /// Cache-on-miss writes: each distinct base identifier and the peer
-    /// that owns it — its routed owner (independent), the true owner of
-    /// its layered position inside the arc (layered).
+    /// that owns the position of its copy.
     store_targets: Vec<(u32, Id)>,
     /// Lookups not paid because an identifier repeated within the query.
     dedup_saved: usize,
-    /// Successor-walk messages (layered: visited peers − 1).
-    walk_steps: usize,
-    /// Multi-probe candidates checked beyond the base identifiers.
-    probe_checks: usize,
 }
 
 impl QueryPlan {
@@ -452,88 +384,49 @@ impl QueryPlan {
     }
 }
 
-/// Plan one query from the peer of rank `origin`: route every distinct
-/// identifier to the owner of its memoised position (independent
-/// placement — no hashing happens here), or resolve the anchor's one arc
-/// lookup, the successor walk and the candidate set (layered placement).
-/// Pure — the ring is immutable — and the only place the static paths
-/// route or look at the placement mode.
-pub(crate) fn plan_query(
-    config: &SystemConfig,
-    groups: &HashGroups,
-    anchors: &HashGroups,
-    ring: &Ring,
-    origin: usize,
-    hashed_range: &RangeSet,
-    placed: &[(u32, Id)],
-) -> QueryPlan {
-    let mut candidates: Vec<u32> = Vec::with_capacity(placed.len() + config.probes);
-    for &(ident, _) in placed {
-        if !candidates.contains(&ident) {
-            candidates.push(ident);
+/// The static executor of a query's [`Targets`], from the peer of rank
+/// `origin`: route every key with [`Ring::lookup_from`], continue each
+/// walk over [`Ring::successors_window`], and resolve every store position
+/// to its owner. Pure — the ring is immutable — and the only place the
+/// static paths route.
+pub(crate) fn plan_query(ring: &Ring, origin: usize, targets: Targets) -> QueryPlan {
+    let Targets {
+        candidates,
+        keys,
+        stores: mut store_targets,
+        dedup_saved,
+    } = targets;
+    let lookups: Vec<(Id, usize)> = (keys.iter())
+        .map(|key| ring.lookup_from(origin, key.position))
+        .collect();
+    let mut visits = Vec::with_capacity(keys.iter().map(|key| key.walk).sum());
+    for (key, &(owner, _)) in keys.iter().zip(&lookups) {
+        visits.push((owner, key.reads.clone()));
+        if key.walk > 1 {
+            let walked = ring.successors_window(owner, key.walk);
+            visits.extend(walked[1..].iter().map(|&peer| (peer, key.reads.clone())));
+        }
+        for (_, position) in &mut store_targets[key.stores.clone()] {
+            // A copy placed at the key itself needs no second resolution.
+            *position = if *position == key.position {
+                owner
+            } else {
+                ring.successor_of(*position)
+            };
         }
     }
-    let base_count = candidates.len();
-    match config.placement_mode {
-        PlacementMode::Independent => {
-            let lookups: Vec<(Id, usize)> = candidates
-                .iter()
-                .map(|&ident| {
-                    let first = placed.iter().find(|&&(i, _)| i == ident);
-                    let &(_, position) = first.expect("candidates come from `placed`");
-                    ring.lookup_from(origin, position)
-                })
-                .collect();
-            QueryPlan {
-                visits: lookups
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(owner, _))| (owner, i..i + 1))
-                    .collect(),
-                store_targets: candidates
-                    .iter()
-                    .zip(&lookups)
-                    .map(|(&ident, &(owner, _))| (ident, owner))
-                    .collect(),
-                dedup_saved: placed.len() - base_count,
-                lookups,
-                candidates,
-                ..QueryPlan::default()
-            }
-        }
-        PlacementMode::Layered => {
-            let anchor = layered_anchor(anchors, hashed_range);
-            let route = ring.lookup_from(origin, arc_base(anchor));
-            let visited = ring.successors_window(route.0, config.walk_window);
-            if config.probes > 0 {
-                for c in groups.probe_candidates(hashed_range, config.probes) {
-                    if !candidates.contains(&c.identifier) {
-                        candidates.push(c.identifier);
-                    }
-                }
-            }
-            QueryPlan {
-                lookups: vec![route],
-                visits: visited
-                    .iter()
-                    .map(|&peer| (peer, 0..candidates.len()))
-                    .collect(),
-                store_targets: candidates[..base_count]
-                    .iter()
-                    .map(|&ident| (ident, ring.successor_of(layered_position(anchor, ident))))
-                    .collect(),
-                dedup_saved: 0,
-                walk_steps: visited.len() - 1,
-                probe_checks: candidates.len() - base_count,
-                candidates,
-            }
-        }
+    QueryPlan {
+        lookups,
+        candidates,
+        visits,
+        store_targets,
+        dedup_saved,
     }
 }
 
 /// Apply a [`QueryPlan`] — the one commit of the static paths: book the
-/// plan's lookups, fold its visits in order through one [`Best`], cache
-/// on miss at its store targets, grade, record stats and telemetry, build
+/// plan's lookups, read its visits in order into the shared [`verdict`],
+/// cache on miss at its store targets, record stats and telemetry, build
 /// the outcome. It runs against any [`PeerAccess`]/[`StatsSink`] pair, so
 /// the engine's sharded commits replay the same per-peer update order as
 /// the network's own, and it touches no peer outside [`QueryPlan::peers`].
@@ -564,46 +457,37 @@ pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
         stats.on_dedup_saved(plan.dedup_saved);
         telemetry.counter_add("core.dedup.saved_lookups", plan.dedup_saved as u64);
     }
-    if plan.walk_steps > 0 {
-        stats.on_walk(plan.walk_steps);
-        telemetry.counter_add("core.walk.steps", plan.walk_steps as u64);
+    // Every visit past a lookup's owner is a walk message; every candidate
+    // past the stored base identifiers is a probe, checked locally.
+    let walk_steps = plan.visits.len() - plan.lookups.len();
+    if walk_steps > 0 {
+        stats.on_walk(walk_steps);
+        telemetry.counter_add("core.walk.steps", walk_steps as u64);
     }
-    if plan.probe_checks > 0 {
-        stats.on_probes(plan.probe_checks);
-        telemetry.counter_add("core.probe.checks", plan.probe_checks as u64);
+    let probe_checks = plan.candidates.len() - plan.store_targets.len();
+    if probe_checks > 0 {
+        stats.on_probes(probe_checks);
+        telemetry.counter_add("core.probe.checks", probe_checks as u64);
     }
 
     // A planned peer without storage state (impossible on a static ring,
     // but reachable when a snapshot outlives a departure) is skipped
     // rather than panicking; the outcome records whether *any* was reached.
     let mut reached = 0usize;
-    let mut best = Best::default();
-    for (peer_id, buckets) in &plan.visits {
-        let Some(peer) = peers.peer(peer_id.0) else {
-            continue;
-        };
+    let mut reads = plan.visits.iter().filter_map(|(peer_id, buckets)| {
+        let peer = peers.peer(peer_id.0)?;
         reached += 1;
         let buckets = &plan.candidates[buckets.clone()];
-        if config.use_local_index {
-            telemetry.record("core.bucket.scan_len", peer.partition_count() as u64);
-            best.offer(peer.best_across_buckets(&hashed_range, config.matching));
-        } else {
-            let mut scan_len = 0;
-            for &ident in buckets {
-                if let Some(bucket) = peer.bucket(ident) {
-                    scan_len += bucket.len();
-                    best.offer(bucket.best_match(&hashed_range, config.matching));
-                }
-            }
-            telemetry.record("core.bucket.scan_len", scan_len as u64);
-        }
-    }
-    let exact = best.is_exactly(&hashed_range);
+        let (best, scan_len) = peer.best_in_buckets(buckets, &hashed_range, config.matching);
+        telemetry.record("core.bucket.scan_len", scan_len as u64);
+        Some(best)
+    });
+    let verdict = verdict(config.cache_on_miss, &hashed_range, &mut reads);
 
     // Cache on miss: store the (padded) partition at every store target,
     // so later similar queries find it where planning will look.
     let mut stored = false;
-    if config.cache_on_miss && !exact {
+    if verdict.store {
         for &(ident, owner) in &plan.store_targets {
             if let Some(peer) = peers.peer_mut(owner.0) {
                 stored |= peer.store(ident, hashed_range.clone());
@@ -611,46 +495,38 @@ pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
         }
     }
 
-    let (similarity, recall, best_match) = best.grade(q);
-    stats.on_query(best_match.is_some(), exact, stored);
+    let visited = |i: usize| plan.visits[i].0;
+    let contacted = (0..plan.visits.len()).filter(|&i| !(0..i).any(|j| visited(j) == visited(i)));
+    let transport = Transport {
+        hops: plan.lookups.iter().map(|&(_, h)| h).collect(),
+        attempts: plan.lookups.len(),
+        peers_contacted: contacted.count(),
+        fell_back_to_source: reached == 0,
+        partition_degraded: false,
+    };
+    let out = verdict.finish(q, identifiers, stored, transport);
+    stats.on_query(out.best_match.is_some(), out.exact, out.stored);
 
     telemetry.counter_add("core.queries", 1);
-    if best_match.is_some() {
+    if out.best_match.is_some() {
         // ×1000 fixed point: histograms store u64.
-        telemetry.record("core.query.jaccard", (similarity * 1000.0) as u64);
-        telemetry.record("core.query.recall", (recall * 1000.0) as u64);
+        telemetry.record("core.query.jaccard", (out.similarity * 1000.0) as u64);
+        telemetry.record("core.query.recall", (out.recall * 1000.0) as u64);
     }
     if let Some(span) = span {
         telemetry.span_end(
             span,
             &[
-                ("matched", best_match.is_some().into()),
-                ("exact", exact.into()),
-                ("stored", stored.into()),
-                ("similarity", similarity.into()),
-                ("recall", recall.into()),
-                ("fallback", (reached == 0).into()),
+                ("matched", out.best_match.is_some().into()),
+                ("exact", out.exact.into()),
+                ("stored", out.stored.into()),
+                ("similarity", out.similarity.into()),
+                ("recall", out.recall.into()),
+                ("fallback", out.fell_back_to_source.into()),
             ],
         );
     }
-
-    let mut contacted: Vec<Id> = plan.visits.iter().map(|(peer, _)| *peer).collect();
-    contacted.sort_unstable();
-    contacted.dedup();
-    QueryOutcome {
-        query: q.clone(),
-        best_match,
-        similarity,
-        recall,
-        exact,
-        stored,
-        hops: plan.lookups.iter().map(|&(_, h)| h).collect(),
-        identifiers,
-        peers_contacted: contacted.len(),
-        attempts: plan.lookups.len(),
-        fell_back_to_source: reached == 0,
-        partition_degraded: false,
-    }
+    out
 }
 
 /// The full simulated system.
@@ -660,12 +536,12 @@ pub struct RangeSelectNetwork {
     pub(crate) ring: Ring,
     pub(crate) peers: FxHashMap<u32, Peer>,
     pub(crate) groups: HashGroups,
-    /// The anchor-sketch hash group (one group of `layers` min-hashes)
-    /// layered placement keys arcs with. Drawn from a *salted* RNG, fully
-    /// decoupled from `rng`/`groups`, so the default independent paths
-    /// consume exactly the pre-layered random sequences (pinned by the
-    /// placement goldens).
-    pub(crate) anchors: HashGroups,
+    /// The anchor sketch layered placement keys arcs with; `None` under
+    /// independent placement ([`anchor_sketch`]). Drawn from a *salted*
+    /// RNG, fully decoupled from `rng`/`groups`, so the default
+    /// independent paths consume exactly the pre-layered random sequences
+    /// (pinned by the placement goldens).
+    pub(crate) anchors: Option<HashGroups>,
     pub(crate) rng: DetRng,
     pub(crate) stats: NetworkStats,
     pub(crate) ident_cache: IdentifierCache,
@@ -702,7 +578,7 @@ impl RangeSelectNetwork {
         rng: DetRng,
     ) -> RangeSelectNetwork {
         let groups = HashGroups::generate(config.family, config.k, config.l, group_rng);
-        let anchors = anchor_groups(&config);
+        let anchors = anchor_sketch(&config);
         let peers = ring
             .node_ids()
             .iter()
@@ -738,7 +614,7 @@ impl RangeSelectNetwork {
         rng: DetRng,
     ) -> RangeSelectNetwork {
         let ident_cache = IdentifierCache::with_capacity(config.ident_cache_capacity);
-        let anchors = anchor_groups(&config);
+        let anchors = anchor_sketch(&config);
         RangeSelectNetwork {
             config,
             ring,
@@ -840,10 +716,7 @@ impl RangeSelectNetwork {
     /// Stage 1 of a query: pad, then resolve the group identifiers and
     /// their placed positions through the [`IdentifierCache`].
     fn hash_stage(&mut self, q: &RangeSet) -> (RangeSet, Placed) {
-        assert!(!q.is_empty(), "cannot query an empty range");
-        let padding = self.config.padding;
-        assert!(padding >= 0.0, "padding must be non-negative");
-        let hashed_range = hashed_range(q, padding);
+        let hashed_range = hashed_range(q, self.config.padding);
         let placed = match self.ident_cache.get_hit(&hashed_range) {
             Some(placed) => {
                 self.telemetry.counter_add("core.ident_cache.hits", 1);
@@ -852,7 +725,8 @@ impl RangeSelectNetwork {
             None => {
                 self.ident_cache.note_miss();
                 self.telemetry.counter_add("core.ident_cache.misses", 1);
-                let placed = resolve(&self.config, &self.groups, &hashed_range);
+                let anchors = self.anchors.as_ref();
+                let placed = resolve(&self.config, &self.groups, anchors, &hashed_range);
                 let evicted = self
                     .ident_cache
                     .insert(hashed_range.clone(), placed.clone());
@@ -873,15 +747,9 @@ impl RangeSelectNetwork {
     /// plan from it.
     fn plan_stage(&mut self, hashed_range: &RangeSet, placed: &[(u32, Id)]) -> QueryPlan {
         let origin = self.rng.gen_index(self.ring.len());
-        plan_query(
-            &self.config,
-            &self.groups,
-            &self.anchors,
-            &self.ring,
-            origin,
-            hashed_range,
-            placed,
-        )
+        let anchors = self.anchors.as_ref();
+        let targets = targets(&self.config, &self.groups, anchors, hashed_range, placed);
+        plan_query(&self.ring, origin, targets)
     }
 
     /// Stage 3 of a query: apply the plan to the peers and the stats.
@@ -964,17 +832,9 @@ impl RangeSelectNetwork {
     /// measuring match quality. Returns the number of copies placed (an
     /// owner without storage state is skipped, never a panic).
     pub fn store_partition(&mut self, range: &RangeSet) -> usize {
-        let identifiers = self.groups.identifiers(range);
-        let anchor = match self.config.placement_mode {
-            PlacementMode::Independent => None,
-            PlacementMode::Layered => Some(layered_anchor(&self.anchors, range)),
-        };
         let mut placed = 0;
-        for ident in identifiers {
-            let pos = match anchor {
-                None => self.place(ident),
-                Some(a) => layered_position(a, ident),
-            };
+        for ident in self.groups.identifiers(range) {
+            let pos = position(&self.config, self.anchors.as_ref(), ident, range);
             let owner = self.ring.successor_of(pos);
             if let Some(peer) = self.peers.get_mut(&owner.0) {
                 placed += peer.store(ident, range.clone()) as usize;
@@ -987,7 +847,7 @@ impl RangeSelectNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MatchMeasure;
+    use crate::config::{MatchMeasure, PlacementMode};
     use ars_lsh::LshFamilyKind;
 
     fn r(lo: u32, hi: u32) -> RangeSet {
@@ -1462,7 +1322,6 @@ mod tests {
             visits: vec![(Id(100), 0..1), (Id(200), 1..2)],
             store_targets: vec![(7, Id(100)), (9, Id(200))],
             dedup_saved: 1,
-            ..QueryPlan::default()
         };
         let out = commit_plan(
             &config,
@@ -1482,47 +1341,147 @@ mod tests {
         assert_eq!(stats.dedup_saved_lookups, 1);
     }
 
+    /// `targets` of `q` on `n`, and the plan the static executor routes
+    /// them into.
+    fn targets_and_plan(n: &mut RangeSelectNetwork, q: &RangeSet) -> (Targets, QueryPlan) {
+        let (hashed, placed) = n.hash_stage(q);
+        let anchors = n.anchors.as_ref();
+        let targets = targets(&n.config, &n.groups, anchors, &hashed, &placed);
+        (targets, n.plan_stage(&hashed, &placed))
+    }
+
     #[test]
     fn plan_lists_lookups_visits_and_stores_per_placement_mode() {
+        use crate::plan::Key;
+        use ars_chord::{arc_base, layered_position};
         let q = r(30, 50);
-        // Independent: owner i checks identifier i and caches it.
+        // Independent: one key per identifier, at the position `place`
+        // puts it, reading that identifier alone, walking nowhere; the
+        // partition is cached at the same positions.
         let mut n = net(40);
-        let (hashed, placed) = n.hash_stage(&q);
-        let identifiers = identifiers_of(&placed);
-        let plan = n.plan_stage(&hashed, &placed);
-        assert_eq!(plan.candidates, identifiers, "five distinct identifiers");
-        assert_eq!(plan.lookups.len(), 5);
-        for (i, (peer, buckets)) in plan.visits.iter().enumerate() {
-            assert_eq!((*peer, buckets.clone()), (plan.lookups[i].0, i..i + 1));
-            assert_eq!(plan.store_targets[i], (identifiers[i], *peer));
-            // Routed to the memoised position, which is where `place` puts it.
-            assert_eq!(placed[i].1, n.place(identifiers[i]));
-            assert_eq!(*peer, n.ring().successor_of(placed[i].1));
+        let identifiers = n.groups().identifiers(&q);
+        let (targets, plan) = targets_and_plan(&mut n, &q);
+        assert_eq!(targets.candidates, identifiers, "five distinct identifiers");
+        for (i, &ident) in identifiers.iter().enumerate() {
+            let position = n.place(ident);
+            let key = Key {
+                position,
+                reads: i..i + 1,
+                stores: i..i + 1,
+                walk: 1,
+            };
+            assert_eq!(
+                (&targets.keys[i], targets.stores[i]),
+                (&key, (ident, position))
+            );
+            // The static executor routes key i to the owner of its position,
+            // which reads it and is where the store lands.
+            let owner = n.ring().successor_of(position);
+            assert_eq!(plan.lookups[i].0, owner);
+            assert_eq!(plan.visits[i], (owner, i..i + 1));
+            assert_eq!(plan.store_targets[i], (ident, owner));
         }
-        assert_eq!(
-            (plan.dedup_saved, plan.walk_steps, plan.probe_checks),
-            (0, 0, 0)
-        );
+        assert_eq!((targets.keys.len(), targets.dedup_saved), (5, 0));
+        assert_eq!((plan.visits.len(), plan.dedup_saved), (5, 0));
+        // A repeated identifier is looked up and stored once, for everyone.
+        let mut placed = n.hash_stage(&q).1;
+        placed[4] = placed[1];
+        let repeated = crate::plan::targets(&n.config, &n.groups, None, &q, &placed);
+        assert_eq!(repeated.candidates, identifiers[..4]);
+        assert_eq!((repeated.keys.len(), repeated.stores.len()), (4, 4));
+        assert_eq!(repeated.dedup_saved, 1);
 
-        // Layered: one lookup; every walked peer checks every candidate;
-        // only the base identifiers are cached.
+        // Layered: the one key is the anchor's arc base; every walked peer
+        // checks every candidate; only the base identifiers are cached,
+        // each inside the arc.
         let mut n = RangeSelectNetwork::new(40, layered_config(3));
-        let (hashed, placed) = n.hash_stage(&q);
-        let identifiers = identifiers_of(&placed);
-        let plan = n.plan_stage(&hashed, &placed);
+        let identifiers = n.groups().identifiers(&q);
+        let anchor = n.anchors.as_ref().expect("layered").identifiers(&q)[0];
+        let (targets, plan) = targets_and_plan(&mut n, &q);
+        let arc = Key {
+            position: arc_base(anchor),
+            reads: 0..targets.candidates.len(),
+            stores: 0..5,
+            walk: n.config().walk_window,
+        };
+        assert_eq!(targets.keys, [arc]);
+        assert_eq!(targets.candidates[..5], identifiers[..]);
+        assert!(
+            targets.candidates.len() > 5,
+            "probe budget 16 adds candidates"
+        );
+        let stores: Vec<(u32, Id)> = (identifiers.iter())
+            .map(|&ident| (ident, layered_position(anchor, ident)))
+            .collect();
+        assert_eq!(targets.stores, stores);
+        assert_eq!(targets.dedup_saved, 0);
+
         assert_eq!(plan.lookups.len(), 1);
-        assert_eq!(plan.visits.len(), n.config().walk_window);
-        assert_eq!(plan.visits[0].0, plan.lookups[0].0);
+        assert_eq!(plan.lookups[0].0, n.ring().successor_of(arc_base(anchor)));
+        let walked = n.ring().successors_window(plan.lookups[0].0, 4);
+        let visited: Vec<Id> = plan.visits.iter().map(|(peer, _)| *peer).collect();
+        assert_eq!(visited, walked);
         assert!(plan
             .visits
             .iter()
             .all(|(_, buckets)| *buckets == (0..plan.candidates.len())));
-        assert_eq!(plan.walk_steps, plan.visits.len() - 1);
-        assert_eq!(plan.candidates[..5], identifiers[..]);
-        assert_eq!(plan.probe_checks, plan.candidates.len() - 5);
-        assert!(plan.probe_checks > 0, "probe budget 16 adds candidates");
-        let stored: Vec<u32> = plan.store_targets.iter().map(|&(ident, _)| ident).collect();
-        assert_eq!(stored, identifiers);
+        assert_eq!(plan.candidates, targets.candidates);
+        for (&(ident, position), &(stored, owner)) in stores.iter().zip(&plan.store_targets) {
+            assert_eq!((stored, owner), (ident, n.ring().successor_of(position)));
+        }
+    }
+
+    #[test]
+    fn position_is_where_each_placement_mode_stores_a_copy() {
+        use crate::plan::positions;
+        use ars_chord::layered_position;
+        let range = r(100, 200);
+        let plain = net(40);
+        let layered = RangeSelectNetwork::new(40, layered_config(9).with_cache_on_miss(false));
+        assert!(
+            plain.anchors.is_none(),
+            "independent placement draws no sketch"
+        );
+        let sketch = layered.anchors.as_ref().expect("layered placement does");
+        let anchor = sketch.identifiers(&range)[0];
+        for ident in plain.groups().identifiers(&range) {
+            // Independent: the identifier's own position, whatever the range.
+            assert_eq!(
+                position(&plain.config, None, ident, &range),
+                plain.place(ident)
+            );
+            assert_eq!(
+                position(&plain.config, None, ident, &r(0, 1)),
+                plain.place(ident)
+            );
+            // Layered: inside the arc of the range's anchor — another
+            // range's copy of the same identifier lives elsewhere.
+            let at = position(&layered.config, Some(sketch), ident, &range);
+            assert_eq!(at, layered_position(anchor, ident));
+            assert_ne!(
+                at,
+                position(&layered.config, Some(sketch), ident, &r(5_000, 9_000))
+            );
+            // A repair sweep places a whole bucket at once, copy by copy.
+            let bucket = [range.clone(), r(5_000, 9_000)];
+            for (config, anchors) in [(&plain.config, None), (&layered.config, Some(sketch))] {
+                let each: Vec<Id> = (bucket.iter())
+                    .map(|range| position(config, anchors, ident, range))
+                    .collect();
+                let swept: Vec<Id> = positions(config, anchors, ident, &bucket).collect();
+                assert_eq!(swept, each);
+            }
+        }
+        // `store_partition` and the query path both place through it.
+        let mut layered = layered;
+        layered.store_partition(&range);
+        for ident in layered.groups().identifiers(&range) {
+            let at = position(&layered.config, layered.anchors.as_ref(), ident, &range);
+            let owner = layered
+                .peer(layered.ring().successor_of(at))
+                .expect("owner");
+            assert!(owner.bucket(ident).is_some_and(|b| b.contains(&range)));
+        }
     }
 
     #[test]
@@ -1550,7 +1509,7 @@ mod tests {
                 n.commit_stage(q, hashed, &placed, plan);
                 // Whatever survived eviction is still whole.
                 for (range, cached) in &n.identifier_cache().map {
-                    assert_eq!(**cached, *resolve(&config, n.groups(), range));
+                    assert_eq!(**cached, *resolve(&config, n.groups(), None, range));
                 }
             }
             let c = n.identifier_cache();

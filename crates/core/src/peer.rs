@@ -1,6 +1,6 @@
 //! Per-peer storage state: identifier buckets and the §5.3 local index.
 
-use crate::bucket::{best_of, Bucket, Match};
+use crate::bucket::{best_from, best_of, winner, Bucket, Match};
 use crate::config::MatchMeasure;
 use crate::index::IntervalIndex;
 use ars_chord::Id;
@@ -72,6 +72,29 @@ impl Peer {
         self.buckets
             .get(&identifier)
             .and_then(|b| b.best_match(query, measure))
+    }
+
+    /// What a query reads at this peer: the best match across the buckets
+    /// of `identifiers` (the earliest-listed bucket wins ties) and the
+    /// number of stored ranges that stood as candidates. A peer that keeps
+    /// the §5.3 local index answers through it, across everything it
+    /// holds. Every transport reads through this.
+    pub fn best_in_buckets(
+        &self,
+        identifiers: &[u32],
+        query: &RangeSet,
+        measure: MatchMeasure,
+    ) -> (Option<Match>, usize) {
+        if let Some(index) = &self.index {
+            return (index.best_match(query, measure), self.partitions);
+        }
+        // One slice scan per bucket, the running best carried across them.
+        let (mut best, mut scan_len) = (None, 0);
+        for bucket in identifiers.iter().filter_map(|i| self.buckets.get(i)) {
+            scan_len += bucket.len();
+            best = best_from(best, bucket.ranges().iter(), query, measure);
+        }
+        (winner(best), scan_len)
     }
 
     /// Best match across **all** buckets this peer holds — the §5.3 local

@@ -1,0 +1,308 @@
+//! The §4 query procedure as plain data, shared by every transport.
+//!
+//! A query is: hash the (padded) range to `l` identifiers ([`resolve`]),
+//! decide where they must be looked for ([`targets`]), route and read —
+//! the one part a transport owns — and reach the verdict on what came
+//! back ([`verdict`], [`Verdict::finish`]). The static ring
+//! ([`crate::network`]), the churning ring ([`crate::churn`]) and the
+//! message protocol ([`crate::proto`]) execute the same [`Targets`] and
+//! finish through the same [`Verdict`]; none of them looks at the
+//! placement mode, which is decided once, at construction, by
+//! [`anchor_sketch`].
+
+use crate::bucket::{Best, Match};
+use crate::config::{Placement, PlacementMode, SystemConfig};
+use crate::network::QueryOutcome;
+use ars_chord::{arc_base, layered_position, Id};
+use ars_common::DetRng;
+use ars_lsh::{HashGroups, RangeSet};
+use std::ops::Range;
+
+/// What a hashed range resolves to: its `l` group identifiers, each
+/// beside the ring position independent placement stores it at
+/// ([`place_identifier`]) — one allocation, moved and cloned whole. Under
+/// layered placement positions hang off the range's anchor sketch instead
+/// and [`targets`] derives them; nothing reads the slot, which repeats
+/// the identifier unplaced rather than pay a SHA-1 per identifier for it.
+pub(crate) type Placed = Box<[(u32, Id)]>;
+
+/// The anchor sketch of a config — one group of `config.layers`
+/// min-hashes whose value names the arc all of a range's buckets share —
+/// under layered placement; `None` under independent placement, where
+/// every identifier is placed on its own. Every network calls this once
+/// at construction and hands the result to the functions below: it is the
+/// crate's one `match` on the placement mode.
+///
+/// The RNG is salted off the system seed, which keeps the anchor draw out
+/// of the sequences the groups and the query path consume.
+pub(crate) fn anchor_sketch(config: &SystemConfig) -> Option<HashGroups> {
+    const ANCHOR_SALT: u64 = 0x6172_735F_6172_6373; // "ars_arcs"
+    match config.placement_mode {
+        PlacementMode::Independent => None,
+        PlacementMode::Layered => {
+            let mut rng = DetRng::new(config.seed ^ ANCHOR_SALT);
+            Some(HashGroups::generate(
+                config.family,
+                config.layers,
+                1,
+                &mut rng,
+            ))
+        }
+    }
+}
+
+/// The anchor of a hashed range: the single coarse identifier
+/// (`SystemConfig::layers` min-hashes XOR-folded) that keys its arc.
+/// Similar ranges share it with probability ≈ `J^layers`.
+fn anchor_of(sketch: &HashGroups, hashed_range: &RangeSet) -> u32 {
+    sketch.identifiers(hashed_range)[0]
+}
+
+/// Ring position of a partition identifier placed on its own, under
+/// `config`'s placement policy.
+pub(crate) fn place_identifier(config: &SystemConfig, identifier: u32) -> Id {
+    match config.placement {
+        Placement::Uniformized => Id(ars_chord::sha1::sha1_u32_of_word(identifier)),
+        Placement::Direct => Id(identifier),
+    }
+}
+
+/// Ring position of the copy of `range` stored under `identifier`: the
+/// identifier's own position under independent placement, its offset
+/// inside the arc of `range`'s anchor under layered placement — a stored
+/// copy's position depends on the range it holds, not on the identifier
+/// alone. Repair places through this, so it restores copies where
+/// [`targets`] sends the queries that look for them.
+pub(crate) fn position(
+    config: &SystemConfig,
+    anchors: Option<&HashGroups>,
+    identifier: u32,
+    range: &RangeSet,
+) -> Id {
+    match anchors {
+        None => place_identifier(config, identifier),
+        Some(sketch) => layered_position(anchor_of(sketch, range), identifier),
+    }
+}
+
+/// [`position`] of every copy one bucket holds, in bucket order — worked
+/// out once for the whole bucket where it depends on the identifier alone,
+/// so a repair sweep pays independent placement's SHA-1 per bucket, not per
+/// copy.
+pub(crate) fn positions<'a>(
+    config: &'a SystemConfig,
+    anchors: Option<&'a HashGroups>,
+    identifier: u32,
+    ranges: &'a [RangeSet],
+) -> impl Iterator<Item = Id> + 'a {
+    let own = (anchors.is_none()).then(|| place_identifier(config, identifier));
+    (ranges.iter())
+        .map(move |range| own.unwrap_or_else(|| position(config, anchors, identifier, range)))
+}
+
+/// §5.2 padding: the range a query is hashed, matched and cached under.
+/// Every query path enters through here, so the input contract is checked
+/// here and nowhere else.
+///
+/// # Panics
+/// Panics if `q` is empty or `padding` is negative
+/// ([`SystemConfig::padding`] is a public field).
+pub(crate) fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
+    assert!(!q.is_empty(), "cannot query an empty range");
+    assert!(padding >= 0.0, "padding must be non-negative");
+    if padding > 0.0 {
+        q.pad(padding)
+    } else {
+        q.clone()
+    }
+}
+
+/// Hash `hashed_range` to its identifiers and place each — the miss side
+/// of the [`crate::network::IdentifierCache`], and the whole hash stage of
+/// the transports that keep no cache.
+pub(crate) fn resolve(
+    config: &SystemConfig,
+    groups: &HashGroups,
+    anchors: Option<&HashGroups>,
+    hashed_range: &RangeSet,
+) -> Placed {
+    let own = anchors.is_none();
+    let place = |ident| {
+        if own {
+            place_identifier(config, ident)
+        } else {
+            Id(ident)
+        }
+    };
+    let identifiers = groups.identifiers(hashed_range);
+    identifiers.into_iter().map(|i| (i, place(i))).collect()
+}
+
+/// The identifiers of a resolved range, in group order.
+pub(crate) fn identifiers_of(placed: &[(u32, Id)]) -> Vec<u32> {
+    placed.iter().map(|&(ident, _)| ident).collect()
+}
+
+/// One ring position a query must reach, and what to read there.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Key {
+    /// The position to route to.
+    pub(crate) position: Id,
+    /// The buckets to check at every peer this key visits, as a slice of
+    /// [`Targets::candidates`].
+    pub(crate) reads: Range<usize>,
+    /// The cache-on-miss writes whose buckets this key reads, as a slice
+    /// of [`Targets::stores`]; every store belongs to exactly one key.
+    pub(crate) stores: Range<usize>,
+    /// Peers to visit: the owner of `position`, then its successors over
+    /// existing links, one message a step.
+    pub(crate) walk: usize,
+}
+
+/// Where one query must look, and where it caches on a miss — plain data,
+/// worked out by [`targets`] before anything is routed.
+#[derive(Debug)]
+pub(crate) struct Targets {
+    /// The bucket identifiers the keys read: the distinct base
+    /// identifiers, then (layered only) the ranked multi-probe candidates.
+    pub(crate) candidates: Vec<u32>,
+    /// The lookups, in the order their answers are folded. Independent
+    /// placement: one key per distinct identifier, walk 1. Layered
+    /// placement: the anchor's arc base, every candidate,
+    /// [`SystemConfig::walk_window`].
+    pub(crate) keys: Vec<Key>,
+    /// Cache-on-miss writes: each distinct base identifier and the ring
+    /// position of its copy.
+    pub(crate) stores: Vec<(u32, Id)>,
+    /// Lookups not paid because an identifier repeated within the query.
+    pub(crate) dedup_saved: usize,
+}
+
+/// Decide where the query for `hashed_range`, resolved to `placed`, must
+/// look. Pure: it reads no ring and no peer, so a transport whose routing
+/// fails or takes time shares it with the one whose routing is a function
+/// call.
+pub(crate) fn targets(
+    config: &SystemConfig,
+    groups: &HashGroups,
+    anchors: Option<&HashGroups>,
+    hashed_range: &RangeSet,
+    placed: &[(u32, Id)],
+) -> Targets {
+    let anchor = anchors.map(|sketch| anchor_of(sketch, hashed_range));
+    let mut candidates: Vec<u32> = Vec::with_capacity(placed.len() + config.probes);
+    let mut stores: Vec<(u32, Id)> = Vec::with_capacity(placed.len());
+    for &(ident, own) in placed {
+        if !candidates.contains(&ident) {
+            candidates.push(ident);
+            stores.push((ident, anchor.map_or(own, |a| layered_position(a, ident))));
+        }
+    }
+    let Some(anchor) = anchor else {
+        return Targets {
+            keys: (stores.iter().enumerate())
+                .map(|(i, &(_, position))| Key {
+                    position,
+                    reads: i..i + 1,
+                    stores: i..i + 1,
+                    walk: 1,
+                })
+                .collect(),
+            dedup_saved: placed.len() - stores.len(),
+            candidates,
+            stores,
+        };
+    };
+    if config.probes > 0 {
+        for c in groups.probe_candidates(hashed_range, config.probes) {
+            if !candidates.contains(&c.identifier) {
+                candidates.push(c.identifier);
+            }
+        }
+    }
+    Targets {
+        keys: vec![Key {
+            position: arc_base(anchor),
+            reads: 0..candidates.len(),
+            stores: 0..stores.len(),
+            walk: config.walk_window,
+        }],
+        dedup_saved: 0,
+        candidates,
+        stores,
+    }
+}
+
+/// What only the transport knows about how a query went.
+#[derive(Debug, Default)]
+pub(crate) struct Transport {
+    /// Overlay hops of each lookup that reached an owner, in key order.
+    pub(crate) hops: Vec<usize>,
+    /// Lookup attempts spent, retries included.
+    pub(crate) attempts: usize,
+    /// Distinct peers that answered.
+    pub(crate) peers_contacted: usize,
+    /// No owner could be reached at all.
+    pub(crate) fell_back_to_source: bool,
+    /// Answered island-locally while a global owner was across a split.
+    pub(crate) partition_degraded: bool,
+}
+
+/// What a query's reads found, and whether it must cache its partition.
+#[derive(Debug)]
+pub(crate) struct Verdict {
+    best: Best,
+    /// The best match is exactly the hashed range.
+    exact: bool,
+    /// Cache-on-miss applies: the transport writes [`Targets::stores`] and
+    /// reports whether any copy was new.
+    pub(crate) store: bool,
+}
+
+/// Fold a query's reads, in planned order, into the verdict: the best
+/// match across them (the earliest wins ties), whether it is exact, and
+/// whether the query's own partition is to be cached.
+pub(crate) fn verdict(
+    cache_on_miss: bool,
+    hashed_range: &RangeSet,
+    reads: &mut dyn Iterator<Item = Option<Match>>,
+) -> Verdict {
+    let mut best = Best::default();
+    for read in reads {
+        best.offer(read);
+    }
+    let exact = best.is_exactly(hashed_range);
+    Verdict {
+        best,
+        exact,
+        store: cache_on_miss && !exact,
+    }
+}
+
+impl Verdict {
+    /// Grade the match against the original query and build the outcome —
+    /// the crate's one [`QueryOutcome`] literal.
+    pub(crate) fn finish(
+        self,
+        q: &RangeSet,
+        identifiers: Vec<u32>,
+        stored: bool,
+        transport: Transport,
+    ) -> QueryOutcome {
+        let (similarity, recall, best_match) = self.best.grade(q);
+        QueryOutcome {
+            query: q.clone(),
+            best_match,
+            similarity,
+            recall,
+            exact: self.exact,
+            stored,
+            hops: transport.hops,
+            identifiers,
+            peers_contacted: transport.peers_contacted,
+            attempts: transport.attempts,
+            fell_back_to_source: transport.fell_back_to_source,
+            partition_degraded: transport.partition_degraded,
+        }
+    }
+}

@@ -1,20 +1,25 @@
 //! The protocol as explicit messages over `ars-simnet`.
 //!
 //! [`crate::RangeSelectNetwork`] computes routing outcomes directly; this
-//! module runs the *same* §4 procedure as peer-to-peer messages — greedy
-//! Chord forwarding of `Route` envelopes, bucket search at the owner, a
-//! `MatchReply` back to the querying peer, and `Store` messages on a miss
-//! — over the deterministic event simulator. A binary wire encoding
+//! module executes the *same* plan (`plan.rs`) as peer-to-peer
+//! messages — greedy Chord forwarding of `Route` envelopes, bucket search
+//! at the owner (and, for a key that walks, at its successors), a
+//! `MatchReply` back to the querying peer from every peer that searched,
+//! and `Store` messages on a miss — over the deterministic event
+//! simulator. A binary wire encoding
 //! ([`ProtoMsg`] implements [`Wire`]) pins down what would actually cross
 //! a TCP connection.
 //!
 //! The integration test `tests/proto_equivalence.rs` holds this rendition
 //! equal, query for query, to the direct-call one.
 
-use crate::bucket::{Best, Match};
-use crate::config::{MatchMeasure, PlacementMode, SystemConfig};
-use crate::network::{hashed_range, place_identifier, QueryOutcome};
+use crate::bucket::Match;
+use crate::config::{MatchMeasure, SystemConfig};
+use crate::network::QueryOutcome;
 use crate::peer::Peer;
+use crate::plan::{
+    anchor_sketch, hashed_range, identifiers_of, resolve, targets, verdict, Transport,
+};
 use ars_chord::{Id, Ring};
 use ars_common::DetRng;
 use ars_lsh::{HashGroups, RangeSet};
@@ -114,6 +119,31 @@ pub enum Payload {
         /// The partition range to store.
         range: WireRange,
     },
+    /// Search several buckets at the owner, then at its ring successors:
+    /// the arc read of layered placement. Every visited peer answers with
+    /// its best match across `candidates` under its own request id (the
+    /// owner `request`, each successor one more) and, while `walk` is above
+    /// one, forwards the read to its successor with `walk` one less.
+    FindAcross {
+        /// Request id of this peer's reply.
+        request: u64,
+        /// Peer index to reply to.
+        origin: u32,
+        /// Peers left to visit, this one included.
+        walk: u32,
+        /// What to search for and where. Boxed, so the variant only the
+        /// arc read sends does not widen every message in the queue.
+        read: Box<ArcRead>,
+    },
+}
+
+/// The body of a [`Payload::FindAcross`], handed from peer to peer whole.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArcRead {
+    /// The (already padded) query range.
+    pub range: WireRange,
+    /// The bucket identifiers to search.
+    pub candidates: Vec<u32>,
 }
 
 impl Wire for ProtoMsg {
@@ -221,6 +251,19 @@ impl Wire for Payload {
                 put_u32(buf, *origin);
                 put_range(buf, range);
             }
+            Payload::FindAcross {
+                request,
+                origin,
+                walk,
+                read,
+            } => {
+                put_u8(buf, 2);
+                put_u64(buf, *request);
+                put_u32(buf, *origin);
+                put_range(buf, &read.range);
+                put_seq(buf, &read.candidates, |b, &c| put_u32(b, c));
+                put_u32(buf, *walk);
+            }
         }
     }
 
@@ -240,6 +283,15 @@ impl Wire for Payload {
                 origin,
                 range,
             }),
+            2 => {
+                let candidates = get_seq(buf, get_u32)?;
+                Ok(Payload::FindAcross {
+                    request,
+                    origin,
+                    walk: get_u32(buf)?,
+                    read: Box::new(ArcRead { range, candidates }),
+                })
+            }
             t => Err(CodecError::BadTag(t)),
         }
     }
@@ -256,6 +308,8 @@ pub struct CollectedReply {
     pub hops: u32,
     /// Best match found in the bucket, if any.
     pub best: Option<Match>,
+    /// Simnet index of the peer that answered.
+    pub replier: usize,
 }
 
 /// What the querying peer has heard back since the driver last looked.
@@ -277,7 +331,6 @@ struct PeerNode {
     ring: Rc<Ring>,
     storage: Peer,
     matching: MatchMeasure,
-    use_local_index: bool,
     sink: ReplySink,
 }
 
@@ -317,10 +370,18 @@ impl PeerNode {
     ) {
         // `origin` came off the wire: a request whose reply address is no
         // peer of this ring is dropped unexecuted, not sent into the void.
-        let (Payload::FindMatch { origin, .. } | Payload::Store { origin, .. }) = &payload;
+        let (Payload::FindMatch { origin, .. }
+        | Payload::Store { origin, .. }
+        | Payload::FindAcross { origin, .. }) = &payload;
         if *origin as usize >= self.ring.len() {
             return;
         }
+        let reply = |request, best: Option<Match>| ProtoMsg::MatchReply {
+            request,
+            identifier: ident,
+            hops,
+            best: best.map(|m| (to_wire(&m.range), m.score)),
+        };
         match payload {
             Payload::FindMatch {
                 request,
@@ -328,20 +389,8 @@ impl PeerNode {
                 range,
             } => {
                 let q = from_wire(&range);
-                let best = if self.use_local_index {
-                    self.storage.best_across_buckets(&q, self.matching)
-                } else {
-                    self.storage.best_in_bucket(ident, &q, self.matching)
-                };
-                ctx.send(
-                    origin as usize,
-                    ProtoMsg::MatchReply {
-                        request,
-                        identifier: ident,
-                        hops,
-                        best: best.map(|m| (to_wire(&m.range), m.score)),
-                    },
-                );
+                let (best, _) = self.storage.best_in_buckets(&[ident], &q, self.matching);
+                ctx.send(origin as usize, reply(request, best));
             }
             Payload::Store {
                 request,
@@ -351,12 +400,43 @@ impl PeerNode {
                 let stored = self.storage.store(ident, from_wire(&range));
                 ctx.send(origin as usize, ProtoMsg::StoreAck { request, stored });
             }
+            Payload::FindAcross {
+                request,
+                origin,
+                walk,
+                read,
+            } => {
+                let q = from_wire(&read.range);
+                let (best, _) = (self.storage).best_in_buckets(&read.candidates, &q, self.matching);
+                ctx.send(origin as usize, reply(request, best));
+                // `walk` came off the wire too: no walk visits a peer
+                // twice, whatever the bytes say.
+                let walk = walk.min(self.ring.len() as u32);
+                if walk > 1 {
+                    let next = (self.rank + 1) % self.ring.len();
+                    ctx.send(
+                        next,
+                        ProtoMsg::Route {
+                            // Its own position: the successor owns it.
+                            key: self.ring.node_ids()[next].0,
+                            ident,
+                            hops: hops + 1,
+                            payload: Payload::FindAcross {
+                                request: request.wrapping_add(1),
+                                origin,
+                                walk: walk - 1,
+                                read,
+                            },
+                        },
+                    );
+                }
+            }
         }
     }
 }
 
 impl Node<ProtoMsg> for PeerNode {
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_, ProtoMsg>, _from: usize, msg: ProtoMsg) {
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_, ProtoMsg>, from: usize, msg: ProtoMsg) {
         match msg {
             ProtoMsg::Route {
                 key,
@@ -378,6 +458,7 @@ impl Node<ProtoMsg> for PeerNode {
                         range: from_wire(&range),
                         score,
                     }),
+                    replier: from,
                 });
             }
             ProtoMsg::StoreAck { stored, .. } => self.sink.borrow_mut().stored |= stored,
@@ -393,6 +474,8 @@ pub struct ProtoNetwork {
     net: SimNet<ProtoMsg, ConstantLatency>,
     ring: Rc<Ring>,
     groups: HashGroups,
+    /// The anchor sketch of layered placement ([`anchor_sketch`]).
+    anchors: Option<HashGroups>,
     config: SystemConfig,
     sink: ReplySink,
     rng: DetRng,
@@ -405,10 +488,6 @@ impl ProtoNetwork {
     /// ring, the hash groups and the per-query origin choice line up
     /// exactly with the direct-call rendition.
     pub fn new(n_peers: usize, config: SystemConfig) -> ProtoNetwork {
-        assert!(
-            config.placement_mode == PlacementMode::Independent,
-            "the message-passing rendition models independent placement only"
-        );
         let mut rng = DetRng::new(config.seed);
         let mut group_rng = rng.fork();
         let ring_seed = rng.next_u64();
@@ -425,7 +504,6 @@ impl ProtoNetwork {
                     ring: ring.clone(),
                     storage: Peer::new(id, config.use_local_index),
                     matching: config.matching,
-                    use_local_index: config.use_local_index,
                     sink: sink.clone(),
                 }) as Box<dyn Node<ProtoMsg>>
             })
@@ -438,6 +516,7 @@ impl ProtoNetwork {
             net,
             ring,
             groups,
+            anchors: anchor_sketch(&config),
             config,
             sink,
             rng,
@@ -506,32 +585,45 @@ impl ProtoNetwork {
     /// Execute one query through the message protocol. Semantically
     /// identical to [`crate::RangeSelectNetwork::query`].
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
-        assert!(!q.is_empty(), "cannot query an empty range");
         let hashed_range = hashed_range(q, self.config.padding);
-        let identifiers = self.groups.identifiers(&hashed_range);
+        let anchors = self.anchors.as_ref();
+        let placed = resolve(&self.config, &self.groups, anchors, &hashed_range);
+        let targets = targets(&self.config, &self.groups, anchors, &hashed_range, &placed);
         let origin = self.rng.gen_index(self.ring.len());
+        let reply_to = origin as u32;
         let range = to_wire(&hashed_range);
 
-        // Fire one FindMatch per *distinct* identifier — the direct
-        // path's within-query dedup, mirrored: a duplicate would route
-        // to the same owner and return the same reply.
+        // One envelope per planned key. A key that reads one bucket at its
+        // owner alone is a `FindMatch`; any other is the arc read, which
+        // takes one request id per peer its walk visits. Ids run in
+        // planned order, which is the order the replies are folded in.
         let base_request = self.next_request;
-        let mut routed: Vec<(u32, Id)> = Vec::with_capacity(identifiers.len());
-        for &ident in &identifiers {
-            if routed.iter().any(|&(sent, _)| sent == ident) {
-                continue;
-            }
-            let request = base_request + routed.len() as u64;
-            let key = place_identifier(&self.config, ident);
-            routed.push((ident, key));
-            let payload = Payload::FindMatch {
-                request,
-                origin: origin as u32,
-                range: range.clone(),
+        let mut routed: Vec<u64> = Vec::with_capacity(targets.keys.len());
+        for key in &targets.keys {
+            let candidates = &targets.candidates[key.reads.clone()];
+            let walk = key.walk.min(self.ring.len());
+            let request = self.next_request;
+            routed.push(request);
+            self.next_request += walk as u64;
+            let payload = match (candidates, walk) {
+                ([_], 1) => Payload::FindMatch {
+                    request,
+                    origin: reply_to,
+                    range: range.clone(),
+                },
+                _ => Payload::FindAcross {
+                    request,
+                    origin: reply_to,
+                    walk: walk as u32,
+                    read: Box::new(ArcRead {
+                        range: range.clone(),
+                        candidates: candidates.to_vec(),
+                    }),
+                },
             };
-            self.send(origin, ident, key, payload);
+            self.send(origin, candidates[0], key.position, payload);
         }
-        self.next_request += routed.len() as u64;
+        let expected = self.next_request - base_request;
         self.net.run(u64::MAX);
 
         // Collect the replies for this query.
@@ -550,63 +642,57 @@ impl ProtoNetwork {
         // without one it is a protocol violation.
         if self.net.fault_injector().is_none() {
             assert_eq!(
-                replies.len(),
-                routed.len(),
-                "every FindMatch must be answered on a lossless transport"
+                replies.len() as u64,
+                expected,
+                "every read must be answered on a lossless transport"
             );
         }
+        let mut repliers: Vec<usize> = replies.iter().map(|r| r.replier).collect();
+        repliers.sort_unstable();
+        repliers.dedup();
+        let transport = Transport {
+            // The hops of each key's own reply; the walk's are not lookups.
+            hops: (replies.iter())
+                .filter(|r| routed.contains(&r.request))
+                .map(|r| r.hops as usize)
+                .collect(),
+            attempts: routed.len(),
+            peers_contacted: repliers.len(),
+            // With every reply lost (possible only under faults), the
+            // origin would fall back to fetching from the source relations.
+            fell_back_to_source: replies.is_empty(),
+            partition_degraded: false,
+        };
 
-        // Best across replies, offered in request (= identifier) order so
-        // ties resolve as on the direct-call network.
-        let mut best = Best::default();
-        for reply in &mut replies {
-            best.offer(reply.best.take());
-        }
-        let exact = best.is_exactly(&hashed_range);
+        // Replies are in request order, so ties resolve as on the
+        // direct-call network.
+        let mut reads = replies.into_iter().map(|reply| reply.best);
+        let verdict = verdict(self.config.cache_on_miss, &hashed_range, &mut reads);
 
-        // Store on miss, once per distinct identifier as `commit_plan`
-        // does: a second Store of the same range in the same bucket is a
-        // no-op at the peer that would still cost a route and an ack.
-        if self.config.cache_on_miss && !exact {
-            for &(ident, key) in &routed {
+        // Store on miss, one `Store` routed to each planned position.
+        if verdict.store {
+            for &(ident, position) in &targets.stores {
                 let payload = Payload::Store {
                     request: self.next_request,
-                    origin: origin as u32,
+                    origin: reply_to,
                     range: range.clone(),
                 };
                 self.next_request += 1;
-                self.send(origin, ident, key, payload);
+                self.send(origin, ident, position, payload);
             }
             self.net.run(u64::MAX);
         }
         // As `commit_plan` reports it: some peer newly stored the range. A
         // lost ack reads as not stored, like any timeout.
         let stored = std::mem::take(&mut self.sink.borrow_mut().stored);
-
-        let (similarity, recall, best_match) = best.grade(q);
-        let hops: Vec<usize> = replies.iter().map(|r| r.hops as usize).collect();
-        QueryOutcome {
-            query: q.clone(),
-            best_match,
-            similarity,
-            recall,
-            exact,
-            stored,
-            hops,
-            identifiers,
-            peers_contacted: 0, // not tracked in the message rendition
-            attempts: routed.len(),
-            // With every reply lost (possible only under faults), the
-            // origin would fall back to fetching from the source relations.
-            fell_back_to_source: replies.is_empty(),
-            partition_degraded: false,
-        }
+        verdict.finish(q, identifiers_of(&placed), stored, transport)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::place_identifier;
     use ars_simnet::codec::{deframe, frame};
 
     fn r(lo: u32, hi: u32) -> RangeSet {
@@ -635,6 +721,20 @@ mod tests {
                     request: 9,
                     origin: 0,
                     range: vec![(0, 0)],
+                },
+            },
+            ProtoMsg::Route {
+                key: 3,
+                ident: 4,
+                hops: 1,
+                payload: Payload::FindAcross {
+                    request: 10,
+                    origin: 2,
+                    walk: 4,
+                    read: Box::new(ArcRead {
+                        range: vec![(5, 9)],
+                        candidates: vec![4, 0xFFFF_FFFF, 0],
+                    }),
                 },
             },
             ProtoMsg::MatchReply {
@@ -695,6 +795,15 @@ mod tests {
                 origin: 0,
                 range: bad.clone(),
             }),
+            route(Payload::FindAcross {
+                request: 5,
+                origin: 0,
+                walk: 2,
+                read: Box::new(ArcRead {
+                    range: bad.clone(),
+                    candidates: vec![7],
+                }),
+            }),
             ProtoMsg::MatchReply {
                 request: 3,
                 identifier: 4,
@@ -724,6 +833,20 @@ mod tests {
                     range: vec![(30, 50), (60, 70)],
                 },
             },
+            ProtoMsg::Route {
+                key: 7,
+                ident: 8,
+                hops: 0,
+                payload: Payload::FindAcross {
+                    request: 42,
+                    origin: 3,
+                    walk: 4,
+                    read: Box::new(ArcRead {
+                        range: vec![(30, 50)],
+                        candidates: vec![8, 9, 10],
+                    }),
+                },
+            },
             ProtoMsg::MatchReply {
                 request: 42,
                 identifier: 5,
@@ -751,20 +874,29 @@ mod tests {
         let config = SystemConfig::default().with_seed(7);
         let q = r(30, 50);
         for origin in [8u32, 4_000_000_000] {
-            for store in [false, true] {
+            for kind in 0..3 {
                 let mut net = ProtoNetwork::new(8, config.clone());
                 let ident = net.groups.identifiers(&q)[0];
                 let (request, range) = (1, to_wire(&q));
-                let payload = match store {
-                    true => Payload::Store {
+                let payload = match kind {
+                    0 => Payload::FindMatch {
                         request,
                         origin,
                         range,
                     },
-                    false => Payload::FindMatch {
+                    1 => Payload::Store {
                         request,
                         origin,
                         range,
+                    },
+                    _ => Payload::FindAcross {
+                        request,
+                        origin,
+                        walk: 3,
+                        read: Box::new(ArcRead {
+                            range,
+                            candidates: vec![ident],
+                        }),
                     },
                 };
                 let msg = ProtoMsg::Route {
@@ -788,6 +920,58 @@ mod tests {
                 assert!(out.stored);
             }
         }
+    }
+
+    #[test]
+    fn arc_read_with_a_hostile_walk_visits_each_peer_once() {
+        // `walk` is a u32 off the wire: whatever it says, the read stops
+        // once it has been round the ring, one reply per peer.
+        let q = r(30, 50);
+        for walk in [0u32, 1, 3, 8, 9, u32::MAX] {
+            let mut net = ProtoNetwork::new(8, SystemConfig::default().with_seed(7));
+            let msg = ProtoMsg::Route {
+                key: 12345,
+                ident: 1,
+                hops: 0,
+                payload: Payload::FindAcross {
+                    request: u64::MAX - 1,
+                    origin: 2,
+                    walk,
+                    read: Box::new(ArcRead {
+                        range: to_wire(&q),
+                        candidates: vec![1, 2, 3],
+                    }),
+                },
+            };
+            net.net.inject(0, 0, msg);
+            net.net.run(u64::MAX);
+            let visited = walk.clamp(1, 8) as usize;
+            let inbox = net.sink.borrow();
+            assert_eq!(inbox.replies.len(), visited, "walk {walk}");
+            let mut repliers: Vec<usize> = inbox.replies.iter().map(|r| r.replier).collect();
+            repliers.dedup();
+            assert_eq!(repliers.len(), visited, "ring successors, each once");
+            assert!(net.sim_stats().is_conserved() && net.sim_stats().queued == 0);
+        }
+    }
+
+    #[test]
+    fn layered_query_is_one_arc_read_walking_the_ring() {
+        let config = SystemConfig::default()
+            .with_seed(3)
+            .with_placement_mode(crate::PlacementMode::Layered)
+            .with_probes(16);
+        let mut net = ProtoNetwork::new(30, config);
+        let out = net.query(&r(30, 50));
+        assert_eq!((out.hops.len(), out.attempts), (1, 1), "one routed lookup");
+        assert_eq!(out.peers_contacted, 4, "the owner and three successors");
+        assert!(out.stored);
+        // The arc read: the injected Route, one forward per hop, three walk
+        // steps, four replies. Then five Stores routed into the arc.
+        let read = out.hops[0] as u64 + 1 + 3 + 4;
+        assert!(net.messages_delivered() >= read + 5 * 2);
+        let again = net.query(&r(30, 50));
+        assert!(again.exact && !again.stored);
     }
 
     #[test]

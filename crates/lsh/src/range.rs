@@ -299,41 +299,6 @@ impl RangeSet {
     pub fn is_subset_of(&self, other: &RangeSet) -> bool {
         self.intersection_len(other) == self.len()
     }
-
-    /// The set difference `self \ other` — the part of a query a partial
-    /// match does *not* answer.
-    pub fn difference(&self, other: &RangeSet) -> RangeSet {
-        let other = other.intervals();
-        let mut out: Vec<(u32, u32)> = Vec::new();
-        let mut j = 0;
-        for &(lo, hi) in self.intervals() {
-            let mut cur = lo;
-            // Walk other's intervals overlapping [lo, hi].
-            while j < other.len() && other[j].1 < lo {
-                j += 1;
-            }
-            let mut k = j;
-            let mut exhausted = false;
-            while k < other.len() && other[k].0 <= hi {
-                let (olo, ohi) = other[k];
-                if olo > cur {
-                    out.push((cur, olo - 1));
-                }
-                if ohi >= hi {
-                    exhausted = true;
-                    break;
-                }
-                cur = cur.max(ohi.saturating_add(1));
-                k += 1;
-            }
-            if !exhausted && cur <= hi {
-                out.push((cur.max(lo), hi));
-            }
-        }
-        // Pieces are already sorted and disjoint, but adjacent pieces can
-        // touch across source intervals; normalize for the canonical form.
-        RangeSet::from_intervals(out)
-    }
 }
 
 impl From<std::ops::RangeInclusive<u32>> for RangeSet {
@@ -496,55 +461,6 @@ mod tests {
         let r = RangeSet::interval(0, 99); // 100 values
         assert_eq!(q.containment_in(&r), 1.0);
         assert!((r.containment_in(&q) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn difference_basic() {
-        let a = RangeSet::interval(0, 10);
-        let b = RangeSet::interval(3, 6);
-        assert_eq!(a.difference(&b).intervals(), &[(0, 2), (7, 10)]);
-        // Difference with a disjoint set is identity.
-        assert_eq!(a.difference(&RangeSet::interval(20, 30)), a);
-        // Difference with a superset is empty.
-        assert!(a.difference(&RangeSet::interval(0, 100)).is_empty());
-        // Self-difference is empty.
-        assert!(a.difference(&a).is_empty());
-        // Difference with empty is identity.
-        assert_eq!(a.difference(&RangeSet::empty()), a);
-    }
-
-    #[test]
-    fn difference_multi_interval() {
-        let a = RangeSet::from_intervals([(0, 10), (20, 30)]);
-        let b = RangeSet::from_intervals([(5, 25)]);
-        assert_eq!(a.difference(&b).intervals(), &[(0, 4), (26, 30)]);
-        // One hole spanning two source intervals.
-        let c = RangeSet::from_intervals([(8, 9), (22, 23)]);
-        assert_eq!(
-            a.difference(&c).intervals(),
-            &[(0, 7), (10, 10), (20, 21), (24, 30)]
-        );
-    }
-
-    #[test]
-    fn difference_brute_force_sweep() {
-        use std::collections::BTreeSet;
-        // Dense small-domain sweep against set subtraction.
-        let cases = [
-            (vec![(0u32, 5u32), (8, 12)], vec![(3u32, 9u32)]),
-            (vec![(0, 20)], vec![(0, 0), (5, 5), (20, 20)]),
-            (vec![(2, 4)], vec![(0, 10)]),
-            (vec![(0, 3), (5, 8), (10, 13)], vec![(1, 11)]),
-        ];
-        for (ai, bi) in cases {
-            let a = RangeSet::from_intervals(ai.iter().copied());
-            let b = RangeSet::from_intervals(bi.iter().copied());
-            let sa: BTreeSet<u32> = a.iter().collect();
-            let sb: BTreeSet<u32> = b.iter().collect();
-            let expect: Vec<u32> = sa.difference(&sb).copied().collect();
-            let got: Vec<u32> = a.difference(&b).iter().collect();
-            assert_eq!(got, expect, "a={a} b={b}");
-        }
     }
 
     #[test]

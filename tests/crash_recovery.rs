@@ -17,6 +17,8 @@
 //! byte-identical across reruns: same seed, same trace JSON, same final
 //! inventory.
 
+mod common;
+
 use ars::common::env_seed;
 use ars::core::InventoryEntry;
 use ars::prelude::*;
@@ -162,7 +164,7 @@ fn fail_without_restart_at_r1_loses_recall() {
     let victim_query = &queries[0];
     let idents = net.query_resilient(victim_query).identifiers;
     for ident in idents {
-        let owner = net.replica_owners(ident)[0];
+        let owner = net.replica_owners(ident, victim_query)[0];
         if net.chord().node_ids().contains(&owner) && net.len() > 1 {
             net.fail(owner).expect("owner is alive");
         }
@@ -222,19 +224,24 @@ fn guaranteed_tail_corruption_at_r1_loses_recall_despite_restart_and_repair() {
 /// warmed before any churn; crashes park disks (benign storage: nothing
 /// is ever torn, so restarts recover everything) and every downed peer is
 /// restarted before the verdict.
-fn churned_network(ops: &[(u8, u16)], seed: u64) -> (ChurnNetwork, Vec<RangeSet>) {
+fn churned_network(
+    ops: &[(u8, u16)],
+    seed: u64,
+    mode: PlacementMode,
+) -> (ChurnNetwork, Vec<RangeSet>) {
     let config = SystemConfig::default()
         .with_kl(8, 2)
         .with_replication(2)
         .with_seed(seed)
         .with_durability(DurabilityConfig::default());
-    let mut net = ChurnNetwork::new(16, config).expect("growth converges");
+    let mut net = ChurnNetwork::new(16, common::placed(config, mode)).expect("growth converges");
     let queries = warm_queries(6);
     for q in &queries {
         net.query_resilient(q);
     }
     let mut downed: Vec<Id> = Vec::new();
     for &(op, arg) in ops {
+        net.check_bucket_ledger().expect("ledger balances");
         match op {
             0 => {
                 if net.len() > 8 {
@@ -275,11 +282,13 @@ proptest! {
     fn repair_converges_to_the_oracle_after_arbitrary_churn(
         ops in prop::collection::vec((0u8..6, any::<u16>()), 1..20),
         budget in 1usize..40,
+        layered in any::<bool>(),
         seed in 0u64..1_000_000,
     ) {
         let seed = seed ^ (env_seed("ARS_FAULT_SEED") << 40);
-        let (mut repaired, queries) = churned_network(&ops, seed);
-        let (mut oracle, _) = churned_network(&ops, seed);
+        let mode = common::MODES[usize::from(layered)];
+        let (mut repaired, queries) = churned_network(&ops, seed, mode);
+        let (mut oracle, _) = churned_network(&ops, seed, mode);
         prop_assert_eq!(
             repaired.inventory(),
             oracle.inventory(),
@@ -299,5 +308,7 @@ proptest! {
         for q in &queries {
             prop_assert_eq!(repaired.query_resilient(q).recall, 1.0);
         }
+        prop_assert_eq!(repaired.check_bucket_ledger(), Ok(()));
+        prop_assert_eq!(oracle.check_bucket_ledger(), Ok(()));
     }
 }

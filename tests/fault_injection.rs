@@ -8,9 +8,12 @@
 //! The fixed seed honors `ARS_FAULT_SEED` (default 0) so CI can sweep a
 //! small matrix of seeds over the same assertions.
 
+mod common;
+
 use ars::common::env_seed;
 use ars::prelude::*;
 use ars::simnet::{ConstantLatency, Node, NodeCtx};
+use common::{placed, MODES};
 use proptest::prelude::*;
 
 /// Grow a converged dynamic ring of `n` nodes (same idiom as the churn
@@ -221,6 +224,8 @@ proptest! {
             .with_partition(islands, split_at, split_at + 1_000)
             .with_slow(vec![slowed], 2 + seed % 7, slow_at, slow_at + 1_500);
         let config = SystemConfig::default().with_kl(8, 2).with_seed(seed);
+        // Odd seeds run layered placement: arc reads walking the ring.
+        let config = placed(config, MODES[(seed % 2) as usize]);
         let mut net = ProtoNetwork::new_faulty(12, config, plan, seed);
         for q in trace(6) {
             well_formed(&net.query(&q), 2);
@@ -241,12 +246,14 @@ proptest! {
         victims in 0usize..6,
         loss in 0.0f64..0.9,
         replication in 1usize..3,
+        layered in any::<bool>(),
         seed in 0u64..1_000_000,
     ) {
         let config = SystemConfig::default()
             .with_kl(8, 2)
             .with_replication(replication)
             .with_seed(seed);
+        let config = placed(config, MODES[usize::from(layered)]);
         let mut net = ChurnNetwork::new(16, config.clone())
             .expect("growth converges");
         net.fail_random(victims);
@@ -255,6 +262,7 @@ proptest! {
         net.set_lookup_loss(loss);
         for q in trace(8) {
             well_formed(&net.query_resilient(&q), 2);
+            prop_assert_eq!(net.check_bucket_ledger(), Ok(()));
         }
         let stats = net.resilience();
         prop_assert!(stats.lookups_attempted >= stats.retries);
@@ -315,51 +323,103 @@ proptest! {
 //    within 5% of the no-churn baseline; with r = 1 buckets are lost.
 // ---------------------------------------------------------------------
 
+/// What [`recall_under_failures`] measured.
+struct FailureRun {
+    /// Mean recall of the warm trace before the failures.
+    baseline: f64,
+    /// Mean recall after 10 % of the peers crashed and the ring recovered.
+    faulted: f64,
+    /// Stored copies before and after the crashes.
+    copies: (usize, usize),
+    /// Overlay messages of the two measured passes (lookup hops and walk
+    /// steps; warm-up excluded).
+    messages: u64,
+}
+
 /// Warm a replicated network, measure baseline recall, crash 10% of the
-/// peers, stabilize, and measure again. Returns (baseline recall,
-/// faulted recall, partitions before, partitions after).
-fn recall_under_failures(replication: usize, seed: u64) -> (f64, f64, usize, usize) {
+/// peers, stabilize, and measure again, with the bucket ledger checked
+/// after every step.
+fn recall_under_failures(
+    mode: PlacementMode,
+    l: usize,
+    replication: usize,
+    seed: u64,
+) -> FailureRun {
     const N_PEERS: usize = 40;
     let queries = trace(60);
-    // l = 1 so each partition lives at exactly one identifier — with
+    // At l = 1 each partition lives at exactly one identifier — with
     // r = 1 a crashed owner loses the bucket, with r = 2 the successor
     // replica keeps it findable. The paper's l = 5 default would mask the
     // contrast behind its five natural copies.
     let config = SystemConfig::default()
-        .with_kl(16, 1)
+        .with_kl(16, l)
         .with_matching(MatchMeasure::Containment)
         .with_replication(replication)
         .with_seed(0xACCE55 ^ seed);
-    let mut net = ChurnNetwork::new(N_PEERS, config).expect("growth converges");
+    let mut net = ChurnNetwork::new(N_PEERS, placed(config, mode)).expect("growth converges");
     for q in &queries {
         net.query_resilient(q);
     }
+    net.check_bucket_ledger().expect("after warm-up");
+    let tel = ars::telemetry::Telemetry::recording();
+    net.set_telemetry(tel.clone());
     let mean_recall = |net: &mut ChurnNetwork| {
         let sum: f64 = queries.iter().map(|q| net.query_resilient(q).recall).sum();
+        net.check_bucket_ledger().expect("after a measured pass");
         sum / queries.len() as f64
     };
     let baseline = mean_recall(&mut net);
     let before = net.total_partitions();
     net.fail_random(N_PEERS / 10);
+    net.check_bucket_ledger().expect("after the failures");
     net.stabilize(256).expect("ring recovers");
     // Count survivors before re-querying: the measurement pass itself
     // re-caches lost partitions on miss (soft-state healing).
     let after = net.total_partitions();
     let faulted = mean_recall(&mut net);
-    (baseline, faulted, before, after)
+    FailureRun {
+        baseline,
+        faulted,
+        copies: (before, after),
+        messages: tel.snapshot().total_messages(),
+    }
 }
 
 #[test]
 fn replicated_recall_survives_ten_percent_failures() {
     let seed = env_seed("ARS_FAULT_SEED");
-    let (baseline, faulted, _, _) = recall_under_failures(2, seed);
+    for mode in MODES {
+        let FailureRun {
+            baseline, faulted, ..
+        } = recall_under_failures(mode, 1, 2, seed);
+        assert!(
+            baseline > 0.95,
+            "warm replicated cache should answer its own trace (got {baseline:.3}, {mode:?})"
+        );
+        assert!(
+            faulted >= baseline - 0.05,
+            "r=2 recall {faulted:.3} fell more than 5% below baseline {baseline:.3} \
+             (seed {seed}, {mode:?})"
+        );
+    }
+    // At the paper's l = 5 the arc read replaces five lookups: the same
+    // recall for at most half the messages.
+    let independent = recall_under_failures(PlacementMode::Independent, 5, 2, seed);
+    let layered = recall_under_failures(PlacementMode::Layered, 5, 2, seed);
     assert!(
-        baseline > 0.95,
-        "warm replicated cache should answer its own trace (got {baseline:.3})"
+        layered.faulted >= independent.faulted - 0.01
+            && layered.baseline >= independent.baseline - 0.01,
+        "layered recall {:.3} / {:.3} trails independent {:.3} / {:.3} (seed {seed})",
+        layered.baseline,
+        layered.faulted,
+        independent.baseline,
+        independent.faulted
     );
     assert!(
-        faulted >= baseline - 0.05,
-        "r=2 recall {faulted:.3} fell more than 5% below baseline {baseline:.3} (seed {seed})"
+        layered.messages * 2 <= independent.messages,
+        "layered spent {} messages, independent {} (seed {seed})",
+        layered.messages,
+        independent.messages
     );
 }
 
@@ -403,20 +463,29 @@ fn faulted_run_exports_json_trace_artifact() {
 #[test]
 fn unreplicated_failures_demonstrably_lose_buckets() {
     let seed = env_seed("ARS_FAULT_SEED");
-    let (baseline, faulted, before, after) = recall_under_failures(1, seed);
-    assert!(
-        after < before,
-        "crashing 10% of peers must lose r=1 partitions ({before} -> {after}, seed {seed})"
-    );
-    assert!(
-        faulted < baseline,
-        "r=1 recall should drop below the {baseline:.3} baseline (got {faulted:.3}, seed {seed})"
-    );
-    let (_, replicated, _, _) = recall_under_failures(2, seed);
-    assert!(
-        faulted < replicated,
-        "r=1 recall {faulted:.3} should trail r=2's {replicated:.3} (seed {seed})"
-    );
+    for mode in MODES {
+        let FailureRun {
+            baseline,
+            faulted,
+            copies: (before, after),
+            ..
+        } = recall_under_failures(mode, 1, 1, seed);
+        assert!(
+            after < before,
+            "crashing 10% of peers must lose r=1 partitions \
+             ({before} -> {after}, seed {seed}, {mode:?})"
+        );
+        assert!(
+            faulted < baseline,
+            "r=1 recall should drop below the {baseline:.3} baseline \
+             (got {faulted:.3}, seed {seed}, {mode:?})"
+        );
+        let replicated = recall_under_failures(mode, 1, 2, seed).faulted;
+        assert!(
+            faulted < replicated,
+            "r=1 recall {faulted:.3} should trail r=2's {replicated:.3} (seed {seed}, {mode:?})"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -429,10 +498,13 @@ fn unreplicated_failures_demonstrably_lose_buckets() {
 #[test]
 fn arc_repair_leaves_the_global_pass_nothing_to_restore() {
     let seed = env_seed("ARS_FAULT_SEED");
-    for replication in [2usize, 3] {
+    // Under layered placement a copy's position hangs off its range's
+    // anchor: the arc pass must place by (identifier, range) too.
+    for (replication, mode) in [2usize, 3].into_iter().flat_map(|r| MODES.map(|m| (r, m))) {
         let config = SystemConfig::default()
             .with_replication(replication)
             .with_seed(0xA4C ^ seed);
+        let config = placed(config, mode);
         // `net` only ever repairs arcs; `twin` lives the same life and
         // additionally runs the global pass after every event.
         let mut net = ChurnNetwork::new(28, config.clone()).expect("growth converges");
@@ -440,7 +512,7 @@ fn arc_repair_leaves_the_global_pass_nothing_to_restore() {
         let mut rng = DetRng::new(seed ^ 0x5EED ^ replication as u64);
         let mut events = 0;
         for step in 0..160 {
-            let at = format!("at step {step}, r = {replication}, ARS_FAULT_SEED={seed}");
+            let at = format!("at step {step}, r = {replication}, {mode:?}, ARS_FAULT_SEED={seed}");
             let op = rng.gen_index(10);
             if op < 6 {
                 let lo = rng.gen_index(3_000) as u32;
@@ -494,7 +566,7 @@ fn arc_repair_reads_a_small_share_of_what_is_stored() {
     let mut first = None;
     for q in trace(1_100) {
         let out = net.query_resilient(&q);
-        first.get_or_insert(out.identifiers[0]);
+        first.get_or_insert((out.identifiers[0], q.clone()));
     }
     let total = net.total_partitions() as u64;
     assert!(total >= 10_000, "only {total} partitions stored");
@@ -502,7 +574,8 @@ fn arc_repair_reads_a_small_share_of_what_is_stored() {
     net.set_telemetry(tel.clone());
 
     let before = net.resilience().clone();
-    let victim = net.replica_owners(first.expect("queries ran"))[0];
+    let (ident, range) = first.expect("queries ran");
+    let victim = net.replica_owners(ident, &range)[0];
     net.fail(victim).expect("victim is alive");
     net.join_random().expect("join routes on a healthy ring");
     let after = net.resilience().clone();

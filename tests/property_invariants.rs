@@ -50,22 +50,6 @@ proptest! {
         prop_assert_eq!(a.is_subset_of(&b), sa.is_subset(&sb));
     }
 
-    /// Difference agrees with naive set subtraction, and partitions the
-    /// set: (a ∩ b) ⊎ (a \ b) = a.
-    #[test]
-    fn difference_matches_brute_force(
-        (a, sa) in range_set_strategy(),
-        (b, sb) in range_set_strategy(),
-    ) {
-        let diff = a.difference(&b);
-        let got: HashSet<u32> = diff.iter().collect();
-        let expect: HashSet<u32> = sa.difference(&sb).copied().collect();
-        prop_assert_eq!(got, expect);
-        // Partition property.
-        prop_assert_eq!(diff.len() + a.intersection_len(&b), a.len());
-        prop_assert_eq!(diff.intersection_len(&b), 0);
-    }
-
     /// Padding always contains the original and respects the fraction
     /// bound per interval.
     #[test]
@@ -726,7 +710,6 @@ proptest! {
         // Every operation's result is canonical too.
         assert_canonical(&a.union(&b), "union");
         assert_canonical(&a.intersection(&b), "intersection");
-        assert_canonical(&a.difference(&b), "difference");
         assert_canonical(&a.pad(frac), "pad");
         assert_canonical(&a.shrink(frac), "shrink");
 

@@ -5,9 +5,15 @@
 use ars::common::env_seed;
 use ars::prelude::*;
 
-/// Run `trace` through both renditions, holding every outcome field they
-/// both track equal (the message rendition does not count
-/// `peers_contacted`).
+/// Each case runs under independent placement and under layered placement
+/// with a 16-candidate probe budget, where one arc read walks the
+/// successors instead of `l` lookups.
+fn placements(config: SystemConfig) -> [SystemConfig; 2] {
+    let layered = config.clone().with_placement_mode(PlacementMode::Layered);
+    [config, layered.with_probes(16)]
+}
+
+/// Run `trace` through both renditions, holding every outcome field equal.
 fn assert_agree(direct: &mut RangeSelectNetwork, proto: &mut ProtoNetwork, trace: &Trace) {
     for q in trace.queries() {
         let a = direct.query(q);
@@ -20,15 +26,19 @@ fn assert_agree(direct: &mut RangeSelectNetwork, proto: &mut ProtoNetwork, trace
         // Hop counts agree too: same origins (same RNG stream), same ring.
         assert_eq!(a.hops, b.hops, "hops diverged for {q}");
         assert_eq!(a.stored, b.stored, "stored diverged for {q}");
+        // The peers that replied are the peers the direct path visited.
+        assert_eq!(a.peers_contacted, b.peers_contacted, "peers for {q}");
+        assert_eq!(a, b, "outcome diverged for {q}");
     }
 }
 
 #[test]
 fn direct_and_message_renditions_agree() {
-    let config = SystemConfig::default().with_seed(424242);
-    let mut direct = RangeSelectNetwork::new(40, config.clone());
-    let mut proto = ProtoNetwork::new(40, config);
-    assert_agree(&mut direct, &mut proto, &uniform_trace(400, 0, 1000, 7));
+    for config in placements(SystemConfig::default().with_seed(424242)) {
+        let mut direct = RangeSelectNetwork::new(40, config.clone());
+        let mut proto = ProtoNetwork::new(40, config);
+        assert_agree(&mut direct, &mut proto, &uniform_trace(400, 0, 1000, 7));
+    }
 }
 
 #[test]
@@ -38,6 +48,7 @@ fn renditions_agree_under_containment_and_padding() {
     // Second case: a cached superset scores 1.0 and outranks the cached
     // copy of the query itself — not exact, yet no peer stores anything
     // new, so `stored` must come from the peers' acks, not from having sent.
+    // Its 8 peers are also fewer than two walk windows: arcs overlap.
     for (n_peers, config, trace) in [
         (25, padded, uniform_trace(200, 0, 1000, 9)),
         (
@@ -46,9 +57,11 @@ fn renditions_agree_under_containment_and_padding() {
             zipf_trace(600, 0, 1000, 16, 1.0, 200, 0),
         ),
     ] {
-        let mut direct = RangeSelectNetwork::new(n_peers, config.clone());
-        let mut proto = ProtoNetwork::new(n_peers, config);
-        assert_agree(&mut direct, &mut proto, &trace);
+        for config in placements(config) {
+            let mut direct = RangeSelectNetwork::new(n_peers, config.clone());
+            let mut proto = ProtoNetwork::new(n_peers, config);
+            assert_agree(&mut direct, &mut proto, &trace);
+        }
     }
 }
 
@@ -60,10 +73,12 @@ fn renditions_agree_under_containment_and_padding() {
 fn delivery_order_does_not_change_outcomes() {
     let seed = env_seed("ARS_FAULT_SEED");
     let trace = uniform_trace(300, 0, 1000, seed);
-    for local_index in [false, true] {
-        let config = SystemConfig::default()
+    let configs = [false, true].map(|local_index| {
+        SystemConfig::default()
             .with_local_index(local_index)
-            .with_seed(31337 + seed);
+            .with_seed(31337 + seed)
+    });
+    for config in configs.into_iter().flat_map(placements) {
         let mut direct = RangeSelectNetwork::new(16, config.clone());
         let mut calm = ProtoNetwork::new(16, config.clone());
         let delays = FaultPlan::none().with_delay(0.5, 0, 500);

@@ -27,6 +27,8 @@
 //! The fixed seed honors `ARS_FAULT_SEED` (default 0) so CI can sweep a
 //! small matrix of seeds over the same assertions.
 
+mod common;
+
 use ars::common::env_seed;
 use ars::core::resilient::{BASE_SERVICE, HOP_COST};
 use ars::prelude::*;
@@ -44,12 +46,17 @@ fn trace(n: usize) -> Vec<RangeSet> {
 }
 
 fn grown(n: usize, seed: u64) -> ChurnNetwork {
+    grown_placed(n, seed, PlacementMode::Independent)
+}
+
+/// [`grown`] under a placement mode ([`common::placed`]).
+fn grown_placed(n: usize, seed: u64, mode: PlacementMode) -> ChurnNetwork {
     let config = SystemConfig::default()
         .with_kl(16, 4)
         .with_matching(MatchMeasure::Containment)
         .with_replication(2)
         .with_seed(seed);
-    ChurnNetwork::new(n, config).expect("growth converges")
+    ChurnNetwork::new(n, common::placed(config, mode)).expect("growth converges")
 }
 
 // ---------------------------------------------------------------------
@@ -383,32 +390,52 @@ fn breaker_short_circuits_cut_tail_and_keep_recall() {
 #[test]
 fn hedged_breaker_headline_halves_p99_within_message_budget() {
     let seed = 0x7A11 ^ env_seed("ARS_FAULT_SEED");
-    let run = |guarded: bool| {
-        let mut net = grown(50, seed);
+    let run = |mode: PlacementMode, guarded: bool| {
+        let mut net = grown_placed(50, seed, mode);
         if guarded {
             guard(&mut net);
         }
-        measured_run(&mut net, guarded, 60, 5)
+        let measured = measured_run(&mut net, guarded, 60, 5);
+        net.check_bucket_ledger().expect("ledger balances");
+        measured
     };
-    let (base, fast) = (run(false), run(true));
+    let guarded = common::MODES.map(|mode| {
+        let (base, fast) = (run(mode, false), run(mode, true));
+        assert!(
+            fast.p99() * 2 <= base.p99(),
+            "p99 {} vs baseline {} is not a 2x cut ({mode:?})",
+            fast.p99(),
+            base.p99()
+        );
+        assert!(
+            fast.messages as f64 <= 1.3 * base.messages as f64,
+            "messages {} vs baseline {} exceed the 1.3x budget ({mode:?})",
+            fast.messages,
+            base.messages
+        );
+        assert_eq!(base.recall, fast.recall, "recall must not move");
+        assert_eq!(base.digest, fast.digest, "answers must be identical");
+        assert_eq!(
+            fast,
+            run(mode, true),
+            "a from-scratch rerun must be bit-identical"
+        );
+        fast
+    });
+    // The arc read, hedged and short-circuited like any fetch, holds the
+    // recall of four lookups on at most half their messages.
+    let [independent, layered] = guarded;
     assert!(
-        fast.p99() * 2 <= base.p99(),
-        "p99 {} vs baseline {} is not a 2x cut",
-        fast.p99(),
-        base.p99()
+        layered.recall >= independent.recall - 0.01,
+        "layered recall {} trails independent {}",
+        layered.recall,
+        independent.recall
     );
     assert!(
-        fast.messages as f64 <= 1.3 * base.messages as f64,
-        "messages {} vs baseline {} exceed the 1.3x budget",
-        fast.messages,
-        base.messages
-    );
-    assert_eq!(base.recall, fast.recall, "recall must not move");
-    assert_eq!(base.digest, fast.digest, "answers must be identical");
-    assert_eq!(
-        fast,
-        run(true),
-        "a from-scratch rerun must be bit-identical"
+        layered.messages * 2 <= independent.messages,
+        "layered spent {} messages, independent {}",
+        layered.messages,
+        independent.messages
     );
 }
 
@@ -538,4 +565,19 @@ fn readme_hedged_query_example() {
         "latency {latency}, hedges fired {}, won {}",
         stats.hedges_fired, stats.hedges_won
     );
+}
+
+#[test]
+fn readme_layered_churn_example() {
+    let config = SystemConfig::default()
+        .with_seed(7)
+        .with_placement_mode(PlacementMode::Layered)
+        .with_probes(16);
+    // The churning and message-passing networks take the same
+    // configuration; repair re-places a copy by (identifier, range).
+    let mut net = ChurnNetwork::new(40, config.with_replication(2)).expect("ring converges");
+    net.query_resilient(&RangeSet::interval(400, 520)); // cached in its arc, twice
+    net.fail_random(4); // repaired where queries look
+    assert!(net.query_resilient(&RangeSet::interval(400, 520)).exact);
+    net.check_bucket_ledger().expect("ledger balances");
 }
