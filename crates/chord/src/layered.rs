@@ -41,13 +41,19 @@ pub fn arc_base(anchor: u32) -> Id {
     Id(sha1_u32(&bytes) & !ARC_MASK)
 }
 
-/// The layered ring position of bucket `ident` under `anchor`: the
-/// anchor's arc base plus a per-identifier offset within the arc.
-pub fn layered_position(anchor: u32, ident: u32) -> Id {
+/// The ring position of bucket `ident` in the arc at `base`, an
+/// [`arc_base`] — which a query hashes once for all of its buckets.
+pub fn position_in_arc(base: Id, ident: u32) -> Id {
     let mut bytes = [0u8; 11];
     bytes[..7].copy_from_slice(b"ars-pos");
     bytes[7..].copy_from_slice(&ident.to_be_bytes());
-    Id(arc_base(anchor).0 | (sha1_u32(&bytes) & ARC_MASK))
+    Id(base.0 | (sha1_u32(&bytes) & ARC_MASK))
+}
+
+/// The layered ring position of bucket `ident` under `anchor`:
+/// [`position_in_arc`] of the anchor's arc.
+pub fn layered_position(anchor: u32, ident: u32) -> Id {
+    position_in_arc(arc_base(anchor), ident)
 }
 
 #[cfg(test)]
@@ -81,6 +87,18 @@ mod tests {
         bases.sort_unstable();
         bases.dedup();
         assert_eq!(bases.len(), 64, "64 anchors produced colliding arcs");
+    }
+
+    #[test]
+    fn position_in_arc_is_layered_position_given_the_base() {
+        let mut rng = ars_common::DetRng::new(24);
+        for _ in 0..1_000 {
+            let (anchor, ident) = (rng.next_u32(), rng.next_u32());
+            let base = arc_base(anchor);
+            let pos = position_in_arc(base, ident);
+            assert_eq!(pos, layered_position(anchor, ident));
+            assert_eq!(pos.0 & !ARC_MASK, base.0, "position left its arc");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::bucket::{Best, Match};
 use crate::config::{Placement, PlacementMode, SystemConfig};
 use crate::network::QueryOutcome;
-use ars_chord::{arc_base, layered_position, Id};
+use ars_chord::{arc_base, layered_position, position_in_arc, Id};
 use ars_common::DetRng;
 use ars_lsh::{HashGroups, RangeSet};
 use std::ops::Range;
@@ -189,16 +189,17 @@ pub(crate) fn targets(
     hashed_range: &RangeSet,
     placed: &[(u32, Id)],
 ) -> Targets {
-    let anchor = anchors.map(|sketch| anchor_of(sketch, hashed_range));
+    // The arc every store and the one key hang off, hashed once a query.
+    let arc = anchors.map(|sketch| arc_base(anchor_of(sketch, hashed_range)));
     let mut candidates: Vec<u32> = Vec::with_capacity(placed.len() + config.probes);
     let mut stores: Vec<(u32, Id)> = Vec::with_capacity(placed.len());
     for &(ident, own) in placed {
         if !candidates.contains(&ident) {
             candidates.push(ident);
-            stores.push((ident, anchor.map_or(own, |a| layered_position(a, ident))));
+            stores.push((ident, arc.map_or(own, |base| position_in_arc(base, ident))));
         }
     }
-    let Some(anchor) = anchor else {
+    let Some(arc) = arc else {
         return Targets {
             keys: (stores.iter().enumerate())
                 .map(|(i, &(_, position))| Key {
@@ -222,7 +223,7 @@ pub(crate) fn targets(
     }
     Targets {
         keys: vec![Key {
-            position: arc_base(anchor),
+            position: arc,
             reads: 0..candidates.len(),
             stores: 0..stores.len(),
             walk: config.walk_window,

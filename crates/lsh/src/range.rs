@@ -260,39 +260,44 @@ impl RangeSet {
     /// paper's §5.2 *query padding*; the paper evaluates `frac = 0.2`).
     ///
     /// The expansion is clamped to the `u32` domain and computed per
-    /// interval; overlapping expansions are re-normalized.
+    /// interval; overlapping expansions are re-normalized. A single
+    /// interval stays inline: no list is built, sorted or merged for it.
     pub fn pad(&self, frac: f64) -> RangeSet {
         assert!(frac >= 0.0, "padding fraction must be non-negative");
-        if frac == 0.0 {
-            return self.clone();
-        }
-        RangeSet::from_intervals(self.intervals().iter().map(|&(lo, hi)| {
+        let pad = |&(lo, hi): &(u32, u32)| {
             let width = (hi - lo) as u64 + 1;
             let pad = (width as f64 * frac).round() as u64;
             let new_lo = (lo as u64).saturating_sub(pad) as u32;
             let new_hi = ((hi as u64 + pad).min(u32::MAX as u64)) as u32;
             (new_lo, new_hi)
-        }))
+        };
+        match &self.0 {
+            _ if frac == 0.0 => self.clone(),
+            Repr::One(one) => RangeSet(Repr::One(pad(one))),
+            Repr::Many(many) => RangeSet::from_intervals(many.iter().map(pad)),
+        }
     }
 
     /// Contract every interval by `frac` of its width on each edge — the
     /// inward counterpart of [`RangeSet::pad`], used by multi-probe
     /// candidate generation to re-evaluate the min-hashes on slightly
     /// perturbed boundaries. Intervals that would vanish are dropped; the
-    /// result may be empty.
+    /// result may be empty. A single interval stays inline, as in `pad`.
     pub fn shrink(&self, frac: f64) -> RangeSet {
         assert!(frac >= 0.0, "shrink fraction must be non-negative");
-        if frac == 0.0 {
-            return self.clone();
-        }
-        RangeSet::from_intervals(self.intervals().iter().filter_map(|&(lo, hi)| {
+        let cut = |&(lo, hi): &(u32, u32)| {
             let width = (hi - lo) as u64 + 1;
             let cut = (width as f64 * frac).round() as u64;
             let new_lo = (lo as u64).saturating_add(cut);
             let new_hi = (hi as u64).saturating_sub(cut);
             (new_lo <= new_hi && new_hi <= u32::MAX as u64)
                 .then_some((new_lo as u32, new_hi as u32))
-        }))
+        };
+        match &self.0 {
+            _ if frac == 0.0 => self.clone(),
+            Repr::One(one) => cut(one).map_or_else(RangeSet::empty, |one| RangeSet(Repr::One(one))),
+            Repr::Many(many) => RangeSet::from_intervals(many.iter().filter_map(cut)),
+        }
     }
 
     /// True if every value of `self` is contained in `other`.
@@ -310,6 +315,45 @@ impl From<std::ops::RangeInclusive<u32>> for RangeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `pad` and `shrink` of one interval — computed inline — equal the
+        /// general arm (collect, sort, merge, re-wrap) run on the same
+        /// interval as a list: same rounding, same clamping at both ends of
+        /// the domain, same "vanished ⇒ empty".
+        #[test]
+        fn single_interval_pad_and_shrink_equal_the_general_arm(
+            a in any::<u32>(),
+            b in any::<u32>(),
+            end in 0u32..6,
+            frac in prop::sample::select(vec![0.0, 0.015625, 0.0625, 0.2, 0.25, 0.5, 0.9, 1.0, 3.7]),
+            narrow in any::<bool>(),
+        ) {
+            let (mut lo, mut hi) = (a.min(b), a.max(b));
+            if narrow {
+                hi = lo.saturating_add(b % 40);
+            }
+            match end {
+                0 => lo = 0,
+                1 => hi = u32::MAX,
+                2 => (lo, hi) = (0, hi - lo),
+                3 => (lo, hi) = (lo + (u32::MAX - hi), u32::MAX),
+                _ => {}
+            }
+            let width = (hi - lo) as u64 + 1;
+            let by = (width as f64 * frac).round() as u64;
+            let padded = (
+                (lo as u64).saturating_sub(by) as u32,
+                (hi as u64 + by).min(u32::MAX as u64) as u32,
+            );
+            let one = RangeSet::interval(lo, hi);
+            prop_assert_eq!(one.pad(frac), RangeSet::from_intervals([padded]));
+            let (cut_lo, cut_hi) = (lo as u64 + by, (hi as u64).saturating_sub(by));
+            let cut = (cut_lo <= cut_hi).then_some((cut_lo as u32, cut_hi as u32));
+            prop_assert_eq!(one.shrink(frac), RangeSet::from_intervals(cut));
+        }
+    }
 
     #[test]
     fn interval_basics() {

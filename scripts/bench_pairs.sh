@@ -9,13 +9,15 @@
 # own, and runs them in turn on every workload: odd pairs parent first,
 # even pairs change first. Prints, per workload and end-to-end metric, each
 # side's median and quartiles over the pairs and how many pairs each side
-# won, then `bench_e2e --compare` over each side's median-qps run. Exits
-# non-zero if a run was incorrect or the comparison reads `worse`.
+# won, then `bench_e2e --compare` over each side's median-qps run. A workload
+# whose outcome digest differs between the sides is marked `DIGEST CHANGED`
+# (table header and stderr). Exits non-zero if a run was incorrect or the
+# comparison reads `worse`.
 # SEED (default 0) is the trace seed of every run.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-    sed -n '2,14p' "$0" >&2
+    sed -n '2,16p' "$0" >&2
     exit 2
 fi
 parent_ref=$1 pairs=$2 seconds=$3
@@ -62,10 +64,18 @@ done
 
 # Per workload x metric: both sides' quartiles over the pairs, and the wins.
 for workload in "${workloads[@]}"; do
+    parent_digest=$(awk '$4 == "digest" { print $5 }' "$runs/parent.$workload.1.txt")
+    change_digest=$(awk '$4 == "digest" { print $5 }' "$runs/change.$workload.1.txt")
+    # An outcome-neutral change keeps every digest: say so where it did not,
+    # in the table and on stderr, which is what a log of a long run shows.
+    changed=""
+    if [ "$parent_digest" != "$change_digest" ]; then
+        changed=" DIGEST CHANGED"
+        echo "$workload: DIGEST CHANGED: parent $parent_digest, change $change_digest" >&2
+    fi
     echo
     echo "$workload: $pairs pairs, seed $seed, $seconds s;" \
-        "digest parent $(awk '$4 == "digest" { print $5 }' "$runs/parent.$workload.1.txt")" \
-        "change $(awk '$4 == "digest" { print $5 }' "$runs/change.$workload.1.txt")"
+        "digest parent $parent_digest change $change_digest$changed"
     for pair in $(seq 1 "$pairs"); do
         for side in parent change; do
             awk -v side=$side -v pair="$pair" 'NF == 4 { print side, pair, $2, $3 }' \

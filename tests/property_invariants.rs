@@ -216,6 +216,43 @@ proptest! {
         }
     }
 
+    /// The probe ladder stops inside the rung that settles its budget, and
+    /// what it returns is still the head of the ladder run to its end (a
+    /// budget past anything it can produce never stops it): every family,
+    /// `k` on both sides of `FUSED_MAX_K`, widths whose δ-fractions round
+    /// to nothing, ranges at either end of the domain.
+    #[test]
+    fn probe_ladder_stops_without_changing_the_ranking(
+        kind in prop::sample::select(vec![
+            LshFamilyKind::MinWise,
+            LshFamilyKind::ApproxMinWise,
+            LshFamilyKind::Linear,
+            LshFamilyKind::LinearDomain,
+        ]),
+        k in prop::sample::select(vec![1usize, 8, 20, 70]),
+        l in prop::sample::select(vec![1usize, 5]),
+        seed in any::<u64>(),
+        width in prop::sample::select(vec![1u32, 2, 3, 50, 1_000, 30_000]),
+        edge in 0u32..3,
+        start in any::<u32>(),
+    ) {
+        let lo = match edge {
+            0 => 0,
+            1 => u32::MAX - (width - 1),
+            _ => start.min(u32::MAX - width),
+        };
+        let q = RangeSet::interval(lo, lo + (width - 1));
+        let groups = HashGroups::generate(kind, k, l, &mut DetRng::new(seed));
+        let full = groups.probe_candidates(&q, 10_000);
+        for budget in [0usize, 1, 15, 16, 17, 64] {
+            prop_assert_eq!(
+                &groups.probe_candidates(&q, budget)[..],
+                &full[..budget.min(full.len())],
+                "{} k {} l {} budget {} on {}", kind, k, l, budget, q
+            );
+        }
+    }
+
     /// Layered recall is monotone in the probe budget: against a fixed
     /// stored partition (no cache-on-miss, so query order is irrelevant),
     /// a bigger budget checks a superset of candidate buckets, so the
