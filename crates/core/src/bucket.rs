@@ -8,11 +8,29 @@
 use crate::config::MatchMeasure;
 use ars_lsh::RangeSet;
 
-/// The stored partitions of one identifier.
+/// The stored partitions of one identifier, in insertion order: one
+/// `(lo, hi)` pair a partition, scanned as a flat array. A set that is not
+/// one interval (empty or several: wire and test inputs, never the
+/// paper's workloads) holds its slot with [`SPILLED`] and is kept in
+/// `spilled` under the slot's number, so store order and the
+/// earliest-wins tie rule see it where it was stored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bucket {
-    ranges: Vec<RangeSet>,
+    pairs: Vec<(u32, u32)>,
+    /// By ascending slot; boxed and `None` while empty, so the common
+    /// bucket pays one word for it.
+    #[allow(clippy::box_collection)]
+    spilled: Option<Box<Vec<(usize, RangeSet)>>>,
 }
+
+/// A spilled slot's pair: `lo > hi`, so no interval equals it.
+const SPILLED: (u32, u32) = (1, 0);
+
+const _: () = assert!(std::mem::size_of::<Bucket>() <= 32);
+
+/// A scan's running best across buckets: a bucket, a slot in it, and the
+/// slot's score.
+pub(crate) type Running<'a> = Option<(&'a Bucket, usize, f64)>;
 
 /// A candidate match found in a bucket.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,50 +88,119 @@ impl Bucket {
     /// Insert a partition range. Duplicate ranges are kept once.
     /// Returns true if the range was newly inserted.
     pub fn insert(&mut self, range: RangeSet) -> bool {
-        if self.ranges.contains(&range) {
+        if self.contains(&range) {
             return false;
         }
-        self.ranges.push(range);
+        let pair = match *range.intervals() {
+            [pair] => pair,
+            _ => {
+                (self.spilled.get_or_insert_default()).push((self.pairs.len(), range));
+                SPILLED
+            }
+        };
+        self.pairs.push(pair);
         true
     }
 
     /// Stored ranges, in insertion order.
-    pub fn ranges(&self) -> &[RangeSet] {
-        &self.ranges
+    pub fn ranges(&self) -> impl Iterator<Item = RangeSet> + '_ {
+        (0..self.pairs.len()).map(|slot| self.range(slot))
+    }
+
+    /// The range in `slot`.
+    fn range(&self, slot: usize) -> RangeSet {
+        match (self.pairs[slot], &self.spilled) {
+            (SPILLED, Some(spilled)) => spilled[spilled.partition_point(|s| s.0 < slot)].1.clone(),
+            ((lo, hi), _) => RangeSet::interval(lo, hi),
+        }
     }
 
     /// Number of stored partitions.
     pub fn len(&self) -> usize {
-        self.ranges.len()
+        self.pairs.len()
     }
 
     /// True if the bucket holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.pairs.is_empty()
     }
 
     /// Best match for `query` under `measure`, or `None` when the bucket is
     /// empty. Ties keep the earliest-stored partition (deterministic).
     pub fn best_match(&self, query: &RangeSet, measure: MatchMeasure) -> Option<Match> {
-        best_of(self.ranges.iter(), query, measure)
+        winner(self.scan(None, query, measure))
     }
 
     /// True if the bucket holds this exact range.
     pub fn contains(&self, range: &RangeSet) -> bool {
-        self.ranges.contains(range)
+        self.slot_of(range).is_some()
+    }
+
+    /// The slot holding exactly `range`.
+    fn slot_of(&self, range: &RangeSet) -> Option<usize> {
+        match *range.intervals() {
+            [pair] => self.pairs.iter().position(|&p| p == pair),
+            _ => (self.spilled.as_ref()?.iter())
+                .find(|(_, r)| r == range)
+                .map(|&(slot, _)| slot),
+        }
     }
 
     /// Remove this exact range. Returns true if it was present — the
     /// key-migration and durable-eviction paths need removal to be
     /// observable so logs and ledgers stay exact.
     pub fn remove(&mut self, range: &RangeSet) -> bool {
-        match self.ranges.iter().position(|r| r == range) {
-            Some(at) => {
-                self.ranges.remove(at);
-                true
-            }
-            None => false,
+        let Some(slot) = self.slot_of(range) else {
+            return false;
+        };
+        self.pairs.remove(slot);
+        if let Some(spilled) = &mut self.spilled {
+            spilled.retain(|&(s, _)| s != slot);
+            spilled
+                .iter_mut()
+                .for_each(|(s, _)| *s -= usize::from(*s > slot));
         }
+        self.spilled = self.spilled.take().filter(|spilled| !spilled.is_empty());
+        true
+    }
+
+    /// One leg of a scan across buckets: the running `best` carried
+    /// through this bucket's slots in order. Strictly better scores
+    /// replace it, so across buckets, too, the earliest wins ties.
+    ///
+    /// A stored interval against a one-interval query is scored in closed
+    /// form — the same `u64` overlap and union and the same `u64 → f64`
+    /// division [`score`] reaches through `RangeSet`'s merge scan, so the
+    /// two agree to the bit; anything else goes through [`score`].
+    pub(crate) fn scan<'a>(
+        &'a self,
+        best: Running<'a>,
+        query: &RangeSet,
+        measure: MatchMeasure,
+    ) -> Running<'a> {
+        // Scores are never negative, so -1 loses to any first candidate.
+        let (mut won, mut top) = (None, best.map_or(-1.0, |(_, _, s)| s));
+        let single = match *query.intervals() {
+            [(lo, hi)] => Some((lo, hi, (hi - lo) as u64 + 1)),
+            _ => None,
+        };
+        for (slot, &pair) in self.pairs.iter().enumerate() {
+            let s = match (single, pair) {
+                (Some((qlo, qhi, q_len)), (lo, hi)) if pair != SPILLED => {
+                    let inter = (qhi.min(hi) as u64 + 1).saturating_sub(qlo.max(lo) as u64);
+                    let denom = match measure {
+                        MatchMeasure::Jaccard => q_len + ((hi - lo) as u64 + 1) - inter,
+                        MatchMeasure::Containment => q_len,
+                    };
+                    inter as f64 / denom as f64
+                }
+                _ => score(query, &self.range(slot), measure),
+            };
+            if s > top {
+                (won, top) = (Some(slot), s);
+            }
+        }
+        won.map_or(best, |slot| Some((self, slot, top)))
     }
 }
 
@@ -132,59 +219,26 @@ pub fn best_of<'a, I: Iterator<Item = &'a RangeSet>>(
     query: &RangeSet,
     measure: MatchMeasure,
 ) -> Option<Match> {
-    winner(best_from(None, candidates, query, measure))
-}
-
-/// The running best of a finished scan as a [`Match`] — the one clone.
-pub(crate) fn winner(best: Option<(&RangeSet, f64)>) -> Option<Match> {
+    let mut best: Option<(&RangeSet, f64)> = None;
+    for r in candidates {
+        let s = score(query, r, measure);
+        if best.is_none_or(|(_, b)| s > b) {
+            best = Some((r, s));
+        }
+    }
     best.map(|(range, score)| Match {
         range: range.clone(),
         score,
     })
 }
 
-/// One leg of a scan that [`best_of`] would make in one go: the running
-/// `best` — a candidate by reference and its score — carried through
-/// `candidates`. Strictly better scores replace it, so across legs, too,
-/// the earliest candidate wins ties.
-///
-/// A one-interval candidate against a one-interval query is scored in
-/// closed form — the same `u64` overlap and union and the same
-/// `u64 → f64` division [`score`] reaches through `RangeSet`'s merge
-/// scan, so the two agree to the bit; anything else goes through
-/// [`score`].
-pub(crate) fn best_from<'a, I: Iterator<Item = &'a RangeSet>>(
-    mut best: Option<(&'a RangeSet, f64)>,
-    candidates: I,
-    query: &RangeSet,
-    measure: MatchMeasure,
-) -> Option<(&'a RangeSet, f64)> {
-    let single = match *query.intervals() {
-        [(lo, hi)] => Some((lo, hi, (hi - lo) as u64 + 1)),
-        _ => None,
-    };
-    for r in candidates {
-        let s = match (single, r.intervals()) {
-            (Some((qlo, qhi, q_len)), &[(lo, hi)]) => {
-                let (ilo, ihi) = (qlo.max(lo), qhi.min(hi));
-                let inter = if ilo <= ihi {
-                    (ihi - ilo) as u64 + 1
-                } else {
-                    0
-                };
-                let denom = match measure {
-                    MatchMeasure::Jaccard => q_len + ((hi - lo) as u64 + 1) - inter,
-                    MatchMeasure::Containment => q_len,
-                };
-                inter as f64 / denom as f64
-            }
-            _ => score(query, r, measure),
-        };
-        if best.is_none_or(|(_, b)| s > b) {
-            best = Some((r, s));
-        }
-    }
-    best
+/// The running best of a finished scan as a [`Match`]: the one place the
+/// winner's `RangeSet` is built.
+pub(crate) fn winner(best: Running<'_>) -> Option<Match> {
+    best.map(|(bucket, slot, score)| Match {
+        range: bucket.range(slot),
+        score,
+    })
 }
 
 #[cfg(test)]

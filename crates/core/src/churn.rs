@@ -46,14 +46,14 @@
 //! point as the oracle sweep, which is the whole partition-tolerance
 //! story: degraded availability during the window, convergence after it.
 
-use crate::bucket::Match;
+use crate::bucket::{Bucket, Match};
 use crate::config::SystemConfig;
 use crate::durable::{decode_range, digest_bytes, encode_range};
 use crate::network::{QueryOutcome, RangeSelectNetwork};
 use crate::peer::Peer;
 use crate::plan::{
-    anchor_sketch, hashed_range, identifiers_of, position, positions, resolve, targets, verdict,
-    Transport,
+    anchor_sketch, hashed_range, identifiers_of, position, positions, targets, verdict,
+    PlacementMemo, Transport,
 };
 use crate::resilient::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, FailureDetector, HedgePolicy,
@@ -104,6 +104,8 @@ pub struct ChurnNetwork {
     groups: HashGroups,
     /// The anchor sketch of layered placement ([`anchor_sketch`]).
     anchors: Option<HashGroups>,
+    /// Where queries place their identifiers.
+    placements: PlacementMemo,
     rng: DetRng,
     retry: RetryPolicy,
     resilience: ResilienceStats,
@@ -198,6 +200,7 @@ impl ChurnNetwork {
         }
         Ok(ChurnNetwork {
             anchors: anchor_sketch(&config),
+            placements: PlacementMemo::default(),
             config,
             chord,
             storage,
@@ -592,7 +595,7 @@ impl ChurnNetwork {
     fn positions<'a>(
         &'a self,
         ident: u32,
-        bucket: &'a [RangeSet],
+        bucket: impl Iterator<Item = RangeSet> + 'a,
     ) -> impl Iterator<Item = Id> + 'a {
         positions(&self.config, self.anchors.as_ref(), ident, bucket)
     }
@@ -777,7 +780,6 @@ impl ChurnNetwork {
                 .ok_or(ChordError::UnknownNode(succ))?
                 .entries()
                 .filter(|(ident, range)| self.position(*ident, range).in_open_closed(pred, new))
-                .map(|(ident, range)| (ident, range.clone()))
                 .collect();
             // Move each migrating entry through the evict/store choke
             // points so both peers' durable logs record the transfer.
@@ -988,9 +990,8 @@ impl ChurnNetwork {
         let mut peer_ids: Vec<u32> = self.storage.keys().copied().collect();
         peer_ids.sort_unstable();
         'sweep: for p in peer_ids {
-            let mut idents: Vec<u32> = self.storage[&p].entries().map(|(i, _)| i).collect();
+            let mut idents: Vec<u32> = self.storage[&p].buckets().map(|(i, _)| i).collect();
             idents.sort_unstable();
-            idents.dedup();
             for ident in idents {
                 // Where each held copy belongs, and the owners those sets
                 // name in first-seen order: one set for the whole bucket
@@ -1038,11 +1039,11 @@ impl ChurnNetwork {
                     // push only what belongs there and it is missing.
                     let missing: Vec<RangeSet> = {
                         let dst_bucket = self.storage.get(&owner.0).and_then(|d| d.bucket(ident));
-                        (self.held(p, ident).iter().zip(&belongs))
+                        (self.held(p, ident).zip(&belongs))
                             .filter(|(r, to)| {
                                 to.contains(&owner) && !dst_bucket.is_some_and(|d| d.contains(r))
                             })
-                            .map(|(r, _)| r.clone())
+                            .map(|(r, _)| r)
                             .collect()
                     };
                     for range in missing {
@@ -1063,9 +1064,9 @@ impl ChurnNetwork {
     }
 
     /// The ranges `peer` holds under `identifier`, in bucket order.
-    fn held(&self, peer: u32, identifier: u32) -> &[RangeSet] {
+    fn held(&self, peer: u32, identifier: u32) -> impl Iterator<Item = RangeSet> + '_ {
         let bucket = self.storage.get(&peer).and_then(|p| p.bucket(identifier));
-        bucket.map_or(&[], |b| b.ranges())
+        bucket.into_iter().flat_map(Bucket::ranges)
     }
 
     /// Run [`Self::anti_entropy_round`]s until a round transfers nothing
@@ -1094,7 +1095,7 @@ impl ChurnNetwork {
                 let mut digest =
                     0x9e37_79b9_7f4a_7c15u64 ^ (bucket.len() as u64).wrapping_mul(0x100_0000_01b3);
                 for range in bucket.ranges() {
-                    digest ^= digest_bytes(&encode_range(range));
+                    digest ^= digest_bytes(&encode_range(&range));
                 }
                 digest
             }
@@ -1201,24 +1202,23 @@ impl ChurnNetwork {
         let mut pairs: Vec<(u32, Id, RangeSet, Vec<usize>)> = Vec::new();
         let mut scanned = 0u64;
         {
-            let mut seen: std::collections::HashMap<(u32, &RangeSet), usize> =
-                std::collections::HashMap::new();
+            let mut seen: FxHashMap<(u32, RangeSet), usize> = FxHashMap::default();
             for (&pid, peer) in &self.storage {
                 if arc.is_some_and(|a| !a.peers.contains(&Id(pid))) {
                     continue;
                 }
                 let island = self.chord.island_of(Id(pid));
                 for (ident, bucket) in peer.buckets() {
-                    let ranges = bucket.ranges();
-                    for (range, key) in ranges.iter().zip(self.positions(ident, ranges)) {
+                    let keys = self.positions(ident, bucket.ranges());
+                    for (range, key) in bucket.ranges().zip(keys) {
                         if arc.is_some_and(|a| !key.in_open_closed(a.after, a.through)) {
                             continue;
                         }
                         scanned += 1;
                         match seen.entry((ident, range)) {
                             std::collections::hash_map::Entry::Vacant(v) => {
-                                v.insert(pairs.len());
-                                pairs.push((ident, key, range.clone(), vec![island]));
+                                pairs.push((ident, key, v.key().1.clone(), vec![island]));
+                                v.insert(pairs.len() - 1);
                             }
                             std::collections::hash_map::Entry::Occupied(o) => {
                                 let islands = &mut pairs[*o.get()].3;
@@ -1360,7 +1360,7 @@ impl ChurnNetwork {
     pub fn query_resilient(&mut self, q: &RangeSet) -> QueryOutcome {
         let hashed_range = hashed_range(q, self.config.padding);
         let anchors = self.anchors.as_ref();
-        let placed = resolve(&self.config, &self.groups, anchors, &hashed_range);
+        let placed = (self.placements).resolve(&self.config, &self.groups, anchors, &hashed_range);
         let identifiers = identifiers_of(&placed);
         let targets = targets(&self.config, &self.groups, anchors, &hashed_range, &placed);
         self.telemetry.counter_add("resilient.queries", 1);

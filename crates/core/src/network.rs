@@ -11,8 +11,8 @@
 use crate::config::SystemConfig;
 use crate::peer::Peer;
 use crate::plan::{
-    anchor_sketch, hashed_range, identifiers_of, place_identifier, position, resolve, targets,
-    verdict, Placed, Targets, Transport,
+    anchor_sketch, hashed_range, identifiers_of, place_identifier, position, targets, verdict,
+    Placed, PlacementMemo, Targets, Transport,
 };
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap};
@@ -169,7 +169,7 @@ impl IdentifierCache {
     }
 
     /// Look up with hit accounting; `None` leaves the miss for the caller
-    /// to record once it has [`resolve`]d the range.
+    /// to record once it has [resolved](PlacementMemo::resolve) the range.
     pub(crate) fn get_hit(&mut self, range: &RangeSet) -> Option<Placed> {
         let placed = self.map.get(range)?;
         self.hits += 1;
@@ -545,6 +545,8 @@ pub struct RangeSelectNetwork {
     pub(crate) rng: DetRng,
     pub(crate) stats: NetworkStats,
     pub(crate) ident_cache: IdentifierCache,
+    /// Where the identifier cache's misses are placed.
+    placements: PlacementMemo,
     pub(crate) telemetry: Telemetry,
 }
 
@@ -597,6 +599,7 @@ impl RangeSelectNetwork {
             rng,
             stats: NetworkStats::default(),
             ident_cache,
+            placements: PlacementMemo::default(),
             telemetry: Telemetry::noop(),
         }
     }
@@ -624,6 +627,7 @@ impl RangeSelectNetwork {
             rng,
             stats: NetworkStats::default(),
             ident_cache,
+            placements: PlacementMemo::default(),
             telemetry: Telemetry::noop(),
         }
     }
@@ -726,7 +730,8 @@ impl RangeSelectNetwork {
                 self.ident_cache.note_miss();
                 self.telemetry.counter_add("core.ident_cache.misses", 1);
                 let anchors = self.anchors.as_ref();
-                let placed = resolve(&self.config, &self.groups, anchors, &hashed_range);
+                let placed =
+                    (self.placements).resolve(&self.config, &self.groups, anchors, &hashed_range);
                 let evicted = self
                     .ident_cache
                     .insert(hashed_range.clone(), placed.clone());
@@ -848,6 +853,7 @@ impl RangeSelectNetwork {
 mod tests {
     use super::*;
     use crate::config::{MatchMeasure, PlacementMode};
+    use crate::plan::resolve;
     use ars_lsh::LshFamilyKind;
 
     fn r(lo: u32, hi: u32) -> RangeSet {
@@ -1468,7 +1474,8 @@ mod tests {
                 let each: Vec<Id> = (bucket.iter())
                     .map(|range| position(config, anchors, ident, range))
                     .collect();
-                let swept: Vec<Id> = positions(config, anchors, ident, &bucket).collect();
+                let swept: Vec<Id> =
+                    positions(config, anchors, ident, bucket.iter().cloned()).collect();
                 assert_eq!(swept, each);
             }
         }

@@ -1,6 +1,6 @@
 //! Per-peer storage state: identifier buckets and the §5.3 local index.
 
-use crate::bucket::{best_from, best_of, winner, Bucket, Match};
+use crate::bucket::{winner, Bucket, Match};
 use crate::config::MatchMeasure;
 use crate::index::IntervalIndex;
 use ars_chord::Id;
@@ -88,11 +88,11 @@ impl Peer {
         if let Some(index) = &self.index {
             return (index.best_match(query, measure), self.partitions);
         }
-        // One slice scan per bucket, the running best carried across them.
+        // One flat scan per bucket, the running best carried across them.
         let (mut best, mut scan_len) = (None, 0);
         for bucket in identifiers.iter().filter_map(|i| self.buckets.get(i)) {
             scan_len += bucket.len();
-            best = best_from(best, bucket.ranges().iter(), query, measure);
+            best = bucket.scan(best, query, measure);
         }
         (winner(best), scan_len)
     }
@@ -116,11 +116,7 @@ impl Peer {
         query: &RangeSet,
         measure: MatchMeasure,
     ) -> Option<Match> {
-        best_of(
-            self.buckets.values().flat_map(|b| b.ranges().iter()),
-            query,
-            measure,
-        )
+        winner((self.buckets.values()).fold(None, |best, b| b.scan(best, query, measure)))
     }
 
     /// Total partitions stored at this peer (the load metric of Fig. 11).
@@ -168,7 +164,7 @@ impl Peer {
         if let Some(index) = &mut self.index {
             *index = IntervalIndex::new();
             for r in self.buckets.values().flat_map(Bucket::ranges) {
-                index.insert(r.clone());
+                index.insert(r);
             }
         }
         true
@@ -177,9 +173,9 @@ impl Peer {
     /// Iterate over all stored (identifier, range) pairs without consuming
     /// them — the re-replication sweep reads every peer's inventory to
     /// restore the successor-replication invariant after churn.
-    pub fn entries(&self) -> impl Iterator<Item = (u32, &RangeSet)> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = (u32, RangeSet)> + '_ {
         self.buckets()
-            .flat_map(|(ident, bucket)| bucket.ranges().iter().map(move |r| (ident, r)))
+            .flat_map(|(ident, bucket)| bucket.ranges().map(move |r| (ident, r)))
     }
 
     /// The non-empty buckets with their identifiers, in the order
@@ -194,9 +190,7 @@ impl Peer {
     pub fn drain(&mut self) -> Vec<(u32, RangeSet)> {
         let mut out = Vec::new();
         for (ident, bucket) in self.buckets.drain() {
-            for r in bucket.ranges() {
-                out.push((ident, r.clone()));
-            }
+            out.extend(bucket.ranges().map(|r| (ident, r)));
         }
         self.partitions = 0;
         if let Some(index) = &mut self.index {
@@ -295,7 +289,7 @@ mod tests {
         p.store(7, r(0, 10));
         p.store(7, r(20, 30));
         p.store(9, r(100, 110));
-        let mut seen: Vec<(u32, RangeSet)> = p.entries().map(|(i, r)| (i, r.clone())).collect();
+        let mut seen: Vec<(u32, RangeSet)> = p.entries().collect();
         seen.sort_by(|a, b| (a.0, a.1.intervals()).cmp(&(b.0, b.1.intervals())));
         assert_eq!(seen, vec![(7, r(0, 10)), (7, r(20, 30)), (9, r(100, 110))]);
         assert_eq!(p.partition_count(), 3, "entries must not drain");

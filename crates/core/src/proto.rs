@@ -18,7 +18,7 @@ use crate::config::{MatchMeasure, SystemConfig};
 use crate::network::QueryOutcome;
 use crate::peer::Peer;
 use crate::plan::{
-    anchor_sketch, hashed_range, identifiers_of, resolve, targets, verdict, Transport,
+    anchor_sketch, hashed_range, identifiers_of, targets, verdict, PlacementMemo, Transport,
 };
 use ars_chord::{Id, Ring};
 use ars_common::DetRng;
@@ -476,6 +476,8 @@ pub struct ProtoNetwork {
     groups: HashGroups,
     /// The anchor sketch of layered placement ([`anchor_sketch`]).
     anchors: Option<HashGroups>,
+    /// Where queries place their identifiers.
+    placements: PlacementMemo,
     config: SystemConfig,
     sink: ReplySink,
     rng: DetRng,
@@ -517,6 +519,7 @@ impl ProtoNetwork {
             ring,
             groups,
             anchors: anchor_sketch(&config),
+            placements: PlacementMemo::default(),
             config,
             sink,
             rng,
@@ -587,7 +590,7 @@ impl ProtoNetwork {
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
         let hashed_range = hashed_range(q, self.config.padding);
         let anchors = self.anchors.as_ref();
-        let placed = resolve(&self.config, &self.groups, anchors, &hashed_range);
+        let placed = (self.placements).resolve(&self.config, &self.groups, anchors, &hashed_range);
         let targets = targets(&self.config, &self.groups, anchors, &hashed_range, &placed);
         let origin = self.rng.gen_index(self.ring.len());
         let reply_to = origin as u32;

@@ -196,8 +196,13 @@ impl BucketStore {
         }
     }
 
-    fn log_op(&mut self, tag: u8, ident: u32, payload: &[u8]) {
+    /// # Panics
+    /// Panics if the store crashed and has not been recovered since.
+    fn assert_live(&self) {
         assert!(!self.crashed, "store used after crash without recover()");
+    }
+
+    fn log_op(&mut self, tag: u8, ident: u32, payload: &[u8]) {
         let op = encode_op(tag, self.gen, ident, payload);
         let mut framed = Vec::new();
         append_record(&mut framed, &op);
@@ -216,7 +221,12 @@ impl BucketStore {
 
     /// Record the placement of `(ident, payload)`. Returns false (and
     /// writes nothing) if the entry is already present.
+    ///
+    /// # Panics
+    /// Panics, changing nothing, if the store crashed and has not been
+    /// [recovered](Self::recover) since.
     pub fn place(&mut self, ident: u32, payload: &[u8]) -> bool {
+        self.assert_live();
         if !self.state.insert((ident, payload.to_vec())) {
             return false;
         }
@@ -226,7 +236,12 @@ impl BucketStore {
 
     /// Record the eviction of `(ident, payload)`. Returns false (and
     /// writes nothing) if the entry was not present.
+    ///
+    /// # Panics
+    /// Panics, changing nothing, if the store crashed and has not been
+    /// [recovered](Self::recover) since.
     pub fn evict(&mut self, ident: u32, payload: &[u8]) -> bool {
+        self.assert_live();
         if !self.state.remove(&(ident, payload.to_vec())) {
             return false;
         }
@@ -244,8 +259,12 @@ impl BucketStore {
     /// op log. Subsequent ops are tagged with the new generation, so a
     /// recovery that cannot read this checkpoint will not misapply them
     /// to an older base.
+    ///
+    /// # Panics
+    /// Panics if the store crashed and has not been
+    /// [recovered](Self::recover) since.
     pub fn compact(&mut self) {
-        assert!(!self.crashed, "store used after crash without recover()");
+        self.assert_live();
         self.gen += 1;
         let mut framed = Vec::new();
         append_record(&mut framed, &encode_snapshot(self.gen, &self.state));
@@ -528,5 +547,19 @@ mod tests {
         let mut s = BucketStore::new(StoreConfig::default(), 7);
         s.crash();
         s.place(1, b"x");
+    }
+
+    #[test]
+    fn an_op_rejected_after_a_crash_changes_nothing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut s = BucketStore::new(StoreConfig::default(), 8);
+        s.place(1, b"kept");
+        s.crash();
+        let place = catch_unwind(AssertUnwindSafe(|| s.place(2, b"x")));
+        let evict = catch_unwind(AssertUnwindSafe(|| s.evict(1, b"kept")));
+        assert!(place.is_err() && evict.is_err(), "both rejected");
+        assert!(s.is_empty(), "memory untouched by the rejected ops");
+        assert_eq!(s.records_appended(), 1, "the log too");
+        assert_eq!(s.recover().entries, vec![(1, b"kept".to_vec())]);
     }
 }

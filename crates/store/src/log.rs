@@ -31,6 +31,9 @@ pub const RECORD_HEADER: usize = 8;
 pub const MAX_RECORD: usize = 1 << 24;
 
 /// Append one framed record to `out`.
+///
+/// # Panics
+/// Panics if `payload` is longer than [`MAX_RECORD`].
 pub fn append_record(out: &mut Vec<u8>, payload: &[u8]) {
     assert!(payload.len() <= MAX_RECORD, "record over MAX_RECORD");
     let len = payload.len() as u32;
@@ -79,12 +82,12 @@ enum ScanStep {
 }
 
 fn scan_one(image: &[u8], at: usize) -> ScanStep {
-    let remaining = image.len() - at;
-    if remaining < RECORD_HEADER {
+    let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = image.get(at..at + RECORD_HEADER) else {
         return ScanStep::Torn;
-    }
-    let len = u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(image[at + 4..at + 8].try_into().unwrap());
+    };
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+    let remaining = image.len() - at;
     if len > MAX_RECORD || len > remaining - RECORD_HEADER {
         return ScanStep::Torn;
     }

@@ -786,24 +786,97 @@ proptest! {
         for r in stored {
             bucket.insert(r);
         }
+        let ranges: Vec<RangeSet> = bucket.ranges().collect();
         for measure in [MatchMeasure::Jaccard, MatchMeasure::Containment] {
             let mut oracle: Option<(usize, f64)> = None;
-            for (i, r) in bucket.ranges().iter().enumerate() {
+            for (i, r) in ranges.iter().enumerate() {
                 let s = score(&query, r, measure);
                 if oracle.is_none_or(|(_, best)| s > best) {
                     oracle = Some((i, s));
                 }
             }
             let got = bucket.best_match(&query, measure);
-            prop_assert_eq!(&got, &best_of(bucket.ranges().iter(), &query, measure));
+            prop_assert_eq!(&got, &best_of(ranges.iter(), &query, measure));
             match (got, oracle) {
                 (None, None) => {}
                 (Some(m), Some((i, s))) => {
                     // Buckets hold a range once, so equal range = same slot.
-                    prop_assert_eq!(&m.range, &bucket.ranges()[i], "{:?} winner for {}", measure, query);
+                    prop_assert_eq!(&m.range, &ranges[i], "{:?} winner for {}", measure, query);
                     prop_assert_eq!(m.score.to_bits(), s.to_bits(), "{:?} score for {}", measure, query);
                 }
                 (got, oracle) => prop_assert!(false, "{:?} vs {:?}", got, oracle),
+            }
+        }
+    }
+}
+
+/// Sets for the bucket model: empty, one interval or two, with endpoints
+/// from a handful of anchors — both ends of the domain among them — so the
+/// same set recurs, scores tie and removals find what was inserted.
+fn model_range_strategy() -> impl Strategy<Value = RangeSet> {
+    const ANCHORS: [u32; 8] = [0, 1, 9, 10, 20, 30, u32::MAX - 1, u32::MAX];
+    let end = 0usize..8;
+    (0u8..3, end.clone(), end.clone(), end.clone(), end).prop_map(|(shape, a, b, c, d)| {
+        let span = |x: usize, y: usize| (ANCHORS[x.min(y)], ANCHORS[x.max(y)]);
+        match shape {
+            0 => RangeSet::empty(),
+            1 => RangeSet::from_intervals([span(a, b)]),
+            _ => RangeSet::from_intervals([span(a, b), span(c, d)]),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Bucket` against the plain `Vec<RangeSet>` it replaced: the same
+    /// answers to insert / remove / contains, the same length and
+    /// insertion order, and the same `best_match` — winner and score bits,
+    /// strict `>` in slot order — after every operation, for a
+    /// one-interval and a multi-interval query under both measures.
+    #[test]
+    fn bucket_matches_a_vec_of_rangesets(
+        ops in prop::collection::vec((0u8..3, model_range_strategy()), 0..41),
+        one in model_range_strategy(),
+        many in model_range_strategy(),
+    ) {
+        use ars::core::bucket::{score, Bucket};
+        let mut bucket = Bucket::new();
+        let mut model: Vec<RangeSet> = Vec::new();
+        let queries: Vec<RangeSet> = [one, many].into_iter().filter(|q| !q.is_empty()).collect();
+        for (op, range) in ops {
+            let at = model.iter().position(|r| *r == range);
+            match op {
+                0 => {
+                    prop_assert_eq!(bucket.insert(range.clone()), at.is_none(), "insert {}", range);
+                    if at.is_none() {
+                        model.push(range);
+                    }
+                }
+                1 => {
+                    prop_assert_eq!(bucket.remove(&range), at.is_some(), "remove {}", range);
+                    if let Some(at) = at {
+                        model.remove(at);
+                    }
+                }
+                _ => prop_assert_eq!(bucket.contains(&range), at.is_some(), "contains {}", range),
+            }
+            prop_assert_eq!(bucket.len(), model.len());
+            prop_assert_eq!(bucket.is_empty(), model.is_empty());
+            prop_assert_eq!(bucket.ranges().collect::<Vec<_>>(), model.clone());
+            for q in &queries {
+                for measure in [MatchMeasure::Jaccard, MatchMeasure::Containment] {
+                    let mut oracle: Option<(&RangeSet, f64)> = None;
+                    for r in &model {
+                        let s = score(q, r, measure);
+                        if oracle.is_none_or(|(_, best)| s > best) {
+                            oracle = Some((r, s));
+                        }
+                    }
+                    let got = bucket.best_match(q, measure);
+                    let got = got.as_ref().map(|m| (&m.range, m.score.to_bits()));
+                    prop_assert_eq!(got, oracle.map(|(r, s)| (r, s.to_bits())), "{:?} for {}", measure, q);
+                }
             }
         }
     }
