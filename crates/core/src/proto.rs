@@ -24,44 +24,33 @@ use ars_chord::{Id, Ring};
 use ars_common::DetRng;
 use ars_lsh::{HashGroups, RangeSet};
 use ars_simnet::codec::{
-    get_f64, get_seq, get_u32, get_u64, get_u8, put_f64, put_seq, put_u32, put_u64, put_u8,
-    CodecError, Wire,
+    frame_len, get_f64, get_seq, get_u32, get_u64, get_u8, put_f64, put_seq, put_u32, put_u64,
+    put_u8, CodecError, Sink, Wire,
 };
 use ars_simnet::{ConstantLatency, FaultPlan, Node, NodeCtx, SimNet, SimStats};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A serializable range (interval list).
-type WireRange = Vec<(u32, u32)>;
-
-fn to_wire(r: &RangeSet) -> WireRange {
-    r.intervals().to_vec()
-}
-
-/// Decoded ranges are well-formed ([`get_range`] rejects the rest), so
-/// this cannot hit [`RangeSet::from_intervals`]'s `lo <= hi` assertion.
-fn from_wire(w: &[(u32, u32)]) -> RangeSet {
-    RangeSet::from_intervals(w.iter().copied())
-}
-
-fn put_range(buf: &mut Vec<u8>, range: &WireRange) {
-    put_seq(buf, range, |b, &(lo, hi)| {
+/// A range goes on the wire as its canonical interval list.
+fn put_range(buf: &mut impl Sink, range: &RangeSet) {
+    put_seq(buf, range.intervals(), |b, &(lo, hi)| {
         put_u32(b, lo);
         put_u32(b, hi);
     });
 }
 
-/// Read an interval list, refusing an inverted interval: bytes off the
-/// wire are outside input, and the peer that handled `(9, 3)` would
-/// otherwise panic building the [`RangeSet`].
-fn get_range(buf: &mut &[u8]) -> Result<WireRange, CodecError> {
-    get_seq(buf, |b| {
+/// Read an interval list, refusing an inverted interval before it reaches
+/// [`RangeSet::from_intervals`]'s `lo <= hi` assertion: bytes off the wire
+/// are outside input. Overlapping or unsorted intervals are canonicalised.
+fn get_range(buf: &mut &[u8]) -> Result<RangeSet, CodecError> {
+    let intervals = get_seq(buf, |b| {
         let (lo, hi) = (get_u32(b)?, get_u32(b)?);
         if lo > hi {
             return Err(CodecError::BadLength(u64::from(lo - hi)));
         }
         Ok((lo, hi))
-    })
+    })?;
+    Ok(RangeSet::from_intervals(intervals))
 }
 
 /// Protocol messages.
@@ -87,7 +76,7 @@ pub enum ProtoMsg {
         /// Hops the request took to reach the owner.
         hops: u32,
         /// Best match, if the bucket was non-empty.
-        best: Option<(WireRange, f64)>,
+        best: Option<(RangeSet, f64)>,
     },
     /// Owner → origin: a `Store` was applied.
     StoreAck {
@@ -108,7 +97,7 @@ pub enum Payload {
         /// Peer index to reply to.
         origin: u32,
         /// The (already padded) query range.
-        range: WireRange,
+        range: RangeSet,
     },
     /// Cache a partition range under the identifier.
     Store {
@@ -117,7 +106,7 @@ pub enum Payload {
         /// Peer index to ack to.
         origin: u32,
         /// The partition range to store.
-        range: WireRange,
+        range: RangeSet,
     },
     /// Search several buckets at the owner, then at its ring successors:
     /// the arc read of layered placement. Every visited peer answers with
@@ -141,13 +130,13 @@ pub enum Payload {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArcRead {
     /// The (already padded) query range.
-    pub range: WireRange,
+    pub range: RangeSet,
     /// The bucket identifiers to search.
     pub candidates: Vec<u32>,
 }
 
 impl Wire for ProtoMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         match self {
             ProtoMsg::Route {
                 key,
@@ -229,7 +218,7 @@ impl Wire for ProtoMsg {
 }
 
 impl Wire for Payload {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         match self {
             Payload::FindMatch {
                 request,
@@ -380,7 +369,7 @@ impl PeerNode {
             request,
             identifier: ident,
             hops,
-            best: best.map(|m| (to_wire(&m.range), m.score)),
+            best: best.map(|m| (m.range, m.score)),
         };
         match payload {
             Payload::FindMatch {
@@ -388,8 +377,7 @@ impl PeerNode {
                 origin,
                 range,
             } => {
-                let q = from_wire(&range);
-                let (best, _) = self.storage.best_in_buckets(&[ident], &q, self.matching);
+                let (best, _) = (self.storage).best_in_buckets(&[ident], &range, self.matching);
                 ctx.send(origin as usize, reply(request, best));
             }
             Payload::Store {
@@ -397,7 +385,7 @@ impl PeerNode {
                 origin,
                 range,
             } => {
-                let stored = self.storage.store(ident, from_wire(&range));
+                let stored = self.storage.store(ident, range);
                 ctx.send(origin as usize, ProtoMsg::StoreAck { request, stored });
             }
             Payload::FindAcross {
@@ -406,8 +394,8 @@ impl PeerNode {
                 walk,
                 read,
             } => {
-                let q = from_wire(&read.range);
-                let (best, _) = (self.storage).best_in_buckets(&read.candidates, &q, self.matching);
+                let (best, _) =
+                    (self.storage).best_in_buckets(&read.candidates, &read.range, self.matching);
                 ctx.send(origin as usize, reply(request, best));
                 // `walk` came off the wire too: no walk visits a peer
                 // twice, whatever the bytes say.
@@ -454,10 +442,7 @@ impl Node<ProtoMsg> for PeerNode {
                     request,
                     identifier,
                     hops,
-                    best: best.map(|(range, score)| Match {
-                        range: from_wire(&range),
-                        score,
-                    }),
+                    best: best.map(|(range, score)| Match { range, score }),
                     replier: from,
                 });
             }
@@ -512,8 +497,8 @@ impl ProtoNetwork {
             .collect();
         let mut net = SimNet::new(nodes, ConstantLatency(50));
         // Meter wire bytes: the framed binary encoding is what a TCP
-        // deployment would move.
-        net.set_meter(|m: &ProtoMsg| ars_simnet::codec::frame(m).len() as u64);
+        // deployment would move, counted without building the frame.
+        net.set_meter(frame_len::<ProtoMsg>);
         ProtoNetwork {
             net,
             ring,
@@ -594,7 +579,6 @@ impl ProtoNetwork {
         let targets = targets(&self.config, &self.groups, anchors, &hashed_range, &placed);
         let origin = self.rng.gen_index(self.ring.len());
         let reply_to = origin as u32;
-        let range = to_wire(&hashed_range);
 
         // One envelope per planned key. A key that reads one bucket at its
         // owner alone is a `FindMatch`; any other is the arc read, which
@@ -612,14 +596,14 @@ impl ProtoNetwork {
                 ([_], 1) => Payload::FindMatch {
                     request,
                     origin: reply_to,
-                    range: range.clone(),
+                    range: hashed_range.clone(),
                 },
                 _ => Payload::FindAcross {
                     request,
                     origin: reply_to,
                     walk: walk as u32,
                     read: Box::new(ArcRead {
-                        range: range.clone(),
+                        range: hashed_range.clone(),
                         candidates: candidates.to_vec(),
                     }),
                 },
@@ -678,7 +662,7 @@ impl ProtoNetwork {
                 let payload = Payload::Store {
                     request: self.next_request,
                     origin: reply_to,
-                    range: range.clone(),
+                    range: hashed_range.clone(),
                 };
                 self.next_request += 1;
                 self.send(origin, ident, position, payload);
@@ -713,7 +697,7 @@ mod tests {
                 payload: Payload::FindMatch {
                     request: 42,
                     origin: 7,
-                    range: vec![(30, 50), (60, 70)],
+                    range: RangeSet::from_intervals([(30, 50), (60, 70)]),
                 },
             },
             ProtoMsg::Route {
@@ -723,7 +707,7 @@ mod tests {
                 payload: Payload::Store {
                     request: 9,
                     origin: 0,
-                    range: vec![(0, 0)],
+                    range: RangeSet::from_intervals([(0, 0)]),
                 },
             },
             ProtoMsg::Route {
@@ -735,7 +719,7 @@ mod tests {
                     origin: 2,
                     walk: 4,
                     read: Box::new(ArcRead {
-                        range: vec![(5, 9)],
+                        range: RangeSet::from_intervals([(5, 9)]),
                         candidates: vec![4, 0xFFFF_FFFF, 0],
                     }),
                 },
@@ -744,7 +728,7 @@ mod tests {
                 request: 42,
                 identifier: 5,
                 hops: 2,
-                best: Some((vec![(30, 50)], 0.75)),
+                best: Some((RangeSet::from_intervals([(30, 50)]), 0.75)),
             },
             ProtoMsg::MatchReply {
                 request: 43,
@@ -777,10 +761,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_inverted_interval() {
-        // `(9, 3)` cannot come out of `to_wire`; on the wire it is hostile
-        // input, and decoding it used to succeed and panic the first peer
-        // that built a `RangeSet` from it.
-        let bad: WireRange = vec![(0, 5), (9, 3)];
+        // `(9, 3)` is no `RangeSet`, so it is written over a valid frame's
+        // bytes; on the wire it is hostile input, and decoding it used to
+        // succeed and panic the first peer that built a `RangeSet` from it.
+        let marker = 0x5EED_CAFE_u32;
+        let bad = RangeSet::from_intervals([(0, 5), (9, marker)]);
         let route = |payload| ProtoMsg::Route {
             key: 1,
             ident: 2,
@@ -815,8 +800,13 @@ mod tests {
             },
         ];
         for m in &msgs {
+            let mut bytes = frame(m);
+            let at = (bytes.windows(4))
+                .position(|w| w == marker.to_be_bytes())
+                .unwrap();
+            bytes[at..at + 4].copy_from_slice(&3u32.to_be_bytes());
             assert_eq!(
-                deframe::<ProtoMsg>(&frame(m)).map(|(msg, _)| msg),
+                deframe::<ProtoMsg>(&bytes).map(|(msg, _)| msg),
                 Err(CodecError::BadLength(6)),
                 "{m:?}"
             );
@@ -833,7 +823,7 @@ mod tests {
                 payload: Payload::FindMatch {
                     request: 42,
                     origin: 3,
-                    range: vec![(30, 50), (60, 70)],
+                    range: RangeSet::from_intervals([(30, 50), (60, 70)]),
                 },
             },
             ProtoMsg::Route {
@@ -845,7 +835,7 @@ mod tests {
                     origin: 3,
                     walk: 4,
                     read: Box::new(ArcRead {
-                        range: vec![(30, 50)],
+                        range: r(30, 50),
                         candidates: vec![8, 9, 10],
                     }),
                 },
@@ -854,7 +844,7 @@ mod tests {
                 request: 42,
                 identifier: 5,
                 hops: 2,
-                best: Some((vec![(30, 50)], 0.75)),
+                best: Some((RangeSet::from_intervals([(30, 50)]), 0.75)),
             },
         ];
         for m in &msgs {
@@ -880,7 +870,7 @@ mod tests {
             for kind in 0..3 {
                 let mut net = ProtoNetwork::new(8, config.clone());
                 let ident = net.groups.identifiers(&q)[0];
-                let (request, range) = (1, to_wire(&q));
+                let (request, range) = (1, q.clone());
                 let payload = match kind {
                     0 => Payload::FindMatch {
                         request,
@@ -941,7 +931,7 @@ mod tests {
                     origin: 2,
                     walk,
                     read: Box::new(ArcRead {
-                        range: to_wire(&q),
+                        range: q.clone(),
                         candidates: vec![1, 2, 3],
                     }),
                 },

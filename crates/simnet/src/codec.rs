@@ -3,11 +3,13 @@
 //! The simulator moves typed values between nodes, but a real deployment
 //! needs a concrete encoding. [`Wire`] defines one:
 //! length-prefixed frames (u32 big-endian length, then the payload), with
-//! primitive big-endian `put_*` / length-checked `get_*` helpers over
-//! plain bytes — an encoder appends to a `Vec<u8>`, a decoder advances a
-//! `&[u8]` cursor — that protocol crates use to implement [`Wire`] for
-//! their message enums. Round-trip property tests in `ars-core` exercise
-//! the full protocol encoding.
+//! primitive big-endian `put_*` / length-checked `get_*` helpers that
+//! protocol crates use to implement [`Wire`] for their message enums. A
+//! decoder advances a `&[u8]` cursor; an encoder writes into a [`Sink`]:
+//! a `Vec<u8>` keeps the bytes ([`frame`]), a [`Counter`] only counts them
+//! ([`frame_len`]), so the format is written once and the simulator meters
+//! a message without building its frame. Round-trip and property tests
+//! exercise the full protocol encoding and hold the count equal to the frame.
 
 /// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,10 +41,32 @@ impl std::error::Error for CodecError {}
 /// frames allocating gigabytes.
 pub const MAX_LEN: u64 = 16 * 1024 * 1024;
 
+/// Where an encoder writes its bytes.
+pub trait Sink {
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A [`Sink`] that keeps no bytes, only their number.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counter(pub u64);
+
+impl Sink for Counter {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
 /// Types with a binary wire encoding.
 pub trait Wire: Sized {
     /// Append the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    fn encode<S: Sink>(&self, buf: &mut S);
     /// Decode a value, consuming exactly its bytes from `buf`.
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError>;
 }
@@ -58,6 +82,13 @@ pub fn frame<M: Wire>(msg: &M) -> Vec<u8> {
     let len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&len.to_be_bytes());
     out
+}
+
+/// The length of [`frame`]`(msg)`, counted without building it.
+pub fn frame_len<M: Wire>(msg: &M) -> u64 {
+    let mut len = Counter(4);
+    msg.encode(&mut len);
+    len.0
 }
 
 /// Strip a frame and decode its message. Returns the message and any
@@ -82,23 +113,23 @@ fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
 }
 
 /// Write a `u8`.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+pub fn put_u8(buf: &mut impl Sink, v: u8) {
+    buf.put(&[v]);
 }
 
 /// Write a `u32` (big-endian).
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
+pub fn put_u32(buf: &mut impl Sink, v: u32) {
+    buf.put(&v.to_be_bytes());
 }
 
 /// Write a `u64` (big-endian).
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_be_bytes());
+pub fn put_u64(buf: &mut impl Sink, v: u64) {
+    buf.put(&v.to_be_bytes());
 }
 
 /// Write an `f64` (big-endian IEEE-754 bits).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_be_bytes());
+pub fn put_f64(buf: &mut impl Sink, v: f64) {
+    buf.put(&v.to_be_bytes());
 }
 
 /// Read a `u8`, checking length.
@@ -122,9 +153,9 @@ pub fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
 }
 
 /// Write a length-prefixed string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub fn put_str(buf: &mut impl Sink, s: &str) {
     put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+    buf.put(s.as_bytes());
 }
 
 /// Read a length-prefixed string.
@@ -141,7 +172,7 @@ pub fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
 }
 
 /// Write a length-prefixed list.
-pub fn put_seq<T>(buf: &mut Vec<u8>, items: &[T], mut f: impl FnMut(&mut Vec<u8>, &T)) {
+pub fn put_seq<S: Sink, T>(buf: &mut S, items: &[T], mut f: impl FnMut(&mut S, &T)) {
     put_u32(buf, items.len() as u32);
     for it in items {
         f(buf, it);
@@ -176,7 +207,7 @@ mod tests {
     }
 
     impl Wire for Ping {
-        fn encode(&self, buf: &mut Vec<u8>) {
+        fn encode<S: Sink>(&self, buf: &mut S) {
             put_u64(buf, self.id);
             put_str(buf, &self.tag);
             put_seq(buf, &self.data, |b, v| put_u32(b, *v));
@@ -228,6 +259,18 @@ mod tests {
         let (decoded, rest) = deframe::<Ping>(&framed).unwrap();
         assert_eq!(decoded, p);
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn counted_length_is_the_frame_length() {
+        for data in [vec![], vec![7], vec![1, 2, 3, u32::MAX]] {
+            let p = Ping {
+                id: 3,
+                tag: "τ".repeat(data.len()),
+                data,
+            };
+            assert_eq!(frame_len(&p), frame(&p).len() as u64);
+        }
     }
 
     #[test]

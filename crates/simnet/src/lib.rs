@@ -11,7 +11,9 @@
 //!   relies on.
 //! * [`codec`] — a small binary wire format (length-prefixed frames over
 //!   plain `Vec<u8>` / `&[u8]`) so protocol messages have a concrete
-//!   encoding, exercised by round-trip tests.
+//!   encoding, exercised by round-trip tests; the same encoder counts a
+//!   frame's bytes without building it, which is what the simulator
+//!   meters.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   (drop, duplication, extra delay, node crash/pause windows, scheduled
 //!   network partitions, and gray-failure slow windows) executed by the

@@ -103,6 +103,8 @@ pub struct SimNet<M, L: LatencyModel> {
     faults: Option<FaultInjector>,
     /// Optional wire meter: bytes a message would occupy on the wire.
     meter: Option<WireMeter<M>>,
+    /// The handler's sends, reused from delivery to delivery.
+    outbox: Vec<(usize, M)>,
 }
 
 impl<M: Clone, L: LatencyModel> SimNet<M, L> {
@@ -116,21 +118,16 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
             stats: SimStats::default(),
             faults: None,
             meter: None,
+            outbox: Vec::new(),
         }
     }
 
-    /// Install a wire meter: called once per sent message; the returned
-    /// size accumulates in [`SimStats::bytes`]. Typically the framed
-    /// encoding length (`ars_simnet::codec::frame(msg).len()`).
+    /// Install a wire meter: called once per send attempt that is not
+    /// lost, its size counted once per copy in [`SimStats::bytes`].
+    /// Typically the framed encoding length, counted without building the
+    /// frame ([`crate::codec::frame_len`]).
     pub fn set_meter(&mut self, f: impl FnMut(&M) -> u64 + 'static) {
         self.meter = Some(Box::new(f));
-    }
-
-    fn metered(&mut self, msg: &M) -> u64 {
-        match &mut self.meter {
-            Some(f) => f(msg),
-            None => 0,
-        }
     }
 
     /// Install a fault plan: every message (injected or sent by a handler)
@@ -155,40 +152,48 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
     /// for injections, the handling delivery's time for handler sends).
     fn transmit(&mut self, at: SimTime, from: usize, to: usize, msg: M) {
         assert!(to < self.nodes.len(), "destination {to} out of range");
-        let action = match &mut self.faults {
-            Some(inj) => inj.on_send(from, to, at),
-            None => FaultAction::Deliver(vec![0]),
-        };
-        match action {
-            FaultAction::Drop => {
+        let action = self.faults.as_mut().map(|inj| inj.on_send(from, to, at));
+        // Each copy's extra delay; no injector is one clean copy.
+        let extras: &[SimTime] = match &action {
+            None => &[0],
+            Some(FaultAction::Deliver(extras)) => extras,
+            Some(FaultAction::Drop) => {
                 self.stats.sent += 1;
                 self.stats.dropped += 1;
+                return;
             }
-            FaultAction::Partitioned => {
+            Some(FaultAction::Partitioned) => {
                 self.stats.sent += 1;
                 self.stats.partitioned += 1;
+                return;
             }
-            FaultAction::Deliver(extras) => {
-                // Gray failure: a slowed endpoint serves at a multiple of
-                // the model latency (the copy is still delivered).
-                let factor = self
-                    .faults
-                    .as_ref()
-                    .map_or(1, |inj| inj.slow_factor(from, to, at));
-                for extra in extras {
-                    self.stats.sent += 1;
-                    self.stats.queued += 1;
-                    self.stats.bytes += self.metered(&msg);
-                    let lat = self.latency.latency(from, to) * factor;
-                    if factor > 1 {
-                        self.stats.slowed += 1;
-                        if let Some(inj) = &mut self.faults {
-                            inj.note_slowed();
-                        }
-                    }
-                    self.queue.schedule(at + lat + extra, from, to, msg.clone());
+        };
+        // Gray failure: a slowed endpoint serves at a multiple of the
+        // model latency (the copy is still delivered).
+        let factor = (self.faults.as_ref()).map_or(1, |inj| inj.slow_factor(from, to, at));
+        let copies = extras.len() as u64;
+        let size = self.meter.as_mut().map_or(0, |meter| meter(&msg));
+        self.stats.sent += copies;
+        self.stats.queued += copies;
+        self.stats.bytes += size * copies;
+        if factor > 1 {
+            self.stats.slowed += copies;
+            if let Some(inj) = &mut self.faults {
+                for _ in 0..copies {
+                    inj.note_slowed();
                 }
             }
+        }
+        let mut schedule = |extra: SimTime, msg: M| {
+            let lat = self.latency.latency(from, to) * factor;
+            self.queue.schedule(at + lat + extra, from, to, msg);
+        };
+        // The message moves into its last copy: only a duplicate clones.
+        if let Some((&last, duplicates)) = extras.split_last() {
+            for &extra in duplicates {
+                schedule(extra, msg.clone());
+            }
+            schedule(last, msg);
         }
     }
 
@@ -228,6 +233,10 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
     }
 
     /// Deliver a single message; returns false when the queue is empty.
+    ///
+    /// # Panics
+    /// Panics if the handler sends to an index that is not a node: a
+    /// [`Node`] must address only peers of this simulator.
     pub fn step(&mut self) -> bool {
         let Some(Delivery {
             at, from, to, msg, ..
@@ -258,21 +267,26 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
         self.stats.delivered += 1;
         self.stats.queued -= 1;
         self.stats.end_time = at;
-        let mut outbox: Vec<(usize, M)> = Vec::new();
+        let mut outbox = std::mem::take(&mut self.outbox);
         let mut ctx = NodeCtx {
             me: to,
             now: at,
             outbox: &mut outbox,
         };
         self.nodes[to].on_message(&mut ctx, from, msg);
-        for (dest, m) in outbox {
+        for (dest, m) in outbox.drain(..) {
             self.transmit(at, to, dest, m);
         }
+        self.outbox = outbox;
         true
     }
 
     /// Run until the queue drains or `max_steps` deliveries have happened.
     /// Returns the number of deliveries performed.
+    ///
+    /// # Panics
+    /// Panics if a handler sends to an index that is not a node (see
+    /// [`SimNet::step`]).
     pub fn run(&mut self, max_steps: u64) -> u64 {
         let mut steps = 0;
         while steps < max_steps && self.step() {
@@ -376,6 +390,23 @@ mod tests {
     fn inject_validates_destination() {
         let mut net = relay_net(2);
         net.inject(0, 7, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn handler_send_outside_the_nodes_panics_in_run() {
+        // Two relays, each sending to the next of three: node 1 addresses 2.
+        let nodes: Vec<Box<dyn Node<u32>>> = (0..2)
+            .map(|_| {
+                Box::new(RelayNode {
+                    received: Vec::new(),
+                    n_nodes: 3,
+                }) as Box<dyn Node<u32>>
+            })
+            .collect();
+        let mut net = SimNet::new(nodes, ConstantLatency(10));
+        net.inject(0, 0, 5);
+        net.run(u64::MAX);
     }
 
     #[test]

@@ -972,7 +972,7 @@ proptest! {
         use ars::core::proto::{Payload, ProtoMsg};
         use ars::simnet::codec::{deframe, frame};
         let _ = deframe::<ProtoMsg>(&raw);
-        let range = vec![(30, 50), (60, 70)];
+        let range = RangeSet::from_intervals([(30, 50), (60, 70)]);
         let valid = [
             ProtoMsg::Route {
                 key: 7,
@@ -990,5 +990,54 @@ proptest! {
         }
         bytes.truncate(cut.max(bytes.len() / 2));
         let _ = deframe::<ProtoMsg>(&bytes);
+    }
+}
+
+/// Where an interval on the wire starts: half the time at one of the
+/// domain's two ends, so `lo = 0` and `hi = u32::MAX` both occur.
+fn wire_start_strategy() -> impl Strategy<Value = u32> {
+    (any::<u32>(), 0u32..4).prop_map(|(v, edge)| match edge {
+        0 => 0,
+        1 => u32::MAX,
+        _ => v,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `frame_len`, the message path's wire meter, counts exactly the bytes
+    /// `frame` writes, and the frame decodes back to the message: for every
+    /// message and payload variant, ranges of zero to several intervals
+    /// reaching both ends of the domain, and 0–20 arc-read candidates.
+    #[test]
+    fn counted_wire_bytes_equal_the_frame(
+        starts in prop::collection::vec((wire_start_strategy(), 0u32..1000), 0..6),
+        candidates in prop::collection::vec(any::<u32>(), 0..21),
+        (request, origin, walk) in (any::<u64>(), any::<u32>(), any::<u32>()),
+        (key, ident, hops) in (any::<u32>(), any::<u32>(), any::<u32>()),
+        (score, stored) in (0.0f64..1.0, any::<bool>()),
+    ) {
+        use ars::core::proto::{ArcRead, Payload, ProtoMsg};
+        use ars::simnet::codec::{deframe, frame, frame_len};
+        let intervals = starts.iter().map(|&(lo, width)| (lo, lo.saturating_add(width)));
+        let range = RangeSet::from_intervals(intervals);
+        let route = |payload| ProtoMsg::Route { key, ident, hops, payload };
+        let read = Box::new(ArcRead { range: range.clone(), candidates });
+        let msgs = [
+            route(Payload::FindMatch { request, origin, range: range.clone() }),
+            route(Payload::Store { request, origin, range: range.clone() }),
+            route(Payload::FindAcross { request, origin, walk, read }),
+            ProtoMsg::MatchReply { request, identifier: ident, hops, best: None },
+            ProtoMsg::MatchReply { request, identifier: ident, hops, best: Some((range, score)) },
+            ProtoMsg::StoreAck { request, stored },
+        ];
+        for m in msgs {
+            let bytes = frame(&m);
+            prop_assert_eq!(frame_len(&m), bytes.len() as u64);
+            let (decoded, rest) = deframe::<ProtoMsg>(&bytes).unwrap();
+            prop_assert!(rest.is_empty());
+            prop_assert_eq!(decoded, m);
+        }
     }
 }
