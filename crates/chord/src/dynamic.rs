@@ -10,8 +10,8 @@
 use crate::id::{Id, ID_BITS};
 use ars_common::FxHashMap;
 use ars_telemetry::Telemetry;
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Errors surfaced by the dynamic protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,16 +102,15 @@ pub struct RouteCacheStats {
 /// (served routes cost one hop, modelling a direct connection to the
 /// remembered owner).
 ///
-/// Interior mutability keeps [`DynamicNetwork::lookup`] a `&self` method;
-/// a `Mutex` (never contended — the dynamic network is single-threaded,
-/// unlike the static [`crate::Ring`]) rather than `RefCell` so the network
-/// stays `Sync`.
-#[derive(Debug, Default)]
+/// Interior mutability keeps [`DynamicNetwork::lookup`] a `&self` method.
+/// The network is single-threaded, so a `RefCell` serves; every borrow
+/// below ends inside the method that takes it, so none can overlap.
+#[derive(Debug, Default, Clone)]
 struct RouteCache {
-    inner: Mutex<RouteCacheInner>,
+    inner: RefCell<RouteCacheInner>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct RouteCacheInner {
     /// 0 = caching disabled (the default — opt in via
     /// [`DynamicNetwork::set_route_cache_capacity`]).
@@ -123,27 +122,13 @@ struct RouteCacheInner {
     stats: RouteCacheStats,
 }
 
-impl Clone for RouteCache {
-    fn clone(&self) -> RouteCache {
-        let inner = self.inner.lock().expect("route cache poisoned");
-        RouteCache {
-            inner: Mutex::new(RouteCacheInner {
-                capacity: inner.capacity,
-                map: inner.map.clone(),
-                fifo: inner.fifo.clone(),
-                stats: inner.stats,
-            }),
-        }
-    }
-}
-
 impl RouteCache {
     /// Cached owner for `(from, key)`, served only when the recorded
     /// uncached walk used at most `max_moves` forward moves (so a cached
     /// route never succeeds where a budgeted uncached walk would fail).
     /// Counts hit/miss; always `None` (and uncounted) while disabled.
     fn get(&self, from: Id, key: Id, max_moves: usize) -> Option<Id> {
-        let mut inner = self.inner.lock().expect("route cache poisoned");
+        let mut inner = self.inner.borrow_mut();
         if inner.capacity == 0 {
             return None;
         }
@@ -161,16 +146,18 @@ impl RouteCache {
 
     /// Record a successful lookup, evicting the oldest entry when full.
     fn insert(&self, from: Id, key: Id, owner: Id, hops: usize) {
-        let mut inner = self.inner.lock().expect("route cache poisoned");
+        let mut inner = self.inner.borrow_mut();
         if inner.capacity == 0 {
             return;
         }
         if inner.map.insert((from.0, key.0), (owner, hops)).is_none() {
             inner.fifo.push_back((from.0, key.0));
             if inner.map.len() > inner.capacity {
-                let oldest = inner.fifo.pop_front().expect("fifo tracks map");
-                inner.map.remove(&oldest);
-                inner.stats.evictions += 1;
+                // The FIFO holds every key the map does, oldest first.
+                if let Some(oldest) = inner.fifo.pop_front() {
+                    inner.map.remove(&oldest);
+                    inner.stats.evictions += 1;
+                }
             }
         }
         inner.stats.insertions += 1;
@@ -178,7 +165,7 @@ impl RouteCache {
 
     /// Drop every entry (called on any ring mutation).
     fn invalidate(&self) {
-        let mut inner = self.inner.lock().expect("route cache poisoned");
+        let mut inner = self.inner.borrow_mut();
         let dropped = inner.map.len() as u64;
         inner.stats.invalidated += dropped;
         inner.map.clear();
@@ -186,22 +173,22 @@ impl RouteCache {
     }
 
     fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.inner.lock().expect("route cache poisoned");
+        let mut inner = self.inner.borrow_mut();
         inner.capacity = capacity;
         inner.map.clear();
         inner.fifo.clear();
     }
 
     fn enabled(&self) -> bool {
-        self.inner.lock().expect("route cache poisoned").capacity > 0
+        self.inner.borrow().capacity > 0
     }
 
     fn stats(&self) -> RouteCacheStats {
-        self.inner.lock().expect("route cache poisoned").stats
+        self.inner.borrow().stats
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().expect("route cache poisoned").map.len()
+        self.inner.borrow().map.len()
     }
 }
 
@@ -303,8 +290,11 @@ impl DynamicNetwork {
     /// Create a network with one bootstrap node. `succ_list_len` successor
     /// pointers are kept per node (Chord suggests `O(log N)`; 8 tolerates
     /// heavy churn at the scales simulated here).
+    ///
+    /// # Panics
+    /// Panics if `succ_list_len` is zero.
     pub fn bootstrap(first: Id, succ_list_len: usize) -> DynamicNetwork {
-        assert!(succ_list_len >= 1);
+        assert!(succ_list_len >= 1, "a node keeps at least one successor");
         let mut n = NodeState::new(succ_list_len);
         n.successors.push(first); // self-loop ring of one
         n.predecessor = Some(first);
@@ -384,10 +374,8 @@ impl DynamicNetwork {
     }
 
     /// A fully converged static [`crate::Ring`] over the current alive
-    /// membership — an immutable snapshot that concurrent workers can
-    /// route against without taking the dynamic network's locks.
-    /// Lookups on the snapshot reach the same owners as
-    /// [`Self::true_owner`] at the moment it was taken.
+    /// membership — an immutable snapshot whose lookups reach the same
+    /// owners as [`Self::true_owner`] at the moment it was taken.
     ///
     /// # Panics
     /// Panics if no node is alive.
@@ -396,6 +384,11 @@ impl DynamicNetwork {
     }
 
     /// True ground-truth owner of `key` given the current alive set.
+    ///
+    /// # Panics
+    /// Never through this API: [`Self::leave`] and [`Self::fail`] refuse to
+    /// remove the last node ([`ChordError::LastNode`]), so one is always
+    /// alive.
     pub fn true_owner(&self, key: Id) -> Id {
         self.clockwise_from(key).next().expect("network is empty")
     }
@@ -486,7 +479,9 @@ impl DynamicNetwork {
         let mut rejoined = 0usize;
         for id in self.alive.clone() {
             let truth = self.true_owner(id.plus(1));
-            let state = self.nodes.get_mut(&id.0).expect("alive node has state");
+            let Some(state) = self.nodes.get_mut(&id.0) else {
+                continue;
+            };
             let believed = state.successors.first().copied();
             if believed != Some(truth) && truth != id {
                 state.successors.retain(|&s| s != truth);
@@ -512,7 +507,9 @@ impl DynamicNetwork {
                     .iter()
                     .copied()
                     .filter(|&x| {
-                        let state = &self.nodes[&x.0];
+                        let Some(state) = self.nodes.get(&x.0) else {
+                            return false;
+                        };
                         match state.predecessor {
                             Some(p) if p != x => key.in_open_closed(p, x),
                             // Self-loop or unknown predecessor: the node
@@ -705,8 +702,12 @@ impl DynamicNetwork {
                 .unwrap_or_else(|| self.island_owner(id, id.plus(1)));
             successors.push(fallback);
         }
-        // 2. Stabilize: check successor's predecessor.
-        let succ = successors[0];
+        // 2. Stabilize: check successor's predecessor. (The list is never
+        //    empty from here on: it starts at an alive reachable node, and
+        //    every filter below keeps that node.)
+        let Some(&succ) = successors.first() else {
+            return;
+        };
         let succ_pred = self.nodes.get(&succ.0).and_then(|s| s.predecessor);
         if let Some(p) = succ_pred {
             if self.is_alive(p) && self.reachable(id, p) && p.in_open(id, succ) {
@@ -714,7 +715,9 @@ impl DynamicNetwork {
             }
         }
         // 3. Refresh successor list from (possibly new) successor's list.
-        let succ = successors[0];
+        let Some(&succ) = successors.first() else {
+            return;
+        };
         if let Some(s) = self.nodes.get(&succ.0) {
             let mut merged = vec![succ];
             merged.extend(s.successors.iter().copied().filter(|&x| x != id));
@@ -727,7 +730,9 @@ impl DynamicNetwork {
         // 4. Notify the successor that we might be its predecessor. An
         //    existing predecessor across the boundary is unreachable for
         //    the successor, so an island-local notifier supersedes it.
-        let succ = successors[0];
+        let Some(&succ) = successors.first() else {
+            return;
+        };
         let accept = match self.nodes.get(&succ.0).and_then(|s| s.predecessor) {
             Some(p) => {
                 !self.is_alive(p) || !self.reachable(succ, p) || id.in_open(p, succ) || p == succ
@@ -744,7 +749,9 @@ impl DynamicNetwork {
 
         // 5. Fix fingers incrementally, resolving each start position by a
         //    best-effort lookup through the current (possibly stale) state.
-        let state = self.nodes.get(&id.0).expect("node vanished mid-round");
+        let Some(state) = self.nodes.get(&id.0) else {
+            return;
+        };
         let mut next = state.next_finger;
         let mut finger_updates: Vec<(usize, Option<Id>)> = Vec::new();
         for _ in 0..fingers_per_round.min(ID_BITS as usize) {
@@ -754,11 +761,13 @@ impl DynamicNetwork {
             next = (next + 1) % ID_BITS as usize;
         }
 
-        let state = self.nodes.get_mut(&id.0).expect("node vanished mid-round");
+        let Some(state) = self.nodes.get_mut(&id.0) else {
+            return;
+        };
         state.successors = successors;
         for (i, f) in finger_updates {
-            if f.is_some() {
-                state.fingers[i] = f;
+            if let (Some(f), Some(slot)) = (f, state.fingers.get_mut(i)) {
+                *slot = Some(f);
             }
         }
         state.next_finger = next;
@@ -1115,7 +1124,9 @@ impl DynamicNetwork {
     /// against an unreachable truth.
     pub fn is_ring_consistent(&self) -> bool {
         self.alive.iter().all(|&id| {
-            let state = &self.nodes[&id.0];
+            let Some(state) = self.nodes.get(&id.0) else {
+                return false;
+            };
             match self.live_successor(id, state) {
                 Some(s) => s == self.island_owner(id, id.plus(1)),
                 None => self.len() == 1,

@@ -165,9 +165,10 @@ impl DetRng {
     /// seeded from a splitmix64 fold of the current state plus the stream
     /// index, so stream `i` is the same generator regardless of `n` — a
     /// consumer that splits 4 streams and one that splits 7 agree on
-    /// streams 0–3. This is what lets a sharded engine hand each shard its
-    /// own deterministic stream while shard 0 (and therefore a one-shard
-    /// configuration) reproduces the unsplit sequence bit for bit.
+    /// streams 0–3. This is what lets a sharded batch draw each query's
+    /// origin from its own deterministic stream while stream 0 (and
+    /// therefore a one-shard batch) reproduces the unsplit sequence bit for
+    /// bit.
     ///
     /// # Panics
     /// Panics if `n == 0`.

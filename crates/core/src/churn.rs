@@ -565,15 +565,11 @@ impl ChurnNetwork {
     }
 
     /// Freeze the current alive membership and storage into a static
-    /// [`RangeSelectNetwork`] snapshot — the bridge that lets the
-    /// concurrent engine ([`crate::engine`]) serve a heavy query burst
-    /// against a churning network's state: the ring snapshot and cloned
-    /// peer stores are immutable to ongoing churn, workers route against
-    /// them lock-free, and every engine shard derives its RNG stream
-    /// (via [`ars_common::DetRng::split_streams`]) from this network's
-    /// generator state at freeze time, so a freeze is reproducible from
-    /// the seed and event history alone. Stats and the identifier cache
-    /// start empty; the live network is unaffected.
+    /// [`RangeSelectNetwork`] snapshot: a converged ring over the alive
+    /// peers and a copy of their stores, untouched by later churn, with
+    /// this network's generator state at freeze time — so a frozen run is
+    /// reproducible from the seed and event history alone. Stats and the
+    /// identifier cache start empty; the live network is unaffected.
     pub fn freeze(&self) -> RangeSelectNetwork {
         RangeSelectNetwork::from_parts(
             self.config.clone(),
@@ -1660,7 +1656,7 @@ mod tests {
                 queue: 8,
             },
         );
-        assert_eq!(outs, outs2, "freeze + engine must be schedule-invariant");
+        assert_eq!(outs, outs2, "an identical freeze replays identically");
     }
 
     #[test]

@@ -95,10 +95,8 @@ pub struct BatchTimings {
 /// the saving.
 ///
 /// The cache may be *bounded* ([`SystemConfig::ident_cache_capacity`]),
-/// in which case entries are evicted in FIFO insertion order. FIFO — not
-/// LRU — is deliberate: hits never perturb the eviction order, so the
-/// concurrent engine can split the cache into per-shard segments and
-/// merge them back without the order of hits mattering.
+/// in which case entries are evicted in FIFO insertion order: a hit never
+/// moves an entry.
 #[derive(Debug, Clone, Default)]
 pub struct IdentifierCache {
     pub(crate) map: FxHashMap<RangeSet, Placed>,
@@ -180,62 +178,6 @@ impl IdentifierCache {
     pub(crate) fn note_miss(&mut self) {
         self.misses += 1;
     }
-
-    /// Partition the cached entries into `n` segments by `seg_of`,
-    /// preserving FIFO order within each segment. Entries move out of
-    /// `self`; the hit/miss/eviction counters stay behind (segments start
-    /// at zero so their counts read as deltas to fold back via
-    /// [`Self::absorb`]). Each segment gets capacity `ceil(capacity / n)`
-    /// — so a single segment keeps the exact original bound, and `n`
-    /// segments jointly bound the entry count by at most `n - 1` over the
-    /// original (re-trimmed on absorb).
-    pub(crate) fn split_segments(
-        &mut self,
-        n: usize,
-        seg_of: impl Fn(&RangeSet) -> usize,
-    ) -> Vec<IdentifierCache> {
-        let per_seg = if self.capacity == 0 {
-            0
-        } else {
-            self.capacity.div_ceil(n).max(1)
-        };
-        let mut segments: Vec<IdentifierCache> = (0..n)
-            .map(|_| IdentifierCache::with_capacity(per_seg))
-            .collect();
-        for range in self.fifo.drain(..) {
-            if let Some(ids) = self.map.remove(&range) {
-                let seg = &mut segments[seg_of(&range)];
-                seg.fifo.push_back(range.clone());
-                seg.map.insert(range, ids);
-            }
-        }
-        segments
-    }
-
-    /// Fold a segment produced by [`Self::split_segments`] back in:
-    /// entries re-append in the segment's FIFO order, counters add, and
-    /// the merged cache re-trims to its own capacity (counting those
-    /// trims as evictions).
-    pub(crate) fn absorb(&mut self, mut segment: IdentifierCache) {
-        self.hits += segment.hits;
-        self.misses += segment.misses;
-        self.evictions += segment.evictions;
-        while let Some(range) = segment.fifo.pop_front() {
-            if let Some(ids) = segment.map.remove(&range) {
-                if self.map.insert(range.clone(), ids).is_none() {
-                    self.fifo.push_back(range);
-                }
-            }
-        }
-        while self.capacity > 0 && self.map.len() > self.capacity {
-            let oldest = self
-                .fifo
-                .pop_front()
-                .expect("fifo tracks every cached range");
-            self.map.remove(&oldest);
-            self.evictions += 1;
-        }
-    }
 }
 
 /// Aggregate statistics over a network's lifetime.
@@ -266,96 +208,12 @@ pub struct NetworkStats {
     pub probe_checks: u64,
 }
 
-impl NetworkStats {
-    /// Add another accumulator's counts into this one. Every field is a
-    /// sum, so merging per-shard accumulators in any order yields the
-    /// totals a single global accumulator would have collected — the
-    /// conserved-ledger property the concurrent engine relies on.
-    pub fn merge(&mut self, other: &NetworkStats) {
-        self.queries += other.queries;
-        self.matched += other.matched;
-        self.exact += other.exact;
-        self.stored += other.stored;
-        self.lookups += other.lookups;
-        self.total_hops += other.total_hops;
-        self.dedup_saved_lookups += other.dedup_saved_lookups;
-        self.walk_steps += other.walk_steps;
-        self.probe_checks += other.probe_checks;
-    }
-}
-
-/// Mutable access to peers by ring position — the seam that lets the
-/// commit procedure ([`commit_plan`]) run against either the network's
-/// global peer map or the concurrent engine's locked shard views.
-pub(crate) trait PeerAccess {
-    /// The peer at `id`, if present.
-    fn peer(&self, id: u32) -> Option<&Peer>;
-    /// Mutable access to the peer at `id`, if present.
-    fn peer_mut(&mut self, id: u32) -> Option<&mut Peer>;
-}
-
-impl PeerAccess for FxHashMap<u32, Peer> {
-    fn peer(&self, id: u32) -> Option<&Peer> {
-        self.get(&id)
-    }
-    fn peer_mut(&mut self, id: u32) -> Option<&mut Peer> {
-        self.get_mut(&id)
-    }
-}
-
-/// Where the commit procedure records its counters — the global
-/// [`NetworkStats`] on the sequential path, per-shard accumulators in the
-/// concurrent engine. Every update is an addition, so any sink placement
-/// that eventually sums preserves the ledgers.
-pub(crate) trait StatsSink {
-    /// One identifier lookup routed in `hops` overlay hops to `owner`.
-    fn on_lookup(&mut self, owner: Id, hops: usize);
-    /// `count` lookups skipped because their identifiers repeated within
-    /// the query.
-    fn on_dedup_saved(&mut self, count: usize);
-    /// `steps` successor-walk messages spent by a layered query.
-    fn on_walk(&mut self, steps: usize);
-    /// `count` multi-probe candidate buckets checked locally.
-    fn on_probes(&mut self, count: usize);
-    /// One query finished.
-    fn on_query(&mut self, matched: bool, exact: bool, stored: bool);
-}
-
-impl StatsSink for NetworkStats {
-    fn on_lookup(&mut self, _owner: Id, hops: usize) {
-        self.lookups += 1;
-        self.total_hops += hops as u64;
-    }
-    fn on_dedup_saved(&mut self, count: usize) {
-        self.dedup_saved_lookups += count as u64;
-    }
-    fn on_walk(&mut self, steps: usize) {
-        self.walk_steps += steps as u64;
-    }
-    fn on_probes(&mut self, count: usize) {
-        self.probe_checks += count as u64;
-    }
-    fn on_query(&mut self, matched: bool, exact: bool, stored: bool) {
-        self.queries += 1;
-        if matched {
-            self.matched += 1;
-        }
-        if exact {
-            self.exact += 1;
-        }
-        if stored {
-            self.stored += 1;
-        }
-    }
-}
-
 /// Everything a query's commit needs that can be worked out without
 /// touching mutable state — plain data: the query's [`Targets`] routed on
 /// the immutable ring by [`plan_query`], applied by the placement-blind
 /// [`commit_plan`]. Because planning reads nothing a commit writes, a
-/// caller may plan a whole batch before committing any of it (or plan on
-/// worker threads) and still land on the outcomes of the interleaved
-/// one-at-a-time loop.
+/// caller may plan a whole batch before committing any of it and still
+/// land on the outcomes of the interleaved one-at-a-time loop.
 #[derive(Debug, Clone)]
 pub(crate) struct QueryPlan {
     /// `(owner, hops)` of every lookup paid, one per [`Targets::keys`]
@@ -373,15 +231,6 @@ pub(crate) struct QueryPlan {
     store_targets: Vec<(u32, Id)>,
     /// Lookups not paid because an identifier repeated within the query.
     dedup_saved: usize,
-}
-
-impl QueryPlan {
-    /// Every peer the commit will read or write — what the engine's
-    /// conflict scheduler locks. May repeat peers.
-    pub(crate) fn peers(&self) -> impl Iterator<Item = Id> + '_ {
-        let visited = self.visits.iter().map(|(peer, _)| *peer);
-        visited.chain(self.store_targets.iter().map(|&(_, owner)| owner))
-    }
 }
 
 /// The static executor of a query's [`Targets`], from the peer of rank
@@ -427,20 +276,17 @@ pub(crate) fn plan_query(ring: &Ring, origin: usize, targets: Targets) -> QueryP
 /// Apply a [`QueryPlan`] — the one commit of the static paths: book the
 /// plan's lookups, read its visits in order into the shared [`verdict`],
 /// cache on miss at its store targets, record stats and telemetry, build
-/// the outcome. It runs against any [`PeerAccess`]/[`StatsSink`] pair, so
-/// the engine's sharded commits replay the same per-peer update order as
-/// the network's own, and it touches no peer outside [`QueryPlan::peers`].
+/// the outcome. It touches no peer the plan does not visit or store at.
 ///
-/// `emit_span` gates the per-query `core.query` span: the network's own
-/// paths emit it (trace tests pin the event order), the concurrent engine
-/// does not (span begin/end interleaving across workers would make event
-/// logs schedule-dependent; counters and histograms are order-free).
+/// `emit_span` gates the per-query `core.query` span: [`RangeSelectNetwork::query`]
+/// and `query_batch` emit it (trace tests pin the event order), the batch
+/// call of [`crate::engine`] does not (it emits one span per batch).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
+pub(crate) fn commit_plan(
     config: &SystemConfig,
     telemetry: &Telemetry,
-    peers: &mut P,
-    stats: &mut S,
+    peers: &mut FxHashMap<u32, Peer>,
+    stats: &mut NetworkStats,
     q: &RangeSet,
     hashed_range: RangeSet,
     identifiers: Vec<u32>,
@@ -449,24 +295,25 @@ pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
 ) -> QueryOutcome {
     let span = emit_span.then(|| telemetry.span("core.query", &[("l", identifiers.len().into())]));
 
-    for &(owner, h) in &plan.lookups {
-        stats.on_lookup(owner, h);
+    for &(_, h) in &plan.lookups {
+        stats.lookups += 1;
+        stats.total_hops += h as u64;
         telemetry.record("core.lookup.hops", h as u64);
     }
     if plan.dedup_saved > 0 {
-        stats.on_dedup_saved(plan.dedup_saved);
+        stats.dedup_saved_lookups += plan.dedup_saved as u64;
         telemetry.counter_add("core.dedup.saved_lookups", plan.dedup_saved as u64);
     }
     // Every visit past a lookup's owner is a walk message; every candidate
     // past the stored base identifiers is a probe, checked locally.
     let walk_steps = plan.visits.len() - plan.lookups.len();
     if walk_steps > 0 {
-        stats.on_walk(walk_steps);
+        stats.walk_steps += walk_steps as u64;
         telemetry.counter_add("core.walk.steps", walk_steps as u64);
     }
     let probe_checks = plan.candidates.len() - plan.store_targets.len();
     if probe_checks > 0 {
-        stats.on_probes(probe_checks);
+        stats.probe_checks += probe_checks as u64;
         telemetry.counter_add("core.probe.checks", probe_checks as u64);
     }
 
@@ -475,7 +322,7 @@ pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
     // rather than panicking; the outcome records whether *any* was reached.
     let mut reached = 0usize;
     let mut reads = plan.visits.iter().filter_map(|(peer_id, buckets)| {
-        let peer = peers.peer(peer_id.0)?;
+        let peer = peers.get(&peer_id.0)?;
         reached += 1;
         let buckets = &plan.candidates[buckets.clone()];
         let (best, scan_len) = peer.best_in_buckets(buckets, &hashed_range, config.matching);
@@ -489,7 +336,7 @@ pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
     let mut stored = false;
     if verdict.store {
         for &(ident, owner) in &plan.store_targets {
-            if let Some(peer) = peers.peer_mut(owner.0) {
+            if let Some(peer) = peers.get_mut(&owner.0) {
                 stored |= peer.store(ident, hashed_range.clone());
             }
         }
@@ -505,7 +352,10 @@ pub(crate) fn commit_plan<P: PeerAccess, S: StatsSink>(
         partition_degraded: false,
     };
     let out = verdict.finish(q, identifiers, stored, transport);
-    stats.on_query(out.best_match.is_some(), out.exact, out.stored);
+    stats.queries += 1;
+    stats.matched += out.best_match.is_some() as u64;
+    stats.exact += out.exact as u64;
+    stats.stored += out.stored as u64;
 
     telemetry.counter_add("core.queries", 1);
     if out.best_match.is_some() {
@@ -586,10 +436,7 @@ impl RangeSelectNetwork {
             .iter()
             .map(|&id| (id.0, Peer::new(id, config.use_local_index)))
             .collect();
-        let ident_cache = IdentifierCache {
-            capacity: config.ident_cache_capacity,
-            ..IdentifierCache::default()
-        };
+        let ident_cache = IdentifierCache::with_capacity(config.ident_cache_capacity);
         RangeSelectNetwork {
             config,
             ring,
@@ -606,7 +453,7 @@ impl RangeSelectNetwork {
 
     /// Assemble a network from pre-existing parts — used by
     /// [`crate::ChurnNetwork::freeze`] to wrap a ring snapshot and cloned
-    /// storage into a static network that the concurrent engine can run.
+    /// storage into a static network.
     /// Stats and the identifier cache start empty; telemetry starts as a
     /// no-op (install one with [`Self::set_telemetry`]).
     pub(crate) fn from_parts(
@@ -630,14 +477,6 @@ impl RangeSelectNetwork {
             placements: PlacementMemo::default(),
             telemetry: Telemetry::noop(),
         }
-    }
-
-    /// A minimal throwaway network — the engine swaps one in while it
-    /// temporarily owns the real network's state (see
-    /// [`Self::query_batch_concurrent_with`]). Cheap to build: one peer,
-    /// one hash function.
-    pub(crate) fn placeholder() -> RangeSelectNetwork {
-        RangeSelectNetwork::new(1, SystemConfig::default().with_kl(1, 1))
     }
 
     /// Install a telemetry sink. Queries emit `core.*` counters
@@ -714,12 +553,12 @@ impl RangeSelectNetwork {
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
         let (hashed_range, placed) = self.hash_stage(q);
         let plan = self.plan_stage(&hashed_range, &placed);
-        self.commit_stage(q, hashed_range, &placed, plan)
+        self.commit_stage(q, hashed_range, &placed, plan, true)
     }
 
     /// Stage 1 of a query: pad, then resolve the group identifiers and
     /// their placed positions through the [`IdentifierCache`].
-    fn hash_stage(&mut self, q: &RangeSet) -> (RangeSet, Placed) {
+    pub(crate) fn hash_stage(&mut self, q: &RangeSet) -> (RangeSet, Placed) {
         let hashed_range = hashed_range(q, self.config.padding);
         let placed = match self.ident_cache.get_hit(&hashed_range) {
             Some(placed) => {
@@ -752,18 +591,30 @@ impl RangeSelectNetwork {
     /// plan from it.
     fn plan_stage(&mut self, hashed_range: &RangeSet, placed: &[(u32, Id)]) -> QueryPlan {
         let origin = self.rng.gen_index(self.ring.len());
+        self.plan_from(origin, hashed_range, placed)
+    }
+
+    /// Plan a hashed range from the peer of rank `origin`.
+    pub(crate) fn plan_from(
+        &self,
+        origin: usize,
+        hashed_range: &RangeSet,
+        placed: &[(u32, Id)],
+    ) -> QueryPlan {
         let anchors = self.anchors.as_ref();
         let targets = targets(&self.config, &self.groups, anchors, hashed_range, placed);
         plan_query(&self.ring, origin, targets)
     }
 
-    /// Stage 3 of a query: apply the plan to the peers and the stats.
-    fn commit_stage(
+    /// Stage 3 of a query: apply the plan to the peers and the stats
+    /// ([`commit_plan`], which `emit_span` is handed to).
+    pub(crate) fn commit_stage(
         &mut self,
         q: &RangeSet,
         hashed_range: RangeSet,
         placed: &[(u32, Id)],
         plan: QueryPlan,
+        emit_span: bool,
     ) -> QueryOutcome {
         commit_plan(
             &self.config,
@@ -774,7 +625,7 @@ impl RangeSelectNetwork {
             hashed_range,
             identifiers_of(placed),
             plan,
-            true,
+            emit_span,
         )
     }
 
@@ -821,7 +672,7 @@ impl RangeSelectNetwork {
             .zip(hashed)
             .zip(plans)
             .map(|((q, (hashed_range, placed)), plan)| {
-                self.commit_stage(q, hashed_range, &placed, plan)
+                self.commit_stage(q, hashed_range, &placed, plan, true)
             })
             .collect();
         let timings = BatchTimings {
@@ -1513,7 +1364,7 @@ mod tests {
                 for (&ident, &(owner, _)) in plan.candidates.iter().zip(&plan.lookups) {
                     assert_eq!(owner, n.ring().successor_of(n.place(ident)));
                 }
-                n.commit_stage(q, hashed, &placed, plan);
+                n.commit_stage(q, hashed, &placed, plan, true);
                 // Whatever survived eviction is still whole.
                 for (range, cached) in &n.identifier_cache().map {
                     assert_eq!(**cached, *resolve(&config, n.groups(), None, range));
@@ -1542,33 +1393,6 @@ mod tests {
         }
     }
 
-    /// [`PeerAccess`] that panics on any peer outside the plan being
-    /// committed — the engine's lock-set contract, made loud.
-    struct PlannedOnly<'a> {
-        peers: &'a mut FxHashMap<u32, Peer>,
-        planned: Vec<Id>,
-    }
-
-    impl PlannedOnly<'_> {
-        fn check(&self, id: u32) {
-            assert!(
-                self.planned.contains(&Id(id)),
-                "commit touched unplanned peer {id}"
-            );
-        }
-    }
-
-    impl PeerAccess for PlannedOnly<'_> {
-        fn peer(&self, id: u32) -> Option<&Peer> {
-            self.check(id);
-            self.peers.get(&id)
-        }
-        fn peer_mut(&mut self, id: u32) -> Option<&mut Peer> {
-            self.check(id);
-            self.peers.get_mut(&id)
-        }
-    }
-
     #[test]
     fn commit_reads_and_writes_only_planned_peers() {
         let layered = layered_config(13).with_walk_window(4);
@@ -1588,14 +1412,15 @@ mod tests {
                 saved += plan.dedup_saved;
                 let paid = if layered { 1 } else { placed.len() };
                 assert_eq!(plan.lookups.len() + plan.dedup_saved, paid);
-                let mut spy = PlannedOnly {
-                    planned: plan.peers().collect(),
-                    peers: &mut n.peers,
-                };
+                let visited = plan.visits.iter().map(|&(peer, _)| peer);
+                let planned: Vec<Id> = visited
+                    .chain(plan.store_targets.iter().map(|&(_, owner)| owner))
+                    .collect();
+                let before = n.load_distribution();
                 let out = commit_plan(
                     &config,
                     &n.telemetry,
-                    &mut spy,
+                    &mut n.peers,
                     &mut n.stats,
                     q,
                     hashed,
@@ -1604,6 +1429,13 @@ mod tests {
                     false,
                 );
                 assert!(!out.fell_back_to_source);
+                // Every peer the plan does not name holds what it held.
+                let after = n.load_distribution();
+                for (i, id) in n.ring().node_ids().iter().enumerate() {
+                    if !planned.contains(id) {
+                        assert_eq!(before[i], after[i], "commit wrote unplanned peer {id}");
+                    }
+                }
             }
             assert_eq!(n.stats().dedup_saved_lookups, saved as u64);
             assert!(n.stats().stored > 0, "the trace must write");

@@ -1,14 +1,14 @@
 //! The §4 query procedure as plain data, shared by every transport.
 //!
-//! A query is: hash the (padded) range to `l` identifiers ([`resolve`]),
-//! decide where they must be looked for ([`targets`]), route and read —
-//! the one part a transport owns — and reach the verdict on what came
-//! back ([`verdict`], [`Verdict::finish`]). The static ring
-//! ([`crate::network`]), the churning ring ([`crate::churn`]) and the
-//! message protocol ([`crate::proto`]) execute the same [`Targets`] and
-//! finish through the same [`Verdict`]; none of them looks at the
-//! placement mode, which is decided once, at construction, by
-//! [`anchor_sketch`].
+//! A query is: hash the (padded) range to `l` identifiers
+//! ([`PlacementMemo::resolve`]), decide where they must be looked for
+//! ([`targets`]), route and read — the one part a transport owns — and
+//! reach the verdict on what came back ([`verdict`], [`Verdict::finish`]).
+//! The static ring ([`crate::network`]), the churning ring
+//! ([`crate::churn`]) and the message protocol ([`crate::proto`]) execute
+//! the same [`Targets`] and finish through the same [`Verdict`]; none of
+//! them looks at the placement mode, which is decided once, at
+//! construction, by [`anchor_sketch`].
 
 use crate::bucket::{Best, Match};
 use crate::config::{Placement, PlacementMode, SystemConfig};
@@ -116,33 +116,21 @@ pub(crate) fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
     }
 }
 
-/// Hash `hashed_range` to its identifiers and place each — the miss side
-/// of the [`crate::network::IdentifierCache`], and the whole hash stage of
-/// the transports that keep no cache.
+/// [`PlacementMemo::resolve`] without the memo: every identifier placed by
+/// SHA-1 — the oracle the memo is held to.
+#[cfg(test)]
 pub(crate) fn resolve(
     config: &SystemConfig,
     groups: &HashGroups,
     anchors: Option<&HashGroups>,
     hashed_range: &RangeSet,
 ) -> Placed {
-    resolve_by(groups, anchors, hashed_range, |i| {
-        place_identifier(config, i)
-    })
-}
-
-/// [`resolve`], an identifier placed on its own taking its position from
-/// `place`.
-fn resolve_by(
-    groups: &HashGroups,
-    anchors: Option<&HashGroups>,
-    hashed_range: &RangeSet,
-    mut place: impl FnMut(u32) -> Id,
-) -> Placed {
-    let own = anchors.is_none();
+    let at = |i| match anchors {
+        None => place_identifier(config, i),
+        Some(_) => Id(i),
+    };
     let identifiers = groups.identifiers(hashed_range);
-    (identifiers.into_iter())
-        .map(|i| (i, if own { place(i) } else { Id(i) }))
-        .collect()
+    identifiers.into_iter().map(|i| (i, at(i))).collect()
 }
 
 /// Independent placement's SHA-1 positions, remembered in a direct-mapped
@@ -151,7 +139,7 @@ fn resolve_by(
 /// cache's misses place 8 147 distinct identifiers 237 805 times, and
 /// 83.5 % of those placements hit. Every slot holds a true pair from the
 /// first use on, so a hit is never wrong and no valid bit is needed. Each
-/// network keeps one; the engine's workers place without.
+/// network keeps one.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlacementMemo(Vec<(u32, Id)>);
 
@@ -165,7 +153,9 @@ impl PlacementMemo {
         (identifier.wrapping_mul(0x9E37_79B9) >> (32 - Self::SLOTS.trailing_zeros())) as usize
     }
 
-    /// [`resolve`] through the memo.
+    /// Hash `hashed_range` to its identifiers and place each — the miss
+    /// side of the [`crate::network::IdentifierCache`], and the whole hash
+    /// stage of the transports that keep no cache.
     pub(crate) fn resolve(
         &mut self,
         config: &SystemConfig,
@@ -173,7 +163,11 @@ impl PlacementMemo {
         anchors: Option<&HashGroups>,
         hashed_range: &RangeSet,
     ) -> Placed {
-        resolve_by(groups, anchors, hashed_range, |i| self.place(config, i))
+        let own = anchors.is_none();
+        let identifiers = groups.identifiers(hashed_range);
+        (identifiers.into_iter())
+            .map(|i| (i, if own { self.place(config, i) } else { Id(i) }))
+            .collect()
     }
 
     /// [`place_identifier`], through the table where it is a SHA-1.

@@ -3,10 +3,11 @@
 //! A counting global allocator tallies the heap allocations the test's own
 //! thread makes (a thread-local count, so the harness's threads never mix
 //! in), and the one test asserts how many a query costs, once warm, on the
-//! direct path (`RangeSelectNetwork`) and on the message path
-//! (`ProtoNetwork`). A message delivery must not allocate: the message
-//! path's budget is the direct path's plus a few allocations a query, not a
-//! few a message.
+//! direct path (`RangeSelectNetwork`: one query at a time, and through the
+//! batch call), under layered placement, on the churn path
+//! (`ChurnNetwork::query_timed`) and on the message path (`ProtoNetwork`).
+//! A message delivery must not allocate: the message path's budget is the
+//! direct path's plus a few allocations a query, not a few a message.
 
 use ars::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,35 +53,76 @@ static GLOBAL: Counting = Counting;
 const PEERS: usize = 1000;
 const WARMUP: usize = 6_000;
 
-/// Mean allocations a query over the trace after its first `WARMUP`.
-fn per_query(trace: &Trace, mut query: impl FnMut(&RangeSet)) -> f64 {
+/// Mean allocations a query over the trace after its first `WARMUP`,
+/// handed to `run` in slices of `batch` queries.
+fn per_query(trace: &Trace, batch: usize, mut run: impl FnMut(&[RangeSet])) -> f64 {
     let queries = trace.queries();
-    queries[..WARMUP].iter().for_each(&mut query);
+    queries[..WARMUP].chunks(batch).for_each(&mut run);
     let before = ALLOCATIONS.with(Cell::get);
-    queries[WARMUP..].iter().for_each(&mut query);
+    queries[WARMUP..].chunks(batch).for_each(&mut run);
     let counted = ALLOCATIONS.with(Cell::get) - before;
     counted as f64 / (queries.len() - WARMUP) as f64
 }
 
-/// One test, so the two counts are taken one after the other on one thread.
+/// One test, so the counts are taken one after the other on one thread.
 #[test]
 fn a_warm_query_allocates_within_budget_on_both_paths() {
     let trace = uniform_trace(30_000, 0, 1000, 0);
     let config = SystemConfig::default().with_seed(2003);
 
     let mut direct = RangeSelectNetwork::new(PEERS, config.clone());
-    let direct_allocs = per_query(&trace, |q| {
-        direct.query(q);
+    let direct_allocs = per_query(&trace, 1, |qs| {
+        direct.query(&qs[0]);
+    });
+    // The ledger's engine options, in its batch size.
+    let engine = EngineOptions {
+        shards: 16,
+        workers: 2,
+        queue: 1024,
+    };
+    let mut batched = RangeSelectNetwork::new(PEERS, config.clone());
+    let batch_allocs = per_query(&trace, 3_000, |qs| {
+        batched.query_batch_concurrent_with(qs, engine);
+    });
+    let layered_config = config
+        .clone()
+        .with_placement_mode(PlacementMode::Layered)
+        .with_probes(16)
+        .with_layers(1)
+        .with_walk_window(4);
+    let mut layered = RangeSelectNetwork::new(PEERS, layered_config);
+    let layered_allocs = per_query(&trace, 1, |qs| {
+        layered.query(&qs[0]);
+    });
+    let churn_config = config.clone().with_replication(2).with_route_cache(4096);
+    let mut churn = ChurnNetwork::new(200, churn_config).expect("the ring converges");
+    let churn_allocs = per_query(&trace, 1, |qs| {
+        churn.query_timed(&qs[0]);
     });
     let mut proto = ProtoNetwork::new(PEERS, config);
-    let proto_allocs = per_query(&trace, |q| {
-        proto.query(q);
+    let proto_allocs = per_query(&trace, 1, |qs| {
+        proto.query(&qs[0]);
     });
-    eprintln!("allocations a query: direct {direct_allocs:.2}, message path {proto_allocs:.2}");
+    eprintln!(
+        "allocations a query: direct {direct_allocs:.2}, batch {batch_allocs:.2}, \
+         layered {layered_allocs:.2}, churn {churn_allocs:.2}, message path {proto_allocs:.2}"
+    );
 
     assert!(
         direct_allocs <= 11.0,
         "direct path: {direct_allocs:.2} a query"
+    );
+    assert!(
+        batch_allocs <= 11.0,
+        "batch call: {batch_allocs:.2} a query (direct {direct_allocs:.2})"
+    );
+    assert!(
+        layered_allocs <= 18.0,
+        "layered placement: {layered_allocs:.2} a query"
+    );
+    assert!(
+        churn_allocs <= 18.5,
+        "churn path: {churn_allocs:.2} a query"
     );
     assert!(
         proto_allocs <= 14.0,

@@ -1041,3 +1041,171 @@ proptest! {
         }
     }
 }
+
+// The sharded-origin batch call (`query_trace_sharded`, which
+// `query_batch_concurrent_with` runs): the plain `query` loop with each
+// query's origin drawn from one of `shards` RNG streams. Seeds honour
+// `ARS_FAULT_SEED`.
+
+/// A short trace of non-empty ranges with planted repeats, so the
+/// identifier cache and bucket matching both get exercised.
+fn sharded_trace_strategy() -> impl Strategy<Value = Vec<RangeSet>> {
+    prop::collection::vec((0u32..800, 0u32..80, any::<bool>()), 4..24).prop_map(|specs| {
+        let mut qs = Vec::with_capacity(specs.len() * 2);
+        for (lo, width, repeat) in specs {
+            qs.push(RangeSet::interval(lo, lo + width));
+            if repeat {
+                qs.push(RangeSet::interval(100, 160)); // popular range
+            }
+        }
+        qs
+    })
+}
+
+fn sharded_net(seed: u64, capacity: usize) -> RangeSelectNetwork {
+    RangeSelectNetwork::new(
+        24,
+        SystemConfig::default()
+            .with_seed(seed)
+            .with_ident_cache_capacity(capacity),
+    )
+}
+
+/// The conserved ledgers every run must balance: one cache lookup per
+/// query, one routed lookup per distinct identifier, stats consistent
+/// with the outcomes they summarize.
+fn assert_ledgers(net: &RangeSelectNetwork, outs: &[QueryOutcome], label: &str) {
+    let cache = net.identifier_cache();
+    assert_eq!(
+        cache.hits() + cache.misses(),
+        outs.len() as u64,
+        "{label}: cache lookups != queries"
+    );
+    let stats = net.stats();
+    assert_eq!(stats.queries, outs.len() as u64, "{label}: query count");
+    assert_eq!(
+        stats.lookups,
+        outs.iter().map(|o| o.attempts as u64).sum::<u64>(),
+        "{label}: lookups != Σ attempts"
+    );
+    assert_eq!(
+        stats.matched,
+        outs.iter().filter(|o| o.best_match.is_some()).count() as u64,
+        "{label}: matched ledger"
+    );
+    assert_eq!(
+        stats.exact,
+        outs.iter().filter(|o| o.exact).count() as u64,
+        "{label}: exact ledger"
+    );
+    assert_eq!(
+        stats.stored,
+        outs.iter().filter(|o| o.stored).count() as u64,
+        "{label}: stored ledger"
+    );
+    assert_eq!(
+        stats.total_hops,
+        outs.iter()
+            .flat_map(|o| o.hops.iter())
+            .map(|&h| h as u64)
+            .sum::<u64>(),
+        "{label}: hop ledger"
+    );
+    for o in outs {
+        let mut distinct = o.identifiers.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            o.attempts,
+            distinct.len(),
+            "{label}: one attempt per distinct identifier \
+             (within-query dedup; static ring never retries)"
+        );
+    }
+}
+
+/// Strip the only origin-dependent field.
+fn without_hops(mut o: QueryOutcome) -> QueryOutcome {
+    o.hops.clear();
+    o
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Against the plain loop: every origin-independent field matches at
+    /// any shard count (owners are origin-independent on a static ring),
+    /// and the stats differ at most in `total_hops`.
+    #[test]
+    fn sharded_origins_change_only_hops(qs in sharded_trace_strategy(), salt in 0u64..64) {
+        let seed = env_seed("ARS_FAULT_SEED").wrapping_mul(0x9E37_79B9).wrapping_add(salt);
+        let mut plain = sharded_net(seed, 0);
+        let out_plain: Vec<QueryOutcome> = qs.iter().map(|q| plain.query(q)).collect();
+        for shards in [2usize, 7] {
+            let mut sharded = sharded_net(seed, 0);
+            let out_sharded = sharded.query_trace_sharded(&qs, shards);
+            assert_ledgers(&sharded, &out_sharded, "sharded");
+            let a: Vec<QueryOutcome> = out_plain.iter().cloned().map(without_hops).collect();
+            let b: Vec<QueryOutcome> = out_sharded.into_iter().map(without_hops).collect();
+            prop_assert_eq!(a, b, "origin-independent fields diverged at {} shards", shards);
+            let (ps, ss) = (plain.stats(), sharded.stats());
+            prop_assert_eq!(ps.queries, ss.queries);
+            prop_assert_eq!(ps.matched, ss.matched);
+            prop_assert_eq!(ps.exact, ss.exact);
+            prop_assert_eq!(ps.stored, ss.stored);
+            prop_assert_eq!(ps.lookups, ss.lookups);
+            prop_assert_eq!(plain.total_partitions(), sharded.total_partitions());
+        }
+    }
+
+    /// Bounded caches balance the ledgers and respect their capacity, on
+    /// the sharded-origin loop and on the staged batch alike.
+    #[test]
+    fn bounded_cache_ledgers_conserved(qs in sharded_trace_strategy(), capacity in 1usize..8) {
+        let seed = env_seed("ARS_FAULT_SEED").wrapping_add(capacity as u64);
+        let mut sharded = sharded_net(seed, capacity);
+        let outs = sharded.query_trace_sharded(&qs, 4);
+        assert_ledgers(&sharded, &outs, "sharded");
+        prop_assert!(sharded.identifier_cache().len() <= capacity);
+        let mut batch = sharded_net(seed, capacity);
+        let outs = batch.query_batch(&qs);
+        assert_ledgers(&batch, &outs, "batch");
+        prop_assert!(batch.identifier_cache().len() <= capacity);
+    }
+}
+
+/// The identifier cache a sharded-origin run leaves is the plain loop's,
+/// counter for counter, at every capacity and shard count: only the
+/// origin draw is sharded.
+#[test]
+fn bounded_cache_accounting_is_loop_exact_at_every_shard_count() {
+    let seed = env_seed("ARS_FAULT_SEED");
+    let mut rng = DetRng::new(seed.wrapping_add(800));
+    let ranges: Vec<RangeSet> = (0..40)
+        .map(|_| {
+            let lo = rng.gen_index(900) as u32;
+            RangeSet::interval(lo, lo + 5 + rng.gen_index(60) as u32)
+        })
+        .collect();
+    let qs: Vec<RangeSet> = (0..800)
+        .map(|_| ranges[rng.gen_index(ranges.len())].clone())
+        .collect();
+    for capacity in [0usize, 1, 3, 7] {
+        let mut plain = sharded_net(seed, capacity);
+        for q in &qs {
+            plain.query(q);
+        }
+        let c = plain.identifier_cache();
+        let want = (c.hits(), c.misses(), c.evictions(), c.len());
+        for shards in [1usize, 2, 4, 7] {
+            let mut sharded = sharded_net(seed, capacity);
+            sharded.query_trace_sharded(&qs, shards);
+            let c = sharded.identifier_cache();
+            assert_eq!(
+                (c.hits(), c.misses(), c.evictions(), c.len()),
+                want,
+                "capacity {capacity}, {shards} shards: (hits, misses, evictions, len)"
+            );
+        }
+    }
+}
