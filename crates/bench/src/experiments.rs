@@ -51,7 +51,7 @@ pub fn run_quality_experiment(config: SystemConfig) -> Vec<QueryOutcome> {
 
 /// Resolve the workspace root (the ancestor of the crate dir holding both
 /// `Cargo.toml` and `crates/`).
-pub fn repo_root() -> std::path::PathBuf {
+pub(crate) fn repo_root() -> std::path::PathBuf {
     let base = std::env::var("CARGO_MANIFEST_DIR")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|_| std::path::PathBuf::from("."));

@@ -187,6 +187,7 @@ impl RouteCache {
         self.inner.borrow().stats
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.inner.borrow().map.len()
     }
@@ -239,20 +240,6 @@ impl RingView {
     /// believe they own the same identifier).
     pub fn is_split_brain(&self) -> bool {
         self.claims.iter().any(|(_, c)| c.len() >= 2)
-    }
-
-    /// The contested probe keys and their claimants (empty when healthy).
-    pub fn contested(&self) -> Vec<(Id, Vec<Id>)> {
-        self.claims
-            .iter()
-            .filter(|(_, c)| c.len() >= 2)
-            .cloned()
-            .collect()
-    }
-
-    /// All probes `(key, claimants)`, one per alive node id.
-    pub fn claims(&self) -> &[(Id, Vec<Id>)] {
-        &self.claims
     }
 }
 
@@ -327,7 +314,8 @@ impl DynamicNetwork {
     }
 
     /// Entries currently cached.
-    pub fn route_cache_len(&self) -> usize {
+    #[cfg(test)]
+    fn route_cache_len(&self) -> usize {
         self.route_cache.len()
     }
 
@@ -336,11 +324,6 @@ impl DynamicNetwork {
     /// lookups additionally emit one `chord.lookup_resilient` event each.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// The installed telemetry handle (no-op by default).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Number of alive nodes.
@@ -1781,7 +1764,6 @@ mod tests {
             .expect("split rings converge");
         let view = net.ring_view();
         assert!(view.is_split_brain(), "split ring not detected");
-        assert!(!view.contested().is_empty());
         net.heal();
         net.stabilize_until_consistent(64)
             .expect("healed ring converges");

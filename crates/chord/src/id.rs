@@ -31,13 +31,13 @@ impl From<u32> for Id {
 impl Id {
     /// Hash an arbitrary address (e.g. `"10.0.0.1:4432"`) onto the circle
     /// with SHA-1, as the paper prescribes.
-    pub fn from_address(addr: &str) -> Id {
+    pub(crate) fn from_address(addr: &str) -> Id {
         Id(sha1_u32(addr.as_bytes()))
     }
 
     /// `self + 2^i` on the circle (finger start positions).
     #[inline]
-    pub fn plus_pow2(self, i: u32) -> Id {
+    pub(crate) fn plus_pow2(self, i: u32) -> Id {
         debug_assert!(i < ID_BITS);
         Id(self.0.wrapping_add(1u32 << i))
     }
@@ -51,7 +51,7 @@ impl Id {
     /// Clockwise distance from `self` to `other` (how far you travel
     /// forward to reach `other`).
     #[inline]
-    pub fn distance_to(self, other: Id) -> u32 {
+    pub(crate) fn distance_to(self, other: Id) -> u32 {
         other.0.wrapping_sub(self.0)
     }
 
@@ -83,18 +83,6 @@ impl Id {
             let d_self = a.distance_to(self);
             let d_b = a.distance_to(b);
             d_self > 0 && d_self <= d_b
-        }
-    }
-
-    /// True if `self` lies in the half-open circular interval `[a, b)`.
-    #[inline]
-    pub fn in_closed_open(self, a: Id, b: Id) -> bool {
-        if a == b {
-            true
-        } else {
-            let d_self = a.distance_to(self);
-            let d_b = a.distance_to(b);
-            d_self < d_b
         }
     }
 }
@@ -161,12 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_open_includes_left_end() {
-        assert!(Id(10).in_closed_open(Id(10), Id(20)));
-        assert!(!Id(20).in_closed_open(Id(10), Id(20)));
-    }
-
-    #[test]
     fn from_address_deterministic_and_spread() {
         let a = Id::from_address("10.0.0.1:4432");
         let b = Id::from_address("10.0.0.1:4432");
@@ -196,7 +178,6 @@ mod tests {
             prop_assume!(a != b);
             let (x, a, b) = (Id(x), Id(a), Id(b));
             prop_assert_eq!(x.in_open_closed(a, b), x.in_open(a, b) || x == b);
-            prop_assert_eq!(x.in_closed_open(a, b), x.in_open(a, b) || x == a);
         }
 
         #[test]

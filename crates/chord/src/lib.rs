@@ -7,15 +7,15 @@
 //! implements that substrate from scratch:
 //!
 //! * [`mod@sha1`] — FIPS 180-1 SHA-1 (used to hash peer addresses);
-//! * [`id::Id`] — 32-bit circular identifier arithmetic;
-//! * [`ring::Ring`] — static ring construction with full finger tables and
+//! * [`Id`] — 32-bit circular identifier arithmetic;
+//! * [`Ring`] — static ring construction with full finger tables and
 //!   iterative lookup with hop accounting (used by the scalability
 //!   experiments, Figs. 11–12);
 //! * [`dynamic::DynamicNetwork`] — the live protocol: join, graceful leave,
 //!   abrupt failure, stabilization, finger repair, successor lists.
 //!
 //! ```
-//! use ars_chord::ring::Ring;
+//! use ars_chord::Ring;
 //!
 //! let ring = Ring::from_seed(100, 7);           // 100 peers
 //! let (owner, hops) = ring.lookup(ring.node_ids()[0], 12345.into());
@@ -26,12 +26,12 @@
 #![warn(missing_docs)]
 
 pub mod dynamic;
-pub mod id;
+mod id;
 pub mod layered;
-pub mod lookup;
-pub mod ring;
+mod lookup;
+mod ring;
 pub mod sha1;
-pub mod vnodes;
+mod vnodes;
 
 pub use dynamic::{DynamicNetwork, RingView, RouteCacheStats};
 pub use id::Id;

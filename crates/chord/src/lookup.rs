@@ -4,12 +4,13 @@
 //! lies in `(n, successor(n)]` the successor owns it; otherwise forward to
 //! the closest finger strictly preceding the key. Path length — the number of
 //! overlay edges traversed, the metric of the paper's Fig. 12 — is the
-//! length of [`LookupTrace::path`] minus one.
+//! number of nodes a lookup forwards to.
 
 use crate::id::Id;
 use crate::ring::Ring;
 
 /// The complete route taken by one lookup.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupTrace {
     /// Nodes visited in order, starting with the origin and ending with the
@@ -21,9 +22,10 @@ pub struct LookupTrace {
     pub key: Id,
 }
 
+#[cfg(test)]
 impl LookupTrace {
     /// Number of overlay hops (edges) traversed.
-    pub fn hops(&self) -> usize {
+    pub(crate) fn hops(&self) -> usize {
         self.path.len() - 1
     }
 }
@@ -34,13 +36,14 @@ impl LookupTrace {
 /// Panics if `from` is not a node of the ring, or if routing fails to make
 /// progress (which would indicate a broken finger table — impossible for a
 /// [`Ring`], whose tables are exact).
-pub fn lookup_trace(ring: &Ring, from: Id, key: Id) -> LookupTrace {
+#[cfg(test)]
+pub(crate) fn lookup_trace(ring: &Ring, from: Id, key: Id) -> LookupTrace {
     let mut path = vec![from];
     let owner = route(ring, ring.origin_rank(from), key, |node| path.push(node));
     LookupTrace { path, owner, key }
 }
 
-/// The routing loop behind [`lookup_trace`] and [`Ring::lookup_from`]: steps
+/// The routing loop behind [`Ring::lookup_from`]: steps
 /// [`Ring::next_hop`] from the node of rank `from` to the owner of `key`,
 /// handing every node it forwards to (the origin excluded, the owner
 /// included unless it is the origin) to `visit`, and returns the owner.

@@ -15,7 +15,7 @@
 //! path lengths (Fig. 12).
 
 use crate::id::{Id, ID_BITS};
-use crate::lookup::{lookup_trace, route, LookupTrace};
+use crate::lookup::route;
 use ars_common::DetRng;
 
 const FINGERS: usize = ID_BITS as usize;
@@ -35,7 +35,7 @@ impl Ring {
     ///
     /// # Panics
     /// Panics if no ids are given.
-    pub fn new(mut ids: Vec<Id>) -> Ring {
+    pub(crate) fn new(mut ids: Vec<Id>) -> Ring {
         ids.sort_unstable();
         ids.dedup();
         assert!(!ids.is_empty(), "a ring needs at least one node");
@@ -94,13 +94,8 @@ impl Ring {
     }
 
     /// The rank of `node`, or `None` if it is not a node of this ring.
-    pub fn rank_of(&self, node: Id) -> Option<usize> {
+    pub(crate) fn rank_of(&self, node: Id) -> Option<usize> {
         self.ids.binary_search(&node).ok()
-    }
-
-    /// True if `id` is a node of this ring.
-    pub fn contains(&self, id: Id) -> bool {
-        self.rank_of(id).is_some()
     }
 
     /// The node that owns `key`: the first node clockwise from `key`
@@ -113,7 +108,8 @@ impl Ring {
     ///
     /// # Panics
     /// Panics if `node` is not in the ring.
-    pub fn predecessor_of(&self, node: Id) -> Id {
+    #[cfg(test)]
+    fn predecessor_of(&self, node: Id) -> Id {
         let rank = self.rank_of(node).expect("node not in ring");
         self.ids[(rank + self.ids.len() - 1) % self.ids.len()]
     }
@@ -123,7 +119,8 @@ impl Ring {
     ///
     /// # Panics
     /// Panics if `rank` is not below [`Self::len`] or `i` not below 32.
-    pub fn finger(&self, rank: usize, i: usize) -> Id {
+    #[cfg(test)]
+    fn finger(&self, rank: usize, i: usize) -> Id {
         assert!(i < FINGERS, "a node has {FINGERS} fingers");
         self.ids[self.fingers[rank * FINGERS + i] as usize]
     }
@@ -183,8 +180,9 @@ impl Ring {
     ///
     /// # Panics
     /// Panics if `from` is not a node of the ring.
-    pub fn lookup_trace(&self, from: Id, key: Id) -> LookupTrace {
-        lookup_trace(self, from, key)
+    #[cfg(test)]
+    fn lookup_trace(&self, from: Id, key: Id) -> crate::lookup::LookupTrace {
+        crate::lookup::lookup_trace(self, from, key)
     }
 
     /// The rank a lookup from node `from` starts at.
@@ -269,7 +267,7 @@ mod tests {
     fn from_addresses_uses_sha1() {
         let ring = Ring::from_addresses(["10.0.0.1:80", "10.0.0.2:80"]);
         assert_eq!(ring.len(), 2);
-        assert!(ring.contains(Id::from_address("10.0.0.1:80")));
+        assert!(ring.rank_of(Id::from_address("10.0.0.1:80")).is_some());
     }
 
     #[test]

@@ -54,18 +54,8 @@ impl VirtualRing {
         }
     }
 
-    /// The underlying (virtual) ring: routing works on it unchanged.
-    pub fn ring(&self) -> &Ring {
-        &self.ring
-    }
-
-    /// Number of physical peers.
-    pub fn n_physical(&self) -> usize {
-        self.n_physical
-    }
-
     /// The physical peer responsible for `key`.
-    pub fn physical_owner_of(&self, key: Id) -> usize {
+    pub(crate) fn physical_owner_of(&self, key: Id) -> usize {
         let vnode = self.ring.successor_of(key);
         self.physical_of[&vnode.0]
     }
@@ -89,9 +79,9 @@ mod tests {
     #[test]
     fn every_vnode_maps_to_a_physical_peer() {
         let vr = VirtualRing::from_seed(10, 4, 1);
-        assert_eq!(vr.ring().len(), 40);
-        assert_eq!(vr.n_physical(), 10);
-        for &id in vr.ring().node_ids() {
+        assert_eq!(vr.ring.len(), 40);
+        assert_eq!(vr.n_physical, 10);
+        for &id in vr.ring.node_ids() {
             let p = vr.physical_owner_of(id);
             assert!(p < 10);
         }
@@ -101,7 +91,7 @@ mod tests {
     fn ownership_respects_successor() {
         let vr = VirtualRing::from_seed(5, 3, 2);
         let key = Id(0x1234_5678);
-        let vnode = vr.ring().successor_of(key);
+        let vnode = vr.ring.successor_of(key);
         assert_eq!(vr.physical_owner_of(key), vr.physical_of[&vnode.0]);
     }
 

@@ -41,18 +41,8 @@ impl CsvTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no data rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render the table to a CSV string.
-    pub fn to_csv_string(&self) -> String {
+    pub(crate) fn to_csv_string(&self) -> String {
         let mut out = String::new();
         write_record(&mut out, &self.header);
         for row in &self.rows {
@@ -106,8 +96,7 @@ mod tests {
         t.push_row(["1", "2"]);
         t.push_row(["3", "4"]);
         assert_eq!(t.to_csv_string(), "a,b\n1,2\n3,4\n");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod fxhash;
-pub mod rng;
+mod fxhash;
+mod rng;
 pub mod stats;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -9,7 +9,7 @@
 
 /// splitmix64 step: used for seeding and as a cheap stateless mixer.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -129,14 +129,6 @@ impl DetRng {
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, data: &mut [T]) {
-        for i in (1..data.len()).rev() {
-            let j = self.gen_index(i + 1);
-            data.swap(i, j);
-        }
     }
 
     /// Choose `m` distinct indices from `[0, n)` (partial Fisher–Yates).
@@ -259,21 +251,6 @@ mod tests {
             let x = r.gen_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::new(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle left input unchanged"
-        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct Summary {
 
 impl Summary {
     /// Compute a summary from samples. Panics on an empty slice.
-    pub fn from_samples(samples: &[f64]) -> Summary {
+    pub(crate) fn from_samples(samples: &[f64]) -> Summary {
         assert!(!samples.is_empty(), "Summary of empty sample set");
         let mut sorted: Vec<f64> = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));

@@ -11,7 +11,7 @@ use ars_lsh::RangeSet;
 /// The stored partitions of one identifier, in insertion order: one
 /// `(lo, hi)` pair a partition, scanned as a flat array. A set that is not
 /// one interval (empty or several: wire and test inputs, never the
-/// paper's workloads) holds its slot with [`SPILLED`] and is kept in
+/// paper's workloads) holds its slot with `SPILLED` and is kept in
 /// `spilled` under the slot's number, so store order and the
 /// earliest-wins tie rule see it where it was stored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

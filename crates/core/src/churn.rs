@@ -70,7 +70,7 @@ use ars_telemetry::Telemetry;
 /// intervals)` triple in the canonical comparison form.
 pub type InventoryEntry = (u32, u32, Vec<(u32, u32)>);
 
-/// What one [`ChurnNetwork::anti_entropy_round`] did.
+/// What one anti-entropy round did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairRound {
     /// Per-(peer, identifier, owner) digest comparisons performed.
@@ -141,8 +141,7 @@ impl ChurnNetwork {
     ///
     /// Returns [`ChordError::NotConverged`] if the ring fails to reach a
     /// consistent state while growing — impossible with the default
-    /// stabilization effort, but reachable through
-    /// [`Self::with_growth_rounds`].
+    /// stabilization effort, which a unit test starves to reach it.
     ///
     /// # Panics
     /// Panics if `n_peers` is zero.
@@ -159,7 +158,7 @@ impl ChurnNetwork {
     ///
     /// # Panics
     /// Panics if `n_peers` is zero.
-    pub fn with_growth_rounds(
+    pub(crate) fn with_growth_rounds(
         n_peers: usize,
         config: SystemConfig,
         per_join_rounds: usize,
@@ -253,14 +252,10 @@ impl ChurnNetwork {
     ///
     /// # Panics
     /// Panics if the policy allows no attempt at all.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
+    #[cfg(test)]
+    fn set_retry_policy(&mut self, policy: RetryPolicy) {
         assert!(policy.attempts >= 1, "at least one attempt is required");
         self.retry = policy;
-    }
-
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Resilience counters (retries, fallbacks, re-replication work).
@@ -312,13 +307,8 @@ impl ChurnNetwork {
 
     /// Virtual service time of one fetch served by `peer`:
     /// `BASE_SERVICE`, multiplied by the peer's slow factor if gray-slow.
-    pub fn service_time(&self, peer: Id) -> u64 {
+    pub(crate) fn service_time(&self, peer: Id) -> u64 {
         BASE_SERVICE * self.slow.get(&peer.0).copied().unwrap_or(1)
-    }
-
-    /// The virtual clock (advanced by queries, probes, and backoffs).
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// Enable hedged lookups: when a primary fetch would take longer than
@@ -337,21 +327,10 @@ impl ChurnNetwork {
         self.breaker_cfg = Some(config);
     }
 
-    /// The per-peer failure detector (latency estimates, suspicion).
-    pub fn detector(&self) -> &FailureDetector {
-        &self.detector
-    }
-
     /// Breaker state of `peer` at the current virtual clock, if breakers
     /// are enabled and the peer has been observed.
     pub fn breaker_state(&self, peer: Id) -> Option<BreakerState> {
         self.breakers.get(&peer.0).map(|b| b.state(self.clock))
-    }
-
-    /// The observed per-fetch latency histogram (what hedge delays and
-    /// the tail bench read their quantiles from).
-    pub fn observed_latency(&self) -> &ars_telemetry::Hist {
-        &self.latency_hist
     }
 
     /// One health-probe sweep: contact every alive peer (sorted order,
@@ -663,7 +642,7 @@ impl ChurnNetwork {
     /// `buckets.lost` telemetry counter. With a replication factor above 1,
     /// surviving replicas are immediately re-spread so the invariant (each
     /// partition at `r` alive successors) holds again. Contrast with
-    /// [`Self::crash`], which parks the disks for a later
+    /// [`Self::crash_random`], which parks the disks for a later
     /// [`Self::restart`].
     pub fn fail(&mut self, id: Id) -> Result<(), ChordError> {
         self.chord.fail(id)?;
@@ -856,7 +835,7 @@ impl ChurnNetwork {
     /// [`Self::restart`]. No re-replication sweep runs here: a crashed
     /// machine is expected back, and the anti-entropy repair loop is the
     /// path that restores the replication invariant afterwards.
-    pub fn crash(&mut self, id: Id) -> Result<(), ChordError> {
+    pub(crate) fn crash(&mut self, id: Id) -> Result<(), ChordError> {
         self.chord.fail(id)?;
         let lost = self
             .storage
@@ -900,7 +879,7 @@ impl ChurnNetwork {
     /// of partition copies recovered from disk (0 without durability).
     ///
     /// The recovered identifiers are re-announced by the next
-    /// [`Self::anti_entropy_round`]: the restarted holder pushes them back
+    /// anti-entropy round: the restarted holder pushes them back
     /// to their current replica owners, which is what makes recovery
     /// visible to queries again even if ring ownership shifted meanwhile.
     pub fn restart(&mut self, id: Id) -> Result<usize, ChordError> {
@@ -951,11 +930,6 @@ impl ChurnNetwork {
         Ok(recovered as usize)
     }
 
-    /// Number of crashed peers awaiting [`Self::restart`].
-    pub fn crashed_count(&self) -> usize {
-        self.crashed.len()
-    }
-
     /// A peer's durable store, if durability is on and the peer is alive —
     /// read access for benches and tests (log length, disk statistics).
     pub fn log_of(&self, id: Id) -> Option<&BucketStore> {
@@ -978,7 +952,7 @@ impl ChurnNetwork {
     ///
     /// # Panics
     /// Panics if `budget` is zero (such a round could never make progress).
-    pub fn anti_entropy_round(&mut self, budget: usize) -> RepairRound {
+    pub(crate) fn anti_entropy_round(&mut self, budget: usize) -> RepairRound {
         assert!(budget >= 1, "repair budget must be positive");
         self.resilience.repair_rounds += 1;
         self.telemetry.counter_add("repair.rounds", 1);
@@ -1065,7 +1039,7 @@ impl ChurnNetwork {
         bucket.into_iter().flat_map(Bucket::ranges)
     }
 
-    /// Run [`Self::anti_entropy_round`]s until a round transfers nothing
+    /// Run anti-entropy rounds until a round transfers nothing
     /// (and was not cut short by the budget), i.e. every replica set has
     /// converged. Returns the number of rounds run, or `None` if
     /// `max_rounds` elapsed first.
@@ -1556,9 +1530,8 @@ impl ChurnNetwork {
     }
 
     /// [`Self::query_resilient`] behind deadline admission, with the
-    /// virtual clock as a single server that is busy until
-    /// [`Self::clock`]: a query arriving at virtual time `arrival` starts
-    /// at `max(clock, arrival)`. One that cannot start by
+    /// virtual clock as a single server: a query arriving at virtual time
+    /// `arrival` starts at `max(clock, arrival)`. One that cannot start by
     /// `arrival + deadline` is shed: counted in [`ResilienceStats::shed`]
     /// and `resilient.shed`, answered `None`, and drawing no randomness —
     /// the admitted queries replay as if it had never been offered.
@@ -2154,11 +2127,11 @@ mod tests {
         let n = net.len();
         let victim = net.crash_random(1)[0];
         assert_eq!(net.len(), n - 1);
-        assert_eq!(net.crashed_count(), 1);
+        assert_eq!(net.crashed.len(), 1);
         let recovered = net.restart(victim).unwrap();
         assert_eq!(recovered, 0, "no disks, nothing to replay");
         assert_eq!(net.len(), n);
-        assert_eq!(net.crashed_count(), 0);
+        assert_eq!(net.crashed.len(), 0);
         net.stabilize(128).expect("recovers");
         net.check_bucket_ledger().unwrap();
     }

@@ -113,8 +113,9 @@ pub struct SystemConfig {
     /// (the default) is the paper's pure soft-state model: an abrupt
     /// failure loses the peer's cache. `Some` persists every placement
     /// and eviction to a crash-faulted op log, enabling
-    /// [`crate::ChurnNetwork::crash`]/[`crate::ChurnNetwork::restart`]
-    /// to bring peers back with their buckets recovered from disk.
+    /// [`crate::ChurnNetwork::crash_random`] and
+    /// [`crate::ChurnNetwork::restart`] to bring peers back with their
+    /// buckets recovered from disk.
     pub durability: Option<DurabilityConfig>,
     /// Capacity of the identifier memo cache
     /// ([`crate::network::IdentifierCache`]) in distinct ranges; `0` (the

@@ -114,7 +114,8 @@ impl DataNetwork {
 
     /// Direct access to one attribute's identifier network (after at least
     /// one query has touched it).
-    pub fn attribute_network(&self, relation: &str, attr: &str) -> Option<&RangeSelectNetwork> {
+    #[cfg(test)]
+    fn attribute_network(&self, relation: &str, attr: &str) -> Option<&RangeSelectNetwork> {
         self.nets.get(&(relation.to_string(), attr.to_string()))
     }
 

@@ -8,11 +8,11 @@
 //! * [`DurabilityConfig`] — per-system knobs (fault surface, sync cadence,
 //!   compaction cadence) plus the per-peer seed derivation, configured via
 //!   [`crate::SystemConfig::with_durability`];
-//! * [`encode_range`] / [`decode_range`] — the byte codec for
+//! * [`encode_range`] / `decode_range` — the byte codec for
 //!   [`RangeSet`] payloads (interval list, little-endian u32 pairs),
 //!   decoded defensively so a corrupt payload that slipped past the log
 //!   CRC degrades to a dropped entry, never a panic;
-//! * [`digest_bytes`] — the FNV-1a hash under the anti-entropy digests
+//! * `digest_bytes` — the FNV-1a hash under the anti-entropy digests
 //!   (hand-rolled so digests are stable across platforms and reruns).
 //!
 //! The storage fault surface is declared on the same [`FaultPlan`] that
@@ -53,30 +53,9 @@ impl Default for DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durable storage on perfect disks (crashes lose nothing synced).
-    pub fn new() -> DurabilityConfig {
-        DurabilityConfig::default()
-    }
-
     /// Builder-style: set the storage fault surface.
     pub fn with_faults(mut self, faults: StorageFaults) -> DurabilityConfig {
         self.faults = faults;
-        self
-    }
-
-    /// Builder-style: sync cadence.
-    ///
-    /// # Panics
-    /// Panics if `every` is zero.
-    pub fn with_sync_every(mut self, every: usize) -> DurabilityConfig {
-        assert!(every >= 1, "sync cadence must be at least 1");
-        self.sync_every = every;
-        self
-    }
-
-    /// Builder-style: compaction cadence (0 disables).
-    pub fn with_compact_every(mut self, every: usize) -> DurabilityConfig {
-        self.compact_every = every;
         self
     }
 
@@ -102,7 +81,7 @@ impl DurabilityConfig {
     /// Per-peer disk seed: splitmix-style spread of the peer id over the
     /// system seed, so every peer tears different bytes while the whole
     /// fleet stays a pure function of `(system seed, peer id)`.
-    pub fn seed_for(&self, system_seed: u64, peer: u32) -> u64 {
+    pub(crate) fn seed_for(&self, system_seed: u64, peer: u32) -> u64 {
         system_seed ^ (peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD757_AB1E
     }
 }
@@ -125,7 +104,7 @@ pub fn encode_range(range: &RangeSet) -> Vec<u8> {
 /// Decode a payload written by [`encode_range`]. Returns `None` for any
 /// malformed input — wrong length, inverted interval, trailing bytes —
 /// so recovery can drop a damaged entry instead of panicking.
-pub fn decode_range(bytes: &[u8]) -> Option<RangeSet> {
+pub(crate) fn decode_range(bytes: &[u8]) -> Option<RangeSet> {
     if bytes.len() < 4 {
         return None;
     }
@@ -150,7 +129,7 @@ pub fn decode_range(bytes: &[u8]) -> Option<RangeSet> {
 /// digests. Hand-rolled (not `std`'s hasher) so digest values are stable
 /// across platforms, toolchains, and reruns: repair traces must be
 /// byte-identical per seed.
-pub fn digest_bytes(bytes: &[u8]) -> u64 {
+pub(crate) fn digest_bytes(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -231,11 +210,5 @@ mod tests {
         let d = DurabilityConfig::default();
         assert_ne!(d.seed_for(7, 1), d.seed_for(7, 2));
         assert_eq!(d.seed_for(7, 1), d.seed_for(7, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_sync_cadence_rejected() {
-        DurabilityConfig::default().with_sync_every(0);
     }
 }

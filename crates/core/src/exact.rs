@@ -26,7 +26,7 @@ use ars_common::{DetRng, FxHashMap, FxHashSet};
 use ars_lsh::RangeSet;
 
 /// SHA-1 of a range's canonical interval list — the §3.1 DHT key.
-pub fn exact_key(range: &RangeSet) -> Id {
+pub(crate) fn exact_key(range: &RangeSet) -> Id {
     let mut h = Sha1::new();
     for &(lo, hi) in range.intervals() {
         h.update(&lo.to_be_bytes());
@@ -71,24 +71,15 @@ impl ExactMatchNetwork {
         }
     }
 
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True if the network has no peers.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
     /// Total cached ranges.
-    pub fn total_partitions(&self) -> usize {
+    #[cfg(test)]
+    fn total_partitions(&self) -> usize {
         self.peers.values().map(FxHashSet::len).sum()
     }
 
     /// One query: a single DHT lookup on the exact key. Hit ⇒ recall 1;
     /// miss ⇒ recall 0 and the partition is cached.
-    pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
+    pub(crate) fn query(&mut self, q: &RangeSet) -> QueryOutcome {
         assert!(!q.is_empty(), "cannot query an empty range");
         let key = exact_key(q);
         let origin = {

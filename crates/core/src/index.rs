@@ -47,23 +47,23 @@ pub struct IntervalIndex {
 
 impl IntervalIndex {
     /// An empty index.
-    pub fn new() -> IntervalIndex {
+    pub(crate) fn new() -> IntervalIndex {
         IntervalIndex::default()
     }
 
     /// Number of indexed ranges.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.base.len() + self.staging.len()
     }
 
     /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.base.is_empty() && self.staging.is_empty()
     }
 
     /// Insert a range (duplicates are the caller's concern; buckets
     /// already deduplicate).
-    pub fn insert(&mut self, range: RangeSet) {
+    pub(crate) fn insert(&mut self, range: RangeSet) {
         debug_assert!(!range.is_empty());
         self.staging.push(range);
         if self.staging.len() * 8 > self.base.len().max(32) {
@@ -124,7 +124,7 @@ impl IntervalIndex {
     /// order, then staging, not in store order, and when nothing overlaps
     /// the zero-score answer is the smallest-start entry, not the first
     /// stored.
-    pub fn best_match(&self, query: &RangeSet, measure: MatchMeasure) -> Option<Match> {
+    pub(crate) fn best_match(&self, query: &RangeSet, measure: MatchMeasure) -> Option<Match> {
         if self.is_empty() {
             return None;
         }

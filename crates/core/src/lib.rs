@@ -31,15 +31,15 @@
 #![warn(missing_docs)]
 
 pub mod bucket;
-pub mod churn;
+mod churn;
 pub mod config;
 pub mod data;
 pub mod durable;
-pub mod engine;
-pub mod exact;
-pub mod index;
+mod engine;
+mod exact;
+mod index;
 pub mod network;
-pub mod peer;
+mod peer;
 mod plan;
 pub mod proto;
 pub mod recall;

@@ -5,7 +5,7 @@
 //! the shared query plan (`plan.rs`): Chord routing is computed (with full
 //! hop accounting) but replies do not traverse a message queue — see
 //! [`crate::proto`] for the message-passing executor, which an integration
-//! test holds equal to this one, and [`crate::churn`] for the one whose
+//! test holds equal to this one, and [`crate::ChurnNetwork`] for the one whose
 //! routing can fail.
 
 use crate::config::SystemConfig;
@@ -122,11 +122,6 @@ impl IdentifierCache {
     /// Entries evicted to respect the capacity bound.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Configured capacity (`0` = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of distinct ranges cached.
@@ -412,17 +407,6 @@ impl RangeSelectNetwork {
         Self::with_ring(ring, config, &mut group_rng, rng)
     }
 
-    /// Build over peers identified by addresses (SHA-1 placement, §4).
-    pub fn from_addresses<S: AsRef<str>, I: IntoIterator<Item = S>>(
-        addrs: I,
-        config: SystemConfig,
-    ) -> RangeSelectNetwork {
-        let mut rng = DetRng::new(config.seed);
-        let mut group_rng = rng.fork();
-        let ring = Ring::from_addresses(addrs);
-        Self::with_ring(ring, config, &mut group_rng, rng)
-    }
-
     fn with_ring(
         ring: Ring,
         config: SystemConfig,
@@ -486,11 +470,6 @@ impl RangeSelectNetwork {
     /// `core.query` event per query.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// The installed telemetry handle (no-op by default).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// The configuration in force.
@@ -1005,7 +984,7 @@ mod tests {
             n.query(q);
         }
         let c = n.identifier_cache();
-        assert_eq!(c.capacity(), 2);
+        assert_eq!(c.capacity, 2);
         assert!(c.len() <= 2);
         // r(0,10) was evicted by r(40,50) before its repeat: 4 misses.
         assert_eq!(c.misses(), 4);

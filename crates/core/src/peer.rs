@@ -79,7 +79,7 @@ impl Peer {
     /// number of stored ranges that stood as candidates. A peer that keeps
     /// the §5.3 local index answers through it, across everything it
     /// holds. Every transport reads through this.
-    pub fn best_in_buckets(
+    pub(crate) fn best_in_buckets(
         &self,
         identifiers: &[u32],
         query: &RangeSet,
@@ -99,7 +99,7 @@ impl Peer {
 
     /// Best match across **all** buckets this peer holds — the §5.3 local
     /// index, answered through a flattened interval tree
-    /// ([`IntervalIndex`]): only candidates overlapping the query are
+    /// (`IntervalIndex`): only candidates overlapping the query are
     /// scored. A peer built without the index answers through
     /// [`Self::best_across_buckets_scan`].
     pub fn best_across_buckets(&self, query: &RangeSet, measure: MatchMeasure) -> Option<Match> {
@@ -131,17 +131,14 @@ impl Peer {
     }
 
     /// Number of distinct identifiers with a non-empty bucket.
-    pub fn bucket_count(&self) -> usize {
+    #[cfg(test)]
+    fn bucket_count(&self) -> usize {
         self.buckets.len()
     }
 
-    /// True if this peer stores nothing.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
     /// True if any bucket stores exactly this range.
-    pub fn contains_range(&self, range: &RangeSet) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains_range(&self, range: &RangeSet) -> bool {
         self.buckets.values().any(|b| b.contains(range))
     }
 
@@ -187,7 +184,7 @@ impl Peer {
 
     /// Drain all stored (identifier, range) pairs — used when a peer leaves
     /// gracefully and hands its keys to its successor.
-    pub fn drain(&mut self) -> Vec<(u32, RangeSet)> {
+    pub(crate) fn drain(&mut self) -> Vec<(u32, RangeSet)> {
         let mut out = Vec::new();
         for (ident, bucket) in self.buckets.drain() {
             out.extend(bucket.ranges().map(|r| (ident, r)));
@@ -222,7 +219,7 @@ mod tests {
     #[test]
     fn store_and_count() {
         let mut p = Peer::new(Id(42), false);
-        assert!(p.is_empty());
+        assert!(p.buckets.is_empty());
         assert!(p.store(7, r(0, 10)));
         assert!(p.store(7, r(20, 30)));
         assert!(!p.store(7, r(0, 10))); // dedup within bucket
@@ -329,7 +326,7 @@ mod tests {
         assert_eq!(handed.len(), 2);
         assert_eq!(handed[0], (7, r(0, 10)));
         assert_eq!(handed[1], (9, r(100, 110)));
-        assert!(p.is_empty());
+        assert!(p.buckets.is_empty());
         assert_eq!(p.partition_count(), 0);
         assert_count_exact(&p);
     }

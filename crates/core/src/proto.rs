@@ -540,16 +540,6 @@ impl ProtoNetwork {
         self.net.stats().bytes
     }
 
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.net.len()
-    }
-
-    /// True if the network has no peers.
-    pub fn is_empty(&self) -> bool {
-        self.net.is_empty()
-    }
-
     /// Messages delivered so far (protocol overhead accounting).
     pub fn messages_delivered(&self) -> u64 {
         self.net.stats().delivered

@@ -77,21 +77,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: the plain greedy lookup, take it or
-    /// leave it. Failures degrade to source fetch immediately.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            timeout_budget: 0,
-            base_backoff: 0,
-            max_backoff: 0,
-            hop_budget: 0,
-            deadline: None,
-        }
-    }
-
     /// This policy with a whole-query wall-clock deadline installed.
-    pub fn with_deadline(mut self, deadline: u64) -> RetryPolicy {
+    #[cfg(test)]
+    pub(crate) fn with_deadline(mut self, deadline: u64) -> RetryPolicy {
         self.deadline = Some(deadline);
         self
     }
@@ -105,7 +93,7 @@ impl RetryPolicy {
     /// unchanged from earlier revisions where the cap applied to the
     /// exponential term only and `exp + jitter` could overshoot
     /// `max_backoff` by up to `base_backoff − 1`.
-    pub fn backoff(&self, retry: u32, rng: &mut DetRng) -> u64 {
+    pub(crate) fn backoff(&self, retry: u32, rng: &mut DetRng) -> u64 {
         let shift = (retry.saturating_sub(1)).min(16);
         let exp = self
             .base_backoff
@@ -150,7 +138,7 @@ const EWMA_ALPHA: f64 = 0.2;
 
 impl FailureDetector {
     /// A detector with no history.
-    pub fn new() -> FailureDetector {
+    pub(crate) fn new() -> FailureDetector {
         FailureDetector::default()
     }
 
@@ -159,7 +147,7 @@ impl FailureDetector {
     /// `(latency − mean) / max(dev, mean/8, 1)`. Zero (never negative) for
     /// at-or-below-mean responses and for unknown peers — a peer earns
     /// suspicion only by deviating from its own learned behaviour.
-    pub fn suspicion(&self, peer: u32, latency: u64) -> f64 {
+    pub(crate) fn suspicion(&self, peer: u32, latency: u64) -> f64 {
         let Some(est) = self.estimates.get(&peer) else {
             return 0.0;
         };
@@ -173,7 +161,7 @@ impl FailureDetector {
     }
 
     /// Absorb one latency observation for `peer`.
-    pub fn observe(&mut self, peer: u32, latency: u64) {
+    pub(crate) fn observe(&mut self, peer: u32, latency: u64) {
         let est = self.estimates.entry(peer).or_insert(PeerEstimate {
             mean: latency as f64,
             dev: 0.0,
@@ -183,21 +171,6 @@ impl FailureDetector {
         est.mean += EWMA_ALPHA * err;
         est.dev += EWMA_ALPHA * (err.abs() - est.dev);
         est.samples += 1;
-    }
-
-    /// The learned profile of `peer`, if any observation was recorded.
-    pub fn estimate(&self, peer: u32) -> Option<&PeerEstimate> {
-        self.estimates.get(&peer)
-    }
-
-    /// Forget everything about `peer` (e.g. after it leaves the ring).
-    pub fn forget(&mut self, peer: u32) {
-        self.estimates.remove(&peer);
-    }
-
-    /// Number of peers with recorded history.
-    pub fn tracked(&self) -> usize {
-        self.estimates.len()
     }
 }
 
@@ -210,7 +183,7 @@ pub struct BreakerConfig {
     /// probe (deterministic: the transition is a pure function of the
     /// opening instant, not of a timer thread).
     pub cooldown: u64,
-    /// Suspicion score (see [`FailureDetector::suspicion`]) at or above
+    /// Suspicion score (see `FailureDetector::suspicion`) at or above
     /// which an observation counts as a failure.
     pub suspicion_threshold: f64,
 }
@@ -263,7 +236,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with the given configuration.
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
+    pub(crate) fn new(config: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker {
             config,
             consecutive_failures: 0,
@@ -272,7 +245,7 @@ impl CircuitBreaker {
     }
 
     /// State at virtual time `now`.
-    pub fn state(&self, now: u64) -> BreakerState {
+    pub(crate) fn state(&self, now: u64) -> BreakerState {
         match self.opened_at {
             None => BreakerState::Closed,
             Some(at) if now >= at.saturating_add(self.config.cooldown) => BreakerState::HalfOpen,
@@ -280,14 +253,8 @@ impl CircuitBreaker {
         }
     }
 
-    /// True if a request may be sent to the peer at `now` (closed, or
-    /// half-open admitting its probe).
-    pub fn allows(&self, now: u64) -> bool {
-        self.state(now) != BreakerState::Open
-    }
-
     /// Record the outcome of one admitted request at `now`.
-    pub fn record(&mut self, ok: bool, now: u64) -> BreakerTransition {
+    pub(crate) fn record(&mut self, ok: bool, now: u64) -> BreakerTransition {
         match self.state(now) {
             BreakerState::Closed => {
                 if ok {
@@ -360,7 +327,7 @@ impl Default for HedgePolicy {
 
 impl HedgePolicy {
     /// The hedge delay derived from an observed latency histogram.
-    pub fn delay(&self, observed: &ars_telemetry::Hist) -> u64 {
+    pub(crate) fn delay(&self, observed: &ars_telemetry::Hist) -> u64 {
         if observed.count == 0 {
             return self.min_delay;
         }
@@ -453,14 +420,6 @@ mod tests {
         assert!(p.attempts >= 2, "default must actually retry");
         assert!(p.max_backoff >= p.base_backoff);
         assert!(p.hop_budget > 0);
-    }
-
-    #[test]
-    fn none_policy_never_retries() {
-        let p = RetryPolicy::none();
-        assert_eq!(p.attempts, 1);
-        let mut rng = DetRng::new(1);
-        assert_eq!(p.backoff(1, &mut rng), 0);
     }
 
     #[test]
@@ -582,7 +541,7 @@ mod tests {
         for _ in 0..20 {
             d.observe(7, 100);
         }
-        let est = d.estimate(7).unwrap();
+        let est = &d.estimates[&7];
         assert!(
             (est.mean - 100.0).abs() < 1.0,
             "mean converged: {}",
@@ -599,9 +558,6 @@ mod tests {
             d.observe(8, 1_000);
         }
         assert!(d.suspicion(8, 1_000) < 1.0);
-        d.forget(7);
-        assert_eq!(d.suspicion(7, 1_000_000), 0.0);
-        assert_eq!(d.tracked(), 1);
     }
 
     #[test]
@@ -613,17 +569,15 @@ mod tests {
         };
         let mut b = CircuitBreaker::new(cfg);
         assert_eq!(b.state(0), BreakerState::Closed);
-        assert!(b.allows(0));
         // One failure: still closed (threshold is 2).
         assert_eq!(b.record(false, 10), BreakerTransition::None);
         assert_eq!(b.state(10), BreakerState::Closed);
         // Second consecutive failure: trips.
         assert_eq!(b.record(false, 20), BreakerTransition::Opened);
         assert_eq!(b.state(20), BreakerState::Open);
-        assert!(!b.allows(500));
+        assert_eq!(b.state(500), BreakerState::Open);
         // Cooldown elapsed: half-open admits exactly the probe.
         assert_eq!(b.state(1_020), BreakerState::HalfOpen);
-        assert!(b.allows(1_020));
         // Successful probe closes it and resets the failure streak.
         assert_eq!(b.record(true, 1_020), BreakerTransition::Closed);
         assert_eq!(b.state(1_020), BreakerState::Closed);
@@ -690,7 +644,6 @@ mod tests {
         // The deadline budget is strictly opt-in: the default policy must
         // behave bit-for-bit like revisions that predate the field.
         assert_eq!(RetryPolicy::default().deadline, None);
-        assert_eq!(RetryPolicy::none().deadline, None);
         assert_eq!(
             RetryPolicy::default().with_deadline(500).deadline,
             Some(500)

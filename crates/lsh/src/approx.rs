@@ -27,20 +27,6 @@ impl ApproxMinWisePerm {
         }
     }
 
-    /// Build from an explicit key.
-    ///
-    /// # Panics
-    /// Panics if the key is not balanced (exactly 16 bits set).
-    pub fn from_key(key: u32) -> ApproxMinWisePerm {
-        assert_eq!(key.count_ones(), 16, "key {key:#x} is not balanced");
-        ApproxMinWisePerm { key }
-    }
-
-    /// The single 32-bit key.
-    pub fn key(&self) -> u32 {
-        self.key
-    }
-
     /// Apply the one-step permutation.
     #[inline]
     pub fn permute(&self, x: u32) -> u32 {
@@ -51,13 +37,13 @@ impl ApproxMinWisePerm {
     /// fly (32 permutations to compile, then `O(log w)` per interval of
     /// width `w`). Values are identical to
     /// [`ApproxMinWisePerm::min_hash_enumerate`]; only the cost differs.
-    pub fn min_hash(&self, q: &RangeSet) -> u32 {
+    pub(crate) fn min_hash(&self, q: &RangeSet) -> u32 {
         RangeAwareBitPerm::compile(|x| self.permute(x)).min_hash(q)
     }
 
     /// Min-hash by enumerating every value of the set — the paper's Fig. 5
     /// evaluation, kept as the oracle for the range-aware path.
-    pub fn min_hash_enumerate(&self, q: &RangeSet) -> u32 {
+    pub(crate) fn min_hash_enumerate(&self, q: &RangeSet) -> u32 {
         assert!(!q.is_empty(), "min-hash of an empty range set");
         q.iter().map(|v| self.permute(v)).min().unwrap()
     }
@@ -74,14 +60,8 @@ mod tests {
         let mut rng = DetRng::new(1);
         for _ in 0..50 {
             let p = ApproxMinWisePerm::random(&mut rng);
-            assert_eq!(p.key().count_ones(), 16);
+            assert_eq!(p.key.count_ones(), 16);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not balanced")]
-    fn unbalanced_rejected() {
-        ApproxMinWisePerm::from_key(0b111);
     }
 
     #[test]
@@ -93,7 +73,7 @@ mod tests {
         let approx = ApproxMinWisePerm::random(&mut rng);
         // Compare against grp_one directly (definitional).
         for x in [0u32, 1, 0xFFFF_FFFF, 0x1234_5678, 999] {
-            assert_eq!(approx.permute(x), grp_one(x, approx.key(), 32));
+            assert_eq!(approx.permute(x), grp_one(x, approx.key, 32));
         }
     }
 

@@ -44,7 +44,7 @@ enum FusedFns {
 }
 
 /// One hash group compiled structure-of-arrays for single-pass
-/// evaluation. Built by [`CompiledGroup::new`] from the group's compiled
+/// evaluation. Built by `CompiledGroup::new` from the group's compiled
 /// functions; [`CompiledGroup::identifier`] is bit-identical to XORing
 /// the functions' individual min-hashes.
 #[derive(Debug, Clone)]
@@ -60,7 +60,7 @@ impl CompiledGroup {
     ///
     /// # Panics
     /// Panics if the group is empty.
-    pub fn new(group: &[CompiledLshFunction]) -> CompiledGroup {
+    pub(crate) fn new(group: &[CompiledLshFunction]) -> CompiledGroup {
         assert!(!group.is_empty(), "cannot fuse an empty group");
         let all_bit = group
             .iter()
@@ -90,7 +90,7 @@ impl CompiledGroup {
     }
 
     /// Number of functions in the group (`k`).
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         match &self.fns {
             FusedFns::Bit(fns) => fns.k(),
             FusedFns::Linear(v) => v.len(),
@@ -123,7 +123,7 @@ impl CompiledGroup {
     ///
     /// # Panics
     /// Panics if `q` is empty.
-    pub fn mins(&self, q: &RangeSet) -> Vec<u32> {
+    pub(crate) fn mins(&self, q: &RangeSet) -> Vec<u32> {
         let mut mins = vec![0u32; self.k()];
         self.mins_into(q, &mut mins);
         mins
@@ -135,7 +135,7 @@ impl CompiledGroup {
     ///
     /// # Panics
     /// Panics if `q` is empty or `mins.len() != k`.
-    pub fn mins_into(&self, q: &RangeSet, mins: &mut [u32]) {
+    pub(crate) fn mins_into(&self, q: &RangeSet, mins: &mut [u32]) {
         assert!(!q.is_empty(), "min-hashes of an empty range set");
         assert_eq!(mins.len(), self.k(), "output buffer must have length k");
         mins.fill(u32::MAX);

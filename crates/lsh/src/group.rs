@@ -16,7 +16,6 @@ use ars_common::DetRng;
 /// `l` groups of `k` hash functions over one family.
 #[derive(Debug, Clone)]
 pub struct HashGroups {
-    kind: LshFamilyKind,
     groups: Vec<Vec<LshFunction>>,
     /// Fused structure-of-arrays evaluators, used by
     /// [`HashGroups::identifiers`]; value-identical to `groups`.
@@ -39,32 +38,17 @@ impl HashGroups {
             .iter()
             .map(|g| CompiledGroup::new(&g.iter().map(LshFunction::compile).collect::<Vec<_>>()))
             .collect();
-        HashGroups {
-            kind,
-            groups,
-            fused,
-        }
-    }
-
-    /// The family the functions are drawn from.
-    pub fn kind(&self) -> LshFamilyKind {
-        self.kind
+        HashGroups { groups, fused }
     }
 
     /// Functions per group (`k`).
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.groups[0].len()
     }
 
     /// Number of groups (`l`).
-    pub fn l(&self) -> usize {
+    pub(crate) fn l(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Total number of hash function evaluations per identifier computation
-    /// (`k·l`; 100 for the paper's parameters).
-    pub fn total_functions(&self) -> usize {
-        self.k() * self.l()
     }
 
     /// Compute the `l` group identifiers for a range set: each is the XOR
@@ -80,7 +64,7 @@ impl HashGroups {
     /// Like [`HashGroups::identifiers`] but writing into a caller-provided
     /// buffer of length `l` — the steady-state query path allocates
     /// nothing on the heap (for groups up to
-    /// [`crate::fused::FUSED_MAX_K`] functions).
+    /// `FUSED_MAX_K` functions).
     ///
     /// # Panics
     /// Panics if `out.len() != l` or `q` is empty.
@@ -99,15 +83,6 @@ impl HashGroups {
             .iter()
             .map(|g| g.iter().fold(0u32, |acc, h| acc ^ h.min_hash_enumerate(q)))
             .collect()
-    }
-
-    /// Identifier of a single group `i` (0-based). Evaluated through the
-    /// same fused kernel as [`HashGroups::identifiers`], so
-    /// `group_identifier(i, q) == identifiers(q)[i]` always holds (it
-    /// previously went through the uncompiled functions, which are
-    /// value-identical but much slower).
-    pub fn group_identifier(&self, i: usize, q: &RangeSet) -> u32 {
-        self.fused[i].identifier(q)
     }
 
     /// Access the raw functions.
@@ -144,8 +119,6 @@ mod tests {
         let g = HashGroups::generate(LshFamilyKind::ApproxMinWise, 20, 5, &mut rng);
         assert_eq!(g.k(), 20);
         assert_eq!(g.l(), 5);
-        assert_eq!(g.total_functions(), 100);
-        assert_eq!(g.kind(), LshFamilyKind::ApproxMinWise);
         let ids = g.identifiers(&RangeSet::interval(0, 10));
         assert_eq!(ids.len(), 5);
     }
@@ -188,27 +161,6 @@ mod tests {
         let q = RangeSet::interval(100, 200);
         let r = RangeSet::interval(100, 200);
         assert_eq!(g.identifiers(&q), g.identifiers(&r));
-    }
-
-    #[test]
-    fn group_identifier_matches_identifiers() {
-        // Pins the bugfix: group_identifier used to evaluate through the
-        // *uncompiled* functions while identifiers used the compiled set;
-        // both now share the fused kernels, for every paper family.
-        let mut rng = DetRng::new(4);
-        for kind in LshFamilyKind::PAPER_FAMILIES {
-            let g = HashGroups::generate(kind, 3, 4, &mut rng);
-            for q in [
-                RangeSet::interval(5, 25),
-                RangeSet::interval(0, 1000),
-                RangeSet::from_intervals([(10, 40), (500, 700)]),
-            ] {
-                let ids = g.identifiers(&q);
-                for (i, &id) in ids.iter().enumerate() {
-                    assert_eq!(id, g.group_identifier(i, &q), "kind {kind} group {i}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use ars_common::DetRng;
 /// original order; bits where `key` is 0 gather into the lower part.
 /// `x` and `key` must fit in `b` bits.
 #[inline]
-pub fn grp_one(x: u32, key: u32, b: u32) -> u32 {
+pub(crate) fn grp_one(x: u32, key: u32, b: u32) -> u32 {
     debug_assert!((1..=32).contains(&b));
     debug_assert!(b == 32 || x < (1 << b));
     debug_assert!(b == 32 || key < (1 << b));
@@ -45,8 +45,8 @@ pub fn grp_one(x: u32, key: u32, b: u32) -> u32 {
 
 /// Inverse of [`grp_one`]: scatter the gathered bits back to their original
 /// positions. Used to verify bijectivity.
-#[inline]
-pub fn ungrp_one(y: u32, key: u32, b: u32) -> u32 {
+#[cfg(test)]
+fn ungrp_one(y: u32, key: u32, b: u32) -> u32 {
     debug_assert!((1..=32).contains(&b));
     let ones = key.count_ones().min(b);
     let n_lo = b - ones;
@@ -72,7 +72,7 @@ pub fn ungrp_one(y: u32, key: u32, b: u32) -> u32 {
 /// word. `key` must already be replicated across blocks (see
 /// [`replicate_key`]).
 #[inline]
-pub fn grp_blocks(x: u32, key: u32, block_bits: u32) -> u32 {
+pub(crate) fn grp_blocks(x: u32, key: u32, block_bits: u32) -> u32 {
     debug_assert!(block_bits.is_power_of_two() && (2..=32).contains(&block_bits));
     if block_bits == 32 {
         return grp_one(x, key, 32);
@@ -91,7 +91,7 @@ pub fn grp_blocks(x: u32, key: u32, block_bits: u32) -> u32 {
 
 /// Replicate a `block_bits`-wide sub-key across a 32-bit word.
 #[inline]
-pub fn replicate_key(sub_key: u32, block_bits: u32) -> u32 {
+pub(crate) fn replicate_key(sub_key: u32, block_bits: u32) -> u32 {
     debug_assert!(block_bits.is_power_of_two() && (2..=32).contains(&block_bits));
     if block_bits == 32 {
         return sub_key;
@@ -107,7 +107,7 @@ pub fn replicate_key(sub_key: u32, block_bits: u32) -> u32 {
 }
 
 /// Draw a balanced `b`-bit key: exactly `b/2` bits set, uniformly at random.
-pub fn random_balanced_key(rng: &mut DetRng, b: u32) -> u32 {
+pub(crate) fn random_balanced_key(rng: &mut DetRng, b: u32) -> u32 {
     debug_assert!((2..=32).contains(&b) && b.is_multiple_of(2));
     let positions = rng.sample_indices(b as usize, (b / 2) as usize);
     positions.into_iter().fold(0u32, |k, p| k | (1 << p))

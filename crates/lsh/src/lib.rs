@@ -44,16 +44,16 @@
 
 #![warn(missing_docs)]
 
-pub mod approx;
-pub mod family;
-pub mod fused;
+mod approx;
+mod family;
+mod fused;
 pub mod group;
-pub mod grp;
-pub mod linear;
-pub mod minwise;
+mod grp;
+mod linear;
+mod minwise;
 pub mod probe;
-pub mod range;
-pub mod rangeaware;
+mod range;
+mod rangeaware;
 
 pub use approx::ApproxMinWisePerm;
 pub use family::{CompiledLshFunction, LshFamilyKind, LshFunction};

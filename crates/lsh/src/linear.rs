@@ -24,7 +24,7 @@ pub const MODULUS: u64 = 4_294_967_291;
 /// best Fig. 8 complete-answer rate).
 pub const DOMAIN_MODULUS: u64 = 1009;
 
-/// A linear (affine) permutation of `Z_p`, `p = `[`MODULUS`].
+/// A linear (affine) permutation of `Z_p`, `p = MODULUS` (2³² − 5).
 ///
 /// Values in `[p, 2³²)` (the top 5 values of the `u32` domain) alias values
 /// in `[0, 5)`; the attribute domains used in the paper (e.g. ages,
@@ -41,63 +41,44 @@ pub struct LinearPerm {
 impl LinearPerm {
     /// Draw random coefficients over the 32-bit modulus:
     /// `a ∈ [1, p)`, `b ∈ [0, p)`.
-    pub fn random(rng: &mut DetRng) -> LinearPerm {
+    pub(crate) fn random(rng: &mut DetRng) -> LinearPerm {
         LinearPerm::random_with_modulus(rng, MODULUS)
     }
 
     /// Draw random coefficients over an arbitrary prime modulus (e.g.
     /// [`DOMAIN_MODULUS`] for permutations of the attribute domain).
-    pub fn random_with_modulus(rng: &mut DetRng, m: u64) -> LinearPerm {
+    pub(crate) fn random_with_modulus(rng: &mut DetRng, m: u64) -> LinearPerm {
         assert!((2..=MODULUS).contains(&m), "modulus out of range");
         let a = 1 + rng.gen_range_u64(m - 1);
         let b = rng.gen_range_u64(m);
         LinearPerm { a, b, m }
     }
 
-    /// Build from explicit coefficients over the 32-bit modulus.
-    ///
-    /// # Panics
-    /// Panics if `a == 0` (not a permutation) or a coefficient is ≥ p.
-    pub fn new(a: u64, b: u64) -> LinearPerm {
-        LinearPerm::with_modulus(a, b, MODULUS)
-    }
-
-    /// Build from explicit coefficients and modulus.
-    ///
-    /// # Panics
-    /// Panics if `a == 0`, a coefficient is ≥ m, or m is out of range.
-    pub fn with_modulus(a: u64, b: u64, m: u64) -> LinearPerm {
-        assert!((2..=MODULUS).contains(&m), "modulus out of range");
-        assert!(a != 0, "a = 0 is not a permutation");
-        assert!(a < m && b < m, "coefficients must be < p");
-        LinearPerm { a, b, m }
-    }
-
     /// Coefficients `(a, b)`.
-    pub fn coefficients(&self) -> (u64, u64) {
+    pub(crate) fn coefficients(&self) -> (u64, u64) {
         (self.a, self.b)
     }
 
     /// The modulus `p`.
-    pub fn modulus(&self) -> u64 {
+    pub(crate) fn modulus(&self) -> u64 {
         self.m
     }
 
     /// Apply the permutation to one value.
     #[inline]
-    pub fn permute(&self, x: u32) -> u32 {
+    pub(crate) fn permute(&self, x: u32) -> u32 {
         ((self.a as u128 * x as u128 + self.b as u128) % self.m as u128) as u32
     }
 
     /// Min-hash by enumerating every value of the set — the evaluation the
     /// paper's Fig. 5 times. `O(|Q|)`.
-    pub fn min_hash_enumerate(&self, q: &RangeSet) -> u32 {
+    pub(crate) fn min_hash_enumerate(&self, q: &RangeSet) -> u32 {
         assert!(!q.is_empty(), "min-hash of an empty range set");
         q.iter().map(|v| self.permute(v)).min().unwrap()
     }
 
     /// Min-hash in closed form: `O(log p)` per interval of the set.
-    pub fn min_hash(&self, q: &RangeSet) -> u32 {
+    pub(crate) fn min_hash(&self, q: &RangeSet) -> u32 {
         assert!(!q.is_empty(), "min-hash of an empty range set");
         q.intervals()
             .iter()
@@ -123,7 +104,7 @@ impl LinearPerm {
 ///
 /// # Panics
 /// Panics if `m == 0`.
-pub fn min_affine_mod(a: u64, b: u64, m: u64, n: u64) -> u64 {
+pub(crate) fn min_affine_mod(a: u64, b: u64, m: u64, n: u64) -> u64 {
     assert!(m > 0, "modulus must be positive");
     let mut a = a % m;
     let mut b = b % m;
@@ -181,20 +162,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn zero_a_rejected() {
-        LinearPerm::new(0, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be < p")]
-    fn oversized_coefficient_rejected() {
-        LinearPerm::new(MODULUS, 0);
-    }
-
-    #[test]
     fn identity_permutation() {
-        let p = LinearPerm::new(1, 0);
+        let p = LinearPerm {
+            a: 1,
+            b: 0,
+            m: MODULUS,
+        };
         for x in [0u32, 1, 1000, 4_000_000_000] {
             assert_eq!(p.permute(x), x);
         }

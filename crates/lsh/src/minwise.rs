@@ -5,8 +5,7 @@
 //! both halves, an 8-bit sub-key to each quarter, and so on down to 2-bit
 //! blocks. The hash of a range set is the minimum of the permuted values.
 //! The paper notes the whole key material is representable as two 32-bit
-//! integers (32 bits + 16+8+4+2 = 30 bits); [`MinWisePerm::compact_keys`]
-//! exposes that representation.
+//! integers (32 bits + 16+8+4+2 = 30 bits).
 
 use crate::grp::{grp_blocks, random_balanced_key, replicate_key};
 use crate::range::RangeSet;
@@ -42,7 +41,7 @@ impl MinWisePerm {
     /// # Panics
     /// Panics if a sub-key is not balanced (exactly half its bits set) or
     /// does not fit its level width.
-    pub fn from_sub_keys(sub_keys: [u32; 5]) -> MinWisePerm {
+    pub(crate) fn from_sub_keys(sub_keys: [u32; 5]) -> MinWisePerm {
         let mut replicated = [0u32; 5];
         for (i, &bits) in LEVEL_BITS.iter().enumerate() {
             let k = sub_keys[i];
@@ -63,22 +62,6 @@ impl MinWisePerm {
         }
     }
 
-    /// The paper's compact two-integer key encoding:
-    /// `(k32, k16 | k8 << 16 | k4 << 24 | k2 << 28)`.
-    pub fn compact_keys(&self) -> (u32, u32) {
-        let [k32, k16, k8, k4, k2] = self.sub_keys;
-        (k32, k16 | (k8 << 16) | (k4 << 24) | (k2 << 28))
-    }
-
-    /// Rebuild a permutation from the compact encoding.
-    pub fn from_compact_keys(k32: u32, packed: u32) -> MinWisePerm {
-        let k16 = packed & 0xFFFF;
-        let k8 = (packed >> 16) & 0xFF;
-        let k4 = (packed >> 24) & 0xF;
-        let k2 = (packed >> 28) & 0x3;
-        MinWisePerm::from_sub_keys([k32, k16, k8, k4, k2])
-    }
-
     /// Apply the full 5-level permutation to one value.
     #[inline]
     pub fn permute(&self, x: u32) -> u32 {
@@ -93,14 +76,14 @@ impl MinWisePerm {
     /// fly (32 permutations to compile, then `O(log w)` per interval of
     /// width `w`). Values are identical to
     /// [`MinWisePerm::min_hash_enumerate`]; only the cost differs.
-    pub fn min_hash(&self, q: &RangeSet) -> u32 {
+    pub(crate) fn min_hash(&self, q: &RangeSet) -> u32 {
         RangeAwareBitPerm::compile(|x| self.permute(x)).min_hash(q)
     }
 
     /// Min-hash by enumerating every value of the set — the evaluation
     /// strategy whose cost the paper's Fig. 5 measures. Kept as the oracle
     /// the range-aware path is property-tested against.
-    pub fn min_hash_enumerate(&self, q: &RangeSet) -> u32 {
+    pub(crate) fn min_hash_enumerate(&self, q: &RangeSet) -> u32 {
         assert!(!q.is_empty(), "min-hash of an empty range set");
         q.iter().map(|v| self.permute(v)).min().unwrap()
     }
@@ -139,16 +122,6 @@ mod tests {
         outs.sort_unstable();
         outs.dedup();
         assert_eq!(outs.len(), 10_000);
-    }
-
-    #[test]
-    fn compact_keys_roundtrip() {
-        for seed in 0..20 {
-            let p = perm(seed);
-            let (a, b) = p.compact_keys();
-            let q = MinWisePerm::from_compact_keys(a, b);
-            assert_eq!(p, q);
-        }
     }
 
     #[test]

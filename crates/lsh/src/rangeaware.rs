@@ -106,7 +106,7 @@ impl RangeAwareBitPerm {
     }
 
     /// Number of functions compiled side by side.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
@@ -158,7 +158,7 @@ impl RangeAwareBitPerm {
     ///
     /// # Panics
     /// Panics if `mins.len() != k`.
-    pub fn min_hash_into(&self, q: &RangeSet, mins: &mut [u32]) {
+    pub(crate) fn min_hash_into(&self, q: &RangeSet, mins: &mut [u32]) {
         for &(lo, hi) in q.intervals() {
             self.min_interval_into(lo, hi, mins);
         }
@@ -168,7 +168,7 @@ impl RangeAwareBitPerm {
     ///
     /// # Panics
     /// Panics if `q` is empty or this is not exactly one function.
-    pub fn min_hash(&self, q: &RangeSet) -> u32 {
+    pub(crate) fn min_hash(&self, q: &RangeSet) -> u32 {
         assert!(!q.is_empty(), "min-hash of an empty range set");
         let mut min = [u32::MAX];
         self.min_hash_into(q, &mut min);

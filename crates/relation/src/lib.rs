@@ -11,21 +11,21 @@
 //! This crate is what the paper's §2 example executes, and no more (it
 //! takes plans built in code — there is no SQL text front-end, DESIGN §4):
 //!
-//! * [`value::Value`] / [`schema::Schema`] / [`schema::Relation`] — typed
+//! * [`Value`] / [`Schema`] / [`Relation`] — typed
 //!   tuples and relations;
-//! * [`predicate::Predicate`] — single-attribute range and equality
+//! * [`Predicate`] — single-attribute range and equality
 //!   selections (the paper's restriction: one attribute per select);
-//! * [`partition::HorizontalPartition`] — a cached fragment with its
+//! * [`HorizontalPartition`] — a cached fragment with its
 //!   defining [`ars_lsh::RangeSet`];
-//! * [`plan`] — logical plans: select leaves, equi-joins, projection;
+//! * [`LogicalPlan`] — logical plans: select leaves, equi-joins, projection;
 //! * [`exec`] — a small executor: scan, filter, project, hash join.
 
 #![warn(missing_docs)]
 
 pub mod exec;
-pub mod partition;
-pub mod plan;
-pub mod predicate;
+mod partition;
+mod plan;
+mod predicate;
 pub mod schema;
 pub mod value;
 

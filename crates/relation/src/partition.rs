@@ -68,45 +68,9 @@ impl HorizontalPartition {
         }
     }
 
-    /// The identifying key.
-    pub fn key(&self) -> &PartitionKey {
-        &self.key
-    }
-
     /// The defining range.
     pub fn range(&self) -> &RangeSet {
         &self.key.range
-    }
-
-    /// The relation name this fragments.
-    pub fn relation(&self) -> &str {
-        &self.key.relation
-    }
-
-    /// The attribute the defining range selects on.
-    pub fn attr(&self) -> &str {
-        &self.key.attr
-    }
-
-    /// Schema of the payload tuples.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// Payload tuples.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
-    }
-
-    /// Number of payload tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True if the partition holds no tuples (a valid state: the range may
-    /// simply select nothing).
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
     }
 
     /// View the payload as a [`Relation`].
@@ -172,11 +136,11 @@ mod tests {
         let base = patients();
         let range = RangeSet::interval(30, 50);
         let p = HorizontalPartition::select_from(&base, "age", &range);
-        assert_eq!(p.relation(), "Patient");
-        assert_eq!(p.attr(), "age");
-        assert!(!p.is_empty());
-        let age_idx = p.schema().index_of("age").unwrap();
-        for t in p.tuples() {
+        assert_eq!(p.key.relation, "Patient");
+        assert_eq!(p.key.attr, "age");
+        assert!(!p.tuples.is_empty());
+        let age_idx = p.schema.index_of("age").unwrap();
+        for t in &p.tuples {
             let age = t[age_idx].as_ordinal().unwrap();
             assert!((30..=50).contains(&age));
         }
@@ -189,15 +153,15 @@ mod tests {
                 (30..=50).contains(&a)
             })
             .count();
-        assert_eq!(p.len(), expect);
+        assert_eq!(p.tuples.len(), expect);
     }
 
     #[test]
     fn empty_selection_is_valid() {
         let base = patients();
         let p = HorizontalPartition::select_from(&base, "age", &RangeSet::interval(500, 600));
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
+        assert!(p.tuples.is_empty());
+        assert_eq!(p.tuples.len(), 0);
     }
 
     #[test]
@@ -213,7 +177,7 @@ mod tests {
         let narrow = broad.refine(&RangeSet::interval(40, 45)).unwrap();
         assert_eq!(narrow.range(), &RangeSet::interval(40, 45));
         let direct = HorizontalPartition::select_from(&base, "age", &RangeSet::interval(40, 45));
-        assert_eq!(narrow.tuples(), direct.tuples());
+        assert_eq!(narrow.tuples, direct.tuples);
     }
 
     #[test]
@@ -228,7 +192,7 @@ mod tests {
         let base = patients();
         let p = HorizontalPartition::select_from(&base, "age", &RangeSet::interval(30, 50));
         let r = p.as_relation();
-        assert_eq!(r.len(), p.len());
+        assert_eq!(r.len(), p.tuples.len());
         assert_eq!(r.schema().name(), "Patient");
     }
 
@@ -236,6 +200,6 @@ mod tests {
     fn key_display() {
         let base = patients();
         let p = HorizontalPartition::select_from(&base, "age", &RangeSet::interval(30, 50));
-        assert_eq!(format!("{}", p.key()), "Patient.age ∈ RangeSet{[30,50]}");
+        assert_eq!(format!("{}", p.key), "Patient.age ∈ RangeSet{[30,50]}");
     }
 }

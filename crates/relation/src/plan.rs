@@ -48,12 +48,14 @@ pub enum LogicalPlan {
 impl LogicalPlan {
     /// All leaf `Select` nodes, in left-to-right order — the partitions the
     /// P2P layer must locate.
-    pub fn leaves(&self) -> Vec<(&str, &[Predicate])> {
+    #[cfg(test)]
+    fn leaves(&self) -> Vec<(&str, &[Predicate])> {
         let mut out = Vec::new();
         self.collect_leaves(&mut out);
         out
     }
 
+    #[cfg(test)]
     fn collect_leaves<'a>(&'a self, out: &mut Vec<(&'a str, &'a [Predicate])>) {
         match self {
             LogicalPlan::Select {

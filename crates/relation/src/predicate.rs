@@ -145,13 +145,13 @@ mod tests {
         let p = Predicate::range("date", lo, hi);
         let hit = vec![
             Value::Int(1),
-            Value::date(2001, 6, 15),
+            Value::Date(days_since_1900(2001, 6, 15)),
             "atropine".into(),
             "".into(),
         ];
         let miss = vec![
             Value::Int(2),
-            Value::date(1999, 12, 31),
+            Value::Date(days_since_1900(1999, 12, 31)),
             "timolol".into(),
             "".into(),
         ];

@@ -30,7 +30,7 @@ impl Schema {
     ///
     /// # Panics
     /// Panics on duplicate attribute names or an empty attribute list.
-    pub fn new<S: Into<String>>(name: S, attributes: Vec<(&str, ValueType)>) -> Schema {
+    pub(crate) fn new<S: Into<String>>(name: S, attributes: Vec<(&str, ValueType)>) -> Schema {
         assert!(!attributes.is_empty(), "schema needs attributes");
         let attributes: Vec<Attribute> = attributes
             .into_iter()
@@ -53,12 +53,12 @@ impl Schema {
     }
 
     /// Relation name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Attribute list in declaration order.
-    pub fn attributes(&self) -> &[Attribute] {
+    pub(crate) fn attributes(&self) -> &[Attribute] {
         &self.attributes
     }
 
@@ -72,16 +72,11 @@ impl Schema {
         self.attributes.iter().position(|a| a.name == attr)
     }
 
-    /// Type of an attribute by name.
-    pub fn type_of(&self, attr: &str) -> Option<ValueType> {
-        self.index_of(attr).map(|i| self.attributes[i].ty)
-    }
-
     /// Derive a schema for a projection of this one.
     ///
     /// # Panics
     /// Panics if any projected attribute is unknown.
-    pub fn project(&self, attrs: &[&str]) -> Schema {
+    pub(crate) fn project(&self, attrs: &[&str]) -> Schema {
         let attributes = attrs
             .iter()
             .map(|&a| {
@@ -99,7 +94,7 @@ impl Schema {
 
     /// Derive the schema of a natural concatenation with `other`
     /// (attributes qualified by origin where names collide).
-    pub fn join(&self, other: &Schema) -> Schema {
+    pub(crate) fn join(&self, other: &Schema) -> Schema {
         let mut attributes = self.attributes.clone();
         for a in &other.attributes {
             let name = if self.index_of(&a.name).is_some() {
@@ -140,14 +135,6 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Create an empty relation.
-    pub fn empty(schema: Arc<Schema>) -> Relation {
-        Relation {
-            schema,
-            tuples: Vec::new(),
-        }
-    }
-
     /// Create a relation from tuples, validating arity and types.
     ///
     /// # Panics
@@ -179,30 +166,9 @@ impl Relation {
         self.tuples.is_empty()
     }
 
-    /// Append a validated tuple.
-    ///
-    /// # Panics
-    /// Panics if the tuple does not conform to the schema.
-    pub fn push(&mut self, tuple: Tuple) {
-        validate(&self.schema, &tuple);
-        self.tuples.push(tuple);
-    }
-
     /// Consume into tuples.
     pub fn into_tuples(self) -> Vec<Tuple> {
         self.tuples
-    }
-
-    /// The value of attribute `attr` in tuple `i`.
-    ///
-    /// # Panics
-    /// Panics on an unknown attribute or out-of-range index.
-    pub fn value(&self, i: usize, attr: &str) -> &Value {
-        let col = self
-            .schema
-            .index_of(attr)
-            .unwrap_or_else(|| panic!("unknown attribute {attr}"));
-        &self.tuples[i][col]
     }
 }
 
@@ -261,7 +227,8 @@ pub mod medical {
     }
 
     /// `Physician(physician_id, name, age, specialization)`
-    pub fn physician() -> Arc<Schema> {
+    #[cfg(test)]
+    pub(crate) fn physician() -> Arc<Schema> {
         Arc::new(Schema::new(
             "Physician",
             vec![
@@ -335,7 +302,6 @@ mod tests {
         assert_eq!(s.arity(), 3);
         assert_eq!(s.index_of("age"), Some(2));
         assert_eq!(s.index_of("nope"), None);
-        assert_eq!(s.type_of("name"), Some(ValueType::Str));
     }
 
     #[test]
@@ -352,7 +318,7 @@ mod tests {
             vec![vec![Value::Int(1), "alice".into(), Value::Int(34)]],
         );
         assert_eq!(r.len(), 1);
-        assert_eq!(r.value(0, "name"), &Value::from("alice"));
+        assert_eq!(r.tuples()[0][1], Value::from("alice"));
     }
 
     #[test]
@@ -367,15 +333,6 @@ mod tests {
     fn wrong_type_rejected() {
         let s = medical::patient();
         Relation::new(s, vec![vec![Value::Int(1), Value::Int(2), Value::Int(3)]]);
-    }
-
-    #[test]
-    fn push_and_empty() {
-        let s = medical::patient();
-        let mut r = Relation::empty(s);
-        assert!(r.is_empty());
-        r.push(vec![Value::Int(2), "bob".into(), Value::Int(41)]);
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

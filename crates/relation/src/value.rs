@@ -43,7 +43,7 @@ pub enum Value {
 
 impl Value {
     /// The type of this value.
-    pub fn value_type(&self) -> ValueType {
+    pub(crate) fn value_type(&self) -> ValueType {
         match self {
             Value::Int(_) => ValueType::Int,
             Value::Str(_) => ValueType::Str,
@@ -58,14 +58,6 @@ impl Value {
             Value::Int(v) | Value::Date(v) => Some(*v),
             Value::Str(_) => None,
         }
-    }
-
-    /// Build a date value from a calendar day.
-    ///
-    /// # Panics
-    /// Panics on an invalid date or a date before 1900-01-01.
-    pub fn date(year: u32, month: u32, day: u32) -> Value {
-        Value::Date(days_since_1900(year, month, day))
     }
 }
 
@@ -136,7 +128,7 @@ pub fn days_since_1900(year: u32, month: u32, day: u32) -> u32 {
 }
 
 /// Inverse of [`days_since_1900`].
-pub fn from_days_since_1900(mut days: u32) -> (u32, u32, u32) {
+pub(crate) fn from_days_since_1900(mut days: u32) -> (u32, u32, u32) {
     let mut year = 1900;
     loop {
         let in_year = if is_leap(year) { 366 } else { 365 };
@@ -169,7 +161,10 @@ mod tests {
         assert_eq!(Value::Int(5).as_ordinal(), Some(5));
         assert_eq!(Value::from("x").value_type(), ValueType::Str);
         assert_eq!(Value::from("x").as_ordinal(), None);
-        assert_eq!(Value::date(1900, 1, 1).as_ordinal(), Some(0));
+        assert_eq!(
+            Value::Date(days_since_1900(1900, 1, 1)).as_ordinal(),
+            Some(0)
+        );
     }
 
     #[test]
@@ -204,27 +199,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid day")]
     fn invalid_date_rejected() {
-        Value::date(2001, 2, 29);
+        days_since_1900(2001, 2, 29);
     }
 
     #[test]
     #[should_panic(expected = "before 1900")]
     fn pre_epoch_rejected() {
-        Value::date(1899, 12, 31);
+        days_since_1900(1899, 12, 31);
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(format!("{}", Value::Int(42)), "42");
         assert_eq!(format!("{}", Value::from("abc")), "abc");
-        assert_eq!(format!("{}", Value::date(2002, 12, 31)), "2002-12-31");
+        assert_eq!(
+            format!("{}", Value::Date(days_since_1900(2002, 12, 31))),
+            "2002-12-31"
+        );
     }
 
     #[test]
     fn value_ordering_within_type() {
         assert!(Value::Int(1) < Value::Int(2));
         assert!(Value::from("a") < Value::from("b"));
-        assert!(Value::date(2000, 1, 1) < Value::date(2000, 1, 2));
+        assert!(
+            Value::Date(days_since_1900(2000, 1, 1)) < Value::Date(days_since_1900(2000, 1, 2))
+        );
     }
 
     proptest! {

@@ -20,8 +20,6 @@ pub enum CodecError {
     BadTag(u8),
     /// A length field exceeded sanity bounds.
     BadLength(u64),
-    /// String payload was not valid UTF-8.
-    BadUtf8,
 }
 
 impl std::fmt::Display for CodecError {
@@ -30,7 +28,6 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated message"),
             CodecError::BadTag(t) => write!(f, "unknown message tag {t}"),
             CodecError::BadLength(l) => write!(f, "implausible length {l}"),
-            CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
         }
     }
 }
@@ -152,25 +149,6 @@ pub fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
     take(buf).map(f64::from_be_bytes)
 }
 
-/// Write a length-prefixed string.
-pub fn put_str(buf: &mut impl Sink, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.put(s.as_bytes());
-}
-
-/// Read a length-prefixed string.
-pub fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
-    let len = get_u32(buf)? as u64;
-    if len > MAX_LEN {
-        return Err(CodecError::BadLength(len));
-    }
-    let (raw, rest) = buf
-        .split_at_checked(len as usize)
-        .ok_or(CodecError::Truncated)?;
-    *buf = rest;
-    String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadUtf8)
-}
-
 /// Write a length-prefixed list.
 pub fn put_seq<S: Sink, T>(buf: &mut S, items: &[T], mut f: impl FnMut(&mut S, &T)) {
     put_u32(buf, items.len() as u32);
@@ -202,20 +180,17 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Ping {
         id: u64,
-        tag: String,
         data: Vec<u32>,
     }
 
     impl Wire for Ping {
         fn encode<S: Sink>(&self, buf: &mut S) {
             put_u64(buf, self.id);
-            put_str(buf, &self.tag);
             put_seq(buf, &self.data, |b, v| put_u32(b, *v));
         }
         fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
             Ok(Ping {
                 id: get_u64(buf)?,
-                tag: get_str(buf)?,
                 data: get_seq(buf, get_u32)?,
             })
         }
@@ -252,7 +227,6 @@ mod tests {
     fn roundtrip() {
         let p = Ping {
             id: 77,
-            tag: "hello λ".to_string(),
             data: vec![1, 2, 3, u32::MAX],
         };
         let framed = frame(&p);
@@ -264,11 +238,7 @@ mod tests {
     #[test]
     fn counted_length_is_the_frame_length() {
         for data in [vec![], vec![7], vec![1, 2, 3, u32::MAX]] {
-            let p = Ping {
-                id: 3,
-                tag: "τ".repeat(data.len()),
-                data,
-            };
+            let p = Ping { id: 3, data };
             assert_eq!(frame_len(&p), frame(&p).len() as u64);
         }
     }
@@ -277,7 +247,6 @@ mod tests {
     fn deframe_leaves_following_bytes() {
         let p = Ping {
             id: 1,
-            tag: "x".into(),
             data: vec![],
         };
         let mut bytes = frame(&p);
@@ -292,7 +261,6 @@ mod tests {
     fn truncated_frame_detected() {
         let p = Ping {
             id: 1,
-            tag: "abc".into(),
             data: vec![9],
         };
         let full = frame(&p);
@@ -310,7 +278,6 @@ mod tests {
         // Craft a frame whose declared length exceeds the encoded message.
         let p = Ping {
             id: 1,
-            tag: "".into(),
             data: vec![],
         };
         let mut payload = Vec::new();
@@ -323,23 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn bad_utf8_detected() {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 5);
-        put_u32(&mut payload, 2);
-        payload.extend_from_slice(&[0xFF, 0xFE]); // invalid UTF-8
-        put_u32(&mut payload, 0);
-        assert_eq!(
-            deframe::<Ping>(&framed(&payload)).unwrap_err(),
-            CodecError::BadUtf8
-        );
-    }
-
-    #[test]
     fn implausible_length_rejected() {
         let mut payload = Vec::new();
         put_u64(&mut payload, 5);
-        put_u32(&mut payload, u32::MAX); // string "length" of 4 GiB
+        put_u32(&mut payload, u32::MAX); // a list of 4 G items
         assert!(matches!(
             deframe::<Ping>(&framed(&payload)),
             Err(CodecError::BadLength(_))

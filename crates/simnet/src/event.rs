@@ -1,6 +1,5 @@
 //! Virtual time, the event queue, and latency models.
 
-use ars_common::DetRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -25,28 +24,31 @@ impl LatencyModel for ConstantLatency {
 
 /// Latency drawn uniformly from `[lo, hi]` — a crude but standard stand-in
 /// for WAN jitter. Deterministic under its seed.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct UniformLatency {
+pub(crate) struct UniformLatency {
     lo: SimTime,
     hi: SimTime,
-    rng: DetRng,
+    rng: ars_common::DetRng,
 }
 
+#[cfg(test)]
 impl UniformLatency {
     /// Create a model with delays in `[lo, hi]`.
     ///
     /// # Panics
     /// Panics if `lo > hi`.
-    pub fn new(lo: SimTime, hi: SimTime, seed: u64) -> UniformLatency {
+    pub(crate) fn new(lo: SimTime, hi: SimTime, seed: u64) -> UniformLatency {
         assert!(lo <= hi, "invalid latency interval");
         UniformLatency {
             lo,
             hi,
-            rng: DetRng::new(seed),
+            rng: ars_common::DetRng::new(seed),
         }
     }
 }
 
+#[cfg(test)]
 impl LatencyModel for UniformLatency {
     fn latency(&mut self, _from: usize, _to: usize) -> SimTime {
         self.lo + self.rng.gen_range_u64(self.hi - self.lo + 1)
@@ -103,7 +105,7 @@ impl<M> Default for EventQueue<M> {
 
 impl<M> EventQueue<M> {
     /// An empty queue.
-    pub fn new() -> EventQueue<M> {
+    pub(crate) fn new() -> EventQueue<M> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -111,7 +113,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Schedule a delivery at absolute virtual time `at`.
-    pub fn schedule(&mut self, at: SimTime, from: usize, to: usize, msg: M) {
+    pub(crate) fn schedule(&mut self, at: SimTime, from: usize, to: usize, msg: M) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(HeapEntry(Delivery {
@@ -124,18 +126,8 @@ impl<M> EventQueue<M> {
     }
 
     /// Pop the earliest delivery.
-    pub fn pop(&mut self) -> Option<Delivery<M>> {
+    pub(crate) fn pop(&mut self) -> Option<Delivery<M>> {
         self.heap.pop().map(|Reverse(HeapEntry(d))| d)
-    }
-
-    /// Number of pending deliveries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -149,12 +141,12 @@ mod tests {
         q.schedule(30, 0, 1, "c");
         q.schedule(10, 0, 1, "a");
         q.schedule(20, 0, 1, "b");
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.heap.len(), 3);
         assert_eq!(q.pop().unwrap().msg, "a");
         assert_eq!(q.pop().unwrap().msg, "b");
         assert_eq!(q.pop().unwrap().msg, "c");
         assert!(q.pop().is_none());
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 
     #[test]

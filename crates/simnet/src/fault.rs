@@ -69,12 +69,12 @@ pub struct SlowWindow {
 
 impl SlowWindow {
     /// True if the window is open at `now`.
-    pub fn is_open(&self, now: SimTime) -> bool {
+    pub(crate) fn is_open(&self, now: SimTime) -> bool {
         now >= self.from && now < self.until
     }
 
     /// True if this window slows `node` at `now`.
-    pub fn slows(&self, node: usize, now: SimTime) -> bool {
+    pub(crate) fn slows(&self, node: usize, now: SimTime) -> bool {
         self.is_open(now) && self.nodes.contains(&node)
     }
 }
@@ -98,7 +98,7 @@ pub struct PartitionWindow {
 impl PartitionWindow {
     /// Island index of `node` under this window (unlisted nodes belong to
     /// island 0).
-    pub fn island_of(&self, node: usize) -> usize {
+    pub(crate) fn island_of(&self, node: usize) -> usize {
         self.groups
             .iter()
             .position(|g| g.contains(&node))
@@ -106,12 +106,12 @@ impl PartitionWindow {
     }
 
     /// True if the window is open at `now`.
-    pub fn is_open(&self, now: SimTime) -> bool {
+    pub(crate) fn is_open(&self, now: SimTime) -> bool {
         now >= self.from && now < self.until
     }
 
     /// True if this window severs the directed link `from → to` at `now`.
-    pub fn severs(&self, from: usize, to: usize, now: SimTime) -> bool {
+    pub(crate) fn severs(&self, from: usize, to: usize, now: SimTime) -> bool {
         self.is_open(now) && self.island_of(from) != self.island_of(to)
     }
 }
@@ -210,7 +210,8 @@ impl FaultPlan {
     ///
     /// # Panics
     /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn with_link_drop(mut self, from: usize, to: usize, p: f64) -> FaultPlan {
+    #[cfg(test)]
+    fn with_link_drop(mut self, from: usize, to: usize, p: f64) -> FaultPlan {
         check_p(p);
         self.link_drop.push((from, to, p));
         self
@@ -338,7 +339,8 @@ pub enum FaultAction {
 
 impl FaultAction {
     /// Number of copies this action schedules (0 when dropped).
-    pub fn copies(&self) -> usize {
+    #[cfg(test)]
+    fn copies(&self) -> usize {
         match self {
             FaultAction::Drop | FaultAction::Partitioned => 0,
             FaultAction::Deliver(extra) => extra.len(),
@@ -351,59 +353,19 @@ impl FaultAction {
 pub struct FaultInjector {
     plan: FaultPlan,
     rng: DetRng,
-    dropped: u64,
-    duplicated: u64,
-    delayed: u64,
-    partitioned: u64,
-    slowed: u64,
 }
 
 impl FaultInjector {
     /// An injector running `plan` with randomness seeded by `seed`.
-    pub fn new(plan: FaultPlan, seed: u64) -> FaultInjector {
+    pub(crate) fn new(plan: FaultPlan, seed: u64) -> FaultInjector {
         FaultInjector {
             plan,
             rng: DetRng::new(seed),
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
-            partitioned: 0,
-            slowed: 0,
         }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Messages the injector has dropped.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Messages the injector has duplicated.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Messages the injector has delayed (beyond the latency model).
-    pub fn delayed(&self) -> u64 {
-        self.delayed
-    }
-
-    /// Messages lost to an open partition window.
-    pub fn partitioned(&self) -> u64 {
-        self.partitioned
-    }
-
-    /// Deliveries inflated by an open slow window (gray failures).
-    pub fn slowed(&self) -> u64 {
-        self.slowed
-    }
-
     /// True if `node` has crashed at or before `now`.
-    pub fn is_crashed(&self, node: usize, now: SimTime) -> bool {
+    pub(crate) fn is_crashed(&self, node: usize, now: SimTime) -> bool {
         self.plan
             .crashes
             .iter()
@@ -425,14 +387,8 @@ impl FaultInjector {
     /// True if an open partition window severs the link `from → to` at
     /// `now` (used at send time here, and at arrival time by the
     /// simulator for messages in flight when a window opens).
-    pub fn is_partitioned(&self, from: usize, to: usize, now: SimTime) -> bool {
+    pub(crate) fn is_partitioned(&self, from: usize, to: usize, now: SimTime) -> bool {
         self.plan.partitions.iter().any(|w| w.severs(from, to, now))
-    }
-
-    /// Record a partition loss detected outside `on_send` (a message
-    /// already in flight when the window opened, lost on arrival).
-    pub fn note_partitioned(&mut self) {
-        self.partitioned += 1;
     }
 
     /// Latency multiplier for a message `from → to` at `now`: the maximum
@@ -440,7 +396,7 @@ impl FaultInjector {
     /// none. Like the crash and partition checks this consumes no
     /// randomness, so adding slow windows to a plan never perturbs the
     /// drop/duplicate/delay stream (see `slow_consumes_no_randomness`).
-    pub fn slow_factor(&self, from: usize, to: usize, now: SimTime) -> u64 {
+    pub(crate) fn slow_factor(&self, from: usize, to: usize, now: SimTime) -> u64 {
         self.plan
             .slow
             .iter()
@@ -450,33 +406,23 @@ impl FaultInjector {
             .unwrap_or(1)
     }
 
-    /// Record a delivery whose latency was inflated by a slow window (the
-    /// simulator calls this once per delivered copy it scaled).
-    pub fn note_slowed(&mut self) {
-        self.slowed += 1;
-    }
-
     /// Decide the fate of one message sent `from → to` at virtual time
     /// `now`. Consumes randomness in a fixed order (drop, duplicate,
     /// per-copy delay) so runs replay identically; crash and partition
     /// checks consume none, so plans replay bit-identically outside their
     /// windows.
-    pub fn on_send(&mut self, from: usize, to: usize, now: SimTime) -> FaultAction {
+    pub(crate) fn on_send(&mut self, from: usize, to: usize, now: SimTime) -> FaultAction {
         if self.is_crashed(from, now) || self.is_crashed(to, now) {
-            self.dropped += 1;
             return FaultAction::Drop;
         }
         if self.is_partitioned(from, to, now) {
-            self.partitioned += 1;
             return FaultAction::Partitioned;
         }
         let p = self.plan.drop_p_for(from, to);
         if p > 0.0 && self.rng.gen_bool(p) {
-            self.dropped += 1;
             return FaultAction::Drop;
         }
         let copies = if self.plan.duplicate_p > 0.0 && self.rng.gen_bool(self.plan.duplicate_p) {
-            self.duplicated += 1;
             2
         } else {
             1
@@ -488,7 +434,6 @@ impl FaultInjector {
             if self.plan.delay_p > 0.0 && self.rng.gen_bool(self.plan.delay_p) {
                 let (lo, hi) = self.plan.delay_range;
                 d += lo + self.rng.gen_range_u64(hi - lo + 1);
-                self.delayed += 1;
             }
             extra.push(d);
         }
@@ -503,11 +448,10 @@ mod tests {
     #[test]
     fn benign_plan_delivers_one_clean_copy() {
         let mut inj = FaultInjector::new(FaultPlan::none(), 1);
-        assert!(inj.plan().is_benign());
+        assert!(inj.plan.is_benign());
         for t in [0, 10, 1000] {
             assert_eq!(inj.on_send(0, 1, t), FaultAction::Deliver(vec![0]));
         }
-        assert_eq!(inj.dropped(), 0);
     }
 
     #[test]
@@ -516,7 +460,6 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(inj.on_send(0, 1, 0), FaultAction::Drop);
         }
-        assert_eq!(inj.dropped(), 20);
     }
 
     #[test]
@@ -524,7 +467,6 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::none().with_duplicate(1.0), 3);
         let act = inj.on_send(0, 1, 0);
         assert_eq!(act.copies(), 2);
-        assert_eq!(inj.duplicated(), 1);
     }
 
     #[test]
@@ -571,7 +513,6 @@ mod tests {
             };
             assert!((10..=30).contains(&extra[0]), "delay {} off", extra[0]);
         }
-        assert_eq!(a.delayed(), 50);
     }
 
     #[test]
@@ -600,8 +541,6 @@ mod tests {
         assert_eq!(inj.on_send(2, 3, 150).copies(), 1);
         // Healed: flows again.
         assert_eq!(inj.on_send(0, 2, 200).copies(), 1);
-        assert_eq!(inj.partitioned(), 2);
-        assert_eq!(inj.dropped(), 0, "partition losses have their own column");
     }
 
     #[test]

@@ -250,7 +250,8 @@ impl BucketStore {
     }
 
     /// Force-sync the op log (fsync).
-    pub fn sync(&mut self) {
+    #[cfg(test)]
+    fn sync(&mut self) {
         self.log.sync();
         self.ops_since_sync = 0;
     }
@@ -263,7 +264,7 @@ impl BucketStore {
     /// # Panics
     /// Panics if the store crashed and has not been
     /// [recovered](Self::recover) since.
-    pub fn compact(&mut self) {
+    pub(crate) fn compact(&mut self) {
         self.assert_live();
         self.gen += 1;
         let mut framed = Vec::new();
@@ -349,34 +350,9 @@ impl BucketStore {
         report
     }
 
-    /// Current in-memory entries, in deterministic (sorted) order.
-    pub fn entries(&self) -> impl Iterator<Item = &Entry> + '_ {
-        self.state.iter()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True if the store holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
     /// Op records appended over the store's lifetime.
     pub fn records_appended(&self) -> u64 {
         self.records_appended
-    }
-
-    /// Current snapshot generation.
-    pub fn generation(&self) -> u32 {
-        self.gen
-    }
-
-    /// Bytes in the op log (durable + pending).
-    pub fn log_len(&self) -> usize {
-        self.log.len()
     }
 
     /// Combined disk counters (log + snapshot file).
@@ -391,11 +367,6 @@ impl BucketStore {
             crashes: a.crashes + b.crashes,
         }
     }
-
-    /// The store's tuning.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]
@@ -403,7 +374,7 @@ mod tests {
     use super::*;
 
     fn entries(store: &BucketStore) -> Vec<Entry> {
-        store.entries().cloned().collect()
+        store.state.iter().cloned().collect()
     }
 
     #[test]
@@ -446,12 +417,12 @@ mod tests {
             s.place(i, &i.to_le_bytes());
             append_only.place(i, &i.to_le_bytes());
         }
-        assert!(s.generation() > 0, "auto-compaction ran");
+        assert!(s.gen > 0, "auto-compaction ran");
         assert!(
-            s.log_len() < append_only.log_len(),
+            s.log.len() < append_only.log.len(),
             "compaction must bound the op log ({} vs {} bytes append-only)",
-            s.log_len(),
-            append_only.log_len()
+            s.log.len(),
+            append_only.log.len()
         );
         let before = entries(&s);
         s.crash();
@@ -558,7 +529,7 @@ mod tests {
         let place = catch_unwind(AssertUnwindSafe(|| s.place(2, b"x")));
         let evict = catch_unwind(AssertUnwindSafe(|| s.evict(1, b"kept")));
         assert!(place.is_err() && evict.is_err(), "both rejected");
-        assert!(s.is_empty(), "memory untouched by the rejected ops");
+        assert!(s.state.is_empty(), "memory untouched by the rejected ops");
         assert_eq!(s.records_appended(), 1, "the log too");
         assert_eq!(s.recover().entries, vec![(1, b"kept".to_vec())]);
     }

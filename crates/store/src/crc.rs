@@ -30,7 +30,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Streaming update: feed successive chunks, starting from `!0`, and
 /// finish with `^ !0`. [`crc32`] is the one-shot convenience.
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     for &b in data {
         state = TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }

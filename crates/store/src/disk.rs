@@ -97,11 +97,6 @@ impl StorageFaults {
         self.bit_flip_p = p;
         self
     }
-
-    /// True if a crash can never corrupt synced bytes or leave torn ones.
-    pub fn is_benign(&self) -> bool {
-        self.torn_write_p == 0.0 && self.bit_flip_p == 0.0
-    }
 }
 
 /// Cumulative fault/traffic counters for one [`SimDisk`].
@@ -134,7 +129,7 @@ pub struct SimDisk {
 impl SimDisk {
     /// An empty disk with the given fault surface, deterministic per
     /// `seed`.
-    pub fn new(faults: StorageFaults, seed: u64) -> SimDisk {
+    pub(crate) fn new(faults: StorageFaults, seed: u64) -> SimDisk {
         SimDisk {
             durable: Vec::new(),
             pending: Vec::new(),
@@ -145,61 +140,47 @@ impl SimDisk {
     }
 
     /// Append bytes to the volatile write buffer.
-    pub fn append(&mut self, bytes: &[u8]) {
+    pub(crate) fn append(&mut self, bytes: &[u8]) {
         self.stats.appended_bytes += bytes.len() as u64;
         self.pending.extend_from_slice(bytes);
     }
 
     /// Flush the write buffer to the durable image (fsync).
-    pub fn sync(&mut self) {
+    pub(crate) fn sync(&mut self) {
         self.stats.synced_bytes += self.pending.len() as u64;
         self.durable.append(&mut self.pending);
     }
 
-    /// Bytes that would survive a crash right now.
-    pub fn durable_len(&self) -> usize {
-        self.durable.len()
-    }
-
-    /// Bytes appended but not yet synced.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Total logical length (durable + pending) — what a reader sees
     /// while the process is up.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.durable.len() + self.pending.len()
     }
 
-    /// True if nothing has ever been written (or everything truncated).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The durable image — what a restart reads.
-    pub fn durable_contents(&self) -> &[u8] {
+    pub(crate) fn durable_contents(&self) -> &[u8] {
         &self.durable
     }
 
     /// Atomically replace the file's contents (the simulated equivalent
     /// of write-to-temp + rename, used by compaction). The new contents
     /// are durable immediately.
-    pub fn replace(&mut self, contents: Vec<u8>) {
+    pub(crate) fn replace(&mut self, contents: Vec<u8>) {
         self.stats.synced_bytes += contents.len() as u64;
         self.pending.clear();
         self.durable = contents;
     }
 
     /// Fault/traffic counters.
-    pub fn stats(&self) -> &DiskStats {
+    pub(crate) fn stats(&self) -> &DiskStats {
         &self.stats
     }
 
     /// Crash the process holding this disk: apply the fault surface to
     /// the un-synced suffix and (possibly) the durable tail, then drop
     /// the write buffer. The disk afterwards shows the post-restart view.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.stats.crashes += 1;
         if !self.pending.is_empty() {
             if self.rng.chance(self.faults.torn_write_p) {
@@ -234,11 +215,11 @@ mod tests {
     fn sync_makes_bytes_durable() {
         let mut d = SimDisk::new(StorageFaults::none(), 1);
         d.append(b"hello");
-        assert_eq!(d.durable_len(), 0);
-        assert_eq!(d.pending_len(), 5);
+        assert!(d.durable.is_empty());
+        assert_eq!(d.pending.len(), 5);
         d.sync();
         assert_eq!(d.durable_contents(), b"hello");
-        assert_eq!(d.pending_len(), 0);
+        assert!(d.pending.is_empty());
     }
 
     #[test]

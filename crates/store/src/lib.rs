@@ -6,8 +6,9 @@
 //! * [`SimDisk`] — a simulated append-only file with an fsync boundary
 //!   and a deterministic crash-fault surface ([`StorageFaults`]): lost
 //!   un-synced suffixes, torn tail writes, tail bit flips;
-//! * [`log`] — CRC-32-framed records with longest-valid-prefix recovery
-//!   (strict) and skip-corrupt scanning (lenient, for snapshot files);
+//! * [`append_record`] / [`recover`] / [`recover_lenient`] — CRC-32-framed
+//!   records with longest-valid-prefix recovery (strict) and skip-corrupt
+//!   scanning (lenient, for snapshot files);
 //! * [`BucketStore`] — a peer's `(identifier, payload)` entries persisted
 //!   as an op log plus generation-tagged checkpoints, with compaction and
 //!   a never-panicking [`BucketStore::recover`].
@@ -28,10 +29,10 @@
 
 #![warn(missing_docs)]
 
-pub mod bucket;
-pub mod crc;
-pub mod disk;
-pub mod log;
+mod bucket;
+mod crc;
+mod disk;
+mod log;
 
 pub use bucket::{BucketStore, Entry, RecoverReport, StoreConfig};
 pub use crc::crc32;

@@ -33,7 +33,7 @@ pub const MAX_RECORD: usize = 1 << 24;
 /// Append one framed record to `out`.
 ///
 /// # Panics
-/// Panics if `payload` is longer than [`MAX_RECORD`].
+/// Panics if `payload` is longer than `MAX_RECORD` (16 MiB).
 pub fn append_record(out: &mut Vec<u8>, payload: &[u8]) {
     assert!(payload.len() <= MAX_RECORD, "record over MAX_RECORD");
     let len = payload.len() as u32;

@@ -84,7 +84,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable lowercase name used in the JSON export.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::Event => "event",
             EventKind::SpanStart => "span_start",
@@ -104,7 +104,7 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 
     /// True for the null span.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.0 == 0
     }
 }
@@ -126,7 +126,7 @@ pub struct TelemetryEvent {
 
 impl TelemetryEvent {
     /// The raw field value for `key`, if present.
-    pub fn field(&self, key: &str) -> Option<&FieldValue> {
+    pub(crate) fn field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
@@ -135,16 +135,6 @@ impl TelemetryEvent {
         match self.field(key)? {
             FieldValue::U64(v) => Some(*v),
             FieldValue::I64(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    /// Floating-point field accessor (integers are widened).
-    pub fn field_f64(&self, key: &str) -> Option<f64> {
-        match self.field(key)? {
-            FieldValue::F64(v) => Some(*v),
-            FieldValue::U64(v) => Some(*v as f64),
-            FieldValue::I64(v) => Some(*v as f64),
             _ => None,
         }
     }
@@ -181,8 +171,6 @@ mod tests {
     fn typed_accessors() {
         let e = ev();
         assert_eq!(e.field_u64("hops"), Some(4));
-        assert_eq!(e.field_f64("recall"), Some(0.5));
-        assert_eq!(e.field_f64("hops"), Some(4.0));
         assert_eq!(e.field_bool("ok"), Some(true));
         assert_eq!(e.field_u64("delta"), None, "negative i64 is not a u64");
         assert_eq!(e.field_u64("missing"), None);

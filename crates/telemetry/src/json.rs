@@ -66,7 +66,7 @@ fn hist_json(h: &Hist) -> String {
 }
 
 /// Serialise one event as a JSON object.
-pub fn event_json(e: &TelemetryEvent) -> String {
+pub(crate) fn event_json(e: &TelemetryEvent) -> String {
     let fields: Vec<String> = e
         .fields
         .iter()
@@ -84,7 +84,7 @@ pub fn event_json(e: &TelemetryEvent) -> String {
 
 /// Serialise a metrics snapshot as a JSON object with `counters`,
 /// `gauges`, and `hists` sub-objects (all lexicographically ordered).
-pub fn snapshot_json(s: &MetricsSnapshot) -> String {
+pub(crate) fn snapshot_json(s: &MetricsSnapshot) -> String {
     let counters: Vec<String> = s
         .counters()
         .iter()
@@ -109,7 +109,7 @@ pub fn snapshot_json(s: &MetricsSnapshot) -> String {
 }
 
 /// Serialise a full trace (metrics + event log) as one JSON document.
-pub fn trace_json(s: &MetricsSnapshot, events: &[TelemetryEvent]) -> String {
+pub(crate) fn trace_json(s: &MetricsSnapshot, events: &[TelemetryEvent]) -> String {
     let evs: Vec<String> = events.iter().map(event_json).collect();
     format!(
         "{{\"metrics\":{},\"events\":[{}]}}",

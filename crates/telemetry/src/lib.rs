@@ -79,10 +79,10 @@
 
 #![warn(missing_docs)]
 
-pub mod event;
+mod event;
 pub mod json;
-pub mod metrics;
-pub mod sink;
+mod metrics;
+mod sink;
 
 pub use event::{EventKind, FieldValue, SpanId, TelemetryEvent};
 pub use metrics::{bucket_index, Hist, MetricsSnapshot, Registry, HIST_BUCKETS};

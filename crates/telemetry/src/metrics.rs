@@ -54,7 +54,7 @@ impl Hist {
     }
 
     /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -100,23 +100,8 @@ impl Hist {
         self.max
     }
 
-    /// Approximate median (see [`Self::quantile`]).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// Approximate 90th percentile (see [`Self::quantile`]).
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// Approximate 99th percentile (see [`Self::quantile`]).
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// Non-empty buckets as `(bucket_index, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -136,22 +121,22 @@ pub struct Registry {
 
 impl Registry {
     /// Add `delta` to the monotonic counter `name` (created at 0).
-    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
+    pub(crate) fn counter_add(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
     /// Set the gauge `name` to `value` (last write wins).
-    pub fn gauge_set(&mut self, name: &'static str, value: u64) {
+    pub(crate) fn gauge_set(&mut self, name: &'static str, value: u64) {
         self.gauges.insert(name, value);
     }
 
     /// Record `value` into the histogram `name` (created empty).
-    pub fn record(&mut self, name: &'static str, value: u64) {
+    pub(crate) fn record(&mut self, name: &'static str, value: u64) {
         self.hists.entry(name).or_default().record(value);
     }
 
     /// Freeze the registry into an immutable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
                 .counters
@@ -172,7 +157,7 @@ impl Registry {
     }
 
     /// Reset all metrics (the recording sink's `reset`).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.counters.clear();
         self.gauges.clear();
         self.hists.clear();
@@ -204,17 +189,17 @@ impl MetricsSnapshot {
     }
 
     /// All counters, lexicographic by name.
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
+    pub(crate) fn counters(&self) -> &BTreeMap<String, u64> {
         &self.counters
     }
 
     /// All gauges, lexicographic by name.
-    pub fn gauges(&self) -> &BTreeMap<String, u64> {
+    pub(crate) fn gauges(&self) -> &BTreeMap<String, u64> {
         &self.gauges
     }
 
     /// All histograms, lexicographic by name.
-    pub fn hists(&self) -> &BTreeMap<String, Hist> {
+    pub(crate) fn hists(&self) -> &BTreeMap<String, Hist> {
         &self.hists
     }
 
@@ -342,8 +327,8 @@ mod tests {
     #[test]
     fn empty_hist_quantiles_are_zero() {
         let h = Hist::default();
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p99(), 0);
+        assert_eq!(h.quantile(0.50), 0);
+        assert_eq!(h.quantile(0.99), 0);
     }
 
     #[test]
@@ -365,7 +350,7 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        let (p50, p90, p99) = (h.p50(), h.p90(), h.p99());
+        let (p50, p90, p99) = (h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
         assert!(p50 <= p90 && p90 <= p99, "quantiles must be monotone");
         assert!((32..=63).contains(&p50), "p50 {p50} outside bucket of 50");
         assert!((64..=100).contains(&p90), "p90 {p90} outside bucket of 90");
@@ -386,11 +371,15 @@ mod tests {
         for _ in 0..10 {
             h.record(10_000);
         }
-        assert!(h.p50() < 256, "p50 {} must sit in the fast mode", h.p50());
         assert!(
-            h.p99() >= 8_192,
+            h.quantile(0.50) < 256,
+            "p50 {} must sit in the fast mode",
+            h.quantile(0.50)
+        );
+        assert!(
+            h.quantile(0.99) >= 8_192,
             "p99 {} must sit in the slow mode",
-            h.p99()
+            h.quantile(0.99)
         );
     }
 

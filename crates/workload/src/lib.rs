@@ -9,8 +9,8 @@
 
 #![warn(missing_docs)]
 
-pub mod generators;
-pub mod trace;
+mod generators;
+mod trace;
 
 pub use generators::{clustered_trace, uniform_trace, zipf_trace, SizeSweep};
 pub use trace::Trace;

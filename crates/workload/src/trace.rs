@@ -11,7 +11,7 @@ pub struct Trace {
 
 impl Trace {
     /// Wrap a query list.
-    pub fn new(queries: Vec<RangeSet>) -> Trace {
+    pub(crate) fn new(queries: Vec<RangeSet>) -> Trace {
         Trace { queries }
     }
 

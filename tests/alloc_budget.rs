@@ -3,8 +3,9 @@
 //! A counting global allocator tallies the heap allocations the test's own
 //! thread makes (a thread-local count, so the harness's threads never mix
 //! in), and the one test asserts how many a query costs, once warm, on the
-//! direct path (`RangeSelectNetwork`: one query at a time, and through the
-//! batch call), under layered placement, on the churn path
+//! direct path (`RangeSelectNetwork`: one query at a time, split into
+//! identifier-cache hits and misses, and through the batch call), under
+//! layered placement, on the churn path
 //! (`ChurnNetwork::query_timed`) and on the message path (`ProtoNetwork`).
 //! A message delivery must not allocate: the message path's budget is the
 //! direct path's plus a few allocations a query, not a few a message.
@@ -71,9 +72,26 @@ fn a_warm_query_allocates_within_budget_on_both_paths() {
     let config = SystemConfig::default().with_seed(2003);
 
     let mut direct = RangeSelectNetwork::new(PEERS, config.clone());
+    // Each timed query's count, tallied as `(queries, allocations)` by
+    // whether its identifiers came from the identifier cache.
+    let (mut seen, mut hit, mut miss) = (0, (0u64, 0u64), (0u64, 0u64));
     let direct_allocs = per_query(&trace, 1, |qs| {
+        let hits = direct.identifier_cache().hits();
+        let before = ALLOCATIONS.with(Cell::get);
         direct.query(&qs[0]);
+        let allocs = ALLOCATIONS.with(Cell::get) - before;
+        seen += 1;
+        if seen > WARMUP {
+            let row = if direct.identifier_cache().hits() > hits {
+                &mut hit
+            } else {
+                &mut miss
+            };
+            *row = (row.0 + 1, row.1 + allocs);
+        }
     });
+    let hit_allocs = hit.1 as f64 / hit.0 as f64;
+    let miss_allocs = miss.1 as f64 / miss.0 as f64;
     // The ledger's engine options, in its batch size.
     let engine = EngineOptions {
         shards: 16,
@@ -104,13 +122,23 @@ fn a_warm_query_allocates_within_budget_on_both_paths() {
         proto.query(&qs[0]);
     });
     eprintln!(
-        "allocations a query: direct {direct_allocs:.2}, batch {batch_allocs:.2}, \
-         layered {layered_allocs:.2}, churn {churn_allocs:.2}, message path {proto_allocs:.2}"
+        "allocations a query: direct {direct_allocs:.2} (hit {hit_allocs:.2} x {}, \
+         miss {miss_allocs:.2} x {}), batch {batch_allocs:.2}, \
+         layered {layered_allocs:.2}, churn {churn_allocs:.2}, message path {proto_allocs:.2}",
+        hit.0, miss.0
     );
 
     assert!(
         direct_allocs <= 11.0,
         "direct path: {direct_allocs:.2} a query"
+    );
+    assert!(
+        hit_allocs <= 8.5,
+        "direct path, identifier-cache hit: {hit_allocs:.2} a query"
+    );
+    assert!(
+        miss_allocs <= 11.0,
+        "direct path, identifier-cache miss: {miss_allocs:.2} a query"
     );
     assert!(
         batch_allocs <= 11.0,

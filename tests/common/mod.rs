@@ -1,9 +1,11 @@
 //! Shared by the fault suites that take [`PlacementMode`] as an input
 //! (`fault_injection`, `partition_tolerance`, `tail_tolerance`,
-//! `crash_recovery`).
+//! `crash_recovery`), and the simulator nodes those suites and
+//! `telemetry_traces` drive.
 #![allow(dead_code)] // each suite uses its own subset
 
 use ars::prelude::*;
+use ars::simnet::{Node, NodeCtx};
 
 /// Both placement modes, independent first.
 pub const MODES: [PlacementMode; 2] = [PlacementMode::Independent, PlacementMode::Layered];
@@ -29,4 +31,25 @@ pub fn placed(config: SystemConfig, mode: PlacementMode) -> SystemConfig {
             .with_probes(16)
             .with_walk_window(2),
     }
+}
+
+/// A node that forwards a decrementing counter to the next node around
+/// the ring until it reaches 0.
+struct Relay {
+    n_nodes: usize,
+}
+
+impl Node<u32> for Relay {
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_, u32>, _from: usize, msg: u32) {
+        if msg > 0 {
+            ctx.send((ctx.me + 1) % self.n_nodes, msg - 1);
+        }
+    }
+}
+
+/// `n` relays, as simulator nodes.
+pub fn relays(n: usize) -> Vec<Box<dyn Node<u32>>> {
+    (0..n)
+        .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32>>)
+        .collect()
 }

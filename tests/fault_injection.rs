@@ -12,8 +12,8 @@ mod common;
 
 use ars::common::env_seed;
 use ars::prelude::*;
-use ars::simnet::{ConstantLatency, Node, NodeCtx};
-use common::{placed, MODES};
+use ars::simnet::ConstantLatency;
+use common::{placed, relays, MODES};
 use proptest::prelude::*;
 
 /// Grow a converged dynamic ring of `n` nodes (same idiom as the churn
@@ -106,25 +106,6 @@ proptest! {
 // 2. Message accounting: sent == delivered + dropped + queued, at every
 //    point in a faulted run, and the queue fully drains.
 // ---------------------------------------------------------------------
-
-/// A node that forwards a decrementing counter around the ring.
-struct Relay {
-    n_nodes: usize,
-}
-
-impl Node<u32> for Relay {
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_, u32>, _from: usize, msg: u32) {
-        if msg > 0 {
-            ctx.send((ctx.me + 1) % self.n_nodes, msg - 1);
-        }
-    }
-}
-
-fn relays(n: usize) -> Vec<Box<dyn Node<u32>>> {
-    (0..n)
-        .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32>>)
-        .collect()
-}
 
 #[test]
 fn sim_accounting_invariant_holds_under_drops() {

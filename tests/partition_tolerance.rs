@@ -30,8 +30,8 @@ mod common;
 
 use ars::common::env_seed;
 use ars::prelude::*;
-use ars::simnet::{ConstantLatency, Node, NodeCtx};
-use common::{placed, MODES};
+use ars::simnet::ConstantLatency;
+use common::{placed, relays, MODES};
 use proptest::prelude::*;
 
 /// Grow a converged dynamic ring of `n` nodes (same idiom as the
@@ -93,26 +93,9 @@ fn well_formed(out: &QueryOutcome, l: usize) {
 //    into the `partitioned` column without breaking conservation.
 // ---------------------------------------------------------------------
 
-/// A node that forwards a decrementing counter around the ring — each
-/// hop crosses the island boundary twice per lap, so an open window
-/// must sever some sends.
-struct Relay {
-    n_nodes: usize,
-}
-
-impl Node<u32> for Relay {
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_, u32>, _from: usize, msg: u32) {
-        if msg > 0 {
-            ctx.send((ctx.me + 1) % self.n_nodes, msg - 1);
-        }
-    }
-}
-
-fn relays(n: usize) -> Vec<Box<dyn Node<u32>>> {
-    (0..n)
-        .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32>>)
-        .collect()
-}
+// `relays` forward a decrementing counter around the ring: each lap
+// crosses the island boundary twice, so an open window must sever some
+// sends.
 
 #[test]
 fn sim_ledger_conserved_through_partition_window() {

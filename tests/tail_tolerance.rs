@@ -32,7 +32,8 @@ mod common;
 use ars::common::env_seed;
 use ars::core::resilient::{BASE_SERVICE, HOP_COST};
 use ars::prelude::*;
-use ars::simnet::{ConstantLatency, Node, NodeCtx, SimNet};
+use ars::simnet::{ConstantLatency, Node, SimNet};
+use common::relays;
 use proptest::prelude::*;
 
 /// Distinct well-spread query ranges for cache warm/measure phases.
@@ -63,25 +64,10 @@ fn grown_placed(n: usize, seed: u64, mode: PlacementMode) -> ChurnNetwork {
 // 1. Message accounting: slow windows delay, never lose.
 // ---------------------------------------------------------------------
 
-/// A node that forwards a decrementing counter around the ring.
-struct Relay {
-    n_nodes: usize,
-}
-
-impl Node<u32> for Relay {
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_, u32>, _from: usize, msg: u32) {
-        if msg > 0 {
-            ctx.send((ctx.me + 1) % self.n_nodes, msg - 1);
-        }
-    }
-}
-
 #[test]
 fn sim_slow_window_delays_but_conserves() {
     let n = 12;
-    let nodes: Vec<Box<dyn Node<u32>>> = (0..n)
-        .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32>>)
-        .collect();
+    let nodes: Vec<Box<dyn Node<u32>>> = relays(n);
     let mut sim = SimNet::new(nodes, ConstantLatency(5));
     sim.set_faults(
         FaultPlan::none().with_slow(vec![3, 7], 10, 0, u64::MAX),

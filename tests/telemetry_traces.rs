@@ -14,10 +14,13 @@
 //! The seed honors `ARS_FAULT_SEED` (default 0), same as the
 //! fault-injection suite, so CI sweeps the matrix over these assertions.
 
+mod common;
+
 use ars::common::env_seed;
 use ars::prelude::*;
-use ars::simnet::{ConstantLatency, Node, NodeCtx};
+use ars::simnet::{ConstantLatency, Node};
 use ars::telemetry::EventKind;
+use common::relays;
 use proptest::prelude::*;
 
 /// Grow a converged dynamic ring of `n` nodes (same idiom as the
@@ -272,24 +275,10 @@ proptest! {
 //    conservation invariant from the snapshot alone.
 // ---------------------------------------------------------------------
 
-struct Relay {
-    n_nodes: usize,
-}
-
-impl Node<u32> for Relay {
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_, u32>, _from: usize, msg: u32) {
-        if msg > 0 {
-            ctx.send((ctx.me + 1) % self.n_nodes, msg - 1);
-        }
-    }
-}
-
 #[test]
 fn simnet_gauges_reproduce_conservation_invariant() {
     let n = 16;
-    let nodes: Vec<Box<dyn Node<u32>>> = (0..n)
-        .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32>>)
-        .collect();
+    let nodes: Vec<Box<dyn Node<u32>>> = relays(n);
     let mut sim = SimNet::new(nodes, ConstantLatency(3));
     sim.set_faults(
         FaultPlan::none().with_drop(0.15),
