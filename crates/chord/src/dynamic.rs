@@ -56,6 +56,10 @@ impl std::fmt::Display for ChordError {
 
 impl std::error::Error for ChordError {}
 
+/// Successor pointers kept per node. Chord suggests `O(log N)`; 8
+/// tolerates heavy churn at the scales simulated here.
+const SUCC_LIST_LEN: usize = 8;
+
 /// Per-node protocol state.
 #[derive(Debug, Clone)]
 struct NodeState {
@@ -69,9 +73,9 @@ struct NodeState {
 }
 
 impl NodeState {
-    fn new(succ_list_len: usize) -> NodeState {
+    fn new() -> NodeState {
         NodeState {
-            successors: Vec::with_capacity(succ_list_len),
+            successors: Vec::with_capacity(SUCC_LIST_LEN),
             predecessor: None,
             fingers: vec![None; ID_BITS as usize],
             next_finger: 0,
@@ -264,7 +268,6 @@ pub struct DynamicNetwork {
     /// Installed partition: node id → island index. `None` = connected.
     /// Nodes absent from the map belong to island 0.
     islands: Option<FxHashMap<u32, usize>>,
-    succ_list_len: usize,
     /// Bounded successor/location cache consulted before finger descent
     /// (disabled by default; see
     /// [`DynamicNetwork::set_route_cache_capacity`]).
@@ -274,15 +277,10 @@ pub struct DynamicNetwork {
 }
 
 impl DynamicNetwork {
-    /// Create a network with one bootstrap node. `succ_list_len` successor
-    /// pointers are kept per node (Chord suggests `O(log N)`; 8 tolerates
-    /// heavy churn at the scales simulated here).
-    ///
-    /// # Panics
-    /// Panics if `succ_list_len` is zero.
-    pub fn bootstrap(first: Id, succ_list_len: usize) -> DynamicNetwork {
-        assert!(succ_list_len >= 1, "a node keeps at least one successor");
-        let mut n = NodeState::new(succ_list_len);
+    /// Create a network with one bootstrap node. Every node keeps
+    /// eight successor pointers (`SUCC_LIST_LEN`).
+    pub fn bootstrap(first: Id) -> DynamicNetwork {
+        let mut n = NodeState::new();
         n.successors.push(first); // self-loop ring of one
         n.predecessor = Some(first);
         let mut nodes = FxHashMap::default();
@@ -291,7 +289,6 @@ impl DynamicNetwork {
             nodes,
             alive: vec![first],
             islands: None,
-            succ_list_len,
             route_cache: RouteCache::default(),
             telemetry: Telemetry::noop(),
         }
@@ -469,7 +466,7 @@ impl DynamicNetwork {
             if believed != Some(truth) && truth != id {
                 state.successors.retain(|&s| s != truth);
                 state.successors.insert(0, truth);
-                state.successors.truncate(self.succ_list_len);
+                state.successors.truncate(SUCC_LIST_LEN);
                 rejoined += 1;
             }
         }
@@ -561,7 +558,7 @@ impl DynamicNetwork {
         }
         self.node(via)?;
         let succ = self.lookup(via, new).map(|(owner, _)| owner)?;
-        let mut state = NodeState::new(self.succ_list_len);
+        let mut state = NodeState::new();
         state.successors.push(succ);
         self.nodes.insert(new.0, state);
         self.alive
@@ -603,7 +600,7 @@ impl DynamicNetwork {
                 p.successors.retain(|&s| s != id);
                 p.successors.insert(0, succ);
                 p.successors.dedup();
-                p.successors.truncate(self.succ_list_len);
+                p.successors.truncate(SUCC_LIST_LEN);
             }
             if let Some(s) = self.nodes.get_mut(&succ.0) {
                 if s.predecessor == Some(id) {
@@ -708,7 +705,7 @@ impl DynamicNetwork {
             successors = merged;
         }
         successors.retain(|&s| self.is_alive(s) && self.reachable(id, s));
-        successors.truncate(self.succ_list_len);
+        successors.truncate(SUCC_LIST_LEN);
 
         // 4. Notify the successor that we might be its predecessor. An
         //    existing predecessor across the boundary is unreachable for
@@ -943,7 +940,7 @@ impl DynamicNetwork {
                         // chain step. With an empty avoid set this returns
                         // the owner immediately — bit-identical to the
                         // plain resilient walk.
-                        if let Some((serving, extra)) = self.detour_owner(succ, avoid) {
+                        if let Some((serving, extra)) = self.successor_substitute(succ, avoid) {
                             return Ok((serving, hops + 1 + extra));
                         }
                     }
@@ -964,7 +961,9 @@ impl DynamicNetwork {
                             && self.reachable(current, pred)
                             && key.in_open_closed(pred, current)
                         {
-                            if let Some((serving, extra)) = self.detour_owner(current, avoid) {
+                            if let Some((serving, extra)) =
+                                self.successor_substitute(current, avoid)
+                            {
                                 return Ok((serving, hops + extra));
                             }
                         }
@@ -1042,21 +1041,15 @@ impl DynamicNetwork {
         result
     }
 
-    /// Public entry to the successor-list substitution step alone, for
-    /// callers that already routed to `owner` and only need the chain
-    /// walk (e.g. a circuit-breaker short-circuit that re-uses the paid
-    /// route): [`Self::lookup_detour`] re-routes from scratch; this costs
-    /// only the returned chain steps.
-    pub fn successor_substitute(&self, owner: Id, avoid: &[Id]) -> Option<(Id, usize)> {
-        self.detour_owner(owner, avoid)
-    }
-
     /// The node that actually serves a key owned by `owner` under an
     /// avoid set: `owner` itself when acceptable (0 extra hops), else the
     /// first alive, reachable, non-avoided entry of its successor list
     /// (1 extra hop per chain step walked). `None` when the whole chain
-    /// is avoided or dead.
-    fn detour_owner(&self, owner: Id, avoid: &[Id]) -> Option<(Id, usize)> {
+    /// is avoided or dead. The substitution step of
+    /// [`Self::lookup_detour`], alone: a caller that already routed to
+    /// `owner` (a circuit-breaker short-circuit re-using the paid route)
+    /// pays only the returned chain steps.
+    pub fn successor_substitute(&self, owner: Id, avoid: &[Id]) -> Option<(Id, usize)> {
         if !avoid.contains(&owner) {
             return Some((owner, 0));
         }
@@ -1126,7 +1119,7 @@ mod tests {
     fn grow_network(n: usize, seed: u64) -> DynamicNetwork {
         let mut rng = DetRng::new(seed);
         let first = Id(rng.next_u32());
-        let mut net = DynamicNetwork::bootstrap(first, 8);
+        let mut net = DynamicNetwork::bootstrap(first);
         while net.len() < n {
             let new = Id(rng.next_u32());
             if net.node_ids().contains(&new) {
@@ -1142,7 +1135,7 @@ mod tests {
 
     #[test]
     fn bootstrap_single_node() {
-        let net = DynamicNetwork::bootstrap(Id(42), 4);
+        let net = DynamicNetwork::bootstrap(Id(42));
         assert_eq!(net.len(), 1);
         assert!(net.is_ring_consistent());
         assert_eq!(net.true_owner(Id(7)), Id(42));
@@ -1164,7 +1157,7 @@ mod tests {
 
     #[test]
     fn join_two_nodes() {
-        let mut net = DynamicNetwork::bootstrap(Id(100), 4);
+        let mut net = DynamicNetwork::bootstrap(Id(100));
         net.join(Id(200), Id(100)).unwrap();
         net.stabilize_until_consistent(16).expect("no convergence");
         assert_eq!(net.len(), 2);
@@ -1174,7 +1167,7 @@ mod tests {
 
     #[test]
     fn duplicate_join_rejected() {
-        let mut net = DynamicNetwork::bootstrap(Id(1), 4);
+        let mut net = DynamicNetwork::bootstrap(Id(1));
         assert_eq!(
             net.join(Id(1), Id(1)),
             Err(ChordError::DuplicateNode(Id(1)))
@@ -1183,7 +1176,7 @@ mod tests {
 
     #[test]
     fn join_via_unknown_rejected() {
-        let mut net = DynamicNetwork::bootstrap(Id(1), 4);
+        let mut net = DynamicNetwork::bootstrap(Id(1));
         assert_eq!(
             net.join(Id(2), Id(99)),
             Err(ChordError::UnknownNode(Id(99)))
@@ -1308,7 +1301,7 @@ mod tests {
 
     #[test]
     fn last_node_cannot_be_removed() {
-        let mut net = DynamicNetwork::bootstrap(Id(9), 4);
+        let mut net = DynamicNetwork::bootstrap(Id(9));
         assert_eq!(net.fail(Id(9)), Err(ChordError::LastNode));
         assert_eq!(net.leave(Id(9)), Err(ChordError::LastNode));
     }

@@ -57,7 +57,7 @@ use crate::plan::{
 };
 use crate::resilient::{
     BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, FailureDetector, HedgePolicy,
-    ResilienceStats, RetryPolicy, BASE_SERVICE, HOP_COST,
+    ResilienceStats, RetryPolicy, BASE_SERVICE, HOP_COST, SUSPICION_THRESHOLD,
 };
 use ars_chord::dynamic::ChordError;
 use ars_chord::{DynamicNetwork, Id};
@@ -169,7 +169,7 @@ impl ChurnNetwork {
         let mut group_rng = rng.fork();
         let groups = HashGroups::generate(config.family, config.k, config.l, &mut group_rng);
         let first = Id(rng.next_u32());
-        let mut chord = DynamicNetwork::bootstrap(first, 8);
+        let mut chord = DynamicNetwork::bootstrap(first);
         let mut storage = FxHashMap::default();
         storage.insert(first.0, Peer::new(first, config.use_local_index));
         while chord.len() < n_peers {
@@ -371,7 +371,7 @@ impl ChurnNetwork {
             self.detector.observe(peer, svc);
             return;
         };
-        let ok = suspicion < cfg.suspicion_threshold;
+        let ok = suspicion < SUSPICION_THRESHOLD;
         let breaker = self
             .breakers
             .entry(peer)
@@ -1431,8 +1431,7 @@ impl ChurnNetwork {
                 .counter_add("resilient.partition_degraded", 1);
         }
 
-        let cache_on_miss = self.config.cache_on_miss;
-        let verdict = verdict(cache_on_miss, &hashed_range, &mut reads.into_iter());
+        let verdict = verdict(&hashed_range, &mut reads.into_iter());
         let mut stored = false;
         if verdict.store {
             for (ident, key) in writes {

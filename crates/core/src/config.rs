@@ -73,10 +73,6 @@ pub struct SystemConfig {
     /// query range is expanded by this fraction of its width on each edge
     /// before hashing, matching, and caching.
     pub padding: f64,
-    /// Cache the queried partition at the `l` identifier owners when no
-    /// exact match was found (the paper's §4 procedure). Disable to measure
-    /// a read-only system.
-    pub cache_on_miss: bool,
     /// §5.3 extension: a contacted peer searches an index over *all* its
     /// buckets, not just the one bucket the identifier names.
     pub use_local_index: bool,
@@ -135,7 +131,7 @@ pub struct SystemConfig {
 
 impl Default for SystemConfig {
     /// The paper's §5 parameters: approximate min-wise permutations,
-    /// `k = 20`, `l = 5`, Jaccard matching, no padding, cache-on-miss.
+    /// `k = 20`, `l = 5`, Jaccard matching, no padding.
     fn default() -> SystemConfig {
         SystemConfig {
             family: LshFamilyKind::ApproxMinWise,
@@ -143,7 +139,6 @@ impl Default for SystemConfig {
             l: 5,
             matching: MatchMeasure::Jaccard,
             padding: 0.0,
-            cache_on_miss: true,
             use_local_index: false,
             placement: Placement::Uniformized,
             placement_mode: PlacementMode::Independent,
@@ -202,12 +197,6 @@ impl SystemConfig {
     /// Builder-style: enable the §5.3 local index.
     pub fn with_local_index(mut self, on: bool) -> SystemConfig {
         self.use_local_index = on;
-        self
-    }
-
-    /// Builder-style: enable/disable cache-on-miss.
-    pub fn with_cache_on_miss(mut self, on: bool) -> SystemConfig {
-        self.cache_on_miss = on;
         self
     }
 
@@ -292,7 +281,6 @@ mod tests {
         assert_eq!(c.family, LshFamilyKind::ApproxMinWise);
         assert_eq!(c.matching, MatchMeasure::Jaccard);
         assert_eq!(c.padding, 0.0);
-        assert!(c.cache_on_miss);
         assert!(!c.use_local_index);
         assert_eq!(c.replication, 1, "paper stores one copy per identifier");
         assert_eq!(c.durability, None, "paper's cache is pure soft state");
@@ -335,15 +323,13 @@ mod tests {
             .with_padding(0.2)
             .with_kl(10, 3)
             .with_seed(7)
-            .with_local_index(true)
-            .with_cache_on_miss(false);
+            .with_local_index(true);
         assert_eq!(c.family, LshFamilyKind::Linear);
         assert_eq!(c.matching, MatchMeasure::Containment);
         assert_eq!(c.padding, 0.2);
         assert_eq!((c.k, c.l), (10, 3));
         assert_eq!(c.seed, 7);
         assert!(c.use_local_index);
-        assert!(!c.cache_on_miss);
     }
 
     #[test]

@@ -150,19 +150,17 @@ impl DataNetwork {
             }
         }
         // Go to the source; the identifier layer already cached the query
-        // range on miss (cache_on_miss), so store the payload alongside.
+        // range on this miss (§4), so store the payload alongside.
         let base = self
             .sources
             .get(relation)
             .ok_or_else(|| ExecError::UnknownRelation(relation.to_string()))?;
         let hashed_range = hashed_range(range, self.config.padding);
         let part = HorizontalPartition::select_from(base, attr, &hashed_range);
-        if self.config.cache_on_miss {
-            self.payloads.insert(
-                (relation.to_string(), attr.to_string(), hashed_range),
-                part.clone(),
-            );
-        }
+        self.payloads.insert(
+            (relation.to_string(), attr.to_string(), hashed_range),
+            part.clone(),
+        );
         let answer = part
             .refine(range)
             .expect("padded partition must cover the original range");

@@ -5,23 +5,18 @@
 //! generation-tagged checkpoints over a simulated disk. This module holds
 //! the glue that keeps `ars-store` payload-agnostic:
 //!
-//! * [`DurabilityConfig`] — per-system knobs (fault surface, sync cadence,
-//!   compaction cadence) plus the per-peer seed derivation, configured via
-//!   [`crate::SystemConfig::with_durability`];
+//! * [`DurabilityConfig`] — the disks' fault surface plus the per-peer
+//!   seed derivation, configured via
+//!   [`crate::SystemConfig::with_durability`]; every store is
+//!   write-through with no automatic compaction (`StoreConfig::default()`);
 //! * [`encode_range`] / `decode_range` — the byte codec for
 //!   [`RangeSet`] payloads (interval list, little-endian u32 pairs),
 //!   decoded defensively so a corrupt payload that slipped past the log
 //!   CRC degrades to a dropped entry, never a panic;
 //! * `digest_bytes` — the FNV-1a hash under the anti-entropy digests
 //!   (hand-rolled so digests are stable across platforms and reruns).
-//!
-//! The storage fault surface is declared on the same [`FaultPlan`] that
-//! drives the transport injector (`torn_write_p`, `bit_flip_p`); use
-//! [`DurabilityConfig::from_fault_plan`] to carry it over, keeping one
-//! seed-addressed fault vocabulary across the workspace.
 
 use ars_lsh::RangeSet;
-use ars_simnet::FaultPlan;
 use ars_store::{StorageFaults, StoreConfig};
 
 /// Durability knobs for a [`crate::ChurnNetwork`].
@@ -29,27 +24,12 @@ use ars_store::{StorageFaults, StoreConfig};
 /// `None` in [`crate::SystemConfig::durability`] (the default) keeps the
 /// paper's purely soft-state behavior: crashes lose everything and queries
 /// rebuild the cache. `Some` gives every peer a [`ars_store::BucketStore`]
-/// whose disks tear and flip bits per the configured fault surface.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// whose disks tear and flip bits per the configured fault surface
+/// (`default()`: a perfect disk).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DurabilityConfig {
     /// Crash-fault surface of every peer's simulated disks.
     pub faults: StorageFaults,
-    /// Sync the op log every this many ops (≥ 1; 1 = write-through).
-    pub sync_every: usize,
-    /// Checkpoint + truncate the log every this many ops; 0 disables
-    /// automatic compaction.
-    pub compact_every: usize,
-}
-
-impl Default for DurabilityConfig {
-    /// Write-through on a perfect disk, no automatic compaction.
-    fn default() -> DurabilityConfig {
-        DurabilityConfig {
-            faults: StorageFaults::none(),
-            sync_every: 1,
-            compact_every: 0,
-        }
-    }
 }
 
 impl DurabilityConfig {
@@ -59,23 +39,10 @@ impl DurabilityConfig {
         self
     }
 
-    /// Adopt the storage fault surface declared on a [`FaultPlan`]
-    /// (`torn_write_p`, `bit_flip_p`), keeping the transport and storage
-    /// fault vocabularies on one seed-addressed plan.
-    pub fn from_fault_plan(plan: &FaultPlan) -> DurabilityConfig {
-        DurabilityConfig::default().with_faults(
-            StorageFaults::none()
-                .with_torn_write(plan.torn_write_p)
-                .with_bit_flip(plan.bit_flip_p),
-        )
-    }
-
-    /// The [`StoreConfig`] for one peer's [`ars_store::BucketStore`].
+    /// The [`StoreConfig`] for one peer's [`ars_store::BucketStore`]:
+    /// write-through, no automatic compaction, on these disks.
     pub fn store_config(&self) -> StoreConfig {
-        StoreConfig::default()
-            .with_faults(self.faults)
-            .with_sync_every(self.sync_every)
-            .with_compact_every(self.compact_every)
+        StoreConfig::default().with_faults(self.faults)
     }
 
     /// Per-peer disk seed: splitmix-style spread of the peer id over the
@@ -190,19 +157,6 @@ mod tests {
         // FNV-1a test vectors.
         assert_eq!(digest_bytes(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(digest_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn fault_plan_surface_carries_over() {
-        let plan = FaultPlan::default().with_storage_faults(0.25, 0.05);
-        let d = DurabilityConfig::from_fault_plan(&plan);
-        assert_eq!(
-            d.faults,
-            StorageFaults::none()
-                .with_torn_write(0.25)
-                .with_bit_flip(0.05)
-        );
-        assert_eq!(d.sync_every, 1);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl ExactMatchNetwork {
             range: q.clone(),
             score: 1.0,
         });
-        let verdict = verdict(true, q, &mut std::iter::once(held));
+        let verdict = verdict(q, &mut std::iter::once(held));
         let stored = verdict.store && bucket.insert(q.clone());
         let transport = Transport {
             hops: vec![hops],

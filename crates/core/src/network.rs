@@ -324,7 +324,7 @@ pub(crate) fn commit_plan(
         telemetry.record("core.bucket.scan_len", scan_len as u64);
         Some(best)
     });
-    let verdict = verdict(config.cache_on_miss, &hashed_range, &mut reads);
+    let verdict = verdict(&hashed_range, &mut reads);
 
     // Cache on miss: store the (padded) partition at every store target,
     // so later similar queries find it where planning will look.
@@ -404,40 +404,18 @@ impl RangeSelectNetwork {
         let mut group_rng = rng.fork();
         let ring_seed = rng.next_u64();
         let ring = Ring::from_seed(n_peers, ring_seed);
-        Self::with_ring(ring, config, &mut group_rng, rng)
-    }
-
-    fn with_ring(
-        ring: Ring,
-        config: SystemConfig,
-        group_rng: &mut DetRng,
-        rng: DetRng,
-    ) -> RangeSelectNetwork {
-        let groups = HashGroups::generate(config.family, config.k, config.l, group_rng);
-        let anchors = anchor_sketch(&config);
+        let groups = HashGroups::generate(config.family, config.k, config.l, &mut group_rng);
         let peers = ring
             .node_ids()
             .iter()
             .map(|&id| (id.0, Peer::new(id, config.use_local_index)))
             .collect();
-        let ident_cache = IdentifierCache::with_capacity(config.ident_cache_capacity);
-        RangeSelectNetwork {
-            config,
-            ring,
-            peers,
-            groups,
-            anchors,
-            rng,
-            stats: NetworkStats::default(),
-            ident_cache,
-            placements: PlacementMemo::default(),
-            telemetry: Telemetry::noop(),
-        }
+        Self::from_parts(config, ring, peers, groups, rng)
     }
 
-    /// Assemble a network from pre-existing parts — used by
-    /// [`crate::ChurnNetwork::freeze`] to wrap a ring snapshot and cloned
-    /// storage into a static network.
+    /// Assemble a network from pre-existing parts — used by [`Self::new`]
+    /// and by [`crate::ChurnNetwork::freeze`] to wrap a ring snapshot and
+    /// cloned storage into a static network.
     /// Stats and the identifier cache start empty; telemetry starts as a
     /// no-op (install one with [`Self::set_telemetry`]).
     pub(crate) fn from_parts(
@@ -747,15 +725,6 @@ mod tests {
         n.query(&r(0, 20));
         let out = n.query(&r(500, 600));
         assert!(out.best_match.is_none() || out.similarity == 0.0);
-    }
-
-    #[test]
-    fn cache_off_never_stores() {
-        let mut n = RangeSelectNetwork::new(30, SystemConfig::default().with_cache_on_miss(false));
-        n.query(&r(1, 10));
-        n.query(&r(1, 10));
-        assert_eq!(n.total_partitions(), 0);
-        assert_eq!(n.stats().stored, 0);
     }
 
     #[test]
@@ -1092,7 +1061,7 @@ mod tests {
     #[test]
     fn layered_store_partition_found_by_query() {
         // Direct stores land at the layered positions, where queries look.
-        let mut n = RangeSelectNetwork::new(48, layered_config(9).with_cache_on_miss(false));
+        let mut n = RangeSelectNetwork::new(48, layered_config(9));
         n.store_partition(&r(100, 200));
         let out = n.query(&r(100, 200));
         assert!(out.exact, "stored partition must be visible in its arc");
@@ -1273,7 +1242,7 @@ mod tests {
         use ars_chord::layered_position;
         let range = r(100, 200);
         let plain = net(40);
-        let layered = RangeSelectNetwork::new(40, layered_config(9).with_cache_on_miss(false));
+        let layered = RangeSelectNetwork::new(40, layered_config(9));
         assert!(
             plain.anchors.is_none(),
             "independent placement draws no sketch"

@@ -303,16 +303,16 @@ pub(crate) struct Verdict {
     best: Best,
     /// The best match is exactly the hashed range.
     exact: bool,
-    /// Cache-on-miss applies: the transport writes [`Targets::stores`] and
-    /// reports whether any copy was new.
+    /// No exact match: the transport caches the partition at
+    /// [`Targets::stores`] (§4 always does) and reports whether any copy
+    /// was new.
     pub(crate) store: bool,
 }
 
 /// Fold a query's reads, in planned order, into the verdict: the best
 /// match across them (the earliest wins ties), whether it is exact, and
-/// whether the query's own partition is to be cached.
+/// so whether the query's own partition is to be cached.
 pub(crate) fn verdict(
-    cache_on_miss: bool,
     hashed_range: &RangeSet,
     reads: &mut dyn Iterator<Item = Option<Match>>,
 ) -> Verdict {
@@ -324,7 +324,7 @@ pub(crate) fn verdict(
     Verdict {
         best,
         exact,
-        store: cache_on_miss && !exact,
+        store: !exact,
     }
 }
 

@@ -644,7 +644,7 @@ impl ProtoNetwork {
         // Replies are in request order, so ties resolve as on the
         // direct-call network.
         let mut reads = replies.into_iter().map(|reply| reply.best);
-        let verdict = verdict(self.config.cache_on_miss, &hashed_range, &mut reads);
+        let verdict = verdict(&hashed_range, &mut reads);
 
         // Store on miss, one `Store` routed to each planned position.
         if verdict.store {

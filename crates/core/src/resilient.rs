@@ -174,27 +174,25 @@ impl FailureDetector {
     }
 }
 
+/// Consecutive suspicious observations that trip a closed breaker.
+const BREAKER_TRIP_FAILURES: u32 = 2;
+
+/// Suspicion score (see `FailureDetector::suspicion`) at or above which an
+/// observation counts as a failure.
+pub(crate) const SUSPICION_THRESHOLD: f64 = 3.0;
+
 /// Circuit-breaker configuration shared by every per-peer breaker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
-    /// Consecutive suspicious observations that trip a closed breaker.
-    pub failure_threshold: u32,
     /// Virtual time an open breaker waits before admitting one half-open
     /// probe (deterministic: the transition is a pure function of the
     /// opening instant, not of a timer thread).
     pub cooldown: u64,
-    /// Suspicion score (see `FailureDetector::suspicion`) at or above
-    /// which an observation counts as a failure.
-    pub suspicion_threshold: f64,
 }
 
 impl Default for BreakerConfig {
     fn default() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 2,
-            cooldown: 2_000,
-            suspicion_threshold: 3.0,
-        }
+        BreakerConfig { cooldown: 2_000 }
     }
 }
 
@@ -221,8 +219,8 @@ pub enum BreakerTransition {
     Closed,
 }
 
-/// Per-peer circuit breaker: closed → open after `failure_threshold`
-/// consecutive suspicious responses, half-open after `cooldown` virtual
+/// Per-peer circuit breaker: closed → open after two consecutive
+/// suspicious responses, half-open after `cooldown` virtual
 /// time units, closed again on a successful probe (re-opened on a failed
 /// one). All transitions are pure functions of `(observations, virtual
 /// time)` — nothing here can break deterministic replay.
@@ -262,7 +260,7 @@ impl CircuitBreaker {
                     BreakerTransition::None
                 } else {
                     self.consecutive_failures += 1;
-                    if self.consecutive_failures >= self.config.failure_threshold {
+                    if self.consecutive_failures >= BREAKER_TRIP_FAILURES {
                         self.opened_at = Some(now);
                         BreakerTransition::Opened
                     } else {
@@ -286,42 +284,39 @@ impl CircuitBreaker {
     }
 }
 
+/// Which latency quantile anchors the hedge delay.
+const HEDGE_QUANTILE: f64 = 0.9;
+
+/// Multiplier on the anchored quantile.
+const HEDGE_MULTIPLIER: f64 = 2.0;
+
+/// Upper clamp on the hedge delay, so one catastrophic tail sample cannot
+/// disable hedging for the rest of a run.
+const HEDGE_MAX_DELAY: u64 = 5_000;
+
 /// How hedged lookups derive their backup-launch delay.
 ///
 /// The delay adapts to the *observed* latency distribution: a backup fires
-/// once the primary has been outstanding longer than
-/// `multiplier × quantile(q)` of recent query latencies, clamped to
-/// `[min_delay, max_delay]`. On a healthy network the observed quantile
-/// sits far below `min_delay`, so no hedge ever fires and the feature is a
-/// pure observer (see the tail-tolerance proptests); once gray-slow peers
-/// stretch the tail, the delay tracks the healthy quantile and backups
-/// fire exactly for the slow primaries.
+/// once the primary has been outstanding longer than twice the q90 of
+/// recent query latencies, clamped to `[min_delay, 5 000]`. On a healthy
+/// network the observed quantile sits far below `min_delay`, so no hedge
+/// ever fires and the feature is a pure observer (see the tail-tolerance
+/// proptests); once gray-slow peers stretch the tail, the delay tracks the
+/// healthy quantile and backups fire exactly for the slow primaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgePolicy {
-    /// Which latency quantile anchors the delay (e.g. 0.9).
-    pub quantile: f64,
-    /// Multiplier on the anchored quantile.
-    pub multiplier: f64,
     /// Lower clamp — also the zero-history default. Must exceed any
     /// healthy-path latency or hedges fire on clean networks: under the
     /// virtual service model the worst clean fetch costs
     /// `hop_budget × HOP_COST + BASE_SERVICE` (740 at the default budget
     /// of 64), so the default floor of 1 000 guarantees the pure-observer
-    /// property unconditionally.
+    /// property unconditionally. A floor above the 5 000 ceiling wins.
     pub min_delay: u64,
-    /// Upper clamp, so one catastrophic tail sample cannot disable
-    /// hedging for the rest of a run.
-    pub max_delay: u64,
 }
 
 impl Default for HedgePolicy {
     fn default() -> HedgePolicy {
-        HedgePolicy {
-            quantile: 0.9,
-            multiplier: 2.0,
-            min_delay: 1_000,
-            max_delay: 5_000,
-        }
+        HedgePolicy { min_delay: 1_000 }
     }
 }
 
@@ -331,8 +326,8 @@ impl HedgePolicy {
         if observed.count == 0 {
             return self.min_delay;
         }
-        let anchored = (observed.quantile(self.quantile) as f64 * self.multiplier) as u64;
-        anchored.clamp(self.min_delay, self.max_delay)
+        let anchored = (observed.quantile(HEDGE_QUANTILE) as f64 * HEDGE_MULTIPLIER) as u64;
+        anchored.min(HEDGE_MAX_DELAY).max(self.min_delay)
     }
 }
 
@@ -562,11 +557,7 @@ mod tests {
 
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
-        let cfg = BreakerConfig {
-            failure_threshold: 2,
-            cooldown: 1_000,
-            suspicion_threshold: 3.0,
-        };
+        let cfg = BreakerConfig { cooldown: 1_000 };
         let mut b = CircuitBreaker::new(cfg);
         assert_eq!(b.state(0), BreakerState::Closed);
         // One failure: still closed (threshold is 2).
@@ -586,12 +577,9 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_and_restarts_cooldown() {
-        let cfg = BreakerConfig {
-            failure_threshold: 1,
-            cooldown: 1_000,
-            suspicion_threshold: 3.0,
-        };
+        let cfg = BreakerConfig { cooldown: 1_000 };
         let mut b = CircuitBreaker::new(cfg);
+        assert_eq!(b.record(false, 0), BreakerTransition::None);
         assert_eq!(b.record(false, 0), BreakerTransition::Opened);
         assert_eq!(b.state(1_000), BreakerState::HalfOpen);
         assert_eq!(b.record(false, 1_000), BreakerTransition::Opened);

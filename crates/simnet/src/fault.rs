@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the message simulator.
 //!
 //! A [`FaultPlan`] describes how a run's transport misbehaves — message
-//! drop, duplication, and extra delay (globally or per link), plus node
-//! crash and pause windows — and a [`FaultInjector`] executes the plan
+//! drop, duplication, and extra delay, plus node crash and pause windows,
+//! partitions and slow peers — and a [`FaultInjector`] executes the plan
 //! from a seeded [`DetRng`], so every fault a run experiences is a pure
 //! function of `(plan, seed)`. The injector drives the discrete-event
 //! simulator ([`crate::sim::SimNet::set_faults`]); experiments and the
@@ -24,7 +24,12 @@
 //! * **drop**: the message vanishes, counted in `dropped`;
 //! * **duplicate**: one extra copy is scheduled (each copy counts as sent
 //!   and is then independently delayed);
-//! * **delay**: a uniform extra latency from the configured window.
+//! * **delay**: a uniform extra latency from the configured window (a
+//!   hand-built window with `lo > hi` is read as `[hi, lo]`).
+//!
+//! Storage faults (torn tail writes, bit flips) are not declared here:
+//! they happen on `ars-store`'s simulated disks, and
+//! `ars_store::StorageFaults` is their one declaration.
 
 use crate::event::SimTime;
 use ars_common::DetRng;
@@ -122,7 +127,7 @@ impl PartitionWindow {
 /// default plan injects nothing (a perfect network).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Per-message drop probability (all links unless overridden).
+    /// Per-message drop probability.
     pub drop_p: f64,
     /// Per-message duplication probability.
     pub duplicate_p: f64,
@@ -130,8 +135,6 @@ pub struct FaultPlan {
     pub delay_p: f64,
     /// Extra delay window `[lo, hi]` applied when `delay_p` fires.
     pub delay_range: (SimTime, SimTime),
-    /// Per-link drop-probability overrides `(from, to, p)`.
-    pub link_drop: Vec<(usize, usize, f64)>,
     /// Permanent node crashes.
     pub crashes: Vec<CrashWindow>,
     /// Temporary node pauses.
@@ -142,14 +145,6 @@ pub struct FaultPlan {
     /// Gray failures: slow-but-alive nodes whose traffic is delivered at a
     /// multiple of the model latency while a window is open.
     pub slow: Vec<SlowWindow>,
-    /// Storage fault: probability a crash leaves a torn (partial) tail
-    /// write on a peer's durable log instead of a clean truncation.
-    /// Executed by `ars-store`'s simulated disks, not by the transport
-    /// injector — the plan is the single declarative fault surface.
-    pub torn_write_p: f64,
-    /// Storage fault: probability a crash flips one bit in the tail of
-    /// a peer's durable log image (a corrupted sector).
-    pub bit_flip_p: f64,
 }
 
 fn check_p(p: f64) {
@@ -167,7 +162,6 @@ impl FaultPlan {
         self.drop_p == 0.0
             && self.duplicate_p == 0.0
             && self.delay_p == 0.0
-            && self.link_drop.is_empty()
             && self.crashes.is_empty()
             && self.pauses.is_empty()
             && self.partitions.is_empty()
@@ -203,17 +197,6 @@ impl FaultPlan {
         assert!(lo <= hi, "invalid delay interval");
         self.delay_p = p;
         self.delay_range = (lo, hi);
-        self
-    }
-
-    /// Override the drop probability of the directed link `from → to`.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ p ≤ 1`.
-    #[cfg(test)]
-    fn with_link_drop(mut self, from: usize, to: usize, p: f64) -> FaultPlan {
-        check_p(p);
-        self.link_drop.push((from, to, p));
         self
     }
 
@@ -291,36 +274,6 @@ impl FaultPlan {
             until,
         });
         self
-    }
-
-    /// Declare the storage-fault surface crash-restart runs execute on
-    /// their simulated disks: `torn_write_p` per-crash torn tail writes,
-    /// `bit_flip_p` per-crash tail bit flips. Un-synced suffixes are
-    /// always lost on crash regardless of these probabilities.
-    ///
-    /// # Panics
-    /// Panics unless both probabilities are in `[0, 1]`.
-    pub fn with_storage_faults(mut self, torn_write_p: f64, bit_flip_p: f64) -> FaultPlan {
-        check_p(torn_write_p);
-        check_p(bit_flip_p);
-        self.torn_write_p = torn_write_p;
-        self.bit_flip_p = bit_flip_p;
-        self
-    }
-
-    /// True if this plan declares any storage fault (consumed by the
-    /// durable-store layer; [`Self::is_benign`] stays transport-only).
-    pub fn has_storage_faults(&self) -> bool {
-        self.torn_write_p > 0.0 || self.bit_flip_p > 0.0
-    }
-
-    fn drop_p_for(&self, from: usize, to: usize) -> f64 {
-        self.link_drop
-            .iter()
-            .rev() // last override wins
-            .find(|&&(f, t, _)| f == from && t == to)
-            .map(|&(_, _, p)| p)
-            .unwrap_or(self.drop_p)
     }
 }
 
@@ -418,8 +371,7 @@ impl FaultInjector {
         if self.is_partitioned(from, to, now) {
             return FaultAction::Partitioned;
         }
-        let p = self.plan.drop_p_for(from, to);
-        if p > 0.0 && self.rng.gen_bool(p) {
+        if self.plan.drop_p > 0.0 && self.rng.gen_bool(self.plan.drop_p) {
             return FaultAction::Drop;
         }
         let copies = if self.plan.duplicate_p > 0.0 && self.rng.gen_bool(self.plan.duplicate_p) {
@@ -432,8 +384,14 @@ impl FaultInjector {
         for _ in 0..copies {
             let mut d = pause;
             if self.plan.delay_p > 0.0 && self.rng.gen_bool(self.plan.delay_p) {
-                let (lo, hi) = self.plan.delay_range;
-                d += lo + self.rng.gen_range_u64(hi - lo + 1);
+                let (a, b) = self.plan.delay_range;
+                let (lo, span) = (a.min(b), a.abs_diff(b));
+                // `[0, u64::MAX]` has 2⁶⁴ values: one raw draw covers it.
+                let offset = match span.checked_add(1) {
+                    Some(width) => self.rng.gen_range_u64(width),
+                    None => self.rng.next_u64(),
+                };
+                d = d.saturating_add(lo + offset);
             }
             extra.push(d);
         }
@@ -489,15 +447,6 @@ mod tests {
         assert_eq!(inj.on_send(0, 1, 40), FaultAction::Deliver(vec![0]));
         assert_eq!(inj.on_send(0, 1, 60), FaultAction::Deliver(vec![20]));
         assert_eq!(inj.on_send(0, 1, 80), FaultAction::Deliver(vec![0]));
-    }
-
-    #[test]
-    fn link_override_beats_global() {
-        let plan = FaultPlan::none().with_drop(0.0).with_link_drop(3, 4, 1.0);
-        let mut inj = FaultInjector::new(plan, 1);
-        assert_eq!(inj.on_send(3, 4, 0), FaultAction::Drop);
-        assert_eq!(inj.on_send(4, 3, 0).copies(), 1); // directed
-        assert_eq!(inj.on_send(0, 1, 0).copies(), 1);
     }
 
     #[test]
@@ -632,24 +581,5 @@ mod tests {
     #[should_panic(expected = "listed in two islands")]
     fn overlapping_islands_rejected() {
         let _ = FaultPlan::none().with_partition(vec![vec![0, 1], vec![1, 2]], 0, 10);
-    }
-
-    #[test]
-    fn storage_faults_declared_but_transport_benign() {
-        let plan = FaultPlan::none().with_storage_faults(0.4, 0.1);
-        assert!(plan.has_storage_faults());
-        assert!(
-            plan.is_benign(),
-            "storage faults never touch the transport injector"
-        );
-        assert!(!FaultPlan::none().has_storage_faults());
-        let mut inj = FaultInjector::new(plan, 1);
-        assert_eq!(inj.on_send(0, 1, 0), FaultAction::Deliver(vec![0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_storage_probability_rejected() {
-        let _ = FaultPlan::none().with_storage_faults(0.0, 1.1);
     }
 }

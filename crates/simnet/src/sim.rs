@@ -179,9 +179,12 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
         if factor > 1 {
             self.stats.slowed += copies;
         }
+        // A slow factor or a delay near `SimTime::MAX` saturates at the end
+        // of time instead of wrapping.
         let mut schedule = |extra: SimTime, msg: M| {
-            let lat = self.latency.latency(from, to) * factor;
-            self.queue.schedule(at + lat + extra, from, to, msg);
+            let lat = self.latency.latency(from, to).saturating_mul(factor);
+            let arrival = at.saturating_add(lat).saturating_add(extra);
+            self.queue.schedule(arrival, from, to, msg);
         };
         // The message moves into its last copy: only a duplicate clones.
         if let Some((&last, duplicates)) = extras.split_last() {
@@ -572,6 +575,40 @@ mod tests {
             s.dropped
         );
         assert!(s.dropped > 0 && s.delivered > 0);
+    }
+
+    #[test]
+    fn extreme_delay_and_slow_windows_saturate_instead_of_overflowing() {
+        use crate::fault::FaultPlan;
+        // A full-width delay window, an inverted window built by hand, and
+        // a slow factor no latency survives: each relay runs to its end.
+        let inverted = FaultPlan {
+            delay_p: 1.0,
+            delay_range: (5, 3),
+            ..FaultPlan::none()
+        };
+        for plan in [
+            FaultPlan::none().with_delay(1.0, 0, u64::MAX),
+            inverted.clone(),
+            FaultPlan::none().with_slow(vec![0, 1, 2], u64::MAX, 0, u64::MAX),
+        ] {
+            let mut net = relay_net(3);
+            net.set_faults(plan, 7);
+            net.inject(0, 0, 5);
+            assert_eq!(net.run(u64::MAX), 6);
+            assert!(net.stats().is_conserved());
+        }
+        // The inverted window reads as [3, 5]: each hop costs the model
+        // latency of 10 plus a delay from it.
+        let mut net = relay_net(1);
+        net.set_faults(inverted, 7);
+        for _ in 0..20 {
+            let sent_at = net.now();
+            net.inject(0, 0, 0);
+            net.run(u64::MAX);
+            let hop = net.now() - sent_at;
+            assert!((13..=15).contains(&hop), "hop of {hop} off [13, 15]");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn lookup_accuracy(net: &DynamicNetwork, rng: &mut DetRng, trials: usize) -> (us
 fn main() {
     let mut rng = DetRng::new(77);
     let first = Id(rng.next_u32());
-    let mut net = DynamicNetwork::bootstrap(first, 8);
+    let mut net = DynamicNetwork::bootstrap(first);
 
     // Grow to 60 peers.
     while net.len() < 60 {

@@ -1,12 +1,15 @@
 //! Crash-restart recovery and anti-entropy repair, end to end (ISSUE 4).
 //!
 //! The headline scenario: a 50-peer network at replication r = 2 with
-//! durable bucket stores under storage faults (torn tail writes + tail
-//! bit flips) warms a query cache, crashes 20% of its peers, restarts
-//! them — replaying each peer's op log past whatever the crash tore —
-//! runs the anti-entropy repair loop to quiescence, and answers every
-//! warmed query with recall exactly 1.000. The r = 1 fail-without-restart
-//! contrast (PR 2's soft-state baseline) loses buckets for good.
+//! durable bucket stores under storage faults warms a query cache,
+//! crashes 20% of its peers, restarts them — replaying each peer's op log
+//! past whatever the crash corrupted — runs the anti-entropy repair loop
+//! to quiescence, and answers every warmed query with recall exactly
+//! 1.000. The stores are write-through, so a crash finds no un-synced
+//! bytes to tear: the damage in the system is tail bit flips. Torn tails
+//! are exercised by `ars-store`'s `recovery_props`. The r = 1
+//! fail-without-restart contrast (PR 2's soft-state baseline) loses
+//! buckets for good.
 //!
 //! Also here: the repair convergence property (satellite) — after an
 //! arbitrary interleaving of fails, leaves, joins, crashes, and restarts,
@@ -33,14 +36,15 @@ fn warm_queries(n: usize) -> Vec<RangeSet> {
         .collect()
 }
 
-/// The faulted durable configuration of the headline scenario: torn tail
-/// writes on 40% of crashes, a tail bit flip on 10% — carried over from a
-/// `FaultPlan`, the workspace's one seed-addressed fault vocabulary.
+/// The faulted durable configuration of the headline scenario: a tail bit
+/// flip on 10% of crashes. Torn tail writes are set to 40% too, but a
+/// write-through store has nothing un-synced to tear, so they never fire.
 fn faulted_durability() -> DurabilityConfig {
-    let plan = FaultPlan::none().with_storage_faults(0.4, 0.1);
-    assert!(plan.has_storage_faults());
-    assert!(plan.is_benign(), "transport stays clean in this scenario");
-    DurabilityConfig::from_fault_plan(&plan)
+    DurabilityConfig::default().with_faults(
+        StorageFaults::none()
+            .with_torn_write(0.4)
+            .with_bit_flip(0.1),
+    )
 }
 
 /// One full run of the headline scenario. Returns everything a
@@ -180,18 +184,20 @@ fn fail_without_restart_at_r1_loses_recall() {
 }
 
 /// The hostile-storage contrast: every crash flips a bit in the log tail,
-/// and with `l = 1`, `r = 1` the torn entry was the only copy — restart
+/// and with `l = 1`, `r = 1` the corrupted entry was the only copy — restart
 /// replays what it can, repair has nothing to copy from, and recall stays
 /// below 1 for good.
 #[test]
 fn guaranteed_tail_corruption_at_r1_loses_recall_despite_restart_and_repair() {
     let seed = env_seed("ARS_FAULT_SEED");
-    let plan = FaultPlan::none().with_storage_faults(0.4, 1.0);
+    let faults = StorageFaults::none()
+        .with_torn_write(0.4)
+        .with_bit_flip(1.0);
     let config = SystemConfig::default()
         .with_kl(16, 1)
         .with_matching(MatchMeasure::Containment)
         .with_seed(0x10_2003 ^ seed)
-        .with_durability(DurabilityConfig::from_fault_plan(&plan));
+        .with_durability(DurabilityConfig::default().with_faults(faults));
     let mut net = ChurnNetwork::new(50, config).expect("growth converges");
     let queries = warm_queries(40);
     for q in &queries {

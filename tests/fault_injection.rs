@@ -21,7 +21,7 @@ use proptest::prelude::*;
 fn grown(n: usize, seed: u64) -> DynamicNetwork {
     let mut rng = DetRng::new(seed);
     let first = Id(rng.next_u32());
-    let mut net = DynamicNetwork::bootstrap(first, 8);
+    let mut net = DynamicNetwork::bootstrap(first);
     while net.len() < n {
         let id = Id(rng.next_u32());
         if net.node_ids().contains(&id) {

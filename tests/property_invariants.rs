@@ -274,8 +274,7 @@ proptest! {
                 .with_seed(seed)
                 .with_placement_mode(PlacementMode::Layered)
                 .with_probes(budget)
-                .with_matching(MatchMeasure::Containment)
-                .with_cache_on_miss(false);
+                .with_matching(MatchMeasure::Containment);
             let mut net = RangeSelectNetwork::new(48, config);
             net.store_partition(&stored);
             let out = net.query(&query);

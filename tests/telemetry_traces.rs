@@ -28,7 +28,7 @@ use proptest::prelude::*;
 fn grown(n: usize, seed: u64) -> DynamicNetwork {
     let mut rng = DetRng::new(seed);
     let first = Id(rng.next_u32());
-    let mut net = DynamicNetwork::bootstrap(first, 8);
+    let mut net = DynamicNetwork::bootstrap(first);
     while net.len() < n {
         let id = Id(rng.next_u32());
         if net.node_ids().contains(&id) {
@@ -60,7 +60,7 @@ fn trace_ranges(n: usize) -> Vec<RangeSet> {
 #[test]
 fn resilient_lookup_trace_respects_hop_bound_on_healthy_ring() {
     const N: usize = 32;
-    const SUCC_LIST_BUDGET: usize = 8; // bootstrap(_, 8) successor lists
+    const SUCC_LIST_BUDGET: usize = 8; // each node keeps eight successors
     let mut net = grown(N, 11 + env_seed("ARS_FAULT_SEED"));
     let tel = Telemetry::recording();
     net.set_telemetry(tel.clone());
