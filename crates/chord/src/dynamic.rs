@@ -258,7 +258,11 @@ impl RingView {
 /// (stabilize, notify, lookups, finger repair) is filtered through that
 /// reachability relation, so each island's ring collapses onto its own
 /// members exactly as live Chord nodes would behave behind a severed
-/// switch.
+/// switch. A connected network is the one-island case: the island forms
+/// ([`Self::island_owner`], [`Self::island_successors`]) equal the true
+/// ones ([`Self::true_owner`], [`Self::true_successors`]) while no
+/// partition is installed, so a caller needs no branch on
+/// [`Self::is_partitioned`] to pick between them.
 #[derive(Debug, Clone)]
 pub struct DynamicNetwork {
     nodes: FxHashMap<u32, NodeState>,

@@ -6,7 +6,6 @@
 //! implementation bugs, so the interval predicates live here once, heavily
 //! tested, and everything else uses them.
 
-use crate::sha1::sha1_u32;
 use std::fmt;
 
 /// Number of bits in the identifier space (the paper uses a 32-bit space).
@@ -29,12 +28,6 @@ impl From<u32> for Id {
 }
 
 impl Id {
-    /// Hash an arbitrary address (e.g. `"10.0.0.1:4432"`) onto the circle
-    /// with SHA-1, as the paper prescribes.
-    pub(crate) fn from_address(addr: &str) -> Id {
-        Id(sha1_u32(addr.as_bytes()))
-    }
-
     /// `self + 2^i` on the circle (finger start positions).
     #[inline]
     pub(crate) fn plus_pow2(self, i: u32) -> Id {
@@ -146,15 +139,6 @@ mod tests {
         assert!(Id(20).in_open_closed(Id(10), Id(20)));
         assert!(!Id(10).in_open_closed(Id(10), Id(20)));
         assert!(Id(20).in_open_closed(Id(0xFFFF_FF00), Id(20)));
-    }
-
-    #[test]
-    fn from_address_deterministic_and_spread() {
-        let a = Id::from_address("10.0.0.1:4432");
-        let b = Id::from_address("10.0.0.1:4432");
-        let c = Id::from_address("10.0.0.2:4432");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 
     proptest! {

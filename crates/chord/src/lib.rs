@@ -4,9 +4,11 @@
 //! their address with SHA-1 into a 32-bit identifier space; each data
 //! identifier is owned by its *successor* (the first peer clockwise); and
 //! lookups route through finger tables in `O(log N)` hops. This crate
-//! implements that substrate from scratch:
+//! implements that substrate from scratch. A simulated peer has no
+//! address, so its id is a seeded draw ([`Ring::from_seed`]) — uniform on
+//! the circle, as a SHA-1 of an address is.
 //!
-//! * [`mod@sha1`] — FIPS 180-1 SHA-1 (used to hash peer addresses);
+//! * [`mod@sha1`] — FIPS 180-1 SHA-1 (used to place data identifiers);
 //! * [`Id`] — 32-bit circular identifier arithmetic;
 //! * [`Ring`] — static ring construction with full finger tables and
 //!   iterative lookup with hop accounting (used by the scalability

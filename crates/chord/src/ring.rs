@@ -66,17 +66,6 @@ impl Ring {
         Ring::new(ids)
     }
 
-    /// A ring of peers identified by their addresses, hashed with SHA-1
-    /// exactly as the paper prescribes.
-    pub fn from_addresses<S: AsRef<str>, I: IntoIterator<Item = S>>(addrs: I) -> Ring {
-        Ring::new(
-            addrs
-                .into_iter()
-                .map(|a| Id::from_address(a.as_ref()))
-                .collect(),
-        )
-    }
-
     /// Number of peers.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -261,13 +250,6 @@ mod tests {
         let b = Ring::from_seed(50, 9);
         assert_eq!(a.node_ids(), b.node_ids());
         assert_eq!(a.len(), 50);
-    }
-
-    #[test]
-    fn from_addresses_uses_sha1() {
-        let ring = Ring::from_addresses(["10.0.0.1:80", "10.0.0.2:80"]);
-        assert_eq!(ring.len(), 2);
-        assert!(ring.rank_of(Id::from_address("10.0.0.1:80")).is_some());
     }
 
     #[test]

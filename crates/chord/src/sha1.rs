@@ -1,10 +1,11 @@
 //! SHA-1 (FIPS 180-1), implemented from scratch.
 //!
-//! The paper hashes peer addresses into the identifier space with SHA-1
-//! [FIPS180-1]. SHA-1 is of course no longer collision-resistant for
-//! adversarial inputs; here it is used exactly as Chord uses it — as a
-//! well-distributed deterministic map from peer addresses to ring
-//! positions — for which it remains perfectly serviceable.
+//! The paper hashes peer addresses and data keys into the identifier
+//! space with SHA-1 [FIPS180-1]. SHA-1 is of course no longer
+//! collision-resistant for adversarial inputs; here it is used as Chord
+//! uses it — a well-distributed deterministic map onto ring positions, for
+//! data identifiers (simulated peers take seeded ids instead) — for which
+//! it remains perfectly serviceable.
 
 /// Initial chaining value per FIPS 180-1.
 const H0: [u32; 5] = [

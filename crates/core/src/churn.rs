@@ -296,6 +296,9 @@ impl ChurnNetwork {
     /// ([`Self::set_slow`]).
     pub fn slow_fraction(&mut self, fraction: f64, factor: u64) -> Vec<Id> {
         assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
+        // Checked before counting victims: a fraction that picks none must
+        // still refuse a factor `set_slow` would.
+        assert!(factor >= 2, "slow factor must be at least 2");
         let ids = self.chord.alive_ids();
         let count = (ids.len() as f64 * fraction).floor() as usize;
         let victims: Vec<Id> = (0..count).map(|i| ids[i * ids.len() / count]).collect();
@@ -677,12 +680,9 @@ impl ChurnNetwork {
     /// like an abrupt failure's.
     pub fn leave(&mut self, id: Id) -> Result<(), ChordError> {
         // Determine the inheritor *before* removing the node — and before
-        // the chord layer forgets which island the leaver was in.
-        let inheritor = if self.chord.is_partitioned() {
-            self.chord.island_owner(id, id.plus(1))
-        } else {
-            self.chord.true_owner(id.plus(1))
-        };
+        // the chord layer forgets which island the leaver was in. A
+        // connected ring is one island, whose owner is the true one.
+        let inheritor = self.chord.island_owner(id, id.plus(1));
         if inheritor != id && !self.storage.contains_key(&inheritor.0) {
             return Err(ChordError::UnknownNode(inheritor));
         }
@@ -1164,11 +1164,10 @@ impl ChurnNetwork {
             return 0;
         }
         self.resilience.re_replications += 1;
-        let partitioned = self.chord.is_partitioned();
         // Inventory of everything stored in scope, deduplicated, tagged
         // with the islands that hold a copy: while the network is split,
         // a missing replica can only be rebuilt at an owner some holder
-        // can actually reach.
+        // can actually reach (a connected ring is all island 0).
         let mut pairs: Vec<(u32, Id, RangeSet, Vec<usize>)> = Vec::new();
         let mut scanned = 0u64;
         {
@@ -1206,7 +1205,7 @@ impl ChurnNetwork {
         let mut restored = 0;
         for (ident, key, range, holder_islands) in pairs {
             for owner in self.replica_owners_at(key) {
-                if partitioned && !holder_islands.contains(&self.chord.island_of(owner)) {
+                if !holder_islands.contains(&self.chord.island_of(owner)) {
                     continue;
                 }
                 if self.store_at(owner.0, ident, &range) {
@@ -1387,8 +1386,7 @@ impl ChurnNetwork {
                     // peer that does is read here), or a hedge's substitute.
                     let walked = match key.walk {
                         1 => Vec::new(),
-                        w if partitioned => self.chord.island_successors(origin, key.position, w),
-                        w => self.chord.true_successors(key.position, w),
+                        w => self.chord.island_successors(origin, key.position, w),
                     };
                     for peer in walked {
                         if contacted.contains(&peer) {
@@ -1435,14 +1433,9 @@ impl ChurnNetwork {
         let mut stored = false;
         if verdict.store {
             for (ident, key) in writes {
-                let owners = if partitioned {
-                    // A write cannot cross the split: cache the partition
-                    // at the island-local owners only.
-                    self.chord
-                        .island_successors(origin, key, self.config.replication)
-                } else {
-                    self.replica_owners_at(key)
-                };
+                // A write cannot cross a split: cache the partition at the
+                // island-local owners only (all of them while connected).
+                let owners = (self.chord).island_successors(origin, key, self.config.replication);
                 for owner in owners {
                     stored |= self.store_at(owner.0, ident, &hashed_range);
                 }
@@ -2056,6 +2049,12 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| e.field_u64("ident").is_some() && e.field_u64("node").is_some()));
+    }
+
+    #[test]
+    #[should_panic(expected = "slow factor must be at least 2")]
+    fn slow_fraction_rejects_a_small_factor_even_with_no_victims() {
+        small_net(1).slow_fraction(0.0, 1);
     }
 
     #[test]

@@ -27,8 +27,7 @@ use ars_simnet::codec::{
     frame_len, get_f64, get_seq, get_u32, get_u64, get_u8, put_f64, put_seq, put_u32, put_u64,
     put_u8, CodecError, Sink, Wire,
 };
-use ars_simnet::{ConstantLatency, FaultPlan, Node, NodeCtx, SimNet, SimStats};
-use std::cell::RefCell;
+use ars_simnet::{FaultPlan, Node, NodeCtx, SimNet, SimStats};
 use std::rc::Rc;
 
 /// A range goes on the wire as its canonical interval list.
@@ -287,29 +286,26 @@ impl Wire for Payload {
 }
 
 /// A reply collected at the querying peer, surfaced to the driver.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollectedReply {
+#[derive(Debug)]
+struct CollectedReply {
     /// Request id.
-    pub request: u64,
-    /// Identifier searched.
-    pub identifier: u32,
+    request: u64,
     /// Routing hops to the owner.
-    pub hops: u32,
+    hops: u32,
     /// Best match found in the bucket, if any.
-    pub best: Option<Match>,
+    best: Option<Match>,
     /// Simnet index of the peer that answered.
-    pub replier: usize,
+    replier: usize,
 }
 
-/// What the querying peer has heard back since the driver last looked.
+/// What a peer has heard back, as the querying peer, since the driver
+/// last looked.
 #[derive(Debug, Default)]
 struct Inbox {
     replies: Vec<CollectedReply>,
     /// Whether any `StoreAck` received reported a new entry.
     stored: bool,
 }
-
-type ReplySink = Rc<RefCell<Inbox>>;
 
 /// One peer as a simnet node.
 struct PeerNode {
@@ -320,7 +316,7 @@ struct PeerNode {
     ring: Rc<Ring>,
     storage: Peer,
     matching: MatchMeasure,
-    sink: ReplySink,
+    inbox: Inbox,
 }
 
 impl PeerNode {
@@ -434,29 +430,26 @@ impl Node<ProtoMsg> for PeerNode {
             } => self.route(ctx, key, ident, hops, payload),
             ProtoMsg::MatchReply {
                 request,
-                identifier,
                 hops,
                 best,
-            } => {
-                self.sink.borrow_mut().replies.push(CollectedReply {
-                    request,
-                    identifier,
-                    hops,
-                    best: best.map(|(range, score)| Match { range, score }),
-                    replier: from,
-                });
-            }
-            ProtoMsg::StoreAck { stored, .. } => self.sink.borrow_mut().stored |= stored,
+                ..
+            } => self.inbox.replies.push(CollectedReply {
+                request,
+                hops,
+                best: best.map(|(range, score)| Match { range, score }),
+                replier: from,
+            }),
+            ProtoMsg::StoreAck { stored, .. } => self.inbox.stored |= stored,
         }
     }
 }
 
 /// The full query procedure over the message simulator: the peers as
-/// simnet nodes plus the querying side — the global schema (ring, hash
-/// groups, config), the inbox the peers write to, and the origin /
-/// request-id sequences.
+/// simnet nodes, each with the inbox its replies land in, plus the
+/// querying side — the global schema (ring, hash groups, config) and the
+/// origin / request-id sequences.
 pub struct ProtoNetwork {
-    net: SimNet<ProtoMsg, ConstantLatency>,
+    net: SimNet<ProtoMsg, PeerNode>,
     ring: Rc<Ring>,
     groups: HashGroups,
     /// The anchor sketch of layered placement ([`anchor_sketch`]).
@@ -464,7 +457,6 @@ pub struct ProtoNetwork {
     /// Where queries place their identifiers.
     placements: PlacementMemo,
     config: SystemConfig,
-    sink: ReplySink,
     rng: DetRng,
     next_request: u64,
 }
@@ -480,22 +472,19 @@ impl ProtoNetwork {
         let ring_seed = rng.next_u64();
         let ring = Rc::new(Ring::from_seed(n_peers, ring_seed));
         let groups = HashGroups::generate(config.family, config.k, config.l, &mut group_rng);
-        let sink = ReplySink::default();
         let nodes = ring
             .node_ids()
             .iter()
             .enumerate()
-            .map(|(rank, &id)| {
-                Box::new(PeerNode {
-                    rank,
-                    ring: ring.clone(),
-                    storage: Peer::new(id, config.use_local_index),
-                    matching: config.matching,
-                    sink: sink.clone(),
-                }) as Box<dyn Node<ProtoMsg>>
+            .map(|(rank, &id)| PeerNode {
+                rank,
+                ring: ring.clone(),
+                storage: Peer::new(id, config.use_local_index),
+                matching: config.matching,
+                inbox: Inbox::default(),
             })
             .collect();
-        let mut net = SimNet::new(nodes, ConstantLatency(50));
+        let mut net = SimNet::new(nodes, 50);
         // Meter wire bytes: the framed binary encoding is what a TCP
         // deployment would move, counted without building the frame.
         net.set_meter(frame_len::<ProtoMsg>);
@@ -506,7 +495,6 @@ impl ProtoNetwork {
             anchors: anchor_sketch(&config),
             placements: PlacementMemo::default(),
             config,
-            sink,
             rng,
             next_request: 0,
         }
@@ -603,21 +591,17 @@ impl ProtoNetwork {
         let expected = self.next_request - base_request;
         self.net.run(u64::MAX);
 
-        // Collect the replies for this query.
-        let mut replies: Vec<CollectedReply> = self
-            .sink
-            .borrow_mut()
-            .replies
-            .drain(..)
-            .filter(|r| r.request >= base_request)
-            .collect();
+        // Collect the replies for this query. Taking the list, not
+        // draining it, leaves no capacity behind in a thousand inboxes.
+        let mut replies = std::mem::take(&mut self.net.node_mut(origin).inbox.replies);
+        replies.retain(|r| r.request >= base_request);
         replies.sort_by_key(|r| r.request);
         // A duplicating fault plan can deliver the same MatchReply twice;
         // request ids make the extra copies harmless.
         replies.dedup_by_key(|r| r.request);
         // Under a fault plan a missing reply is a timeout (no match);
         // without one it is a protocol violation.
-        if self.net.fault_injector().is_none() {
+        if !self.net.is_faulty() {
             assert_eq!(
                 replies.len() as u64,
                 expected,
@@ -661,7 +645,7 @@ impl ProtoNetwork {
         }
         // As `commit_plan` reports it: some peer newly stored the range. A
         // lost ack reads as not stored, like any timeout.
-        let stored = std::mem::take(&mut self.sink.borrow_mut().stored);
+        let stored = std::mem::take(&mut self.net.node_mut(origin).inbox.stored);
         verdict.finish(q, identifiers_of(&placed), stored, transport)
     }
 }
@@ -896,8 +880,10 @@ mod tests {
                 assert!(stats.is_conserved() && stats.queued == 0, "{stats:?}");
                 assert!(stats.delivered >= 1, "the envelope reached its owner");
                 // Neither answered nor applied.
-                assert!(net.sink.borrow().replies.is_empty());
-                assert!(!net.sink.borrow().stored);
+                for i in 0..8 {
+                    let inbox = &net.net.node_mut(i).inbox;
+                    assert!(inbox.replies.is_empty() && !inbox.stored);
+                }
                 let out = net.query(&q);
                 assert!(out.best_match.is_none(), "hostile Store was applied");
                 assert!(out.stored);
@@ -929,7 +915,7 @@ mod tests {
             net.net.inject(0, 0, msg);
             net.net.run(u64::MAX);
             let visited = walk.clamp(1, 8) as usize;
-            let inbox = net.sink.borrow();
+            let inbox = &net.net.node_mut(2).inbox;
             assert_eq!(inbox.replies.len(), visited, "walk {walk}");
             let mut repliers: Vec<usize> = inbox.replies.iter().map(|r| r.replier).collect();
             repliers.dedup();

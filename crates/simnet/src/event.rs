@@ -1,4 +1,4 @@
-//! Virtual time, the event queue, and latency models.
+//! Virtual time and the event queue.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -6,73 +6,24 @@ use std::collections::BinaryHeap;
 /// Virtual time in microseconds.
 pub type SimTime = u64;
 
-/// Produces a one-way delay for a message between two peers.
-pub trait LatencyModel {
-    /// Latency in virtual microseconds for a message `from → to`.
-    fn latency(&mut self, from: usize, to: usize) -> SimTime;
-}
-
-/// Every message takes the same time.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLatency(pub SimTime);
-
-impl LatencyModel for ConstantLatency {
-    fn latency(&mut self, _from: usize, _to: usize) -> SimTime {
-        self.0
-    }
-}
-
-/// Latency drawn uniformly from `[lo, hi]` — a crude but standard stand-in
-/// for WAN jitter. Deterministic under its seed.
-#[cfg(test)]
-#[derive(Debug, Clone)]
-pub(crate) struct UniformLatency {
-    lo: SimTime,
-    hi: SimTime,
-    rng: ars_common::DetRng,
-}
-
-#[cfg(test)]
-impl UniformLatency {
-    /// Create a model with delays in `[lo, hi]`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi`.
-    pub(crate) fn new(lo: SimTime, hi: SimTime, seed: u64) -> UniformLatency {
-        assert!(lo <= hi, "invalid latency interval");
-        UniformLatency {
-            lo,
-            hi,
-            rng: ars_common::DetRng::new(seed),
-        }
-    }
-}
-
-#[cfg(test)]
-impl LatencyModel for UniformLatency {
-    fn latency(&mut self, _from: usize, _to: usize) -> SimTime {
-        self.lo + self.rng.gen_range_u64(self.hi - self.lo + 1)
-    }
-}
-
 /// One scheduled delivery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delivery<M> {
+#[derive(Debug)]
+pub(crate) struct Delivery<M> {
     /// Delivery (virtual) time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Tie-break sequence number: FIFO among equal-time deliveries.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Sending peer.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Receiving peer.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Payload.
-    pub msg: M,
+    pub(crate) msg: M,
 }
 
 /// A virtual-time-ordered delivery queue (min-heap on `(at, seq)`).
 #[derive(Debug)]
-pub struct EventQueue<M> {
+pub(crate) struct EventQueue<M> {
     heap: BinaryHeap<Reverse<HeapEntry<M>>>,
     next_seq: u64,
 }
@@ -94,12 +45,6 @@ impl<M> PartialOrd for HeapEntry<M> {
 impl<M> Ord for HeapEntry<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.0.at, self.0.seq).cmp(&(other.0.at, other.0.seq))
-    }
-}
-
-impl<M> Default for EventQueue<M> {
-    fn default() -> Self {
-        EventQueue::new()
     }
 }
 
@@ -158,30 +103,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.pop().unwrap().msg, i);
         }
-    }
-
-    #[test]
-    fn constant_latency() {
-        let mut m = ConstantLatency(42);
-        assert_eq!(m.latency(0, 1), 42);
-        assert_eq!(m.latency(5, 9), 42);
-    }
-
-    #[test]
-    fn uniform_latency_in_bounds_and_deterministic() {
-        let mut a = UniformLatency::new(10, 20, 7);
-        let mut b = UniformLatency::new(10, 20, 7);
-        for _ in 0..100 {
-            let la = a.latency(0, 1);
-            assert!((10..=20).contains(&la));
-            assert_eq!(la, b.latency(0, 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid latency interval")]
-    fn uniform_latency_rejects_reversed() {
-        UniformLatency::new(20, 10, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] describes how a run's transport misbehaves — message
 //! drop, duplication, and extra delay, plus node crash and pause windows,
-//! partitions and slow peers — and a [`FaultInjector`] executes the plan
+//! partitions and slow peers — and a `FaultInjector` executes the plan
 //! from a seeded [`DetRng`], so every fault a run experiences is a pure
 //! function of `(plan, seed)`. The injector drives the discrete-event
 //! simulator ([`crate::sim::SimNet::set_faults`]); experiments and the
@@ -19,7 +19,7 @@
 //! * **pause**: a message to a node inside a pause window is deferred to
 //!   the window's end (a stalled-but-alive process), not dropped;
 //! * **slow**: while a [`SlowWindow`] is open, a message touching a slowed
-//!   endpoint is delivered at a multiple of the model latency — a gray
+//!   endpoint is delivered at a multiple of the link latency — a gray
 //!   failure (slow-but-alive node), counted in its own `slowed` column;
 //! * **drop**: the message vanishes, counted in `dropped`;
 //! * **duplicate**: one extra copy is scheduled (each copy counts as sent
@@ -57,7 +57,7 @@ pub struct PauseWindow {
 
 /// A gray failure: within `[from, until)` the listed nodes are *slow* —
 /// alive, responsive, never dropping traffic, but serving every message
-/// at `factor ×` the model latency. This is the fault class crash/pause
+/// at `factor ×` the link latency. This is the fault class crash/pause
 /// windows cannot express: an overloaded or degraded node that silently
 /// inflates tail latency without tripping any failure path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,8 +123,8 @@ impl PartitionWindow {
 
 /// A declarative description of how a run's transport misbehaves.
 ///
-/// Built with the `with_*` methods; executed by a [`FaultInjector`]. The
-/// default plan injects nothing (a perfect network).
+/// Built with the `with_*` methods; [`crate::SimNet::set_faults`] executes
+/// it. The default plan injects nothing (a perfect network).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Per-message drop probability.
@@ -143,7 +143,7 @@ pub struct FaultPlan {
     /// while a window is open).
     pub partitions: Vec<PartitionWindow>,
     /// Gray failures: slow-but-alive nodes whose traffic is delivered at a
-    /// multiple of the model latency while a window is open.
+    /// multiple of the link latency while a window is open.
     pub slow: Vec<SlowWindow>,
 }
 
@@ -251,7 +251,7 @@ impl FaultPlan {
 
     /// Slow every node in `nodes` by `factor ×` over `[from, until)`: a
     /// gray failure. Messages touching a slowed endpoint are still
-    /// delivered (never dropped), but their model latency is multiplied,
+    /// delivered (never dropped), but their link latency is multiplied,
     /// and each such delivery is counted in the `slowed` ledger column.
     ///
     /// # Panics
@@ -279,14 +279,14 @@ impl FaultPlan {
 
 /// What the injector decided for one sent message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// The message is gone (loss, or an endpoint is crashed).
     Drop,
     /// The message crossed an open partition boundary and is gone —
     /// accounted in its own `partitioned` ledger column, not `dropped`.
     Partitioned,
     /// Deliver one copy per entry; each entry is the *extra* delay (beyond
-    /// the latency model) to add to that copy. `vec![0]` is a clean send.
+    /// the link latency) to add to that copy. `vec![0]` is a clean send.
     Deliver(Vec<SimTime>),
 }
 
@@ -303,7 +303,7 @@ impl FaultAction {
 
 /// Executes a [`FaultPlan`] deterministically.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: DetRng,
 }

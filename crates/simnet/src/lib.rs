@@ -4,11 +4,10 @@
 //! TCP/IP network" (§2) but its evaluation runs in simulation, and so does
 //! this crate:
 //!
-//! * [`SimNet`] — a deterministic discrete-event simulator: messages
-//!   carry a latency drawn from a pluggable [`LatencyModel`], and a
-//!   single-threaded run loop dispatches them in virtual-time order. Every
-//!   run with the same seed is bit-identical, which the experiment harness
-//!   relies on.
+//! * [`SimNet`] — a deterministic discrete-event simulator over one node
+//!   type: every message takes one fixed latency, and a single-threaded
+//!   run loop dispatches them in virtual-time order. Every run with the
+//!   same seed is bit-identical, which the experiment harness relies on.
 //! * [`codec`] — a small binary wire format (length-prefixed frames over
 //!   plain `Vec<u8>` / `&[u8]`) so protocol messages have a concrete
 //!   encoding, exercised by round-trip tests; the same encoder counts a
@@ -17,9 +16,10 @@
 //! * fault injection, deterministic: a seeded [`FaultPlan`]
 //!   (drop, duplication, extra delay, node crash/pause windows, scheduled
 //!   network partitions, and gray-failure slow windows) executed by the
-//!   simulator, driving the `SimStats` accounting invariant
+//!   simulator, driving the [`SimStats`] accounting invariant
 //!   `sent == delivered + dropped + partitioned + queued` (slowed copies
-//!   are delivered, tracked in their own column).
+//!   are delivered, tracked in their own column). A plan's extra delay is
+//!   the only jitter: without one, every hop costs the same.
 
 #![warn(missing_docs)]
 
@@ -28,6 +28,5 @@ mod event;
 mod fault;
 mod sim;
 
-pub use event::{ConstantLatency, LatencyModel};
-pub use fault::{FaultAction, FaultInjector, FaultPlan, PartitionWindow, SlowWindow};
+pub use fault::{FaultPlan, PartitionWindow, SlowWindow};
 pub use sim::{Node, NodeCtx, SimNet, SimStats};

@@ -2,11 +2,13 @@
 //!
 //! Peers implement [`Node`]; the simulator owns them, delivers messages in
 //! virtual-time order, and lets handlers send further messages through a
-//! [`NodeCtx`]. A full run is a pure function of (nodes, latency model,
-//! initial messages) — no wall-clock, no thread scheduling — so experiment
-//! results are exactly reproducible.
+//! [`NodeCtx`]. Every message takes the same fixed latency; jitter is a
+//! fault plan's extra delay ([`FaultPlan::with_delay`]). A full run is a
+//! pure function of (nodes, latency, fault plan and seed, initial
+//! messages) — no wall-clock, no thread scheduling — so experiment results
+//! are exactly reproducible.
 
-use crate::event::{Delivery, EventQueue, LatencyModel, SimTime};
+use crate::event::{Delivery, EventQueue, SimTime};
 use crate::fault::{FaultAction, FaultInjector, FaultPlan};
 
 /// Aggregate transport statistics for one run.
@@ -47,11 +49,12 @@ impl SimStats {
         self.sent == self.delivered + self.dropped + self.partitioned + self.queued
     }
 
-    /// Re-export the message ledger as `simnet.*` telemetry gauges, so a
-    /// recording sink's snapshot carries the transport picture alongside
-    /// the query-layer counters (and the conservation invariant can be
-    /// re-checked from the snapshot alone).
-    pub(crate) fn export_telemetry(&self, telemetry: &ars_telemetry::Telemetry) {
+    /// Export the message ledger as `simnet.*` telemetry gauges (`sent`,
+    /// `delivered`, `dropped`, `partitioned`, `queued`, `slowed`, `bytes`
+    /// and `end_time`), so a recording sink's snapshot carries the
+    /// transport picture alongside the query-layer counters (and the
+    /// conservation invariant can be re-checked from the snapshot alone).
+    pub fn export_telemetry(&self, telemetry: &ars_telemetry::Telemetry) {
         telemetry.gauge_set("simnet.sent", self.sent);
         telemetry.gauge_set("simnet.delivered", self.delivered);
         telemetry.gauge_set("simnet.dropped", self.dropped);
@@ -62,9 +65,6 @@ impl SimStats {
         telemetry.gauge_set("simnet.end_time", self.end_time);
     }
 }
-
-/// A wire meter: returns the on-wire size of a message.
-pub type WireMeter<M> = Box<dyn FnMut(&M) -> u64>;
 
 /// A peer's message handler.
 pub trait Node<M> {
@@ -86,30 +86,32 @@ pub struct NodeCtx<'a, M> {
 
 impl<M> NodeCtx<'_, M> {
     /// Send `msg` to peer `to` (delivery is scheduled when the handler
-    /// returns, with latency from the run's latency model).
+    /// returns, one link latency later).
     pub fn send(&mut self, to: usize, msg: M) {
         self.outbox.push((to, msg));
     }
 }
 
 /// The simulator: nodes + queue + clock.
-pub struct SimNet<M, L: LatencyModel> {
-    nodes: Vec<Box<dyn Node<M>>>,
+pub struct SimNet<M, N: Node<M>> {
+    nodes: Vec<N>,
     queue: EventQueue<M>,
-    latency: L,
+    /// The one-way delay of every message.
+    latency: SimTime,
     now: SimTime,
     stats: SimStats,
     /// Optional fault injector (drop/duplicate/delay/crash/pause).
     faults: Option<FaultInjector>,
     /// Optional wire meter: bytes a message would occupy on the wire.
-    meter: Option<WireMeter<M>>,
+    meter: Option<fn(&M) -> u64>,
     /// The handler's sends, reused from delivery to delivery.
     outbox: Vec<(usize, M)>,
 }
 
-impl<M: Clone, L: LatencyModel> SimNet<M, L> {
-    /// Create a simulator over `nodes` with the given latency model.
-    pub fn new(nodes: Vec<Box<dyn Node<M>>>, latency: L) -> SimNet<M, L> {
+impl<M: Clone, N: Node<M>> SimNet<M, N> {
+    /// Create a simulator over `nodes` in which every message takes
+    /// `latency` virtual microseconds.
+    pub fn new(nodes: Vec<N>, latency: SimTime) -> SimNet<M, N> {
         SimNet {
             nodes,
             queue: EventQueue::new(),
@@ -126,14 +128,14 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
     /// lost, its size counted once per copy in [`SimStats::bytes`].
     /// Typically the framed encoding length, counted without building the
     /// frame ([`crate::codec::frame_len`]).
-    pub fn set_meter(&mut self, f: impl FnMut(&M) -> u64 + 'static) {
-        self.meter = Some(Box::new(f));
+    pub fn set_meter(&mut self, meter: fn(&M) -> u64) {
+        self.meter = Some(meter);
     }
 
     /// Install a fault plan: every message (injected or sent by a handler)
-    /// passes through a seeded [`FaultInjector`] that may drop, duplicate,
-    /// or delay it, honouring crash and pause windows. A benign plan
-    /// removes the injector.
+    /// passes through a seeded injector that may drop, duplicate, or delay
+    /// it, honouring crash and pause windows. A benign plan removes the
+    /// injector.
     pub fn set_faults(&mut self, plan: FaultPlan, seed: u64) {
         self.faults = if plan.is_benign() {
             None
@@ -142,9 +144,17 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
         };
     }
 
-    /// The active fault injector, if any (`None` under a benign plan).
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
+    /// Whether a fault plan is installed (false under a benign plan).
+    pub fn is_faulty(&self) -> bool {
+        self.faults.is_some()
+    }
+
+    /// Node `i`, as the simulator holds it between deliveries.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn node_mut(&mut self, i: usize) -> &mut N {
+        &mut self.nodes[i]
     }
 
     /// Pass one send attempt through the fault layer and schedule the
@@ -169,10 +179,10 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
             }
         };
         // Gray failure: a slowed endpoint serves at a multiple of the
-        // model latency (the copy is still delivered).
+        // link latency (the copy is still delivered).
         let factor = (self.faults.as_ref()).map_or(1, |inj| inj.slow_factor(from, to, at));
         let copies = extras.len() as u64;
-        let size = self.meter.as_mut().map_or(0, |meter| meter(&msg));
+        let size = self.meter.map_or(0, |meter| meter(&msg));
         self.stats.sent += copies;
         self.stats.queued += copies;
         self.stats.bytes += size * copies;
@@ -182,7 +192,7 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
         // A slow factor or a delay near `SimTime::MAX` saturates at the end
         // of time instead of wrapping.
         let mut schedule = |extra: SimTime, msg: M| {
-            let lat = self.latency.latency(from, to).saturating_mul(factor);
+            let lat = self.latency.saturating_mul(factor);
             let arrival = at.saturating_add(lat).saturating_add(extra);
             self.queue.schedule(arrival, from, to, msg);
         };
@@ -206,15 +216,9 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
         &self.stats
     }
 
-    /// Export the current message ledger as `simnet.*` gauges: `sent`,
-    /// `delivered`, `dropped`, `partitioned`, `queued`, `slowed`, `bytes`
-    /// and `end_time`.
-    pub fn export_telemetry(&self, telemetry: &ars_telemetry::Telemetry) {
-        self.stats.export_telemetry(telemetry);
-    }
-
     /// Inject a message from the outside world (e.g. a user query arriving
-    /// at a peer) at the current virtual time plus one latency sample.
+    /// at a peer), delivered one link latency after the current virtual
+    /// time.
     ///
     /// # Panics
     /// Panics if `to` is out of range.
@@ -288,8 +292,6 @@ impl<M: Clone, L: LatencyModel> SimNet<M, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ConstantLatency;
-    use crate::event::UniformLatency;
 
     /// A node that forwards a counter to the next node until it hits 0.
     struct RelayNode {
@@ -306,16 +308,17 @@ mod tests {
         }
     }
 
-    fn relay_net(n: usize) -> SimNet<u32, ConstantLatency> {
-        let nodes: Vec<Box<dyn Node<u32>>> = (0..n)
-            .map(|_| {
-                Box::new(RelayNode {
-                    received: Vec::new(),
-                    n_nodes: n,
-                }) as Box<dyn Node<u32>>
+    fn relays(n: usize, n_nodes: usize) -> Vec<RelayNode> {
+        (0..n)
+            .map(|_| RelayNode {
+                received: Vec::new(),
+                n_nodes,
             })
-            .collect();
-        SimNet::new(nodes, ConstantLatency(10))
+            .collect()
+    }
+
+    fn relay_net(n: usize) -> SimNet<u32, RelayNode> {
+        SimNet::new(relays(n, n), 10)
     }
 
     #[test]
@@ -343,18 +346,11 @@ mod tests {
     #[test]
     fn deterministic_with_seeded_latency() {
         let run = || {
-            let nodes: Vec<Box<dyn Node<u32>>> = (0..4)
-                .map(|_| {
-                    Box::new(RelayNode {
-                        received: Vec::new(),
-                        n_nodes: 4,
-                    }) as Box<dyn Node<u32>>
-                })
-                .collect();
-            let mut net = SimNet::new(nodes, UniformLatency::new(5, 50, 99));
+            let mut net = relay_net(4);
+            net.set_faults(FaultPlan::none().with_delay(1.0, 0, 40), 99);
             net.inject(0, 0, 20);
             net.run(u64::MAX);
-            net.now()
+            (net.now(), net.node_mut(1).received.clone())
         };
         assert_eq!(run(), run());
     }
@@ -370,15 +366,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn handler_send_outside_the_nodes_panics_in_run() {
         // Two relays, each sending to the next of three: node 1 addresses 2.
-        let nodes: Vec<Box<dyn Node<u32>>> = (0..2)
-            .map(|_| {
-                Box::new(RelayNode {
-                    received: Vec::new(),
-                    n_nodes: 3,
-                }) as Box<dyn Node<u32>>
-            })
-            .collect();
-        let mut net = SimNet::new(nodes, ConstantLatency(10));
+        let mut net = SimNet::new(relays(2, 3), 10);
         net.inject(0, 0, 5);
         net.run(u64::MAX);
     }
@@ -531,7 +519,7 @@ mod tests {
         let t0 = net.now();
         net.inject(0, 1, 0);
         net.run(u64::MAX);
-        assert_eq!(net.now(), t0 + 10, "back to model latency after heal");
+        assert_eq!(net.now(), t0 + 10, "back to link latency after heal");
         assert_eq!(net.stats().slowed, 1, "no new slowed copies after heal");
     }
 

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use ars_relation::{
         execute, HorizontalPartition, LogicalPlan, Predicate, Relation, Schema, Value,
     };
-    pub use ars_simnet::{FaultInjector, FaultPlan, SimNet};
+    pub use ars_simnet::{FaultPlan, SimNet};
     pub use ars_store::{BucketStore, SimDisk, StorageFaults, StoreConfig};
     pub use ars_telemetry::{MetricsSnapshot, SpanId, Telemetry, TelemetryEvent};
     pub use ars_workload::{clustered_trace, uniform_trace, zipf_trace, Trace};

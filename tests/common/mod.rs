@@ -35,7 +35,7 @@ pub fn placed(config: SystemConfig, mode: PlacementMode) -> SystemConfig {
 
 /// A node that forwards a decrementing counter to the next node around
 /// the ring until it reaches 0.
-struct Relay {
+pub struct Relay {
     n_nodes: usize,
 }
 
@@ -48,8 +48,6 @@ impl Node<u32> for Relay {
 }
 
 /// `n` relays, as simulator nodes.
-pub fn relays(n: usize) -> Vec<Box<dyn Node<u32>>> {
-    (0..n)
-        .map(|_| Box::new(Relay { n_nodes: n }) as Box<dyn Node<u32>>)
-        .collect()
+pub fn relays(n: usize) -> Vec<Relay> {
+    (0..n).map(|_| Relay { n_nodes: n }).collect()
 }

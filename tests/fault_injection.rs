@@ -12,7 +12,6 @@ mod common;
 
 use ars::common::env_seed;
 use ars::prelude::*;
-use ars::simnet::ConstantLatency;
 use common::{placed, relays, MODES};
 use proptest::prelude::*;
 
@@ -110,7 +109,7 @@ proptest! {
 #[test]
 fn sim_accounting_invariant_holds_under_drops() {
     let n = 20;
-    let mut sim = SimNet::new(relays(n), ConstantLatency(5));
+    let mut sim = SimNet::new(relays(n), 5);
     sim.set_faults(
         FaultPlan::none().with_drop(0.10),
         env_seed("ARS_FAULT_SEED"),

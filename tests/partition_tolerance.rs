@@ -30,7 +30,6 @@ mod common;
 
 use ars::common::env_seed;
 use ars::prelude::*;
-use ars::simnet::ConstantLatency;
 use common::{placed, relays, MODES};
 use proptest::prelude::*;
 
@@ -100,7 +99,7 @@ fn well_formed(out: &QueryOutcome, l: usize) {
 #[test]
 fn sim_ledger_conserved_through_partition_window() {
     let n = 12;
-    let mut sim = SimNet::new(relays(n), ConstantLatency(5));
+    let mut sim = SimNet::new(relays(n), 5);
     // Islands {0,1,2} vs the rest over [20, 400); a light drop rate on
     // top so the partitioned column must stay distinct from `dropped`.
     sim.set_faults(

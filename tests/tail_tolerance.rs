@@ -32,7 +32,6 @@ mod common;
 use ars::common::env_seed;
 use ars::core::resilient::{BASE_SERVICE, HOP_COST};
 use ars::prelude::*;
-use ars::simnet::{ConstantLatency, Node, SimNet};
 use common::relays;
 use proptest::prelude::*;
 
@@ -67,8 +66,7 @@ fn grown_placed(n: usize, seed: u64, mode: PlacementMode) -> ChurnNetwork {
 #[test]
 fn sim_slow_window_delays_but_conserves() {
     let n = 12;
-    let nodes: Vec<Box<dyn Node<u32>>> = relays(n);
-    let mut sim = SimNet::new(nodes, ConstantLatency(5));
+    let mut sim = SimNet::new(relays(n), 5);
     sim.set_faults(
         FaultPlan::none().with_slow(vec![3, 7], 10, 0, u64::MAX),
         env_seed("ARS_FAULT_SEED"),

@@ -18,7 +18,6 @@ mod common;
 
 use ars::common::env_seed;
 use ars::prelude::*;
-use ars::simnet::{ConstantLatency, Node};
 use ars::telemetry::EventKind;
 use common::relays;
 use proptest::prelude::*;
@@ -278,8 +277,7 @@ proptest! {
 #[test]
 fn simnet_gauges_reproduce_conservation_invariant() {
     let n = 16;
-    let nodes: Vec<Box<dyn Node<u32>>> = relays(n);
-    let mut sim = SimNet::new(nodes, ConstantLatency(3));
+    let mut sim = SimNet::new(relays(n), 3);
     sim.set_faults(
         FaultPlan::none().with_drop(0.15),
         env_seed("ARS_FAULT_SEED"),
@@ -290,7 +288,7 @@ fn simnet_gauges_reproduce_conservation_invariant() {
     let tel = Telemetry::recording();
     // Mid-flight export: the gauges must balance even with messages
     // still queued.
-    sim.export_telemetry(&tel);
+    sim.stats().export_telemetry(&tel);
     let snap = tel.snapshot();
     assert_eq!(
         snap.gauge("simnet.sent").unwrap(),
@@ -300,7 +298,7 @@ fn simnet_gauges_reproduce_conservation_invariant() {
         "gauge ledger must balance mid-flight"
     );
     sim.run(u64::MAX);
-    sim.export_telemetry(&tel); // gauges are last-write-wins
+    sim.stats().export_telemetry(&tel); // gauges are last-write-wins
     let snap = tel.snapshot();
     assert!(sim.stats().is_conserved());
     assert_eq!(snap.gauge("simnet.queued"), Some(0));
