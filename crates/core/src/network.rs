@@ -15,9 +15,10 @@ use crate::plan::{
     Placed, PlacementMemo, Targets, Transport,
 };
 use ars_chord::{Id, Ring};
-use ars_common::{DetRng, FxHashMap};
+use ars_common::{DetRng, FxBuildHasher, FxHashMap, FxHashSet};
 use ars_lsh::{HashGroups, RangeSet};
 use ars_telemetry::Telemetry;
+use std::hash::BuildHasher;
 
 /// The result of one range query.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,18 +95,19 @@ pub struct BatchTimings {
 /// ranges heavily (Zipf-style popularity); the hit/miss counters quantify
 /// the saving.
 ///
-/// The cache may be *bounded* ([`SystemConfig::ident_cache_capacity`]),
-/// in which case entries are evicted in FIFO insertion order: a hit never
-/// moves an entry.
+/// A range is admitted on its second sighting (TinyLFU's doorkeeper): its
+/// first miss records only the range's 64-bit Fx hash, its second stores
+/// the entry, and it hits from its third on. The §5.1 trace's ranges
+/// almost never repeat, so a one-off range costs one hash, not an entry.
+/// A hash collision can only admit a range one sighting early: entries
+/// are keyed by the exact range, so an answer is never wrong.
 #[derive(Debug, Clone, Default)]
 pub struct IdentifierCache {
     pub(crate) map: FxHashMap<RangeSet, Placed>,
-    fifo: std::collections::VecDeque<RangeSet>,
-    /// `0` = unbounded.
-    capacity: usize,
+    /// The hash of every range that has missed.
+    seen: FxHashSet<u64>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl IdentifierCache {
@@ -119,11 +121,6 @@ impl IdentifierCache {
         self.misses
     }
 
-    /// Entries evicted to respect the capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Number of distinct ranges cached.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -134,33 +131,6 @@ impl IdentifierCache {
         self.map.is_empty()
     }
 
-    /// An empty cache with the given capacity (`0` = unbounded).
-    pub(crate) fn with_capacity(capacity: usize) -> IdentifierCache {
-        IdentifierCache {
-            capacity,
-            ..IdentifierCache::default()
-        }
-    }
-
-    /// Insert a freshly computed entry, evicting FIFO when over capacity.
-    /// Returns the number of evictions performed (0 or 1).
-    pub(crate) fn insert(&mut self, range: RangeSet, placed: Placed) -> u64 {
-        if self.map.insert(range.clone(), placed).is_none() {
-            self.fifo.push_back(range);
-        }
-        let mut evicted = 0;
-        while self.capacity > 0 && self.map.len() > self.capacity {
-            let oldest = self
-                .fifo
-                .pop_front()
-                .expect("fifo tracks every cached range");
-            self.map.remove(&oldest);
-            self.evictions += 1;
-            evicted += 1;
-        }
-        evicted
-    }
-
     /// Look up with hit accounting; `None` leaves the miss for the caller
     /// to record once it has [resolved](PlacementMemo::resolve) the range.
     pub(crate) fn get_hit(&mut self, range: &RangeSet) -> Option<Placed> {
@@ -169,9 +139,16 @@ impl IdentifierCache {
         Some(placed.clone())
     }
 
-    /// Record a miss (the caller resolves the range itself).
-    pub(crate) fn note_miss(&mut self) {
+    /// Record a miss on `range`, which the caller resolved to `placed`,
+    /// and admit the entry if the range was seen before. Returns whether
+    /// it was admitted; only then is anything cloned.
+    pub(crate) fn miss(&mut self, range: &RangeSet, placed: &Placed) -> bool {
         self.misses += 1;
+        let admit = !self.seen.insert(FxBuildHasher::default().hash_one(range));
+        if admit {
+            self.map.insert(range.clone(), placed.clone());
+        }
+        admit
     }
 }
 
@@ -425,7 +402,6 @@ impl RangeSelectNetwork {
         groups: HashGroups,
         rng: DetRng,
     ) -> RangeSelectNetwork {
-        let ident_cache = IdentifierCache::with_capacity(config.ident_cache_capacity);
         let anchors = anchor_sketch(&config);
         RangeSelectNetwork {
             config,
@@ -435,7 +411,7 @@ impl RangeSelectNetwork {
             anchors,
             rng,
             stats: NetworkStats::default(),
-            ident_cache,
+            ident_cache: IdentifierCache::default(),
             placements: PlacementMemo::default(),
             telemetry: Telemetry::noop(),
         }
@@ -523,20 +499,14 @@ impl RangeSelectNetwork {
                 placed
             }
             None => {
-                self.ident_cache.note_miss();
                 self.telemetry.counter_add("core.ident_cache.misses", 1);
                 let anchors = self.anchors.as_ref();
                 let placed =
                     (self.placements).resolve(&self.config, &self.groups, anchors, &hashed_range);
-                let evicted = self
-                    .ident_cache
-                    .insert(hashed_range.clone(), placed.clone());
-                if evicted > 0 {
+                if self.ident_cache.miss(&hashed_range, &placed) {
                     self.telemetry
-                        .counter_add("core.ident_cache.evictions", evicted);
+                        .gauge_set("core.ident_cache.size", self.ident_cache.len() as u64);
                 }
-                self.telemetry
-                    .gauge_set("core.ident_cache.size", self.ident_cache.len() as u64);
                 placed
             }
         };
@@ -844,15 +814,26 @@ mod tests {
 
     #[test]
     fn identifier_cache_counts_hits_and_misses() {
+        // A range is admitted on its second sighting and hits from its
+        // third; a range seen once is never cached.
         let mut n = net(20);
         n.query(&r(0, 10));
+        assert!(
+            n.identifier_cache().is_empty(),
+            "one sighting admits nothing"
+        );
         n.query(&r(0, 10));
         n.query(&r(5, 15));
+        n.query(&r(0, 10));
+        n.query(&r(0, 10));
         let c = n.identifier_cache();
-        assert_eq!(c.misses(), 2);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
+        assert_eq!(c.misses(), 3);
+        assert_eq!(c.hits(), 2);
+        assert_eq!(c.len(), 1);
+        assert_eq!(
+            n.identifier_cache().map.keys().collect::<Vec<_>>(),
+            [&r(0, 10)]
+        );
     }
 
     /// A trace with repeats, overlaps, and multi-peer spread.
@@ -889,6 +870,11 @@ mod tests {
         );
         assert_eq!(seq.identifier_cache().len(), bat.identifier_cache().len());
         assert!(bat.identifier_cache().hits() > 0, "trace has repeats");
+        // Final cached contents are identical, key by key.
+        let (sc, bc) = (seq.identifier_cache(), bat.identifier_cache());
+        for (k, v) in &sc.map {
+            assert_eq!(bc.map.get(k), Some(v), "contents diverged at {k}");
+        }
     }
 
     #[test]
@@ -919,13 +905,22 @@ mod tests {
         let tel = ars_telemetry::Telemetry::recording();
         n.set_telemetry(tel.clone());
         let trace = batch_trace();
-        n.query_batch(&trace);
-        n.query_batch(&trace); // identical ranges: second pass is all hits
+        // By the end of the second pass every range is admitted; the third
+        // pass hits on all of them.
+        for _ in 0..3 {
+            n.query_batch(&trace);
+        }
         let snap = tel.snapshot();
         let hits = snap.counter("core.ident_cache.hits");
         let misses = snap.counter("core.ident_cache.misses");
-        assert!(hits > 0, "repeated batches must report a >0 hit rate");
-        assert!(hits > misses, "second identical batch hits on every range");
+        let distinct = trace.iter().collect::<std::collections::HashSet<_>>().len();
+        assert_eq!(misses, 2 * distinct as u64, "each range misses twice");
+        assert!(
+            hits >= trace.len() as u64,
+            "third identical batch hits on every range"
+        );
+        assert_eq!(n.identifier_cache().len(), distinct);
+        assert_eq!(snap.gauge("core.ident_cache.size"), Some(distinct as u64));
         // The registry mirrors the cache's own counters exactly, and every
         // query does exactly one cache lookup.
         assert_eq!(hits, n.identifier_cache().hits());
@@ -937,81 +932,7 @@ mod tests {
             .iter()
             .filter(|e| e.kind == ars_telemetry::EventKind::SpanStart && e.name == "core.query")
             .count();
-        assert_eq!(spans, 2 * trace.len());
-    }
-
-    #[test]
-    fn bounded_cache_evicts_fifo_and_counts() {
-        // Capacity 2 with a 4-distinct-range trace forces mid-run
-        // evictions and a re-miss on an evicted range.
-        let config = SystemConfig::default()
-            .with_seed(17)
-            .with_ident_cache_capacity(2);
-        let mut n = RangeSelectNetwork::new(20, config);
-        let trace = [r(0, 10), r(20, 30), r(40, 50), r(0, 10)];
-        for q in &trace {
-            n.query(q);
-        }
-        let c = n.identifier_cache();
-        assert_eq!(c.capacity, 2);
-        assert!(c.len() <= 2);
-        // r(0,10) was evicted by r(40,50) before its repeat: 4 misses.
-        assert_eq!(c.misses(), 4);
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.evictions(), 2);
-    }
-
-    #[test]
-    fn query_batch_identical_to_sequential_with_bounded_cache() {
-        // The batched engine must replay FIFO eviction exactly: same
-        // outcomes, same hit/miss/eviction counts, same final contents —
-        // including ranges that miss, get cached, get evicted mid-batch,
-        // and miss again.
-        for capacity in [1usize, 2, 3, 7] {
-            let config = SystemConfig::default()
-                .with_seed(23)
-                .with_padding(0.1)
-                .with_ident_cache_capacity(capacity);
-            let mut seq = RangeSelectNetwork::new(30, config.clone());
-            let mut bat = RangeSelectNetwork::new(30, config);
-            let trace = batch_trace();
-            let out_seq: Vec<QueryOutcome> = trace.iter().map(|q| seq.query(q)).collect();
-            let out_bat = bat.query_batch(&trace);
-            assert_eq!(out_seq, out_bat, "outcomes diverged at capacity {capacity}");
-            assert_eq!(seq.stats(), bat.stats());
-            let (sc, bc) = (seq.identifier_cache(), bat.identifier_cache());
-            assert_eq!(sc.hits(), bc.hits(), "capacity {capacity}");
-            assert_eq!(sc.misses(), bc.misses(), "capacity {capacity}");
-            assert_eq!(sc.evictions(), bc.evictions(), "capacity {capacity}");
-            assert_eq!(sc.len(), bc.len(), "capacity {capacity}");
-            assert!(bc.len() <= capacity);
-            assert!(
-                bc.evictions() > 0,
-                "trace must overflow capacity {capacity}"
-            );
-            // Final cached contents are identical, key by key.
-            for (k, v) in &sc.map {
-                assert_eq!(bc.map.get(k), Some(v), "contents diverged at {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_cache_exports_size_gauge_and_eviction_counter() {
-        let config = SystemConfig::default()
-            .with_seed(29)
-            .with_ident_cache_capacity(2);
-        let mut n = RangeSelectNetwork::new(20, config);
-        let tel = ars_telemetry::Telemetry::recording();
-        n.set_telemetry(tel.clone());
-        n.query_batch(&[r(0, 10), r(20, 30), r(40, 50), r(0, 10)]);
-        let snap = tel.snapshot();
-        assert_eq!(snap.gauge("core.ident_cache.size"), Some(2));
-        assert_eq!(
-            snap.counter("core.ident_cache.evictions"),
-            n.identifier_cache().evictions()
-        );
-        assert!(n.identifier_cache().evictions() > 0);
+        assert_eq!(spans, 3 * trace.len());
     }
 
     #[test]
@@ -1090,24 +1011,20 @@ mod tests {
 
     #[test]
     fn layered_batch_identical_to_sequential() {
-        for capacity in [0usize, 3] {
-            let config = layered_config(42)
-                .with_padding(0.1)
-                .with_ident_cache_capacity(capacity);
-            let mut seq = RangeSelectNetwork::new(40, config.clone());
-            let mut bat = RangeSelectNetwork::new(40, config);
-            let trace = batch_trace();
-            let out_seq: Vec<QueryOutcome> = trace.iter().map(|q| seq.query(q)).collect();
-            let out_bat = bat.query_batch(&trace);
-            assert_eq!(out_seq, out_bat, "capacity {capacity}");
-            assert_eq!(seq.stats(), bat.stats());
-            assert_eq!(seq.total_partitions(), bat.total_partitions());
-            assert_eq!(seq.identifier_cache().hits(), bat.identifier_cache().hits());
-            assert_eq!(
-                seq.identifier_cache().misses(),
-                bat.identifier_cache().misses()
-            );
-        }
+        let config = layered_config(42).with_padding(0.1);
+        let mut seq = RangeSelectNetwork::new(40, config.clone());
+        let mut bat = RangeSelectNetwork::new(40, config);
+        let trace = batch_trace();
+        let out_seq: Vec<QueryOutcome> = trace.iter().map(|q| seq.query(q)).collect();
+        let out_bat = bat.query_batch(&trace);
+        assert_eq!(out_seq, out_bat);
+        assert_eq!(seq.stats(), bat.stats());
+        assert_eq!(seq.total_partitions(), bat.total_partitions());
+        assert_eq!(seq.identifier_cache().hits(), bat.identifier_cache().hits());
+        assert_eq!(
+            seq.identifier_cache().misses(),
+            bat.identifier_cache().misses()
+        );
     }
 
     #[test]
@@ -1291,38 +1208,32 @@ mod tests {
     }
 
     #[test]
-    fn memoised_positions_equal_place_on_hit_miss_and_after_eviction() {
-        for capacity in [0usize, 1, 7] {
-            let config = SystemConfig::default()
-                .with_seed(31)
-                .with_padding(0.1)
-                .with_ident_cache_capacity(capacity);
-            let mut n = RangeSelectNetwork::new(40, config.clone());
-            for q in &batch_trace() {
-                // What the stage hands to planning — from the cache on a
-                // hit, freshly resolved on a miss — is the range's
-                // identifiers, each beside `place()` of it...
-                let (hashed, placed) = n.hash_stage(q);
-                assert_eq!(identifiers_of(&placed), n.groups().identifiers(&hashed));
-                for &(ident, position) in placed.iter() {
-                    assert_eq!(position, n.place(ident), "capacity {capacity}");
-                }
-                // ...and planning routes to exactly those positions.
-                let plan = n.plan_stage(&hashed, &placed);
-                for (&ident, &(owner, _)) in plan.candidates.iter().zip(&plan.lookups) {
-                    assert_eq!(owner, n.ring().successor_of(n.place(ident)));
-                }
-                n.commit_stage(q, hashed, &placed, plan, true);
-                // Whatever survived eviction is still whole.
-                for (range, cached) in &n.identifier_cache().map {
-                    assert_eq!(**cached, *resolve(&config, n.groups(), None, range));
-                }
+    fn memoised_positions_equal_place_on_hit_and_miss() {
+        let config = SystemConfig::default().with_seed(31).with_padding(0.1);
+        let mut n = RangeSelectNetwork::new(40, config.clone());
+        for q in &batch_trace() {
+            // What the stage hands to planning — from the cache on a hit,
+            // freshly resolved on a miss — is the range's identifiers, each
+            // beside `place()` of it...
+            let (hashed, placed) = n.hash_stage(q);
+            assert_eq!(identifiers_of(&placed), n.groups().identifiers(&hashed));
+            for &(ident, position) in placed.iter() {
+                assert_eq!(position, n.place(ident));
             }
-            let c = n.identifier_cache();
-            assert!(c.hits() > 0 || capacity == 1, "the trace repeats ranges");
-            assert!(c.misses() > 0);
-            assert_eq!(c.evictions() > 0, capacity > 0, "capacity {capacity}");
+            // ...and planning routes to exactly those positions.
+            let plan = n.plan_stage(&hashed, &placed);
+            for (&ident, &(owner, _)) in plan.candidates.iter().zip(&plan.lookups) {
+                assert_eq!(owner, n.ring().successor_of(n.place(ident)));
+            }
+            n.commit_stage(q, hashed, &placed, plan, true);
+            // Every admitted entry is whole.
+            for (range, cached) in &n.identifier_cache().map {
+                assert_eq!(**cached, *resolve(&config, n.groups(), None, range));
+            }
         }
+        let c = n.identifier_cache();
+        assert!(c.hits() > 0, "the trace repeats ranges");
+        assert!(c.misses() > 0);
     }
 
     #[test]

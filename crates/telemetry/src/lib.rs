@@ -30,7 +30,8 @@
 //! | `chord.resilient.lookup.hops` | hist | hops per DFS lookup |
 //! | `core.queries` | counter | range queries through `RangeSelectNetwork` |
 //! | `core.ident_cache.hits` | counter | identifier-cache hits |
-//! | `core.ident_cache.misses` | counter | identifier-cache misses |
+//! | `core.ident_cache.misses` | counter | identifier-cache misses (a range's first two sightings) |
+//! | `core.ident_cache.size` | gauge | ranges admitted to the identifier cache |
 //! | `core.bucket.scan_len` | hist | partitions scanned per bucket probe |
 //! | `core.query.jaccard` | hist | scaled (×1000) Jaccard of best match |
 //! | `resilient.queries` | counter | queries via `ChurnNetwork::query_resilient` |

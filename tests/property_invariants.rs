@@ -7,7 +7,7 @@ use ars::prelude::*;
 use ars::relation::exec::BaseTables;
 use ars::relation::schema::medical;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Strategy: an arbitrary small multi-interval range set plus its exact
 /// value set.
@@ -1061,13 +1061,8 @@ fn sharded_trace_strategy() -> impl Strategy<Value = Vec<RangeSet>> {
     })
 }
 
-fn sharded_net(seed: u64, capacity: usize) -> RangeSelectNetwork {
-    RangeSelectNetwork::new(
-        24,
-        SystemConfig::default()
-            .with_seed(seed)
-            .with_ident_cache_capacity(capacity),
-    )
+fn sharded_net(seed: u64) -> RangeSelectNetwork {
+    RangeSelectNetwork::new(24, SystemConfig::default().with_seed(seed))
 }
 
 /// The conserved ledgers every run must balance: one cache lookup per
@@ -1138,10 +1133,10 @@ proptest! {
     #[test]
     fn sharded_origins_change_only_hops(qs in sharded_trace_strategy(), salt in 0u64..64) {
         let seed = env_seed("ARS_FAULT_SEED").wrapping_mul(0x9E37_79B9).wrapping_add(salt);
-        let mut plain = sharded_net(seed, 0);
+        let mut plain = sharded_net(seed);
         let out_plain: Vec<QueryOutcome> = qs.iter().map(|q| plain.query(q)).collect();
         for shards in [2usize, 7] {
-            let mut sharded = sharded_net(seed, 0);
+            let mut sharded = sharded_net(seed);
             let out_sharded = sharded.query_trace_sharded(&qs, shards);
             assert_ledgers(&sharded, &out_sharded, "sharded");
             let a: Vec<QueryOutcome> = out_plain.iter().cloned().map(without_hops).collect();
@@ -1157,27 +1152,67 @@ proptest! {
         }
     }
 
-    /// Bounded caches balance the ledgers and respect their capacity, on
-    /// the sharded-origin loop and on the staged batch alike.
+    /// The ledgers balance and the identifier cache admits exactly the
+    /// ranges seen twice, on the sharded-origin loop and on the staged
+    /// batch alike.
     #[test]
-    fn bounded_cache_ledgers_conserved(qs in sharded_trace_strategy(), capacity in 1usize..8) {
-        let seed = env_seed("ARS_FAULT_SEED").wrapping_add(capacity as u64);
-        let mut sharded = sharded_net(seed, capacity);
+    fn admission_ledger_is_exact_on_sharded_traces(qs in sharded_trace_strategy(), salt in 0u64..64) {
+        let seed = env_seed("ARS_FAULT_SEED").wrapping_add(salt);
+        let mut sharded = sharded_net(seed);
         let outs = sharded.query_trace_sharded(&qs, 4);
         assert_ledgers(&sharded, &outs, "sharded");
-        prop_assert!(sharded.identifier_cache().len() <= capacity);
-        let mut batch = sharded_net(seed, capacity);
+        assert_admission_ledger(&sharded, &qs, "sharded");
+        let mut batch = sharded_net(seed);
         let outs = batch.query_batch(&qs);
         assert_ledgers(&batch, &outs, "batch");
-        prop_assert!(batch.identifier_cache().len() <= capacity);
+        assert_admission_ledger(&batch, &qs, "batch");
+    }
+}
+
+/// The identifier cache's exact ledger after `qs` ran once on `net`
+/// (unpadded, so each query is hashed as itself): a range seen `c` times
+/// misses on its first two sightings, is admitted on its second and hits
+/// on the other `c − 2`.
+fn assert_admission_ledger(net: &RangeSelectNetwork, qs: &[RangeSet], label: &str) {
+    let mut sightings: HashMap<&RangeSet, u64> = HashMap::new();
+    for q in qs {
+        *sightings.entry(q).or_default() += 1;
+    }
+    let hits: u64 = sightings.values().map(|&c| c.saturating_sub(2)).sum();
+    let admitted = sightings.values().filter(|&&c| c >= 2).count();
+    let cache = net.identifier_cache();
+    assert_eq!(
+        (cache.hits(), cache.len(), cache.hits() + cache.misses()),
+        (hits, admitted, qs.len() as u64),
+        "{label}: (hits, entries, lookups)"
+    );
+}
+
+/// Second-sighting admission, counted exactly on the §5.1 uniform trace
+/// (few repeats) and on a Zipf trace (many), at seeds 0–3.
+#[test]
+fn admission_ledger_is_exact_on_uniform_and_zipf_traces() {
+    for seed in 0u64..4 {
+        let uniform = uniform_trace(3_000, 0, 200, seed);
+        let zipf = zipf_trace(3_000, 0, 40_000, 64, 1.1, 300, seed);
+        for (name, trace) in [("uniform", uniform), ("zipf", zipf)] {
+            let qs = trace.queries();
+            let mut net = sharded_net(seed);
+            for q in qs {
+                net.query(q);
+            }
+            let label = format!("{name} seed {seed}");
+            assert!(net.identifier_cache().hits() > 0, "{label}: no repeats");
+            assert_admission_ledger(&net, qs, &label);
+        }
     }
 }
 
 /// The identifier cache a sharded-origin run leaves is the plain loop's,
-/// counter for counter, at every capacity and shard count: only the
-/// origin draw is sharded.
+/// counter for counter, at every shard count: only the origin draw is
+/// sharded.
 #[test]
-fn bounded_cache_accounting_is_loop_exact_at_every_shard_count() {
+fn cache_accounting_is_loop_exact_at_every_shard_count() {
     let seed = env_seed("ARS_FAULT_SEED");
     let mut rng = DetRng::new(seed.wrapping_add(800));
     let ranges: Vec<RangeSet> = (0..40)
@@ -1189,22 +1224,21 @@ fn bounded_cache_accounting_is_loop_exact_at_every_shard_count() {
     let qs: Vec<RangeSet> = (0..800)
         .map(|_| ranges[rng.gen_index(ranges.len())].clone())
         .collect();
-    for capacity in [0usize, 1, 3, 7] {
-        let mut plain = sharded_net(seed, capacity);
-        for q in &qs {
-            plain.query(q);
-        }
-        let c = plain.identifier_cache();
-        let want = (c.hits(), c.misses(), c.evictions(), c.len());
-        for shards in [1usize, 2, 4, 7] {
-            let mut sharded = sharded_net(seed, capacity);
-            sharded.query_trace_sharded(&qs, shards);
-            let c = sharded.identifier_cache();
-            assert_eq!(
-                (c.hits(), c.misses(), c.evictions(), c.len()),
-                want,
-                "capacity {capacity}, {shards} shards: (hits, misses, evictions, len)"
-            );
-        }
+    let mut plain = sharded_net(seed);
+    for q in &qs {
+        plain.query(q);
+    }
+    assert_admission_ledger(&plain, &qs, "plain loop");
+    let c = plain.identifier_cache();
+    let want = (c.hits(), c.misses(), c.len());
+    for shards in [1usize, 2, 4, 7] {
+        let mut sharded = sharded_net(seed);
+        sharded.query_trace_sharded(&qs, shards);
+        let c = sharded.identifier_cache();
+        assert_eq!(
+            (c.hits(), c.misses(), c.len()),
+            want,
+            "{shards} shards: (hits, misses, len)"
+        );
     }
 }

@@ -226,10 +226,7 @@ fn breaker_opens_on_slow_peer_and_recloses_after_heal() {
 /// floor is conservative enough for churning networks; here routes are
 /// short, so 500 still never fires on healthy peers).
 fn tuned_hedge() -> HedgePolicy {
-    HedgePolicy {
-        min_delay: 500,
-        ..HedgePolicy::default()
-    }
+    HedgePolicy { min_delay: 500 }
 }
 
 /// What one measured run observed: per-query virtual latencies, mean
@@ -307,10 +304,7 @@ fn measured_run(
 /// tripped peer stays short-circuited for the whole measured window.
 fn guard(net: &mut ChurnNetwork) {
     net.enable_hedging(tuned_hedge());
-    net.enable_breakers(BreakerConfig {
-        cooldown: 250_000,
-        ..BreakerConfig::default()
-    });
+    net.enable_breakers(BreakerConfig { cooldown: 250_000 });
 }
 
 #[test]
@@ -529,10 +523,7 @@ fn readme_hedged_query_example() {
     // circuit breakers watch every fetch.
     let config = SystemConfig::default().with_replication(2).with_seed(7);
     let mut net = ChurnNetwork::new(40, config).expect("ring converges");
-    net.enable_hedging(HedgePolicy {
-        min_delay: 500,
-        ..HedgePolicy::default()
-    });
+    net.enable_hedging(HedgePolicy { min_delay: 500 });
     net.enable_breakers(BreakerConfig::default());
 
     // Cache a partition, then gray-slow a fifth of the fleet 10×.
