@@ -108,8 +108,7 @@ impl LshFunction {
     }
 
     /// Apply the underlying permutation to a single value.
-    #[cfg(test)]
-    fn permute(&self, x: u32) -> u32 {
+    pub(crate) fn permute(&self, x: u32) -> u32 {
         match self {
             LshFunction::MinWise(p) => p.permute(x),
             LshFunction::Approx(p) => p.permute(x),

@@ -20,10 +20,11 @@
 //! fused layout batches the `k` closed forms per interval and shares the
 //! decomposition walk.
 
-use crate::family::CompiledLshFunction;
-use crate::linear::{min_affine_mod, LinearPerm};
+use crate::family::{LshFamilyKind, LshFunction};
+use crate::linear::{min_affine_mod, LinearPerm, DOMAIN_MODULUS};
 use crate::range::RangeSet;
 use crate::rangeaware::RangeAwareBitPerm;
+use ars_common::DetRng;
 
 /// Groups up to this many functions evaluate with a stack-allocated
 /// scratch buffer — the steady-state query path performs zero heap
@@ -38,13 +39,10 @@ enum FusedFns {
     Bit(RangeAwareBitPerm),
     /// Linear families: batched closed forms over shared decomposition.
     Linear(Vec<LinearPerm>),
-    /// Mixed-family groups (never produced by
-    /// [`crate::HashGroups::generate`]): per-function evaluation.
-    Mixed(Vec<CompiledLshFunction>),
 }
 
 /// One hash group compiled structure-of-arrays for single-pass
-/// evaluation. Built by `CompiledGroup::new` from the group's compiled
+/// evaluation. Built by `CompiledGroup::draw` from one family's
 /// functions; [`CompiledGroup::identifier`] is bit-identical to XORing
 /// the functions' individual min-hashes.
 #[derive(Debug, Clone)]
@@ -53,40 +51,47 @@ pub struct CompiledGroup {
 }
 
 impl CompiledGroup {
-    /// Fuse a group of compiled functions. Homogeneous groups (all
-    /// bit-shuffle or all linear — the only kind
-    /// [`crate::HashGroups::generate`] produces) get the fused fast
-    /// paths; a mixed group falls back to per-function evaluation.
+    /// Draw a group of `k` functions from `kind`, in the order and with
+    /// the draws of [`LshFunction::random`], and fuse it. Returns the
+    /// functions (what the reference evaluation walks) beside their fused
+    /// evaluator.
     ///
     /// # Panics
-    /// Panics if the group is empty.
-    pub(crate) fn new(group: &[CompiledLshFunction]) -> CompiledGroup {
-        assert!(!group.is_empty(), "cannot fuse an empty group");
-        let all_bit = group
-            .iter()
-            .all(|f| matches!(f, CompiledLshFunction::Bit(_)));
-        let all_linear = group
-            .iter()
-            .all(|f| matches!(f, CompiledLshFunction::Linear(_)));
-        let fns = if all_bit {
-            FusedFns::Bit(RangeAwareBitPerm::concat(group.iter().map(|f| match f {
-                CompiledLshFunction::Bit(kernel) => kernel,
-                CompiledLshFunction::Linear(_) => unreachable!(),
-            })))
-        } else if all_linear {
-            FusedFns::Linear(
-                group
-                    .iter()
-                    .map(|f| match f {
-                        CompiledLshFunction::Linear(p) => *p,
-                        CompiledLshFunction::Bit(_) => unreachable!(),
-                    })
-                    .collect(),
+    /// Panics if `k` is zero.
+    pub(crate) fn draw(
+        kind: LshFamilyKind,
+        k: usize,
+        rng: &mut DetRng,
+    ) -> (Vec<LshFunction>, CompiledGroup) {
+        assert!(k > 0, "cannot fuse an empty group");
+        let linear = |perms: Vec<LinearPerm>, wrap: fn(LinearPerm) -> LshFunction| {
+            (
+                perms.iter().copied().map(wrap).collect(),
+                FusedFns::Linear(perms),
             )
-        } else {
-            FusedFns::Mixed(group.to_vec())
         };
-        CompiledGroup { fns }
+        let (fns, fused) = match kind {
+            LshFamilyKind::MinWise | LshFamilyKind::ApproxMinWise => {
+                let fns: Vec<LshFunction> =
+                    (0..k).map(|_| LshFunction::random(kind, rng)).collect();
+                let kernels: Vec<RangeAwareBitPerm> = fns
+                    .iter()
+                    .map(|f| RangeAwareBitPerm::compile(|x| f.permute(x)))
+                    .collect();
+                (fns, FusedFns::Bit(RangeAwareBitPerm::concat(&kernels)))
+            }
+            LshFamilyKind::Linear => linear(
+                (0..k).map(|_| LinearPerm::random(rng)).collect(),
+                LshFunction::Linear,
+            ),
+            LshFamilyKind::LinearDomain => linear(
+                (0..k)
+                    .map(|_| LinearPerm::random_with_modulus(rng, DOMAIN_MODULUS))
+                    .collect(),
+                LshFunction::LinearDomain,
+            ),
+        };
+        (fns, CompiledGroup { fns: fused })
     }
 
     /// Number of functions in the group (`k`).
@@ -94,7 +99,6 @@ impl CompiledGroup {
         match &self.fns {
             FusedFns::Bit(fns) => fns.k(),
             FusedFns::Linear(v) => v.len(),
-            FusedFns::Mixed(v) => v.len(),
         }
     }
 
@@ -152,11 +156,6 @@ impl CompiledGroup {
                     }
                 }
             }
-            FusedFns::Mixed(fns) => {
-                for (f, m) in fns.iter().zip(mins.iter_mut()) {
-                    *m = (*m).min(f.min_hash(q));
-                }
-            }
         }
     }
 }
@@ -164,17 +163,12 @@ impl CompiledGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::{LshFamilyKind, LshFunction};
-    use ars_common::DetRng;
 
-    fn compiled_group(kind: LshFamilyKind, k: usize, seed: u64) -> Vec<CompiledLshFunction> {
-        let mut rng = DetRng::new(seed);
-        (0..k)
-            .map(|_| LshFunction::random(kind, &mut rng).compile())
-            .collect()
+    fn group(kind: LshFamilyKind, k: usize, seed: u64) -> (Vec<LshFunction>, CompiledGroup) {
+        CompiledGroup::draw(kind, k, &mut DetRng::new(seed))
     }
 
-    fn reference(group: &[CompiledLshFunction], q: &RangeSet) -> u32 {
+    fn reference(group: &[LshFunction], q: &RangeSet) -> u32 {
         group.iter().fold(0u32, |acc, f| acc ^ f.min_hash(q))
     }
 
@@ -193,21 +187,33 @@ mod tests {
         ]
     }
 
+    const KINDS: [LshFamilyKind; 4] = [
+        LshFamilyKind::MinWise,
+        LshFamilyKind::ApproxMinWise,
+        LshFamilyKind::Linear,
+        LshFamilyKind::LinearDomain,
+    ];
+
+    #[test]
+    fn draw_takes_the_draws_of_random() {
+        for kind in KINDS {
+            let mut rng = DetRng::new(11);
+            let random: Vec<LshFunction> = (0..8)
+                .map(|_| LshFunction::random(kind, &mut rng))
+                .collect();
+            assert_eq!(group(kind, 8, 11).0, random, "kind {kind}");
+        }
+    }
+
     #[test]
     fn fused_matches_per_function_all_families() {
-        for kind in [
-            LshFamilyKind::MinWise,
-            LshFamilyKind::ApproxMinWise,
-            LshFamilyKind::Linear,
-            LshFamilyKind::LinearDomain,
-        ] {
-            let group = compiled_group(kind, 8, 11);
-            let fused = CompiledGroup::new(&group);
+        for kind in KINDS {
+            let (fns, fused) = group(kind, 8, 11);
             assert_eq!(fused.k(), 8);
             for q in queries() {
                 assert_eq!(
                     fused.identifier(&q),
-                    reference(&group, &q),
+                    reference(&fns, &q),
                     "kind {kind} query {q}"
                 );
             }
@@ -216,52 +222,40 @@ mod tests {
 
     #[test]
     fn oversized_group_spills_but_stays_exact() {
-        let group = compiled_group(LshFamilyKind::ApproxMinWise, FUSED_MAX_K + 7, 3);
-        let fused = CompiledGroup::new(&group);
+        let (fns, fused) = group(LshFamilyKind::ApproxMinWise, FUSED_MAX_K + 7, 3);
         for q in queries() {
-            assert_eq!(fused.identifier(&q), reference(&group, &q));
-        }
-    }
-
-    #[test]
-    fn mixed_group_falls_back_per_function() {
-        let mut group = compiled_group(LshFamilyKind::MinWise, 3, 5);
-        group.extend(compiled_group(LshFamilyKind::Linear, 3, 6));
-        let fused = CompiledGroup::new(&group);
-        for q in queries() {
-            assert_eq!(fused.identifier(&q), reference(&group, &q));
+            assert_eq!(fused.identifier(&q), reference(&fns, &q));
         }
     }
 
     #[test]
     fn mins_into_overwrites_the_buffer() {
-        let group = compiled_group(LshFamilyKind::ApproxMinWise, 5, 2);
-        let fused = CompiledGroup::new(&group);
+        let (fns, fused) = group(LshFamilyKind::ApproxMinWise, 5, 2);
         let q = RangeSet::interval(100, 5_000);
         let mut buf = [7u32; 5]; // stale content below any real minimum
         fused.mins_into(&q, &mut buf);
         assert_eq!(buf.to_vec(), fused.mins(&q));
-        let singles: Vec<u32> = group.iter().map(|f| f.min_hash(&q)).collect();
+        let singles: Vec<u32> = fns.iter().map(|f| f.min_hash(&q)).collect();
         assert_eq!(buf.to_vec(), singles);
     }
 
     #[test]
     #[should_panic(expected = "length k")]
     fn mins_into_rejects_wrong_length() {
-        let group = compiled_group(LshFamilyKind::Linear, 3, 2);
-        CompiledGroup::new(&group).mins_into(&RangeSet::interval(0, 9), &mut [0u32; 2]);
+        let (_, fused) = group(LshFamilyKind::Linear, 3, 2);
+        fused.mins_into(&RangeSet::interval(0, 9), &mut [0u32; 2]);
     }
 
     #[test]
     #[should_panic(expected = "empty group")]
     fn empty_group_rejected() {
-        CompiledGroup::new(&[]);
+        group(LshFamilyKind::MinWise, 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "empty range set")]
     fn empty_query_rejected() {
-        let group = compiled_group(LshFamilyKind::Linear, 2, 1);
-        CompiledGroup::new(&group).identifier(&RangeSet::empty());
+        let (_, fused) = group(LshFamilyKind::Linear, 2, 1);
+        fused.identifier(&RangeSet::empty());
     }
 }

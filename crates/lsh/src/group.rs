@@ -31,13 +31,7 @@ impl HashGroups {
     /// Panics if `k == 0` or `l == 0`.
     pub fn generate(kind: LshFamilyKind, k: usize, l: usize, rng: &mut DetRng) -> HashGroups {
         assert!(k > 0 && l > 0, "k and l must be positive");
-        let groups: Vec<Vec<LshFunction>> = (0..l)
-            .map(|_| (0..k).map(|_| LshFunction::random(kind, rng)).collect())
-            .collect();
-        let fused = groups
-            .iter()
-            .map(|g| CompiledGroup::new(&g.iter().map(LshFunction::compile).collect::<Vec<_>>()))
-            .collect();
+        let (groups, fused) = (0..l).map(|_| CompiledGroup::draw(kind, k, rng)).unzip();
         HashGroups { groups, fused }
     }
 
