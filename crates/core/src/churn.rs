@@ -28,9 +28,9 @@
 //! persists its bucket placements and evictions to a crash-faulted
 //! [`ars_store::BucketStore`], which splits the abrupt-departure story in
 //! two: [`ChurnNetwork::fail`] still models a machine that never returns
-//! (its disks are gone), while [`ChurnNetwork::crash`] parks the disks and
-//! [`ChurnNetwork::restart`] replays them — recovering every entry that
-//! survived the torn tail — before rejoining the ring. The
+//! (its disk is gone), while [`ChurnNetwork::crash`] parks the disk and
+//! [`ChurnNetwork::restart`] replays its log — recovering every entry
+//! before a corrupt tail — before rejoining the ring. The
 //! [`ChurnNetwork::anti_entropy_round`] repair loop then exchanges
 //! per-bucket digests between replica owners and re-replicates only the
 //! missing entries, converging to the same state as the oracle
@@ -98,7 +98,7 @@ pub struct ChurnNetwork {
     /// Durable bucket stores of alive peers (empty unless
     /// [`SystemConfig::with_durability`] is set).
     logs: FxHashMap<u32, BucketStore>,
-    /// Parked disks of crashed-but-restartable peers. `None` values mark
+    /// Parked logs of crashed-but-restartable peers. `None` values mark
     /// peers crashed without durability (nothing to replay at restart).
     crashed: FxHashMap<u32, Option<BucketStore>>,
     groups: HashGroups,
@@ -640,14 +640,23 @@ impl ChurnNetwork {
     }
 
     /// Abruptly fail a peer *permanently*: the machine never returns, its
-    /// disks (durable or not) are gone, and its cached partitions are lost
+    /// disk (durable or not) is gone, and its cached partitions are lost
     /// — counted in [`ResilienceStats::buckets_lost`] and the
     /// `buckets.lost` telemetry counter. With a replication factor above 1,
     /// surviving replicas are immediately re-spread so the invariant (each
     /// partition at `r` alive successors) holds again. Contrast with
-    /// [`Self::crash_random`], which parks the disks for a later
+    /// [`Self::crash_random`], which parks the log for a later
     /// [`Self::restart`].
     pub fn fail(&mut self, id: Id) -> Result<(), ChordError> {
+        self.drop_peer(id)?;
+        self.re_replicate_around(id);
+        Ok(())
+    }
+
+    /// The step [`Self::fail`] and [`Self::crash`] share: take `id` off
+    /// the ring abruptly, drop its live copies and count them lost.
+    /// Returns the copies lost and the peer's durable store, if any.
+    fn drop_peer(&mut self, id: Id) -> Result<(u64, Option<BucketStore>), ChordError> {
         self.chord.fail(id)?;
         let lost = self
             .storage
@@ -655,19 +664,21 @@ impl ChurnNetwork {
             .map(|p| p.partition_count() as u64)
             .unwrap_or(0);
         self.lose_buckets(lost);
-        self.logs.remove(&id.0);
-        self.re_replicate_around(id);
-        Ok(())
+        Ok((lost, self.logs.remove(&id.0)))
+    }
+
+    /// A random alive peer to take down, or `None` when only one is left.
+    fn draw_victim(&mut self) -> Option<Id> {
+        let ids = self.chord.alive_ids();
+        (ids.len() > 1).then(|| ids[self.rng.gen_index(ids.len())])
     }
 
     /// Crash `count` random peers at once.
     pub fn fail_random(&mut self, count: usize) {
         for _ in 0..count {
-            let ids = self.chord.alive_ids();
-            if ids.len() <= 1 {
+            let Some(victim) = self.draw_victim() else {
                 return;
-            }
-            let victim = ids[self.rng.gen_index(ids.len())];
+            };
             let _ = self.fail(victim);
         }
     }
@@ -829,25 +840,17 @@ impl ChurnNetwork {
     }
 
     /// Crash a peer: like [`Self::fail`] it drops off the ring abruptly
-    /// and its live cache is lost, but its disks survive (after taking the
-    /// configured crash faults — un-synced suffix gone, possibly a torn
-    /// tail write or a flipped bit) and are parked for a later
-    /// [`Self::restart`]. No re-replication sweep runs here: a crashed
-    /// machine is expected back, and the anti-entropy repair loop is the
-    /// path that restores the replication invariant afterwards.
+    /// and its live cache is lost, but its log survives (after taking the
+    /// configured crash fault, possibly a flipped tail bit) and is parked
+    /// for a later [`Self::restart`]. No re-replication sweep runs here: a
+    /// crashed machine is expected back, and the anti-entropy repair loop
+    /// is the path that restores the replication invariant afterwards.
     pub(crate) fn crash(&mut self, id: Id) -> Result<(), ChordError> {
-        self.chord.fail(id)?;
-        let lost = self
-            .storage
-            .remove(&id.0)
-            .map(|p| p.partition_count() as u64)
-            .unwrap_or(0);
-        self.lose_buckets(lost);
-        let disks = self.logs.remove(&id.0).map(|mut store| {
+        let (lost, mut store) = self.drop_peer(id)?;
+        if let Some(store) = &mut store {
             store.crash();
-            store
-        });
-        self.crashed.insert(id.0, disks);
+        }
+        self.crashed.insert(id.0, store);
         self.telemetry.event(
             "churn.crash",
             &[("node", id.0.into()), ("buckets_lost", lost.into())],
@@ -860,11 +863,9 @@ impl ChurnNetwork {
     pub fn crash_random(&mut self, count: usize) -> Vec<Id> {
         let mut downed = Vec::new();
         for _ in 0..count {
-            let ids = self.chord.alive_ids();
-            if ids.len() <= 1 {
+            let Some(victim) = self.draw_victim() else {
                 break;
-            }
-            let victim = ids[self.rng.gen_index(ids.len())];
+            };
             if self.crash(victim).is_ok() {
                 downed.push(victim);
             }
@@ -872,11 +873,11 @@ impl ChurnNetwork {
         downed
     }
 
-    /// Restart a crashed peer: replay its parked disks — falling back past
-    /// a corrupt snapshot to the longest valid log prefix, never panicking
-    /// — rebuild its bucket state from the recovered entries, rejoin the
-    /// ring through the join protocol, and stabilize. Returns the number
-    /// of partition copies recovered from disk (0 without durability).
+    /// Restart a crashed peer: replay the longest valid prefix of its
+    /// parked log, never panicking, rebuild its bucket state from the
+    /// recovered entries, rejoin the ring through the join protocol, and
+    /// stabilize. Returns the number of partition copies recovered from
+    /// disk (0 without durability).
     ///
     /// The recovered identifiers are re-announced by the next
     /// anti-entropy round: the restarted holder pushes them back
@@ -888,18 +889,18 @@ impl ChurnNetwork {
         let Some(&via) = self.chord.alive_ids().first() else {
             return Err(ChordError::RoutingFailed { from: id, key: id });
         };
-        let Some(disks) = self.crashed.remove(&id.0) else {
+        let Some(mut store) = self.crashed.remove(&id.0) else {
             return Err(ChordError::UnknownNode(id));
         };
         if let Err(e) = self.chord.join(id, via) {
-            self.crashed.insert(id.0, disks);
+            self.crashed.insert(id.0, store);
             return Err(e);
         }
         self.chord.stabilize_all(32);
         let mut peer = Peer::new(id, self.config.use_local_index);
         let mut recovered = 0u64;
         let mut torn = 0u64;
-        let store = disks.map(|mut store| {
+        if let Some(store) = &mut store {
             let report = store.recover();
             torn = report.discarded_bytes as u64;
             for (ident, payload) in &report.entries {
@@ -909,8 +910,7 @@ impl ChurnNetwork {
                     }
                 }
             }
-            store
-        });
+        }
         self.storage.insert(id.0, peer);
         if let Some(store) = store {
             self.logs.insert(id.0, store);

@@ -1,14 +1,13 @@
 //! Durable bucket storage wiring: configuration and the on-disk codec.
 //!
 //! [`crate::ChurnNetwork`] can persist every peer's cached partitions to an
-//! [`ars_store::BucketStore`] — an append-only CRC-framed op log plus
-//! generation-tagged checkpoints over a simulated disk. This module holds
-//! the glue that keeps `ars-store` payload-agnostic:
+//! [`ars_store::BucketStore`] — a write-through, CRC-framed op log over a
+//! simulated disk. This module holds the glue that keeps `ars-store`
+//! payload-agnostic:
 //!
 //! * [`DurabilityConfig`] — the disks' fault surface plus the per-peer
 //!   seed derivation, configured via
-//!   [`crate::SystemConfig::with_durability`]; every store is
-//!   write-through with no automatic compaction (`StoreConfig::default()`);
+//!   [`crate::SystemConfig::with_durability`];
 //! * [`encode_range`] / `decode_range` — the byte codec for
 //!   [`RangeSet`] payloads (interval list, little-endian u32 pairs),
 //!   decoded defensively so a corrupt payload that slipped past the log
@@ -17,18 +16,18 @@
 //!   (hand-rolled so digests are stable across platforms and reruns).
 
 use ars_lsh::RangeSet;
-use ars_store::{StorageFaults, StoreConfig};
+use ars_store::StorageFaults;
 
 /// Durability knobs for a [`crate::ChurnNetwork`].
 ///
 /// `None` in [`crate::SystemConfig::durability`] (the default) keeps the
 /// paper's purely soft-state behavior: crashes lose everything and queries
 /// rebuild the cache. `Some` gives every peer a [`ars_store::BucketStore`]
-/// whose disks tear and flip bits per the configured fault surface
+/// whose disk flips a tail bit on a crash per the configured fault surface
 /// (`default()`: a perfect disk).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DurabilityConfig {
-    /// Crash-fault surface of every peer's simulated disks.
+    /// Crash-fault surface of every peer's simulated disk.
     pub faults: StorageFaults,
 }
 
@@ -39,14 +38,14 @@ impl DurabilityConfig {
         self
     }
 
-    /// The [`StoreConfig`] for one peer's [`ars_store::BucketStore`]:
-    /// write-through, no automatic compaction, on these disks.
-    pub fn store_config(&self) -> StoreConfig {
-        StoreConfig::default().with_faults(self.faults)
+    /// What [`ars_store::BucketStore::new`] takes for one peer's store:
+    /// the disk's fault surface.
+    pub fn store_config(&self) -> StorageFaults {
+        self.faults
     }
 
     /// Per-peer disk seed: splitmix-style spread of the peer id over the
-    /// system seed, so every peer tears different bytes while the whole
+    /// system seed, so every peer flips different bits while the whole
     /// fleet stays a pure function of `(system seed, peer id)`.
     pub(crate) fn seed_for(&self, system_seed: u64, peer: u32) -> u64 {
         system_seed ^ (peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD757_AB1E

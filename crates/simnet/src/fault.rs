@@ -27,8 +27,8 @@
 //! * **delay**: a uniform extra latency from the configured window (a
 //!   hand-built window with `lo > hi` is read as `[hi, lo]`).
 //!
-//! Storage faults (torn tail writes, bit flips) are not declared here:
-//! they happen on `ars-store`'s simulated disks, and
+//! Storage faults (crash-time tail bit flips) are not declared here:
+//! they happen on `ars-store`'s simulated disk, and
 //! `ars_store::StorageFaults` is their one declaration.
 
 use crate::event::SimTime;

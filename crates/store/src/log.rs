@@ -15,11 +15,6 @@
 //! **longest valid prefix**: it stops at the first record whose header is
 //! truncated, whose length overruns the image, or whose checksum
 //! mismatches. It never panics, whatever bytes it is handed.
-//!
-//! Snapshot files use the **lenient** scan ([`recover_lenient`]): a
-//! record whose framing is intact but whose checksum fails is *skipped*
-//! rather than ending the scan, so a corrupt newest snapshot falls back
-//! to the last older one that still checks out.
 
 use crate::crc::crc32;
 
@@ -47,13 +42,6 @@ pub fn append_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&framed);
 }
 
-/// Encode one record as a standalone byte vector.
-pub fn encode_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    append_record(&mut out, payload);
-    out
-}
-
 /// What a recovery scan found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Recovery {
@@ -63,86 +51,44 @@ pub struct Recovery {
     pub valid_bytes: usize,
     /// Bytes past the last valid record (torn tail, corruption, junk).
     pub discarded_bytes: usize,
-    /// Records with intact framing but a failed checksum that the
-    /// lenient scan skipped (always 0 for the strict scan).
-    pub corrupt_skipped: usize,
 }
 
 impl Recovery {
     /// True if the whole image parsed as valid records.
     pub fn is_clean(&self) -> bool {
-        self.discarded_bytes == 0 && self.corrupt_skipped == 0
+        self.discarded_bytes == 0
     }
 }
 
-enum ScanStep {
-    Valid(usize),   // record end offset
-    Corrupt(usize), // framing intact, checksum failed; record end offset
-    Torn,           // truncated header/payload or implausible length
-}
-
-fn scan_one(image: &[u8], at: usize) -> ScanStep {
+/// The end offset of the record at `at`, if it is whole and its checksum
+/// holds.
+fn scan_one(image: &[u8], at: usize) -> Option<usize> {
     let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = image.get(at..at + RECORD_HEADER) else {
-        return ScanStep::Torn;
+        return None;
     };
     let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     let crc = u32::from_le_bytes([c0, c1, c2, c3]);
     let remaining = image.len() - at;
     if len > MAX_RECORD || len > remaining - RECORD_HEADER {
-        return ScanStep::Torn;
+        return None;
     }
     let end = at + RECORD_HEADER + len;
     let mut checked = Vec::with_capacity(4 + len);
     checked.extend_from_slice(&image[at..at + 4]);
     checked.extend_from_slice(&image[at + RECORD_HEADER..end]);
-    if crc32(&checked) == crc {
-        ScanStep::Valid(end)
-    } else {
-        ScanStep::Corrupt(end)
-    }
+    (crc32(&checked) == crc).then_some(end)
 }
 
-/// Strict scan: the longest valid prefix of `image` (see module docs).
+/// The longest valid prefix of `image` (see module docs).
 pub fn recover(image: &[u8]) -> Recovery {
     let mut out = Recovery::default();
     let mut at = 0;
-    while at < image.len() {
-        match scan_one(image, at) {
-            ScanStep::Valid(end) => {
-                out.records.push(image[at + RECORD_HEADER..end].to_vec());
-                at = end;
-            }
-            _ => break,
-        }
+    while let Some(end) = scan_one(image, at) {
+        out.records.push(image[at + RECORD_HEADER..end].to_vec());
+        at = end;
     }
     out.valid_bytes = at;
     out.discarded_bytes = image.len() - at;
-    out
-}
-
-/// Lenient scan: skip checksum-failed records whose framing is intact,
-/// stop only when the framing itself is broken (see module docs).
-pub fn recover_lenient(image: &[u8]) -> Recovery {
-    let mut out = Recovery::default();
-    let mut at = 0;
-    let mut covered = 0;
-    while at < image.len() {
-        match scan_one(image, at) {
-            ScanStep::Valid(end) => {
-                out.records.push(image[at + RECORD_HEADER..end].to_vec());
-                at = end;
-                covered = end;
-            }
-            ScanStep::Corrupt(end) => {
-                out.corrupt_skipped += 1;
-                at = end;
-                covered = end;
-            }
-            ScanStep::Torn => break,
-        }
-    }
-    out.valid_bytes = covered;
-    out.discarded_bytes = image.len() - covered;
     out
 }
 
@@ -204,23 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn lenient_scan_skips_a_corrupt_middle_record() {
-        let mut img = image(&[b"good-1", b"doomed", b"good-2"]);
-        // Corrupt the middle record's payload (framing intact).
-        let first_len = encode_record(b"good-1").len();
-        img[first_len + RECORD_HEADER] ^= 0x40;
-        let strict = recover(&img);
-        assert_eq!(strict.records, vec![b"good-1".to_vec()], "strict stops");
-        let lenient = recover_lenient(&img);
-        assert_eq!(
-            lenient.records,
-            vec![b"good-1".to_vec(), b"good-2".to_vec()],
-            "lenient skips the corrupt record and continues"
-        );
-        assert_eq!(lenient.corrupt_skipped, 1);
-    }
-
-    #[test]
     fn hostile_garbage_never_panics() {
         let mut junk = Vec::new();
         let mut x: u64 = 0x1234_5678;
@@ -229,7 +158,6 @@ mod tests {
             junk.push((x >> 56) as u8);
         }
         let _ = recover(&junk);
-        let _ = recover_lenient(&junk);
         // A length field pointing far past the image must not allocate.
         let mut lie = Vec::new();
         lie.extend_from_slice(&u32::MAX.to_le_bytes());

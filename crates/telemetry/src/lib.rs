@@ -48,7 +48,7 @@
 //! | `buckets.live` | gauge | live copies, published by `publish_ledger` — the ledger is `placed == live + lost − recovered` |
 //! | `store.appended` | counter | op records written to durable bucket logs |
 //! | `store.recovered` | counter | entries recovered from disk at restart |
-//! | `store.torn_discarded` | counter | bytes discarded as torn/corrupt during recovery |
+//! | `store.torn_discarded` | counter | bytes discarded past the log's valid prefix during recovery |
 //! | `repair.rounds` | counter | anti-entropy repair rounds run |
 //! | `repair.entries_sent` | counter | entries pushed to replica owners by repair |
 //! | `simnet.sent` / `.delivered` / `.dropped` / `.queued` | gauge | message ledger |

@@ -72,7 +72,7 @@ pub mod prelude {
         execute, HorizontalPartition, LogicalPlan, Predicate, Relation, Schema, Value,
     };
     pub use ars_simnet::{FaultPlan, SimNet};
-    pub use ars_store::{BucketStore, SimDisk, StorageFaults, StoreConfig};
+    pub use ars_store::{BucketStore, StorageFaults};
     pub use ars_telemetry::{MetricsSnapshot, SpanId, Telemetry, TelemetryEvent};
     pub use ars_workload::{clustered_trace, uniform_trace, zipf_trace, Trace};
 }

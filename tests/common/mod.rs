@@ -1,11 +1,14 @@
 //! Shared by the fault suites that take [`PlacementMode`] as an input
 //! (`fault_injection`, `partition_tolerance`, `tail_tolerance`,
-//! `crash_recovery`), and the simulator nodes those suites and
-//! `telemetry_traces` drive.
+//! `crash_recovery`), the simulator nodes those suites and
+//! `telemetry_traces` drive, and the durable-log check of
+//! `crash_recovery` and `telemetry_traces`.
 #![allow(dead_code)] // each suite uses its own subset
 
+use ars::core::durable::encode_range;
 use ars::prelude::*;
 use ars::simnet::{Node, NodeCtx};
+use std::collections::BTreeMap;
 
 /// Both placement modes, independent first.
 pub const MODES: [PlacementMode; 2] = [PlacementMode::Independent, PlacementMode::Layered];
@@ -50,4 +53,23 @@ impl Node<u32> for Relay {
 /// `n` relays, as simulator nodes.
 pub fn relays(n: usize) -> Vec<Relay> {
     (0..n).map(|_| Relay { n_nodes: n }).collect()
+}
+
+/// Every alive peer's durable log agrees with the peer: a clone of its
+/// store, crashed and recovered, returns exactly the copies the peer
+/// holds, encoded as the log encodes them. `net` runs on a perfect disk,
+/// so the clone's crash corrupts nothing.
+pub fn assert_logs_match_peers(net: &ChurnNetwork) {
+    let mut held: BTreeMap<u32, Vec<(u32, Vec<u8>)>> = BTreeMap::new();
+    for (peer, ident, intervals) in net.inventory() {
+        let payload = encode_range(&RangeSet::from_intervals(intervals));
+        held.entry(peer).or_default().push((ident, payload));
+    }
+    for id in net.chord().node_ids() {
+        let mut log = net.log_of(id).expect("every alive peer is durable").clone();
+        log.crash();
+        let mut expected = held.remove(&id.0).unwrap_or_default();
+        expected.sort();
+        assert_eq!(log.recover().entries, expected, "log of peer {}", id.0);
+    }
 }

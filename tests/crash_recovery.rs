@@ -5,16 +5,17 @@
 //! crashes 20% of its peers, restarts them — replaying each peer's op log
 //! past whatever the crash corrupted — runs the anti-entropy repair loop
 //! to quiescence, and answers every warmed query with recall exactly
-//! 1.000. The stores are write-through, so a crash finds no un-synced
-//! bytes to tear: the damage in the system is tail bit flips. Torn tails
-//! are exercised by `ars-store`'s `recovery_props`. The r = 1
+//! 1.000. The stores are write-through, so the damage a crash does is a
+//! tail bit flip. The r = 1
 //! fail-without-restart contrast (PR 2's soft-state baseline) loses
 //! buckets for good.
 //!
-//! Also here: the repair convergence property (satellite) — after an
-//! arbitrary interleaving of fails, leaves, joins, crashes, and restarts,
-//! the budgeted digest-exchange repair reaches a fixed point bit-identical
-//! to the oracle `re_replicate` sweep, and recall returns to 1.0.
+//! Also here: the repair convergence property — after an arbitrary
+//! interleaving of queries, fails, leaves, joins (with and without key
+//! migration), crashes, and restarts, the budgeted digest-exchange repair
+//! reaches a fixed point bit-identical to the oracle `re_replicate`
+//! sweep, and recall returns to 1.0. Along the way every alive peer's
+//! durable log recovers to exactly the copies the peer holds.
 //!
 //! Every run honors `ARS_FAULT_SEED` (default 0) and is asserted
 //! byte-identical across reruns: same seed, same trace JSON, same final
@@ -37,14 +38,9 @@ fn warm_queries(n: usize) -> Vec<RangeSet> {
 }
 
 /// The faulted durable configuration of the headline scenario: a tail bit
-/// flip on 10% of crashes. Torn tail writes are set to 40% too, but a
-/// write-through store has nothing un-synced to tear, so they never fire.
+/// flip on 10% of crashes.
 fn faulted_durability() -> DurabilityConfig {
-    DurabilityConfig::default().with_faults(
-        StorageFaults::none()
-            .with_torn_write(0.4)
-            .with_bit_flip(0.1),
-    )
+    DurabilityConfig::default().with_faults(StorageFaults::none().with_bit_flip(0.1))
 }
 
 /// One full run of the headline scenario. Returns everything a
@@ -190,9 +186,7 @@ fn fail_without_restart_at_r1_loses_recall() {
 #[test]
 fn guaranteed_tail_corruption_at_r1_loses_recall_despite_restart_and_repair() {
     let seed = env_seed("ARS_FAULT_SEED");
-    let faults = StorageFaults::none()
-        .with_torn_write(0.4)
-        .with_bit_flip(1.0);
+    let faults = StorageFaults::none().with_bit_flip(1.0);
     let config = SystemConfig::default()
         .with_kl(16, 1)
         .with_matching(MatchMeasure::Containment)
@@ -227,9 +221,9 @@ fn guaranteed_tail_corruption_at_r1_loses_recall_despite_restart_and_repair() {
 // ---------------------------------------------------------------------
 
 /// Replay one generated churn script on a fresh network. The cache is
-/// warmed before any churn; crashes park disks (benign storage: nothing
-/// is ever torn, so restarts recover everything) and every downed peer is
-/// restarted before the verdict.
+/// warmed before any churn; crashes park logs (a perfect disk, so
+/// restarts recover everything) and every downed peer is restarted
+/// before the verdict.
 fn churned_network(
     ops: &[(u8, u16)],
     seed: u64,
@@ -265,12 +259,19 @@ fn churned_network(
                     downed.extend(net.crash_random(1));
                 }
             }
-            _ => {
+            4 | 5 => {
                 if let Some(id) = downed.pop() {
                     net.restart(id).expect("restart rejoins");
                 } else {
                     let _ = net.join_random();
                 }
+            }
+            6 => {
+                let _ = net.join_random_with_migration();
+            }
+            _ => {
+                let lo = u32::from(arg) % 30_000;
+                net.query_resilient(&RangeSet::interval(lo, lo + 80));
             }
         }
     }
@@ -286,7 +287,7 @@ proptest! {
 
     #[test]
     fn repair_converges_to_the_oracle_after_arbitrary_churn(
-        ops in prop::collection::vec((0u8..6, any::<u16>()), 1..20),
+        ops in prop::collection::vec((0u8..8, any::<u16>()), 1..20),
         budget in 1usize..40,
         layered in any::<bool>(),
         seed in 0u64..1_000_000,
@@ -300,6 +301,7 @@ proptest! {
             oracle.inventory(),
             "identical scripts must diverge identically"
         );
+        common::assert_logs_match_peers(&repaired);
         repaired
             .repair_until_quiescent(100_000, budget)
             .expect("repair quiesces");
@@ -309,7 +311,9 @@ proptest! {
             oracle.inventory(),
             "anti-entropy fixed point must equal the oracle sweep bit-for-bit"
         );
-        // With r = 2, benign storage, and every crashed peer restarted,
+        common::assert_logs_match_peers(&repaired);
+        common::assert_logs_match_peers(&oracle);
+        // With r = 2, a perfect disk, and every crashed peer restarted,
         // no bucket was ever unrecoverable: full recall returns.
         for q in &queries {
             prop_assert_eq!(repaired.query_resilient(q).recall, 1.0);

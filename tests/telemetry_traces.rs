@@ -185,18 +185,21 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The bucket ledger: every partition copy is placed once, lost at
     /// most once, and recovered at most once, so at any quiet point
     /// `placed == live + lost − recovered` — under any interleaving of
-    /// queries, fails, leaves, joins, crashes, and restarts, with and
-    /// without durable stores. Checked both against the telemetry
-    /// counters and the published `buckets.live` gauge.
+    /// queries, fails, leaves, joins (with and without key migration),
+    /// crashes, and restarts, without durable stores, with them on a
+    /// perfect disk and with them on a disk that flips bits. Checked both
+    /// against the telemetry counters and the published `buckets.live`
+    /// gauge. On the perfect disk every alive peer's log also recovers to
+    /// exactly the copies the peer holds.
     #[test]
     fn bucket_ledger_balances_under_churn_crash_restart(
-        ops in prop::collection::vec((0u8..6, any::<u16>()), 1..25),
-        durable in any::<bool>(),
+        ops in prop::collection::vec((0u8..7, any::<u16>()), 1..25),
+        disk in 0u8..3,
         replication in 1usize..3,
         seed in 0u64..1_000_000,
     ) {
@@ -204,11 +207,10 @@ proptest! {
             .with_kl(8, 2)
             .with_replication(replication)
             .with_seed(seed ^ (env_seed("ARS_FAULT_SEED") << 48));
-        if durable {
+        if disk > 0 {
+            let flip = if disk == 1 { 0.0 } else { 0.1 };
             config = config.with_durability(
-                DurabilityConfig::default().with_faults(
-                    StorageFaults::none().with_torn_write(0.3).with_bit_flip(0.1),
-                ),
+                DurabilityConfig::default().with_faults(StorageFaults::none().with_bit_flip(flip)),
             );
         }
         let mut net = ChurnNetwork::new(14, config).expect("growth converges");
@@ -237,16 +239,22 @@ proptest! {
                         downed.extend(net.crash_random(1));
                     }
                 }
-                _ => {
+                5 => {
                     if let Some(id) = downed.pop() {
                         net.restart(id).expect("restart rejoins");
                     } else {
                         let _ = net.join_random();
                     }
                 }
+                _ => {
+                    let _ = net.join_random_with_migration();
+                }
             }
         }
         net.stabilize(256).expect("recovers");
+        if disk == 1 {
+            common::assert_logs_match_peers(&net);
+        }
         net.publish_ledger();
         let snap = tel.snapshot();
         let live = snap.gauge("buckets.live").unwrap_or(0);
@@ -262,7 +270,7 @@ proptest! {
         prop_assert_eq!(snap.counter("buckets.lost"), s.buckets_lost);
         prop_assert_eq!(snap.counter("buckets.recovered"), s.buckets_recovered);
         prop_assert_eq!(snap.counter("store.recovered"), s.buckets_recovered);
-        if !durable {
+        if disk == 0 {
             prop_assert_eq!(snap.counter("store.appended"), 0);
             prop_assert_eq!(snap.counter("buckets.recovered"), 0);
         }
