@@ -40,7 +40,7 @@ fn main() {
             net.stabilize(128).expect("ring recovers");
             // Replace the crashed peers so capacity stays constant.
             for _ in 0..FAIL_COUNT {
-                net.join_random_with_migration().expect("rejoin");
+                net.join_random().expect("rejoin");
             }
             net.stabilize(128).expect("ring converges");
             println!("  -- crash wave at query {i} --");

@@ -133,35 +133,10 @@ impl Bucket {
 
     /// True if the bucket holds this exact range.
     pub fn contains(&self, range: &RangeSet) -> bool {
-        self.slot_of(range).is_some()
-    }
-
-    /// The slot holding exactly `range`.
-    fn slot_of(&self, range: &RangeSet) -> Option<usize> {
         match *range.intervals() {
-            [pair] => self.pairs.iter().position(|&p| p == pair),
-            _ => (self.spilled.as_ref()?.iter())
-                .find(|(_, r)| r == range)
-                .map(|&(slot, _)| slot),
+            [pair] => self.pairs.contains(&pair),
+            _ => (self.spilled.as_ref()).is_some_and(|s| s.iter().any(|(_, r)| r == range)),
         }
-    }
-
-    /// Remove this exact range. Returns true if it was present — the
-    /// key-migration and durable-eviction paths need removal to be
-    /// observable so logs and ledgers stay exact.
-    pub fn remove(&mut self, range: &RangeSet) -> bool {
-        let Some(slot) = self.slot_of(range) else {
-            return false;
-        };
-        self.pairs.remove(slot);
-        if let Some(spilled) = &mut self.spilled {
-            spilled.retain(|&(s, _)| s != slot);
-            spilled
-                .iter_mut()
-                .for_each(|(s, _)| *s -= usize::from(*s > slot));
-        }
-        self.spilled = self.spilled.take().filter(|spilled| !spilled.is_empty());
-        true
     }
 
     /// One leg of a scan across buckets: the running `best` carried

@@ -19,7 +19,7 @@ pub struct Peer {
     /// Ring position.
     pub id: Id,
     buckets: FxHashMap<u32, Bucket>,
-    /// Total ranges over all of `buckets`, kept by store/evict/drain.
+    /// Total ranges over all of `buckets`, kept by store and drain.
     partitions: usize,
     /// §5.3 local index over everything in `buckets`, maintained on store
     /// — only on a peer built for a config that queries it
@@ -140,31 +140,6 @@ impl Peer {
     #[cfg(test)]
     pub(crate) fn contains_range(&self, range: &RangeSet) -> bool {
         self.buckets.values().any(|b| b.contains(range))
-    }
-
-    /// Remove one stored range from `identifier`'s bucket. Returns true if
-    /// it was present; an emptied bucket is dropped (so [`Self::bucket`]
-    /// goes back to `None`, matching a never-stored identifier). The §5.3
-    /// local index has no removal operation, so a peer that keeps one
-    /// rebuilds it from the surviving entries.
-    pub fn evict(&mut self, identifier: u32, range: &RangeSet) -> bool {
-        let Some(bucket) = self.buckets.get_mut(&identifier) else {
-            return false;
-        };
-        if !bucket.remove(range) {
-            return false;
-        }
-        if bucket.is_empty() {
-            self.buckets.remove(&identifier);
-        }
-        self.partitions -= 1;
-        if let Some(index) = &mut self.index {
-            *index = IntervalIndex::new();
-            for r in self.buckets.values().flat_map(Bucket::ranges) {
-                index.insert(r);
-            }
-        }
-        true
     }
 
     /// Iterate over all stored (identifier, range) pairs without consuming
@@ -290,30 +265,6 @@ mod tests {
         seen.sort_by(|a, b| (a.0, a.1.intervals()).cmp(&(b.0, b.1.intervals())));
         assert_eq!(seen, vec![(7, r(0, 10)), (7, r(20, 30)), (9, r(100, 110))]);
         assert_eq!(p.partition_count(), 3, "entries must not drain");
-    }
-
-    #[test]
-    fn evict_removes_exactly_one_entry_and_repairs_the_index() {
-        let mut p = Peer::new(Id(1), true);
-        p.store(7, r(0, 10));
-        p.store(7, r(20, 30));
-        p.store(9, r(100, 110));
-        assert!(!p.evict(7, &r(50, 60)), "absent range");
-        assert!(!p.evict(999, &r(0, 10)), "absent bucket");
-        assert!(p.evict(7, &r(0, 10)));
-        assert!(!p.evict(7, &r(0, 10)), "second evict is a no-op");
-        assert_eq!(p.partition_count(), 2);
-        assert_count_exact(&p);
-        // The evicted range is gone from the local index too.
-        let m = p.best_across_buckets(&r(0, 10), MatchMeasure::Jaccard);
-        assert!(
-            m.map(|m| m.score < 1.0).unwrap_or(true),
-            "evicted range must not be matchable"
-        );
-        // Emptying a bucket drops it entirely.
-        assert!(p.evict(9, &r(100, 110)));
-        assert!(p.bucket(9).is_none());
-        assert_count_exact(&p);
     }
 
     #[test]

@@ -359,13 +359,14 @@ pub struct ResilienceStats {
     /// pass a membership event runs.
     pub repair_scanned: u64,
     /// Partition copies placed at any peer by any path (query caching,
-    /// re-replication, anti-entropy repair, leave handover, migration).
+    /// re-replication, which includes the arc a join hands over,
+    /// anti-entropy repair, leave handover).
     /// With `buckets_lost`/`buckets_recovered` this forms the ledger
     /// `placed == live + lost − recovered` checked by the trace tests.
     pub buckets_placed: u64,
     /// Live partition copies destroyed: abrupt failures and crashes take
-    /// down a peer's whole cache; graceful leaves and key migrations count
-    /// the drained copies here (and their re-stores in `buckets_placed`).
+    /// down a peer's whole cache; graceful leaves count the drained copies
+    /// here (and their re-stores in `buckets_placed`).
     pub buckets_lost: u64,
     /// Partition copies rebuilt from a durable log at restart.
     pub buckets_recovered: u64,

@@ -8,7 +8,6 @@ use crate::approx::ApproxMinWisePerm;
 use crate::linear::LinearPerm;
 use crate::minwise::MinWisePerm;
 use crate::range::RangeSet;
-use crate::rangeaware::RangeAwareBitPerm;
 use ars_common::DetRng;
 
 /// Which hash family to use (the paper's three candidates, §5.1).
@@ -82,7 +81,7 @@ impl LshFunction {
     }
 
     /// Min-hash of a range set, via each family's value-identical interval
-    /// evaluator: the dominance-candidate kernel ([`RangeAwareBitPerm`])
+    /// evaluator: the dominance-candidate kernel ([`crate::RangeAwareBitPerm`])
     /// for the GRP families and the closed-form interval minimum for the
     /// linear families.
     /// Bit-for-bit equal to [`LshFunction::min_hash_enumerate`]
@@ -113,47 +112,6 @@ impl LshFunction {
             LshFunction::MinWise(p) => p.permute(x),
             LshFunction::Approx(p) => p.permute(x),
             LshFunction::Linear(p) | LshFunction::LinearDomain(p) => p.permute(x),
-        }
-    }
-
-    /// Compile into the value-identical evaluator with no per-call set-up:
-    /// the bit images of the GRP families laid out for the range-aware
-    /// kernel, the closed-form interval minimum for the linear families.
-    pub fn compile(&self) -> CompiledLshFunction {
-        match self {
-            LshFunction::MinWise(p) => {
-                CompiledLshFunction::Bit(RangeAwareBitPerm::compile(|x| p.permute(x)))
-            }
-            LshFunction::Approx(p) => {
-                CompiledLshFunction::Bit(RangeAwareBitPerm::compile(|x| p.permute(x)))
-            }
-            LshFunction::Linear(p) | LshFunction::LinearDomain(p) => {
-                CompiledLshFunction::Linear(*p)
-            }
-        }
-    }
-}
-
-/// An evaluation-optimized LSH function (see [`LshFunction::compile`]).
-/// Hash values are bit-identical to the source function's; only the cost
-/// changes.
-#[derive(Debug, Clone)]
-pub enum CompiledLshFunction {
-    /// Fixed bit permutation (min-wise / approx families): its 32 bit
-    /// images, evaluated per interval by the range-aware kernel.
-    Bit(RangeAwareBitPerm),
-    /// Linear permutation evaluated with the closed-form interval minimum.
-    Linear(LinearPerm),
-}
-
-impl CompiledLshFunction {
-    /// Min-hash of a range set. Value-identical to the source function's
-    /// [`LshFunction::min_hash`].
-    #[inline]
-    pub fn min_hash(&self, q: &RangeSet) -> u32 {
-        match self {
-            CompiledLshFunction::Bit(kernel) => kernel.min_hash(q),
-            CompiledLshFunction::Linear(p) => p.min_hash(q),
         }
     }
 }
@@ -214,8 +172,6 @@ mod tests {
         let f = LshFunction::random(LshFamilyKind::LinearDomain, &mut rng);
         let q = RangeSet::interval(30, 50);
         assert!(f.min_hash(&q) < crate::linear::DOMAIN_MODULUS as u32);
-        // Compiled path agrees.
-        assert_eq!(f.compile().min_hash(&q), f.min_hash(&q));
     }
 
     #[test]

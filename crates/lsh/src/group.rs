@@ -171,7 +171,7 @@ mod tests {
                 let per_function: Vec<u32> = g
                     .groups()
                     .iter()
-                    .map(|fns| fns.iter().fold(0, |acc, f| acc ^ f.compile().min_hash(&q)))
+                    .map(|fns| fns.iter().fold(0, |acc, f| acc ^ f.min_hash(&q)))
                     .collect();
                 assert_eq!(g.identifiers(&q), per_function, "kind {kind} query {q}");
             }

@@ -56,7 +56,7 @@ mod range;
 mod rangeaware;
 
 pub use approx::ApproxMinWisePerm;
-pub use family::{CompiledLshFunction, LshFamilyKind, LshFunction};
+pub use family::{LshFamilyKind, LshFunction};
 pub use fused::CompiledGroup;
 pub use group::{match_probability, HashGroups};
 pub use linear::LinearPerm;

@@ -3,10 +3,11 @@
 //! [`BucketStore`] persists a set of `(identifier, payload)` entries —
 //! the payload is opaque bytes, so this crate needs no knowledge of the
 //! range types layered above it — as one CRC-framed record per
-//! [`BucketStore::place`] / [`BucketStore::evict`] on one [`SimDisk`].
-//! Every record is durable when the call returns. The store keeps no
-//! copy of the entries in memory: the peer that owns it already holds
-//! them, and only places what it did not hold and evicts what it did.
+//! [`BucketStore::place`] on one [`SimDisk`]. Every record is durable
+//! when the call returns. The store keeps no copy of the entries in
+//! memory: the peer that owns it already holds them, and only places what
+//! it did not hold. Entries leave only with the disk: cached partitions
+//! are soft state, so nothing is ever evicted.
 //!
 //! Recovery ([`BucketStore::recover`]) replays the longest valid prefix
 //! of the log into the entry set, truncates the image to that prefix and
@@ -19,9 +20,8 @@ use crate::disk::{DiskStats, SimDisk, StorageFaults};
 use crate::log::{append_record, recover};
 use std::collections::BTreeSet;
 
-/// Op-record tags.
+/// The op-record tag of a placement, the only op.
 const TAG_PLACE: u8 = 1;
-const TAG_EVICT: u8 = 2;
 
 /// One durable entry: an identifier plus an opaque payload.
 pub type Entry = (u32, Vec<u8>);
@@ -41,13 +41,14 @@ fn get_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
     Some(v)
 }
 
-/// An op record: `[tag u8][reserved u32 = 0][ident u32][len u32][payload]`.
-/// The reserved word holds each record at its length, and with it which
-/// record a crash-time bit flip lands in: the `crash_recovery` headline's
-/// traces and recovered counts are pinned to this layout.
-fn encode_op(tag: u8, ident: u32, payload: &[u8]) -> Vec<u8> {
+/// A placement record: `[tag u8][reserved u32 = 0][ident u32][len u32]
+/// [payload]`. The tag (always `TAG_PLACE`) and the reserved word hold
+/// each record at its length, and with it which record a crash-time bit
+/// flip lands in: the `crash_recovery` headline's traces and recovered
+/// counts are pinned to this layout.
+fn encode_op(ident: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(13 + payload.len());
-    out.push(tag);
+    out.push(TAG_PLACE);
     out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&ident.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -55,13 +56,13 @@ fn encode_op(tag: u8, ident: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-fn decode_op(bytes: &[u8]) -> Option<(u8, Entry)> {
+fn decode_op(bytes: &[u8]) -> Option<Entry> {
     let tag = *bytes.first()?;
     let mut at = 5;
     let ident = get_u32(bytes, &mut at)?;
     let len = get_u32(bytes, &mut at)? as usize;
     let payload = bytes.get(at..)?;
-    (payload.len() == len).then(|| (tag, (ident, payload.to_vec())))
+    (tag == TAG_PLACE && payload.len() == len).then(|| (ident, payload.to_vec()))
 }
 
 /// A peer's durable bucket store (see module docs).
@@ -84,30 +85,17 @@ impl BucketStore {
         }
     }
 
-    fn log_op(&mut self, tag: u8, ident: u32, payload: &[u8]) {
-        assert!(!self.crashed, "store used after crash without recover()");
-        let mut framed = Vec::new();
-        append_record(&mut framed, &encode_op(tag, ident, payload));
-        self.log.append(&framed);
-        self.records_appended += 1;
-    }
-
     /// Record the placement of `(ident, payload)`, durably.
     ///
     /// # Panics
     /// Panics, changing nothing, if the store crashed and has not been
     /// [recovered](Self::recover) since.
     pub fn place(&mut self, ident: u32, payload: &[u8]) {
-        self.log_op(TAG_PLACE, ident, payload);
-    }
-
-    /// Record the eviction of `(ident, payload)`, durably.
-    ///
-    /// # Panics
-    /// Panics, changing nothing, if the store crashed and has not been
-    /// [recovered](Self::recover) since.
-    pub fn evict(&mut self, ident: u32, payload: &[u8]) {
-        self.log_op(TAG_EVICT, ident, payload);
+        assert!(!self.crashed, "store used after crash without recover()");
+        let mut framed = Vec::new();
+        append_record(&mut framed, &encode_op(ident, payload));
+        self.log.append(&framed);
+        self.records_appended += 1;
     }
 
     /// Crash the owning peer: the disk takes its crash fault (a possible
@@ -122,18 +110,7 @@ impl BucketStore {
     /// ops. Never panics, whatever the disk contains.
     pub fn recover(&mut self) -> RecoverReport {
         let scan = recover(self.log.contents());
-        let mut state = BTreeSet::new();
-        for record in &scan.records {
-            match decode_op(record) {
-                Some((TAG_PLACE, entry)) => {
-                    state.insert(entry);
-                }
-                Some((TAG_EVICT, entry)) => {
-                    state.remove(&entry);
-                }
-                _ => {}
-            }
-        }
+        let state: BTreeSet<Entry> = scan.records.iter().filter_map(|r| decode_op(r)).collect();
         self.log.truncate(scan.valid_bytes);
         self.crashed = false;
         RecoverReport {
@@ -160,13 +137,15 @@ mod tests {
     #[test]
     fn place_evict_round_trip_through_crash() {
         let mut s = BucketStore::new(StorageFaults::none(), 1);
-        s.place(7, b"a");
         s.place(7, b"b");
+        s.place(7, b"a");
         s.place(9, b"c");
-        s.evict(7, b"b");
         s.crash();
         let report = s.recover();
-        assert_eq!(report.entries, vec![(7, b"a".to_vec()), (9, b"c".to_vec())]);
+        assert_eq!(
+            report.entries,
+            vec![(7, b"a".to_vec()), (7, b"b".to_vec()), (9, b"c".to_vec())]
+        );
         assert_eq!(report.discarded_bytes, 0);
     }
 
@@ -245,8 +224,7 @@ mod tests {
         s.place(1, b"kept");
         s.crash();
         let place = catch_unwind(AssertUnwindSafe(|| s.place(2, b"x")));
-        let evict = catch_unwind(AssertUnwindSafe(|| s.evict(1, b"kept")));
-        assert!(place.is_err() && evict.is_err(), "both rejected");
+        assert!(place.is_err(), "rejected");
         assert_eq!(s.records_appended(), 1, "the log untouched");
         assert_eq!(s.recover().entries, vec![(1, b"kept".to_vec())]);
     }

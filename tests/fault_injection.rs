@@ -515,8 +515,7 @@ fn arc_repair_leaves_the_global_pass_nothing_to_restore() {
                         let leaver = side.chord().node_ids()[pick];
                         side.leave(leaver).expect("an alive peer can leave");
                     }
-                    8 => drop(side.join_random()),
-                    _ => drop(side.join_random_with_migration()),
+                    _ => drop(side.join_random()),
                 }
                 // Every other event meets the next one unstabilized.
                 if step % 2 == 0 {

@@ -115,7 +115,7 @@ proptest! {
     /// The fast min-hash path (range-aware dominance-candidate kernel for
     /// the bit families, closed form for linear) is bit-for-bit equal to full
     /// enumeration for every paper family, over arbitrary multi-interval
-    /// range sets — both uncompiled and compiled.
+    /// range sets.
     #[test]
     fn fast_min_hash_equals_enumeration(
         (q, _) in range_set_strategy(),
@@ -129,11 +129,9 @@ proptest! {
         let mut rng = DetRng::new(seed);
         for kind in LshFamilyKind::PAPER_FAMILIES {
             let f = LshFunction::random(kind, &mut rng);
-            let compiled = f.compile();
             for set in [&q, &wide] {
                 let oracle = f.min_hash_enumerate(set);
                 prop_assert_eq!(f.min_hash(set), oracle, "{} on {}", kind, set);
-                prop_assert_eq!(compiled.min_hash(set), oracle, "compiled {} on {}", kind, set);
             }
         }
     }
@@ -542,12 +540,12 @@ proptest! {
 }
 
 /// The loop the fused group kernels replaced: each group's XOR of its
-/// functions' compiled min-hashes, one function at a time.
+/// functions' min-hashes, one function at a time.
 fn per_function(groups: &HashGroups, q: &RangeSet) -> Vec<u32> {
     groups
         .groups()
         .iter()
-        .map(|fns| fns.iter().fold(0, |acc, f| acc ^ f.compile().min_hash(q)))
+        .map(|fns| fns.iter().fold(0, |acc, f| acc ^ f.min_hash(q)))
         .collect()
 }
 
@@ -829,13 +827,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `Bucket` against the plain `Vec<RangeSet>` it replaced: the same
-    /// answers to insert / remove / contains, the same length and
+    /// answers to insert / contains, the same length and
     /// insertion order, and the same `best_match` — winner and score bits,
     /// strict `>` in slot order — after every operation, for a
     /// one-interval and a multi-interval query under both measures.
     #[test]
     fn bucket_matches_a_vec_of_rangesets(
-        ops in prop::collection::vec((0u8..3, model_range_strategy()), 0..41),
+        ops in prop::collection::vec((0u8..2, model_range_strategy()), 0..41),
         one in model_range_strategy(),
         many in model_range_strategy(),
     ) {
@@ -844,21 +842,15 @@ proptest! {
         let mut model: Vec<RangeSet> = Vec::new();
         let queries: Vec<RangeSet> = [one, many].into_iter().filter(|q| !q.is_empty()).collect();
         for (op, range) in ops {
-            let at = model.iter().position(|r| *r == range);
+            let held = model.contains(&range);
             match op {
                 0 => {
-                    prop_assert_eq!(bucket.insert(range.clone()), at.is_none(), "insert {}", range);
-                    if at.is_none() {
+                    prop_assert_eq!(bucket.insert(range.clone()), !held, "insert {}", range);
+                    if !held {
                         model.push(range);
                     }
                 }
-                1 => {
-                    prop_assert_eq!(bucket.remove(&range), at.is_some(), "remove {}", range);
-                    if let Some(at) = at {
-                        model.remove(at);
-                    }
-                }
-                _ => prop_assert_eq!(bucket.contains(&range), at.is_some(), "contains {}", range),
+                _ => prop_assert_eq!(bucket.contains(&range), held, "contains {}", range),
             }
             prop_assert_eq!(bucket.len(), model.len());
             prop_assert_eq!(bucket.is_empty(), model.is_empty());
@@ -893,24 +885,20 @@ fn peer_without_the_local_index_keeps_none_and_answers_the_same() {
     assert!(plain
         .best_across_buckets(&RangeSet::interval(0, 1), MatchMeasure::Jaccard)
         .is_none());
-    let mut stored = Vec::new();
+    let mut stored = 0;
     for _ in 0..1000 {
         let ident = rng.gen_inclusive_u32(0, 15);
         let lo = rng.gen_inclusive_u32(0, 5_000);
         let range = RangeSet::interval(lo, lo + rng.gen_inclusive_u32(0, 400));
         let fresh = plain.store(ident, range.clone());
-        assert_eq!(fresh, indexed.store(ident, range.clone()));
-        if fresh {
-            stored.push((ident, range));
-        }
+        assert_eq!(fresh, indexed.store(ident, range));
+        stored += usize::from(fresh);
     }
-    let (ident, victim) = stored.swap_remove(stored.len() / 2);
-    assert!(plain.evict(ident, &victim) && indexed.evict(ident, &victim));
     assert_eq!(plain.indexed_count(), 0);
-    assert_eq!(indexed.indexed_count(), stored.len());
+    assert_eq!(indexed.indexed_count(), stored);
     for p in [&plain, &indexed] {
-        assert_eq!(p.partition_count(), stored.len());
-        assert_eq!(p.entries().count(), stored.len());
+        assert_eq!(p.partition_count(), stored);
+        assert_eq!(p.entries().count(), stored);
     }
     for _ in 0..200 {
         let ident = rng.gen_inclusive_u32(0, 16);

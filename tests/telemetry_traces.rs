@@ -190,9 +190,9 @@ proptest! {
     /// The bucket ledger: every partition copy is placed once, lost at
     /// most once, and recovered at most once, so at any quiet point
     /// `placed == live + lost − recovered` — under any interleaving of
-    /// queries, fails, leaves, joins (with and without key migration),
-    /// crashes, and restarts, without durable stores, with them on a
-    /// perfect disk and with them on a disk that flips bits. Checked both
+    /// queries, fails, leaves, joins, crashes, and restarts, without
+    /// durable stores, with them on a perfect disk and with them on a disk
+    /// that flips bits. Checked both
     /// against the telemetry counters and the published `buckets.live`
     /// gauge. On the perfect disk every alive peer's log also recovers to
     /// exactly the copies the peer holds.
@@ -247,7 +247,7 @@ proptest! {
                     }
                 }
                 _ => {
-                    let _ = net.join_random_with_migration();
+                    let _ = net.join_random();
                 }
             }
         }
