@@ -1650,7 +1650,10 @@ mod tests {
         net.stabilize(64).expect("converges");
         // A join only adds copies: the new peer receives the partitions of
         // the arc it now owns, and the old owners keep theirs.
-        assert!(net.total_partitions() >= cached, "a join never drops a copy");
+        assert!(
+            net.total_partitions() >= cached,
+            "a join never drops a copy"
+        );
         let out = net.query_resilient(&r(5, 80));
         assert!(out.recall >= 0.0);
         assert!(out.exact, "cached partition lost after joins");
