@@ -109,7 +109,7 @@ impl Ring {
     /// # Panics
     /// Panics if `rank` is not below [`Self::len`] or `i` not below 32.
     #[cfg(test)]
-    fn finger(&self, rank: usize, i: usize) -> Id {
+    pub(crate) fn finger(&self, rank: usize, i: usize) -> Id {
         assert!(i < FINGERS, "a node has {FINGERS} fingers");
         self.ids[self.fingers[rank * FINGERS + i] as usize]
     }
