@@ -43,7 +43,7 @@ mod peer;
 mod plan;
 pub mod proto;
 pub mod recall;
-pub mod resilient;
+mod resilient;
 
 pub use bucket::Bucket;
 pub use churn::{ChurnNetwork, InventoryEntry, RepairRound};
@@ -56,7 +56,4 @@ pub use network::{BatchTimings, NetworkStats, QueryOutcome, RangeSelectNetwork};
 pub use peer::Peer;
 pub use proto::ProtoNetwork;
 pub use recall::{recall_curve, similarity_histogram, RECALL_THRESHOLDS};
-pub use resilient::{
-    BreakerConfig, BreakerState, CircuitBreaker, FailureDetector, HedgePolicy, ResilienceStats,
-    RetryPolicy,
-};
+pub use resilient::{BreakerConfig, BreakerState, HedgePolicy, ResilienceStats};

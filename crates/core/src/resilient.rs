@@ -5,9 +5,9 @@
 //! supplies the machinery that makes that story operational instead of
 //! aspirational:
 //!
-//! * [`RetryPolicy`] — bounded retries of identifier lookups with
-//!   exponential backoff and *deterministic* jitter (drawn from the
-//!   network's own [`ars_common::DetRng`] stream, so a seeded run replays
+//! * bounded retries of identifier lookups with exponential backoff and
+//!   *deterministic* jitter (drawn from the network's own
+//!   [`ars_common::DetRng`] stream, so a seeded run replays
 //!   bit-identically);
 //! * graceful degradation — when every retry is exhausted the query falls
 //!   back to fetching from the source relations, surfaced through
@@ -18,94 +18,61 @@
 //!   partition at the first `r` alive successors of its placed identifier
 //!   (configured via [`crate::SystemConfig::with_replication`]) and
 //!   re-replicates after joins, leaves, and failures, so up to `r - 1`
-//!   abrupt crashes leave every bucket findable.
+//!   abrupt crashes leave every bucket findable;
+//! * the gray-failure layer (DESIGN §13) — slow peers, the failure
+//!   detector, circuit breakers and hedged lookups, in one crate-private
+//!   value the churn executor calls for every fetch and probe sweep.
 
+use ars_chord::{DynamicNetwork, Id};
 use ars_common::DetRng;
+use ars_telemetry::{Hist, Telemetry};
 use std::collections::BTreeMap;
 
 /// Virtual service time of a healthy peer answering one fetch, in the same
-/// time units as [`RetryPolicy`] backoffs. Gray-slow peers multiply this.
-pub const BASE_SERVICE: u64 = 100;
+/// time units as retry backoffs. Gray-slow peers multiply this.
+const BASE_SERVICE: u64 = 100;
 
 /// Virtual cost of one routing hop on the lookup path.
-pub const HOP_COST: u64 = 10;
+const HOP_COST: u64 = 10;
 
-/// Retry schedule for identifier lookups under churn.
-///
-/// Attempt 1 is the ordinary greedy Chord lookup; subsequent attempts use
-/// the failure-aware routing ([`ars_chord::DynamicNetwork::lookup_resilient`])
-/// that detours through successor lists, separated by exponentially growing
-/// backoff delays. All delays are virtual time — the simulator has no wall
-/// clock — and the jitter comes from the deterministic RNG, so retries
-/// never break reproducibility.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum attempts per identifier lookup (≥ 1, first try included).
-    pub attempts: usize,
-    /// Total backoff budget (virtual time units) per identifier; once the
-    /// accumulated delays exceed it, remaining attempts are forfeited.
-    pub timeout_budget: u64,
-    /// Backoff before the first retry; doubles each retry after that.
-    pub base_backoff: u64,
-    /// Cap on the exponential term (jitter rides on top).
-    pub max_backoff: u64,
-    /// Hop budget handed to the failure-aware routing of retries.
-    pub hop_budget: usize,
-    /// Optional wall-clock deadline (virtual time units) for one *whole*
-    /// query: [`crate::ChurnNetwork::query_resilient`] accumulates every
-    /// backoff delay it spends across all `l` identifier lookups, and once
-    /// the total reaches the deadline no further retries are scheduled —
-    /// remaining identifiers get their first attempt only (an attempt
-    /// itself costs no wall time in the simulation; only waiting does).
-    /// `None` (the default) disables the budget, preserving bit-for-bit
-    /// behavior of earlier revisions. Contrast with `timeout_budget`,
-    /// which bounds backoff *per identifier*.
-    pub deadline: Option<u64>,
+/// Attempts per identifier lookup, first try included. Attempt 1 is the
+/// ordinary greedy Chord lookup; later attempts use the failure-aware
+/// routing ([`ars_chord::DynamicNetwork::lookup_resilient`]) that detours
+/// through successor lists, after a backoff. Two waits of at most
+/// [`MAX_BACKOFF`] are all a lookup can spend, so no per-lookup time
+/// budget is needed.
+pub(crate) const ATTEMPTS: usize = 3;
+
+/// Backoff before the first retry; doubles each retry after that, and
+/// `MAX_BACKOFF` caps it, jitter included.
+const BASE_BACKOFF: u64 = 100;
+const MAX_BACKOFF: u64 = 1_600;
+
+/// Hop budget of the failure-aware routing that retries and hedges use.
+pub(crate) const HOP_BUDGET: usize = 64;
+
+/// Retry schedule for identifier lookups under churn: the constants above
+/// and an optional whole-query deadline, all in virtual time.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RetryPolicy {
+    /// Once the backoff a query has waited across all `l` identifier
+    /// lookups reaches it, no further retries are scheduled: remaining
+    /// identifiers get their first attempt only (an attempt costs no wall
+    /// time in the simulation; only waiting does). `None`, the default,
+    /// disables it.
+    pub(crate) deadline: Option<u64>,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            timeout_budget: 10_000,
-            base_backoff: 100,
-            max_backoff: 1_600,
-            hop_budget: 64,
-            deadline: None,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// This policy with a whole-query wall-clock deadline installed.
-    #[cfg(test)]
-    pub(crate) fn with_deadline(mut self, deadline: u64) -> RetryPolicy {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Backoff delay before retry number `retry` (1-based): exponential
-    /// `base · 2^(retry-1)` plus jitter uniform in `[0, base)` drawn from
-    /// the deterministic stream, the whole sum capped at `max_backoff`.
-    ///
-    /// The jitter is drawn even when the cap swallows it, so the RNG
-    /// stream — and therefore every decision downstream of it — is
-    /// unchanged from earlier revisions where the cap applied to the
-    /// exponential term only and `exp + jitter` could overshoot
-    /// `max_backoff` by up to `base_backoff − 1`.
-    pub(crate) fn backoff(&self, retry: u32, rng: &mut DetRng) -> u64 {
-        let shift = (retry.saturating_sub(1)).min(16);
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u64 << shift)
-            .min(self.max_backoff);
-        let jitter = if self.base_backoff > 0 {
-            rng.gen_range_u64(self.base_backoff)
-        } else {
-            0
-        };
-        exp.saturating_add(jitter).min(self.max_backoff)
-    }
+/// Backoff delay before retry number `retry` (1-based): exponential
+/// `BASE_BACKOFF · 2^(retry-1)` plus jitter uniform in `[0, BASE_BACKOFF)`
+/// drawn from the deterministic stream, the whole sum capped at
+/// [`MAX_BACKOFF`]. The jitter is drawn even when the cap swallows it, so
+/// every later draw is the one an uncapped sum would leave.
+pub(crate) fn backoff(retry: u32, rng: &mut DetRng) -> u64 {
+    let shift = retry.saturating_sub(1).min(16);
+    let exp = BASE_BACKOFF.saturating_mul(1u64 << shift).min(MAX_BACKOFF);
+    let jitter = rng.gen_range_u64(BASE_BACKOFF);
+    exp.saturating_add(jitter).min(MAX_BACKOFF)
 }
 
 /// Per-peer adaptive failure detector in the phi-accrual style: an EWMA of
@@ -117,19 +84,17 @@ impl RetryPolicy {
 /// the score immediately. Entirely arithmetic: no RNG, no wall clock, so
 /// attaching a detector to a run never perturbs replay.
 #[derive(Debug, Clone, Default)]
-pub struct FailureDetector {
+struct FailureDetector {
     estimates: BTreeMap<u32, PeerEstimate>,
 }
 
 /// Learned latency profile of one peer.
 #[derive(Debug, Clone, Copy)]
-pub struct PeerEstimate {
+struct PeerEstimate {
     /// EWMA of observed latencies.
-    pub mean: f64,
+    mean: f64,
     /// EWMA of absolute deviations from the mean.
-    pub dev: f64,
-    /// Observations recorded.
-    pub samples: u64,
+    dev: f64,
 }
 
 /// EWMA smoothing factor: new observations carry 20% weight, so the
@@ -137,23 +102,15 @@ pub struct PeerEstimate {
 const EWMA_ALPHA: f64 = 0.2;
 
 impl FailureDetector {
-    /// A detector with no history.
-    pub(crate) fn new() -> FailureDetector {
-        FailureDetector::default()
-    }
-
     /// Suspicion score of observing latency `latency` from `peer`, judged
     /// against the peer's history *before* this observation is absorbed:
     /// `(latency − mean) / max(dev, mean/8, 1)`. Zero (never negative) for
     /// at-or-below-mean responses and for unknown peers — a peer earns
     /// suspicion only by deviating from its own learned behaviour.
-    pub(crate) fn suspicion(&self, peer: u32, latency: u64) -> f64 {
+    fn suspicion(&self, peer: u32, latency: u64) -> f64 {
         let Some(est) = self.estimates.get(&peer) else {
             return 0.0;
         };
-        if est.samples == 0 {
-            return 0.0;
-        }
         // Floor the deviation so a perfectly stable history (dev → 0)
         // doesn't turn infinitesimal jitter into infinite suspicion.
         let floor = (est.mean / 8.0).max(1.0);
@@ -161,16 +118,15 @@ impl FailureDetector {
     }
 
     /// Absorb one latency observation for `peer`.
-    pub(crate) fn observe(&mut self, peer: u32, latency: u64) {
-        let est = self.estimates.entry(peer).or_insert(PeerEstimate {
+    fn observe(&mut self, peer: u32, latency: u64) {
+        let first = PeerEstimate {
             mean: latency as f64,
             dev: 0.0,
-            samples: 0,
-        });
+        };
+        let est = self.estimates.entry(peer).or_insert(first);
         let err = latency as f64 - est.mean;
         est.mean += EWMA_ALPHA * err;
         est.dev += EWMA_ALPHA * (err.abs() - est.dev);
-        est.samples += 1;
     }
 }
 
@@ -179,7 +135,7 @@ const BREAKER_TRIP_FAILURES: u32 = 2;
 
 /// Suspicion score (see `FailureDetector::suspicion`) at or above which an
 /// observation counts as a failure.
-pub(crate) const SUSPICION_THRESHOLD: f64 = 3.0;
+const SUSPICION_THRESHOLD: f64 = 3.0;
 
 /// Circuit-breaker configuration shared by every per-peer breaker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,7 +166,7 @@ pub enum BreakerState {
 
 /// What a recorded observation did to the breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerTransition {
+enum BreakerTransition {
     /// No state change.
     None,
     /// Closed (or half-open) → open.
@@ -225,7 +181,7 @@ pub enum BreakerTransition {
 /// one). All transitions are pure functions of `(observations, virtual
 /// time)` — nothing here can break deterministic replay.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+struct CircuitBreaker {
     config: BreakerConfig,
     consecutive_failures: u32,
     /// `Some(instant)` while tripped.
@@ -234,7 +190,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with the given configuration.
-    pub(crate) fn new(config: BreakerConfig) -> CircuitBreaker {
+    fn new(config: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker {
             config,
             consecutive_failures: 0,
@@ -243,7 +199,7 @@ impl CircuitBreaker {
     }
 
     /// State at virtual time `now`.
-    pub(crate) fn state(&self, now: u64) -> BreakerState {
+    fn state(&self, now: u64) -> BreakerState {
         match self.opened_at {
             None => BreakerState::Closed,
             Some(at) if now >= at.saturating_add(self.config.cooldown) => BreakerState::HalfOpen,
@@ -252,7 +208,7 @@ impl CircuitBreaker {
     }
 
     /// Record the outcome of one admitted request at `now`.
-    pub(crate) fn record(&mut self, ok: bool, now: u64) -> BreakerTransition {
+    fn record(&mut self, ok: bool, now: u64) -> BreakerTransition {
         match self.state(now) {
             BreakerState::Closed => {
                 if ok {
@@ -308,8 +264,8 @@ pub struct HedgePolicy {
     /// Lower clamp — also the zero-history default. Must exceed any
     /// healthy-path latency or hedges fire on clean networks: under the
     /// virtual service model the worst clean fetch costs
-    /// `hop_budget × HOP_COST + BASE_SERVICE` (740 at the default budget
-    /// of 64), so the default floor of 1 000 guarantees the pure-observer
+    /// `HOP_BUDGET × HOP_COST + BASE_SERVICE` (64 × 10 + 100 = 740), so
+    /// the default floor of 1 000 guarantees the pure-observer
     /// property unconditionally. A floor above the 5 000 ceiling wins.
     pub min_delay: u64,
 }
@@ -322,12 +278,242 @@ impl Default for HedgePolicy {
 
 impl HedgePolicy {
     /// The hedge delay derived from an observed latency histogram.
-    pub(crate) fn delay(&self, observed: &ars_telemetry::Hist) -> u64 {
-        if observed.count == 0 {
-            return self.min_delay;
-        }
+    /// With no history the quantile reads 0, so the floor applies.
+    fn delay(&self, observed: &Hist) -> u64 {
         let anchored = (observed.quantile(HEDGE_QUANTILE) as f64 * HEDGE_MULTIPLIER) as u64;
         anchored.min(HEDGE_MAX_DELAY).max(self.min_delay)
+    }
+}
+
+/// The query's gray-failure layer (DESIGN §13): which peers are slow, and
+/// the detector, breakers and hedges that dodge them. [`crate::ChurnNetwork`]
+/// owns one and hands it the ring, the virtual clock and its ledgers for
+/// every fetch and probe sweep; its fault-stack methods document each knob.
+#[derive(Debug, Default)]
+pub(crate) struct GrayLayer {
+    /// Gray-slow peers: id → service-time multiplier (≥ 2).
+    slow: BTreeMap<u32, u64>,
+    /// Per-peer latency estimator feeding suspicion scores.
+    detector: FailureDetector,
+    /// Per-peer circuit breakers (populated lazily; only meaningful when
+    /// `breaker_cfg` is set).
+    breakers: BTreeMap<u32, CircuitBreaker>,
+    /// Breaker configuration; `None` (default) disables breakers.
+    breaker_cfg: Option<BreakerConfig>,
+    /// Hedged-lookup policy; `None` (default) disables hedging.
+    hedge: Option<HedgePolicy>,
+    /// Observed per-identifier fetch latencies — the distribution hedge
+    /// delays adapt to (the same histogram shape the telemetry registry
+    /// uses, so bench reports and hedge timing read identical quantiles).
+    latency_hist: Hist,
+}
+
+impl GrayLayer {
+    /// Slow `peer` by `factor` ([`crate::ChurnNetwork::set_slow`]).
+    pub(crate) fn set_slow(&mut self, peer: Id, factor: u64) {
+        assert!(factor >= 2, "slow factor must be at least 2");
+        self.slow.insert(peer.0, factor);
+    }
+
+    /// Restore `peer` to healthy service time.
+    pub(crate) fn clear_slow(&mut self, peer: Id) {
+        self.slow.remove(&peer.0);
+    }
+
+    /// Slow `⌊fraction · n⌋` of the sorted `ids`, evenly spaced
+    /// ([`crate::ChurnNetwork::slow_fraction`]). Returns the victims.
+    pub(crate) fn slow_fraction(&mut self, ids: &[Id], fraction: f64, factor: u64) -> Vec<Id> {
+        assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
+        // Checked before counting victims: a fraction that picks none must
+        // still refuse a factor `set_slow` would.
+        assert!(factor >= 2, "slow factor must be at least 2");
+        let count = (ids.len() as f64 * fraction).floor() as usize;
+        let victims: Vec<Id> = (0..count).map(|i| ids[i * ids.len() / count]).collect();
+        for &v in &victims {
+            self.set_slow(v, factor);
+        }
+        victims
+    }
+
+    /// Turn hedged lookups on.
+    pub(crate) fn enable_hedging(&mut self, policy: HedgePolicy) {
+        self.hedge = Some(policy);
+    }
+
+    /// Turn per-peer circuit breakers on.
+    pub(crate) fn enable_breakers(&mut self, config: BreakerConfig) {
+        self.breaker_cfg = Some(config);
+    }
+
+    /// Breaker state of `peer` at `now`, if it has a breaker.
+    pub(crate) fn breaker_state(&self, peer: Id, now: u64) -> Option<BreakerState> {
+        self.breakers.get(&peer.0).map(|b| b.state(now))
+    }
+
+    /// One health-probe sweep over `peers` at `*clock`
+    /// ([`crate::ChurnNetwork::probe_peers`]): each probe feeds the
+    /// detector and breakers, and the sweep advances the clock by one
+    /// `BASE_SERVICE` round. Returns the number of peers probed.
+    pub(crate) fn probe(
+        &mut self,
+        peers: &[Id],
+        clock: &mut u64,
+        stats: &mut ResilienceStats,
+        telemetry: &Telemetry,
+    ) -> usize {
+        let now = *clock;
+        for &id in peers {
+            let svc = self.service_time(id);
+            stats.probes_sent += 1;
+            telemetry.counter_add("resilient.probes", 1);
+            self.note_response(id.0, svc, now, stats, telemetry);
+        }
+        *clock += BASE_SERVICE;
+        peers.len()
+    }
+
+    /// Virtual service time of one fetch served by `peer`:
+    /// `BASE_SERVICE`, multiplied by the peer's slow factor if gray-slow.
+    fn service_time(&self, peer: Id) -> u64 {
+        BASE_SERVICE * self.slow.get(&peer.0).copied().unwrap_or(1)
+    }
+
+    /// Judge one observed response (service time `svc` from `peer` at
+    /// virtual time `now`) against the peer's learned baseline, drive its
+    /// breaker, and absorb the sample into the detector. Estimates are
+    /// *frozen* while a breaker is non-closed: samples from a degraded
+    /// period must not drift the healthy baseline upward, or the
+    /// half-open probe would compare the still-slow peer against its own
+    /// degradation and wrongly re-close the breaker.
+    fn note_response(
+        &mut self,
+        peer: u32,
+        svc: u64,
+        now: u64,
+        stats: &mut ResilienceStats,
+        telemetry: &Telemetry,
+    ) {
+        let Some(cfg) = self.breaker_cfg else {
+            self.detector.observe(peer, svc);
+            return;
+        };
+        let ok = self.detector.suspicion(peer, svc) < SUSPICION_THRESHOLD;
+        let breaker = self
+            .breakers
+            .entry(peer)
+            .or_insert_with(|| CircuitBreaker::new(cfg));
+        if breaker.state(now) != BreakerState::Open
+            && breaker.record(ok, now) == BreakerTransition::Opened
+        {
+            stats.breaker_opens += 1;
+            telemetry.counter_add("resilient.breaker_opens", 1);
+        }
+        if breaker.state(now) == BreakerState::Closed {
+            self.detector.observe(peer, svc);
+        }
+    }
+
+    /// The avoid set for backup routing at `now`: the primary plus every
+    /// peer whose breaker is currently open (sorted — `BTreeMap` order —
+    /// so the set is deterministic).
+    fn avoided_peers(&self, now: u64, primary: Id) -> Vec<Id> {
+        let mut avoid = vec![primary];
+        for (&id, b) in &self.breakers {
+            if id != primary.0 && b.state(now) == BreakerState::Open {
+                avoid.push(Id(id));
+            }
+        }
+        avoid
+    }
+
+    /// The gray-failure service layer for one identifier fetch, applied
+    /// after routing resolved `owner` of `key` from `origin` in `h` hops,
+    /// on `chord` at virtual time `now`. Returns `(serving peer, effective
+    /// latency, primary latency)`:
+    ///
+    /// 1. **Breaker short-circuit** — if the primary's breaker is open,
+    ///    the fetch goes straight to the successor-list substitute along
+    ///    the already-routed chain (one hop per chain step), never
+    ///    touching the slow peer.
+    /// 2. **Hedge** — otherwise, if the primary would take longer than
+    ///    the adaptive hedge delay, a backup lookup detours around the
+    ///    primary ([`DynamicNetwork::lookup_detour`], a full independent
+    ///    route, honestly costed in [`ResilienceStats::hedge_hops`]) and
+    ///    the first response wins:
+    ///    `min(primary, delay + backup_route + backup_service)`.
+    /// 3. Every contacted peer's service time feeds the failure detector
+    ///    and its breaker (`note_response`).
+    ///
+    /// Both mechanisms require `replication ≥ 2` (the substitute must hold
+    /// the data) and consume **no randomness** — with no gray-slow peers
+    /// the fetch is served by `owner` at model latency and this layer is
+    /// a pure observer (the tail-tolerance proptests pin this).
+    pub(crate) fn fetch(
+        &mut self,
+        chord: &DynamicNetwork,
+        replication: usize,
+        now: u64,
+        stats: &mut ResilienceStats,
+        telemetry: &Telemetry,
+        (origin, key, owner, h): (Id, Id, Id, usize),
+    ) -> (Id, u64, u64) {
+        let primary_svc = self.service_time(owner);
+        let primary_lat = h as u64 * HOP_COST + primary_svc;
+        let backup_viable = replication >= 2;
+
+        // 1. Short-circuit an open-breaker primary (breakers exist only
+        //    while they are enabled).
+        if backup_viable && self.breaker_state(owner, now) == Some(BreakerState::Open) {
+            let avoid = self.avoided_peers(now, owner);
+            if let Some((sub, chain)) = chord.successor_substitute(owner, &avoid) {
+                let svc = self.service_time(sub);
+                let lat = (h + chain) as u64 * HOP_COST + svc;
+                stats.breaker_short_circuits += 1;
+                stats.hedge_hops += chain as u64;
+                telemetry.counter_add("resilient.hedge_hops", chain as u64);
+                telemetry.counter_add("resilient.short_circuits", 1);
+                self.note_response(sub.0, svc, now, stats, telemetry);
+                self.latency_hist.record(lat);
+                telemetry.record("resilient.lookup.latency", lat);
+                return (sub, lat, primary_lat);
+            }
+        }
+
+        // 2. The primary is contacted (closed breaker, or the half-open
+        //    probe). Hedge if it looks slow against the observed tail.
+        let mut serving = owner;
+        let mut lat = primary_lat;
+        if backup_viable {
+            if let Some(policy) = self.hedge {
+                let delay = policy.delay(&self.latency_hist);
+                if primary_lat > delay {
+                    let avoid = self.avoided_peers(now, owner);
+                    if let Ok((backup, bh)) = chord.lookup_detour(origin, key, HOP_BUDGET, &avoid) {
+                        if backup != owner {
+                            stats.hedges_fired += 1;
+                            stats.hedge_hops += bh as u64;
+                            telemetry.counter_add("resilient.hedge_hops", bh as u64);
+                            telemetry.counter_add("resilient.hedges_fired", 1);
+                            let bsvc = self.service_time(backup);
+                            let alt_lat = delay + bh as u64 * HOP_COST + bsvc;
+                            self.note_response(backup.0, bsvc, now, stats, telemetry);
+                            if alt_lat < primary_lat {
+                                stats.hedges_won += 1;
+                                telemetry.counter_add("resilient.hedges_won", 1);
+                                serving = backup;
+                                lat = alt_lat;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The primary's response arrives (possibly after the backup won);
+        // judge it either way — that is how slowness is detected.
+        self.note_response(owner.0, primary_svc, now, stats, telemetry);
+        self.latency_hist.record(lat);
+        telemetry.record("resilient.lookup.latency", lat);
+        (serving, lat, primary_lat)
     }
 }
 
@@ -381,8 +567,8 @@ pub struct ResilienceStats {
     /// Partition copies written anywhere while the network was split —
     /// the divergence that post-heal reconciliation must converge.
     pub partition_writes: u64,
-    /// Retries forfeited because the whole-query
-    /// [`RetryPolicy::deadline`] was exhausted.
+    /// Retries forfeited because the whole-query deadline (a test-only
+    /// setting) was exhausted.
     pub deadline_exhausted: u64,
     /// Backup lookups launched because a primary was outstanding past the
     /// adaptive hedge delay.
@@ -410,52 +596,42 @@ pub struct ResilienceStats {
 mod tests {
     use super::*;
 
+    impl RetryPolicy {
+        /// This policy with a whole-query wall-clock deadline installed.
+        pub(crate) fn with_deadline(mut self, deadline: u64) -> RetryPolicy {
+            self.deadline = Some(deadline);
+            self
+        }
+    }
+
     #[test]
     fn default_policy_is_sane() {
-        let p = RetryPolicy::default();
-        assert!(p.attempts >= 2, "default must actually retry");
-        assert!(p.max_backoff >= p.base_backoff);
-        assert!(p.hop_budget > 0);
+        // The schedule retries, its cap clears its base, and retries route.
+        const { assert!(ATTEMPTS >= 2 && MAX_BACKOFF >= BASE_BACKOFF && HOP_BUDGET > 0) };
     }
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy {
-            attempts: 6,
-            timeout_budget: u64::MAX,
-            base_backoff: 100,
-            max_backoff: 400,
-            hop_budget: 8,
-            deadline: None,
-        };
         let mut rng = DetRng::new(7);
-        let d1 = p.backoff(1, &mut rng);
-        let d2 = p.backoff(2, &mut rng);
-        let d5 = p.backoff(5, &mut rng);
+        let d1 = backoff(1, &mut rng);
+        let d2 = backoff(2, &mut rng);
+        let d5 = backoff(5, &mut rng);
         assert!((100..200).contains(&d1), "retry 1: base + jitter, got {d1}");
         assert!(
             (200..300).contains(&d2),
             "retry 2: 2·base + jitter, got {d2}"
         );
-        assert_eq!(d5, 400, "retry 5: the cap bounds the whole sum");
+        assert_eq!(d5, MAX_BACKOFF, "retry 5: the cap bounds the whole sum");
     }
 
     #[test]
     fn backoff_never_exceeds_max() {
         // The cap applies to exp + jitter, not the exponential term alone.
         for seed in 0..16 {
-            let p = RetryPolicy {
-                attempts: 8,
-                timeout_budget: u64::MAX,
-                base_backoff: 100,
-                max_backoff: 400,
-                hop_budget: 8,
-                deadline: None,
-            };
             let mut rng = DetRng::new(seed);
             for retry in 1..40 {
-                let d = p.backoff(retry, &mut rng);
-                assert!(d <= p.max_backoff, "seed {seed} retry {retry}: {d}");
+                let d = backoff(retry, &mut rng);
+                assert!(d <= MAX_BACKOFF, "seed {seed} retry {retry}: {d}");
             }
         }
     }
@@ -465,37 +641,27 @@ mod tests {
         // The jitter draw happens whether or not the cap swallows it, so
         // a clamped call leaves the stream exactly where the old
         // overshooting code did — later draws are unchanged.
-        let p = RetryPolicy {
-            attempts: 8,
-            timeout_budget: u64::MAX,
-            base_backoff: 100,
-            max_backoff: 400,
-            hop_budget: 8,
-            deadline: None,
-        };
         let mut a = DetRng::new(13);
         let mut b = DetRng::new(13);
-        let _ = p.backoff(10, &mut a); // deep retry: clamped
-        let _ = b.gen_range_u64(p.base_backoff); // what the old code drew
+        let _ = backoff(10, &mut a); // deep retry: clamped
+        let _ = b.gen_range_u64(BASE_BACKOFF); // what the old code drew
         assert_eq!(a.gen_range_u64(1_000_000), b.gen_range_u64(1_000_000));
     }
 
     #[test]
     fn backoff_is_deterministic_per_seed() {
-        let p = RetryPolicy::default();
         let mut a = DetRng::new(5);
         let mut b = DetRng::new(5);
         for retry in 1..6 {
-            assert_eq!(p.backoff(retry, &mut a), p.backoff(retry, &mut b));
+            assert_eq!(backoff(retry, &mut a), backoff(retry, &mut b));
         }
     }
 
     #[test]
     fn huge_retry_number_does_not_overflow() {
-        let p = RetryPolicy::default();
         let mut rng = DetRng::new(0);
-        let d = p.backoff(u32::MAX, &mut rng);
-        assert!(d <= p.max_backoff);
+        let d = backoff(u32::MAX, &mut rng);
+        assert!(d <= MAX_BACKOFF);
     }
 
     #[test]
@@ -532,7 +698,7 @@ mod tests {
 
     #[test]
     fn detector_learns_and_scores_relative_to_history() {
-        let mut d = FailureDetector::new();
+        let mut d = FailureDetector::default();
         assert_eq!(d.suspicion(7, 10_000), 0.0, "unknown peers earn nothing");
         for _ in 0..20 {
             d.observe(7, 100);
@@ -626,6 +792,21 @@ mod tests {
         let mut awful = ars_telemetry::Hist::default();
         awful.record(1_000_000);
         assert_eq!(policy.delay(&awful), 5_000);
+    }
+
+    /// The floor the pure-observer argument rests on, pinned as an
+    /// invariant: if someone lowers the default hedge floor below the worst
+    /// clean-path latency, this fails before the proptest gets flaky.
+    #[test]
+    fn default_hedge_floor_clears_worst_clean_path() {
+        let policy = HedgePolicy::default();
+        let worst_clean = HOP_BUDGET as u64 * HOP_COST + BASE_SERVICE;
+        assert!(
+            policy.min_delay > worst_clean,
+            "hedge floor {} must exceed worst clean-path latency {}",
+            policy.min_delay,
+            worst_clean
+        );
     }
 
     #[test]

@@ -62,10 +62,9 @@ pub mod prelude {
     pub use ars_chord::{DynamicNetwork, Id, Ring};
     pub use ars_common::{DetRng, Histogram, Summary};
     pub use ars_core::{
-        BatchTimings, BreakerConfig, BreakerState, ChurnNetwork, CircuitBreaker, DataNetwork,
-        DurabilityConfig, EngineOptions, FailureDetector, HedgePolicy, MatchMeasure, PlacementMode,
-        ProtoNetwork, QueryOutcome, RangeSelectNetwork, RepairRound, ResilienceStats, RetryPolicy,
-        SystemConfig,
+        BatchTimings, BreakerConfig, BreakerState, ChurnNetwork, DataNetwork, DurabilityConfig,
+        EngineOptions, HedgePolicy, MatchMeasure, PlacementMode, ProtoNetwork, QueryOutcome,
+        RangeSelectNetwork, RepairRound, ResilienceStats, SystemConfig,
     };
     pub use ars_lsh::{HashGroups, LshFamilyKind, RangeSet};
     pub use ars_relation::{

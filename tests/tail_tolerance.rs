@@ -30,7 +30,6 @@
 mod common;
 
 use ars::common::env_seed;
-use ars::core::resilient::{BASE_SERVICE, HOP_COST};
 use ars::prelude::*;
 use common::relays;
 use proptest::prelude::*;
@@ -151,21 +150,6 @@ proptest! {
     ) {
         assert_pure_observer(n, seed ^ (env_seed("ARS_FAULT_SEED") << 32), churn);
     }
-}
-
-/// The floor the pure-observer argument rests on, pinned as an
-/// invariant: if someone lowers the default hedge floor below the worst
-/// clean-path latency, this fails before the proptest gets flaky.
-#[test]
-fn default_hedge_floor_clears_worst_clean_path() {
-    let policy = HedgePolicy::default();
-    let worst_clean = RetryPolicy::default().hop_budget as u64 * HOP_COST + BASE_SERVICE;
-    assert!(
-        policy.min_delay > worst_clean,
-        "hedge floor {} must exceed worst clean-path latency {}",
-        policy.min_delay,
-        worst_clean
-    );
 }
 
 // ---------------------------------------------------------------------
