@@ -301,10 +301,11 @@ fn churn_digest(guarded: bool, split: bool) -> u64 {
 }
 
 /// Scenario (iv): a 400-query uniform trace through the message protocol
-/// on 40 peers; folds every outcome, then the transport's ledger.
+/// on 40 peers; folds every outcome, then the transport's ledger. A plan
+/// with a drop probability must drop; any other must not.
 fn proto_digest(plan: Option<FaultPlan>) -> u64 {
     let config = SystemConfig::default().with_seed(29);
-    let lossy = plan.is_some();
+    let lossy = plan.as_ref().is_some_and(|plan| plan.drop_p > 0.0);
     let mut net = match plan {
         None => ProtoNetwork::new(40, config),
         Some(plan) => ProtoNetwork::new_faulty(40, config, plan, 29),
@@ -354,5 +355,24 @@ fn message_path_outcomes_match_pre_shared_plan_goldens() {
         "proto lossy",
         proto_digest(Some(lossy)),
         0xe1e4_5309_643b_eadb,
+    );
+}
+
+/// The two goldens above never reorder a delivery: without a delay,
+/// pause or slow factor, every message arrives in the order it was sent.
+/// This plan's extra delays (up to four hops' latency), duplicates, one
+/// pause window and one slow window deliver messages out of send order,
+/// so it pins the order in which the queue releases them.
+#[test]
+fn message_path_reordered_outcomes_match_their_golden() {
+    let reordered = FaultPlan::none()
+        .with_delay(0.2, 1, 200)
+        .with_duplicate(0.1)
+        .with_pause(7, 60_000, 90_000)
+        .with_slow(vec![3, 11], 4, 120_000, 180_000);
+    check_golden(
+        "proto reordered",
+        proto_digest(Some(reordered)),
+        0xaf58_cfa8_15ea_c429,
     );
 }
