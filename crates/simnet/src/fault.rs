@@ -285,9 +285,34 @@ pub(crate) enum FaultAction {
     /// The message crossed an open partition boundary and is gone —
     /// accounted in its own `partitioned` ledger column, not `dropped`.
     Partitioned,
-    /// Deliver one copy per entry; each entry is the *extra* delay (beyond
-    /// the link latency) to add to that copy. `vec![0]` is a clean send.
-    Deliver(Vec<SimTime>),
+    /// Deliver one copy per extra delay (beyond the link latency).
+    Deliver(Extras),
+}
+
+/// The extra delays of a delivered message's copies: one, or two when it
+/// is duplicated. Held inline, so deciding a send never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Extras {
+    delays: [SimTime; 2],
+    copies: u8,
+}
+
+impl Extras {
+    /// One copy's extra delay per entry; a slot past the copies stays 0.
+    #[cfg(test)]
+    fn of(delays: &[SimTime]) -> Extras {
+        let mut extras = Extras {
+            delays: [0; 2],
+            copies: delays.len() as u8,
+        };
+        extras.delays[..delays.len()].copy_from_slice(delays);
+        extras
+    }
+
+    /// Each copy's extra delay.
+    pub(crate) fn as_slice(&self) -> &[SimTime] {
+        &self.delays[..usize::from(self.copies)]
+    }
 }
 
 impl FaultAction {
@@ -296,7 +321,7 @@ impl FaultAction {
     fn copies(&self) -> usize {
         match self {
             FaultAction::Drop | FaultAction::Partitioned => 0,
-            FaultAction::Deliver(extra) => extra.len(),
+            FaultAction::Deliver(extras) => extras.as_slice().len(),
         }
     }
 }
@@ -380,8 +405,11 @@ impl FaultInjector {
             1
         };
         let pause = self.pause_delay(to, now);
-        let mut extra = Vec::with_capacity(copies);
-        for _ in 0..copies {
+        let mut extras = Extras {
+            delays: [0; 2],
+            copies,
+        };
+        for extra in &mut extras.delays[..usize::from(copies)] {
             let mut d = pause;
             if self.plan.delay_p > 0.0 && self.rng.gen_bool(self.plan.delay_p) {
                 let (a, b) = self.plan.delay_range;
@@ -393,9 +421,9 @@ impl FaultInjector {
                 };
                 d = d.saturating_add(lo + offset);
             }
-            extra.push(d);
+            *extra = d;
         }
-        FaultAction::Deliver(extra)
+        FaultAction::Deliver(extras)
     }
 }
 
@@ -408,7 +436,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::none(), 1);
         assert!(inj.plan.is_benign());
         for t in [0, 10, 1000] {
-            assert_eq!(inj.on_send(0, 1, t), FaultAction::Deliver(vec![0]));
+            assert_eq!(inj.on_send(0, 1, t), FaultAction::Deliver(Extras::of(&[0])));
         }
     }
 
@@ -444,9 +472,18 @@ mod tests {
     fn pause_defers_to_window_end() {
         let plan = FaultPlan::none().with_pause(1, 50, 80);
         let mut inj = FaultInjector::new(plan, 1);
-        assert_eq!(inj.on_send(0, 1, 40), FaultAction::Deliver(vec![0]));
-        assert_eq!(inj.on_send(0, 1, 60), FaultAction::Deliver(vec![20]));
-        assert_eq!(inj.on_send(0, 1, 80), FaultAction::Deliver(vec![0]));
+        assert_eq!(
+            inj.on_send(0, 1, 40),
+            FaultAction::Deliver(Extras::of(&[0]))
+        );
+        assert_eq!(
+            inj.on_send(0, 1, 60),
+            FaultAction::Deliver(Extras::of(&[20]))
+        );
+        assert_eq!(
+            inj.on_send(0, 1, 80),
+            FaultAction::Deliver(Extras::of(&[0]))
+        );
     }
 
     #[test]
@@ -457,10 +494,11 @@ mod tests {
         for _ in 0..50 {
             let (x, y) = (a.on_send(0, 1, 0), b.on_send(0, 1, 0));
             assert_eq!(x, y);
-            let FaultAction::Deliver(extra) = x else {
+            let FaultAction::Deliver(extras) = x else {
                 panic!("delay plan never drops");
             };
-            assert!((10..=30).contains(&extra[0]), "delay {} off", extra[0]);
+            let delay = extras.as_slice()[0];
+            assert!((10..=30).contains(&delay), "delay {delay} off");
         }
     }
 
@@ -531,7 +569,10 @@ mod tests {
         // A link not touching the slow node is unaffected.
         assert_eq!(inj.slow_factor(0, 1, 150), 1);
         // Slowness never drops: the send decision is a clean delivery.
-        assert_eq!(inj.on_send(0, 2, 150), FaultAction::Deliver(vec![0]));
+        assert_eq!(
+            inj.on_send(0, 2, 150),
+            FaultAction::Deliver(Extras::of(&[0]))
+        );
     }
 
     #[test]

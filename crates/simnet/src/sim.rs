@@ -2,11 +2,11 @@
 //!
 //! Peers implement [`Node`]; the simulator owns them, delivers messages in
 //! virtual-time order, and lets handlers send further messages through a
-//! [`NodeCtx`]. Every message takes the same fixed latency; jitter is a
-//! fault plan's extra delay ([`FaultPlan::with_delay`]). A full run is a
-//! pure function of (nodes, latency, fault plan and seed, initial
-//! messages) — no wall-clock, no thread scheduling — so experiment results
-//! are exactly reproducible.
+//! [`NodeCtx`], each scheduled the moment it is sent. Every message takes
+//! the same fixed latency; jitter is a fault plan's extra delay
+//! ([`FaultPlan::with_delay`]). A full run is a pure function of (nodes,
+//! latency, fault plan and seed, initial messages) — no wall-clock, no
+//! thread scheduling — so experiment results are exactly reproducible.
 
 use crate::event::{Delivery, EventQueue, SimTime};
 use crate::fault::{FaultAction, FaultInjector, FaultPlan};
@@ -81,31 +81,98 @@ pub struct NodeCtx<'a, M> {
     /// Current virtual time (the delivery time of the message being
     /// handled).
     pub now: SimTime,
-    outbox: &'a mut Vec<(usize, M)>,
+    link: &'a mut Link<M>,
 }
 
-impl<M> NodeCtx<'_, M> {
-    /// Send `msg` to peer `to` (delivery is scheduled when the handler
-    /// returns, one link latency later).
+impl<M: Clone> NodeCtx<'_, M> {
+    /// Send `msg` to peer `to`: it is scheduled at once, one link latency
+    /// after [`NodeCtx::now`].
+    ///
+    /// # Panics
+    /// Panics if `to` is not a node of this simulator.
     pub fn send(&mut self, to: usize, msg: M) {
-        self.outbox.push((to, msg));
+        self.link.transmit(self.now, self.me, to, msg);
     }
 }
 
-/// The simulator: nodes + queue + clock.
-pub struct SimNet<M, N: Node<M>> {
-    nodes: Vec<N>,
+/// Everything a send touches — queue, ledger, injector, meter — held apart
+/// from the nodes, so a handler sends while its own node is borrowed.
+#[derive(Debug)]
+struct Link<M> {
     queue: EventQueue<M>,
     /// The one-way delay of every message.
     latency: SimTime,
-    now: SimTime,
+    /// How many nodes a message may be addressed to.
+    nodes: usize,
     stats: SimStats,
     /// Optional fault injector (drop/duplicate/delay/crash/pause).
     faults: Option<FaultInjector>,
     /// Optional wire meter: bytes a message would occupy on the wire.
     meter: Option<fn(&M) -> u64>,
-    /// The handler's sends, reused from delivery to delivery.
-    outbox: Vec<(usize, M)>,
+}
+
+impl<M: Clone> Link<M> {
+    /// Account one send attempt and schedule what survives of it. `at` is
+    /// the send time (the current virtual time for injections, the
+    /// handling delivery's time for handler sends).
+    fn transmit(&mut self, at: SimTime, from: usize, to: usize, msg: M) {
+        assert!(to < self.nodes, "destination {to} out of range");
+        // Without an injector every send is one clean copy, one link
+        // latency later: at or after every delivery already scheduled.
+        let Some(inj) = self.faults.as_mut() else {
+            self.stats.sent += 1;
+            self.stats.queued += 1;
+            self.stats.bytes += self.meter.map_or(0, |meter| meter(&msg));
+            let arrival = at.saturating_add(self.latency);
+            self.queue.schedule(arrival, from, to, msg);
+            return;
+        };
+        // Each copy's extra delay.
+        let extras = match inj.on_send(from, to, at) {
+            FaultAction::Deliver(extras) => extras,
+            FaultAction::Drop => {
+                self.stats.sent += 1;
+                self.stats.dropped += 1;
+                return;
+            }
+            FaultAction::Partitioned => {
+                self.stats.sent += 1;
+                self.stats.partitioned += 1;
+                return;
+            }
+        };
+        // Gray failure: a slowed endpoint serves at a multiple of the
+        // link latency (the copy is still delivered).
+        let factor = inj.slow_factor(from, to, at);
+        let copies = extras.as_slice().len() as u64;
+        self.stats.sent += copies;
+        self.stats.queued += copies;
+        self.stats.bytes += copies * self.meter.map_or(0, |meter| meter(&msg));
+        if factor > 1 {
+            self.stats.slowed += copies;
+        }
+        // A slow factor or a delay near `SimTime::MAX` saturates at the end
+        // of time instead of wrapping.
+        let arrival = at.saturating_add(self.latency.saturating_mul(factor));
+        let mut schedule = |extra: SimTime, msg: M| {
+            self.queue
+                .schedule(arrival.saturating_add(extra), from, to, msg);
+        };
+        // The message moves into its last copy: only a duplicate clones.
+        if let Some((&last, duplicates)) = extras.as_slice().split_last() {
+            for &extra in duplicates {
+                schedule(extra, msg.clone());
+            }
+            schedule(last, msg);
+        }
+    }
+}
+
+/// The simulator: nodes + link + clock.
+pub struct SimNet<M, N: Node<M>> {
+    nodes: Vec<N>,
+    link: Link<M>,
+    now: SimTime,
 }
 
 impl<M: Clone, N: Node<M>> SimNet<M, N> {
@@ -113,14 +180,16 @@ impl<M: Clone, N: Node<M>> SimNet<M, N> {
     /// `latency` virtual microseconds.
     pub fn new(nodes: Vec<N>, latency: SimTime) -> SimNet<M, N> {
         SimNet {
+            link: Link {
+                queue: EventQueue::new(),
+                latency,
+                nodes: nodes.len(),
+                stats: SimStats::default(),
+                faults: None,
+                meter: None,
+            },
             nodes,
-            queue: EventQueue::new(),
-            latency,
             now: 0,
-            stats: SimStats::default(),
-            faults: None,
-            meter: None,
-            outbox: Vec::new(),
         }
     }
 
@@ -129,7 +198,7 @@ impl<M: Clone, N: Node<M>> SimNet<M, N> {
     /// Typically the framed encoding length, counted without building the
     /// frame ([`crate::codec::frame_len`]).
     pub fn set_meter(&mut self, meter: fn(&M) -> u64) {
-        self.meter = Some(meter);
+        self.link.meter = Some(meter);
     }
 
     /// Install a fault plan: every message (injected or sent by a handler)
@@ -137,7 +206,7 @@ impl<M: Clone, N: Node<M>> SimNet<M, N> {
     /// it, honouring crash and pause windows. A benign plan removes the
     /// injector.
     pub fn set_faults(&mut self, plan: FaultPlan, seed: u64) {
-        self.faults = if plan.is_benign() {
+        self.link.faults = if plan.is_benign() {
             None
         } else {
             Some(FaultInjector::new(plan, seed))
@@ -146,7 +215,7 @@ impl<M: Clone, N: Node<M>> SimNet<M, N> {
 
     /// Whether a fault plan is installed (false under a benign plan).
     pub fn is_faulty(&self) -> bool {
-        self.faults.is_some()
+        self.link.faults.is_some()
     }
 
     /// Node `i`, as the simulator holds it between deliveries.
@@ -157,63 +226,9 @@ impl<M: Clone, N: Node<M>> SimNet<M, N> {
         &mut self.nodes[i]
     }
 
-    /// Pass one send attempt through the fault layer and schedule the
-    /// surviving copies. `at` is the send time (the current virtual time
-    /// for injections, the handling delivery's time for handler sends).
-    fn transmit(&mut self, at: SimTime, from: usize, to: usize, msg: M) {
-        assert!(to < self.nodes.len(), "destination {to} out of range");
-        let action = self.faults.as_mut().map(|inj| inj.on_send(from, to, at));
-        // Each copy's extra delay; no injector is one clean copy.
-        let extras: &[SimTime] = match &action {
-            None => &[0],
-            Some(FaultAction::Deliver(extras)) => extras,
-            Some(FaultAction::Drop) => {
-                self.stats.sent += 1;
-                self.stats.dropped += 1;
-                return;
-            }
-            Some(FaultAction::Partitioned) => {
-                self.stats.sent += 1;
-                self.stats.partitioned += 1;
-                return;
-            }
-        };
-        // Gray failure: a slowed endpoint serves at a multiple of the
-        // link latency (the copy is still delivered).
-        let factor = (self.faults.as_ref()).map_or(1, |inj| inj.slow_factor(from, to, at));
-        let copies = extras.len() as u64;
-        let size = self.meter.map_or(0, |meter| meter(&msg));
-        self.stats.sent += copies;
-        self.stats.queued += copies;
-        self.stats.bytes += size * copies;
-        if factor > 1 {
-            self.stats.slowed += copies;
-        }
-        // A slow factor or a delay near `SimTime::MAX` saturates at the end
-        // of time instead of wrapping.
-        let mut schedule = |extra: SimTime, msg: M| {
-            let lat = self.latency.saturating_mul(factor);
-            let arrival = at.saturating_add(lat).saturating_add(extra);
-            self.queue.schedule(arrival, from, to, msg);
-        };
-        // The message moves into its last copy: only a duplicate clones.
-        if let Some((&last, duplicates)) = extras.split_last() {
-            for &extra in duplicates {
-                schedule(extra, msg.clone());
-            }
-            schedule(last, msg);
-        }
-    }
-
-    /// Current virtual time.
-    #[cfg(test)]
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.link.stats
     }
 
     /// Inject a message from the outside world (e.g. a user query arriving
@@ -223,7 +238,7 @@ impl<M: Clone, N: Node<M>> SimNet<M, N> {
     /// # Panics
     /// Panics if `to` is out of range.
     pub fn inject(&mut self, from: usize, to: usize, msg: M) {
-        self.transmit(self.now, from, to, msg);
+        self.link.transmit(self.now, from, to, msg);
     }
 
     /// Deliver a single message; returns false when the queue is empty.
@@ -232,45 +247,40 @@ impl<M: Clone, N: Node<M>> SimNet<M, N> {
     /// Panics if the handler sends to an index that is not a node: a
     /// [`Node`] must address only peers of this simulator.
     pub fn step(&mut self) -> bool {
+        let link = &mut self.link;
         let Some(Delivery {
             at, from, to, msg, ..
-        }) = self.queue.pop()
+        }) = link.queue.pop()
         else {
             return false;
         };
         debug_assert!(at >= self.now, "time ran backwards");
         self.now = at;
+        let stats = &mut link.stats;
+        stats.queued -= 1;
         // A message in flight when its destination crashed is lost on
         // arrival (the send-time check only sees crashes already past).
         // Likewise, a message that was in flight when a partition window
         // opened cannot cross the boundary: it is lost on arrival and
         // counted in the `partitioned` column.
-        if let Some(inj) = &self.faults {
+        if let Some(inj) = &link.faults {
             if inj.is_crashed(to, at) {
-                self.stats.queued -= 1;
-                self.stats.dropped += 1;
+                stats.dropped += 1;
                 return true;
             }
             if inj.is_partitioned(from, to, at) {
-                self.stats.queued -= 1;
-                self.stats.partitioned += 1;
+                stats.partitioned += 1;
                 return true;
             }
         }
-        self.stats.delivered += 1;
-        self.stats.queued -= 1;
-        self.stats.end_time = at;
-        let mut outbox = std::mem::take(&mut self.outbox);
+        stats.delivered += 1;
+        stats.end_time = at;
         let mut ctx = NodeCtx {
             me: to,
             now: at,
-            outbox: &mut outbox,
+            link,
         };
         self.nodes[to].on_message(&mut ctx, from, msg);
-        for (dest, m) in outbox.drain(..) {
-            self.transmit(at, to, dest, m);
-        }
-        self.outbox = outbox;
         true
     }
 
@@ -292,6 +302,13 @@ impl<M: Clone, N: Node<M>> SimNet<M, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<M: Clone, N: Node<M>> SimNet<M, N> {
+        /// Current virtual time.
+        fn now(&self) -> SimTime {
+            self.now
+        }
+    }
 
     /// A node that forwards a counter to the next node until it hits 0.
     struct RelayNode {

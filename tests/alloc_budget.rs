@@ -7,9 +7,11 @@
 //! identifier-cache hits and misses, and through the batch call), under
 //! layered placement, on the churn path
 //! (`ChurnNetwork::query_timed`) and on the message path (`ProtoNetwork`),
-//! and how many one maintenance round of the churn path's ring costs.
-//! A message delivery must not allocate: the message path's budget is the
-//! direct path's plus a few allocations a query, not a few a message.
+//! with and without a fault plan that delays and duplicates, and how many
+//! one maintenance round of the churn path's ring costs. Neither a
+//! message delivery nor a send through the fault injector may allocate:
+//! the message path's budget is the direct path's plus a few allocations
+//! a query, not a few a message, faults or none.
 
 use ars::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -129,15 +131,22 @@ fn a_warm_query_allocates_within_budget_on_both_paths() {
         churn.settle(1);
     }
     let settle_allocs = (ALLOCATIONS.with(Cell::get) - before) as f64 / ROUNDS as f64;
-    let mut proto = ProtoNetwork::new(PEERS, config);
+    let mut proto = ProtoNetwork::new(PEERS, config.clone());
     let proto_allocs = per_query(&trace, 1, |qs| {
         proto.query(&qs[0]);
+    });
+    // Every send passes the injector; a fifth are delayed up to 40 µs
+    // (under one hop's 50), a tenth duplicated.
+    let jitter = FaultPlan::none().with_delay(0.2, 0, 40).with_duplicate(0.1);
+    let mut faulty = ProtoNetwork::new_faulty(PEERS, config, jitter, 2003);
+    let faulty_allocs = per_query(&trace, 1, |qs| {
+        faulty.query(&qs[0]);
     });
     eprintln!(
         "allocations a query: direct {direct_allocs:.2} (hit {hit_allocs:.2} x {}, \
          miss {miss_allocs:.2} x {}), batch {batch_allocs:.2}, \
-         layered {layered_allocs:.2}, churn {churn_allocs:.2}, message path {proto_allocs:.2}; \
-         one settle(1) round {settle_allocs:.2}",
+         layered {layered_allocs:.2}, churn {churn_allocs:.2}, message path {proto_allocs:.2} \
+         (delayed and duplicated {faulty_allocs:.2}); one settle(1) round {settle_allocs:.2}",
         hit.0, miss.0
     );
 
@@ -172,5 +181,10 @@ fn a_warm_query_allocates_within_budget_on_both_paths() {
     assert!(
         proto_allocs <= 14.0,
         "message path: {proto_allocs:.2} a query (direct {direct_allocs:.2})"
+    );
+    assert!(
+        faulty_allocs <= 14.0,
+        "message path, delayed and duplicated: {faulty_allocs:.2} a query \
+         (benign {proto_allocs:.2})"
     );
 }
