@@ -298,17 +298,6 @@ pub(crate) struct Extras {
 }
 
 impl Extras {
-    /// One copy's extra delay per entry; a slot past the copies stays 0.
-    #[cfg(test)]
-    fn of(delays: &[SimTime]) -> Extras {
-        let mut extras = Extras {
-            delays: [0; 2],
-            copies: delays.len() as u8,
-        };
-        extras.delays[..delays.len()].copy_from_slice(delays);
-        extras
-    }
-
     /// Each copy's extra delay.
     pub(crate) fn as_slice(&self) -> &[SimTime] {
         &self.delays[..usize::from(self.copies)]
@@ -431,12 +420,23 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    /// Delivery of one copy per extra delay, as the injector builds it: a
+    /// slot past the copies stays 0.
+    fn deliver(delays: &[SimTime]) -> FaultAction {
+        let mut extras = Extras {
+            delays: [0; 2],
+            copies: delays.len() as u8,
+        };
+        extras.delays[..delays.len()].copy_from_slice(delays);
+        FaultAction::Deliver(extras)
+    }
+
     #[test]
     fn benign_plan_delivers_one_clean_copy() {
         let mut inj = FaultInjector::new(FaultPlan::none(), 1);
         assert!(inj.plan.is_benign());
         for t in [0, 10, 1000] {
-            assert_eq!(inj.on_send(0, 1, t), FaultAction::Deliver(Extras::of(&[0])));
+            assert_eq!(inj.on_send(0, 1, t), deliver(&[0]));
         }
     }
 
@@ -472,18 +472,9 @@ mod tests {
     fn pause_defers_to_window_end() {
         let plan = FaultPlan::none().with_pause(1, 50, 80);
         let mut inj = FaultInjector::new(plan, 1);
-        assert_eq!(
-            inj.on_send(0, 1, 40),
-            FaultAction::Deliver(Extras::of(&[0]))
-        );
-        assert_eq!(
-            inj.on_send(0, 1, 60),
-            FaultAction::Deliver(Extras::of(&[20]))
-        );
-        assert_eq!(
-            inj.on_send(0, 1, 80),
-            FaultAction::Deliver(Extras::of(&[0]))
-        );
+        assert_eq!(inj.on_send(0, 1, 40), deliver(&[0]));
+        assert_eq!(inj.on_send(0, 1, 60), deliver(&[20]));
+        assert_eq!(inj.on_send(0, 1, 80), deliver(&[0]));
     }
 
     #[test]
@@ -569,10 +560,7 @@ mod tests {
         // A link not touching the slow node is unaffected.
         assert_eq!(inj.slow_factor(0, 1, 150), 1);
         // Slowness never drops: the send decision is a clean delivery.
-        assert_eq!(
-            inj.on_send(0, 2, 150),
-            FaultAction::Deliver(Extras::of(&[0]))
-        );
+        assert_eq!(inj.on_send(0, 2, 150), deliver(&[0]));
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //!
 //! * [`SimNet`] — a deterministic discrete-event simulator over one node
 //!   type: every message takes one fixed latency, and a single-threaded
-//!   run loop dispatches them in virtual-time order. Every run with the
-//!   same seed is bit-identical, which the experiment harness relies on.
+//!   run loop dispatches them in virtual-time order. A handler's send is
+//!   scheduled the moment it is made. Without a fault plan each arrival
+//!   is at or after every one already scheduled, so the event queue is a
+//!   FIFO and a hop costs no heap sift; only what a plan's delay, pause
+//!   or slow window reorders goes through a heap beside it. Every run
+//!   with the same seed is bit-identical, which the experiment harness
+//!   relies on.
 //! * [`codec`] — a small binary wire format (length-prefixed frames over
 //!   plain `Vec<u8>` / `&[u8]`) so protocol messages have a concrete
 //!   encoding, exercised by round-trip tests; the same encoder counts a
