@@ -1344,17 +1344,13 @@ mod tests {
     /// On a quiet ring the churn executor answers as the static one: over
     /// the same peers, with the same hash groups (both fork them from the
     /// config seed), every query of the §5.1 uniform trace finds the same
-    /// match, caches the same way and reports the same identifiers. Not
+    /// match, caches the same way and reports the same identifiers — at
+    /// `r = 1` and `2`, under both placement modes, since both executors
+    /// write each copy at its owner and the `r − 1` peers after it. Not
     /// compared: `hops`, `attempts` and `peers_contacted`. The two draw
     /// their origins from different RNG streams, and the dynamic ring's
     /// route also reads successor lists, so the routes differ (see
     /// `ars_chord`'s `converged_rings_agree_on_fingers_and_owners`).
-    ///
-    /// Layered placement at `r = 2` is held to less. The static executor
-    /// keeps one copy; the churn one also writes each copy at its owner's
-    /// successor, so an arc's walk window can read a copy whose owner sits
-    /// just before the window. There the churn executor may only match
-    /// better (33–44 of the 3 000 answers differ per seed, none worse).
     #[test]
     fn quiet_churn_executor_answers_as_the_static_one() {
         use crate::config::PlacementMode;
@@ -1363,18 +1359,13 @@ mod tests {
             for r in [1, 2] {
                 let base = SystemConfig::default().with_seed(seed).with_replication(r);
                 let layered = base.clone().with_placement_mode(PlacementMode::Layered);
-                for (config, walks) in [(base, false), (layered.with_probes(16), true)] {
-                    let replicas_in_window = r == 2 && walks;
+                for config in [base, layered.with_probes(16)] {
                     let mut fixed = RangeSelectNetwork::new(60, config.clone());
                     let mut live = ChurnNetwork::from_ids(fixed.ring().node_ids(), config);
                     for (i, q) in trace.queries().iter().enumerate() {
                         let (a, b) = (fixed.query(q), live.query_resilient(q));
                         let at = format!("seed {seed}, r = {r}, query {i} ({q})");
                         assert_eq!(a.identifiers, b.identifiers, "{at}");
-                        if replicas_in_window {
-                            assert!(b.similarity >= a.similarity, "layered, {at}");
-                            continue;
-                        }
                         assert_eq!(a.best_match, b.best_match, "{at}");
                         assert_eq!(a.similarity, b.similarity, "{at}");
                         assert_eq!(a.recall, b.recall, "{at}");

@@ -58,7 +58,10 @@ pub enum PlacementMode {
     Layered,
 }
 
-/// Full configuration of a [`crate::RangeSelectNetwork`].
+/// Full configuration of a network: the static
+/// [`crate::RangeSelectNetwork`], the message-passing
+/// [`crate::ProtoNetwork`] and the churning [`crate::ChurnNetwork`] all
+/// take one, and a setting means the same on each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// LSH family for partition identifiers.
@@ -73,8 +76,9 @@ pub struct SystemConfig {
     /// query range is expanded by this fraction of its width on each edge
     /// before hashing, matching, and caching.
     pub padding: f64,
-    /// §5.3 extension: a contacted peer searches an index over *all* its
-    /// buckets, not just the one bucket the identifier names.
+    /// §5.3 extension: a contacted peer considers every partition it
+    /// holds, scanning *all* its buckets, not just the ones the query
+    /// names.
     pub use_local_index: bool,
     /// Identifier → ring-position mapping.
     pub placement: Placement,
@@ -99,16 +103,18 @@ pub struct SystemConfig {
     /// at most this many peers (the first owner included) are visited
     /// over existing successor links, one message per step. Must be ≥ 1.
     pub walk_window: usize,
-    /// Successor replication factor for cached partitions (`r`): each
-    /// stored partition is placed at the first `r` alive successors of its
-    /// placed identifier, so up to `r - 1` abrupt failures leave a copy
+    /// Successor replication factor for cached partitions (`r`): every
+    /// network stores each cached partition at the owner of its placed
+    /// position and at the next `r - 1` peers clockwise, so on the
+    /// churning network up to `r - 1` abrupt failures leave a copy
     /// findable. `1` (the paper's implicit setting) disables replication;
-    /// the fault-tolerance bench sweeps this (see `crate::resilient`).
+    /// the `fault_injection`, `partition_tolerance` and `crash_recovery`
+    /// suites sweep it.
     pub replication: usize,
     /// Durable per-peer bucket stores (see [`crate::durable`]). `None`
     /// (the default) is the paper's pure soft-state model: an abrupt
     /// failure loses the peer's cache. `Some` persists every placement
-    /// and eviction to a crash-faulted op log, enabling
+    /// to a crash-faulted op log, enabling
     /// [`crate::ChurnNetwork::crash_random`] and
     /// [`crate::ChurnNetwork::restart`] to bring peers back with their
     /// buckets recovered from disk.
@@ -187,7 +193,7 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style: enable the §5.3 local index.
+    /// Builder-style: let a contacted peer read all its buckets (§5.3).
     pub fn with_local_index(mut self, on: bool) -> SystemConfig {
         self.use_local_index = on;
         self

@@ -37,7 +37,6 @@ pub mod data;
 pub mod durable;
 mod engine;
 mod exact;
-mod index;
 pub mod network;
 mod peer;
 mod plan;

@@ -198,9 +198,11 @@ pub(crate) struct QueryPlan {
     /// then the successors its walk continues to, checking the buckets
     /// `candidates[range]`.
     visits: Vec<(Id, std::ops::Range<usize>)>,
-    /// Cache-on-miss writes: each distinct base identifier and the peer
-    /// that owns the position of its copy.
+    /// Cache-on-miss writes: each distinct base identifier and every peer
+    /// that holds one of its copies ([`Targets::stores`]).
     store_targets: Vec<(u32, Id)>,
+    /// Candidates checked past the distinct base identifiers.
+    probe_checks: usize,
     /// Lookups not paid because an identifier repeated within the query.
     dedup_saved: usize,
 }
@@ -208,13 +210,14 @@ pub(crate) struct QueryPlan {
 /// The static executor of a query's [`Targets`], from the peer of rank
 /// `origin`: route every key with [`Ring::lookup_from`], continue each
 /// walk over [`Ring::successors_window`], and resolve every store position
-/// to its owner. Pure — the ring is immutable — and the only place the
-/// static paths route.
+/// to its owner and the `copies − 1` peers after it. Pure — the ring is
+/// immutable — and the only place the static paths route.
 pub(crate) fn plan_query(ring: &Ring, origin: usize, targets: Targets) -> QueryPlan {
     let Targets {
         candidates,
         keys,
         stores: mut store_targets,
+        copies,
         dedup_saved,
     } = targets;
     let lookups: Vec<(Id, usize)> = (keys.iter())
@@ -236,11 +239,21 @@ pub(crate) fn plan_query(ring: &Ring, origin: usize, targets: Targets) -> QueryP
             };
         }
     }
+    let probe_checks = candidates.len() - store_targets.len();
+    if copies > 1 {
+        store_targets = (store_targets.iter())
+            .flat_map(|&(ident, owner)| {
+                let holders = ring.successors_window(owner, copies);
+                holders.into_iter().map(move |peer| (ident, peer))
+            })
+            .collect();
+    }
     QueryPlan {
         lookups,
         candidates,
         visits,
         store_targets,
+        probe_checks,
         dedup_saved,
     }
 }
@@ -283,10 +296,9 @@ pub(crate) fn commit_plan(
         stats.walk_steps += walk_steps as u64;
         telemetry.counter_add("core.walk.steps", walk_steps as u64);
     }
-    let probe_checks = plan.candidates.len() - plan.store_targets.len();
-    if probe_checks > 0 {
-        stats.probe_checks += probe_checks as u64;
-        telemetry.counter_add("core.probe.checks", probe_checks as u64);
+    if plan.probe_checks > 0 {
+        stats.probe_checks += plan.probe_checks as u64;
+        telemetry.counter_add("core.probe.checks", plan.probe_checks as u64);
     }
 
     // A planned peer without storage state (impossible on a static ring,
@@ -303,7 +315,7 @@ pub(crate) fn commit_plan(
     });
     let verdict = verdict(&hashed_range, &mut reads);
 
-    // Cache on miss: store the (padded) partition at every store target,
+    // Cache on miss: store the (padded) partition at every copy's holder,
     // so later similar queries find it where planning will look.
     let mut stored = false;
     if verdict.store {
@@ -612,15 +624,22 @@ impl RangeSelectNetwork {
 
     /// Store a partition range directly (bypassing the query path) — used
     /// by the load-balance experiments, which populate the table without
-    /// measuring match quality. Returns the number of copies placed (an
-    /// owner without storage state is skipped, never a panic).
+    /// measuring match quality. Each identifier's copies go where a query
+    /// caches them ([`SystemConfig::replication`] peers from the owner on).
+    /// Returns the number of copies placed (a holder without storage state
+    /// is skipped, never a panic).
     pub fn store_partition(&mut self, range: &RangeSet) -> usize {
         let mut placed = 0;
         for ident in self.groups.identifiers(range) {
             let pos = position(&self.config, self.anchors.as_ref(), ident, range);
             let owner = self.ring.successor_of(pos);
-            if let Some(peer) = self.peers.get_mut(&owner.0) {
-                placed += peer.store(ident, range.clone()) as usize;
+            for holder in self
+                .ring
+                .successors_window(owner, self.config.replication.max(1))
+            {
+                if let Some(peer) = self.peers.get_mut(&holder.0) {
+                    placed += peer.store(ident, range.clone()) as usize;
+                }
             }
         }
         placed
@@ -733,7 +752,7 @@ mod tests {
         // Store under one identifier set; query with a range similar enough
         // to land on the same *peer* in a tiny network but under different
         // identifiers. With few peers, every identifier maps to one of few
-        // peers, so the local index sees everything stored there.
+        // peers, so a §5.3 read sees everything stored there.
         let config = SystemConfig::default().with_seed(3);
         let mut plain = RangeSelectNetwork::new(2, config.clone());
         let mut indexed = RangeSelectNetwork::new(2, config.with_local_index(true));
@@ -1027,6 +1046,47 @@ mod tests {
         );
     }
 
+    /// At `r = 3` every cached `(identifier, range)` sits at the owner of
+    /// its position and at the next two peers clockwise, and nowhere else —
+    /// where the churn executor writes it — under either placement mode.
+    #[test]
+    fn replication_places_r_copies_per_identifier() {
+        for mode in [PlacementMode::Independent, PlacementMode::Layered] {
+            let config = (SystemConfig::default().with_seed(21))
+                .with_replication(3)
+                .with_placement_mode(mode);
+            let mut n = RangeSelectNetwork::new(12, config);
+            let holders = |n: &RangeSelectNetwork, ident, range: &RangeSet| {
+                let at = position(&n.config, n.anchors.as_ref(), ident, range);
+                n.ring.successors_window(n.ring.successor_of(at), 3)
+            };
+            let mut stored = 0;
+            for lo in (0..3_000).step_by(89) {
+                let q = r(lo, lo + 150);
+                if !n.query(&q).stored {
+                    continue;
+                }
+                stored += 1;
+                for ident in n.groups.identifiers(&q) {
+                    for holder in holders(&n, ident, &q) {
+                        let bucket = n.peer(holder).and_then(|p| p.bucket(ident));
+                        assert!(bucket.is_some_and(|b| b.contains(&q)), "{mode:?} {q}");
+                    }
+                }
+            }
+            assert!(stored > 10, "{mode:?}: only {stored} queries cached");
+            // A partition placed without a query lands at the same holders.
+            let fresh = r(5_000, 5_100);
+            let distinct: FxHashSet<u32> = n.groups.identifiers(&fresh).into_iter().collect();
+            assert_eq!(n.store_partition(&fresh), 3 * distinct.len(), "{mode:?}");
+            for (&id, peer) in &n.peers {
+                for (ident, range) in peer.entries() {
+                    assert!(holders(&n, ident, &range).contains(&Id(id)), "{mode:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn commit_plan_books_deduped_lookups() {
         // Two groups hashing to the same bucket: one lookup, one saved.
@@ -1043,6 +1103,7 @@ mod tests {
             candidates: vec![7, 9],
             visits: vec![(Id(100), 0..1), (Id(200), 1..2)],
             store_targets: vec![(7, Id(100)), (9, Id(200))],
+            probe_checks: 0,
             dedup_saved: 1,
         };
         let out = commit_plan(

@@ -1,8 +1,8 @@
-//! Per-peer storage state: identifier buckets and the §5.3 local index.
+//! Per-peer storage state: identifier buckets, read one bucket at a time
+//! or, under the §5.3 setting, all of them at once.
 
 use crate::bucket::{winner, Bucket, Match};
 use crate::config::MatchMeasure;
-use crate::index::IntervalIndex;
 use ars_chord::Id;
 use ars_common::FxHashMap;
 use ars_lsh::RangeSet;
@@ -11,8 +11,9 @@ use ars_lsh::RangeSet;
 ///
 /// A peer owns every identifier between its ring predecessor (exclusive)
 /// and itself (inclusive); each owned identifier that has been stored to
-/// has a [`Bucket`]. The optional *local index* (§5.3) additionally lets a
-/// lookup consider partitions in **all** of the peer's buckets, trading
+/// has a [`Bucket`]. A peer built for the §5.3 setting
+/// ([`SystemConfig::use_local_index`](crate::config::SystemConfig))
+/// answers a lookup from partitions in **all** of its buckets, trading
 /// per-lookup work for recall.
 #[derive(Debug, Clone, Default)]
 pub struct Peer {
@@ -21,19 +22,17 @@ pub struct Peer {
     buckets: FxHashMap<u32, Bucket>,
     /// Total ranges over all of `buckets`, kept by store and drain.
     partitions: usize,
-    /// §5.3 local index over everything in `buckets`, maintained on store
-    /// — only on a peer built for a config that queries it
-    /// ([`SystemConfig::use_local_index`](crate::config::SystemConfig)).
-    index: Option<IntervalIndex>,
+    /// Every read scans all of `buckets` (§5.3), not only the named ones.
+    reads_all: bool,
 }
 
 impl Peer {
-    /// A peer at ring position `id` with no cached partitions, keeping the
-    /// §5.3 local index iff `local_index`.
+    /// A peer at ring position `id` with no cached partitions, whose reads
+    /// consider every bucket it holds iff `local_index` (§5.3).
     pub fn new(id: Id, local_index: bool) -> Peer {
         Peer {
             id,
-            index: local_index.then(IntervalIndex::new),
+            reads_all: local_index,
             ..Peer::default()
         }
     }
@@ -41,17 +40,7 @@ impl Peer {
     /// Store a partition range under `identifier`. Returns true if newly
     /// stored.
     pub fn store(&mut self, identifier: u32, range: RangeSet) -> bool {
-        let bucket = self.buckets.entry(identifier).or_default();
-        let inserted = match &mut self.index {
-            None => bucket.insert(range),
-            Some(index) => {
-                let inserted = bucket.insert(range.clone());
-                if inserted {
-                    index.insert(range);
-                }
-                inserted
-            }
-        };
+        let inserted = self.buckets.entry(identifier).or_default().insert(range);
         self.partitions += inserted as usize;
         inserted
     }
@@ -76,17 +65,17 @@ impl Peer {
 
     /// What a query reads at this peer: the best match across the buckets
     /// of `identifiers` (the earliest-listed bucket wins ties) and the
-    /// number of stored ranges that stood as candidates. A peer that keeps
-    /// the §5.3 local index answers through it, across everything it
-    /// holds. Every transport reads through this.
+    /// number of stored ranges that stood as candidates. A peer built for
+    /// §5.3 reads [`Self::best_across_buckets`] instead. Every transport
+    /// reads through this.
     pub(crate) fn best_in_buckets(
         &self,
         identifiers: &[u32],
         query: &RangeSet,
         measure: MatchMeasure,
     ) -> (Option<Match>, usize) {
-        if let Some(index) = &self.index {
-            return (index.best_match(query, measure), self.partitions);
+        if self.reads_all {
+            return (self.best_across_buckets(query, measure), self.partitions);
         }
         // One flat scan per bucket, the running best carried across them.
         let (mut best, mut scan_len) = (None, 0);
@@ -97,37 +86,21 @@ impl Peer {
         (winner(best), scan_len)
     }
 
-    /// Best match across **all** buckets this peer holds — the §5.3 local
-    /// index, answered through a flattened interval tree
-    /// (`IntervalIndex`): only candidates overlapping the query are
-    /// scored. A peer built without the index answers through
-    /// [`Self::best_across_buckets_scan`].
+    /// Best match across **all** buckets this peer holds (§5.3): each
+    /// bucket's scan, the best score winning and a tie going to the
+    /// smallest identifier's bucket, then to its earliest-stored range. So
+    /// the answer does not depend on the order the buckets were created
+    /// in, which on the message path is the order stores arrived.
     pub fn best_across_buckets(&self, query: &RangeSet, measure: MatchMeasure) -> Option<Match> {
-        match &self.index {
-            Some(index) => index.best_match(query, measure),
-            None => self.best_across_buckets_scan(query, measure),
-        }
-    }
-
-    /// Reference implementation of [`Self::best_across_buckets`] as a full
-    /// scan — the ablation baseline and test oracle for the index.
-    pub fn best_across_buckets_scan(
-        &self,
-        query: &RangeSet,
-        measure: MatchMeasure,
-    ) -> Option<Match> {
-        winner((self.buckets.values()).fold(None, |best, b| b.scan(best, query, measure)))
+        let best = (self.buckets.iter())
+            .filter_map(|(&ident, bucket)| Some((ident, bucket.scan(None, query, measure)?)))
+            .max_by(|(i, (.., s)), (j, (.., t))| s.total_cmp(t).then(j.cmp(i)));
+        winner(best.map(|(_, running)| running))
     }
 
     /// Total partitions stored at this peer (the load metric of Fig. 11).
     pub fn partition_count(&self) -> usize {
         self.partitions
-    }
-
-    /// Ranges held by the §5.3 local index — `partition_count()` on a peer
-    /// that keeps one, zero on a peer that does not.
-    pub fn indexed_count(&self) -> usize {
-        self.index.as_ref().map_or(0, IntervalIndex::len)
     }
 
     /// Number of distinct identifiers with a non-empty bucket.
@@ -165,9 +138,6 @@ impl Peer {
             out.extend(bucket.ranges().map(|r| (ident, r)));
         }
         self.partitions = 0;
-        if let Some(index) = &mut self.index {
-            *index = IntervalIndex::new();
-        }
         out
     }
 }
@@ -181,14 +151,11 @@ mod tests {
     }
 
     /// The running `partition_count()` against what it replaces: the sum
-    /// of the bucket lengths (and the index size, where one is kept).
+    /// of the bucket lengths.
     fn assert_count_exact(p: &Peer) {
         let summed: usize = p.buckets.values().map(Bucket::len).sum();
         assert_eq!(p.partition_count(), summed);
         assert_eq!(p.entries().count(), summed);
-        if p.index.is_some() {
-            assert_eq!(p.indexed_count(), summed);
-        }
     }
 
     #[test]
@@ -202,7 +169,6 @@ mod tests {
         assert_eq!(p.partition_count(), 3);
         assert_eq!(p.bucket_count(), 2);
         assert_count_exact(&p);
-        assert_eq!(p.indexed_count(), 0, "built without the index");
     }
 
     #[test]
@@ -220,23 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn index_agrees_with_scan() {
-        let mut p = Peer::new(Id(2), true);
-        for i in 0..50u32 {
-            p.store(i % 7, r(i * 13 % 800, i * 13 % 800 + 40));
-        }
-        for lo in [0u32, 100, 400, 700] {
-            let q = r(lo, lo + 60);
-            for m in [MatchMeasure::Jaccard, MatchMeasure::Containment] {
-                let a = p.best_across_buckets(&q, m).unwrap();
-                let b = p.best_across_buckets_scan(&q, m).unwrap();
-                assert_eq!(a.score, b.score, "query {q} measure {m:?}");
-            }
-        }
-        assert_count_exact(&p);
-    }
-
-    #[test]
     fn local_index_sees_all_buckets() {
         let mut p = Peer::new(Id(1), true);
         p.store(7, r(0, 10));
@@ -245,6 +194,11 @@ mod tests {
         let m = p.best_across_buckets(&q, MatchMeasure::Jaccard).unwrap();
         assert_eq!(m.score, 1.0);
         assert_eq!(m.range, r(100, 110));
+        // A read naming bucket 7 alone still sees bucket 9, and every
+        // stored range stood as a candidate.
+        let (read, scanned) = p.best_in_buckets(&[7], &q, MatchMeasure::Jaccard);
+        assert_eq!(read, Some(m));
+        assert_eq!(scanned, 2);
     }
 
     #[test]

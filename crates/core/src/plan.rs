@@ -220,8 +220,12 @@ pub(crate) struct Targets {
     /// [`SystemConfig::walk_window`].
     pub(crate) keys: Vec<Key>,
     /// Cache-on-miss writes: each distinct base identifier and the ring
-    /// position of its copy.
+    /// position of its copy. A cached partition lives at the owner of its
+    /// position and at the next [`Self::copies`]` − 1` peers clockwise —
+    /// every executor writes it there.
     pub(crate) stores: Vec<(u32, Id)>,
+    /// Copies each store writes: [`SystemConfig::replication`].
+    pub(crate) copies: usize,
     /// Lookups not paid because an identifier repeated within the query.
     pub(crate) dedup_saved: usize,
 }
@@ -260,6 +264,7 @@ pub(crate) fn targets(
             dedup_saved: placed.len() - stores.len(),
             candidates,
             stores,
+            copies: config.replication,
         };
     };
     if config.probes > 0 {
@@ -279,6 +284,7 @@ pub(crate) fn targets(
         dedup_saved: 0,
         candidates,
         stores,
+        copies: config.replication,
     }
 }
 

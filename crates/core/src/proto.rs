@@ -5,7 +5,8 @@
 //! messages — greedy Chord forwarding of `Route` envelopes, bucket search
 //! at the owner (and, for a key that walks, at its successors), a
 //! `MatchReply` back to the querying peer from every peer that searched,
-//! and `Store` messages on a miss — over the deterministic event
+//! and `Store` messages on a miss, each handed on from the owner to its
+//! successors until every copy is written — over the deterministic event
 //! simulator. A binary wire encoding
 //! ([`ProtoMsg`] implements [`Wire`]) pins down what would actually cross
 //! a TCP connection.
@@ -98,14 +99,20 @@ pub enum Payload {
         /// The (already padded) query range.
         range: RangeSet,
     },
-    /// Cache a partition range under the identifier.
+    /// Cache a partition range under the identifier, here and at the
+    /// ring successors: every peer that stores acks under its own request
+    /// id (the owner `request`, each successor one more) and, while
+    /// `copies` is above one, forwards the store to its successor with
+    /// `copies` one less.
     Store {
-        /// Request id (echoed in the ack).
+        /// Request id of this peer's ack.
         request: u64,
         /// Peer index to ack to.
         origin: u32,
         /// The partition range to store.
         range: RangeSet,
+        /// Copies left to write, this one included.
+        copies: u32,
     },
     /// Search several buckets at the owner, then at its ring successors:
     /// the arc read of layered placement. Every visited peer answers with
@@ -229,15 +236,21 @@ impl Wire for Payload {
                 put_u32(buf, *origin);
                 put_range(buf, range);
             }
+            // One copy goes as tag 1 with no count, so an unreplicated
+            // store keeps its bytes; more copies take tag 3 and a count.
             Payload::Store {
                 request,
                 origin,
                 range,
+                copies,
             } => {
-                put_u8(buf, 1);
+                put_u8(buf, if *copies == 1 { 1 } else { 3 });
                 put_u64(buf, *request);
                 put_u32(buf, *origin);
                 put_range(buf, range);
+                if *copies != 1 {
+                    put_u32(buf, *copies);
+                }
             }
             Payload::FindAcross {
                 request,
@@ -270,6 +283,7 @@ impl Wire for Payload {
                 request,
                 origin,
                 range,
+                copies: 1,
             }),
             2 => {
                 let candidates = get_seq(buf, get_u32)?;
@@ -280,6 +294,12 @@ impl Wire for Payload {
                     read: Box::new(ArcRead { range, candidates }),
                 })
             }
+            3 => Ok(Payload::Store {
+                request,
+                origin,
+                range,
+                copies: get_u32(buf)?,
+            }),
             t => Err(CodecError::BadTag(t)),
         }
     }
@@ -380,9 +400,22 @@ impl PeerNode {
                 request,
                 origin,
                 range,
+                copies,
             } => {
+                // `copies` came off the wire: no peer takes two of them.
+                let copies = copies.min(self.ring.len() as u32);
+                let forward = (copies > 1).then(|| range.clone());
                 let stored = self.storage.store(ident, range);
                 ctx.send(origin as usize, ProtoMsg::StoreAck { request, stored });
+                if let Some(range) = forward {
+                    let payload = Payload::Store {
+                        request: request.wrapping_add(1),
+                        origin,
+                        range,
+                        copies: copies - 1,
+                    };
+                    self.to_successor(ctx, ident, hops, payload);
+                }
             }
             Payload::FindAcross {
                 request,
@@ -397,25 +430,38 @@ impl PeerNode {
                 // twice, whatever the bytes say.
                 let walk = walk.min(self.ring.len() as u32);
                 if walk > 1 {
-                    let next = (self.rank + 1) % self.ring.len();
-                    ctx.send(
-                        next,
-                        ProtoMsg::Route {
-                            // Its own position: the successor owns it.
-                            key: self.ring.node_ids()[next].0,
-                            ident,
-                            hops: hops + 1,
-                            payload: Payload::FindAcross {
-                                request: request.wrapping_add(1),
-                                origin,
-                                walk: walk - 1,
-                                read,
-                            },
-                        },
-                    );
+                    let payload = Payload::FindAcross {
+                        request: request.wrapping_add(1),
+                        origin,
+                        walk: walk - 1,
+                        read,
+                    };
+                    self.to_successor(ctx, ident, hops, payload);
                 }
             }
         }
+    }
+
+    /// Hand `payload` to this peer's ring successor, one hop over an
+    /// existing link.
+    fn to_successor(
+        &self,
+        ctx: &mut NodeCtx<'_, ProtoMsg>,
+        ident: u32,
+        hops: u32,
+        payload: Payload,
+    ) {
+        let next = (self.rank + 1) % self.ring.len();
+        ctx.send(
+            next,
+            ProtoMsg::Route {
+                // Its own position: the successor owns it.
+                key: self.ring.node_ids()[next].0,
+                ident,
+                hops: hops + 1,
+                payload,
+            },
+        );
     }
 }
 
@@ -630,15 +676,19 @@ impl ProtoNetwork {
         let mut reads = replies.into_iter().map(|reply| reply.best);
         let verdict = verdict(&hashed_range, &mut reads);
 
-        // Store on miss, one `Store` routed to each planned position.
+        // Store on miss, one `Store` routed to each planned position; its
+        // owner hands it on to the successors that hold the other copies,
+        // each acking under one more request id.
         if verdict.store {
+            let copies = targets.copies.clamp(1, self.ring.len());
             for &(ident, position) in &targets.stores {
                 let payload = Payload::Store {
                     request: self.next_request,
                     origin: reply_to,
                     range: hashed_range.clone(),
+                    copies: copies as u32,
                 };
-                self.next_request += 1;
+                self.next_request += copies as u64;
                 self.send(origin, ident, position, payload);
             }
             self.net.run(u64::MAX);
@@ -682,6 +732,18 @@ mod tests {
                     request: 9,
                     origin: 0,
                     range: RangeSet::from_intervals([(0, 0)]),
+                    copies: 1,
+                },
+            },
+            ProtoMsg::Route {
+                key: 1,
+                ident: 2,
+                hops: 0,
+                payload: Payload::Store {
+                    request: 9,
+                    origin: 0,
+                    range: RangeSet::from_intervals([(0, 0)]),
+                    copies: 3,
                 },
             },
             ProtoMsg::Route {
@@ -756,6 +818,13 @@ mod tests {
                 request: 2,
                 origin: 0,
                 range: bad.clone(),
+                copies: 1,
+            }),
+            route(Payload::Store {
+                request: 2,
+                origin: 0,
+                range: bad.clone(),
+                copies: 2,
             }),
             route(Payload::FindAcross {
                 request: 5,
@@ -814,6 +883,17 @@ mod tests {
                     }),
                 },
             },
+            ProtoMsg::Route {
+                key: 7,
+                ident: 8,
+                hops: 1,
+                payload: Payload::Store {
+                    request: 42,
+                    origin: 3,
+                    range: r(30, 50),
+                    copies: 2,
+                },
+            },
             ProtoMsg::MatchReply {
                 request: 42,
                 identifier: 5,
@@ -855,6 +935,7 @@ mod tests {
                         request,
                         origin,
                         range,
+                        copies: 2,
                     },
                     _ => Payload::FindAcross {
                         request,
@@ -921,6 +1002,36 @@ mod tests {
             repliers.dedup();
             assert_eq!(repliers.len(), visited, "ring successors, each once");
             assert!(net.sim_stats().is_conserved() && net.sim_stats().queued == 0);
+        }
+    }
+
+    #[test]
+    fn store_with_a_hostile_count_writes_each_peer_once() {
+        // `copies` is a u32 off the wire: whatever it says, the store stops
+        // once it has been round the ring, one ack and one copy per peer.
+        let q = r(30, 50);
+        for copies in [0u32, 1, 3, 8, 9, u32::MAX] {
+            let mut net = ProtoNetwork::new(8, SystemConfig::default().with_seed(7));
+            let msg = ProtoMsg::Route {
+                key: 12345,
+                ident: 1,
+                hops: 0,
+                payload: Payload::Store {
+                    request: u64::MAX - 1,
+                    origin: 2,
+                    range: q.clone(),
+                    copies,
+                },
+            };
+            net.net.inject(0, 0, msg);
+            net.net.run(u64::MAX);
+            let held = (0..8)
+                .filter(|&i| net.net.node_mut(i).storage.bucket(1).is_some())
+                .count();
+            assert_eq!(held, copies.clamp(1, 8) as usize, "copies {copies}");
+            assert!(net.net.node_mut(2).inbox.stored);
+            let stats = net.sim_stats();
+            assert!(stats.is_conserved() && stats.queued == 0);
         }
     }
 

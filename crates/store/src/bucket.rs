@@ -135,7 +135,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn place_evict_round_trip_through_crash() {
+    fn places_recover_sorted_after_a_clean_crash() {
         let mut s = BucketStore::new(StorageFaults::none(), 1);
         s.place(7, b"b");
         s.place(7, b"a");

@@ -652,8 +652,7 @@ fn fused_per_function_and_reference_agree_for_all_families() {
 }
 
 // ---- Storage representation: inline ranges, the flat bucket scan, the
-// §5.3 index on demand. The unit tests of `range.rs`, `bucket.rs` and
-// `peer.rs` do not run under tier-1; these do. ----
+// §5.3 read as one scan over every bucket. ----
 
 // A bucket of single intervals is 24 B per stored range, as the `Vec`
 // header alone was before.
@@ -873,11 +872,14 @@ proptest! {
     }
 }
 
-/// A peer built without the §5.3 index never holds an index entry, counts
-/// its partitions exactly, and answers bucket lookups like one built with
-/// the index.
+/// A peer built for the §5.3 setting stores and counts as one built
+/// without it, and answers one bucket's lookup the same; the lookup across
+/// all its buckets is the plain `best_of` loop over everything it holds,
+/// bucket by bucket in identifier order and each in store order — range
+/// and score.
 #[test]
 fn peer_without_the_local_index_keeps_none_and_answers_the_same() {
+    use ars::core::bucket::best_of;
     use ars::core::Peer;
     let mut rng = DetRng::new(53);
     let mut plain = Peer::new(Id(7), false);
@@ -894,8 +896,6 @@ fn peer_without_the_local_index_keeps_none_and_answers_the_same() {
         assert_eq!(fresh, indexed.store(ident, range));
         stored += usize::from(fresh);
     }
-    assert_eq!(plain.indexed_count(), 0);
-    assert_eq!(indexed.indexed_count(), stored);
     for p in [&plain, &indexed] {
         assert_eq!(p.partition_count(), stored);
         assert_eq!(p.entries().count(), stored);
@@ -909,37 +909,15 @@ fn peer_without_the_local_index_keeps_none_and_answers_the_same() {
                 plain.best_in_bucket(ident, &q, measure),
                 indexed.best_in_bucket(ident, &q, measure)
             );
-            // Index-less, the §5.3 lookup is the scan — range and score.
-            assert_eq!(
-                plain.best_across_buckets(&q, measure),
-                plain.best_across_buckets_scan(&q, measure)
-            );
+            for p in [&plain, &indexed] {
+                let mut held: Vec<(u32, RangeSet)> = p.entries().collect();
+                held.sort_by_key(|&(ident, _)| ident);
+                assert_eq!(
+                    p.best_across_buckets(&q, measure),
+                    best_of(held.iter().map(|(_, range)| range), &q, measure)
+                );
+            }
         }
-    }
-}
-
-/// On the default config no peer of a network holds an index entry after a
-/// run; with the local index on, the index holds every stored partition.
-#[test]
-fn networks_build_the_local_index_only_when_the_config_reads_it() {
-    for on in [false, true] {
-        let config = SystemConfig::default().with_seed(9).with_local_index(on);
-        let mut net = RangeSelectNetwork::new(50, config);
-        for q in uniform_trace(400, 0, 2000, 4).queries() {
-            net.query(q);
-        }
-        let indexed: usize = net
-            .ring()
-            .node_ids()
-            .iter()
-            .map(|&id| {
-                net.peer(id)
-                    .expect("ring nodes hold storage")
-                    .indexed_count()
-            })
-            .sum();
-        assert!(net.total_partitions() > 0);
-        assert_eq!(indexed, if on { net.total_partitions() } else { 0 });
     }
 }
 
@@ -996,7 +974,8 @@ proptest! {
     /// `frame_len`, the message path's wire meter, counts exactly the bytes
     /// `frame` writes, and the frame decodes back to the message: for every
     /// message and payload variant, ranges of zero to several intervals
-    /// reaching both ends of the domain, and 0–20 arc-read candidates.
+    /// reaching both ends of the domain, 0–20 arc-read candidates, and a
+    /// store of one copy or of any count.
     #[test]
     fn counted_wire_bytes_equal_the_frame(
         starts in prop::collection::vec((wire_start_strategy(), 0u32..1000), 0..6),
@@ -1013,7 +992,8 @@ proptest! {
         let read = Box::new(ArcRead { range: range.clone(), candidates });
         let msgs = [
             route(Payload::FindMatch { request, origin, range: range.clone() }),
-            route(Payload::Store { request, origin, range: range.clone() }),
+            route(Payload::Store { request, origin, range: range.clone(), copies: 1 }),
+            route(Payload::Store { request, origin, range: range.clone(), copies: walk }),
             route(Payload::FindAcross { request, origin, walk, read }),
             ProtoMsg::MatchReply { request, identifier: ident, hops, best: None },
             ProtoMsg::MatchReply { request, identifier: ident, hops, best: Some((range, score)) },

@@ -7,10 +7,15 @@ use ars::prelude::*;
 
 /// Each case runs under independent placement and under layered placement
 /// with a 16-candidate probe budget, where one arc read walks the
-/// successors instead of `l` lookups.
-fn placements(config: SystemConfig) -> [SystemConfig; 2] {
+/// successors instead of `l` lookups; and each at one copy of a cached
+/// partition and at two, where a walk can read the copy at an owner's
+/// successor.
+fn placements(config: SystemConfig) -> Vec<SystemConfig> {
     let layered = config.clone().with_placement_mode(PlacementMode::Layered);
-    [config, layered.with_probes(16)]
+    let modes = [config, layered.with_probes(16)];
+    (1..=2)
+        .flat_map(|r| modes.clone().map(|config| config.with_replication(r)))
+        .collect()
 }
 
 /// Run `trace` through both renditions, holding every outcome field equal.
