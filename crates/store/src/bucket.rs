@@ -17,7 +17,7 @@
 //! panic.
 
 use crate::disk::{DiskStats, SimDisk, StorageFaults};
-use crate::log::{append_record, recover};
+use crate::log::{append_frame, recover};
 use std::collections::BTreeSet;
 
 /// The op-record tag of a placement, the only op.
@@ -41,19 +41,17 @@ fn get_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
     Some(v)
 }
 
-/// A placement record: `[tag u8][reserved u32 = 0][ident u32][len u32]
-/// [payload]`. The tag (always `TAG_PLACE`) and the reserved word hold
-/// each record at its length, and with it which record a crash-time bit
-/// flip lands in: the `crash_recovery` headline's traces and recovered
-/// counts are pinned to this layout.
-fn encode_op(ident: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(13 + payload.len());
-    out.push(TAG_PLACE);
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&ident.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// The head of a placement record, `[tag u8][reserved u32 = 0][ident u32]
+/// [len u32]`, which the payload follows. The tag (always `TAG_PLACE`) and
+/// the reserved word hold each record at its length, and with it which
+/// record a crash-time bit flip lands in: the `crash_recovery` headline's
+/// traces and recovered counts are pinned to this layout.
+fn op_head(ident: u32, payload: &[u8]) -> [u8; 13] {
+    let mut head = [0; 13];
+    head[0] = TAG_PLACE;
+    head[5..9].copy_from_slice(&ident.to_le_bytes());
+    head[9..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head
 }
 
 fn decode_op(bytes: &[u8]) -> Option<Entry> {
@@ -92,9 +90,8 @@ impl BucketStore {
     /// [recovered](Self::recover) since.
     pub fn place(&mut self, ident: u32, payload: &[u8]) {
         assert!(!self.crashed, "store used after crash without recover()");
-        let mut framed = Vec::new();
-        append_record(&mut framed, &encode_op(ident, payload));
-        self.log.append(&framed);
+        let head = op_head(ident, payload);
+        (self.log).append_with(|image| append_frame(image, &[&head, payload]));
         self.records_appended += 1;
     }
 
@@ -133,6 +130,25 @@ impl BucketStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::append_record;
+
+    #[test]
+    fn a_place_writes_the_op_record_framed_as_before() {
+        let mut s = BucketStore::new(StorageFaults::none(), 3);
+        let mut expected = Vec::new();
+        for i in 0..40u32 {
+            let payload: Vec<u8> = (0..i * 7 % 45).map(|b| (b * i) as u8).collect();
+            s.place(i.wrapping_mul(0x9E37_79B9), &payload);
+            // The op record built whole, then framed: the reference layout.
+            let mut op = vec![TAG_PLACE, 0, 0, 0, 0];
+            op.extend_from_slice(&i.wrapping_mul(0x9E37_79B9).to_le_bytes());
+            op.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            op.extend_from_slice(&payload);
+            append_record(&mut expected, &op);
+        }
+        assert_eq!(s.log.contents(), expected);
+        assert_eq!(s.disk_stats().appended_bytes, expected.len() as u64);
+    }
 
     #[test]
     fn places_recover_sorted_after_a_clean_crash() {

@@ -101,11 +101,19 @@ impl SimDisk {
         }
     }
 
+    /// Append whatever `write` adds to the image, durably.
+    pub(crate) fn append_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let before = self.image.len();
+        write(&mut self.image);
+        let appended = (self.image.len() - before) as u64;
+        self.stats.appended_bytes += appended;
+        self.stats.synced_bytes += appended;
+    }
+
     /// Append bytes, durably.
+    #[cfg(test)]
     pub(crate) fn append(&mut self, bytes: &[u8]) {
-        self.stats.appended_bytes += bytes.len() as u64;
-        self.stats.synced_bytes += bytes.len() as u64;
-        self.image.extend_from_slice(bytes);
+        self.append_with(|image| image.extend_from_slice(bytes));
     }
 
     /// The image — what a restart reads.

@@ -16,7 +16,7 @@
 //! truncated, whose length overruns the image, or whose checksum
 //! mismatches. It never panics, whatever bytes it is handed.
 
-use crate::crc::crc32;
+use crate::crc::crc32_update;
 
 /// Framing overhead per record (length + checksum).
 pub const RECORD_HEADER: usize = 8;
@@ -30,16 +30,28 @@ pub const MAX_RECORD: usize = 1 << 24;
 /// # Panics
 /// Panics if `payload` is longer than `MAX_RECORD` (16 MiB).
 pub fn append_record(out: &mut Vec<u8>, payload: &[u8]) {
-    assert!(payload.len() <= MAX_RECORD, "record over MAX_RECORD");
-    let len = payload.len() as u32;
-    let mut framed = Vec::with_capacity(RECORD_HEADER + payload.len());
-    framed.extend_from_slice(&len.to_le_bytes());
-    let mut checked = Vec::with_capacity(4 + payload.len());
-    checked.extend_from_slice(&len.to_le_bytes());
-    checked.extend_from_slice(payload);
-    framed.extend_from_slice(&crc32(&checked).to_le_bytes());
-    framed.extend_from_slice(payload);
-    out.extend_from_slice(&framed);
+    append_frame(out, &[payload]);
+}
+
+/// Append one framed record whose payload is `parts` end to end, written
+/// straight into `out`: the checksum streams over the length bytes and
+/// then each part, so no framed copy of the record is ever built.
+///
+/// # Panics
+/// Panics if the payload is longer than `MAX_RECORD` (16 MiB).
+pub(crate) fn append_frame(out: &mut Vec<u8>, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    assert!(len <= MAX_RECORD, "record over MAX_RECORD");
+    let len_bytes = (len as u32).to_le_bytes();
+    let crc = (parts.iter()).fold(crc32_update(!0, &len_bytes), |crc, part| {
+        crc32_update(crc, part)
+    });
+    out.reserve(RECORD_HEADER + len);
+    out.extend_from_slice(&len_bytes);
+    out.extend_from_slice(&(crc ^ !0).to_le_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
 }
 
 /// What a recovery scan found.
@@ -73,10 +85,11 @@ fn scan_one(image: &[u8], at: usize) -> Option<usize> {
         return None;
     }
     let end = at + RECORD_HEADER + len;
-    let mut checked = Vec::with_capacity(4 + len);
-    checked.extend_from_slice(&image[at..at + 4]);
-    checked.extend_from_slice(&image[at + RECORD_HEADER..end]);
-    (crc32(&checked) == crc).then_some(end)
+    let checked = crc32_update(
+        crc32_update(!0, &image[at..at + 4]),
+        &image[at + RECORD_HEADER..end],
+    );
+    (checked ^ !0 == crc).then_some(end)
 }
 
 /// The longest valid prefix of `image` (see module docs).
@@ -95,6 +108,45 @@ pub fn recover(image: &[u8]) -> Recovery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32;
+
+    /// The framing as first written, one temporary buffer per step: the
+    /// reference the streaming writer is held to.
+    fn append_record_buffered(out: &mut Vec<u8>, payload: &[u8]) {
+        let len = payload.len() as u32;
+        let mut framed = Vec::with_capacity(RECORD_HEADER + payload.len());
+        framed.extend_from_slice(&len.to_le_bytes());
+        let mut checked = Vec::with_capacity(4 + payload.len());
+        checked.extend_from_slice(&len.to_le_bytes());
+        checked.extend_from_slice(payload);
+        framed.extend_from_slice(&crc32(&checked).to_le_bytes());
+        framed.extend_from_slice(payload);
+        out.extend_from_slice(&framed);
+    }
+
+    #[test]
+    fn streaming_writer_frames_exactly_as_the_buffered_one() {
+        let mut x: u64 = 0x2003_0A25;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let (mut streamed, mut buffered) = (Vec::new(), Vec::new());
+        for _ in 0..500 {
+            let payload: Vec<u8> = (0..next() % 300).map(|_| next() as u8).collect();
+            append_record(&mut streamed, &payload);
+            append_record_buffered(&mut buffered, &payload);
+            // A payload given in parts frames as the same bytes whole.
+            let cut = next() % (payload.len() + 1);
+            let mut parted = Vec::new();
+            append_frame(&mut parted, &[&payload[..cut], &payload[cut..]]);
+            assert_eq!(parted, buffered[buffered.len() - parted.len()..]);
+        }
+        assert_eq!(streamed, buffered);
+        assert_eq!(recover(&streamed).records.len(), 500);
+    }
 
     fn image(payloads: &[&[u8]]) -> Vec<u8> {
         let mut out = Vec::new();
