@@ -50,12 +50,12 @@
 
 use crate::bucket::{Bucket, Match};
 use crate::config::SystemConfig;
-use crate::durable::{decode_range, digest_bytes, encode_range};
+use crate::durable::{decode_range, digest_bytes, encode_range, with_encoded};
 use crate::network::{QueryOutcome, RangeSelectNetwork};
 use crate::peer::Peer;
 use crate::plan::{
-    anchor_sketch, hashed_range, identifiers_of, position, positions, targets, verdict,
-    PlacementMemo, Transport,
+    anchor_sketch, hashed_range, identifiers_of, position, positions, targets, verdict, HashStage,
+    IdentifierCache, Transport,
 };
 use crate::resilient::{
     backoff, BreakerConfig, BreakerState, GrayLayer, HedgePolicy, ResilienceStats, RetryPolicy,
@@ -120,8 +120,9 @@ pub struct ChurnNetwork {
     groups: HashGroups,
     /// The anchor sketch of layered placement ([`anchor_sketch`]).
     anchors: Option<HashGroups>,
-    /// Where queries place their identifiers.
-    placements: PlacementMemo,
+    /// The identifier cache and the placement memo behind it: positions
+    /// never depend on membership, so no churn event touches them.
+    hash: HashStage,
     rng: DetRng,
     retry: RetryPolicy,
     resilience: ResilienceStats,
@@ -205,7 +206,7 @@ impl ChurnNetwork {
         chord.set_route_cache_capacity(config.route_cache);
         Ok(ChurnNetwork {
             anchors: anchor_sketch(&config),
-            placements: PlacementMemo::default(),
+            hash: HashStage::default(),
             config,
             chord,
             alive,
@@ -224,7 +225,8 @@ impl ChurnNetwork {
     /// Install a telemetry sink, shared with the underlying Chord network
     /// so `chord.*` lookup metrics and `resilient.*` retry metrics land in
     /// one recorder. Resilient queries open a `core.query` span
-    /// (`path="resilient"`); retries emit `resilient.retry` events;
+    /// (`path="resilient"`) and count `core.ident_cache.*` as static ones
+    /// do; retries emit `resilient.retry` events;
     /// re-replication emits one `replica.store` event per copy written.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.chord.set_telemetry(telemetry.clone());
@@ -251,6 +253,11 @@ impl ChurnNetwork {
     /// Resilience counters (retries, fallbacks, re-replication work).
     pub fn resilience(&self) -> &ResilienceStats {
         &self.resilience
+    }
+
+    /// Identifier-cache statistics (hits, misses, distinct entries).
+    pub fn identifier_cache(&self) -> &IdentifierCache {
+        &self.hash.cache
     }
 
     /// Mark `peer` gray-slow: it keeps answering correctly but every fetch
@@ -438,7 +445,7 @@ impl ChurnNetwork {
             self.telemetry.counter_add("buckets.partition_writes", 1);
         }
         if let Some(log) = &mut alive.log {
-            log.place(identifier, &encode_range(range));
+            with_encoded(range, |payload| log.place(identifier, payload));
             self.telemetry.counter_add("store.appended", 1);
         }
         true
@@ -1082,10 +1089,10 @@ impl ChurnNetwork {
     /// reconciliation restores.
     pub fn query_resilient(&mut self, q: &RangeSet) -> QueryOutcome {
         let hashed_range = hashed_range(q, self.config.padding);
-        let anchors = self.anchors.as_ref();
-        let placed = (self.placements).resolve(&self.config, &self.groups, anchors, &hashed_range);
-        let identifiers = identifiers_of(&placed);
-        let targets = targets(&self.config, &self.groups, anchors, &hashed_range, &placed);
+        let (config, groups, anchors) = (&self.config, &self.groups, self.anchors.as_ref());
+        let placed = (self.hash).resolve(config, groups, anchors, &self.telemetry, &hashed_range);
+        let identifiers = identifiers_of(placed);
+        let targets = targets(config, groups, anchors, &hashed_range, placed);
         self.telemetry.counter_add("resilient.queries", 1);
         let span = self.telemetry.span(
             "core.query",
@@ -1345,26 +1352,32 @@ mod tests {
     /// the same peers, with the same hash groups (both fork them from the
     /// config seed), every query of the §5.1 uniform trace finds the same
     /// match, caches the same way and reports the same identifiers — at
-    /// `r = 1` and `2`, under both placement modes, since both executors
-    /// write each copy at its owner and the `r − 1` peers after it. Not
-    /// compared: `hops`, `attempts` and `peers_contacted`. The two draw
-    /// their origins from different RNG streams, and the dynamic ring's
-    /// route also reads successor lists, so the routes differ (see
+    /// `r = 1` and `2`, under both placement modes, without durability and
+    /// with `churn_durable`'s (every copy also logged), since both
+    /// executors write each copy at its owner and the `r − 1` peers after
+    /// it. Not compared: `hops`, `attempts` and `peers_contacted`. The two
+    /// draw their origins from different RNG streams, and the dynamic
+    /// ring's route also reads successor lists, so the routes differ (see
     /// `ars_chord`'s `converged_rings_agree_on_fingers_and_owners`).
     #[test]
     fn quiet_churn_executor_answers_as_the_static_one() {
         use crate::config::PlacementMode;
+        use crate::durable::DurabilityConfig;
         for seed in 0..4 {
             let trace = ars_workload::uniform_trace(3_000, 0, 1_000, seed);
-            for r in [1, 2] {
-                let base = SystemConfig::default().with_seed(seed).with_replication(r);
+            for (r, durable) in [(1, false), (2, false), (1, true), (2, true)] {
+                let mut base = SystemConfig::default().with_seed(seed).with_replication(r);
+                if durable {
+                    base = base.with_durability(DurabilityConfig::default());
+                }
                 let layered = base.clone().with_placement_mode(PlacementMode::Layered);
                 for config in [base, layered.with_probes(16)] {
                     let mut fixed = RangeSelectNetwork::new(60, config.clone());
                     let mut live = ChurnNetwork::from_ids(fixed.ring().node_ids(), config);
                     for (i, q) in trace.queries().iter().enumerate() {
                         let (a, b) = (fixed.query(q), live.query_resilient(q));
-                        let at = format!("seed {seed}, r = {r}, query {i} ({q})");
+                        let at =
+                            format!("seed {seed}, r = {r}, durable {durable}, query {i} ({q})");
                         assert_eq!(a.identifiers, b.identifiers, "{at}");
                         assert_eq!(a.best_match, b.best_match, "{at}");
                         assert_eq!(a.similarity, b.similarity, "{at}");
@@ -1372,9 +1385,85 @@ mod tests {
                         assert_eq!(a.exact, b.exact, "{at}");
                         assert_eq!(a.stored, b.stored, "{at}");
                     }
+                    // Durability on: every copy written is one op record.
+                    let logged: u64 = (live.chord.alive_ids().iter())
+                        .filter_map(|&id| live.log_of(id))
+                        .map(BucketStore::records_appended)
+                        .sum();
+                    let placed = live.resilience().buckets_placed;
+                    assert_eq!(
+                        logged,
+                        if durable { placed } else { 0 },
+                        "seed {seed}, r = {r}"
+                    );
                 }
             }
         }
+    }
+
+    /// The shared hash stage on both executors: a range misses twice, is
+    /// admitted on its second sighting and hits from its third, and the
+    /// `core.ident_cache.*` telemetry says the same as the cache.
+    #[test]
+    fn both_executors_admit_a_range_on_its_second_sighting() {
+        let config = SystemConfig::default().with_seed(5);
+        let mut fixed = RangeSelectNetwork::new(12, config.clone());
+        let mut live = ChurnNetwork::from_ids(fixed.ring().node_ids(), config);
+        let tel = Telemetry::recording();
+        live.set_telemetry(tel.clone());
+        // (misses, hits, entries) after each query.
+        let expected = [(1, 0, 0), (2, 0, 1), (2, 1, 1), (3, 1, 1), (3, 2, 1)];
+        for (q, want) in [r(0, 10), r(0, 10), r(0, 10), r(5, 15), r(0, 10)]
+            .iter()
+            .zip(expected)
+        {
+            let (a, b) = (fixed.query(q), live.query_resilient(q));
+            assert_eq!(a.identifiers, b.identifiers);
+            for cache in [fixed.identifier_cache(), live.identifier_cache()] {
+                assert_eq!(
+                    (cache.misses(), cache.hits(), cache.len() as u64),
+                    want,
+                    "{q}"
+                );
+            }
+        }
+        let snap = tel.snapshot();
+        assert_eq!(snap.counter("core.ident_cache.misses"), 3);
+        assert_eq!(snap.counter("core.ident_cache.hits"), 2);
+        assert_eq!(snap.gauge("core.ident_cache.size"), Some(1));
+    }
+
+    /// Cache entries hold positions, which never depend on membership: a
+    /// fail + join schedule leaves the churn executor's hit and miss counts
+    /// those of the admission ledger (hits = Σ max(0, c − 2) over the
+    /// trace's range counts, entries = #{c ≥ 2}), and every hit's
+    /// identifiers are the range's own.
+    #[test]
+    fn identifier_cache_counts_hold_across_fail_and_join() {
+        let mut net = ChurnNetwork::new(40, SystemConfig::default().with_seed(8)).unwrap();
+        let popular = [r(10, 60), r(300, 340), r(900, 990)];
+        let mut counts = std::collections::BTreeMap::<RangeSet, u64>::new();
+        for i in 0..300u32 {
+            let q = match i % 3 {
+                0 => popular[(i / 3 % 3) as usize].clone(),
+                _ => r(i * 7 % 5_000, i * 7 % 5_000 + 20 + i % 40),
+            };
+            *counts.entry(q.clone()).or_default() += 1;
+            let out = net.query_resilient(&q);
+            assert_eq!(out.identifiers, net.groups.identifiers(&q), "query {i}");
+            if i % 25 == 24 {
+                net.fail_random(1);
+                net.stabilize(64).expect("the ring repairs");
+                net.join_random().expect("a peer joins");
+                net.stabilize(64).expect("the ring repairs");
+            }
+        }
+        let cache = net.identifier_cache();
+        let hits: u64 = counts.values().map(|&c| c.saturating_sub(2)).sum();
+        assert_eq!(cache.hits(), hits);
+        assert_eq!(cache.misses(), 300 - hits);
+        assert_eq!(cache.len(), counts.values().filter(|&&c| c >= 2).count());
+        assert!(hits >= 90, "the popular ranges hit: {hits}");
     }
 
     #[test]

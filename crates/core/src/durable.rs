@@ -67,6 +67,19 @@ pub fn encode_range(range: &RangeSet) -> Vec<u8> {
     out
 }
 
+/// Hand [`encode_range`]'s bytes of `range` to `f`, built on the stack for
+/// a range of one interval — every range the paper's workloads cache — so
+/// a store writes each copy without a buffer of its own.
+pub(crate) fn with_encoded<R>(range: &RangeSet, f: impl FnOnce(&[u8]) -> R) -> R {
+    let &[(lo, hi)] = range.intervals() else {
+        return f(&encode_range(range));
+    };
+    let mut bytes = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    bytes[4..8].copy_from_slice(&lo.to_le_bytes());
+    bytes[8..].copy_from_slice(&hi.to_le_bytes());
+    f(&bytes)
+}
+
 /// Decode a payload written by [`encode_range`]. Returns `None` for any
 /// malformed input — wrong length, inverted interval, trailing bytes —
 /// so recovery can drop a damaged entry instead of panicking.
@@ -120,6 +133,19 @@ mod tests {
             RangeSet::from_intervals([(1, 5), (10, 20), (100, u32::MAX)]),
         ] {
             assert_eq!(decode_range(&encode_range(&set)), Some(set));
+        }
+    }
+
+    #[test]
+    fn stack_encoding_equals_encode_range() {
+        for set in [
+            r(0, 0),
+            r(30, 50),
+            r(u32::MAX - 3, u32::MAX),
+            RangeSet::from_intervals([(1, 5), (10, 20)]),
+            RangeSet::empty(),
+        ] {
+            assert_eq!(with_encoded(&set, <[u8]>::to_vec), encode_range(&set));
         }
     }
 

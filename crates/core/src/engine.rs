@@ -12,6 +12,7 @@
 //! [`DetRng::split_streams`]: ars_common::DetRng::split_streams
 
 use crate::network::{QueryOutcome, RangeSelectNetwork};
+use crate::plan::identifiers_of;
 use ars_lsh::RangeSet;
 
 /// Options of one [`RangeSelectNetwork::query_batch_concurrent_with`] call.
@@ -47,9 +48,10 @@ impl RangeSelectNetwork {
         let mut outcomes = Vec::with_capacity(queries.len());
         for (seq, q) in queries.iter().enumerate() {
             let origin = streams[seq % shards].gen_index(self.ring.len());
-            let (hashed_range, placed) = self.hash_stage(q);
-            let plan = self.plan_from(origin, &hashed_range, &placed);
-            outcomes.push(self.commit_stage(q, hashed_range, &placed, plan, false));
+            let hashed_range = self.hash_stage(q);
+            let plan = self.plan_from(origin, &hashed_range, self.hash.placed());
+            let identifiers = identifiers_of(self.hash.placed());
+            outcomes.push(self.commit_stage(q, hashed_range, identifiers, plan, false));
         }
         self.rng = streams.swap_remove(0);
         outcomes

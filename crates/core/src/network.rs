@@ -12,13 +12,14 @@ use crate::config::SystemConfig;
 use crate::peer::Peer;
 use crate::plan::{
     anchor_sketch, hashed_range, identifiers_of, place_identifier, position, targets, verdict,
-    Placed, PlacementMemo, Targets, Transport,
+    HashStage, Targets, Transport,
 };
 use ars_chord::{Id, Ring};
-use ars_common::{DetRng, FxBuildHasher, FxHashMap, FxHashSet};
+use ars_common::{DetRng, FxHashMap};
 use ars_lsh::{HashGroups, RangeSet};
 use ars_telemetry::Telemetry;
-use std::hash::BuildHasher;
+
+pub use crate::plan::IdentifierCache;
 
 /// The result of one range query.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,72 +85,6 @@ pub struct BatchTimings {
     pub route_secs: f64,
     /// Stage 3: commit — matching, caching, stats, telemetry.
     pub commit_secs: f64,
-}
-
-/// Memoized identifier computation and placement, keyed by the (padded)
-/// hashed range.
-///
-/// Group identifiers depend only on the hash groups and their placed
-/// positions only on [`SystemConfig::placement`], both fixed at network
-/// construction, so entries never *invalidate*. Workload traces repeat
-/// ranges heavily (Zipf-style popularity); the hit/miss counters quantify
-/// the saving.
-///
-/// A range is admitted on its second sighting (TinyLFU's doorkeeper): its
-/// first miss records only the range's 64-bit Fx hash, its second stores
-/// the entry, and it hits from its third on. The §5.1 trace's ranges
-/// almost never repeat, so a one-off range costs one hash, not an entry.
-/// A hash collision can only admit a range one sighting early: entries
-/// are keyed by the exact range, so an answer is never wrong.
-#[derive(Debug, Clone, Default)]
-pub struct IdentifierCache {
-    pub(crate) map: FxHashMap<RangeSet, Placed>,
-    /// The hash of every range that has missed.
-    seen: FxHashSet<u64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl IdentifierCache {
-    /// Cache lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache lookups that had to compute identifiers.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of distinct ranges cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Look up with hit accounting; `None` leaves the miss for the caller
-    /// to record once it has [resolved](PlacementMemo::resolve) the range.
-    pub(crate) fn get_hit(&mut self, range: &RangeSet) -> Option<Placed> {
-        let placed = self.map.get(range)?;
-        self.hits += 1;
-        Some(placed.clone())
-    }
-
-    /// Record a miss on `range`, which the caller resolved to `placed`,
-    /// and admit the entry if the range was seen before. Returns whether
-    /// it was admitted; only then is anything cloned.
-    pub(crate) fn miss(&mut self, range: &RangeSet, placed: &Placed) -> bool {
-        self.misses += 1;
-        let admit = !self.seen.insert(FxBuildHasher::default().hash_one(range));
-        if admit {
-            self.map.insert(range.clone(), placed.clone());
-        }
-        admit
-    }
 }
 
 /// Aggregate statistics over a network's lifetime.
@@ -378,9 +313,8 @@ pub struct RangeSelectNetwork {
     pub(crate) anchors: Option<HashGroups>,
     pub(crate) rng: DetRng,
     pub(crate) stats: NetworkStats,
-    pub(crate) ident_cache: IdentifierCache,
-    /// Where the identifier cache's misses are placed.
-    placements: PlacementMemo,
+    /// The identifier cache and the placement memo behind it.
+    pub(crate) hash: HashStage,
     pub(crate) telemetry: Telemetry,
 }
 
@@ -423,8 +357,7 @@ impl RangeSelectNetwork {
             anchors,
             rng,
             stats: NetworkStats::default(),
-            ident_cache: IdentifierCache::default(),
-            placements: PlacementMemo::default(),
+            hash: HashStage::default(),
             telemetry: Telemetry::noop(),
         }
     }
@@ -496,38 +429,27 @@ impl RangeSelectNetwork {
 
     /// Execute one range query through the full §4 procedure.
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
-        let (hashed_range, placed) = self.hash_stage(q);
-        let plan = self.plan_stage(&hashed_range, &placed);
-        self.commit_stage(q, hashed_range, &placed, plan, true)
+        let hashed_range = self.hash_stage(q);
+        let origin = self.rng.gen_index(self.ring.len());
+        let plan = self.plan_from(origin, &hashed_range, self.hash.placed());
+        let identifiers = identifiers_of(self.hash.placed());
+        self.commit_stage(q, hashed_range, identifiers, plan, true)
     }
 
     /// Stage 1 of a query: pad, then resolve the group identifiers and
-    /// their placed positions through the [`IdentifierCache`].
-    pub(crate) fn hash_stage(&mut self, q: &RangeSet) -> (RangeSet, Placed) {
+    /// their placed positions through the [`HashStage`], whose
+    /// `placed()` lends them out until the next query hashes.
+    pub(crate) fn hash_stage(&mut self, q: &RangeSet) -> RangeSet {
         let hashed_range = hashed_range(q, self.config.padding);
-        let placed = match self.ident_cache.get_hit(&hashed_range) {
-            Some(placed) => {
-                self.telemetry.counter_add("core.ident_cache.hits", 1);
-                placed
-            }
-            None => {
-                self.telemetry.counter_add("core.ident_cache.misses", 1);
-                let anchors = self.anchors.as_ref();
-                let placed =
-                    (self.placements).resolve(&self.config, &self.groups, anchors, &hashed_range);
-                if self.ident_cache.miss(&hashed_range, &placed) {
-                    self.telemetry
-                        .gauge_set("core.ident_cache.size", self.ident_cache.len() as u64);
-                }
-                placed
-            }
-        };
-        (hashed_range, placed)
+        let (config, groups, anchors) = (&self.config, &self.groups, self.anchors.as_ref());
+        (self.hash).resolve(config, groups, anchors, &self.telemetry, &hashed_range);
+        hashed_range
     }
 
-    /// Stage 2 of a query: draw the rank of the random origin peer routing
-    /// starts from (hop accounting) — the one RNG draw a query makes — and
-    /// plan from it.
+    /// Stage 2 of a batched query: draw the rank of the random origin peer
+    /// routing starts from (hop accounting) — the one RNG draw a query
+    /// makes, which [`Self::query`] makes inline beside the row it borrows
+    /// — and plan from it.
     fn plan_stage(&mut self, hashed_range: &RangeSet, placed: &[(u32, Id)]) -> QueryPlan {
         let origin = self.rng.gen_index(self.ring.len());
         self.plan_from(origin, hashed_range, placed)
@@ -551,7 +473,7 @@ impl RangeSelectNetwork {
         &mut self,
         q: &RangeSet,
         hashed_range: RangeSet,
-        placed: &[(u32, Id)],
+        identifiers: Vec<u32>,
         plan: QueryPlan,
         emit_span: bool,
     ) -> QueryOutcome {
@@ -562,7 +484,7 @@ impl RangeSelectNetwork {
             &mut self.stats,
             q,
             hashed_range,
-            identifiers_of(placed),
+            identifiers,
             plan,
             emit_span,
         )
@@ -578,7 +500,7 @@ impl RangeSelectNetwork {
 
     /// Identifier-cache statistics (hits, misses, distinct entries).
     pub fn identifier_cache(&self) -> &IdentifierCache {
-        &self.ident_cache
+        &self.hash.cache
     }
 
     /// Execute a slice of queries stage by stage: hash them all, plan them
@@ -599,7 +521,9 @@ impl RangeSelectNetwork {
     /// (hash / route / commit) instead of a single opaque number.
     pub fn query_batch_timed(&mut self, queries: &[RangeSet]) -> (Vec<QueryOutcome>, BatchTimings) {
         let t0 = std::time::Instant::now();
-        let hashed: Vec<(RangeSet, Placed)> = queries.iter().map(|q| self.hash_stage(q)).collect();
+        let hashed: Vec<(RangeSet, Vec<(u32, Id)>)> = (queries.iter())
+            .map(|q| (self.hash_stage(q), self.hash.placed().to_vec()))
+            .collect();
         let t1 = std::time::Instant::now();
         let plans: Vec<QueryPlan> = hashed
             .iter()
@@ -611,7 +535,7 @@ impl RangeSelectNetwork {
             .zip(hashed)
             .zip(plans)
             .map(|((q, (hashed_range, placed)), plan)| {
-                self.commit_stage(q, hashed_range, &placed, plan, true)
+                self.commit_stage(q, hashed_range, identifiers_of(&placed), plan, true)
             })
             .collect();
         let timings = BatchTimings {
@@ -650,7 +574,7 @@ impl RangeSelectNetwork {
 mod tests {
     use super::*;
     use crate::config::{MatchMeasure, PlacementMode};
-    use crate::plan::resolve;
+    use crate::plan::tests::{entries, resolve};
     use ars_lsh::LshFamilyKind;
 
     fn r(lo: u32, hi: u32) -> RangeSet {
@@ -849,8 +773,9 @@ mod tests {
         assert_eq!(c.misses(), 3);
         assert_eq!(c.hits(), 2);
         assert_eq!(c.len(), 1);
+        let entries = entries(n.identifier_cache(), 5);
         assert_eq!(
-            n.identifier_cache().map.keys().collect::<Vec<_>>(),
+            entries.map(|(range, _)| range).collect::<Vec<_>>(),
             [&r(0, 10)]
         );
     }
@@ -890,10 +815,15 @@ mod tests {
         assert_eq!(seq.identifier_cache().len(), bat.identifier_cache().len());
         assert!(bat.identifier_cache().hits() > 0, "trace has repeats");
         // Final cached contents are identical, key by key.
-        let (sc, bc) = (seq.identifier_cache(), bat.identifier_cache());
-        for (k, v) in &sc.map {
-            assert_eq!(bc.map.get(k), Some(v), "contents diverged at {k}");
-        }
+        let sorted = |n: &RangeSelectNetwork| {
+            let mut entries: Vec<_> = entries(n.identifier_cache(), 5).collect();
+            entries.sort_unstable();
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.clone(), v.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(sorted(&seq), sorted(&bat));
     }
 
     #[test]
@@ -1077,7 +1007,8 @@ mod tests {
             assert!(stored > 10, "{mode:?}: only {stored} queries cached");
             // A partition placed without a query lands at the same holders.
             let fresh = r(5_000, 5_100);
-            let distinct: FxHashSet<u32> = n.groups.identifiers(&fresh).into_iter().collect();
+            let distinct: ars_common::FxHashSet<u32> =
+                n.groups.identifiers(&fresh).into_iter().collect();
             assert_eq!(n.store_partition(&fresh), 3 * distinct.len(), "{mode:?}");
             for (&id, peer) in &n.peers {
                 for (ident, range) in peer.entries() {
@@ -1127,7 +1058,8 @@ mod tests {
     /// `targets` of `q` on `n`, and the plan the static executor routes
     /// them into.
     fn targets_and_plan(n: &mut RangeSelectNetwork, q: &RangeSet) -> (Targets, QueryPlan) {
-        let (hashed, placed) = n.hash_stage(q);
+        let hashed = n.hash_stage(q);
+        let placed = n.hash.placed().to_vec();
         let anchors = n.anchors.as_ref();
         let targets = targets(&n.config, &n.groups, anchors, &hashed, &placed);
         (targets, n.plan_stage(&hashed, &placed))
@@ -1167,7 +1099,8 @@ mod tests {
         assert_eq!((targets.keys.len(), targets.dedup_saved), (5, 0));
         assert_eq!((plan.visits.len(), plan.dedup_saved), (5, 0));
         // A repeated identifier is looked up and stored once, for everyone.
-        let mut placed = n.hash_stage(&q).1;
+        n.hash_stage(&q);
+        let mut placed = n.hash.placed().to_vec();
         placed[4] = placed[1];
         let repeated = crate::plan::targets(&n.config, &n.groups, None, &q, &placed);
         assert_eq!(repeated.candidates, identifiers[..4]);
@@ -1276,7 +1209,8 @@ mod tests {
             // What the stage hands to planning — from the cache on a hit,
             // freshly resolved on a miss — is the range's identifiers, each
             // beside `place()` of it...
-            let (hashed, placed) = n.hash_stage(q);
+            let hashed = n.hash_stage(q);
+            let placed = n.hash.placed().to_vec();
             assert_eq!(identifiers_of(&placed), n.groups().identifiers(&hashed));
             for &(ident, position) in placed.iter() {
                 assert_eq!(position, n.place(ident));
@@ -1286,10 +1220,10 @@ mod tests {
             for (&ident, &(owner, _)) in plan.candidates.iter().zip(&plan.lookups) {
                 assert_eq!(owner, n.ring().successor_of(n.place(ident)));
             }
-            n.commit_stage(q, hashed, &placed, plan, true);
+            n.commit_stage(q, hashed, identifiers_of(&placed), plan, true);
             // Every admitted entry is whole.
-            for (range, cached) in &n.identifier_cache().map {
-                assert_eq!(**cached, *resolve(&config, n.groups(), None, range));
+            for (range, cached) in entries(n.identifier_cache(), 5) {
+                assert_eq!(*cached, *resolve(&config, n.groups(), None, range));
             }
         }
         let c = n.identifier_cache();
@@ -1306,7 +1240,7 @@ mod tests {
         let mut n = RangeSelectNetwork::new(40, layered_config(3));
         n.query_batch(&batch_trace());
         assert!(!n.identifier_cache().is_empty());
-        for placed in n.identifier_cache().map.values() {
+        for (_, placed) in entries(n.identifier_cache(), 5) {
             assert!(placed
                 .iter()
                 .all(|&(ident, position)| position == Id(ident)));
@@ -1324,7 +1258,8 @@ mod tests {
             let layered = config.placement_mode == PlacementMode::Layered;
             let mut saved = 0;
             for q in &trace {
-                let (hashed, mut placed) = n.hash_stage(q);
+                let hashed = n.hash_stage(q);
+                let mut placed = n.hash.placed().to_vec();
                 if !layered {
                     placed[4] = placed[1]; // forced duplicate
                 }

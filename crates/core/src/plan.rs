@@ -1,7 +1,7 @@
 //! The §4 query procedure as plain data, shared by every transport.
 //!
 //! A query is: hash the (padded) range to `l` identifiers
-//! ([`PlacementMemo::resolve`]), decide where they must be looked for
+//! ([`HashStage::resolve`]), decide where they must be looked for
 //! ([`targets`]), route and read — the one part a transport owns — and
 //! reach the verdict on what came back ([`verdict`], [`Verdict::finish`]).
 //! The static ring ([`crate::network`]), the churning ring
@@ -14,17 +14,11 @@ use crate::bucket::{Best, Match};
 use crate::config::{Placement, PlacementMode, SystemConfig};
 use crate::network::QueryOutcome;
 use ars_chord::{arc_base, layered_position, position_in_arc, Id};
-use ars_common::DetRng;
+use ars_common::{DetRng, FxBuildHasher, FxHashMap, FxHashSet};
 use ars_lsh::{HashGroups, RangeSet};
+use ars_telemetry::Telemetry;
+use std::hash::BuildHasher;
 use std::ops::Range;
-
-/// What a hashed range resolves to: its `l` group identifiers, each
-/// beside the ring position independent placement stores it at
-/// ([`place_identifier`]) — one allocation, moved and cloned whole. Under
-/// layered placement positions hang off the range's anchor sketch instead
-/// and [`targets`] derives them; nothing reads the slot, which repeats
-/// the identifier unplaced rather than pay a SHA-1 per identifier for it.
-pub(crate) type Placed = Box<[(u32, Id)]>;
 
 /// The anchor sketch of a config — one group of `config.layers`
 /// min-hashes whose value names the arc all of a range's buckets share —
@@ -116,23 +110,6 @@ pub(crate) fn hashed_range(q: &RangeSet, padding: f64) -> RangeSet {
     }
 }
 
-/// [`PlacementMemo::resolve`] without the memo: every identifier placed by
-/// SHA-1 — the oracle the memo is held to.
-#[cfg(test)]
-pub(crate) fn resolve(
-    config: &SystemConfig,
-    groups: &HashGroups,
-    anchors: Option<&HashGroups>,
-    hashed_range: &RangeSet,
-) -> Placed {
-    let at = |i| match anchors {
-        None => place_identifier(config, i),
-        Some(_) => Id(i),
-    };
-    let identifiers = groups.identifiers(hashed_range);
-    identifiers.into_iter().map(|i| (i, at(i))).collect()
-}
-
 /// Independent placement's SHA-1 positions, remembered in a direct-mapped
 /// table of [`Self::SLOTS`] `(identifier, position)` pairs: on the §5.1
 /// trace `bench_e2e`'s `uniform_static` runs (seed 0) the identifier
@@ -153,21 +130,25 @@ impl PlacementMemo {
         (identifier.wrapping_mul(0x9E37_79B9) >> (32 - Self::SLOTS.trailing_zeros())) as usize
     }
 
-    /// Hash `hashed_range` to its identifiers and place each — the miss
-    /// side of the [`crate::network::IdentifierCache`], and the whole hash
-    /// stage of the transports that keep no cache.
-    pub(crate) fn resolve(
+    /// Hash `hashed_range` to its `l` identifiers and append each to `out`
+    /// beside the position independent placement stores it at — the miss
+    /// side of the [`HashStage`], and the whole hash stage of the message
+    /// executor, which keeps no [`IdentifierCache`]. Under layered
+    /// placement [`targets`] derives positions from the anchor sketch, so
+    /// the slot repeats the identifier rather than pay a SHA-1 for it.
+    pub(crate) fn resolve_into(
         &mut self,
         config: &SystemConfig,
         groups: &HashGroups,
         anchors: Option<&HashGroups>,
         hashed_range: &RangeSet,
-    ) -> Placed {
+        out: &mut Vec<(u32, Id)>,
+    ) {
         let own = anchors.is_none();
-        let identifiers = groups.identifiers(hashed_range);
-        (identifiers.into_iter())
-            .map(|i| (i, if own { self.place(config, i) } else { Id(i) }))
-            .collect()
+        out.extend(groups.fused_groups().iter().map(|g| {
+            let i = g.identifier(hashed_range);
+            (i, if own { self.place(config, i) } else { Id(i) })
+        }));
     }
 
     /// [`place_identifier`], through the table where it is a SHA-1.
@@ -183,6 +164,118 @@ impl PlacementMemo {
             *slot = (identifier, place_identifier(config, identifier));
         }
         slot.1
+    }
+}
+
+/// Memoized identifiers and positions, keyed by the (padded) hashed range:
+/// the cache in the `HashStage` of [`crate::RangeSelectNetwork`] and
+/// [`crate::ChurnNetwork`]. Identifiers depend only on the hash groups and
+/// positions only on [`SystemConfig::placement`], never on membership, so
+/// entries never *invalidate*, under churn either.
+///
+/// A range is admitted on its second sighting (TinyLFU's doorkeeper): its
+/// first miss records 32 bits of its Fx hash, its second stores the entry,
+/// and it hits from its third on. A hash collision can only move an
+/// admission by a sighting; entries are keyed by the exact range, so an
+/// answer is never wrong. Entry `e` is row `e` of one arena of `l`-wide
+/// `(identifier, position)` rows, `CHUNK` rows a block, so growing it
+/// never copies a row or frees a block.
+#[derive(Debug, Clone, Default)]
+pub struct IdentifierCache {
+    /// Each admitted range's entry number.
+    map: FxHashMap<RangeSet, u32>,
+    /// The arena: the admitted rows in admission order, then the last miss's.
+    rows: Vec<Vec<(u32, Id)>>,
+    /// The doorkeeper: the top 32 bits of the hash of each range seen once
+    /// (an admitted range leaves it).
+    seen: FxHashSet<u32>,
+    hits: u64,
+    misses: u64,
+}
+
+/// Rows per block of the [`IdentifierCache`]'s arena.
+const CHUNK: usize = 256;
+
+impl IdentifierCache {
+    /// Cache lookups that found an entry.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Cache lookups that had to compute identifiers.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Number of distinct ranges cached.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True if nothing has been cached yet.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Row `entry` of the arena, `l` pairs wide.
+    fn row(&self, entry: usize, l: usize) -> &[(u32, Id)] {
+        &self.rows[entry / CHUNK][entry % CHUNK * l..][..l]
+    }
+}
+
+/// The hash stage of the static and churn executors: a hashed range's
+/// identifiers and positions from the [`IdentifierCache`] on a hit, through
+/// the [`PlacementMemo`] on a miss, counted in `core.ident_cache.*`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HashStage {
+    pub(crate) cache: IdentifierCache,
+    memo: PlacementMemo,
+    /// The entry number and width of the row last resolved.
+    last: (usize, usize),
+}
+
+impl HashStage {
+    /// The identifiers of `hashed_range`, each beside its placed position
+    /// ([`PlacementMemo::resolve_into`]'s), borrowed from the cache's arena.
+    pub(crate) fn resolve(
+        &mut self,
+        config: &SystemConfig,
+        groups: &HashGroups,
+        anchors: Option<&HashGroups>,
+        telemetry: &Telemetry,
+        hashed_range: &RangeSet,
+    ) -> &[(u32, Id)] {
+        let l = groups.fused_groups().len();
+        let cache = &mut self.cache;
+        let entry = if let Some(&entry) = cache.map.get(hashed_range) {
+            cache.hits += 1;
+            telemetry.counter_add("core.ident_cache.hits", 1);
+            entry as usize
+        } else {
+            cache.misses += 1;
+            telemetry.counter_add("core.ident_cache.misses", 1);
+            let entry = cache.map.len();
+            if entry / CHUNK == cache.rows.len() {
+                cache.rows.push(Vec::with_capacity(CHUNK * l));
+            }
+            let block = &mut cache.rows[entry / CHUNK];
+            block.truncate(entry % CHUNK * l);
+            (self.memo).resolve_into(config, groups, anchors, hashed_range, block);
+            let hash = (FxBuildHasher::default().hash_one(hashed_range) >> 32) as u32;
+            if !cache.seen.insert(hash) {
+                cache.seen.remove(&hash);
+                cache.map.insert(hashed_range.clone(), entry as u32);
+                telemetry.gauge_set("core.ident_cache.size", cache.map.len() as u64);
+            }
+            entry
+        };
+        self.last = (entry, l);
+        self.placed()
+    }
+
+    /// The row [`Self::resolve`] last returned.
+    pub(crate) fn placed(&self) -> &[(u32, Id)] {
+        self.cache.row(self.last.0, self.last.1)
     }
 }
 
@@ -363,9 +456,72 @@ impl Verdict {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::Placement;
+
+    /// `PlacementMemo::resolve_into` without the memo: every identifier
+    /// placed by SHA-1 — the oracle the memo and the cache are held to.
+    pub(crate) fn resolve(
+        config: &SystemConfig,
+        groups: &HashGroups,
+        anchors: Option<&HashGroups>,
+        hashed_range: &RangeSet,
+    ) -> Vec<(u32, Id)> {
+        let at = |i| match anchors {
+            None => place_identifier(config, i),
+            Some(_) => Id(i),
+        };
+        let identifiers = groups.identifiers(hashed_range);
+        identifiers.into_iter().map(|i| (i, at(i))).collect()
+    }
+
+    /// Every range `cache` admitted, beside its `l`-wide row.
+    pub(crate) fn entries(
+        cache: &IdentifierCache,
+        l: usize,
+    ) -> impl Iterator<Item = (&RangeSet, &[(u32, Id)])> {
+        (cache.map.iter()).map(move |(range, &entry)| (range, cache.row(entry as usize, l)))
+    }
+
+    #[test]
+    fn every_row_the_stage_lends_equals_a_fresh_resolve() {
+        let mut rng = DetRng::new(53);
+        let pool: Vec<RangeSet> = (0..600)
+            .map(|_| {
+                let lo = rng.gen_index(20_000) as u32;
+                RangeSet::interval(lo, lo + rng.gen_index(400) as u32)
+            })
+            .collect();
+        let independent = SystemConfig::default();
+        let layered = independent
+            .clone()
+            .with_placement_mode(PlacementMode::Layered);
+        for config in [independent, layered] {
+            let groups = HashGroups::generate(config.family, config.k, config.l, &mut rng);
+            let anchors = anchor_sketch(&config);
+            let mut stage = HashStage::default();
+            for _ in 0..4_000 {
+                let range = &pool[rng.gen_index(pool.len())];
+                let hits = stage.cache.hits();
+                let telemetry = Telemetry::noop();
+                let placed = stage.resolve(&config, &groups, anchors.as_ref(), &telemetry, range);
+                let placed = placed.to_vec();
+                assert_eq!(placed, resolve(&config, &groups, anchors.as_ref(), range));
+                assert_eq!(stage.placed(), placed);
+                // A hit's row is the one admitted, whatever came since.
+                if stage.cache.hits() > hits {
+                    assert!(stage.cache.map.contains_key(range));
+                }
+            }
+            let cache = &stage.cache;
+            assert!(cache.hits() > 2_000, "the pool repeats");
+            assert!(cache.len() > 2 * CHUNK, "the arena spans blocks");
+            for (range, row) in entries(cache, config.l) {
+                assert_eq!(row, resolve(&config, &groups, anchors.as_ref(), range));
+            }
+        }
+    }
 
     #[test]
     fn placement_memo_equals_sha1_placement() {
@@ -405,10 +561,9 @@ mod tests {
         for lo in (0..5_000).step_by(97) {
             let range = RangeSet::interval(lo, lo + 300);
             for (config, anchors) in [(&config, None), (&layered, sketch.as_ref())] {
-                assert_eq!(
-                    memo.resolve(config, &groups, anchors, &range),
-                    resolve(config, &groups, anchors, &range)
-                );
+                let mut placed = Vec::new();
+                memo.resolve_into(config, &groups, anchors, &range, &mut placed);
+                assert_eq!(*placed, *resolve(config, &groups, anchors, &range));
             }
         }
     }

@@ -599,8 +599,9 @@ impl ProtoNetwork {
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
         let hashed_range = hashed_range(q, self.config.padding);
         let anchors = self.anchors.as_ref();
-        let placed = (self.placements).resolve(&self.config, &self.groups, anchors, &hashed_range);
-        let targets = targets(&self.config, &self.groups, anchors, &hashed_range, &placed);
+        let (config, groups, mut placed) = (&self.config, &self.groups, Vec::new());
+        (self.placements).resolve_into(config, groups, anchors, &hashed_range, &mut placed);
+        let targets = targets(config, groups, anchors, &hashed_range, &placed);
         let origin = self.rng.gen_index(self.ring.len());
         let reply_to = origin as u32;
 
