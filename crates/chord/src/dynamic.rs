@@ -765,10 +765,11 @@ impl DynamicNetwork {
                 .filter_map(|s| self.answering(me.slot, s)),
         );
         // 5. Fix fingers incrementally, resolving each start position by a
-        //    best-effort lookup through the current (possibly stale) state.
+        //    best-effort lookup from `me` through the current (possibly
+        //    stale) state.
         for _ in 0..fingers_per_round.min(FINGERS) {
             let i = next.next_finger;
-            if let Ok((owner, _)) = self.descend(id, id.plus_pow2(i as u32)) {
+            if let Ok((owner, _)) = self.descend(Ok(me), id.plus_pow2(i as u32)) {
                 next.fingers[i] = owner;
                 next.has_finger |= 1 << i;
             }
@@ -798,18 +799,26 @@ impl DynamicNetwork {
         if self.route_cache.borrow().capacity > 0 {
             self.telemetry.counter_add("chord.route_cache.misses", 1);
         }
-        let (owner, hops) = self.descend(from, key)?;
+        let origin = self.find(from).ok_or(ChordError::UnknownNode(from));
+        let (owner, hops) = self.descend(origin, key)?;
         self.route_cache
             .borrow_mut()
             .insert(from, key, owner.id, hops);
         Ok((owner.id, hops))
     }
 
-    /// Finger descent, counted in `chord.*` like every lookup (the route
-    /// cache is the caller's).
-    fn descend(&self, from: Id, key: Id) -> Result<(Ptr, usize), ChordError> {
+    /// Finger descent from `origin`, counted in `chord.*` like every
+    /// lookup (the route cache is the caller's): a caller that names its
+    /// origin by id resolves it once, and one that already holds its
+    /// node's pointer (a fix-finger round) passes it. An origin that could
+    /// not be resolved counts as a failed lookup.
+    fn descend(
+        &self,
+        origin: Result<Ptr, ChordError>,
+        key: Id,
+    ) -> Result<(Ptr, usize), ChordError> {
         let mut touches = 0usize;
-        let result = self.greedy(from, key, &mut touches);
+        let result = origin.and_then(|origin| self.greedy(origin, key, &mut touches));
         self.telemetry.counter_add("chord.lookups", 1);
         self.telemetry
             .counter_add("chord.finger_touches", touches as u64);
@@ -823,8 +832,13 @@ impl DynamicNetwork {
         result
     }
 
-    fn greedy(&self, from: Id, key: Id, touches: &mut usize) -> Result<(Ptr, usize), ChordError> {
-        let mut current = self.find(from).ok_or(ChordError::UnknownNode(from))?;
+    fn greedy(
+        &self,
+        origin: Ptr,
+        key: Id,
+        touches: &mut usize,
+    ) -> Result<(Ptr, usize), ChordError> {
+        let (from, mut current) = (origin.id, origin);
         let mut hops = 0usize;
         let budget = 2 * FINGERS + self.len();
         loop {
@@ -1685,8 +1699,9 @@ mod tests {
             let from = ids[rng.gen_index(ids.len())];
             let key = Id(rng.next_u32());
             let (mut touches, mut oracle_touches) = (0, 0);
+            let origin = net.find(from).expect("origins are alive");
             let got = net
-                .greedy(from, key, &mut touches)
+                .greedy(origin, key, &mut touches)
                 .map(|(owner, hops)| (owner.id, hops));
             let want = lookup_probing_every_pointer(net, from, key, &mut oracle_touches);
             assert_eq!(got, want, "{stage}: {from} -> {key}");

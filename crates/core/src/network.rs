@@ -1149,7 +1149,7 @@ mod tests {
 
     #[test]
     fn position_is_where_each_placement_mode_stores_a_copy() {
-        use crate::plan::positions;
+        use crate::plan::HashStage;
         use ars_chord::layered_position;
         let range = r(100, 200);
         let plain = net(40);
@@ -1184,8 +1184,8 @@ mod tests {
                 let each: Vec<Id> = (bucket.iter())
                     .map(|range| position(config, anchors, ident, range))
                     .collect();
-                let swept: Vec<Id> =
-                    positions(config, anchors, ident, bucket.iter().cloned()).collect();
+                let place = HashStage::default().placer(config, anchors, ident);
+                let swept: Vec<Id> = bucket.iter().map(place).collect();
                 assert_eq!(swept, each);
             }
         }

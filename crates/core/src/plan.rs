@@ -65,8 +65,8 @@ pub(crate) fn place_identifier(config: &SystemConfig, identifier: u32) -> Id {
 /// identifier's own position under independent placement, its offset
 /// inside the arc of `range`'s anchor under layered placement — a stored
 /// copy's position depends on the range it holds, not on the identifier
-/// alone. Repair places through this, so it restores copies where
-/// [`targets`] sends the queries that look for them.
+/// alone. Repair places through this ([`HashStage::placer`]), so it
+/// restores copies where [`targets`] sends the queries that look for them.
 pub(crate) fn position(
     config: &SystemConfig,
     anchors: Option<&HashGroups>,
@@ -77,20 +77,6 @@ pub(crate) fn position(
         None => place_identifier(config, identifier),
         Some(sketch) => layered_position(anchor_of(sketch, range), identifier),
     }
-}
-
-/// [`position`] of every copy one bucket holds, in bucket order — worked
-/// out once for the whole bucket where it depends on the identifier alone,
-/// so a repair sweep pays independent placement's SHA-1 per bucket, not per
-/// copy.
-pub(crate) fn positions<'a>(
-    config: &'a SystemConfig,
-    anchors: Option<&'a HashGroups>,
-    identifier: u32,
-    ranges: impl Iterator<Item = RangeSet> + 'a,
-) -> impl Iterator<Item = Id> + 'a {
-    let own = (anchors.is_none()).then(|| place_identifier(config, identifier));
-    ranges.map(move |range| own.unwrap_or_else(|| position(config, anchors, identifier, &range)))
 }
 
 /// §5.2 padding: the range a query is hashed, matched and cached under.
@@ -276,6 +262,23 @@ impl HashStage {
     /// The row [`Self::resolve`] last returned.
     pub(crate) fn placed(&self) -> &[(u32, Id)] {
         self.cache.row(self.last.0, self.last.1)
+    }
+
+    /// [`position`] of each copy a bucket of `identifier` holds, as a
+    /// function of the copy's range — the churn executor's repair sweeps
+    /// place through it. Under independent placement every copy sits at
+    /// the identifier's own position, placed once for the whole bucket
+    /// through the memo, so repair pays no SHA-1 the queries already paid;
+    /// under layered placement each range sits in its anchor's arc. The
+    /// function borrows the config, not the stage.
+    pub(crate) fn placer<'a>(
+        &mut self,
+        config: &'a SystemConfig,
+        anchors: Option<&'a HashGroups>,
+        identifier: u32,
+    ) -> impl Fn(&RangeSet) -> Id + 'a {
+        let own = (anchors.is_none()).then(|| self.memo.place(config, identifier));
+        move |range| own.unwrap_or_else(|| position(config, anchors, identifier, range))
     }
 }
 

@@ -24,7 +24,7 @@
 //!   value the churn executor calls for every fetch and probe sweep.
 
 use ars_chord::{DynamicNetwork, Id};
-use ars_common::DetRng;
+use ars_common::{DetRng, FxHashMap};
 use ars_telemetry::{Hist, Telemetry};
 use std::collections::BTreeMap;
 
@@ -83,9 +83,13 @@ pub(crate) fn backoff(retry: u32, rng: &mut DetRng) -> u64 {
 /// from the start is learned as such; a peer that suddenly degrades spikes
 /// the score immediately. Entirely arithmetic: no RNG, no wall clock, so
 /// attaching a detector to a run never perturbs replay.
+///
+/// Layout: one Fx hash table from peer id to its estimate, searched on
+/// every fetch and never iterated, so no order is kept (the breakers,
+/// which `GrayLayer::avoided_peers` walks in id order, stay a `BTreeMap`).
 #[derive(Debug, Clone, Default)]
 struct FailureDetector {
-    estimates: BTreeMap<u32, PeerEstimate>,
+    estimates: FxHashMap<u32, PeerEstimate>,
 }
 
 /// Learned latency profile of one peer.
@@ -720,6 +724,108 @@ mod tests {
             d.observe(8, 1_000);
         }
         assert!(d.suspicion(8, 1_000) < 1.0);
+    }
+
+    /// `FailureDetector` as it read over a `BTreeMap`, and
+    /// `GrayLayer::note_response` over it: the oracle of the test below.
+    #[derive(Default)]
+    struct OrderedDetector {
+        estimates: BTreeMap<u32, PeerEstimate>,
+        breakers: BTreeMap<u32, CircuitBreaker>,
+    }
+
+    impl OrderedDetector {
+        fn suspicion(&self, peer: u32, latency: u64) -> f64 {
+            let Some(est) = self.estimates.get(&peer) else {
+                return 0.0;
+            };
+            let floor = (est.mean / 8.0).max(1.0);
+            ((latency as f64 - est.mean) / est.dev.max(floor)).max(0.0)
+        }
+
+        fn observe(&mut self, peer: u32, latency: u64) {
+            let first = PeerEstimate {
+                mean: latency as f64,
+                dev: 0.0,
+            };
+            let est = self.estimates.entry(peer).or_insert(first);
+            let err = latency as f64 - est.mean;
+            est.mean += EWMA_ALPHA * err;
+            est.dev += EWMA_ALPHA * (err.abs() - est.dev);
+        }
+
+        /// Returns whether a breaker opened.
+        fn note_response(
+            &mut self,
+            cfg: Option<BreakerConfig>,
+            peer: u32,
+            svc: u64,
+            now: u64,
+        ) -> bool {
+            let Some(cfg) = cfg else {
+                self.observe(peer, svc);
+                return false;
+            };
+            let ok = self.suspicion(peer, svc) < SUSPICION_THRESHOLD;
+            let breaker = (self.breakers)
+                .entry(peer)
+                .or_insert_with(|| CircuitBreaker::new(cfg));
+            let opened = breaker.state(now) != BreakerState::Open
+                && breaker.record(ok, now) == BreakerTransition::Opened;
+            if breaker.state(now) == BreakerState::Closed {
+                self.observe(peer, svc);
+            }
+            opened
+        }
+    }
+
+    /// The hashed detector scores and absorbs every observation exactly as
+    /// the ordered one did, before and after breakers are enabled mid-run
+    /// (which freezes the estimates of a peer whose breaker is not closed):
+    /// every suspicion bit, every estimate, every breaker state and every
+    /// opening agree, on a seeded stream over 24 peers, a quarter of which
+    /// degrade part-way.
+    #[test]
+    fn hashed_detector_scores_as_the_ordered_one() {
+        let mut rng = DetRng::new(54);
+        let mut layer = GrayLayer::default();
+        let mut oracle = OrderedDetector::default();
+        let mut stats = ResilienceStats::default();
+        let telemetry = Telemetry::noop();
+        let cfg = BreakerConfig { cooldown: 1_000 };
+        let mut opened = 0;
+        for step in 0..3_000u64 {
+            if step == 900 {
+                layer.enable_breakers(cfg);
+            }
+            let now = step * 40;
+            let peer = rng.gen_index(24) as u32 * 7;
+            let slow = (1_200..2_400).contains(&step) && peer.is_multiple_of(4);
+            let svc = BASE_SERVICE * if slow { 6 } else { 1 } + rng.gen_range_u64(30);
+            for probe in [0, svc, 2 * svc, 10 * svc] {
+                let (got, want) = (
+                    layer.detector.suspicion(peer, probe),
+                    oracle.suspicion(peer, probe),
+                );
+                assert_eq!(got.to_bits(), want.to_bits(), "step {step}, peer {peer}");
+            }
+            layer.note_response(peer, svc, now, &mut stats, &telemetry);
+            opened += u64::from(oracle.note_response(layer.breaker_cfg, peer, svc, now));
+            assert_eq!(stats.breaker_opens, opened, "step {step}");
+            assert_eq!(layer.detector.estimates.len(), oracle.estimates.len());
+            for (&id, want) in &oracle.estimates {
+                let got = layer.detector.estimates[&id];
+                assert_eq!(
+                    (got.mean.to_bits(), got.dev.to_bits()),
+                    (want.mean.to_bits(), want.dev.to_bits()),
+                    "step {step}, peer {id}"
+                );
+            }
+            for (&id, want) in &oracle.breakers {
+                assert_eq!(layer.breaker_state(Id(id), now), Some(want.state(now)));
+            }
+        }
+        assert!(opened > 0, "the degraded peers trip their breakers");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! Zipf trace, where its identifier cache hits) and on the message path
 //! (`ProtoNetwork`),
 //! with and without a fault plan that delays and duplicates, and how many
-//! one maintenance round of the churn path's ring costs. Neither a
+//! one maintenance round of the churn path's ring and one churn step of
+//! `churn_durable` (fail, stabilize, join, stabilize) cost. Neither a
 //! message delivery nor a send through the fault injector may allocate:
 //! the message path's budget is the direct path's plus a few allocations
 //! a query, not a few a message, faults or none.
@@ -141,6 +142,29 @@ fn a_warm_query_allocates_within_budget_on_both_paths() {
         churn.settle(1);
     }
     let settle_allocs = (ALLOCATIONS.with(Cell::get) - before) as f64 / ROUNDS as f64;
+    // One `churn_durable` churn step on the warm Zipf ring, split by call:
+    // the failure and its arc repair, the join and its arc repair, and the
+    // two `stabilize(64)` calls around the join.
+    let (mut fail, mut join, mut stabilize) = (0, 0, 0);
+    let counted = |tally: &mut u64, step: &mut dyn FnMut()| {
+        let before = ALLOCATIONS.with(Cell::get);
+        step();
+        *tally += ALLOCATIONS.with(Cell::get) - before;
+    };
+    for _ in 0..ROUNDS {
+        counted(&mut fail, &mut || zipf_churn.fail_random(1));
+        counted(&mut stabilize, &mut || {
+            zipf_churn.stabilize(64).expect("the ring converges");
+        });
+        counted(&mut join, &mut || {
+            zipf_churn.join_random().expect("a peer joins");
+        });
+        counted(&mut stabilize, &mut || {
+            zipf_churn.stabilize(64).expect("the ring converges");
+        });
+    }
+    let [fail_allocs, join_allocs, stabilize_allocs] =
+        [fail, join, stabilize].map(|n| n as f64 / ROUNDS as f64);
     let mut proto = ProtoNetwork::new(PEERS, config.clone());
     let proto_allocs = per_query(&trace, 1, |qs| {
         proto.query(&qs[0]);
@@ -157,7 +181,9 @@ fn a_warm_query_allocates_within_budget_on_both_paths() {
          miss {miss_allocs:.2} x {}), batch {batch_allocs:.2}, \
          layered {layered_allocs:.2}, churn {churn_allocs:.2} (Zipf {zipf_churn_allocs:.2}), \
          message path {proto_allocs:.2} \
-         (delayed and duplicated {faulty_allocs:.2}); one settle(1) round {settle_allocs:.2}",
+         (delayed and duplicated {faulty_allocs:.2}); one settle(1) round {settle_allocs:.2}; \
+         one churn step: fail {fail_allocs:.2}, join {join_allocs:.2}, \
+         stabilization {stabilize_allocs:.2}",
         hit.0, miss.0
     );
 
@@ -192,6 +218,20 @@ fn a_warm_query_allocates_within_budget_on_both_paths() {
     assert!(
         settle_allocs <= 2.0,
         "maintenance: {settle_allocs:.2} a settle(1) round"
+    );
+    // Repair's inventory (`restore_replicas`'s island list and
+    // `true_successors` per copy) carries the failure and the join.
+    assert!(
+        fail_allocs <= 359.25,
+        "churn step: {fail_allocs:.2} a failure"
+    );
+    assert!(
+        join_allocs <= 279.625,
+        "churn step: {join_allocs:.2} a join"
+    );
+    assert_eq!(
+        stabilize_allocs, 0.0,
+        "churn step: {stabilize_allocs:.2} in stabilization"
     );
     assert!(
         proto_allocs <= 14.0,
