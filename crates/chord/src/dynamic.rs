@@ -437,6 +437,13 @@ impl DynamicNetwork {
         self.clockwise_from(key).take(count).map(|p| p.id).collect()
     }
 
+    /// [`Self::true_successors`], written over `out` — for a caller that
+    /// asks for many keys' successors and reuses one buffer.
+    pub fn true_successors_into(&self, key: Id, count: usize, out: &mut Vec<Id>) {
+        out.clear();
+        out.extend(self.clockwise_from(key).take(count).map(|p| p.id));
+    }
+
     /// Split the network into islands: `groups[i]` becomes island `i`;
     /// alive nodes not listed in any group join island 0 (so a call only
     /// needs to enumerate the minority islands it carves off, matching

@@ -23,7 +23,7 @@
 //! arc granularity.
 
 use crate::id::Id;
-use crate::sha1::sha1_u32;
+use crate::sha1::sha1_u32_of_salted_word;
 
 /// Arc span in bits: all buckets of one anchor land within `2^S`
 /// consecutive ring positions. At `S = 20` an arc is `2^-12` of the
@@ -35,19 +35,20 @@ const ARC_MASK: u32 = (1u32 << ARC_SPAN_BITS) - 1;
 
 /// The base ring position of an anchor's arc (low span bits zero).
 pub fn arc_base(anchor: u32) -> Id {
-    let mut bytes = [0u8; 11];
-    bytes[..7].copy_from_slice(b"ars-arc");
-    bytes[7..].copy_from_slice(&anchor.to_be_bytes());
-    Id(sha1_u32(&bytes) & !ARC_MASK)
+    Id(sha1_u32_of_salted_word(b"ars-arc", anchor) & !ARC_MASK)
+}
+
+/// The offset of bucket `ident` inside whichever arc holds it (high bits
+/// zero): a function of the identifier alone, so a caller can remember it
+/// across anchors.
+pub fn arc_offset(ident: u32) -> u32 {
+    sha1_u32_of_salted_word(b"ars-pos", ident) & ARC_MASK
 }
 
 /// The ring position of bucket `ident` in the arc at `base`, an
-/// [`arc_base`] — which a query hashes once for all of its buckets.
+/// [`arc_base`]: the base with [`arc_offset`] in its low bits.
 pub fn position_in_arc(base: Id, ident: u32) -> Id {
-    let mut bytes = [0u8; 11];
-    bytes[..7].copy_from_slice(b"ars-pos");
-    bytes[7..].copy_from_slice(&ident.to_be_bytes());
-    Id(base.0 | (sha1_u32(&bytes) & ARC_MASK))
+    Id(base.0 | arc_offset(ident))
 }
 
 /// The layered ring position of bucket `ident` under `anchor`:
@@ -98,6 +99,21 @@ mod tests {
             let pos = position_in_arc(base, ident);
             assert_eq!(pos, layered_position(anchor, ident));
             assert_eq!(pos.0 & !ARC_MASK, base.0, "position left its arc");
+        }
+    }
+
+    #[test]
+    fn salted_hashes_equal_the_streaming_sha1_of_their_messages() {
+        use crate::sha1::sha1_u32;
+        let message = |salt: &[u8; 7], word: u32| {
+            let mut bytes = [0u8; 11];
+            bytes[..7].copy_from_slice(salt);
+            bytes[7..].copy_from_slice(&word.to_be_bytes());
+            sha1_u32(&bytes)
+        };
+        for word in [0u32, 1, 42, 0xDEAD_BEEF, u32::MAX] {
+            assert_eq!(arc_base(word).0, message(b"ars-arc", word) & !ARC_MASK);
+            assert_eq!(arc_offset(word), message(b"ars-pos", word) & ARC_MASK);
         }
     }
 

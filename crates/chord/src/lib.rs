@@ -37,7 +37,7 @@ mod vnodes;
 
 pub use dynamic::{DynamicNetwork, RingView, RouteCacheStats};
 pub use id::Id;
-pub use layered::{arc_base, layered_position, position_in_arc, ARC_SPAN_BITS};
+pub use layered::{arc_base, arc_offset, layered_position, position_in_arc, ARC_SPAN_BITS};
 pub use ring::Ring;
 pub use sha1::sha1;
 pub use vnodes::VirtualRing;

@@ -182,6 +182,23 @@ pub fn sha1_u32_of_word(word: u32) -> u32 {
     state[0]
 }
 
+/// [`sha1_u32`] of the seven bytes of `salt` followed by the four
+/// big-endian bytes of `word` — the message layered placement hashes
+/// (`"ars-arc"` or `"ars-pos"` ‖ a word). Eleven bytes and their padding
+/// are one block whose words are known up front (the salt, the word split
+/// across two words, the `0x80` marker, zeros, the bit length 88), so this
+/// runs the compression function once, like [`sha1_u32_of_word`].
+pub fn sha1_u32_of_salted_word(salt: &[u8; 7], word: u32) -> u32 {
+    let mut w = [0u32; 16];
+    w[0] = u32::from_be_bytes([salt[0], salt[1], salt[2], salt[3]]);
+    w[1] = u32::from_be_bytes([salt[4], salt[5], salt[6], (word >> 24) as u8]);
+    w[2] = (word << 8) | 0x80;
+    w[15] = 88;
+    let mut state = H0;
+    compress(&mut state, w);
+    state[0]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,6 +324,27 @@ mod tests {
                 u32::from_be_bytes([d[0], d[1], d[2], d[3]]),
                 "{word:#x}"
             );
+        }
+    }
+
+    #[test]
+    fn one_block_salted_entry_equals_streaming() {
+        let salted = |salt: &[u8; 7], word: u32| {
+            let mut bytes = [0u8; 11];
+            bytes[..7].copy_from_slice(salt);
+            bytes[7..].copy_from_slice(&word.to_be_bytes());
+            sha1_u32(&bytes)
+        };
+        let mut rng = ars_common::DetRng::new(55);
+        let words = (0..100_000).map(|_| rng.next_u32());
+        for word in [0, 1, 0x8000_0000, u32::MAX].into_iter().chain(words) {
+            for salt in [b"ars-arc", b"ars-pos", &[0u8; 7], &[0xFF; 7]] {
+                assert_eq!(
+                    sha1_u32_of_salted_word(salt, word),
+                    salted(salt, word),
+                    "{salt:?} {word:#x}"
+                );
+            }
         }
     }
 

@@ -54,8 +54,8 @@ use crate::durable::{decode_range, digest_bytes, encode_range, with_encoded};
 use crate::network::{QueryOutcome, RangeSelectNetwork};
 use crate::peer::Peer;
 use crate::plan::{
-    anchor_sketch, hashed_range, identifiers_of, position, targets, verdict, HashStage,
-    IdentifierCache, Transport,
+    anchor_sketch, hashed_range, identifiers_of, targets, verdict, HashStage, IdentifierCache,
+    Transport,
 };
 use crate::resilient::{
     backoff, BreakerConfig, BreakerState, GrayLayer, HedgePolicy, ResilienceStats, RetryPolicy,
@@ -63,7 +63,7 @@ use crate::resilient::{
 };
 use ars_chord::dynamic::ChordError;
 use ars_chord::{DynamicNetwork, Id};
-use ars_common::{DetRng, FxHashMap};
+use ars_common::{DetRng, FxHashMap, FxHashSet};
 use ars_lsh::{HashGroups, RangeSet};
 use ars_store::BucketStore;
 use ars_telemetry::Telemetry;
@@ -403,13 +403,6 @@ impl ChurnNetwork {
         )
     }
 
-    /// Ring position of the copy of `range` stored under `identifier`
-    /// ([`position`]): where queries look for it, and where every repair
-    /// path puts it (through [`HashStage::placer`]).
-    fn position(&self, identifier: u32, range: &RangeSet) -> Id {
-        position(&self.config, self.anchors.as_ref(), identifier, range)
-    }
-
     /// The buckets of alive peer `id`.
     fn peer(&self, id: u32) -> Option<&Peer> {
         self.alive.get(&id).map(|a| &a.peer)
@@ -733,16 +726,20 @@ impl ChurnNetwork {
                 // under independent placement, one per arc when layered
                 // placement put ranges of different anchors in it.
                 let mut belongs: Vec<Vec<Id>> = Vec::new();
-                let mut at = None;
-                let place = (self.hash).placer(&self.config, self.anchors.as_ref(), ident);
-                for key in self.held(p, ident).map(move |range| place(&range)) {
-                    // Neighbours at one position share one owner set.
-                    let owners = match belongs.last() {
-                        Some(last) if at == Some(key) => last.clone(),
-                        _ => self.replica_owners_at(key),
-                    };
-                    at = Some(key);
-                    belongs.push(owners);
+                {
+                    let mut at = None;
+                    let bucket = self.alive.get(&p).and_then(|a| a.peer.bucket(ident));
+                    let mut place = (self.hash).placer(&self.config, self.anchors.as_ref(), ident);
+                    for range in bucket.into_iter().flat_map(Bucket::ranges) {
+                        let key = place(&range);
+                        // Neighbours at one position share one owner set.
+                        let owners = match belongs.last() {
+                            Some(last) if at == Some(key) => last.clone(),
+                            _ => self.chord.true_successors(key, self.config.replication),
+                        };
+                        at = Some(key);
+                        belongs.push(owners);
+                    }
                 }
                 let mut owners: Vec<Id> = Vec::new();
                 for &owner in belongs.iter().flatten() {
@@ -862,13 +859,10 @@ impl ChurnNetwork {
     /// position (which under layered placement depends on the range's
     /// anchor, not on the identifier alone). Computed from the membership
     /// oracle, not routing state, so it is correct even while finger
-    /// tables are stale.
-    pub fn replica_owners(&self, identifier: u32, range: &RangeSet) -> Vec<Id> {
-        self.replica_owners_at(self.position(identifier, range))
-    }
-
-    /// [`Self::replica_owners`] of a copy already placed at `key`.
-    fn replica_owners_at(&self, key: Id) -> Vec<Id> {
+    /// tables are stale. The copy is placed through the hash stage's memo,
+    /// as a query or a repair places it, hence `&mut self`.
+    pub fn replica_owners(&mut self, identifier: u32, range: &RangeSet) -> Vec<Id> {
+        let key = (self.hash).placer(&self.config, self.anchors.as_ref(), identifier)(range);
         self.chord.true_successors(key, self.config.replication)
     }
 
@@ -924,46 +918,46 @@ impl ChurnNetwork {
         // Inventory of everything stored in scope, deduplicated, tagged
         // with the islands that hold a copy: while the network is split,
         // a missing replica can only be rebuilt at an owner some holder
-        // can actually reach (a connected ring is all island 0).
-        let mut pairs: Vec<(u32, Id, RangeSet, Vec<usize>)> = Vec::new();
+        // can actually reach (a connected ring is all island 0). Each pair
+        // keeps the first holder's island and its first-seen number; the
+        // rare pair held on further islands lists them in `more_islands`.
+        let mut seen: FxHashMap<(u32, RangeSet), (Id, usize, usize)> = FxHashMap::default();
+        let mut more_islands: FxHashSet<(usize, usize)> = FxHashSet::default();
         let mut scanned = 0u64;
-        {
-            let mut seen: FxHashMap<(u32, RangeSet), usize> = FxHashMap::default();
-            for (&pid, alive) in &self.alive {
-                if arc.is_some_and(|a| !a.peers.contains(&Id(pid))) {
-                    continue;
-                }
-                let island = self.chord.island_of(Id(pid));
-                for (ident, bucket) in alive.peer.buckets() {
-                    let place = (self.hash).placer(&self.config, self.anchors.as_ref(), ident);
-                    for range in bucket.ranges() {
-                        let key = place(&range);
-                        if arc.is_some_and(|a| !key.in_open_closed(a.after, a.through)) {
-                            continue;
-                        }
-                        scanned += 1;
-                        match seen.entry((ident, range)) {
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                pairs.push((ident, key, v.key().1.clone(), vec![island]));
-                                v.insert(pairs.len() - 1);
-                            }
-                            std::collections::hash_map::Entry::Occupied(o) => {
-                                let islands = &mut pairs[*o.get()].3;
-                                if !islands.contains(&island) {
-                                    islands.push(island);
-                                }
-                            }
-                        }
+        for (&pid, alive) in &self.alive {
+            if arc.is_some_and(|a| !a.peers.contains(&Id(pid))) {
+                continue;
+            }
+            let island = self.chord.island_of(Id(pid));
+            for (ident, bucket) in alive.peer.buckets() {
+                let mut place = (self.hash).placer(&self.config, self.anchors.as_ref(), ident);
+                for range in bucket.ranges() {
+                    let key = place(&range);
+                    if arc.is_some_and(|a| !key.in_open_closed(a.after, a.through)) {
+                        continue;
+                    }
+                    scanned += 1;
+                    let next = seen.len();
+                    let &mut (_, first, pair) =
+                        seen.entry((ident, range)).or_insert((key, island, next));
+                    if first != island {
+                        more_islands.insert((pair, island));
                     }
                 }
             }
         }
         self.resilience.repair_scanned += scanned;
         self.telemetry.counter_add("replica.scanned", scanned);
+        let mut pairs: Vec<_> = seen.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(_, (_, _, pair))| pair);
         let mut restored = 0;
-        for (ident, key, range, holder_islands) in pairs {
-            for owner in self.replica_owners_at(key) {
-                if !holder_islands.contains(&self.chord.island_of(owner)) {
+        let mut owners = Vec::with_capacity(self.config.replication);
+        for ((ident, range), (key, first, pair)) in pairs {
+            self.chord
+                .true_successors_into(key, self.config.replication, &mut owners);
+            for &owner in &owners {
+                let island = self.chord.island_of(owner);
+                if island != first && !more_islands.contains(&(pair, island)) {
                     continue;
                 }
                 if self.store_at(owner.0, ident, &range) {
@@ -1083,9 +1077,9 @@ impl ChurnNetwork {
     pub fn query_resilient(&mut self, q: &RangeSet) -> QueryOutcome {
         let hashed_range = hashed_range(q, self.config.padding);
         let (config, groups, anchors) = (&self.config, &self.groups, self.anchors.as_ref());
-        let placed = (self.hash).resolve(config, groups, anchors, &self.telemetry, &hashed_range);
-        let identifiers = identifiers_of(placed);
-        let targets = targets(config, groups, anchors, &hashed_range, placed);
+        let resolved = (self.hash).resolve(config, groups, anchors, &self.telemetry, &hashed_range);
+        let identifiers = identifiers_of(resolved.placed);
+        let targets = targets(config, groups, &hashed_range, resolved);
         self.telemetry.counter_add("resilient.queries", 1);
         let span = self.telemetry.span(
             "core.query",
@@ -1744,7 +1738,8 @@ mod tests {
         let q = r(100, 200);
         let miss = net.query_resilient(&q);
         assert!(miss.stored);
-        let key = net.position(miss.identifiers[0], &q);
+        let anchors = net.anchors.as_ref();
+        let key = crate::plan::tests::position(&net.config, anchors, miss.identifiers[0], &q);
         let old = net.chord.true_owner(key);
         let arc_end = Id(key.0 | ((1 << ars_chord::ARC_SPAN_BITS) - 1));
         let new = arc_end.plus(1);
@@ -2488,9 +2483,10 @@ mod tests {
     /// Repair places through the hash stage's memo: every (identifier,
     /// range) a repair sweep reads — every copy on every alive peer, after
     /// queries, failures, joins and both repair passes — gets from
-    /// [`HashStage::placer`] the position [`position`] gives it, twice
+    /// [`HashStage::placer`] the position the unmemoised oracle gives it, twice
     /// over (the second time from the memo), under independent placement
-    /// with both `Placement` variants and under layered placement.
+    /// with both `Placement` variants and under layered placement, where
+    /// the copies name more anchors than the memo's arc table holds.
     #[test]
     fn repair_places_every_copy_where_position_does() {
         use crate::config::{Placement, PlacementMode};
@@ -2501,8 +2497,11 @@ mod tests {
             .with_walk_window(2);
         for config in [base, direct, layered] {
             let mut net = ChurnNetwork::new(24, config.clone()).expect("growth converges");
+            // The §5.1 trace's repeats, then more distinct ranges than the
+            // memo's arc table holds anchors.
             let trace = ars_workload::uniform_trace(200, 0, 3_000, 4);
-            for (i, q) in trace.queries().iter().enumerate() {
+            let distinct = crate::plan::tests::pool(&mut DetRng::new(4), 1_800, 1 << 24);
+            for (i, q) in trace.queries().iter().chain(&distinct).enumerate() {
                 net.query_resilient(q);
                 if i % 50 == 49 {
                     net.fail_random(1);
@@ -2513,20 +2512,26 @@ mod tests {
             net.repair_until_quiescent(8, 1_000)
                 .expect("repair quiesces");
             let mut copies = 0;
+            let mut arcs = std::collections::BTreeSet::new();
             for _ in 0..2 {
                 for alive in net.alive.values() {
                     for (ident, bucket) in alive.peer.buckets() {
                         let anchors = net.anchors.as_ref();
-                        let place = net.hash.placer(&net.config, anchors, ident);
+                        let mut place = net.hash.placer(&net.config, anchors, ident);
                         for range in bucket.ranges() {
-                            let want = position(&config, anchors, ident, &range);
+                            let want =
+                                crate::plan::tests::position(&config, anchors, ident, &range);
                             assert_eq!(place(&range), want, "{ident} {range}");
                             copies += 1;
+                            arcs.extend(anchors.map(|s| s.identifiers(&range)[0]));
                         }
                     }
                 }
             }
             assert!(copies > 400, "the sweep reads the cache: {copies}");
+            let layered = config.placement_mode == PlacementMode::Layered;
+            let slots = 1 << crate::plan::ARC_BITS;
+            assert!(!layered || arcs.len() > slots, "{} anchors", arcs.len());
         }
     }
 

@@ -49,7 +49,7 @@ impl RangeSelectNetwork {
         for (seq, q) in queries.iter().enumerate() {
             let origin = streams[seq % shards].gen_index(self.ring.len());
             let hashed_range = self.hash_stage(q);
-            let plan = self.plan_from(origin, &hashed_range, self.hash.placed());
+            let plan = self.plan_from(origin, &hashed_range, self.hash.resolved());
             let identifiers = identifiers_of(self.hash.placed());
             outcomes.push(self.commit_stage(q, hashed_range, identifiers, plan, false));
         }

@@ -11,8 +11,8 @@
 use crate::config::SystemConfig;
 use crate::peer::Peer;
 use crate::plan::{
-    anchor_sketch, hashed_range, identifiers_of, place_identifier, position, targets, verdict,
-    HashStage, Targets, Transport,
+    anchor_sketch, hashed_range, identifiers_of, place_identifier, targets, verdict, HashStage,
+    Resolved, Targets, Transport,
 };
 use ars_chord::{Id, Ring};
 use ars_common::{DetRng, FxHashMap};
@@ -431,14 +431,14 @@ impl RangeSelectNetwork {
     pub fn query(&mut self, q: &RangeSet) -> QueryOutcome {
         let hashed_range = self.hash_stage(q);
         let origin = self.rng.gen_index(self.ring.len());
-        let plan = self.plan_from(origin, &hashed_range, self.hash.placed());
+        let plan = self.plan_from(origin, &hashed_range, self.hash.resolved());
         let identifiers = identifiers_of(self.hash.placed());
         self.commit_stage(q, hashed_range, identifiers, plan, true)
     }
 
     /// Stage 1 of a query: pad, then resolve the group identifiers and
-    /// their placed positions through the [`HashStage`], whose
-    /// `placed()` lends them out until the next query hashes.
+    /// their placements through the [`HashStage`], whose `resolved()`
+    /// lends them out until the next query hashes.
     pub(crate) fn hash_stage(&mut self, q: &RangeSet) -> RangeSet {
         let hashed_range = hashed_range(q, self.config.padding);
         let (config, groups, anchors) = (&self.config, &self.groups, self.anchors.as_ref());
@@ -450,9 +450,9 @@ impl RangeSelectNetwork {
     /// routing starts from (hop accounting) — the one RNG draw a query
     /// makes, which [`Self::query`] makes inline beside the row it borrows
     /// — and plan from it.
-    fn plan_stage(&mut self, hashed_range: &RangeSet, placed: &[(u32, Id)]) -> QueryPlan {
+    fn plan_stage(&mut self, hashed_range: &RangeSet, resolved: Resolved<'_>) -> QueryPlan {
         let origin = self.rng.gen_index(self.ring.len());
-        self.plan_from(origin, hashed_range, placed)
+        self.plan_from(origin, hashed_range, resolved)
     }
 
     /// Plan a hashed range from the peer of rank `origin`.
@@ -460,10 +460,9 @@ impl RangeSelectNetwork {
         &self,
         origin: usize,
         hashed_range: &RangeSet,
-        placed: &[(u32, Id)],
+        resolved: Resolved<'_>,
     ) -> QueryPlan {
-        let anchors = self.anchors.as_ref();
-        let targets = targets(&self.config, &self.groups, anchors, hashed_range, placed);
+        let targets = targets(&self.config, &self.groups, hashed_range, resolved);
         plan_query(&self.ring, origin, targets)
     }
 
@@ -521,20 +520,29 @@ impl RangeSelectNetwork {
     /// (hash / route / commit) instead of a single opaque number.
     pub fn query_batch_timed(&mut self, queries: &[RangeSet]) -> (Vec<QueryOutcome>, BatchTimings) {
         let t0 = std::time::Instant::now();
-        let hashed: Vec<(RangeSet, Vec<(u32, Id)>)> = (queries.iter())
-            .map(|q| (self.hash_stage(q), self.hash.placed().to_vec()))
+        // Each row and arc base is copied out; the min-hashes the stage
+        // lends are the last query's only, so the ladder hashes its own.
+        let hashed: Vec<_> = (queries.iter())
+            .map(|q| {
+                let hashed_range = self.hash_stage(q);
+                let resolved = self.hash.resolved();
+                (hashed_range, resolved.placed.to_vec(), resolved.arc)
+            })
             .collect();
         let t1 = std::time::Instant::now();
         let plans: Vec<QueryPlan> = hashed
             .iter()
-            .map(|(hashed_range, placed)| self.plan_stage(hashed_range, placed))
+            .map(|(hashed_range, placed, arc)| {
+                let (arc, mins) = (*arc, None);
+                self.plan_stage(hashed_range, Resolved { placed, arc, mins })
+            })
             .collect();
         let t2 = std::time::Instant::now();
         let outcomes = queries
             .iter()
             .zip(hashed)
             .zip(plans)
-            .map(|((q, (hashed_range, placed)), plan)| {
+            .map(|((q, (hashed_range, placed, _)), plan)| {
                 self.commit_stage(q, hashed_range, identifiers_of(&placed), plan, true)
             })
             .collect();
@@ -555,7 +563,7 @@ impl RangeSelectNetwork {
     pub fn store_partition(&mut self, range: &RangeSet) -> usize {
         let mut placed = 0;
         for ident in self.groups.identifiers(range) {
-            let pos = position(&self.config, self.anchors.as_ref(), ident, range);
+            let pos = (self.hash).placer(&self.config, self.anchors.as_ref(), ident)(range);
             let owner = self.ring.successor_of(pos);
             for holder in self
                 .ring
@@ -574,7 +582,7 @@ impl RangeSelectNetwork {
 mod tests {
     use super::*;
     use crate::config::{MatchMeasure, PlacementMode};
-    use crate::plan::tests::{entries, resolve};
+    use crate::plan::tests::{check_layered_copies, entries, pool, position, resolve};
     use ars_lsh::LshFamilyKind;
 
     fn r(lo: u32, hi: u32) -> RangeSet {
@@ -1055,14 +1063,19 @@ mod tests {
         assert_eq!(stats.dedup_saved_lookups, 1);
     }
 
+    /// A copied row and arc base, as the batch call lends them to planning.
+    fn lent(placed: &[(u32, Id)], arc: Option<Id>) -> Resolved<'_> {
+        let mins = None;
+        Resolved { placed, arc, mins }
+    }
+
     /// `targets` of `q` on `n`, and the plan the static executor routes
     /// them into.
     fn targets_and_plan(n: &mut RangeSelectNetwork, q: &RangeSet) -> (Targets, QueryPlan) {
         let hashed = n.hash_stage(q);
-        let placed = n.hash.placed().to_vec();
-        let anchors = n.anchors.as_ref();
-        let targets = targets(&n.config, &n.groups, anchors, &hashed, &placed);
-        (targets, n.plan_stage(&hashed, &placed))
+        let targets = targets(&n.config, &n.groups, &hashed, n.hash.resolved());
+        let (placed, arc) = (n.hash.placed().to_vec(), n.hash.resolved().arc);
+        (targets, n.plan_stage(&hashed, lent(&placed, arc)))
     }
 
     #[test]
@@ -1102,7 +1115,7 @@ mod tests {
         n.hash_stage(&q);
         let mut placed = n.hash.placed().to_vec();
         placed[4] = placed[1];
-        let repeated = crate::plan::targets(&n.config, &n.groups, None, &q, &placed);
+        let repeated = crate::plan::targets(&n.config, &n.groups, &q, lent(&placed, None));
         assert_eq!(repeated.candidates, identifiers[..4]);
         assert_eq!((repeated.keys.len(), repeated.stores.len()), (4, 4));
         assert_eq!(repeated.dedup_saved, 1);
@@ -1184,7 +1197,8 @@ mod tests {
                 let each: Vec<Id> = (bucket.iter())
                     .map(|range| position(config, anchors, ident, range))
                     .collect();
-                let place = HashStage::default().placer(config, anchors, ident);
+                let mut stage = HashStage::default();
+                let place = stage.placer(config, anchors, ident);
                 let swept: Vec<Id> = bucket.iter().map(place).collect();
                 assert_eq!(swept, each);
             }
@@ -1216,7 +1230,7 @@ mod tests {
                 assert_eq!(position, n.place(ident));
             }
             // ...and planning routes to exactly those positions.
-            let plan = n.plan_stage(&hashed, &placed);
+            let plan = n.plan_stage(&hashed, lent(&placed, None));
             for (&ident, &(owner, _)) in plan.candidates.iter().zip(&plan.lookups) {
                 assert_eq!(owner, n.ring().successor_of(n.place(ident)));
             }
@@ -1232,19 +1246,52 @@ mod tests {
     }
 
     #[test]
-    fn layered_cache_entries_are_never_placed() {
-        // Layered planning derives positions from the anchor sketch and
-        // never reads the memo's: a miss must not pay a SHA-1 per
-        // identifier for them. Under uniformized placement `place(i)` is
-        // a SHA-1 image, so a slot still holding `i` itself was not hashed.
+    fn layered_cache_entries_hold_in_arc_offsets() {
+        // A layered row holds each identifier's offset inside an arc,
+        // which planning ORs into the range's arc base: a miss pays no
+        // SHA-1 per identifier for a position that depends on the anchor.
+        // The offsets are all a row holds — the arc's bits stay clear.
+        use ars_chord::{arc_base, arc_offset};
         let mut n = RangeSelectNetwork::new(40, layered_config(3));
         n.query_batch(&batch_trace());
         assert!(!n.identifier_cache().is_empty());
-        for (_, placed) in entries(n.identifier_cache(), 5) {
+        let sketch = n.anchors.clone().expect("layered");
+        for (range, placed) in entries(n.identifier_cache(), 5) {
             assert!(placed
                 .iter()
-                .all(|&(ident, position)| position == Id(ident)));
+                .all(|&(ident, offset)| offset == Id(arc_offset(ident))));
+            // What planning makes of the row is the unmemoised placement.
+            let arc = Some(arc_base(sketch.identifiers(range)[0]));
+            let planned = targets(&n.config, &n.groups, range, lent(placed, arc));
+            for &(ident, at) in &planned.stores {
+                assert_eq!(at, position(&n.config, Some(&sketch), ident, range));
+            }
         }
+    }
+
+    #[test]
+    fn layered_copies_sit_where_the_oracle_places_them() {
+        // Every copy a layered query or `store_partition` writes sits
+        // where the unmemoised hashes place it — through more distinct
+        // anchors than the memo's arc table holds and more identifiers
+        // than its offset table does, so both evict, and through repeats
+        // that hit the identifier cache.
+        let config = layered_config(17).with_replication(2);
+        let mut n = RangeSelectNetwork::new(60, config.clone());
+        let queries = pool(&mut DetRng::new(17), 3_000, 1 << 24);
+        n.run_trace(queries.iter().chain((0..3).flat_map(|_| &queries[..200])));
+        assert!(n.identifier_cache().hits() >= 200);
+        n.store_partition(&r(7, 9_000));
+        let entries = (n.ring().node_ids().iter()).flat_map(|&id| {
+            n.peer(id)
+                .into_iter()
+                .flat_map(move |p| p.entries().map(move |(i, r)| (id, i, r)))
+        });
+        let anchors = check_layered_copies(&config, n.ring(), entries);
+        assert!(
+            anchors > 2 << crate::plan::ARC_BITS,
+            "the arc table evicts: {anchors} anchors"
+        );
     }
 
     #[test]
@@ -1263,7 +1310,8 @@ mod tests {
                 if !layered {
                     placed[4] = placed[1]; // forced duplicate
                 }
-                let plan = n.plan_stage(&hashed, &placed);
+                let arc = n.hash.resolved().arc;
+                let plan = n.plan_stage(&hashed, lent(&placed, arc));
                 saved += plan.dedup_saved;
                 let paid = if layered { 1 } else { placed.len() };
                 assert_eq!(plan.lookups.len() + plan.dedup_saved, paid);

@@ -19,7 +19,8 @@ use crate::config::{MatchMeasure, SystemConfig};
 use crate::network::QueryOutcome;
 use crate::peer::Peer;
 use crate::plan::{
-    anchor_sketch, hashed_range, identifiers_of, targets, verdict, PlacementMemo, Transport,
+    anchor_sketch, hashed_range, identifiers_of, targets, verdict, PlacementMemo, Resolved,
+    Transport,
 };
 use ars_chord::{Id, Ring};
 use ars_common::DetRng;
@@ -600,8 +601,19 @@ impl ProtoNetwork {
         let hashed_range = hashed_range(q, self.config.padding);
         let anchors = self.anchors.as_ref();
         let (config, groups, mut placed) = (&self.config, &self.groups, Vec::new());
-        (self.placements).resolve_into(config, groups, anchors, &hashed_range, &mut placed);
-        let targets = targets(config, groups, anchors, &hashed_range, &placed);
+        let arc =
+            (self.placements).resolve_into(config, groups, anchors, &hashed_range, &mut placed);
+        let mins = self.placements.mins();
+        let targets = targets(
+            config,
+            groups,
+            &hashed_range,
+            Resolved {
+                placed: &placed,
+                arc,
+                mins,
+            },
+        );
         let origin = self.rng.gen_index(self.ring.len());
         let reply_to = origin as u32;
 
@@ -1053,6 +1065,36 @@ mod tests {
         assert!(net.messages_delivered() >= read + 5 * 2);
         let again = net.query(&r(30, 50));
         assert!(again.exact && !again.stored);
+    }
+
+    #[test]
+    fn layered_copies_sit_where_the_oracle_places_them() {
+        // The message executor plans from a bare memo: its copies, too,
+        // sit where the unmemoised hashes place them, through evictions
+        // of both of the memo's layered tables.
+        let config = SystemConfig::default()
+            .with_seed(17)
+            .with_placement_mode(crate::PlacementMode::Layered)
+            .with_probes(16)
+            .with_replication(2);
+        let mut net = ProtoNetwork::new(60, config.clone());
+        for q in &crate::plan::tests::pool(&mut DetRng::new(17), 3_000, 1 << 24) {
+            net.query(q);
+        }
+        let ring = net.ring.clone();
+        let entries: Vec<(Id, u32, RangeSet)> = (ring.node_ids().iter().enumerate())
+            .flat_map(|(rank, &id)| {
+                let stored = net.net.node_mut(rank).storage.entries();
+                stored
+                    .map(move |(ident, range)| (id, ident, range))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let anchors = crate::plan::tests::check_layered_copies(&config, &ring, entries.into_iter());
+        assert!(
+            anchors > 2 << crate::plan::ARC_BITS,
+            "the arc table evicts: {anchors} anchors"
+        );
     }
 
     #[test]

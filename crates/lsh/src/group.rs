@@ -36,7 +36,7 @@ impl HashGroups {
     }
 
     /// Functions per group (`k`).
-    pub(crate) fn k(&self) -> usize {
+    pub fn k(&self) -> usize {
         self.groups[0].len()
     }
 
@@ -66,6 +66,24 @@ impl HashGroups {
         assert_eq!(out.len(), self.l(), "output buffer must have length l");
         for (o, g) in out.iter_mut().zip(&self.fused) {
             *o = g.identifier(q);
+        }
+    }
+
+    /// The `l × k` min-hashes of `q`, group `g`'s `k` at `mins[g * k..][..k]`:
+    /// each group's identifier is the XOR of its `k`, and the multi-probe
+    /// ladder ([`Self::probe_candidates_from`]) starts from them.
+    ///
+    /// # Panics
+    /// Panics if `mins.len() != l * k` or `q` is empty.
+    pub fn mins_into(&self, q: &RangeSet, mins: &mut [u32]) {
+        let k = self.k();
+        assert_eq!(
+            mins.len(),
+            self.l() * k,
+            "output buffer must have length l × k"
+        );
+        for (m, g) in mins.chunks_mut(k).zip(&self.fused) {
+            g.mins_into(q, m);
         }
     }
 

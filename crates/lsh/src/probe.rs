@@ -74,21 +74,49 @@ impl HashGroups {
     /// # Panics
     /// Panics if `q` is empty.
     pub fn probe_candidates(&self, q: &RangeSet, budget: usize) -> Vec<ProbeCandidate> {
+        self.probe_candidates_from(q, None, budget)
+    }
+
+    /// [`Self::probe_candidates`], starting from `q`'s `l × k` base
+    /// min-hashes ([`Self::mins_into`]'s layout) where the caller already
+    /// has them — a hash stage that folded the identifiers from them — and
+    /// computing them itself where `base_mins` is `None`. The ladder's
+    /// output depends only on `q` and `budget`.
+    ///
+    /// # Panics
+    /// Panics if `q` is empty or `base_mins` is not `l × k` long.
+    pub fn probe_candidates_from(
+        &self,
+        q: &RangeSet,
+        base_mins: Option<&[u32]>,
+        budget: usize,
+    ) -> Vec<ProbeCandidate> {
         assert!(!q.is_empty(), "cannot probe an empty range");
+        let fused = self.fused_groups();
+        let (k, l) = (self.k(), fused.len());
+        if let Some(given) = base_mins {
+            assert_eq!(given.len(), l * k, "base min-hashes must be l × k");
+        }
         if budget == 0 {
             return Vec::new();
         }
-        let fused = self.fused_groups();
-        let (k, l) = (self.k(), fused.len());
         // One buffer for the whole call: group g's base min-hashes at
-        // `base_mins[g * k..][..k]`, `k` slots every perturbed evaluation
-        // reuses, `k` for the coordinates it flipped, the `l` base identifiers.
-        let mut buf = vec![0u32; (l + 2) * k + l];
-        let (base_mins, rest) = buf.split_at_mut(l * k);
+        // `base_mins[g * k..][..k]` unless the caller lent them, `k` slots
+        // every perturbed evaluation reuses, `k` for the coordinates it
+        // flipped, the `l` base identifiers.
+        let own = if base_mins.is_some() { 0 } else { l * k };
+        let mut buf = vec![0u32; own + 2 * k + l];
+        let (computed, rest) = buf.split_at_mut(own);
         let (mins, rest) = rest.split_at_mut(k);
         let (flips, base_ids) = rest.split_at_mut(k);
-        for ((g, m), id) in (fused.iter().zip(base_mins.chunks_mut(k))).zip(base_ids.iter_mut()) {
-            g.mins_into(q, m);
+        let base_mins = match base_mins {
+            Some(given) => given,
+            None => {
+                self.mins_into(q, computed);
+                &*computed
+            }
+        };
+        for (m, id) in base_mins.chunks(k).zip(base_ids.iter_mut()) {
             *id = m.iter().fold(0u32, |acc, &x| acc ^ x);
         }
 
@@ -239,7 +267,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The stopped ladder returns the exhaustive one's sequence,
-        /// element for element: every family, `k` from 1 to past
+        /// element for element, whether it hashes the base min-hashes
+        /// itself or is lent them: every family, `k` from 1 to past
         /// `FUSED_MAX_K`, one group and five, one interval and several,
         /// widths of 1–3 values (δ·width rounds to nothing on most rungs),
         /// sets that touch 0 or `u32::MAX`, budgets on both sides of 16 and
@@ -275,11 +304,20 @@ mod tests {
                 interval
             }));
             let groups = HashGroups::generate(kind, k, l, &mut DetRng::new(seed));
+            let mut base_mins = vec![0u32; l * k];
+            groups.mins_into(&q, &mut base_mins);
             for budget in [0usize, 1, 15, 16, 17, 64, 10_000] {
+                let stopped = groups.probe_candidates(&q, budget);
                 prop_assert_eq!(
-                    groups.probe_candidates(&q, budget),
-                    exhaustive_ladder(&groups, &q, budget),
+                    &stopped,
+                    &exhaustive_ladder(&groups, &q, budget),
                     "{} k {} l {} budget {} on {}", kind, k, l, budget, q
+                );
+                // Started from the min-hashes a hash stage lends it.
+                prop_assert_eq!(
+                    groups.probe_candidates_from(&q, Some(&base_mins), budget),
+                    stopped,
+                    "lent min-hashes: {} k {} l {} budget {} on {}", kind, k, l, budget, q
                 );
             }
         }
