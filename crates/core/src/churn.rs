@@ -2529,9 +2529,12 @@ mod tests {
                 }
             }
             assert!(copies > 400, "the sweep reads the cache: {copies}");
-            let layered = config.placement_mode == PlacementMode::Layered;
             let slots = 1 << crate::plan::ARC_BITS;
-            assert!(!layered || arcs.len() > slots, "{} anchors", arcs.len());
+            assert!(
+                net.anchors.is_none() || arcs.len() > slots,
+                "{} anchors",
+                arcs.len()
+            );
         }
     }
 
